@@ -9,8 +9,9 @@ classifies graph points into leaves for the worked scenarios.
 from .algebra import AbelianGroup, LieAlgebra, MatrixGroup, structure_constants_from_matrix_basis
 from .completion import HolonomyElement, IsotropyReport, LeafRecord, isotropy, loop_to_group, orbit_dim, same_leaf
 from .expr import Expr, ExprDomainError, ExprNameError, ExprSyntaxError, parse
-from .flow import COMPLETE, ESCAPED, STEP_LIMIT, FlowOutcome, IntegratorConfig, flow, run_word
-from .lift import ExpSeg, GPath, LiftResult, LinearSeg, equivariance_check, gamma, lift_path
+from .flow import COMPLETE, ESCAPED, STEP_LIMIT, IntegratorConfig
+from .lift import ExpSeg, FlowOutcome, GPath, LiftResult, LinearSeg, WordOutcome
+from .lift import equivariance_check, flow, gamma, lift_path, run_word
 from .manifold import Domain, GAction, OutsideDomainError, check_homomorphism
 from .scenarios import build, circle_loop_path, leaf_invariant, oracle_z, scenario_names
 
@@ -36,6 +37,7 @@ __all__ = [
     "LieAlgebra",
     "LiftResult",
     "LinearSeg",
+    "WordOutcome",
     "MatrixGroup",
     "OutsideDomainError",
     "STEP_LIMIT",

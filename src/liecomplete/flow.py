@@ -1,11 +1,15 @@
-"""Adaptive flows of fundamental vector fields with escape detection.
+"""The adaptive integrator behind every lift, with escape detection.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with FSAL and a PI-free
 step controller.  Escape from the open domain is detected by scanning the
 domain margin along each accepted step (endpoints plus interpolated interior
-samples, with a golden-section dip refinement so that fast transits across a
-thin excluded set are not stepped over), and the escape time is refined by
+samples, with a golden-section dip refinement); a step whose margin dips well
+below both of its ends is retried so that it ends at the dip, so fast transits
+past a thin excluded set are not stepped over.  The escape time is refined by
 bisection on the margin against the escape threshold.
+
+Flows of single fields and words of flows are lifts of one-parameter group
+paths; they live beside :func:`liecomplete.lift.lift_path`.
 
 References for the tableau: Dormand & Prince (1980), the standard RK5(4)7M
 coefficients as used by ode45/RKDP.
@@ -14,19 +18,15 @@ coefficients as used by ode45/RKDP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 __all__ = [
     "IntegratorConfig",
-    "FlowOutcome",
-    "WordOutcome",
-    "FlowNumericsError",
     "COMPLETE",
     "ESCAPED",
     "STEP_LIMIT",
-    "flow",
-    "run_word",
+    "integrate_autonomous",
 ]
 
 COMPLETE = "complete"
@@ -53,17 +53,12 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 _MARGIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
-class FlowNumericsError(RuntimeError):
-    pass
-
-
 @dataclass
 class IntegratorConfig:
     """Step-control and escape-detection knobs shared by flows and lifts."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    initial_step: Optional[float] = None
     max_step: Optional[float] = None
     max_steps: int = 1_000_000
     escape_margin: float = 1e-9          # margin level treated as having left
@@ -77,37 +72,10 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must be positive")
         if self.rel_tol < 1e-14:
             raise ValueError("rel_tol below 1e-14 is not resolvable in double precision")
-        if self.initial_step is not None and self.initial_step <= 0.0:
-            raise ValueError("initial_step must be positive")
         if self.max_step is not None and self.max_step <= 0.0:
             raise ValueError("max_step must be positive")
         if self.max_steps <= 0 or self.trace_target < 2:
             raise ValueError("max_steps must be positive and trace_target >= 2")
-
-
-@dataclass
-class FlowOutcome:
-    status: str
-    endpoint: tuple
-    trace: list                      # [(t, point tuple), ...] times in flow units
-    escape_time: Optional[float] = None
-    low_confidence: bool = False
-    steps: int = 0
-
-    @property
-    def complete(self) -> bool:
-        return self.status == COMPLETE
-
-
-@dataclass
-class WordOutcome:
-    status: str
-    endpoint: tuple
-    trace: list
-    escape_time: Optional[float] = None   # global elapsed (unsigned) time
-    failed_stage: Optional[int] = None
-    stage_escape_time: Optional[float] = None  # signed time within the stage
-    low_confidence: bool = False
 
 
 def _hermite(y0, f0, y1, f1, h):
@@ -150,18 +118,16 @@ def _golden_min(fn, lo: float, hi: float, iters: int = 40):
 _SCAN = (0.25, 0.5, 0.75, 1.0)
 
 
-class _Escape(Exception):
-    """Internal control flow: carries (s_left, y_left, s_mid, low_confidence)."""
-
-    def __init__(self, s_left, y_left, s_mid, low_confidence):
-        self.s_left = s_left
-        self.y_left = y_left
-        self.s_mid = s_mid
-        self.low_confidence = low_confidence
-
-
 def _scan_margins(margin, interp, m0: float, m_end: float, eps: float, h: float, width: float):
-    """Check the margin along one accepted step; raise _Escape on a crossing."""
+    """Check the margin along one accepted step.
+
+    Returns ``None`` when the step can be committed; ``("dip", s)`` when the
+    margin dips at step fraction ``s`` well below both ends of the step, which
+    is then retried so that it ends at the dip; or
+    ``("escape", s_lo, s_mid, low_confidence)`` when the margin crosses
+    ``eps``, with ``s_lo`` the last fraction found inside and ``s_mid`` the
+    middle of the final bisection bracket.
+    """
     ms = [m0]
     for s in _SCAN[:-1]:
         ms.append(margin(interp(s)))
@@ -183,8 +149,10 @@ def _scan_margins(margin, interp, m0: float, m_end: float, eps: float, h: float,
             s_star, m_star = _golden_min(lambda s: margin(interp(s)), lo, hi)
             if m_star <= eps:
                 cross = (lo, s_star)
+            elif m_star < 0.5 * min(m0, m_end):
+                return ("dip", s_star)
     if cross is None:
-        return
+        return None
 
     s_lo, s_hi = cross  # margin(s_lo) > eps >= margin(s_hi)
     low_conf = False
@@ -202,7 +170,7 @@ def _scan_margins(margin, interp, m0: float, m_end: float, eps: float, h: float,
             s_hi = mid
     else:
         low_conf = True
-    raise _Escape(s_lo, interp(s_lo), 0.5 * (s_lo + s_hi), low_conf)
+    return ("escape", s_lo, 0.5 * (s_lo + s_hi), low_conf)
 
 
 def integrate_autonomous(
@@ -244,10 +212,17 @@ def integrate_autonomous(
         # in-domain but the field is not evaluable: nothing can move
         return ESCAPED, 0.0, tuple(y), 0, True
 
-    h = cfg.initial_step if cfg.initial_step is not None else duration / 8.0
+    # First trial step: where a solution whose higher derivatives are the size
+    # of f0 would meet the tolerance (the h1 of Hairer, Norsett & Wanner,
+    # Solving ODEs I, II.4).  A whole-span first step can pass the error test
+    # while its true error is far larger, because the embedded estimate is
+    # only asymptotic in h.
+    d1 = math.sqrt(sum(
+        (f0[i] / (cfg.abs_tol + cfg.rel_tol * abs(y[i]))) ** 2 for i in range(n)
+    ) / n)
+    h = min(duration, (0.01 / d1) ** 0.2) if 0.0 < d1 < math.inf else duration
     if cfg.max_step is not None:
         h = min(h, cfg.max_step)
-    h = min(h, duration)
 
     steps = 0
     m_curr = None  # margin at current point, lazily reused
@@ -312,15 +287,19 @@ def integrate_autonomous(
         m_end = safe_margin(y1)
         if m_curr is None:
             m_curr = safe_margin(y)
-        try:
-            _scan_margins(safe_margin, interp, m_curr, m_end, eps, h, cfg.escape_time_width)
-        except _Escape as esc:
-            t_end = t + esc.s_left * h
-            if on_step is not None and esc.s_left > 0.0:
-                s_cut = esc.s_left
-                on_step(t, y, t_end, esc.y_left, lambda s, _i=interp, _c=s_cut: _i(s * _c))
-            t_bar = t + esc.s_mid * h
-            return ESCAPED, t_bar, tuple(esc.y_left), steps, esc.low_confidence
+        found = _scan_margins(safe_margin, interp, m_curr, m_end, eps, h, cfg.escape_time_width)
+        if found is not None:
+            if found[0] == "dip":
+                # a thin pass the step may have jumped: end the retried step at it
+                h *= found[1]
+                if h < cfg.step_collapse:
+                    return ESCAPED, t, tuple(y), steps, True
+                continue
+            _, s_cut, s_mid, low = found
+            y_cut = interp(s_cut)
+            if on_step is not None and s_cut > 0.0:
+                on_step(t, y, t + s_cut * h, y_cut, lambda s, _i=interp, _c=s_cut: _i(s * _c))
+            return ESCAPED, t + s_mid * h, tuple(y_cut), steps, low
 
         if on_step is not None:
             on_step(t, y, t + h, y1, interp)
@@ -334,84 +313,3 @@ def integrate_autonomous(
         h *= growth
         if cfg.max_step is not None:
             h = min(h, cfg.max_step)
-
-
-class TraceRecorder:
-    """Collects accepted steps; can re-sample interpolants to pad the trace."""
-
-    def __init__(self, t0: float, y0, keep_interp_limit: int = 4096):
-        self.rows: List[Tuple[float, tuple]] = [(t0, tuple(y0))]
-        self.steps: list = []
-        self.keep_limit = keep_interp_limit
-
-    def __call__(self, t0, y0, t1, y1, interp):
-        if len(self.steps) < self.keep_limit:
-            self.steps.append((t0, t1, interp))
-        self.rows.append((t1, tuple(y1)))
-
-    def padded(self, target: int) -> list:
-        if len(self.rows) >= target or not self.steps:
-            return self.rows
-        per = int(math.ceil((target - 1) / len(self.steps)))
-        out = [self.rows[0]]
-        for (t0, t1, interp) in self.steps:
-            for k in range(1, per + 1):
-                s = k / per
-                out.append((t0 + s * (t1 - t0), tuple(interp(s))))
-        # the final row is authoritative (interp(1) equals it up to rounding)
-        out[-1] = self.rows[-1]
-        return out
-
-
-def flow(action, X, t: float, x0, cfg: Optional[IntegratorConfig] = None) -> FlowOutcome:
-    """Flow x0 along the fundamental field of X for time t (t may be negative)."""
-    cfg = cfg or IntegratorConfig()
-    x0 = [float(v) for v in x0]
-    action.require_inside(x0)
-    if t == 0.0:
-        return FlowOutcome(COMPLETE, tuple(x0), [(0.0, tuple(x0))])
-
-    sign = 1.0 if t > 0.0 else -1.0
-    X_eff = [sign * float(v) for v in X]
-    rhs = action.rhs(X_eff)
-    rec = TraceRecorder(0.0, x0)
-    status, s_end, y_end, steps, low = integrate_autonomous(
-        rhs, x0, abs(t), cfg, action._margin_unpacked, rec
-    )
-    rows = rec.padded(cfg.trace_target + 1)
-    trace = [(sign * s, y) for (s, y) in rows]
-    escape_time = sign * s_end if status == ESCAPED else None
-    if status == STEP_LIMIT:
-        escape_time = None
-    return FlowOutcome(status, tuple(y_end), trace, escape_time, low, steps)
-
-
-def run_word(action, word, x0, cfg: Optional[IntegratorConfig] = None) -> WordOutcome:
-    """Compose flows for a word [(X, t), ...]; stops at the first escape.
-
-    The returned trace uses a global clock that accumulates |t| over stages,
-    so it is monotone even when some stage times are negative.
-    """
-    cfg = cfg or IntegratorConfig()
-    point = [float(v) for v in x0]
-    action.require_inside(point)
-    elapsed = 0.0
-    trace: list = [(0.0, tuple(point))]
-    for stage, (X, t) in enumerate(word):
-        out = flow(action, X, float(t), point, cfg)
-        trace.extend((elapsed + abs(tt), y) for (tt, y) in out.trace[1:])
-        if out.status != COMPLETE:
-            return WordOutcome(
-                out.status,
-                out.endpoint,
-                trace,
-                escape_time=elapsed + (abs(out.escape_time) if out.escape_time is not None else 0.0)
-                if out.status == ESCAPED
-                else None,
-                failed_stage=stage,
-                stage_escape_time=out.escape_time,
-                low_confidence=out.low_confidence,
-            )
-        elapsed += abs(float(t))
-        point = list(out.endpoint)
-    return WordOutcome(COMPLETE, tuple(point), trace)

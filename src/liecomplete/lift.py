@@ -17,34 +17,36 @@ Segments:
   ``tau in [0, duration]`` and advances by ``exp(duration * X)`` in total.
   Splitting an ExpSeg into consecutive pieces with the same ``X`` therefore
   never changes the endpoint.
+
+The flow of one fundamental field, :func:`flow`, is the lift of a one-segment
+``ExpSeg`` path from the identity, and a word of flows, :func:`run_word`, is
+the lift of one ``ExpSeg`` per stage; both map the unit path clock back to
+flow time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import AlgebraError
-from .flow import (
-    COMPLETE,
-    ESCAPED,
-    STEP_LIMIT,
-    FlowOutcome,
-    IntegratorConfig,
-    integrate_autonomous,
-)
+from .flow import COMPLETE, ESCAPED, IntegratorConfig, integrate_autonomous
 
 __all__ = [
     "LinearSeg",
     "ExpSeg",
     "GPath",
     "LiftResult",
+    "FlowOutcome",
+    "WordOutcome",
     "PathError",
     "LiftEscapedError",
     "lift_path",
+    "flow",
+    "run_word",
     "gamma",
     "equivariance_check",
 ]
@@ -232,6 +234,32 @@ class LiftResult:
         return self.status == COMPLETE
 
 
+@dataclass
+class FlowOutcome:
+    status: str
+    endpoint: tuple
+    trace: list                      # [(t, point tuple), ...] times in flow units
+    escape_time: Optional[float] = None
+    low_confidence: bool = False
+    steps: int = 0
+
+    @property
+    def complete(self) -> bool:
+        return self.status == COMPLETE
+
+
+@dataclass
+class WordOutcome:
+    status: str
+    endpoint: tuple
+    trace: list
+    escape_time: Optional[float] = None   # global elapsed (unsigned) time
+    failed_stage: Optional[int] = None
+    stage_escape_time: Optional[float] = None  # signed time within the stage
+    low_confidence: bool = False
+    steps: int = 0
+
+
 class _WindingTracker:
     """Unwrapped angle of a plane projection along the lift.
 
@@ -317,10 +345,6 @@ def lift_path(
         w = path.widths[k]
         t_base = path._bounds[k]
         rhs = action.rhs(path.velocity(k))
-        seg_cfg = replace(
-            cfg,
-            initial_step=min(cfg.initial_step, w) if cfg.initial_step else w,
-        )
 
         def on_step(t0, y0_, t1, y1, interp, _k=k, _tb=t_base, _w=w):
             if tracker is not None:
@@ -330,7 +354,7 @@ def lift_path(
                 kept_steps.append((_tb + t0, _tb + t1, interp, _k))
 
         status, t_end, y_end, steps, low = integrate_autonomous(
-            rhs, y, w, seg_cfg, margin, on_step
+            rhs, y, w, cfg, margin, on_step
         )
         steps_total += steps
         if status != COMPLETE:
@@ -375,6 +399,65 @@ def _padded_rows(rows, kept_steps, path: GPath, cfg: IntegratorConfig):
             out.append((t, path.group_point(k, (t - tb) / w), tuple(interp(s))))
     out[-1] = rows[-1]
     return out
+
+
+def flow(action, X, t: float, x0, cfg: Optional[IntegratorConfig] = None) -> FlowOutcome:
+    """Flow x0 along the fundamental field of X for time t (t may be negative).
+
+    This is the one-stage word ``[(X, t)]``: ``cfg.max_step``,
+    ``cfg.step_collapse`` and ``cfg.escape_time_width`` apply on the unit lift
+    clock, so in flow time they scale by ``|t|``.
+    """
+    out = run_word(action, [(X, t)], x0, cfg)
+    sign = -1.0 if t < 0.0 else 1.0
+    trace = [(sign * s, y) for (s, y) in out.trace]
+    return FlowOutcome(
+        out.status, out.endpoint, trace, out.stage_escape_time, out.low_confidence, out.steps
+    )
+
+
+def run_word(action, word, x0, cfg: Optional[IntegratorConfig] = None) -> WordOutcome:
+    """Compose flows for a word [(X, t), ...]; stops at the first escape.
+
+    The word is lifted as one group path from the identity with an
+    ``ExpSeg(sign(t) * X, |t|)`` per non-zero stage.  The returned trace uses a
+    global clock that accumulates |t| over stages, so it is monotone even when
+    some stage times are negative.  ``cfg.max_step``, ``cfg.step_collapse``
+    and ``cfg.escape_time_width`` apply on the unit lift clock, so in flow time
+    they scale by the total ``sum(|t|)``.
+    """
+    x0 = [float(v) for v in x0]
+    action.require_inside(x0)
+    stages = [(i, X, float(t)) for i, (X, t) in enumerate(word) if float(t) != 0.0]
+    if not stages:
+        return WordOutcome(COMPLETE, tuple(x0), [(0.0, tuple(x0))])
+
+    G = action.group
+    segs = [ExpSeg(tuple(float(v) if t > 0.0 else -float(v) for v in X), abs(t))
+            for (_, X, t) in stages]
+    total = sum(abs(t) for (_, _, t) in stages)
+    res = lift_path(action, GPath(G, G.identity(), segs), x0, cfg)
+    trace = [(total * s, m) for (s, _, m) in res.trace]
+    if res.complete:
+        return WordOutcome(COMPLETE, res.endpoint_m, trace, steps=res.steps)
+
+    k = res.failed_segment
+    stage, _, t = stages[k]
+    escape_time = stage_time = None
+    if res.status == ESCAPED:
+        escape_time = total * res.escape_time
+        elapsed = sum(abs(t_j) for (_, _, t_j) in stages[:k])
+        stage_time = math.copysign(escape_time - elapsed, t)
+    return WordOutcome(
+        res.status,
+        res.endpoint_m,
+        trace,
+        escape_time=escape_time,
+        failed_stage=stage,
+        stage_escape_time=stage_time,
+        low_confidence=res.low_confidence,
+        steps=res.steps,
+    )
 
 
 def gamma(action, path: GPath, probes: Sequence, cfg: Optional[IntegratorConfig] = None):

@@ -68,11 +68,8 @@ class Domain:
                 if lo is not None and hi is not None and not lo < hi:
                     raise DomainError("box bounds must satisfy lo < hi")
             object.__setattr__(self, "box", box)
-        margins = tuple(self.margins)
-        for m in margins:
-            bad = m.free_names - set(coords)
-            # parameters are allowed; they are bound when an action is built
-        object.__setattr__(self, "margins", margins)
+        # other names in margins are parameters, bound when an action is built
+        object.__setattr__(self, "margins", tuple(self.margins))
 
     @property
     def dim(self) -> int:

@@ -15,8 +15,8 @@ import pytest
 
 from liecomplete.cli import main
 from liecomplete.completion import isotropy, loop_to_group, same_leaf
-from liecomplete.flow import COMPLETE, flow, run_word
-from liecomplete.lift import GPath, LinearSeg, equivariance_check, lift_path
+from liecomplete.flow import COMPLETE
+from liecomplete.lift import GPath, LinearSeg, equivariance_check, flow, lift_path, run_word
 from liecomplete.manifold import check_homomorphism
 from liecomplete.scenarios import (
     build,
@@ -203,6 +203,7 @@ def test_criterion_11_property_suites():
         G = heli.group
 
         rng = np.random.default_rng(111)
+        exercised = 0
         for _ in range(50):   # flow group law
             X = tuple(rng.uniform(-1.0, 1.0, size=2))
             s, t = rng.uniform(0.1, 0.9, size=2)
@@ -215,8 +216,11 @@ def test_criterion_11_property_suites():
             if second.status != COMPLETE:
                 continue
             assert np.max(np.abs(np.asarray(whole.endpoint) - second.endpoint)) < 1e-8
+            exercised += 1
+        assert exercised == 50
 
         rng = np.random.default_rng(112)
+        exercised = 0
         for _ in range(50):   # word-inverse return
             X = tuple(rng.uniform(-1.0, 1.0, size=2))
             ang = rng.uniform(0.0, 2.0 * math.pi)
@@ -225,8 +229,11 @@ def test_criterion_11_property_suites():
             if out.status != COMPLETE:
                 continue
             assert np.max(np.abs(np.asarray(out.endpoint) - x0)) < 1e-8
+            exercised += 1
+        assert exercised == 50
 
         rng = np.random.default_rng(113)
+        exercised = 0
         for _ in range(50):   # reparametrization invariance
             vecs = rng.uniform(-0.8, 0.8, size=(2, 2))
             lam = rng.uniform(0.2, 0.8)
@@ -240,8 +247,11 @@ def test_criterion_11_property_suites():
             if base.status != COMPLETE or alt.status != COMPLETE:
                 continue
             assert np.max(np.abs(np.asarray(base.endpoint_m) - alt.endpoint_m)) < 1e-8
+            exercised += 1
+        assert exercised == 50
 
         rng = np.random.default_rng(114)
+        exercised = 0
         for _ in range(50):   # concatenation
             v1, v2 = rng.uniform(-0.8, 0.8, size=(2, 2))
             x0 = (3.0, 3.0, 0.5)
@@ -255,6 +265,8 @@ def test_criterion_11_property_suites():
             if r2.status != COMPLETE or joined.status != COMPLETE:
                 continue
             assert np.max(np.abs(np.asarray(joined.endpoint_m) - r2.endpoint_m)) < 1e-8
+            exercised += 1
+        assert exercised == 50
 
         rng = np.random.default_rng(115)
         for _ in range(50):   # equivariance under group offsets

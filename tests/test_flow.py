@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liecomplete.flow import (
-    COMPLETE,
-    ESCAPED,
-    STEP_LIMIT,
-    IntegratorConfig,
-    flow,
-    run_word,
-)
+from liecomplete.flow import COMPLETE, ESCAPED, STEP_LIMIT, IntegratorConfig
+from liecomplete.lift import flow, run_word
 from liecomplete.manifold import OutsideDomainError
 from liecomplete.scenarios import build
 
@@ -28,6 +22,11 @@ def helicoid():
 @pytest.fixture(scope="module")
 def plane():
     return build("translation_rn", {"n": 2}).action
+
+
+@pytest.fixture(scope="module")
+def affine():
+    return build("affine_line").action
 
 
 def test_translation_flow(plane):
@@ -67,6 +66,16 @@ def test_trace_density(helicoid):
     assert times[-1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("a, t", [(0.875, 0.75), (1.0, 0.6)])
+def test_first_step_is_not_trusted_over_the_whole_span(helicoid, a, t):
+    # y stays 2, so the flow of (a, 0) turns the point by a known angle; one
+    # step over the whole span passed the error test with z off by 4.6e-8 (rel)
+    out = flow(helicoid, (a, 0.0), t, (2.0, 2.0, 0.5))
+    dtheta = math.atan2(2.0, 2.0 + a * t) - math.atan2(2.0, 2.0)
+    assert out.status == COMPLETE
+    assert out.endpoint[2] == pytest.approx(0.5 * math.exp(-dtheta), rel=1e-8)
+
+
 def test_negative_time_flow(helicoid):
     out = flow(helicoid, (1.0, 0.0), -1.0, (3.0, 0.0, 0.5))
     assert out.status == COMPLETE
@@ -104,6 +113,14 @@ def test_determinism(helicoid):
     b = flow(helicoid, (0.3, 0.9), 1.7, (1.0, 0.2, 0.5))
     assert a.trace == b.trace
     assert a.endpoint == b.endpoint
+
+
+@pytest.mark.parametrize("t", [1.5, -1.5])
+def test_matrix_model_dilation_flow(affine, t):
+    out = flow(affine, (0.0, 1.0), t, (2.0,))
+    assert out.status == COMPLETE
+    assert out.endpoint[0] == pytest.approx(2.0 * math.exp(t), rel=1e-9)
+    assert out.trace[-1][0] == pytest.approx(t)
 
 
 # ---------------------------------------------------------------------------
@@ -156,45 +173,71 @@ def test_word_global_clock_monotone(helicoid):
     assert times[-1] == pytest.approx(2.0)
 
 
+def test_matrix_model_word(affine):
+    # translate by 0.7, then dilate by e^-0.4
+    out = run_word(affine, [((1.0, 0.0), 0.7), ((0.0, 1.0), -0.4)], (2.0,))
+    assert out.status == COMPLETE
+    assert out.endpoint[0] == pytest.approx(2.7 * math.exp(-0.4), rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # group law / inverse properties
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    s=st.floats(0.1, 1.2),
-    t=st.floats(0.1, 1.2),
-    a=st.floats(-1.0, 1.0),
-    b=st.floats(-1.0, 1.0),
-)
-def test_flow_group_law(s, t, a, b):
+# Each property runs its hypothesis search inside the test and counts the
+# examples that reached the assertion, so an escape on every draw cannot
+# pass vacuously.
+
+
+def test_flow_group_law():
     action = build("example6_helicoid", {"alpha": 1.0}).action
-    X = (a, b)
-    x0 = (2.0, 2.0, 0.5)  # far from the axis so moderate flows stay inside
-    full = flow(action, X, s + t, x0)
-    first = flow(action, X, s, x0)
-    if not (full.status == first.status == COMPLETE):
-        return
-    second = flow(action, X, t, first.endpoint)
-    if second.status != COMPLETE:
-        return
-    assert np.max(np.abs(np.asarray(full.endpoint) - second.endpoint)) < 1e-8
+    exercised = []
 
-
-@settings(max_examples=25, deadline=None)
-@given(
-    data=st.lists(
-        st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.05, 0.6)),
-        min_size=1,
-        max_size=4,
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s=st.floats(0.1, 1.2),
+        t=st.floats(0.1, 1.2),
+        a=st.floats(-1.0, 1.0),
+        b=st.floats(-1.0, 1.0),
     )
-)
-def test_word_inverse_returns(data):
+    def check(s, t, a, b):
+        X = (a, b)
+        x0 = (2.0, 2.0, 0.5)  # far from the axis so moderate flows stay inside
+        full = flow(action, X, s + t, x0)
+        first = flow(action, X, s, x0)
+        if not (full.status == first.status == COMPLETE):
+            return
+        second = flow(action, X, t, first.endpoint)
+        if second.status != COMPLETE:
+            return
+        assert np.max(np.abs(np.asarray(full.endpoint) - second.endpoint)) < 1e-8
+        exercised.append(X)
+
+    check()
+    assert len(exercised) >= 20
+
+
+def test_word_inverse_returns():
     action = build("example6_helicoid", {"alpha": 1.0}).action
-    x0 = (3.0, 3.0, 0.5)
-    word = [((a, b), t) for (a, b, t) in data]
-    inverse = [((a, b), -t) for ((a, b), t) in reversed(word)]
-    out = run_word(action, word + inverse, x0)
-    if out.status != COMPLETE:
-        return
-    assert np.max(np.abs(np.asarray(out.endpoint) - x0)) < 1e-8
+    exercised = []
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(0.05, 0.6)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def check(data):
+        x0 = (3.0, 3.0, 0.5)
+        word = [((a, b), t) for (a, b, t) in data]
+        inverse = [((a, b), -t) for ((a, b), t) in reversed(word)]
+        out = run_word(action, word + inverse, x0)
+        if out.status != COMPLETE:
+            return
+        assert np.max(np.abs(np.asarray(out.endpoint) - x0)) < 1e-8
+        exercised.append(word)
+
+    check()
+    assert len(exercised) >= 12

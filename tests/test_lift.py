@@ -142,6 +142,42 @@ def test_radial_path_escapes(helicoid):
     assert all(helicoid.margin(m) > 0.0 for (_, _, m) in res.trace)
 
 
+@pytest.mark.parametrize("p0, delta, z0", [
+    ((0.6038016875016081, -0.014700227670238753),
+     (-1.2620306587761094, 0.03603847492043055), -0.6133569409259095),
+    ((-0.5504483282054216, -0.11653915928266573),
+     (1.1391179718088444, 0.24177971210892368), -1.8633619103242625),
+])
+def test_line_grazing_the_axis_keeps_the_winding_law(helicoid, p0, delta, z0):
+    # recorded lines passing 2.5e-3 and 2.9e-4 from the axis: one step over
+    # the whole line used to be accepted and end "complete" with z far off
+    p1 = (p0[0] + delta[0], p0[1] + delta[1])
+    dtheta = math.atan2(p0[0] * p1[1] - p0[1] * p1[0], p0[0] * p1[0] + p0[1] * p1[1])
+    path = GPath(helicoid.group, (0.0, 0.0), [LinearSeg(delta, 1.0)])
+    res = lift_path(helicoid, path, (p0[0], p0[1], z0))
+    assert res.status == COMPLETE
+    assert res.endpoint_m[2] == pytest.approx(z0 * math.exp(-dtheta), rel=1e-6)
+
+
+@pytest.mark.parametrize("p0, delta, z0", [
+    ((-1.2379280839727, 0.5543466061491021),
+     (2.452852309607656, -1.0982667656343352), 0.7197164026783031),
+    ((-1.0734176733945129, -0.059260714754143046),
+     (2.3350288241458355, 0.12877073294199903), 1.7221569192366772),
+])
+def test_margin_dip_ends_the_step(helicoid, p0, delta, z0):
+    # lines passing 5.8e-5 and 6.4e-5 from the axis at a loose tolerance: the
+    # steps grow past the pass, so only retrying a step whose margin dips well
+    # below both of its ends keeps z right (it was off by 96 % and 2200 %)
+    p1 = (p0[0] + delta[0], p0[1] + delta[1])
+    dtheta = math.atan2(p0[0] * p1[1] - p0[1] * p1[0], p0[0] * p1[0] + p0[1] * p1[1])
+    path = GPath(helicoid.group, (0.0, 0.0), [LinearSeg(delta, 1.0)])
+    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6)
+    res = lift_path(helicoid, path, (p0[0], p0[1], z0), cfg)
+    assert res.status == COMPLETE
+    assert res.endpoint_m[2] == pytest.approx(z0 * math.exp(-dtheta), rel=1e-4)
+
+
 def test_clockwise_loop_grows_z(helicoid):
     path = circle_loop_path((0.0, 0.0), (1.0, 0.0), turns=1.0, chords_per_turn=1024, clockwise=True)
     res = lift_path(helicoid, path, (1.0, 0.0, 1.0))
