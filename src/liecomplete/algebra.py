@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 JACOBI_TOL = 1e-12
 MODEL_COMMUTATOR_TOL = 1e-10
@@ -184,6 +183,10 @@ class MatrixGroup:
         return np.einsum("i,ijk->jk", X, self.basis)
 
     def exp_segment(self, X, t: float = 1.0) -> np.ndarray:
+        # imported here: scipy.linalg is most of the package's import time
+        # and only matrix-model exponentials need it
+        import scipy.linalg
+
         return scipy.linalg.expm(t * self.algebra_element(X))
 
     def distance(self, a, b) -> float:

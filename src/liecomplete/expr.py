@@ -540,6 +540,7 @@ _COMPILE_GLOBALS = {
     "_atan2": math.atan2,
     "_sign": _py_sign,
     "abs": abs,
+    "_inf": math.inf,
 }
 
 
@@ -559,17 +560,35 @@ def compile_scalars(
     and treat them as leaving the domain.
     """
     args = list(arg_names)
-    name_map = {n: f"_v{i}" for i, n in enumerate(args)}
-    if consts:
-        for k, v in consts.items():
-            if k not in name_map:
-                name_map[k] = repr(float(v))
+    name_map = _name_map(args, consts)
     bodies = [_render_py(e.node, name_map) for e in exprs]
     params = ", ".join(f"_v{i}" for i in range(len(args)))
     src = f"def _f({params}):\n    return ({', '.join(bodies)}{',' if len(bodies) == 1 else ''})"
+    return _define(src, "_f")
+
+
+def _name_map(arg_names: Iterable[str], consts: Optional[Mapping[str, float]]) -> dict:
+    """Argument names to ``_v0, _v1, ...``; other names in ``consts`` to literals."""
+    name_map = {n: f"_v{i}" for i, n in enumerate(arg_names)}
+    for k, v in (consts or {}).items():
+        if k not in name_map:
+            name_map[k] = _py_float(v)
+    return name_map
+
+
+def _py_float(v: float) -> str:
+    """Source text for the float ``v``, safe as an operand of any operator."""
+    v = float(v)
+    if not math.isfinite(v):
+        return f"float({repr(v)!r})"
+    return f"({v!r})" if math.copysign(1.0, v) < 0.0 else repr(v)
+
+
+def _define(src: str, name: str) -> Callable:
+    """Execute generated source with the expression globals; return ``name``."""
     ns = dict(_COMPILE_GLOBALS)
     exec(compile(src, "<expr>", "exec"), ns)
-    return ns["_f"]
+    return ns[name]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """The adaptive integrator behind every lift, with escape detection.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with FSAL and a PI-free
-step controller.  Escape from the open domain is detected by scanning the
-domain margin along each accepted step (endpoints plus interpolated interior
-samples, with a golden-section dip refinement); a step whose margin dips well
-below both of its ends is retried so that it ends at the dip, so fast transits
-past a thin excluded set are not stepped over.  The escape time is refined by
-bisection on the margin against the escape threshold.
+step controller; its step and the cubic Hermite interpolant of a step are
+generated once per state dimension as straight-line Python.  Escape from the
+open domain is detected by scanning the domain margin along each accepted step
+(endpoints plus interpolated interior samples, with a golden-section dip
+refinement); a step whose margin dips well below both of its ends is retried
+so that it ends at the dip, so fast transits past a thin excluded set are not
+stepped over.  The escape time is refined by bisection on the margin against
+the escape threshold.
 
 Flows of single fields and words of flows are lifts of one-parameter group
 paths; they live beside :func:`liecomplete.lift.lift_path`.
@@ -17,6 +19,7 @@ coefficients as used by ode45/RKDP.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -78,21 +81,90 @@ class IntegratorConfig:
             raise ValueError("max_steps must be positive and trace_target >= 2")
 
 
-def _hermite(y0, f0, y1, f1, h):
-    """Cubic Hermite interpolant of one step; s runs over [0, 1]."""
+def _lin(terms, i: int) -> str:
+    """Source of ``c1 * k1_i + c2 * k2_i + ...`` for (coefficient, stage) pairs."""
+    return " + ".join(
+        f"{c!r} * {k}_{i}" if c > 0.0 else f"({c!r}) * {k}_{i}" for c, k in terms
+    )
 
-    def interp(s: float):
-        s2 = s * s
-        a = s2 * (2.0 * s - 3.0) + 1.0        # h00
-        b = h * (s2 * (s - 2.0) + s)          # h10
-        c = s2 * (3.0 - 2.0 * s)              # h01
-        d = h * s2 * (s - 1.0)                # h11
-        return [
-            a * y0[i] + b * f0[i] + c * y1[i] + d * f1[i]
-            for i in range(len(y0))
+
+@functools.lru_cache(maxsize=None)
+def _dp5_kernels(n: int):
+    """Generate the DP5 step and its Hermite interpolant for states of length n.
+
+    ``step(rhs, y, f0, h, atol, rtol)`` returns ``(y1, f1, err)``, with ``f1 =
+    rhs(y1)`` and ``err`` the RMS of the embedded error estimate scaled by
+    ``atol + rtol * max(|y|, |y1|)``, or ``None`` when a stage raises one of
+    the margin errors or gives a non-finite ``y1`` or ``err``.
+    ``hermite(y0, f0, y1, f1, h)`` returns the cubic Hermite interpolant of
+    one step as a function of the step fraction s in [0, 1].  Both are
+    straight-line code with the same operations in the same order as an
+    index loop over the components.
+    """
+    idx = range(n)
+
+    def unpack(prefix):
+        return "".join(f"{prefix}{i}, " for i in idx)
+
+    def stage(row, i):
+        # x + h * (a1 * k1 + ...); the first stage groups as x + (h * a21) * k1
+        if len(row) == 1:
+            return f"x{i} + h * {row[0][0]!r} * k1_{i}"
+        return f"x{i} + h * ({_lin(row, i)})"
+
+    rows = [
+        [(_A21, "k1")],
+        [(_A31, "k1"), (_A32, "k2")],
+        [(_A41, "k1"), (_A42, "k2"), (_A43, "k3")],
+        [(_A51, "k1"), (_A52, "k2"), (_A53, "k3"), (_A54, "k4")],
+        [(_A61, "k1"), (_A62, "k2"), (_A63, "k3"), (_A64, "k4"), (_A65, "k5")],
+    ]
+    lines = [
+        "def step(rhs, y, f0, h, atol, rtol):",
+        f"    {unpack('x')}= y",
+        f"    {unpack('k1_')}= f0",
+        "    try:",
+    ]
+    for s, row in enumerate(rows, start=2):
+        lines.append(f"        {unpack(f'k{s}_')}= rhs([{', '.join(stage(row, i) for i in idx)}])")
+    b = [(_B1, "k1"), (_B3, "k3"), (_B4, "k4"), (_B5, "k5"), (_B6, "k6")]
+    lines.append(f"        y1 = [{', '.join(f'x{i} + h * ({_lin(b, i)})' for i in idx)}]")
+    lines.append("        f1 = rhs(y1)")
+    lines.append(f"        {unpack('z')}= y1")
+    lines.append(f"        {unpack('k7_')}= f1")
+    e = [(_E1, "k1"), (_E3, "k3"), (_E4, "k4"), (_E5, "k5"), (_E6, "k6"), (_E7, "k7")]
+    for i in idx:
+        lines += [
+            f"        a = abs(x{i})",
+            f"        b = abs(z{i})",
+            f"        e{i} = h * ({_lin(e, i)})"
+            f" / (atol + rtol * (b if b > a else a))",
         ]
-
-    return interp
+    lines += [
+        f"        err = _sqrt(({' + '.join(f'e{i} * e{i}' for i in idx)}) / {n})",
+        "    except _MARGIN_ERRORS:",
+        "        return None",
+        f"    if not ({' and '.join(['_isfinite(err)'] + [f'_isfinite(z{i})' for i in idx])}):",
+        "        return None",
+        "    return y1, f1, err",
+        "",
+        "def hermite(y0, f0, y1, f1, h):",
+        f"    {unpack('p')}= y0",
+        f"    {unpack('q')}= f0",
+        f"    {unpack('r')}= y1",
+        f"    {unpack('u')}= f1",
+        "    def interp(s):",
+        "        s2 = s * s",
+        "        a = s2 * (2.0 * s - 3.0) + 1.0",
+        "        b = h * (s2 * (s - 2.0) + s)",
+        "        c = s2 * (3.0 - 2.0 * s)",
+        "        d = h * s2 * (s - 1.0)",
+        f"        return [{', '.join(f'a * p{i} + b * q{i} + c * r{i} + d * u{i}' for i in idx)}]",
+        "    return interp",
+    ]
+    ns = {"_sqrt": math.sqrt, "_isfinite": math.isfinite, "_MARGIN_ERRORS": _MARGIN_ERRORS}
+    exec(compile("\n".join(lines), f"<dp5 n={n}>", "exec"), ns)
+    return ns["step"], ns["hermite"]
 
 
 def _golden_min(fn, lo: float, hi: float, iters: int = 40):
@@ -194,6 +266,8 @@ def integrate_autonomous(
     y = [float(v) for v in y0]
     t = 0.0
     eps = cfg.escape_margin
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    step, hermite = _dp5_kernels(n)
 
     def safe_margin(p) -> float:
         try:
@@ -201,12 +275,13 @@ def integrate_autonomous(
         except _MARGIN_ERRORS:
             return -math.inf
 
-    if safe_margin(y) <= eps:
+    m_curr = safe_margin(y)  # margin at the current point
+    if m_curr <= eps:
         return ESCAPED, 0.0, tuple(y), 0, False
 
     try:
         f0 = rhs(y)
-        if not all(math.isfinite(v) for v in f0):
+        if not all(map(math.isfinite, f0)):
             raise ValueError
     except _MARGIN_ERRORS:
         # in-domain but the field is not evaluable: nothing can move
@@ -218,14 +293,13 @@ def integrate_autonomous(
     # while its true error is far larger, because the embedded estimate is
     # only asymptotic in h.
     d1 = math.sqrt(sum(
-        (f0[i] / (cfg.abs_tol + cfg.rel_tol * abs(y[i]))) ** 2 for i in range(n)
+        (f0[i] / (atol + rtol * abs(y[i]))) ** 2 for i in range(n)
     ) / n)
     h = min(duration, (0.01 / d1) ** 0.2) if 0.0 < d1 < math.inf else duration
     if cfg.max_step is not None:
         h = min(h, cfg.max_step)
 
     steps = 0
-    m_curr = None  # margin at current point, lazily reused
     while True:
         if steps >= cfg.max_steps:
             return STEP_LIMIT, t, tuple(y), steps, False
@@ -236,46 +310,14 @@ def integrate_autonomous(
         if last:
             h = remaining
 
-        failed = False
-        try:
-            k2 = rhs([y[i] + h * _A21 * f0[i] for i in range(n)])
-            k3 = rhs([y[i] + h * (_A31 * f0[i] + _A32 * k2[i]) for i in range(n)])
-            k4 = rhs([y[i] + h * (_A41 * f0[i] + _A42 * k2[i] + _A43 * k3[i]) for i in range(n)])
-            k5 = rhs([
-                y[i] + h * (_A51 * f0[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
-                for i in range(n)
-            ])
-            k6 = rhs([
-                y[i]
-                + h * (_A61 * f0[i] + _A62 * k2[i] + _A63 * k3[i] + _A64 * k4[i] + _A65 * k5[i])
-                for i in range(n)
-            ])
-            y1 = [
-                y[i] + h * (_B1 * f0[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i] + _B6 * k6[i])
-                for i in range(n)
-            ]
-            k7 = rhs(y1)
-            err = 0.0
-            for i in range(n):
-                e = h * (
-                    _E1 * f0[i] + _E3 * k3[i] + _E4 * k4[i]
-                    + _E5 * k5[i] + _E6 * k6[i] + _E7 * k7[i]
-                )
-                sc = cfg.abs_tol + cfg.rel_tol * max(abs(y[i]), abs(y1[i]))
-                e = e / sc
-                err += e * e
-            err = math.sqrt(err / n)
-            if not math.isfinite(err) or any(not math.isfinite(v) for v in y1):
-                failed = True
-        except _MARGIN_ERRORS:
-            failed = True
-
+        out = step(rhs, y, f0, h, atol, rtol)
         steps += 1
-        if failed:
+        if out is None:
             h *= 0.5
             if h < cfg.step_collapse:
                 return ESCAPED, t, tuple(y), steps, True
             continue
+        y1, k7, err = out
         if err > 1.0:
             h *= max(0.2, 0.9 * err ** -0.2)
             if h < cfg.step_collapse:
@@ -283,10 +325,8 @@ def integrate_autonomous(
             continue
 
         # accepted: check the margin along the step before committing
-        interp = _hermite(y, f0, y1, k7, h)
+        interp = hermite(y, f0, y1, k7, h)
         m_end = safe_margin(y1)
-        if m_curr is None:
-            m_curr = safe_margin(y)
         found = _scan_margins(safe_margin, interp, m_curr, m_end, eps, h, cfg.escape_time_width)
         if found is not None:
             if found[0] == "dip":

@@ -90,8 +90,8 @@ class GPath:
             raise PathError(f"bad start point: {exc}") from exc
         segs = list(segments)
         d = group.dim
-        vecs: List[np.ndarray] = []
         kinds: List[str] = []
+        raw: list = []
         durations: List[float] = []
         for s in segs:
             if not (s.duration > 0.0 and math.isfinite(s.duration)):
@@ -99,23 +99,30 @@ class GPath:
             if isinstance(s, LinearSeg):
                 if group.kind != "abelian":
                     raise PathError("LinearSeg requires the abelian group model")
-                vec = np.asarray(s.delta, dtype=float)   # total displacement
+                raw.append(s.delta)   # total displacement
                 kinds.append("linear")
             elif isinstance(s, ExpSeg):
-                # X is a rate; the total log-displacement is duration * X
-                vec = np.asarray(s.X, dtype=float) * float(s.duration)
+                raw.append(s.X)       # a rate; scaled by the duration below
                 kinds.append("exp")
             else:
                 raise PathError(f"unknown segment type {type(s).__name__}")
-            if vec.shape != (d,):
-                raise PathError(f"segment vector must have length {d}")
-            if not np.all(np.isfinite(vec)):
-                raise PathError("segment vector must be finite")
-            vecs.append(vec)
             durations.append(float(s.duration))
+        try:
+            vecs = np.array(raw, dtype=float) if segs else np.empty((0, d))
+            shape_ok = vecs.shape == (len(segs), d)
+        except ValueError:   # ragged: the vectors have different lengths
+            shape_ok = False
+        if not shape_ok:
+            raise PathError(f"segment vector must have length {d}")
+        # the total log-displacement of an ExpSeg is duration * X
+        scale = [dur if kind == "exp" else 1.0 for kind, dur in zip(kinds, durations)]
+        vecs = vecs * np.array(scale).reshape(-1, 1)
+        if not np.all(np.isfinite(vecs)):
+            raise PathError("segment vector must be finite")
         self.segments = tuple(segs)
         self._kinds = kinds
         self._vecs = vecs
+        self._vec_rows = vecs.tolist()
         total = sum(durations)
         self.widths = [dur / total for dur in durations] if segs else []
         bounds = [0.0]
@@ -126,15 +133,16 @@ class GPath:
         self._bounds = bounds
 
         # closed-form prefix displacements: group point at each segment start
-        prefix = [self.start]
-        g = self.start
-        for kind, vec in zip(kinds, vecs):
-            if kind == "linear":
-                g = group.mul(g, vec)
-            else:
+        if group.kind == "abelian":
+            # adds in sequence, one segment after another
+            self._prefix = np.add.accumulate(np.vstack([self.start, vecs]))
+        else:
+            prefix = [self.start]
+            g = self.start
+            for vec in vecs:
                 g = group.mul(g, group.exp_segment(vec, 1.0))
-            prefix.append(g)
-        self._prefix = prefix
+                prefix.append(g)
+            self._prefix = prefix
 
     @property
     def n_segments(self) -> int:
@@ -146,7 +154,7 @@ class GPath:
     def velocity(self, k: int) -> list:
         """Left-logarithmic derivative on segment k w.r.t. the path clock."""
         w = self.widths[k]
-        return [float(v) / w for v in self._vecs[k]]
+        return [v / w for v in self._vec_rows[k]]
 
     def left_log_derivative(self, t: float) -> list:
         """Piecewise-constant derivative at path time t in [0, 1].
@@ -325,6 +333,32 @@ def lift_path(
     constant on each segment); the group component advances in closed form.
     Escape anywhere truncates the lift and reports the path time and segment.
     """
+    status, rows, y_end, k, t_end, low, steps, winding = _lift(action, path, x0, cfg)
+    trace = _resolve(path, rows)
+    if status == COMPLETE:
+        return LiftResult(COMPLETE, path.endpoint(), y_end, trace, winding=winding, steps=steps)
+    return LiftResult(
+        status,
+        path.group_point(k, min(t_end / path.widths[k], 1.0)),
+        y_end,
+        trace,
+        escape_time=path._bounds[k] + t_end if status == ESCAPED else None,
+        failed_segment=k,
+        winding=winding,
+        low_confidence=low,
+        steps=steps,
+    )
+
+
+def _lift(action, path: GPath, x0, cfg: Optional[IntegratorConfig]):
+    """The lift without its group points.
+
+    Returns ``(status, rows, y_end, k, t_end, low_confidence, steps,
+    winding)``: trace rows are ``(t, k, frac, m)``, a fraction ``frac`` of the
+    way through segment ``k``, with row 0 at the path start; ``k`` and
+    ``t_end`` are the failed segment and the time reached in it (``None``
+    when the lift completes).
+    """
     cfg = cfg or IntegratorConfig()
     _check_group_compat(action, path)
     x0 = [float(v) for v in x0]
@@ -334,10 +368,10 @@ def lift_path(
     if action.winding_plane is not None:
         tracker = _WindingTracker(action.winding_plane, x0)
 
-    rows: list = [(0.0, path.start, tuple(x0))]
+    rows: list = [(0.0, 0, 0.0, tuple(x0))]
     small_path = path.n_segments <= 8
     kept_steps: list = []  # (t_abs0, t_abs1, interp, seg_index) for padding
-    margin = action._margin_unpacked
+    margin = action._margin
     y = x0
     steps_total = 0
 
@@ -349,7 +383,7 @@ def lift_path(
         def on_step(t0, y0_, t1, y1, interp, _k=k, _tb=t_base, _w=w):
             if tracker is not None:
                 tracker.feed(interp, y1)
-            rows.append((_tb + t1, path.group_point(_k, t1 / _w), tuple(y1)))
+            rows.append((_tb + t1, _k, t1 / _w, tuple(y1)))
             if small_path:
                 kept_steps.append((_tb + t0, _tb + t1, interp, _k))
 
@@ -358,30 +392,16 @@ def lift_path(
         )
         steps_total += steps
         if status != COMPLETE:
-            t_path = t_base + t_end
-            frac = min(t_end / w, 1.0)
-            result = LiftResult(
-                status,
-                path.group_point(k, frac),
-                tuple(y_end),
-                _padded_rows(rows, kept_steps, path, cfg) if small_path else rows,
-                escape_time=t_path if status == ESCAPED else None,
-                failed_segment=k,
-                winding=tracker.total / math.tau if tracker else None,
-                low_confidence=low,
-                steps=steps_total,
-            )
-            return result
+            break
         y = list(y_end)
+    else:
+        status, k, t_end, low = COMPLETE, None, None, False
+        y_end = tuple(y)
 
-    return LiftResult(
-        COMPLETE,
-        path.endpoint(),
-        tuple(y),
-        _padded_rows(rows, kept_steps, path, cfg) if small_path else rows,
-        winding=tracker.total / math.tau if tracker else None,
-        steps=steps_total,
-    )
+    if small_path:
+        rows = _padded_rows(rows, kept_steps, path, cfg)
+    winding = tracker.total / math.tau if tracker else None
+    return status, rows, y_end, k, t_end, low, steps_total, winding
 
 
 def _padded_rows(rows, kept_steps, path: GPath, cfg: IntegratorConfig):
@@ -396,9 +416,23 @@ def _padded_rows(rows, kept_steps, path: GPath, cfg: IntegratorConfig):
         for i in range(1, per + 1):
             s = i / per
             t = t0 + s * (t1 - t0)
-            out.append((t, path.group_point(k, (t - tb) / w), tuple(interp(s))))
+            out.append((t, k, (t - tb) / w, tuple(interp(s))))
     out[-1] = rows[-1]
     return out
+
+
+def _resolve(path: GPath, rows) -> list:
+    """Trace rows ``(t, g, m)`` from rows ``(t, k, frac, m)`` of a lift of ``path``."""
+    t0, _, _, m0 = rows[0]
+    rest = rows[1:]
+    if path.group.kind == "abelian" and rest:
+        # the abelian group_point, base + frac * vec, for all rows at once
+        ks = [k for (_, k, _, _) in rest]
+        fracs = np.array([frac for (_, _, frac, _) in rest]).reshape(-1, 1)
+        points = list(path._prefix[ks] + fracs * path._vecs[ks])
+    else:
+        points = [path.group_point(k, frac) for (_, k, frac, _) in rest]
+    return [(t0, path.start, m0)] + [(t, g, m) for (t, _, _, m), g in zip(rest, points)]
 
 
 def flow(action, X, t: float, x0, cfg: Optional[IntegratorConfig] = None) -> FlowOutcome:
@@ -436,27 +470,27 @@ def run_word(action, word, x0, cfg: Optional[IntegratorConfig] = None) -> WordOu
     segs = [ExpSeg(tuple(float(v) if t > 0.0 else -float(v) for v in X), abs(t))
             for (_, X, t) in stages]
     total = sum(abs(t) for (_, _, t) in stages)
-    res = lift_path(action, GPath(G, G.identity(), segs), x0, cfg)
-    trace = [(total * s, m) for (s, _, m) in res.trace]
-    if res.complete:
-        return WordOutcome(COMPLETE, res.endpoint_m, trace, steps=res.steps)
+    path = GPath(G, G.identity(), segs)
+    status, rows, y_end, k, t_end, low, steps, _ = _lift(action, path, x0, cfg)
+    trace = [(total * s, m) for (s, _, _, m) in rows]
+    if status == COMPLETE:
+        return WordOutcome(COMPLETE, y_end, trace, steps=steps)
 
-    k = res.failed_segment
     stage, _, t = stages[k]
     escape_time = stage_time = None
-    if res.status == ESCAPED:
-        escape_time = total * res.escape_time
+    if status == ESCAPED:
+        escape_time = total * (path._bounds[k] + t_end)
         elapsed = sum(abs(t_j) for (_, _, t_j) in stages[:k])
         stage_time = math.copysign(escape_time - elapsed, t)
     return WordOutcome(
-        res.status,
-        res.endpoint_m,
+        status,
+        y_end,
         trace,
         escape_time=escape_time,
         failed_stage=stage,
         stage_escape_time=stage_time,
-        low_confidence=res.low_confidence,
-        steps=res.steps,
+        low_confidence=low,
+        steps=steps,
     )
 
 

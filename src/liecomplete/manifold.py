@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import AbelianGroup, AlgebraError, LieAlgebra, MatrixGroup, validate_group_model
-from .expr import Expr, ExprNameError, compile_scalars
+from .expr import Expr, _define, _is_const, _name_map, _py_float, _render_py, compile_scalars
 
 DEFAULT_SAMPLING_HALF_WIDTH = 2.0
 
@@ -76,35 +76,71 @@ class Domain:
         return len(self.coords)
 
 
-def _margin_fn(domain: Domain, params: Mapping[str, float]) -> Callable:
-    """Compile min(margins, box distances) into one positional function."""
-    exprs = list(domain.margins)
-    compiled = None
-    if exprs:
-        compiled = compile_scalars(exprs, domain.coords, params)
-    box = domain.box
+def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
+    """Generate p -> min(margins, box distances) as one list-in function.
 
-    def margin(*vals) -> float:
-        m = math.inf
-        if compiled is not None:
-            try:
-                for v in compiled(*vals):
-                    if v < m:
-                        m = v
-            except (ValueError, ZeroDivisionError, OverflowError):
-                return -math.inf
-        if box is not None:
-            for x, b in zip(vals, box):
-                if b is None:
-                    continue
-                lo, hi = b
-                if lo is not None and x - lo < m:
-                    m = x - lo
-                if hi is not None and hi - x < m:
-                    m = hi - x
-        return m
+    The minimum starts at ``inf`` and takes each value that is ``<`` it, so a
+    NaN margin is ignored; a margin expression that raises gives ``-inf``.
+    """
+    names = _name_map(domain.coords, params)
+    lines = [
+        "def _margin(p):",
+        f"    {''.join(f'_v{j}, ' for j in range(domain.dim))}= p",
+        "    m = _inf",
+    ]
+    if domain.margins:
+        lines.append("    try:")
+        for e in domain.margins:
+            lines += [
+                f"        v = {_render_py(e.node, names)}",
+                "        if v < m:",
+                "            m = v",
+            ]
+        lines += [
+            "    except (ValueError, ZeroDivisionError, OverflowError):",
+            "        return -_inf",
+        ]
+    for j, b in enumerate(domain.box or ()):
+        lo, hi = b if b is not None else (None, None)
+        if lo is not None:
+            lines += [f"    if (v := _v{j} - {_py_float(lo)}) < m:", "        m = v"]
+        if hi is not None:
+            lines += [f"    if (v := {_py_float(hi)} - _v{j}) < m:", "        m = v"]
+    lines.append("    return m")
+    return _define("\n".join(lines), "_margin")
 
-    return margin
+
+def _compile_contraction(fields, rows: tuple, coords, params) -> Callable:
+    """Generate a factory: coefficients of ``rows`` -> y -> sum_i c_i zeta_i(y).
+
+    Each component adds ``c_i * field`` over ``rows`` in order onto ``0.0``,
+    as a loop accumulating into a zeroed list would; literal-0 entries are
+    left out and literal-1 entries are the bare coefficient, neither of
+    which changes the sum.  The leading ``0.0 +`` (which turns a -0.0
+    product into 0.0) is dropped only before a bare coefficient, which is
+    never zero.
+    """
+    names = _name_map(coords, params)
+    comps = []
+    for j in range(len(coords)):
+        terms = []
+        for i in rows:
+            node = fields[i][j].node
+            if _is_const(node, 1.0):
+                terms.append(f"_c{i}")
+            elif not _is_const(node, 0.0):
+                terms.append(f"_c{i} * {_render_py(node, names)}")
+        if not terms or "*" in terms[0]:
+            terms.insert(0, "0.0")
+        comps.append(" + ".join(terms))
+    src = "\n".join([
+        f"def _make({', '.join(f'_c{i}' for i in rows)}):",
+        "    def _rhs(y):",
+        f"        {''.join(f'_v{j}, ' for j in range(len(coords)))}= y",
+        f"        return [{', '.join(comps)}]",
+        "    return _rhs",
+    ])
+    return _define(src, "_make")
 
 
 class GAction:
@@ -149,9 +185,8 @@ class GAction:
 
         flat = [e for row in self.fields for e in row]
         self._field_fn = compile_scalars(flat, domain.coords, self.params)
-        self._margin = _margin_fn(domain, self.params)
-        # list-argument variant for the integrator's hot path
-        self._margin_unpacked = lambda p, _m=self._margin: _m(*p)
+        self._margin = _compile_margin(domain, self.params)
+        self._contractions: dict = {}  # which coefficients are non-zero -> rhs factory
         self._partials = None  # lazy (d, n, n) grid for the homomorphism check
 
     @property
@@ -165,7 +200,7 @@ class GAction:
     # -- point predicates ---------------------------------------------------
 
     def margin(self, p) -> float:
-        return self._margin(*[float(v) for v in p])
+        return self._margin([float(v) for v in p])
 
     def contains(self, p) -> bool:
         return self.margin(p) > 0.0
@@ -194,23 +229,22 @@ class GAction:
         return X @ self.field_matrix(p)
 
     def rhs(self, X) -> Callable:
-        """Velocity field y -> sum_i X_i zeta_i(y) as a fast list-in/list-out fn."""
-        d, n = self.dim_algebra, self.dim_manifold
+        """Velocity field y -> sum_i X_i zeta_i(y) as a fast list-in/list-out fn.
+
+        The contraction is generated once per set of non-zero coefficients;
+        rows whose coefficient is zero are not evaluated.
+        """
         coeffs = [float(v) for v in X]
-        field_fn = self._field_fn
-
-        def f(y):
-            flat = field_fn(*y)
-            out = [0.0] * n
-            for i in range(d):
-                ci = coeffs[i]
-                if ci != 0.0:
-                    base = i * n
-                    for j in range(n):
-                        out[j] += ci * flat[base + j]
-            return out
-
-        return f
+        nonzero = tuple(map(bool, coeffs))
+        make = self._contractions.get(nonzero)
+        if make is None:
+            if len(coeffs) != self.dim_algebra:
+                raise ActionError("rhs expects a d-vector of algebra coefficients")
+            rows = tuple(i for i, c in enumerate(nonzero) if c)
+            make = self._contractions[nonzero] = _compile_contraction(
+                self.fields, rows, self.domain.coords, self.params
+            )
+        return make(*[c for c in coeffs if c])
 
     # -- homomorphism check -------------------------------------------------
 

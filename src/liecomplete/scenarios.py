@@ -355,12 +355,12 @@ def circle_loop_path(
     sweep = 2.0 * math.pi * turns * (-1.0 if clockwise else 1.0)
     start_g = np.asarray(start_g, dtype=float)
     segs = []
-    prev = x0_plane
+    px, py = float(x0_plane[0]), float(x0_plane[1])
     for k in range(1, n + 1):
         th = theta0 + sweep * k / n
-        pt = np.array([radius * math.cos(th), radius * math.sin(th)])
-        segs.append(LinearSeg(tuple(pt - prev), 1.0))
-        prev = pt
+        qx, qy = radius * math.cos(th), radius * math.sin(th)
+        segs.append(LinearSeg((qx - px, qy - py), 1.0))
+        px, py = qx, qy
     return GPath(AbelianGroup(2), start_g, segs)
 
 

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import liecomplete
 from liecomplete.cli import main
 
 U = 0.7
@@ -25,6 +29,16 @@ def _write(tmp_path, name, payload):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
     return str(p)
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # scipy.linalg is most of the start-up time and only matrix-model
+    # exponentials use it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liecomplete.__file__)))
+    code = "import sys, liecomplete.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,14 @@ def test_compile_matches_eval():
         assert got[1] == pytest.approx(exprs[1].eval(env), rel=1e-15)
 
 
+def test_compile_folds_any_float_param():
+    from liecomplete.expr import compile_scalars
+
+    # a negative constant must stay one operand: -1.5 ** 2 would be -(1.5 ** 2)
+    fn = compile_scalars([parse("a^2 - x"), parse("b*x")], ("x",), {"a": -1.5, "b": math.inf})
+    assert fn(1.0) == (parse("a^2 - x").eval({"a": -1.5, "x": 1.0}), math.inf)
+
+
 def test_compile_missing_binding():
     from liecomplete.expr import compile_scalars
 

@@ -123,6 +123,24 @@ def test_matrix_model_dilation_flow(affine, t):
     assert out.trace[-1][0] == pytest.approx(t)
 
 
+def test_flows_compute_no_group_point_per_row(affine, monkeypatch):
+    # flow and run_word return manifold points only: the one exponential per
+    # stage builds the path, and no trace row asks for its group point
+    from liecomplete.algebra import MatrixGroup
+
+    calls = []
+    expm = MatrixGroup.exp_segment
+    monkeypatch.setattr(MatrixGroup, "exp_segment",
+                        lambda self, X, t=1.0: calls.append(t) or expm(self, X, t))
+    out = flow(affine, (0.0, 1.0), 1.5, (2.0,))
+    assert out.status == COMPLETE and len(out.trace) > 1
+    assert len(calls) <= 1
+    calls.clear()
+    out = run_word(affine, [((1.0, 0.0), 0.7), ((0.0, 1.0), -0.4)], (2.0,))
+    assert out.status == COMPLETE and len(out.trace) > 2
+    assert len(calls) <= 2
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
