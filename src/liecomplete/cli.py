@@ -34,12 +34,21 @@ from .completion import (
     FrameConditionError,
     LoopGeometryError,
     LoopOutsideOrbitError,
+    isotropy,
     loop_to_group,
 )
 from .expr import ExprSyntaxError, parse as parse_expr
 from .flow import COMPLETE, ESCAPED, STEP_LIMIT, IntegratorConfig
 from .lift import ExpSeg, GPath, LinearSeg, PathError, lift_path
-from .manifold import ActionError, Domain, DomainError, GAction, OutsideDomainError, check_homomorphism
+from .manifold import (
+    ActionError,
+    Domain,
+    DomainError,
+    GAction,
+    OutsideDomainError,
+    SamplingError,
+    check_homomorphism,
+)
 from .scenarios import ScenarioError, Scenario, build, circle_loop_path, leaf_invariant, invariants_match
 
 EXIT_OK = 0
@@ -50,7 +59,13 @@ EXIT_NUMERICAL = 4
 
 CHECK_RESIDUAL_LIMIT = 1e-6
 
+
+class ConfigError(ValueError):
+    pass
+
+
 _CONFIG_ERRORS = (
+    ConfigError,
     ScenarioError,
     ExprSyntaxError,
     AlgebraError,
@@ -58,30 +73,23 @@ _CONFIG_ERRORS = (
     ActionError,
     PathError,
     OutsideDomainError,
+    SamplingError,
     FrameConditionError,
     LoopGeometryError,
     LoopOutsideOrbitError,
 )
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def _fail(msg: str) -> "ConfigError":
-    return ConfigError(msg)
-
-
 def _check_keys(obj: dict, required, optional, where: str):
     if not isinstance(obj, dict):
-        raise _fail(f"{where} must be a JSON object")
+        raise ConfigError(f"{where} must be a JSON object")
     for k in required:
         if k not in obj:
-            raise _fail(f"{where}: missing required key {k!r}")
+            raise ConfigError(f"{where}: missing required key {k!r}")
     allowed = set(required) | set(optional)
     unknown = sorted(set(obj) - allowed)
     if unknown:
-        raise _fail(f"{where}: unknown key(s) {unknown}")
+        raise ConfigError(f"{where}: unknown key(s) {unknown}")
 
 
 def _load_json(path: str, where: str) -> dict:
@@ -89,18 +97,18 @@ def _load_json(path: str, where: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise _fail(f"{where}: file not found: {path}") from None
+        raise ConfigError(f"{where}: file not found: {path}") from None
     except json.JSONDecodeError as e:
-        raise _fail(f"{where}: invalid JSON ({e})") from None
+        raise ConfigError(f"{where}: invalid JSON ({e})") from None
 
 
 def _floats(seq, where: str) -> list:
     if not isinstance(seq, list):
-        raise _fail(f"{where} must be a list of numbers")
+        raise ConfigError(f"{where} must be a list of numbers")
     out = []
     for v in seq:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise _fail(f"{where} must contain only numbers")
+            raise ConfigError(f"{where} must contain only numbers")
         out.append(float(v))
     return out
 
@@ -119,32 +127,32 @@ def _action_from_file(path: str) -> Scenario:
 
     d = gspec["dim"]
     if not isinstance(d, int) or d < 1:
-        raise _fail("group.dim must be a positive integer")
+        raise ConfigError("group.dim must be a positive integer")
     if gspec["type"] == "abelian":
         if "basis" in gspec:
-            raise _fail("abelian group model takes no basis")
+            raise ConfigError("abelian group model takes no basis")
         algebra = LieAlgebra.abelian(d)
         group = AbelianGroup(d)
     elif gspec["type"] == "matrix":
         if "basis" not in gspec:
-            raise _fail("matrix group model requires a basis")
+            raise ConfigError("matrix group model requires a basis")
         basis = np.asarray(gspec["basis"], dtype=float)
         if basis.ndim != 3 or basis.shape[0] != d or basis.shape[1] != basis.shape[2]:
-            raise _fail("basis must be d matrices of equal square shape")
+            raise ConfigError("basis must be d matrices of equal square shape")
         algebra = LieAlgebra(structure_constants_from_matrix_basis(basis))
         group = MatrixGroup(basis)
     else:
-        raise _fail("group.type must be 'abelian' or 'matrix'")
+        raise ConfigError("group.type must be 'abelian' or 'matrix'")
 
     n = mspec["dim"]
     coords = mspec["coords"]
     if not isinstance(n, int) or not isinstance(coords, list) or len(coords) != n:
-        raise _fail("manifold.coords must list exactly manifold.dim names")
+        raise ConfigError("manifold.coords must list exactly manifold.dim names")
     box = None
     if "box" in mspec:
         raw = mspec["box"]
         if not isinstance(raw, list) or len(raw) != n:
-            raise _fail("manifold.box must give one entry per coordinate")
+            raise ConfigError("manifold.box must give one entry per coordinate")
         box = []
         for b in raw:
             if b is None:
@@ -152,7 +160,7 @@ def _action_from_file(path: str) -> Scenario:
             else:
                 pair = _floats(b, "box bound")
                 if len(pair) != 2:
-                    raise _fail("box bounds must be [lo, hi] pairs")
+                    raise ConfigError("box bounds must be [lo, hi] pairs")
                 box.append((pair[0], pair[1]))
         box = tuple(box)
     margins = tuple(
@@ -160,14 +168,14 @@ def _action_from_file(path: str) -> Scenario:
     )
     params = spec.get("params", {})
     if not isinstance(params, dict):
-        raise _fail("params must be an object")
+        raise ConfigError("params must be an object")
     fields_raw = spec["fields"]
     if not isinstance(fields_raw, list) or len(fields_raw) != d:
-        raise _fail(f"fields must list {d} rows (one per algebra basis vector)")
+        raise ConfigError(f"fields must list {d} rows (one per algebra basis vector)")
     fields = []
     for i, row in enumerate(fields_raw):
         if not isinstance(row, list) or len(row) != n:
-            raise _fail(f"fields[{i}] must list {n} component expressions")
+            raise ConfigError(f"fields[{i}] must list {n} component expressions")
         fields.append([parse_expr(s) for s in row])
     action = GAction(
         algebra,
@@ -183,10 +191,10 @@ def _action_from_file(path: str) -> Scenario:
 def _scenario_from_args(args) -> Scenario:
     if getattr(args, "scenario_file", None):
         if getattr(args, "scenario", None):
-            raise _fail("give either --scenario or --scenario-file, not both")
+            raise ConfigError("give either --scenario or --scenario-file, not both")
         return _action_from_file(args.scenario_file)
     if not getattr(args, "scenario", None):
-        raise _fail("a scenario is required (--scenario NAME or --scenario-file FILE)")
+        raise ConfigError("a scenario is required (--scenario NAME or --scenario-file FILE)")
     params = {}
     if getattr(args, "alpha", None) is not None:
         params["alpha"] = args.alpha
@@ -194,12 +202,12 @@ def _scenario_from_args(args) -> Scenario:
         params["n"] = args.n
     for item in getattr(args, "param", None) or []:
         if "=" not in item:
-            raise _fail(f"--param expects key=value, got {item!r}")
+            raise ConfigError(f"--param expects key=value, got {item!r}")
         k, v = item.split("=", 1)
         try:
             params[k] = float(v)
         except ValueError:
-            raise _fail(f"--param {k}: value {v!r} is not a number") from None
+            raise ConfigError(f"--param {k}: value {v!r} is not a number") from None
     return build(args.scenario, params)
 
 
@@ -212,14 +220,14 @@ def _integrator_config(args) -> IntegratorConfig:
     try:
         return IntegratorConfig(**kwargs)
     except ValueError as e:
-        raise _fail(str(e)) from None
+        raise ConfigError(str(e)) from None
 
 
 def _parse_vector(text: str, where: str) -> list:
     try:
         return [float(v) for v in text.split(",")]
     except ValueError:
-        raise _fail(f"{where} must be comma-separated numbers, got {text!r}") from None
+        raise ConfigError(f"{where} must be comma-separated numbers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -236,23 +244,23 @@ def _path_from_file(path: str, group) -> GPath:
     segs = []
     raw = spec["segments"]
     if not isinstance(raw, list):
-        raise _fail("segments must be a list")
+        raise ConfigError("segments must be a list")
     for i, s in enumerate(raw):
         where = f"segments[{i}]"
         _check_keys(s, ["type"], ["delta", "X", "duration"], where)
         dur = s.get("duration", 1.0)
         if not isinstance(dur, (int, float)) or isinstance(dur, bool) or dur <= 0:
-            raise _fail(f"{where}: duration must be a positive number")
+            raise ConfigError(f"{where}: duration must be a positive number")
         if s["type"] == "linear":
             if "delta" not in s or "X" in s:
-                raise _fail(f"{where}: linear segments take 'delta'")
+                raise ConfigError(f"{where}: linear segments take 'delta'")
             segs.append(LinearSeg(tuple(_floats(s["delta"], where)), float(dur)))
         elif s["type"] == "exp":
             if "X" not in s or "delta" in s:
-                raise _fail(f"{where}: exp segments take 'X'")
+                raise ConfigError(f"{where}: exp segments take 'X'")
             segs.append(ExpSeg(tuple(_floats(s["X"], where)), float(dur)))
         else:
-            raise _fail(f"{where}: type must be 'linear' or 'exp'")
+            raise ConfigError(f"{where}: type must be 'linear' or 'exp'")
     return GPath(group, start, segs)
 
 
@@ -261,7 +269,7 @@ def _loop_from_file(path: str) -> np.ndarray:
     _check_keys(spec, ["points"], [], "loop file")
     pts = spec["points"]
     if not isinstance(pts, list) or len(pts) < 2:
-        raise _fail("loop file needs at least two points")
+        raise ConfigError("loop file needs at least two points")
     return np.asarray([_floats(p, "loop point") for p in pts], dtype=float)
 
 
@@ -296,16 +304,6 @@ def _group_columns(action) -> list:
     return [f"g_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
 
 
-def _flatten_g(action, g) -> list:
-    if action.group.kind == "abelian":
-        return [float(v) for v in g]
-    return [float(v) for row in np.asarray(g, dtype=float) for v in row]
-
-
-def _jsonable_g(action, g):
-    return action.group.to_jsonable(g)
-
-
 def _nan_to_none(v):
     if v is None or (isinstance(v, float) and not math.isfinite(v)):
         return None
@@ -338,15 +336,15 @@ def cmd_lift(args) -> int:
     cfg = _integrator_config(args)
     x0 = _parse_vector(args.x0, "--x0")
     if len(x0) != action.dim_manifold:
-        raise _fail(f"--x0 must have {action.dim_manifold} coordinates")
+        raise ConfigError(f"--x0 must have {action.dim_manifold} coordinates")
 
     if args.path and args.circle_turns is not None:
-        raise _fail("give either --path or --circle-turns, not both")
+        raise ConfigError("give either --path or --circle-turns, not both")
     if args.path:
         path = _path_from_file(args.path, action.group)
     elif args.circle_turns is not None:
         if action.group.kind != "abelian" or action.group.dim != 2:
-            raise _fail("--circle-turns requires a planar abelian group model")
+            raise ConfigError("--circle-turns requires a planar abelian group model")
         start = (
             _parse_vector(args.start_g, "--start-g")
             if args.start_g
@@ -360,15 +358,12 @@ def cmd_lift(args) -> int:
             clockwise=args.clockwise,
         )
     else:
-        raise _fail("a path is required (--path FILE or --circle-turns T)")
+        raise ConfigError("a path is required (--path FILE or --circle-turns T)")
 
     result = lift_path(action, path, x0, cfg)
 
     header = ["t"] + _group_columns(action) + list(action.domain.coords)
-    rows = (
-        [t] + _flatten_g(action, g) + list(m)
-        for (t, g, m) in result.trace
-    )
+    rows = ([t, *np.ravel(g), *m] for (t, g, m) in result.trace)
     _write_csv(args.out + ".trace.csv", header, rows)
     if args.plot:
         _write_csv(
@@ -378,7 +373,7 @@ def cmd_lift(args) -> int:
         )
     summary = {
         "status": result.status,
-        "endpoint_g": _jsonable_g(action, result.endpoint_g),
+        "endpoint_g": action.group.to_jsonable(result.endpoint_g),
         "endpoint_m": [float(v) for v in result.endpoint_m],
         "escape_time": _nan_to_none(result.escape_time),
         "failed_segment": result.failed_segment,
@@ -406,9 +401,7 @@ def cmd_holonomy(args) -> int:
             _parse_vector(row, "--frame") for row in args.frame.split(";")
         ]
     else:
-        from .completion import isotropy as _iso
-
-        k = _iso(action, x0).orbit_dim
+        k = isotropy(action, x0).orbit_dim
         frame = [
             [1.0 if i == j else 0.0 for j in range(action.dim_algebra)]
             for i in range(k)
@@ -423,7 +416,7 @@ def cmd_holonomy(args) -> int:
         substeps=args.substeps,
     )
     payload = {
-        "element": _jsonable_g(action, hol.element),
+        "element": action.group.to_jsonable(hol.element),
         "round_trip_residual": _nan_to_none(hol.round_trip_residual),
         "loop_points": hol.loop_points,
         "closed": hol.closed,
@@ -439,13 +432,13 @@ def cmd_holonomy(args) -> int:
 def cmd_classify(args) -> int:
     scenario = _scenario_from_args(args)
     if scenario.name != "example6_helicoid":
-        raise _fail("classify requires the example6_helicoid scenario")
+        raise ConfigError("classify requires the example6_helicoid scenario")
     alpha = scenario.params["alpha"]
     spec = _load_json(args.points, "points file")
     _check_keys(spec, ["points"], [], "points file")
     raw = spec["points"]
     if not isinstance(raw, list) or not raw:
-        raise _fail("points file needs a non-empty 'points' list")
+        raise ConfigError("points file needs a non-empty 'points' list")
     invariants = []
     records = []
     for i, entry in enumerate(raw):
@@ -455,7 +448,7 @@ def cmd_classify(args) -> int:
         try:
             inv = leaf_invariant(alpha, g, x)
         except ScenarioError as e:
-            raise _fail(f"points[{i}]: {e}") from None
+            raise ConfigError(f"points[{i}]: {e}") from None
         invariants.append(inv)
         records.append(
             {
@@ -570,9 +563,6 @@ def main(argv: Optional[list] = None) -> int:
         return args.fn(args)
     except SystemExit as e:          # argparse --help
         return int(e.code or 0)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except _CONFIG_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,19 +6,21 @@ Grammar (UTF-8 text, whitespace between tokens ignored)::
     term     := unary (('*' | '/') unary)*
     unary    := '-' unary | power
     power    := atom ('^' exponent)?
-    exponent := '-'? INT ('^' exponent)?      # integer literals only, right-assoc
+    exponent := '-'? INT ('^' exponent)?      # folds right-assoc to |k| <= 2**53
     atom     := NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 
 ``^`` binds tightest, then unary minus, then ``*`` ``/``, then ``+`` ``-``.
 Exponents are restricted to integer literals so that differentiation stays
 inside the language and ``0^0``-style ambiguity never arises at runtime.
+Number literals must be finite.
 
 Functions: sin, cos, exp, log, sqrt, atan2(y, x), abs, sign.  ``sign`` is
 included so the derivative of ``abs`` is expressible; ``sign(0) = 0``, which
 fixes ``abs'(0) = 0``.
 
-Names are bound at evaluation time; whether a name is a coordinate or a model
-parameter is decided by the caller, not by the parser.
+Names are bound when :func:`compile_scalars` generates code, the only
+evaluator (:meth:`Expr.eval` runs it once); whether a name is a coordinate or
+a model parameter is decided by the caller, not by the parser.
 """
 
 from __future__ import annotations
@@ -42,6 +44,15 @@ class ExprNameError(ValueError):
 
 class ExprDomainError(ArithmeticError):
     """Evaluation left the domain of a partial function (log, sqrt, division)."""
+
+
+# What generated code raises where a partial function leaves its domain (log,
+# sqrt, division, a negative power of zero) or a result overflows.
+EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
+# The largest exponent magnitude: _diff's Num(float(k)) holds it exactly.
+_MAX_EXPONENT = 2 ** 53
+_TOWER_MESSAGE = "exponent must fold to an integer of magnitude at most 2**53"
 
 
 _FUNCTION_ARITY = {
@@ -135,6 +146,8 @@ def _tokenize(src: str):
                     j = k
                     while j < n and src[j].isdigit():
                         j += 1
+            if not math.isfinite(float(src[i:j])):
+                raise ExprSyntaxError("number literal is not finite", i)
             tokens.append(("int" if is_int else "num", src[i:j], i))
             i = j
             continue
@@ -231,7 +244,14 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            value = value ** self.exponent()
+            k = self.exponent()
+            # decided before folding: a negative power of value != 1 is no
+            # integer, and value ** k >= 2 ** 54 when value > 1 and k > 53
+            if value != 1 and (k < 0 or (value > 1 and k > 53)):
+                raise ExprSyntaxError(_TOWER_MESSAGE, pos)
+            value **= abs(k)
+        if value > _MAX_EXPONENT:
+            raise ExprSyntaxError(_TOWER_MESSAGE, pos)
         return sign * value
 
     def atom(self) -> Node:
@@ -272,7 +292,7 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation / differentiation / printing
+# Free names / differentiation / printing
 
 
 def _free_names(node: Node, out: set):
@@ -288,64 +308,6 @@ def _free_names(node: Node, out: set):
     elif isinstance(node, Call):
         for a in node.args:
             _free_names(a, out)
-
-
-def _eval(node: Node, env: Mapping[str, float]) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return float(env[node.name])
-        except KeyError:
-            raise ExprNameError(f"unbound name {node.name!r}") from None
-    if isinstance(node, Neg):
-        return -_eval(node.arg, env)
-    if isinstance(node, Bin):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b == 0.0:
-            raise ExprDomainError("division by zero")
-        return a / b
-    if isinstance(node, Pow):
-        base = _eval(node.base, env)
-        if base == 0.0 and node.exponent < 0:
-            raise ExprDomainError("zero raised to a negative power")
-        try:
-            return float(base ** node.exponent)
-        except OverflowError:
-            raise ExprDomainError("overflow in power") from None
-    if isinstance(node, Call):
-        vals = [_eval(a, env) for a in node.args]
-        try:
-            if node.fn == "sin":
-                return math.sin(vals[0])
-            if node.fn == "cos":
-                return math.cos(vals[0])
-            if node.fn == "exp":
-                return math.exp(vals[0])
-            if node.fn == "log":
-                if vals[0] <= 0.0:
-                    raise ExprDomainError("log of a non-positive value")
-                return math.log(vals[0])
-            if node.fn == "sqrt":
-                if vals[0] < 0.0:
-                    raise ExprDomainError("sqrt of a negative value")
-                return math.sqrt(vals[0])
-            if node.fn == "atan2":
-                return math.atan2(vals[0], vals[1])
-            if node.fn == "abs":
-                return abs(vals[0])
-            if node.fn == "sign":
-                return 0.0 if vals[0] == 0.0 else math.copysign(1.0, vals[0])
-        except OverflowError:
-            raise ExprDomainError(f"overflow in {node.fn}") from None
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # Light folding keeps derivative trees readable and evaluation cheap.
@@ -505,7 +467,7 @@ def _to_str(node: Node, parent_prec: int = 0) -> str:
 
 def _render_py(node: Node, name_map: Mapping[str, str]) -> str:
     if isinstance(node, Num):
-        return repr(node.value)
+        return _py_float(node.value)
     if isinstance(node, Var):
         try:
             return name_map[node.name]
@@ -518,12 +480,7 @@ def _render_py(node: Node, name_map: Mapping[str, str]) -> str:
     if isinstance(node, Pow):
         return f"({_render_py(node.base, name_map)} ** {node.exponent})"
     if isinstance(node, Call):
-        args = [_render_py(a, name_map) for a in node.args]
-        if node.fn == "abs":
-            return f"abs({args[0]})"
-        if node.fn == "sign":
-            return f"_sign({args[0]})"
-        return f"_{node.fn}({', '.join(args)})"
+        return f"_{node.fn}({', '.join(_render_py(a, name_map) for a in node.args)})"
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -539,7 +496,7 @@ _COMPILE_GLOBALS = {
     "_sqrt": math.sqrt,
     "_atan2": math.atan2,
     "_sign": _py_sign,
-    "abs": abs,
+    "_abs": abs,
     "_inf": math.inf,
 }
 
@@ -555,9 +512,8 @@ def compile_scalars(
     one per expression.  Names in ``consts`` are folded in as literals.
     Raises ``ExprNameError`` for names that are neither arguments nor consts.
 
-    The compiled code intentionally does not guard partial functions: callers
-    in the integrator catch ``ValueError``/``ZeroDivisionError``/``OverflowError``
-    and treat them as leaving the domain.
+    The compiled code intentionally does not guard partial functions: it
+    raises one of ``EVAL_ERRORS``, which callers map to leaving the domain.
     """
     args = list(arg_names)
     name_map = _name_map(args, consts)
@@ -596,7 +552,7 @@ def _define(src: str, name: str) -> Callable:
 
 
 class Expr:
-    """Parsed expression: evaluate, differentiate, print, compile."""
+    """Parsed expression: evaluate, differentiate, print."""
 
     __slots__ = ("node", "_free")
 
@@ -613,17 +569,18 @@ class Expr:
         return self._free
 
     def eval(self, env: Mapping[str, float]) -> float:
-        v = _eval(self.node, env)
+        """Value with every name bound by ``env``: the generated code, run once."""
+        fn = compile_scalars([self], (), env)
+        try:
+            (v,) = fn()
+        except EVAL_ERRORS as e:
+            raise ExprDomainError(str(e)) from None
         if not math.isfinite(v):
             raise ExprDomainError("non-finite result")
         return v
 
     def diff(self, var: str) -> "Expr":
         return Expr(_diff(self.node, var))
-
-    def compile(self, arg_names, consts=None) -> Callable:
-        fn = compile_scalars([self], arg_names, consts)
-        return lambda *vals: fn(*vals)[0]
 
     def __str__(self) -> str:
         return _to_str(self.node)

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from .expr import EVAL_ERRORS as _MARGIN_ERRORS
+
 __all__ = [
     "IntegratorConfig",
     "COMPLETE",
@@ -53,32 +55,30 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -1 / 40,
 )
 
-_MARGIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+ESCAPE_MARGIN = 1e-9        # margin level treated as having left
+ESCAPE_TIME_WIDTH = 1e-6    # bisection bracket width on the time axis
+STEP_COLLAPSE = 1e-14       # controller collapse => low-confidence escape
 
 
 @dataclass
 class IntegratorConfig:
-    """Step-control and escape-detection knobs shared by flows and lifts."""
+    """Step-control knobs shared by flows and lifts."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_step: Optional[float] = None
     max_steps: int = 1_000_000
-    escape_margin: float = 1e-9          # margin level treated as having left
-    escape_time_width: float = 1e-6      # bisection bracket width on the time axis
-    step_collapse: float = 1e-14         # controller collapse => low-confidence escape
-    trace_target: int = 64               # minimum samples in a padded trace
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "escape_margin", "escape_time_width", "step_collapse"):
+        for name in ("rel_tol", "abs_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.rel_tol < 1e-14:
             raise ValueError("rel_tol below 1e-14 is not resolvable in double precision")
         if self.max_step is not None and self.max_step <= 0.0:
             raise ValueError("max_step must be positive")
-        if self.max_steps <= 0 or self.trace_target < 2:
-            raise ValueError("max_steps must be positive and trace_target >= 2")
+        if self.max_steps <= 0:
+            raise ValueError("max_steps must be positive")
 
 
 def _lin(terms, i: int) -> str:
@@ -256,7 +256,7 @@ def integrate_autonomous(
     """Integrate y' = rhs(y) over [0, duration] inside the open domain.
 
     ``margin`` maps a state (list) to the signed distance proxy; crossing
-    ``cfg.escape_margin`` ends the run as escaped.  ``on_step`` is called as
+    ``ESCAPE_MARGIN`` ends the run as escaped.  ``on_step`` is called as
     ``on_step(t0, y0, t1, y1, interp)`` after each accepted (possibly
     escape-truncated) step, with ``interp`` covering the reported sub-step.
 
@@ -265,7 +265,7 @@ def integrate_autonomous(
     n = len(y0)
     y = [float(v) for v in y0]
     t = 0.0
-    eps = cfg.escape_margin
+    eps = ESCAPE_MARGIN
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     step, hermite = _dp5_kernels(n)
 
@@ -314,25 +314,25 @@ def integrate_autonomous(
         steps += 1
         if out is None:
             h *= 0.5
-            if h < cfg.step_collapse:
+            if h < STEP_COLLAPSE:
                 return ESCAPED, t, tuple(y), steps, True
             continue
         y1, k7, err = out
         if err > 1.0:
             h *= max(0.2, 0.9 * err ** -0.2)
-            if h < cfg.step_collapse:
+            if h < STEP_COLLAPSE:
                 return ESCAPED, t, tuple(y), steps, True
             continue
 
         # accepted: check the margin along the step before committing
         interp = hermite(y, f0, y1, k7, h)
         m_end = safe_margin(y1)
-        found = _scan_margins(safe_margin, interp, m_curr, m_end, eps, h, cfg.escape_time_width)
+        found = _scan_margins(safe_margin, interp, m_curr, m_end, eps, h, ESCAPE_TIME_WIDTH)
         if found is not None:
             if found[0] == "dip":
                 # a thin pass the step may have jumped: end the retried step at it
                 h *= found[1]
-                if h < cfg.step_collapse:
+                if h < STEP_COLLAPSE:
                     return ESCAPED, t, tuple(y), steps, True
                 continue
             _, s_cut, s_mid, low = found

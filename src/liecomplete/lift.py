@@ -35,6 +35,8 @@ import numpy as np
 from .algebra import AlgebraError
 from .flow import COMPLETE, ESCAPED, IntegratorConfig, integrate_autonomous
 
+TRACE_TARGET = 64  # minimum samples in a padded trace
+
 __all__ = [
     "LinearSeg",
     "ExpSeg",
@@ -399,16 +401,16 @@ def _lift(action, path: GPath, x0, cfg: Optional[IntegratorConfig]):
         y_end = tuple(y)
 
     if small_path:
-        rows = _padded_rows(rows, kept_steps, path, cfg)
+        rows = _padded_rows(rows, kept_steps, path)
     winding = tracker.total / math.tau if tracker else None
     return status, rows, y_end, k, t_end, low, steps_total, winding
 
 
-def _padded_rows(rows, kept_steps, path: GPath, cfg: IntegratorConfig):
-    """Densify traces of few-segment paths to at least cfg.trace_target rows."""
-    if len(rows) >= cfg.trace_target + 1 or not kept_steps:
+def _padded_rows(rows, kept_steps, path: GPath):
+    """Densify traces of few-segment paths to at least TRACE_TARGET rows."""
+    if len(rows) >= TRACE_TARGET + 1 or not kept_steps:
         return rows
-    per = int(math.ceil(cfg.trace_target / len(kept_steps)))
+    per = int(math.ceil(TRACE_TARGET / len(kept_steps)))
     out = [rows[0]]
     for (t0, t1, interp, k) in kept_steps:
         w = path.widths[k]
@@ -438,9 +440,8 @@ def _resolve(path: GPath, rows) -> list:
 def flow(action, X, t: float, x0, cfg: Optional[IntegratorConfig] = None) -> FlowOutcome:
     """Flow x0 along the fundamental field of X for time t (t may be negative).
 
-    This is the one-stage word ``[(X, t)]``: ``cfg.max_step``,
-    ``cfg.step_collapse`` and ``cfg.escape_time_width`` apply on the unit lift
-    clock, so in flow time they scale by ``|t|``.
+    This is the one-stage word ``[(X, t)]``: ``cfg.max_step`` applies on the
+    unit lift clock, so in flow time it scales by ``|t|``.
     """
     out = run_word(action, [(X, t)], x0, cfg)
     sign = -1.0 if t < 0.0 else 1.0
@@ -456,9 +457,8 @@ def run_word(action, word, x0, cfg: Optional[IntegratorConfig] = None) -> WordOu
     The word is lifted as one group path from the identity with an
     ``ExpSeg(sign(t) * X, |t|)`` per non-zero stage.  The returned trace uses a
     global clock that accumulates |t| over stages, so it is monotone even when
-    some stage times are negative.  ``cfg.max_step``, ``cfg.step_collapse``
-    and ``cfg.escape_time_width`` apply on the unit lift clock, so in flow time
-    they scale by the total ``sum(|t|)``.
+    some stage times are negative.  ``cfg.max_step`` applies on the unit lift
+    clock, so in flow time it scales by the total ``sum(|t|)``.
     """
     x0 = [float(v) for v in x0]
     action.require_inside(x0)

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import AbelianGroup, AlgebraError, LieAlgebra, MatrixGroup, validate_group_model
-from .expr import Expr, _define, _is_const, _name_map, _py_float, _render_py, compile_scalars
+from .expr import EVAL_ERRORS, Expr, _define, _is_const, _name_map, _py_float, _render_py, compile_scalars
 
 DEFAULT_SAMPLING_HALF_WIDTH = 2.0
 
@@ -216,8 +216,15 @@ class GAction:
     # -- field evaluation ---------------------------------------------------
 
     def field_matrix(self, p) -> np.ndarray:
-        """All basis fields at p as a (d, n) array.  No domain check."""
-        flat = self._field_fn(*[float(v) for v in p])
+        """All basis fields at p as a (d, n) array.  No domain check.
+
+        Raises ``ActionError`` naming p where a field cannot be evaluated.
+        """
+        vals = [float(v) for v in p]
+        try:
+            flat = self._field_fn(*vals)
+        except EVAL_ERRORS as e:
+            raise ActionError(f"fields cannot be evaluated at {vals}: {e}") from None
         return np.array(flat, dtype=float).reshape(self.dim_algebra, self.dim_manifold)
 
     def zeta(self, X, p) -> np.ndarray:
@@ -321,10 +328,13 @@ def check_homomorphism(
         vals = [float(v) for v in p]
         F = action.field_matrix(vals)
         # dF[i][k][l] = d(field_i^k)/dx_l
-        dF = [
-            [partials[i][k](*vals) for k in range(n)]
-            for i in range(d)
-        ]
+        try:
+            dF = [
+                [partials[i][k](*vals) for k in range(n)]
+                for i in range(d)
+            ]
+        except EVAL_ERRORS as e:
+            raise ActionError(f"field partials cannot be evaluated at {vals}: {e}") from None
         for i, j in itertools.combinations(range(d), 2):
             expected = c[i, j] @ F
             sq = 0.0

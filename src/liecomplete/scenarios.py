@@ -30,7 +30,7 @@ from .algebra import AbelianGroup, LieAlgebra, MatrixGroup
 from .expr import parse
 from .manifold import Domain, GAction
 from .flow import IntegratorConfig
-from .lift import GPath, LinearSeg, lift_path
+from .lift import TRACE_TARGET, GPath, LinearSeg, lift_path
 
 __all__ = [
     "Scenario",
@@ -407,7 +407,7 @@ def universal_constancy_check(
         )
     f_map, act = pair
     cfg = cfg or IntegratorConfig()
-    cap = 1.0 / max(cfg.trace_target, 1)
+    cap = 1.0 / TRACE_TARGET
     cfg = replace(cfg, max_step=cap if cfg.max_step is None else min(cfg.max_step, cap))
     result = lift_path(scenario.action, path, x0, cfg)
     rows = result.trace

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, file formats, determinism."""
 
+import functools
 import json
 import math
 import os
@@ -7,9 +8,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import liecomplete
+from liecomplete import cli
 from liecomplete.cli import main
+from liecomplete.flow import IntegratorConfig
 
 U = 0.7
 E_MINUS_2PI = 1.8674427317079893e-3
@@ -71,6 +75,79 @@ def test_unknown_keys_are_config_errors(tmp_path, capsys):
     f = _write(tmp_path, "bad.json", bad)
     assert main(["check", "--scenario-file", f]) == 3
     assert "unknown key" in capsys.readouterr().err
+
+
+def _planar_action(fields, exclusions=()):
+    return {
+        "group": {"type": "abelian", "dim": 2},
+        "manifold": {"dim": 2, "coords": ["x", "y"], "exclusions": list(exclusions)},
+        "fields": fields,
+    }
+
+
+@pytest.mark.parametrize("field", ["1e999*y", "x^10^10^4", "x^2^2^2^2^2"])
+def test_malformed_numbers_are_config_errors(tmp_path, capsys, field):
+    f = _write(tmp_path, "a.json", _planar_action([[field, "0"], ["0", "1"]]))
+    assert main(["check", "--scenario-file", f]) == 3
+    assert "offset" in capsys.readouterr().err
+
+
+def test_fields_not_evaluable_in_the_domain_are_config_errors(tmp_path, capsys):
+    f = _write(tmp_path, "sqrt.json", _planar_action([["sqrt(x)", "0"], ["0", "1"]]))
+    assert main(["check", "--scenario-file", f]) == 3
+    assert "cannot be evaluated at" in capsys.readouterr().err
+    loop = _write(tmp_path, "loop.json",
+                  {"points": [[-1.0, 0.0], [-1.0, 0.5], [-1.5, 0.5], [-1.0, 0.0]]})
+    base = ["holonomy", "--scenario-file", f, "--loop", loop, "--x0=-1,0"]
+    for argv in (base, base + ["--frame", "1,0;0,1"]):
+        assert main(argv) == 3
+        assert "fields cannot be evaluated at [-1.0, " in capsys.readouterr().err
+    # a division by zero there is the same input error, not a numerical failure
+    f = _write(tmp_path, "inv.json", _planar_action([["1/x", "0"], ["0", "1"]]))
+    loop = _write(tmp_path, "loop0.json", {"points": [[0.0, 0.0], [0.0, 0.5], [0.0, 0.0]]})
+    assert main(["holonomy", "--scenario-file", f, "--loop", loop, "--x0", "0,0"]) == 3
+
+
+# every kind of number and partial function an action file can hold; the
+# valid terms are drawn three times as often, so that most files get past
+# parsing to the field evaluation
+_VALID_TERMS = [
+    "x", "y", "-x", "0.5", "2", "1e308", "x^2^2^2", "y^3^3^3", "x^-2^3",
+    "sqrt(x)", "sqrt(-y)", "log(x)", "log(-x)", "log(y)", "1/x",
+]
+_INVALID_TERMS = ["1e999", "1" + "0" * 400, "x^2^2^2^2^2", "y^10^10^3", "q", "sqrt(q)"]
+_FUZZ_TERMS = st.sampled_from(_VALID_TERMS * 3 + _INVALID_TERMS)
+_FUZZ_EXPRS = st.one_of(
+    _FUZZ_TERMS,
+    st.tuples(_FUZZ_TERMS, st.sampled_from("+-*/"), _FUZZ_TERMS).map(" ".join),
+)
+
+
+def test_fuzzed_action_files_exit_with_a_code(tmp_path, capsys, monkeypatch):
+    # a stiff drawn field, such as y' = x^8/y near y = 0, takes the default
+    # million steps (about 30 s) to reach the step limit; a lower limit ends
+    # it with the same exit code
+    monkeypatch.setattr(cli, "IntegratorConfig", functools.partial(IntegratorConfig, max_steps=10_000))
+    path = _write(tmp_path, "path.json", {
+        "start": [0.0, 0.0], "segments": [{"type": "linear", "delta": [0.5, 0.25]}],
+    })
+    codes = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(fields=st.lists(_FUZZ_EXPRS, min_size=4, max_size=4),
+           exclusions=st.lists(_FUZZ_EXPRS, max_size=1))
+    def check(fields, exclusions):
+        f = _write(tmp_path, "fuzz.json",
+                   _planar_action([fields[:2], fields[2:]], exclusions))
+        codes.append(main(["check", "--scenario-file", f, "--samples", "20"]))
+        codes.append(main(["lift", "--scenario-file", f, "--x0", "0.5,0.5",
+                           "--path", path, "--out", str(tmp_path / "fuzz")]))
+        capsys.readouterr()
+
+    check()
+    assert len(codes) >= 100
+    assert set(codes) <= {0, 1, 2, 3, 4}
+    assert sum(code != 3 for code in codes) >= 10
 
 
 # ---------------------------------------------------------------------------

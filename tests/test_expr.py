@@ -10,6 +10,9 @@ from liecomplete.expr import (
     ExprDomainError,
     ExprNameError,
     ExprSyntaxError,
+    Num,
+    Pow,
+    compile_scalars,
     parse,
 )
 
@@ -64,6 +67,34 @@ def test_exponent_must_be_integer_literal():
     # negative and right-associative chains are folded at parse time
     assert parse("x^-2").eval({"x": 2.0}) == 0.25
     assert parse("2^3^2").eval({}) == 512.0
+
+
+def test_number_literals_must_be_finite():
+    for src, offset in [("1e999*x", 0), ("x + 1" + "0" * 400, 4), ("2^1e999", 2)]:
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(src)
+        assert exc.value.position == offset
+
+
+def test_exponent_towers_are_bounded_before_they_fold():
+    # 2^53 is the largest exponent the derivative's Num(float(k)) holds exactly
+    assert parse("x^2^53").node == Pow(parse("x").node, 2 ** 53)
+    assert parse("x^-9007199254740992").node.exponent == -(2 ** 53)
+    assert parse("x^1^-5").node.exponent == 1
+    assert parse("x^0^-0").node.exponent == 1
+    for src, offset in [
+        ("x^2^2^2^2^2", 2),          # 2^65536, refused without computing it
+        ("x^10^10^10", 2),           # a 10^10-digit fold
+        ("x^2^54", 2),
+        ("x^3^34", 2),               # 3^34 > 2^53 although 34 <= 53
+        ("x^9007199254740993", 2),
+        ("x^-9007199254740993", 3),
+        ("x^2^-1", 2),               # not an integer
+        ("x^0^-1", 2),               # not a number
+    ]:
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(src)
+        assert exc.value.position == offset, src
 
 
 def test_precedence():
@@ -232,28 +263,38 @@ def test_print_preserves_precedence():
 
 
 def test_compile_matches_eval():
-    from liecomplete.expr import compile_scalars
-
     exprs = [parse("alpha*y*z/(x^2+y^2)"), parse("-x*y + sin(z)")]
     fn = compile_scalars(exprs, ("x", "y", "z"), {"alpha": 0.75})
-    for pt in [(1.0, 2.0, 3.0), (-0.5, 0.1, 0.0), (2.0, -1.0, 4.0)]:
-        got = fn(*pt)
-        env = dict(zip(("x", "y", "z"), pt), alpha=0.75)
-        assert got[0] == pytest.approx(exprs[0].eval(env), rel=1e-15)
-        assert got[1] == pytest.approx(exprs[1].eval(env), rel=1e-15)
+    for x, y, z in [(1.0, 2.0, 3.0), (-0.5, 0.1, 0.0), (2.0, -1.0, 4.0)]:
+        assert fn(x, y, z) == (0.75 * y * z / (x ** 2 + y ** 2), -x * y + math.sin(z))
 
 
 def test_compile_folds_any_float_param():
-    from liecomplete.expr import compile_scalars
-
     # a negative constant must stay one operand: -1.5 ** 2 would be -(1.5 ** 2)
     fn = compile_scalars([parse("a^2 - x"), parse("b*x")], ("x",), {"a": -1.5, "b": math.inf})
-    assert fn(1.0) == (parse("a^2 - x").eval({"a": -1.5, "x": 1.0}), math.inf)
+    assert fn(1.0) == ((-1.5) ** 2 - 1.0, math.inf)
+
+
+def test_compile_renders_any_float_literal():
+    # literals the parser never makes, but derivatives and callers can
+    assert compile_scalars([Expr(Pow(Num(-2.0), 2))], ())() == (4.0,)
+    assert compile_scalars([Expr(Num(math.inf)), Expr(Num(-math.inf))], ())() == (
+        math.inf, -math.inf)
+
+
+def test_eval_runs_the_generated_code():
+    assert Expr(Pow(Num(-2.0), 2)).eval({}) == 4.0
+    with pytest.raises(ExprDomainError):
+        Expr(Num(math.inf)).eval({})
+    with pytest.raises(ExprDomainError):
+        parse("exp(x)").eval({"x": 1000.0})      # OverflowError
+    with pytest.raises(ExprDomainError):
+        parse("x^2").eval({"x": 1e200})          # OverflowError in the power
+    with pytest.raises(ExprDomainError):
+        parse("x*x").eval({"x": 1e200})          # inf without an exception
 
 
 def test_compile_missing_binding():
-    from liecomplete.expr import compile_scalars
-
     with pytest.raises(ExprNameError):
         compile_scalars([parse("x + beta")], ("x",), {})
 

@@ -152,8 +152,6 @@ def test_config_validation():
         IntegratorConfig(abs_tol=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(escape_margin=0.0)
 
 
 # ---------------------------------------------------------------------------
