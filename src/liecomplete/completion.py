@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .flow import COMPLETE, ESCAPED, IntegratorConfig
-from .lift import ExpSeg, GPath, LinearSeg, LiftResult, lift_path
+from .lift import ExpSeg, GPath, LiftResult, lift_path
 
 __all__ = [
     "IsotropyReport",
@@ -248,7 +248,6 @@ def loop_to_group(
         return f @ frame                              # algebra coefficients (d,)
 
     segs: list = []
-    g = group.identity()
     for j in range(n_chords):
         p0, p1 = pts[j], pts[j + 1]
         cdot = (p1 - p0) * (n_chords)                 # chord velocity on the loop clock
@@ -259,13 +258,7 @@ def loop_to_group(
             X_lo = velocity_at(p0 + fr_lo * (p1 - p0), cdot)
             X_hi = velocity_at(p0 + fr_hi * (p1 - p0), cdot)
             X_bar = 0.5 * (X_lo + X_hi)
-            disp = X_bar * dt
-            if group.kind == "abelian":
-                segs.append(LinearSeg(tuple(disp), dt))
-                g = g + disp
-            else:
-                segs.append(ExpSeg(tuple(X_bar), dt))   # rate X_bar for time dt
-                g = group.mul(g, group.exp_segment(disp, 1.0))
+            segs.append(ExpSeg(tuple(X_bar), dt))   # rate X_bar for time dt
 
     path = GPath(group, group.identity(), segs)
     relift = lift_path(action, path, x0, cfg)
@@ -276,7 +269,7 @@ def loop_to_group(
     else:
         residual = math.inf
     return HolonomyElement(
-        element=g,
+        element=path.endpoint(),
         round_trip_residual=residual,
         loop_points=pts.shape[0],
         closed=closed,

@@ -12,7 +12,9 @@ Grammar (UTF-8 text, whitespace between tokens ignored)::
 ``^`` binds tightest, then unary minus, then ``*`` ``/``, then ``+`` ``-``.
 Exponents are restricted to integer literals so that differentiation stays
 inside the language and ``0^0``-style ambiguity never arises at runtime.
-Number literals must be finite.
+Number literals must be finite.  Every operation, function call and pair of
+parentheses is one level of nesting, and an expression may nest at most
+``MAX_DEPTH`` (64) levels deep, so that it and its partials compile.
 
 Functions: sin, cos, exp, log, sqrt, atan2(y, x), abs, sign.  ``sign`` is
 included so the derivative of ``abs`` is expressible; ``sign(0) = 0``, which
@@ -49,6 +51,12 @@ class ExprDomainError(ArithmeticError):
 # What generated code raises where a partial function leaves its domain (log,
 # sqrt, division, a negative power of zero) or a result overflows.
 EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
+# The deepest nesting an expression may have.  A first partial is at most
+# three times as deep as its expression, and its generated code opens one
+# parenthesis per level plus three more, within Python's limit of 200.
+MAX_DEPTH = 64
+_DEPTH_MESSAGE = f"expression nests deeper than {MAX_DEPTH} levels"
 
 # The largest exponent magnitude: _diff's Num(float(k)) holds it exactly.
 _MAX_EXPONENT = 2 ** 53
@@ -168,10 +176,17 @@ def _tokenize(src: str):
 
 
 class _Parser:
+    """Recursive descent; each rule returns ``(node, depth)``.
+
+    A level past ``MAX_DEPTH`` is refused where it is reached: on the way
+    down at the ``(``, ``-`` or function name that opens it, which keeps the
+    recursion shallow, and on the way up at the operator that closes it.
+    """
+
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.open = 0   # levels opened on the way down to the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -188,88 +203,102 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Node:
-        node = self.expr()
+        node, _ = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected token {text!r}", pos)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    @staticmethod
+    def level(depth: int, pos: int) -> int:
+        """The depth of a node one level above ``depth``, opened at ``pos``."""
+        if depth >= MAX_DEPTH:
+            raise ExprSyntaxError(_DEPTH_MESSAGE, pos)
+        return depth + 1
+
+    def nested(self, rule, pos: int):
+        """Parse ``rule`` one level down, the level opened at ``pos``."""
+        self.open = self.level(self.open, pos)
+        node, depth = rule()
+        self.open -= 1
+        return node, self.level(depth, pos)
+
+    def expr(self):
+        return self.chain(self.term, "+-")
+
+    def term(self):
+        return self.chain(self.unary, "*/")
+
+    def chain(self, operand, ops: str):
+        """``operand (op operand)*`` for ``op`` in ``ops``, left-associative."""
+        node, depth = operand()
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = Bin(text, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = Bin(text, node, self.unary())
-            else:
-                return node
-
-    def unary(self) -> Node:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
+            kind, text, pos = self.peek()
+            if kind != "op" or text not in ops:
+                return node, depth
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            right, rdepth = operand()
+            node, depth = Bin(text, node, right), self.level(max(depth, rdepth), pos)
 
-    def power(self) -> Node:
-        base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return Pow(base, self.exponent())
-        return base
-
-    def exponent(self) -> int:
-        """Signed integer literal; a further '^' chain folds right-associatively."""
-        sign = 1
+    def unary(self):
         kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            sign = -1
-            kind, text, pos = self.peek()
-        if kind != "int":
-            raise ExprSyntaxError("exponent must be an integer literal", pos)
-        self.advance()
-        value = int(text)
-        kind, text, _ = self.peek()
+            node, depth = self.nested(self.unary, pos)
+            return Neg(node), depth
+        return self.power()
+
+    def power(self):
+        base, depth = self.atom()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            k = self.exponent()
+            return Pow(base, self.exponent()), self.level(depth, pos)
+        return base, depth
+
+    def exponent(self) -> int:
+        """Signed integer literals joined by '^', folded right-associatively."""
+        chain = []
+        while True:
+            sign, (kind, text, pos) = 1, self.advance()
+            if kind == "op" and text == "-":
+                sign, (kind, text, pos) = -1, self.advance()
+            if kind != "int":
+                raise ExprSyntaxError("exponent must be an integer literal", pos)
+            chain.append((sign, int(text), pos))
+            if self.peek()[:2] != ("op", "^"):
+                break
+            self.advance()
+        k = 1
+        for sign, value, pos in reversed(chain):
             # decided before folding: a negative power of value != 1 is no
             # integer, and value ** k >= 2 ** 54 when value > 1 and k > 53
             if value != 1 and (k < 0 or (value > 1 and k > 53)):
                 raise ExprSyntaxError(_TOWER_MESSAGE, pos)
             value **= abs(k)
-        if value > _MAX_EXPONENT:
-            raise ExprSyntaxError(_TOWER_MESSAGE, pos)
-        return sign * value
+            if value > _MAX_EXPONENT:
+                raise ExprSyntaxError(_TOWER_MESSAGE, pos)
+            k = sign * value
+        return k
 
-    def atom(self) -> Node:
+    def atom(self):
         kind, text, pos = self.advance()
         if kind in ("num", "int"):
-            return Num(float(text))
+            return Num(float(text)), 0
         if kind == "name":
             nk, nt, _ = self.peek()
             if nk == "op" and nt == "(":
                 if text not in _FUNCTION_ARITY:
                     raise ExprSyntaxError(f"unknown function {text!r}", pos)
                 self.advance()
-                args = [self.expr()]
+                args, depth = [], 0
                 while True:
+                    arg, arg_depth = self.nested(self.expr, pos)
+                    args.append(arg)
+                    depth = max(depth, arg_depth)
                     k2, t2, p2 = self.peek()
                     if k2 == "op" and t2 == ",":
                         self.advance()
-                        args.append(self.expr())
                     elif k2 == "op" and t2 == ")":
                         self.advance()
                         break
@@ -280,14 +309,14 @@ class _Parser:
                         f"{text} takes {_FUNCTION_ARITY[text]} argument(s), got {len(args)}",
                         pos,
                     )
-                return Call(text, tuple(args))
+                return Call(text, tuple(args)), depth
             if text in _FUNCTION_ARITY:
                 raise ExprSyntaxError(f"function name {text!r} used as a variable", pos)
-            return Var(text)
+            return Var(text), 0
         if kind == "op" and text == "(":
-            node = self.expr()
+            node, depth = self.nested(self.expr, pos)
             self.expect_op(")")
-            return node
+            return node, depth
         raise ExprSyntaxError("expected a number, name or '('", pos)
 
 

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -92,7 +93,6 @@ class GPath:
             raise PathError(f"bad start point: {exc}") from exc
         segs = list(segments)
         d = group.dim
-        kinds: List[str] = []
         raw: list = []
         durations: List[float] = []
         for s in segs:
@@ -102,10 +102,8 @@ class GPath:
                 if group.kind != "abelian":
                     raise PathError("LinearSeg requires the abelian group model")
                 raw.append(s.delta)   # total displacement
-                kinds.append("linear")
             elif isinstance(s, ExpSeg):
                 raw.append(s.X)       # a rate; scaled by the duration below
-                kinds.append("exp")
             else:
                 raise PathError(f"unknown segment type {type(s).__name__}")
             durations.append(float(s.duration))
@@ -117,12 +115,11 @@ class GPath:
         if not shape_ok:
             raise PathError(f"segment vector must have length {d}")
         # the total log-displacement of an ExpSeg is duration * X
-        scale = [dur if kind == "exp" else 1.0 for kind, dur in zip(kinds, durations)]
+        scale = [dur if isinstance(s, ExpSeg) else 1.0 for s, dur in zip(segs, durations)]
         vecs = vecs * np.array(scale).reshape(-1, 1)
         if not np.all(np.isfinite(vecs)):
             raise PathError("segment vector must be finite")
         self.segments = tuple(segs)
-        self._kinds = kinds
         self._vecs = vecs
         self._vec_rows = vecs.tolist()
         total = sum(durations)
@@ -181,8 +178,8 @@ class GPath:
         """Group point a fraction ``frac`` of the way through segment k."""
         base = self._prefix[k]
         vec = self._vecs[k]
-        if self._kinds[k] == "linear":
-            return base + frac * vec
+        if self.group.kind == "abelian":
+            return base + frac * vec   # LinearSeg or ExpSeg: exp(frac * vec) is frac * vec
         return self.group.mul(base, self.group.exp_segment(vec, frac))
 
     def reverse(self) -> "GPath":
@@ -202,8 +199,8 @@ class GPath:
         segs = []
         for p in (self, other):
             # rebuild from total displacements so endpoints survive reweighting
-            for kind, vec, w in zip(p._kinds, p._vecs, p.widths):
-                if kind == "linear":
+            for s, vec, w in zip(p.segments, p._vecs, p.widths):
+                if isinstance(s, LinearSeg):
                     segs.append(LinearSeg(tuple(vec), w))
                 else:
                     segs.append(ExpSeg(tuple(vec / w), w))
@@ -232,7 +229,8 @@ class LiftResult:
     status: str
     endpoint_g: object
     endpoint_m: tuple
-    trace: list                     # [(t, g, m), ...] with t in [0, 1]
+    path: GPath
+    rows: list                      # [(t, k, frac, m), ...]: frac of the way through segment k
     escape_time: Optional[float] = None
     failed_segment: Optional[int] = None
     winding: Optional[float] = None   # signed turns of the tracked plane projection
@@ -242,6 +240,11 @@ class LiftResult:
     @property
     def complete(self) -> bool:
         return self.status == COMPLETE
+
+    @cached_property
+    def trace(self) -> list:
+        """``[(t, g, m), ...]`` with t in [0, 1]; group points resolved on first read."""
+        return _resolve(self.path, self.rows)
 
 
 @dataclass
@@ -334,32 +337,9 @@ def lift_path(
     Integrates the lifting equation segment by segment (the group velocity is
     constant on each segment); the group component advances in closed form.
     Escape anywhere truncates the lift and reports the path time and segment.
-    """
-    status, rows, y_end, k, t_end, low, steps, winding = _lift(action, path, x0, cfg)
-    trace = _resolve(path, rows)
-    if status == COMPLETE:
-        return LiftResult(COMPLETE, path.endpoint(), y_end, trace, winding=winding, steps=steps)
-    return LiftResult(
-        status,
-        path.group_point(k, min(t_end / path.widths[k], 1.0)),
-        y_end,
-        trace,
-        escape_time=path._bounds[k] + t_end if status == ESCAPED else None,
-        failed_segment=k,
-        winding=winding,
-        low_confidence=low,
-        steps=steps,
-    )
-
-
-def _lift(action, path: GPath, x0, cfg: Optional[IntegratorConfig]):
-    """The lift without its group points.
-
-    Returns ``(status, rows, y_end, k, t_end, low_confidence, steps,
-    winding)``: trace rows are ``(t, k, frac, m)``, a fraction ``frac`` of the
-    way through segment ``k``, with row 0 at the path start; ``k`` and
-    ``t_end`` are the failed segment and the time reached in it (``None``
-    when the lift completes).
+    Trace rows keep ``(t, k, frac, m)``, a fraction ``frac`` of the way
+    through segment ``k`` with row 0 at the path start; their group points
+    are computed when ``trace`` is first read.
     """
     cfg = cfg or IntegratorConfig()
     _check_group_compat(action, path)
@@ -377,33 +357,45 @@ def _lift(action, path: GPath, x0, cfg: Optional[IntegratorConfig]):
     y = x0
     steps_total = 0
 
+    def on_step(t0, y0_, t1, y1, interp):
+        # k, t_base and w are those of the segment being integrated
+        if tracker is not None:
+            tracker.feed(interp, y1)
+        rows.append((t_base + t1, k, t1 / w, tuple(y1)))
+        if small_path:
+            kept_steps.append((t_base + t0, t_base + t1, interp, k))
+
     for k in range(path.n_segments):
         w = path.widths[k]
         t_base = path._bounds[k]
-        rhs = action.rhs(path.velocity(k))
-
-        def on_step(t0, y0_, t1, y1, interp, _k=k, _tb=t_base, _w=w):
-            if tracker is not None:
-                tracker.feed(interp, y1)
-            rows.append((_tb + t1, _k, t1 / _w, tuple(y1)))
-            if small_path:
-                kept_steps.append((_tb + t0, _tb + t1, interp, _k))
-
         status, t_end, y_end, steps, low = integrate_autonomous(
-            rhs, y, w, cfg, margin, on_step
+            action.rhs(path.velocity(k)), y, w, cfg, margin, on_step
         )
         steps_total += steps
         if status != COMPLETE:
             break
         y = list(y_end)
     else:
-        status, k, t_end, low = COMPLETE, None, None, False
-        y_end = tuple(y)
+        status = COMPLETE
 
     if small_path:
         rows = _padded_rows(rows, kept_steps, path)
     winding = tracker.total / math.tau if tracker else None
-    return status, rows, y_end, k, t_end, low, steps_total, winding
+    if status == COMPLETE:
+        return LiftResult(COMPLETE, path.endpoint(), tuple(y), path, rows,
+                          winding=winding, steps=steps_total)
+    return LiftResult(
+        status,
+        path.group_point(k, min(t_end / w, 1.0)),
+        y_end,
+        path,
+        rows,
+        escape_time=t_base + t_end if status == ESCAPED else None,
+        failed_segment=k,
+        winding=winding,
+        low_confidence=low,
+        steps=steps_total,
+    )
 
 
 def _padded_rows(rows, kept_steps, path: GPath):
@@ -470,27 +462,27 @@ def run_word(action, word, x0, cfg: Optional[IntegratorConfig] = None) -> WordOu
     segs = [ExpSeg(tuple(float(v) if t > 0.0 else -float(v) for v in X), abs(t))
             for (_, X, t) in stages]
     total = sum(abs(t) for (_, _, t) in stages)
-    path = GPath(G, G.identity(), segs)
-    status, rows, y_end, k, t_end, low, steps, _ = _lift(action, path, x0, cfg)
-    trace = [(total * s, m) for (s, _, _, m) in rows]
-    if status == COMPLETE:
-        return WordOutcome(COMPLETE, y_end, trace, steps=steps)
+    res = lift_path(action, GPath(G, G.identity(), segs), x0, cfg)
+    trace = [(total * s, m) for (s, _, _, m) in res.rows]
+    if res.complete:
+        return WordOutcome(COMPLETE, res.endpoint_m, trace, steps=res.steps)
 
+    k = res.failed_segment
     stage, _, t = stages[k]
     escape_time = stage_time = None
-    if status == ESCAPED:
-        escape_time = total * (path._bounds[k] + t_end)
+    if res.status == ESCAPED:
+        escape_time = total * res.escape_time
         elapsed = sum(abs(t_j) for (_, _, t_j) in stages[:k])
         stage_time = math.copysign(escape_time - elapsed, t)
     return WordOutcome(
-        status,
-        y_end,
+        res.status,
+        res.endpoint_m,
         trace,
         escape_time=escape_time,
         failed_stage=stage,
         stage_escape_time=stage_time,
-        low_confidence=low,
-        steps=steps,
+        low_confidence=res.low_confidence,
+        steps=res.steps,
     )
 
 

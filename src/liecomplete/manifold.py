@@ -218,13 +218,16 @@ class GAction:
     def field_matrix(self, p) -> np.ndarray:
         """All basis fields at p as a (d, n) array.  No domain check.
 
-        Raises ``ActionError`` naming p where a field cannot be evaluated.
+        Raises ``ActionError`` naming p where a field cannot be evaluated or
+        is not finite.
         """
         vals = [float(v) for v in p]
         try:
             flat = self._field_fn(*vals)
         except EVAL_ERRORS as e:
             raise ActionError(f"fields cannot be evaluated at {vals}: {e}") from None
+        if not all(map(math.isfinite, flat)):
+            raise ActionError(f"fields are not finite at {vals}")
         return np.array(flat, dtype=float).reshape(self.dim_algebra, self.dim_manifold)
 
     def zeta(self, X, p) -> np.ndarray:
@@ -316,6 +319,9 @@ def check_homomorphism(
 
     The vector-field bracket is computed from symbolic partial derivatives of
     the stored component expressions, so no finite differencing is involved.
+    Fields or partials that are not finite at a sampled point raise
+    ``ActionError``; a residual that is NaN (the bracket sum overflowed to
+    ``inf - inf``) is returned as NaN, which no limit passes.
     """
     d, n = action.dim_algebra, action.dim_manifold
     if d < 2:
@@ -335,6 +341,8 @@ def check_homomorphism(
             ]
         except EVAL_ERRORS as e:
             raise ActionError(f"field partials cannot be evaluated at {vals}: {e}") from None
+        if not all(math.isfinite(v) for row in dF for comp in row for v in comp):
+            raise ActionError(f"field partials are not finite at {vals}")
         for i, j in itertools.combinations(range(d), 2):
             expected = c[i, j] @ F
             sq = 0.0
@@ -344,6 +352,8 @@ def check_homomorphism(
                     lie += F[i, l] * dF[j][k][l] - F[j, l] * dF[i][k][l]
                 sq += (lie - expected[k]) ** 2
             r = math.sqrt(sq)
+            if math.isnan(r):
+                return r
             if r > worst:
                 worst = r
     return worst

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import liecomplete
 from liecomplete import cli
 from liecomplete.cli import main
+from liecomplete.expr import MAX_DEPTH
 from liecomplete.flow import IntegratorConfig
 
 U = 0.7
@@ -108,6 +109,48 @@ def test_fields_not_evaluable_in_the_domain_are_config_errors(tmp_path, capsys):
     assert main(["holonomy", "--scenario-file", f, "--loop", loop, "--x0", "0,0"]) == 3
 
 
+def test_fields_that_are_not_finite_are_config_errors(tmp_path, capsys):
+    # 1e308*1e308 is inf and inf*0 is NaN: no exception, but no value either
+    f = _write(tmp_path, "nan.json", _planar_action([["1e308*1e308*0*y", "0"], ["0", "1"]]))
+    assert main(["check", "--scenario-file", f]) == 3
+    assert "fields are not finite at" in capsys.readouterr().err
+    loop = _write(tmp_path, "loop.json",
+                  {"points": [[1.0, 0.0], [1.0, 0.5], [1.5, 0.5], [1.0, 0.0]]})
+    base = ["holonomy", "--scenario-file", f, "--loop", loop, "--x0=1,0"]
+    for argv in (base, base + ["--frame", "1,0;0,1"]):
+        assert main(argv) == 3
+        assert "fields are not finite at [1.0, " in capsys.readouterr().err
+
+
+def test_a_nan_bracket_residual_fails_the_check(tmp_path, capsys):
+    # fields and partials are finite, but their products overflow and the
+    # bracket sum is inf - inf
+    f = _write(tmp_path, "big.json", _planar_action([["1e200*x", "1e200*y"], ["1e200*y", "1e200*x"]]))
+    assert main(["check", "--scenario-file", f]) == 1
+    out = capsys.readouterr().out
+    assert "residual: nan" in out and "check: FAIL" in out
+
+
+@pytest.mark.parametrize("field", [
+    "+".join(["x"] * 250), "-" * 300 + "x", "(" * 400 + "x" + ")" * 400,
+])
+def test_deeply_nested_fields_are_config_errors(tmp_path, capsys, field):
+    f = _write(tmp_path, "deep.json", _planar_action([[field, "0"], ["0", "1"]]))
+    assert main(["check", "--scenario-file", f]) == 3
+    assert "nests deeper than" in capsys.readouterr().err
+
+
+def test_fields_at_the_depth_bound_are_checked(tmp_path, capsys):
+    # x/x/.../x and y/y/.../y at the bound: each field depends on its own
+    # coordinate only, so the fields commute, and their partials compile
+    x_chain, y_chain = ("/".join([v] * (MAX_DEPTH + 1)) for v in "xy")
+    action = _planar_action([[x_chain, "0"], ["0", y_chain]])
+    action["manifold"]["box"] = [[1.0, 2.0], [1.0, 2.0]]
+    f = _write(tmp_path, "bound.json", action)
+    assert main(["check", "--scenario-file", f, "--samples", "20"]) == 0
+    assert "check: PASS" in capsys.readouterr().out
+
+
 # every kind of number and partial function an action file can hold; the
 # valid terms are drawn three times as often, so that most files get past
 # parsing to the field evaluation
@@ -117,9 +160,16 @@ _VALID_TERMS = [
 ]
 _INVALID_TERMS = ["1e999", "1" + "0" * 400, "x^2^2^2^2^2", "y^10^10^3", "q", "sqrt(q)"]
 _FUZZ_TERMS = st.sampled_from(_VALID_TERMS * 3 + _INVALID_TERMS)
+# nesting on both sides of expr.MAX_DEPTH: long '+'/'*' chains, deep
+# parentheses and unary-minus chains
+_FUZZ_LEVELS = st.integers(1, 2 * MAX_DEPTH)
 _FUZZ_EXPRS = st.one_of(
     _FUZZ_TERMS,
     st.tuples(_FUZZ_TERMS, st.sampled_from("+-*/"), _FUZZ_TERMS).map(" ".join),
+    st.tuples(st.sampled_from("+*"), _FUZZ_TERMS, _FUZZ_LEVELS).map(
+        lambda t: t[0].join([t[1]] * t[2])),
+    st.tuples(_FUZZ_TERMS, _FUZZ_LEVELS).map(lambda t: "(" * t[1] + t[0] + ")" * t[1]),
+    st.tuples(_FUZZ_TERMS, _FUZZ_LEVELS).map(lambda t: "-" * t[1] + t[0]),
 )
 
 

@@ -248,6 +248,22 @@ def test_loop_to_group_affine_open_curve(affine):
     assert not hol.closed
 
 
+def test_loop_to_group_exponentiates_each_sub_chord_once(affine, monkeypatch):
+    # the element is the endpoint of the path the loop builds, and the
+    # re-lift reads no trace, so each sub-chord's exponential is taken once
+    from liecomplete.algebra import MatrixGroup
+
+    calls = []
+    expm = MatrixGroup.exp_segment
+    monkeypatch.setattr(MatrixGroup, "exp_segment",
+                        lambda self, X, t=1.0: calls.append(t) or expm(self, X, t))
+    pts = [(x,) for x in np.exp(0.05 * np.sin(np.arange(65.0)))]
+    hol = loop_to_group(affine, ((1.0, 0.0), (0.0, 1.0)), pts, pts[0], closed=False)
+    assert hol.round_trip_residual < 1e-6
+    assert len(calls) == 64 * 4
+    assert np.array_equal(hol.element, hol.path.endpoint())
+
+
 def test_loop_to_group_frame_condition(helicoid):
     pts = _circle_pts(16)
     with pytest.raises(FrameConditionError):

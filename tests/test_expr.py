@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecomplete.expr import (
+    MAX_DEPTH,
     Expr,
     ExprDomainError,
     ExprNameError,
@@ -95,6 +96,33 @@ def test_exponent_towers_are_bounded_before_they_fold():
         with pytest.raises(ExprSyntaxError) as exc:
             parse(src)
         assert exc.value.position == offset, src
+
+
+def test_nesting_is_refused_where_it_passes_the_bound():
+    for src, offset in [
+        ("+".join(["x"] * 250), 129),          # the 65th '+' of a left-nested sum
+        ("-" * 300 + "x", 64),                 # the 65th unary minus
+        ("(" * 400 + "x" + ")" * 400, 64),     # the 65th parenthesis
+        ("sin(" * 65 + "x" + ")" * 65, 256),   # the 65th call
+    ]:
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH}") as exc:
+            parse(src)
+        assert exc.value.position == offset, src[:20]
+    # an exponent tower is folded without recursion, so its length is free
+    assert parse("x^" + "1^" * 2000 + "1").node.exponent == 1
+
+
+@pytest.mark.parametrize("src", [
+    "/".join(["x"] * (MAX_DEPTH + 1)),            # a quotient's partial is 3x as deep
+    "atan2(x, " * MAX_DEPTH + "y" + ")" * MAX_DEPTH,
+    "cos(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+    "-" * MAX_DEPTH + "x",
+    "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+])
+def test_expressions_at_the_depth_bound_and_their_partials_compile(src):
+    e = parse(src)
+    fn = compile_scalars([e, e.diff("x"), e.diff("y")], ("x", "y"))
+    assert len(fn(0.75, 0.5)) == 3
 
 
 def test_precedence():

@@ -212,6 +212,25 @@ def test_matrix_model_lift(affine):
     assert np.allclose(res.endpoint_g, [[1.0 / math.e, 0.0], [0.0, 1.0]], atol=1e-12)
 
 
+def test_trace_group_points_are_computed_on_first_read(affine, monkeypatch):
+    from liecomplete.algebra import MatrixGroup
+
+    calls = []
+    expm = MatrixGroup.exp_segment
+    monkeypatch.setattr(MatrixGroup, "exp_segment",
+                        lambda self, X, t=1.0: calls.append(t) or expm(self, X, t))
+    p = GPath(affine.group, np.eye(2), [ExpSeg((0.3, 1.0), 1.0), ExpSeg((-0.5, 0.2), 2.0)])
+    assert len(calls) == 2          # the path's own prefix points
+    res = lift_path(affine, p, (1.0,))
+    assert res.status == COMPLETE and len(res.rows) > 2
+    assert len(calls) == 2
+    trace = res.trace
+    assert len(calls) == 2 + len(res.rows) - 1
+    assert res.trace is trace
+    assert len(calls) == 2 + len(res.rows) - 1
+    assert [(t, m) for (t, _, m) in trace] == [(t, m) for (t, _, _, m) in res.rows]
+
+
 # ---------------------------------------------------------------------------
 # homotopy: equal endpoints + equal winding => equal lift endpoints
 

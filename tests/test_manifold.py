@@ -158,6 +158,25 @@ def test_flipped_sign_fails_sampled_check():
     assert check_homomorphism(flipped_helicoid(), sample_count=100, seed=0) > 0.4
 
 
+def _planar(fields, box=None):
+    return GAction(LieAlgebra.abelian(2), AbelianGroup(2), Domain(("x", "y"), box=box),
+                   [[parse(e) for e in row] for row in fields])
+
+
+def test_non_finite_fields_and_partials_are_action_errors():
+    # inf * 0 is NaN without an exception
+    nan = _planar([["1e308*1e308*0*y", "0"], ["0", "1"]])
+    with pytest.raises(ActionError, match=r"fields are not finite at \[1.0, 2.0\]"):
+        nan.field_matrix((1.0, 2.0))
+    with pytest.raises(ActionError, match="fields are not finite"):
+        check_homomorphism(nan, sample_count=5)
+    # below x = 0.5 the field is finite, but its partial in x is 1e308*2 = inf
+    steep = _planar([["x*1e308*2/100", "0"], ["0", "1"]], box=((0.0, 0.5), (0.0, 0.5)))
+    assert np.isfinite(steep.field_matrix((0.4, 0.4))).all()
+    with pytest.raises(ActionError, match="field partials are not finite"):
+        check_homomorphism(steep, sample_count=5)
+
+
 def test_check_deterministic(helicoid):
     a = check_homomorphism(helicoid, sample_count=50, seed=7)
     b = check_homomorphism(helicoid, sample_count=50, seed=7)
