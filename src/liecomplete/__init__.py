@@ -7,11 +7,11 @@ classifies graph points into leaves for the worked scenarios.
 """
 
 from .algebra import AbelianGroup, LieAlgebra, MatrixGroup, structure_constants_from_matrix_basis
-from .completion import HolonomyElement, IsotropyReport, LeafRecord, isotropy, loop_to_group, orbit_dim, same_leaf
+from .completion import HolonomyElement, IsotropyReport, LeafRecord, isotropy, loop_to_group, same_leaf
 from .expr import Expr, ExprDomainError, ExprNameError, ExprSyntaxError, parse
 from .flow import COMPLETE, ESCAPED, STEP_LIMIT, IntegratorConfig
 from .lift import ExpSeg, FlowOutcome, GPath, LiftResult, LinearSeg, WordOutcome
-from .lift import equivariance_check, flow, gamma, lift_path, run_word
+from .lift import equivariance_check, flow, lift_path, run_word
 from .manifold import Domain, GAction, OutsideDomainError, check_homomorphism
 from .scenarios import build, circle_loop_path, leaf_invariant, oracle_z, scenario_names
 
@@ -46,13 +46,11 @@ __all__ = [
     "circle_loop_path",
     "equivariance_check",
     "flow",
-    "gamma",
     "isotropy",
     "leaf_invariant",
     "lift_path",
     "loop_to_group",
     "oracle_z",
-    "orbit_dim",
     "parse",
     "run_word",
     "same_leaf",

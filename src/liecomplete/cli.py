@@ -107,10 +107,26 @@ def _floats(seq, where: str) -> list:
         raise ConfigError(f"{where} must be a list of numbers")
     out = []
     for v in seq:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"{where} must contain only numbers")
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            raise ConfigError(f"{where} must contain only finite numbers")
         out.append(float(v))
     return out
+
+
+def _matrix(obj, where: str) -> list:
+    """A non-empty list of rows of finite numbers, all of one length."""
+    if not isinstance(obj, list) or not obj:
+        raise ConfigError(f"{where} must be a non-empty list of rows")
+    rows = [_floats(row, where) for row in obj]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ConfigError(f"{where} must have rows of equal length")
+    return rows
+
+
+def _exprs(seq, where: str) -> list:
+    if not isinstance(seq, list) or not all(isinstance(v, str) for v in seq):
+        raise ConfigError(f"{where} must be a list of expression strings")
+    return [parse_expr(v) for v in seq]
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +152,11 @@ def _action_from_file(path: str) -> Scenario:
     elif gspec["type"] == "matrix":
         if "basis" not in gspec:
             raise ConfigError("matrix group model requires a basis")
-        basis = np.asarray(gspec["basis"], dtype=float)
-        if basis.ndim != 3 or basis.shape[0] != d or basis.shape[1] != basis.shape[2]:
+        raw = gspec["basis"]
+        mats = [_matrix(m, "basis matrix") for m in raw] if isinstance(raw, list) else []
+        if len(mats) != d or any(len(m) != len(m[0]) or len(m) != len(mats[0]) for m in mats):
             raise ConfigError("basis must be d matrices of equal square shape")
+        basis = np.array(mats)
         algebra = LieAlgebra(structure_constants_from_matrix_basis(basis))
         group = MatrixGroup(basis)
     else:
@@ -163,12 +181,11 @@ def _action_from_file(path: str) -> Scenario:
                     raise ConfigError("box bounds must be [lo, hi] pairs")
                 box.append((pair[0], pair[1]))
         box = tuple(box)
-    margins = tuple(
-        parse_expr(s) for s in mspec.get("exclusions", [])
-    )
+    margins = tuple(_exprs(mspec.get("exclusions", []), "manifold.exclusions"))
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
+    params = dict(zip(params, _floats(list(params.values()), "params")))
     fields_raw = spec["fields"]
     if not isinstance(fields_raw, list) or len(fields_raw) != d:
         raise ConfigError(f"fields must list {d} rows (one per algebra basis vector)")
@@ -176,31 +193,31 @@ def _action_from_file(path: str) -> Scenario:
     for i, row in enumerate(fields_raw):
         if not isinstance(row, list) or len(row) != n:
             raise ConfigError(f"fields[{i}] must list {n} component expressions")
-        fields.append([parse_expr(s) for s in row])
+        fields.append(_exprs(row, f"fields[{i}]"))
     action = GAction(
         algebra,
         group,
         Domain(tuple(coords), box=box, margins=margins),
         fields,
-        params={k: float(v) for k, v in params.items()},
+        params=params,
         name=spec.get("name", "custom"),
     )
     return Scenario(spec.get("name", "custom"), dict(params), action)
 
 
 def _scenario_from_args(args) -> Scenario:
-    if getattr(args, "scenario_file", None):
-        if getattr(args, "scenario", None):
+    if args.scenario_file:
+        if args.scenario:
             raise ConfigError("give either --scenario or --scenario-file, not both")
         return _action_from_file(args.scenario_file)
-    if not getattr(args, "scenario", None):
+    if not args.scenario:
         raise ConfigError("a scenario is required (--scenario NAME or --scenario-file FILE)")
     params = {}
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         params["alpha"] = args.alpha
-    if getattr(args, "n", None) is not None:
+    if args.n is not None:
         params["n"] = args.n
-    for item in getattr(args, "param", None) or []:
+    for item in args.param or []:
         if "=" not in item:
             raise ConfigError(f"--param expects key=value, got {item!r}")
         k, v = item.split("=", 1)
@@ -212,13 +229,9 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def _integrator_config(args) -> IntegratorConfig:
-    kwargs = {}
-    if getattr(args, "rel_tol", None) is not None:
-        kwargs["rel_tol"] = args.rel_tol
-    if getattr(args, "abs_tol", None) is not None:
-        kwargs["abs_tol"] = args.abs_tol
+    tols = {"rel_tol": args.rel_tol, "abs_tol": args.abs_tol}
     try:
-        return IntegratorConfig(**kwargs)
+        return IntegratorConfig(**{k: v for k, v in tols.items() if v is not None})
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -240,7 +253,7 @@ def _path_from_file(path: str, group) -> GPath:
     if group.kind == "abelian":
         start = _floats(spec["start"], "path start")
     else:
-        start = np.asarray(spec["start"], dtype=float)
+        start = _matrix(spec["start"], "path start")
     segs = []
     raw = spec["segments"]
     if not isinstance(raw, list):
@@ -270,7 +283,7 @@ def _loop_from_file(path: str) -> np.ndarray:
     pts = spec["points"]
     if not isinstance(pts, list) or len(pts) < 2:
         raise ConfigError("loop file needs at least two points")
-    return np.asarray([_floats(p, "loop point") for p in pts], dtype=float)
+    return np.asarray(_matrix(pts, "loop points"))
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +512,9 @@ def _add_scenario_args(p: argparse.ArgumentParser):
     )
 
 
-def _add_numeric_args(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p.add_argument("--rel-tol", type=float, default=None, help="integrator relative tolerance")
-    p.add_argument("--abs-tol", type=float, default=None, help="integrator absolute tolerance")
+def _add_tolerance_args(p: argparse.ArgumentParser):
+    p.add_argument("--rel-tol", type=float, help="integrator relative tolerance")
+    p.add_argument("--abs-tol", type=float, help="integrator absolute tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,13 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate an action's bracket homomorphism")
     _add_scenario_args(p)
-    _add_numeric_args(p)
+    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p.add_argument("--samples", type=int, default=200, help="sample points (default 200)")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("lift", help="lift a group path from a start point")
     _add_scenario_args(p)
-    _add_numeric_args(p)
+    _add_tolerance_args(p)
     p.add_argument("--x0", required=True, help="start point, comma-separated")
     p.add_argument("--path", help="path file (JSON)")
     p.add_argument("--circle-turns", type=float, default=None,
@@ -536,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("holonomy", help="group element over a manifold loop")
     _add_scenario_args(p)
-    _add_numeric_args(p)
+    _add_tolerance_args(p)
     p.add_argument("--loop", required=True, help="loop file (JSON)")
     p.add_argument("--x0", required=True, help="loop base point, comma-separated")
     p.add_argument("--frame", help="semicolon-separated algebra vectors, e.g. '1,0;0,1'")
@@ -547,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="leaf invariants of helicoid graph points")
     _add_scenario_args(p)
-    _add_numeric_args(p)
     p.add_argument("--points", required=True, help="points file (JSON)")
     p.add_argument("--tol", type=float, default=1e-6, help="grouping tolerance")
     p.add_argument("--out", help="output prefix (default: JSON to stdout)")

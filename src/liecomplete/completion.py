@@ -38,7 +38,6 @@ __all__ = [
     "NOT_IDENTIFIED",
     "WITNESS_ESCAPED",
     "isotropy",
-    "orbit_dim",
     "same_leaf",
     "loop_to_group",
 ]
@@ -105,10 +104,6 @@ def isotropy(action, x, tol: float = 1e-8) -> IsotropyReport:
     null_rows = Vt[sigmas < cutoff]
     rank = int(np.sum(sigmas >= cutoff))
     return IsotropyReport(tuple(x), tuple(float(v) for v in sigmas), null_rows, rank)
-
-
-def orbit_dim(action, x, tol: float = 1e-8) -> int:
-    return isotropy(action, x, tol).orbit_dim
 
 
 @dataclass
@@ -233,12 +228,13 @@ def loop_to_group(
             raise LoopGeometryError(f"loop leaves the domain near {list(point)}")
         S = frame @ action.field_matrix(point)       # (k, n): rows are frame fields
         St = S.T
-        sv = np.linalg.svd(St, compute_uv=False)
+        U, sv, Vt = np.linalg.svd(St, full_matrices=False)
         if sv[-1] <= 0.0 or sv[0] / sv[-1] > FRAME_CONDITION_LIMIT:
             raise FrameConditionError(
                 f"frame is ill-conditioned on the loop (cond {sv[0] / max(sv[-1], 1e-300):.2e})"
             )
-        f, _, _, _ = np.linalg.lstsq(St, cdot, rcond=None)
+        # full column rank (checked above): the least-squares solution from the same SVD
+        f = Vt.T @ ((U.T @ cdot) / sv)
         res = float(np.linalg.norm(St @ f - cdot))
         speed = float(np.linalg.norm(cdot))
         if res > ORBIT_RESIDUAL_REL * speed + 1e-14:

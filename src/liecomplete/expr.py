@@ -450,7 +450,7 @@ def _diff(node: Node, var: str) -> Node:
 
 
 def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):   # inf and nan fail the first test
         return str(int(v))
     return repr(v)
 

@@ -71,8 +71,8 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.rel_tol < 1e-14:
             raise ValueError("rel_tol below 1e-14 is not resolvable in double precision")
         if self.max_step is not None and self.max_step <= 0.0:
@@ -255,8 +255,10 @@ def integrate_autonomous(
 ):
     """Integrate y' = rhs(y) over [0, duration] inside the open domain.
 
-    ``margin`` maps a state (list) to the signed distance proxy; crossing
-    ``ESCAPE_MARGIN`` ends the run as escaped.  ``on_step`` is called as
+    ``margin`` maps a state (list) to the signed distance proxy and must not
+    raise (where it cannot be evaluated it returns ``-inf``, as the margin
+    that ``GAction`` generates does); crossing ``ESCAPE_MARGIN`` ends the run
+    as escaped.  ``on_step`` is called as
     ``on_step(t0, y0, t1, y1, interp)`` after each accepted (possibly
     escape-truncated) step, with ``interp`` covering the reported sub-step.
 
@@ -269,13 +271,7 @@ def integrate_autonomous(
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     step, hermite = _dp5_kernels(n)
 
-    def safe_margin(p) -> float:
-        try:
-            return margin(p)
-        except _MARGIN_ERRORS:
-            return -math.inf
-
-    m_curr = safe_margin(y)  # margin at the current point
+    m_curr = margin(y)  # margin at the current point
     if m_curr <= eps:
         return ESCAPED, 0.0, tuple(y), 0, False
 
@@ -326,8 +322,8 @@ def integrate_autonomous(
 
         # accepted: check the margin along the step before committing
         interp = hermite(y, f0, y1, k7, h)
-        m_end = safe_margin(y1)
-        found = _scan_margins(safe_margin, interp, m_curr, m_end, eps, h, ESCAPE_TIME_WIDTH)
+        m_end = margin(y1)
+        found = _scan_margins(margin, interp, m_curr, m_end, eps, h, ESCAPE_TIME_WIDTH)
         if found is not None:
             if found[0] == "dip":
                 # a thin pass the step may have jumped: end the retried step at it

@@ -50,7 +50,6 @@ __all__ = [
     "lift_path",
     "flow",
     "run_word",
-    "gamma",
     "equivariance_check",
 ]
 
@@ -155,25 +154,6 @@ class GPath:
         w = self.widths[k]
         return [v / w for v in self._vec_rows[k]]
 
-    def left_log_derivative(self, t: float) -> list:
-        """Piecewise-constant derivative at path time t in [0, 1].
-
-        Right-continuous at interior boundaries; t = 1 uses the last segment.
-        """
-        if not self.segments:
-            raise PathError("empty path has no derivative")
-        if not 0.0 <= t <= 1.0:
-            raise PathError("path time must lie in [0, 1]")
-        k = self._segment_index(t)
-        return self.velocity(k)
-
-    def _segment_index(self, t: float) -> int:
-        b = self._bounds
-        for k in range(len(self.widths)):
-            if t < b[k + 1]:
-                return k
-        return len(self.widths) - 1
-
     def group_point(self, k: int, frac: float):
         """Group point a fraction ``frac`` of the way through segment k."""
         base = self._prefix[k]
@@ -205,23 +185,6 @@ class GPath:
                 else:
                     segs.append(ExpSeg(tuple(vec / w), w))
         return GPath(self.group, self.start, segs)
-
-    @staticmethod
-    def from_m_projection(group, start, points: Sequence[Sequence[float]]) -> "GPath":
-        """Abelian path whose lift's manifold projection follows ``points``.
-
-        Consecutive differences become linear segments with equal weights.
-        """
-        if group.kind != "abelian":
-            raise PathError("from_m_projection requires the abelian group model")
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 2:
-            raise PathError("need at least two projection points")
-        segs = [
-            LinearSeg(tuple(pts[i + 1] - pts[i]), 1.0)
-            for i in range(pts.shape[0] - 1)
-        ]
-        return GPath(group, start, segs)
 
 
 @dataclass
@@ -484,18 +447,6 @@ def run_word(action, word, x0, cfg: Optional[IntegratorConfig] = None) -> WordOu
         low_confidence=res.low_confidence,
         steps=res.steps,
     )
-
-
-def gamma(action, path: GPath, probes: Sequence, cfg: Optional[IntegratorConfig] = None):
-    """Lift the same group path from several starting points.
-
-    Returns ``[(probe, LiftResult), ...]`` in the input order; escapes are
-    reported per probe rather than aborting the batch.
-    """
-    out = []
-    for p in probes:
-        out.append((tuple(float(v) for v in p), lift_path(action, path, p, cfg)))
-    return out
 
 
 def equivariance_check(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .algebra import AbelianGroup, AlgebraError, LieAlgebra, MatrixGroup, valida
 from .expr import EVAL_ERRORS, Expr, _define, _is_const, _name_map, _py_float, _render_py, compile_scalars
 
 DEFAULT_SAMPLING_HALF_WIDTH = 2.0
+SAMPLING_MARGIN = 0.1  # sampled points keep at least this margin
 
 
 class DomainError(ValueError):
@@ -271,29 +272,17 @@ class GAction:
         return self._partials
 
 
-def sampling_box(action: GAction) -> list:
-    """Box used for rejection sampling; unbounded sides default to +-2."""
-    w = DEFAULT_SAMPLING_HALF_WIDTH
-    out = []
-    box = action.domain.box
-    for j in range(action.dim_manifold):
-        lo, hi = (None, None) if box is None or box[j] is None else box[j]
-        out.append((lo if lo is not None else -w, hi if hi is not None else w))
-    return out
+def sample_points(action: GAction, count: int, seed: int = 0) -> np.ndarray:
+    """Rejection-sample ``count`` points with margin above ``SAMPLING_MARGIN``.
 
-
-def sample_points(
-    action: GAction,
-    count: int,
-    seed: int = 0,
-    margin_cutoff: float = 0.1,
-    box: Optional[Sequence[Tuple[float, float]]] = None,
-) -> np.ndarray:
-    """Rejection-sample ``count`` points with margin above ``margin_cutoff``."""
+    Points are drawn from the domain's box, whose unbounded sides default to
+    ``+-DEFAULT_SAMPLING_HALF_WIDTH``.
+    """
     rng = np.random.default_rng(seed)
-    box = list(box) if box is not None else sampling_box(action)
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
+    w = DEFAULT_SAMPLING_HALF_WIDTH
+    box = [b or (None, None) for b in action.domain.box or [None] * action.dim_manifold]
+    lo = np.array([-w if b[0] is None else b[0] for b in box])
+    hi = np.array([w if b[1] is None else b[1] for b in box])
     out = []
     attempts = 0
     max_attempts = max(10_000, 200 * count)
@@ -304,7 +293,7 @@ def sample_points(
             )
         p = lo + (hi - lo) * rng.random(len(lo))
         attempts += 1
-        if action.margin(p) > margin_cutoff:
+        if action.margin(p) > SAMPLING_MARGIN:
             out.append(p)
     return np.array(out)
 
@@ -313,7 +302,6 @@ def check_homomorphism(
     action: GAction,
     sample_count: int = 200,
     seed: int = 0,
-    margin_cutoff: float = 0.1,
 ) -> float:
     """Max residual of [zeta_i, zeta_j] - zeta([e_i, e_j]) over sampled points.
 
@@ -326,13 +314,14 @@ def check_homomorphism(
     d, n = action.dim_algebra, action.dim_manifold
     if d < 2:
         return 0.0
-    points = sample_points(action, sample_count, seed=seed, margin_cutoff=margin_cutoff)
+    points = sample_points(action, sample_count, seed=seed)
     partials = action._partial_fns()
     c = action.algebra.c
     worst = 0.0
     for p in points:
         vals = [float(v) for v in p]
         F = action.field_matrix(vals)
+        rows = F.tolist()   # Python floats: an overflow gives inf or NaN silently
         # dF[i][k][l] = d(field_i^k)/dx_l
         try:
             dF = [
@@ -344,13 +333,14 @@ def check_homomorphism(
         if not all(math.isfinite(v) for row in dF for comp in row for v in comp):
             raise ActionError(f"field partials are not finite at {vals}")
         for i, j in itertools.combinations(range(d), 2):
-            expected = c[i, j] @ F
+            expected = (c[i, j] @ F).tolist()
             sq = 0.0
             for k in range(n):
                 lie = 0.0
                 for l in range(n):
-                    lie += F[i, l] * dF[j][k][l] - F[j, l] * dF[i][k][l]
-                sq += (lie - expected[k]) ** 2
+                    lie += rows[i][l] * dF[j][k][l] - rows[j][l] * dF[i][k][l]
+                e = lie - expected[k]
+                sq += e * e   # a float ** would raise OverflowError
             r = math.sqrt(sq)
             if math.isnan(r):
                 return r

@@ -69,9 +69,10 @@ class Scenario:
 
 
 def _build_translation_rn(params) -> Scenario:
-    n = int(params["n"])
-    if n < 1:
-        raise ScenarioError("translation_rn needs n >= 1")
+    n = params["n"]
+    if n != int(n) or n < 1:
+        raise ScenarioError("translation_rn needs an integer n >= 1")
+    n = int(n)
     coords = tuple(f"x{i + 1}" for i in range(n))
     fields = [
         [parse("1") if i == j else parse("0") for j in range(n)]
@@ -241,7 +242,10 @@ def scenario_names() -> list:
 
 
 def build(name: str, params: Optional[Dict] = None) -> Scenario:
-    """Build a scenario by (possibly aliased) name with parameter overrides."""
+    """Build a scenario by (possibly aliased) name with parameter overrides.
+
+    Parameter values must be finite numbers.
+    """
     key = _ALIASES.get(name, name)
     if key not in _BUILDERS:
         raise ScenarioError(
@@ -252,6 +256,8 @@ def build(name: str, params: Optional[Dict] = None) -> Scenario:
     for k, v in (params or {}).items():
         if k not in defaults:
             raise ScenarioError(f"scenario {key!r} has no parameter {k!r}")
+        if not math.isfinite(v):
+            raise ScenarioError(f"parameter {k!r} must be finite, got {v!r}")
         merged[k] = v
     return builder(merged)
 

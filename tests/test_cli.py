@@ -30,10 +30,24 @@ FLIPPED_ACTION = {
 }
 
 
+AFFINE_ACTION = {
+    "group": {"type": "matrix", "dim": 2, "basis": [[[0, 1], [0, 0]], [[-1, 0], [0, 0]]]},
+    "manifold": {"dim": 1, "coords": ["x"]},
+    "fields": [["1"], ["x"]],
+}
+
+
 def _write(tmp_path, name, payload):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
     return str(p)
+
+
+def _config_error(argv, capsys):
+    """Whether ``argv`` exits 3 with one ``error:`` line on stderr."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    return code == 3 and err.count("error:") == 1
 
 
 def test_cli_import_leaves_scipy_linalg_out():
@@ -76,6 +90,31 @@ def test_unknown_keys_are_config_errors(tmp_path, capsys):
     f = _write(tmp_path, "bad.json", bad)
     assert main(["check", "--scenario-file", f]) == 3
     assert "unknown key" in capsys.readouterr().err
+    # values of the wrong type: basis entries, params, fields and exclusions
+    assert main(["check", "--scenario-file", _write(tmp_path, "aff.json", AFFINE_ACTION)]) == 0
+    capsys.readouterr()
+    bases = [[[[0, "a"], [0, 0]], [[-1, 0], [0, 0]]],
+             [[[0, 1], [0]], [[-1, 0], [0, 0]]],
+             [[[0, 1], [0, 0]], [[-1, 0, 0], [0, 0, 0], [0, 0, 0]]],
+             "ab"]
+    for basis in bases:
+        spec = dict(AFFINE_ACTION, group={"type": "matrix", "dim": 2, "basis": basis})
+        f = _write(tmp_path, "basis.json", spec)
+        assert _config_error(["check", "--scenario-file", f], capsys), basis
+    helicoid = dict(FLIPPED_ACTION, fields=[["1", "0", "a*y*z/(x^2 + y^2)"],
+                                            ["0", "1", "-a*x*z/(x^2 + y^2)"]])
+    f = _write(tmp_path, "a.json", dict(helicoid, params={"a": 1.5}))
+    assert main(["check", "--scenario-file", f]) == 0
+    capsys.readouterr()
+    for value in ["abc", [1], "1.5", True, None, math.nan]:
+        f = _write(tmp_path, "a.json", dict(helicoid, params={"a": value}))
+        assert _config_error(["check", "--scenario-file", f], capsys), value
+    manifold = FLIPPED_ACTION["manifold"]
+    for spec in [dict(FLIPPED_ACTION, fields=[["1", "0", 5], ["0", "1", "0"]]),
+                 dict(FLIPPED_ACTION, manifold=dict(manifold, exclusions=[5])),
+                 dict(FLIPPED_ACTION, manifold=dict(manifold, exclusions="x"))]:
+        f = _write(tmp_path, "bad.json", spec)
+        assert _config_error(["check", "--scenario-file", f], capsys), spec
 
 
 def _planar_action(fields, exclusions=()):
@@ -313,7 +352,7 @@ def test_empty_path_lift(tmp_path):
     assert summary["winding"] == 0.0
 
 
-def test_bad_path_files(tmp_path):
+def test_bad_path_files(tmp_path, capsys):
     out = ["--out", str(tmp_path / "o"), "--x0", "1,0,1", "--scenario", "example6"]
     f1 = _write(tmp_path, "p1.json", {"start": [0, 0],
                 "segments": [{"type": "linear", "X": [1, 0]}]})
@@ -324,6 +363,12 @@ def test_bad_path_files(tmp_path):
     f3 = _write(tmp_path, "p3.json", {"start": [0, 0], "segments": [], "also": 1})
     assert main(["lift", "--path", f3] + out) == 3
     assert main(["lift", "--path", str(tmp_path / "missing.json")] + out) == 3
+    capsys.readouterr()
+    # matrix-model starts must be matrices of numbers
+    out = ["--out", str(tmp_path / "o"), "--x0", "1", "--scenario", "affine"]
+    for start in [[[1, "0"], [0, 1]], [[1, 0], [0]]]:
+        f4 = _write(tmp_path, "p4.json", {"start": start, "segments": []})
+        assert _config_error(["lift", "--path", f4] + out, capsys), start
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +427,15 @@ def test_holonomy_open_curve(tmp_path, capsys):
     assert payload["closed"] is False
 
 
-def test_holonomy_bad_loop(tmp_path):
+def test_holonomy_bad_loop(tmp_path, capsys):
     loop = _write(tmp_path, "short.json", {"points": [[1.0, 0.0, 0.0]]})
     assert main(["holonomy", "--scenario", "example6", "--loop", loop,
                  "--x0", "1,0,0"]) == 3
+    capsys.readouterr()
+    ragged = _write(tmp_path, "ragged.json",
+                    {"points": [[1.0, 0.0, 0.0], [0.0, 1.0], [1.0, 0.0, 0.0]]})
+    assert _config_error(["holonomy", "--scenario", "example6", "--loop", ragged,
+                          "--x0", "1,0,0"], capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +470,28 @@ def test_classify_requires_helicoid(tmp_path):
 def test_classify_axis_point_is_config_error(tmp_path):
     f = _write(tmp_path, "pts.json", {"points": [{"g": [0, 0], "x": [0, 0, 1]}]})
     assert main(["classify", "--scenario", "example6", "--points", f]) == 3
+    # JSON NaN is not a coordinate
+    f = _write(tmp_path, "pts.json", {"points": [{"g": [0, 0], "x": [1, math.nan, 1]}]})
+    assert main(["classify", "--scenario", "example6", "--points", f]) == 3
 
 
 # ---------------------------------------------------------------------------
 # global argument handling
 
 
-def test_usage_errors_exit_3(capsys):
+def test_usage_errors_exit_3(tmp_path, capsys):
     assert main([]) == 3
     assert main(["frobnicate"]) == 3
     assert main(["check", "--scenario", "no_such_scenario"]) == 3
     assert main(["check"]) == 3          # no scenario given
     assert main(["lift", "--bogus-flag"]) == 3
+    # each subcommand takes only the flags it reads
+    assert main(["lift", "--scenario", "example6", "--x0", "1,0,1", "--circle-turns", "1",
+                 "--out", str(tmp_path / "o"), "--seed", "1"]) == 3
+    assert main(["check", "--scenario", "example6", "--rel-tol", "1e-6"]) == 3
+    assert main(["classify", "--scenario", "example6", "--points", "p.json", "--seed", "1"]) == 3
+    assert main(["classify", "--scenario", "example6", "--points", "p.json",
+                 "--abs-tol", "1e-9"]) == 3
     capsys.readouterr()
 
 
@@ -442,16 +502,32 @@ def test_help_exits_zero(capsys):
     assert "lift" in out
 
 
-def test_scenario_params_via_flags(capsys):
+def test_scenario_params_via_flags(tmp_path, capsys):
     assert main(["check", "--scenario", "example6", "--alpha", "0"]) == 0
     assert main(["check", "--scenario", "translation", "--n", "3"]) == 0
+    assert main(["check", "--scenario", "translation", "--param", "n=3"]) == 0
     assert main(["check", "--scenario", "example4", "--param", "r0=0.25"]) == 0
     assert main(["check", "--scenario", "example4", "--param", "r0"]) == 3
     assert main(["check", "--scenario", "example4", "--param", "r0=x"]) == 3
     capsys.readouterr()
+    for value in ["nan", "inf", "2.5"]:
+        assert _config_error(["check", "--scenario", "translation", "--param", f"n={value}"],
+                             capsys), value
+    for value in ["nan", "inf"]:
+        assert _config_error(["lift", "--scenario", "example6", f"--alpha={value}",
+                              "--x0", "1,0,1", "--circle-turns", "1",
+                              "--out", str(tmp_path / "o")], capsys), value
 
 
-def test_bad_integrator_tolerances(tmp_path):
-    assert main(["lift", "--scenario", "example6", "--x0", "1,0,1",
-                 "--circle-turns", "0.1", "--out", str(tmp_path / "o"),
-                 "--rel-tol", "1e-20"]) == 3
+def test_bad_integrator_tolerances(tmp_path, capsys):
+    lift = ["lift", "--scenario", "example6", "--x0", "1,0,1",
+            "--circle-turns", "0.1", "--out", str(tmp_path / "o")]
+    assert main(lift + ["--rel-tol", "1e-6", "--abs-tol", "1e-9"]) == 0
+    assert main(lift + ["--rel-tol", "1e-20"]) == 3
+    for value in ["nan", "inf"]:
+        assert main(lift + ["--abs-tol", value]) == 3
+    loop = _flat_loop(tmp_path)
+    holonomy = ["holonomy", "--scenario", "example6", "--loop", loop, "--x0", "1,0,0"]
+    assert main(holonomy + ["--rel-tol", "1e-6", "--abs-tol", "1e-9"]) == 0
+    assert main(holonomy + ["--rel-tol", "nan"]) == 3
+    capsys.readouterr()

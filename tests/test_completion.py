@@ -14,7 +14,6 @@ from liecomplete.completion import (
     MalformedWitnessError,
     isotropy,
     loop_to_group,
-    orbit_dim,
     same_leaf,
 )
 from liecomplete.expr import parse
@@ -96,8 +95,8 @@ def test_isotropy_requires_domain_point(helicoid):
 
 
 def test_orbit_dim_helper(helicoid, affine):
-    assert orbit_dim(helicoid, (2.0, 1.0, 0.0)) == 2
-    assert orbit_dim(affine, (3.0,)) == 1
+    assert isotropy(helicoid, (2.0, 1.0, 0.0)).orbit_dim == 2
+    assert isotropy(affine, (3.0,)).orbit_dim == 1
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,8 @@ def test_print_preserves_precedence():
     ]:
         e = parse(src)
         assert parse(str(e)).eval(env) == pytest.approx(want, rel=1e-12)
+    # a folded constant that overflowed prints as inf
+    assert str(parse("x*1e308*10/100").diff("x")) == "inf / 100^2"
 
 
 # ---------------------------------------------------------------------------

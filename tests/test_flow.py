@@ -150,6 +150,11 @@ def test_config_validation():
         IntegratorConfig(rel_tol=1e-16)
     with pytest.raises(ValueError):
         IntegratorConfig(abs_tol=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            IntegratorConfig(rel_tol=bad)
+        with pytest.raises(ValueError):
+            IntegratorConfig(abs_tol=bad)
     with pytest.raises(ValueError):
         IntegratorConfig(max_steps=0)
 

@@ -15,7 +15,6 @@ from liecomplete.lift import (
     LinearSeg,
     PathError,
     equivariance_check,
-    gamma,
     lift_path,
 )
 from liecomplete.scenarios import build, circle_loop_path
@@ -33,36 +32,41 @@ def affine():
     return build("affine_line").action
 
 
+def _chord_path(group, start, points):
+    """Abelian path whose lift's manifold projection runs through ``points``."""
+    segs = [LinearSeg((b[0] - a[0], b[1] - a[1]), 1.0) for a, b in zip(points, points[1:])]
+    return GPath(group, start, segs)
+
+
 # ---------------------------------------------------------------------------
-# GPath construction and derivative
+# GPath construction and its left-logarithmic derivative, GPath.velocity
 
 
 def test_left_log_derivative_linear():
     G = AbelianGroup(2)
     p = GPath(G, (0.0, 0.0), [LinearSeg((2.0, 0.0), 1.0)])
-    for t in (0.0, 0.3, 0.99, 1.0):
-        assert p.left_log_derivative(t) == [2.0, 0.0]
+    assert p.velocity(0) == [2.0, 0.0]
 
 
 def test_left_log_derivative_exp_rate(affine):
     p = GPath(affine.group, np.eye(2), [ExpSeg((0.5, -1.0), 1.0)])
-    assert p.left_log_derivative(0.5) == [0.5, -1.0]
+    assert p.velocity(0) == [0.5, -1.0]
 
 
 def test_left_log_derivative_piecewise_and_boundary():
     G = AbelianGroup(1)
     p = GPath(G, (0.0,), [LinearSeg((1.0,), 1.0), LinearSeg((-3.0,), 1.0)])
     # widths are 1/2 each, so the clock-rate doubles the displacement
-    assert p.left_log_derivative(0.25) == [2.0]
-    assert p.left_log_derivative(0.5) == [-6.0]   # right-continuous at the seam
-    assert p.left_log_derivative(1.0) == [-6.0]
+    assert p.widths == [0.5, 0.5]
+    assert p.velocity(0) == [2.0]
+    assert p.velocity(1) == [-6.0]
 
 
 def test_reversed_segment_negates_derivative():
     G = AbelianGroup(2)
     p = GPath(G, (0.0, 0.0), [LinearSeg((2.0, -1.0), 1.0)])
     r = p.reverse()
-    assert r.left_log_derivative(0.5) == [-2.0, 1.0]
+    assert r.velocity(0) == [-2.0, 1.0]
     assert np.allclose(r.endpoint(), (0.0, 0.0))
 
 
@@ -106,8 +110,9 @@ def test_concat_requires_matching_endpoint():
 def test_from_m_projection():
     G = AbelianGroup(2)
     pts = [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    p = GPath.from_m_projection(G, (0.0, 0.0), pts)
+    p = _chord_path(G, (0.0, 0.0), pts)
     assert p.n_segments == 2
+    assert p.widths == [0.5, 0.5]
     assert np.allclose(p.endpoint(), (-1.0, 1.0))
 
 
@@ -238,7 +243,7 @@ def test_trace_group_points_are_computed_on_first_read(affine, monkeypatch):
 def test_square_loop_matches_circle_loop(helicoid):
     circle = circle_loop_path((0.0, 0.0), (1.0, 0.0), turns=1.0, chords_per_turn=4096)
     corners = [(1.0, 0.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (1.0, 0.0)]
-    square = GPath.from_m_projection(helicoid.group, (0.0, 0.0), corners)
+    square = _chord_path(helicoid.group, (0.0, 0.0), corners)
     a = lift_path(helicoid, circle, (1.0, 0.0, 1.0))
     b = lift_path(helicoid, square, (1.0, 0.0, 1.0))
     assert a.status == b.status == COMPLETE
@@ -247,35 +252,34 @@ def test_square_loop_matches_circle_loop(helicoid):
 
 
 # ---------------------------------------------------------------------------
-# gamma
+# one path lifted from several probes
 
 
-def test_gamma_identity_path(helicoid):
+def test_lift_identity_path_per_probe(helicoid):
     p = GPath(helicoid.group, (0.0, 0.0), [])
-    probes = [(1.0, 0.0, 1.0), (2.0, 1.0, -0.5)]
-    for probe, res in gamma(helicoid, p, probes):
+    for probe in [(1.0, 0.0, 1.0), (2.0, 1.0, -0.5)]:
+        res = lift_path(helicoid, p, probe)
         assert res.status == COMPLETE
         assert np.allclose(res.endpoint_m, probe)
 
 
-def test_gamma_full_loop_scales_z_per_probe(helicoid):
+def test_full_loop_scales_z_per_probe(helicoid):
     path = circle_loop_path((0.0, 0.0), (1.0, 0.0), turns=1.0, chords_per_turn=1024)
-    probes = [(1.0, 0.0, 1.0), (1.0, 0.0, -2.0)]
-    out = gamma(helicoid, path, probes)
-    for (probe, res) in out:
+    for probe in [(1.0, 0.0, 1.0), (1.0, 0.0, -2.0)]:
+        res = lift_path(helicoid, path, probe)
         assert res.status == COMPLETE
         assert res.endpoint_m[2] == pytest.approx(probe[2] * E_MINUS_2PI, rel=1e-6)
         assert np.allclose(res.endpoint_m[:2], probe[:2], atol=1e-9)
 
 
-def test_gamma_records_per_probe_escape(helicoid):
+def test_lift_records_per_probe_escape(helicoid):
     # translated to start at (3,0) the projection circle misses the axis;
     # translated to start at (2,0) it passes through it
     path = circle_loop_path((0.0, 0.0), (1.0, 0.0), turns=1.0, chords_per_turn=256)
-    out = gamma(helicoid, path, [(3.0, 0.0, 1.0), (2.0, 0.0, 1.0)])
-    assert out[0][1].status == COMPLETE
-    assert out[0][1].endpoint_m[2] == pytest.approx(1.0, rel=1e-6)  # winding 0
-    assert out[1][1].status == ESCAPED
+    missed, hit = (lift_path(helicoid, path, p) for p in [(3.0, 0.0, 1.0), (2.0, 0.0, 1.0)])
+    assert missed.status == COMPLETE
+    assert missed.endpoint_m[2] == pytest.approx(1.0, rel=1e-6)  # winding 0
+    assert hit.status == ESCAPED
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from liecomplete.manifold import (
     GAction,
     OutsideDomainError,
     SamplingError,
+    SAMPLING_MARGIN,
     check_homomorphism,
     sample_points,
 )
@@ -188,9 +189,9 @@ def test_check_deterministic(helicoid):
 
 
 def test_sample_points_respect_margin(helicoid):
-    pts = sample_points(helicoid, 50, seed=1, margin_cutoff=0.1)
+    pts = sample_points(helicoid, 50, seed=1)
     assert pts.shape == (50, 3)
-    assert all(helicoid.margin(p) > 0.1 for p in pts)
+    assert all(helicoid.margin(p) > SAMPLING_MARGIN for p in pts)
 
 
 def test_sampling_failure_on_empty_domain():
