@@ -176,18 +176,20 @@ class MatrixGroup:
         a = self.element(a)
         return np.linalg.inv(a)
 
-    def algebra_element(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.shape != (self.dim,):
-            raise AlgebraError("coefficient vector must be a d-vector")
-        return np.einsum("i,ijk->jk", X, self.basis)
-
     def exp_segment(self, X, t: float = 1.0) -> np.ndarray:
+        """exp(t * X) of a d-vector, or one matrix per row of an (m, d) stack.
+
+        ``scipy.linalg.expm`` takes the whole stack in one call and gives each
+        slice the bits of its own single call.
+        """
         # imported here: scipy.linalg is most of the package's import time
         # and only matrix-model exponentials need it
         import scipy.linalg
 
-        return scipy.linalg.expm(t * self.algebra_element(X))
+        X = np.asarray(X, dtype=float)
+        if X.ndim not in (1, 2) or X.shape[-1] != self.dim:
+            raise AlgebraError("exp_segment argument must be a d-vector or an (m, d) stack")
+        return scipy.linalg.expm(t * np.einsum("...i,ijk->...jk", X, self.basis))
 
     def distance(self, a, b) -> float:
         return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))

@@ -409,6 +409,8 @@ def cmd_holonomy(args) -> int:
     cfg = _integrator_config(args)
     x0 = _parse_vector(args.x0, "--x0")
     loop = _loop_from_file(args.loop)
+    if args.substeps < 1:
+        raise ConfigError(f"--substeps must be >= 1, got {args.substeps}")
     if args.frame:
         frame = [
             _parse_vector(row, "--frame") for row in args.frame.split(";")
@@ -443,6 +445,10 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    # leaf invariants are the helicoid's closed form: an action file may carry
+    # any fields under that name, so only the built-in scenario is accepted
+    if args.scenario_file:
+        raise ConfigError("classify takes the built-in --scenario example6, not --scenario-file")
     scenario = _scenario_from_args(args)
     if scenario.name != "example6_helicoid":
         raise ConfigError("classify requires the example6_helicoid scenario")

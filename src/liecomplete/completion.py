@@ -183,6 +183,59 @@ class HolonomyElement:
 
 
 _GL2_OFFSET = 0.5 / math.sqrt(3.0)
+_MAGNUS4 = math.sqrt(3.0) / 12.0
+
+
+def _sub_chord_segments(action, frame: np.ndarray, pts: np.ndarray, substeps: int) -> list:
+    """One Magnus segment per sub-chord of the loop polyline ``pts``, in loop order.
+
+    The two Gauss nodes of every sub-chord are built as one ``(N, n)`` array.
+    Each node's field matrix is evaluated by the generated code; then one
+    stacked SVD gives every node's condition number and least-squares
+    solution, and the residuals are checked as arrays.  The first failing
+    node of the first failing check (domain, then condition, then residual)
+    names the error.
+    """
+    n_chords = pts.shape[0] - 1
+    dt = 1.0 / (n_chords * substeps)
+    # node fractions along a chord: (lo, hi) of sub-chord 0, then of sub-chord 1, ...
+    mid = (np.arange(substeps) + 0.5) / substeps
+    fracs = np.column_stack([mid - _GL2_OFFSET / substeps, mid + _GL2_OFFSET / substeps]).ravel()
+    p0 = pts[:-1, None, :]
+    step = pts[1:, None, :] - p0
+    nodes = (p0 + fracs[:, None] * step).reshape(-1, pts.shape[1])
+    # chord velocity on the loop clock, once per node
+    cdot = np.repeat(step[:, 0, :] * n_chords, 2 * substeps, axis=0)
+
+    F = np.empty((len(nodes), frame.shape[1], nodes.shape[1]))
+    for i, point in enumerate(nodes.tolist()):
+        if action.margin(point) <= 0.0:
+            raise LoopGeometryError(f"loop leaves the domain near {point}")
+        F[i] = action.field_matrix(point)
+    St = np.swapaxes(frame @ F, 1, 2)    # (N, n, k): columns are frame fields
+    U, sv, Vt = np.linalg.svd(St, full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = (sv[:, -1] <= 0.0) | (sv[:, 0] / sv[:, -1] > FRAME_CONDITION_LIMIT)
+    if bad.any():
+        s0, s1 = sv[np.argmax(bad)][[0, -1]]
+        raise FrameConditionError(
+            f"frame is ill-conditioned on the loop (cond {s0 / max(s1, 1e-300):.2e})"
+        )
+    # full column rank (checked above): the least-squares solution from the same SVD
+    uc = (np.swapaxes(U, 1, 2) @ cdot[:, :, None])[:, :, 0]
+    f = (np.swapaxes(Vt, 1, 2) @ (uc / sv)[:, :, None])[:, :, 0]
+    res = np.linalg.norm((St @ f[:, :, None])[:, :, 0] - cdot, axis=1)
+    bad = res > ORBIT_RESIDUAL_REL * np.linalg.norm(cdot, axis=1) + 1e-14
+    if bad.any():
+        raise LoopOutsideOrbitError(
+            f"loop velocity leaves the frame span (residual {res[np.argmax(bad)]:.3e})"
+        )
+
+    X = f @ frame                          # algebra velocity at every node
+    X_lo, X_hi = X[0::2], X[1::2]
+    bracket = np.einsum("Ni,Nj,ijk->Nk", X_lo, X_hi, action.algebra.c)
+    rates = 0.5 * (X_lo + X_hi) + (_MAGNUS4 * dt) * bracket
+    return [ExpSeg(tuple(rate), dt) for rate in rates.tolist()]   # rate for time dt
 
 
 def loop_to_group(
@@ -197,12 +250,24 @@ def loop_to_group(
     """Group element over a manifold loop that stays inside one orbit.
 
     ``frame`` is a list of algebra coefficient vectors whose fundamental
-    fields span the orbit tangent along the loop.  At two-point Gauss nodes of
-    every sub-chord the loop velocity is least-squares decomposed in the frame
-    (condition number and residual are checked); the group equation with the
-    resulting piecewise velocity is then integrated in closed form per
-    sub-chord, and the produced group path is re-lifted from ``x0`` to measure
-    the round-trip residual.
+    fields span the orbit tangent along the loop.  Each chord is cut into
+    ``substeps`` sub-chords of equal width.  At the two Gauss nodes of every
+    sub-chord the loop velocity is least-squares decomposed in the frame
+    (condition number and residual are checked), all nodes in one stacked
+    SVD.  Each sub-chord then becomes one exponential segment with the
+    4th-order Magnus exponent of ``g' = g X``:
+
+        Omega = dt * (X_lo + X_hi) / 2 + (sqrt(3) / 12) * dt**2 * [X_lo, X_hi]
+
+    The bracket vanishes for abelian algebras and for frames of one field.
+    The produced group path is re-lifted from ``x0`` to measure the
+    round-trip residual.
+
+    ``substeps`` stays 4 by default although the rule is 4th order: for
+    a single frame field the Gauss average was 4th order already, so only
+    narrower sub-chords shrink its error.  With the dilation frame on
+    ``affine_line`` walks of 64-256 points, one sub-chord per chord misses a
+    1e-7 relative accuracy on most walks and two come within 15 % of it.
     """
     cfg = cfg or IntegratorConfig()
     if substeps < 1:
@@ -220,42 +285,7 @@ def loop_to_group(
         raise LoopGeometryError("loop is not closed; pass closed=False for open curves")
 
     group = action.group
-    n_chords = pts.shape[0] - 1
-    dt = 1.0 / (n_chords * substeps)
-
-    def velocity_at(point, cdot):
-        if action.margin(point) <= 0.0:
-            raise LoopGeometryError(f"loop leaves the domain near {list(point)}")
-        S = frame @ action.field_matrix(point)       # (k, n): rows are frame fields
-        St = S.T
-        U, sv, Vt = np.linalg.svd(St, full_matrices=False)
-        if sv[-1] <= 0.0 or sv[0] / sv[-1] > FRAME_CONDITION_LIMIT:
-            raise FrameConditionError(
-                f"frame is ill-conditioned on the loop (cond {sv[0] / max(sv[-1], 1e-300):.2e})"
-            )
-        # full column rank (checked above): the least-squares solution from the same SVD
-        f = Vt.T @ ((U.T @ cdot) / sv)
-        res = float(np.linalg.norm(St @ f - cdot))
-        speed = float(np.linalg.norm(cdot))
-        if res > ORBIT_RESIDUAL_REL * speed + 1e-14:
-            raise LoopOutsideOrbitError(
-                f"loop velocity leaves the frame span (residual {res:.3e})"
-            )
-        return f @ frame                              # algebra coefficients (d,)
-
-    segs: list = []
-    for j in range(n_chords):
-        p0, p1 = pts[j], pts[j + 1]
-        cdot = (p1 - p0) * (n_chords)                 # chord velocity on the loop clock
-        for s in range(substeps):
-            mid = (s + 0.5) / substeps
-            fr_lo = mid - _GL2_OFFSET / substeps
-            fr_hi = mid + _GL2_OFFSET / substeps
-            X_lo = velocity_at(p0 + fr_lo * (p1 - p0), cdot)
-            X_hi = velocity_at(p0 + fr_hi * (p1 - p0), cdot)
-            X_bar = 0.5 * (X_lo + X_hi)
-            segs.append(ExpSeg(tuple(X_bar), dt))   # rate X_bar for time dt
-
+    segs = _sub_chord_segments(action, frame, pts, substeps)
     path = GPath(group, group.identity(), segs)
     relift = lift_path(action, path, x0, cfg)
     if relift.status == COMPLETE:

@@ -135,10 +135,11 @@ class GPath:
             # adds in sequence, one segment after another
             self._prefix = np.add.accumulate(np.vstack([self.start, vecs]))
         else:
+            # one stacked exponential for all segments, then the products in order
             prefix = [self.start]
             g = self.start
-            for vec in vecs:
-                g = group.mul(g, group.exp_segment(vec, 1.0))
+            for step in group.exp_segment(vecs, 1.0):
+                g = group.mul(g, step)
                 prefix.append(g)
             self._prefix = prefix
 

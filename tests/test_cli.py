@@ -436,6 +436,10 @@ def test_holonomy_bad_loop(tmp_path, capsys):
                     {"points": [[1.0, 0.0, 0.0], [0.0, 1.0], [1.0, 0.0, 0.0]]})
     assert _config_error(["holonomy", "--scenario", "example6", "--loop", ragged,
                           "--x0", "1,0,0"], capsys)
+    loop = _flat_loop(tmp_path)
+    for substeps in ("0", "-3"):
+        assert _config_error(["holonomy", "--scenario", "example6", "--loop", loop,
+                              "--x0", "1,0,0", "--substeps", substeps], capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +466,16 @@ def test_classify_groups_by_leaf(tmp_path, capsys):
     assert payload["points"][0]["kind"] == "plus"
 
 
-def test_classify_requires_helicoid(tmp_path):
+def test_classify_requires_helicoid(tmp_path, capsys):
     f = _write(tmp_path, "pts.json", {"points": [{"g": [0, 0], "x": [1, 0, 1]}]})
     assert main(["classify", "--scenario", "translation", "--points", f]) == 3
+    capsys.readouterr()
+    # an action file is refused even under the helicoid's name: the invariants
+    # are its closed form, whatever the file's fields
+    for params in ({}, {"alpha": 1.0}):
+        action = _write(tmp_path, "flat.json",
+                        dict(FLIPPED_ACTION, name="example6_helicoid", params=params))
+        assert _config_error(["classify", "--scenario-file", action, "--points", f], capsys)
 
 
 def test_classify_axis_point_is_config_error(tmp_path):

@@ -249,18 +249,33 @@ def test_loop_to_group_affine_open_curve(affine):
 
 def test_loop_to_group_exponentiates_each_sub_chord_once(affine, monkeypatch):
     # the element is the endpoint of the path the loop builds, and the
-    # re-lift reads no trace, so each sub-chord's exponential is taken once
+    # re-lift reads no trace, so the sub-chords' exponentials are taken once,
+    # as one stacked call with a row per sub-chord
     from liecomplete.algebra import MatrixGroup
 
     calls = []
     expm = MatrixGroup.exp_segment
     monkeypatch.setattr(MatrixGroup, "exp_segment",
-                        lambda self, X, t=1.0: calls.append(t) or expm(self, X, t))
+                        lambda self, X, t=1.0: calls.append(np.shape(X)) or expm(self, X, t))
     pts = [(x,) for x in np.exp(0.05 * np.sin(np.arange(65.0)))]
     hol = loop_to_group(affine, ((1.0, 0.0), (0.0, 1.0)), pts, pts[0], closed=False)
     assert hol.round_trip_residual < 1e-6
-    assert len(calls) == 64 * 4
+    assert calls == [(64 * 4, 2)]
     assert np.array_equal(hol.element, hol.path.endpoint())
+
+
+def test_loop_to_group_td_frame_is_fourth_order(affine):
+    # [T, D] = T, so the {T, D} frame's velocity does not commute with itself
+    # along the walk; with the Magnus bracket term, halving the sub-chord
+    # width cuts the error of the invariant a*xe - b = xs about 16-fold
+    pts = [(1.0,), (1.5,), (2.2,), (3.0,)]
+    errs = []
+    for substeps in (2, 4, 8, 16):
+        hol = loop_to_group(affine, _BASIS_FRAME, pts, pts[0], closed=False, substeps=substeps)
+        (a, b), _ = hol.element
+        errs.append(abs(a * 3.0 - b - 1.0))
+    ratios = [e0 / e1 for e0, e1 in zip(errs, errs[1:])]
+    assert all(14.0 < r < 18.0 for r in ratios), (errs, ratios)
 
 
 def test_loop_to_group_frame_condition(helicoid):

@@ -1,8 +1,8 @@
 """Hot-path code against the loops it replaces.
 
 The rhs contraction, the domain margin, the Dormand-Prince step and its
-Hermite interpolant are generated as straight-line Python, and group paths
-are built from whole arrays.  The loop forms they replaced are kept here as
+Hermite interpolant are generated as straight-line Python; group paths and
+the loop decompositions of ``loop_to_group`` are built from whole arrays.  The loop forms they replaced are kept here as
 references; the new code must give the same floats bit for bit (compared
 through ``float.hex``, so signed zeros and NaNs count too), because it does
 the same operations in the same order.
@@ -15,6 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecomplete.algebra import AbelianGroup, LieAlgebra
+from liecomplete.completion import (
+    _GL2_OFFSET, _MAGNUS4, FRAME_CONDITION_LIMIT, ORBIT_RESIDUAL_REL, FrameConditionError,
+    LoopGeometryError, LoopOutsideOrbitError, loop_to_group,
+)
 from liecomplete.expr import compile_scalars, parse
 from liecomplete.flow import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
@@ -351,12 +355,93 @@ def test_abelian_path_points_match_the_loop(data, d, count):
         assert _bits(g_row) == _bits(path.group_point(k, frac))
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), count=st.integers(0, 12))
+def test_matrix_path_points_match_the_loop(data, count):
+    G = build("affine_line").action.group
+    segs = [ExpSeg(tuple(data.draw(st.lists(finite, min_size=2, max_size=2))),
+                   data.draw(st.floats(0.1, 3.0))) for _ in range(count)]
+    path = GPath(G, np.eye(2), segs)
+    # prefix points: one exponential and one multiplication per segment, in order
+    g = np.eye(2)
+    for k, s in enumerate(segs):
+        assert _bits(path._prefix[k].ravel()) == _bits(g.ravel())
+        g = G.mul(g, G.exp_segment(np.asarray(s.X, dtype=float) * float(s.duration), 1.0))
+    assert _bits(path.endpoint().ravel()) == _bits(g.ravel())
+
+
 def test_ragged_segments_are_a_path_error():
     G = AbelianGroup(2)
     with pytest.raises(PathError):
         GPath(G, (0.0, 0.0), [LinearSeg((1.0, 0.0), 1.0), LinearSeg((1.0,), 1.0)])
     with pytest.raises(PathError):
         GPath(G, (0.0, 0.0), [LinearSeg((1.0, 0.0), 1.0), LinearSeg(((1.0, 2.0), 0.0), 1.0)])
+
+
+# ---------------------------------------------------------------------------
+# loop_to_group
+
+
+def loop_velocity_at(action, frame, point, cdot):
+    """One node's frame decomposition: its own SVD and checks, as the node loop did."""
+    if action.margin(point) <= 0.0:
+        raise LoopGeometryError(f"loop leaves the domain near {list(point)}")
+    St = (frame @ action.field_matrix(point)).T
+    U, sv, Vt = np.linalg.svd(St, full_matrices=False)
+    if sv[-1] <= 0.0 or sv[0] / sv[-1] > FRAME_CONDITION_LIMIT:
+        raise FrameConditionError("frame is ill-conditioned on the loop")
+    f = Vt.T @ ((U.T @ cdot) / sv)
+    res = float(np.linalg.norm(St @ f - cdot))
+    if res > ORBIT_RESIDUAL_REL * float(np.linalg.norm(cdot)) + 1e-14:
+        raise LoopOutsideOrbitError("loop velocity leaves the frame span")
+    return f @ frame
+
+
+def loop_sub_chords(action, frame, pts, substeps):
+    """The (rate, duration) of every sub-chord, one chord and one node at a time."""
+    frame = np.asarray(frame, dtype=float)
+    pts = np.asarray(pts, dtype=float)
+    n_chords = len(pts) - 1
+    dt = 1.0 / (n_chords * substeps)
+    out = []
+    for j in range(n_chords):
+        p0, p1 = pts[j], pts[j + 1]
+        cdot = (p1 - p0) * n_chords
+        for s in range(substeps):
+            mid = (s + 0.5) / substeps
+            lo = p0 + (mid - _GL2_OFFSET / substeps) * (p1 - p0)
+            hi = p0 + (mid + _GL2_OFFSET / substeps) * (p1 - p0)
+            X_lo = loop_velocity_at(action, frame, lo, cdot)
+            X_hi = loop_velocity_at(action, frame, hi, cdot)
+            rate = 0.5 * (X_lo + X_hi) + (_MAGNUS4 * dt) * action.algebra.bracket(X_lo, X_hi)
+            out.append((tuple(rate), dt))
+    return out
+
+
+def _assert_sub_chords_match_the_loop(action, frame, pts, substeps):
+    hol = loop_to_group(action, frame, pts, pts[0], closed=False, substeps=substeps)
+    got = [(s.X, s.duration) for s in hol.path.segments]
+    ref = loop_sub_chords(action, frame, pts, substeps)
+    assert [(_bits(X), dur.hex()) for X, dur in got] == [(_bits(X), dur.hex()) for X, dur in ref]
+
+
+@settings(max_examples=40, deadline=None)
+@given(frame=st.sampled_from([((1.0, 0.0),), ((0.0, 1.0),), ((1.0, 0.0), (0.0, 1.0))]),
+       x=st.floats(0.5, 2.0), logs=st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=30),
+       substeps=st.integers(1, 4))
+def test_affine_walk_sub_chords_match_the_loop(frame, x, logs, substeps):
+    pts = [(x * math.exp(v),) for v in np.cumsum([0.0] + logs)]
+    _assert_sub_chords_match_the_loop(build("affine_line").action, frame, pts, substeps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(r=st.floats(0.5, 2.0), phase=st.floats(-math.pi, math.pi), turns=st.floats(0.05, 1.0),
+       chords=st.integers(3, 40), substeps=st.integers(1, 4))
+def test_helicoid_loop_sub_chords_match_the_loop(r, phase, turns, chords, substeps):
+    th = phase + 2.0 * math.pi * turns * np.arange(chords + 1) / chords
+    pts = np.column_stack([r * np.cos(th), r * np.sin(th), np.zeros(chords + 1)])
+    _assert_sub_chords_match_the_loop(build("example6_helicoid").action, ((1.0, 0.0), (0.0, 1.0)),
+                                      pts, substeps)
 
 
 # ---------------------------------------------------------------------------
