@@ -1,15 +1,20 @@
 """Lie algebras as structure constants, plus two concrete group models.
 
 The algebra is a plain coefficient object: ``c[i, j, k]`` is the coefficient
-of basis vector ``k`` in ``[e_i, e_j]``.  Group elements are numpy arrays —
-1-D vectors for the abelian model (the group is (R^d, +)), square matrices for
-the matrix model.  Everything here is exact linear algebra; curve-level
-constructions live in :mod:`liecomplete.lift` and friends.
+of basis vector ``k`` in ``[e_i, e_j]``.  Each group model carries its own
+algebra: zero constants for the abelian model, the constants of the basis
+commutators for the matrix model.  Group elements are numpy arrays — 1-D
+vectors for the abelian model (the group is (R^d, +)), square matrices for
+the matrix model — and ``exp_segment``, ``mul`` and ``products`` also take
+stacks of them along a leading axis.  Everything here is exact linear
+algebra; curve-level constructions live in :mod:`liecomplete.lift` and
+friends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +28,7 @@ class AlgebraError(ValueError):
     pass
 
 
-class SingularElementError(ValueError):
+class SingularElementError(AlgebraError):
     pass
 
 
@@ -98,8 +103,16 @@ def structure_constants_from_matrix_basis(basis: np.ndarray) -> np.ndarray:
                     f"matrix basis does not close under commutators (pair {i},{j})"
                 )
             c[i, j] = coeff
-            c[j, i] = -coeff
+            c[j, i] = -coeff + 0.0   # a zero coefficient stays +0.0 on both sides
     return c
+
+
+def _last_axes(a, shape: tuple, what: str) -> np.ndarray:
+    """``a`` as a float array whose trailing axes are ``shape``."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-len(shape):] != shape:
+        raise AlgebraError(f"{what} must have trailing shape {shape}, got {a.shape}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -107,7 +120,12 @@ class AbelianGroup:
     """(R^d, +) with the zero bracket; elements are 1-D float arrays."""
 
     dim: int
+    basis_names: tuple = ()
     kind: str = field(default="abelian", init=False)
+
+    @cached_property
+    def algebra(self) -> LieAlgebra:
+        return LieAlgebra.abelian(self.dim, self.basis_names)
 
     def identity(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -119,16 +137,20 @@ class AbelianGroup:
         return g
 
     def mul(self, a, b) -> np.ndarray:
-        return self.element(a) + self.element(b)
+        """a + b for elements or stacks of them."""
+        shape = (self.dim,)
+        return _last_axes(a, shape, "abelian element") + _last_axes(b, shape, "abelian element")
 
     def inv(self, a) -> np.ndarray:
         return -self.element(a)
 
-    def exp_segment(self, X, t: float = 1.0) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.shape != (self.dim,):
-            raise AlgebraError("exp_segment argument must be a d-vector")
-        return t * X
+    def exp_segment(self, X, t=1.0) -> np.ndarray:
+        """t * X of a d-vector or of each row of an (m, d) stack; ``t`` may give one value per row."""
+        return np.asarray(t, dtype=float)[..., None] * _last_axes(X, (self.dim,), "algebra vector")
+
+    def products(self, start, steps) -> np.ndarray:
+        """``(m + 1, d)`` running sums of ``start`` and each step of the stack ``steps``."""
+        return np.add.accumulate(np.vstack([start, steps]))
 
     def distance(self, a, b) -> float:
         return float(np.linalg.norm(self.element(a) - self.element(b)))
@@ -142,6 +164,7 @@ class MatrixGroup:
     """Matrix group generated by exponentials of a represented basis."""
 
     basis: np.ndarray  # shape (d, n, n)
+    basis_names: tuple = ()
     kind: str = field(default="matrix", init=False)
 
     def __post_init__(self):
@@ -158,6 +181,11 @@ class MatrixGroup:
     def n(self) -> int:
         return self.basis.shape[1]
 
+    @cached_property
+    def algebra(self) -> LieAlgebra:
+        """Constants of the basis commutators; raises if they do not close."""
+        return LieAlgebra(structure_constants_from_matrix_basis(self.basis), self.basis_names)
+
     def identity(self) -> np.ndarray:
         return np.eye(self.n)
 
@@ -170,26 +198,35 @@ class MatrixGroup:
         return g
 
     def mul(self, a, b) -> np.ndarray:
-        return np.asarray(a, dtype=float) @ np.asarray(b, dtype=float)
+        """a @ b for elements or stacks of them."""
+        shape = (self.n, self.n)
+        return _last_axes(a, shape, "matrix element") @ _last_axes(b, shape, "matrix element")
 
     def inv(self, a) -> np.ndarray:
         a = self.element(a)
         return np.linalg.inv(a)
 
-    def exp_segment(self, X, t: float = 1.0) -> np.ndarray:
+    def exp_segment(self, X, t=1.0) -> np.ndarray:
         """exp(t * X) of a d-vector, or one matrix per row of an (m, d) stack.
 
-        ``scipy.linalg.expm`` takes the whole stack in one call and gives each
-        slice the bits of its own single call.
+        ``t`` is a scalar or one value per row.  ``scipy.linalg.expm`` takes
+        the whole stack in one call and gives each slice the bits of its own
+        single call.
         """
         # imported here: scipy.linalg is most of the package's import time
         # and only matrix-model exponentials need it
         import scipy.linalg
 
-        X = np.asarray(X, dtype=float)
-        if X.ndim not in (1, 2) or X.shape[-1] != self.dim:
-            raise AlgebraError("exp_segment argument must be a d-vector or an (m, d) stack")
-        return scipy.linalg.expm(t * np.einsum("...i,ijk->...jk", X, self.basis))
+        X = _last_axes(X, (self.dim,), "algebra vector")
+        A = np.einsum("...i,ijk->...jk", X, self.basis)
+        return scipy.linalg.expm(np.asarray(t, dtype=float)[..., None, None] * A)
+
+    def products(self, start, steps) -> np.ndarray:
+        """``(m + 1, n, n)`` running products of ``start`` and each matrix of ``steps``, in order."""
+        out = [start]
+        for step in steps:
+            out.append(out[-1] @ step)
+        return np.array(out)
 
     def distance(self, a, b) -> float:
         return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
@@ -197,30 +234,3 @@ class MatrixGroup:
     def to_jsonable(self, g) -> list:
         return [[float(v) for v in row] for row in np.asarray(g, dtype=float)]
 
-
-def validate_group_model(algebra: LieAlgebra, group) -> float:
-    """Cross-check a group model against the algebra's structure constants.
-
-    For the matrix model the basis commutators must reproduce the constants
-    within ``MODEL_COMMUTATOR_TOL``; for the abelian model the constants must
-    vanish.  Returns the worst residual.
-    """
-    if group.dim != algebra.dim:
-        raise AlgebraError("group model dimension does not match the algebra")
-    if group.kind == "abelian":
-        res = float(np.max(np.abs(algebra.c))) if algebra.dim else 0.0
-        if res > 0.0:
-            raise AlgebraError("abelian group model requires zero structure constants")
-        return res
-    worst = 0.0
-    basis = group.basis
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-            recon = np.einsum("k,kab->ab", algebra.c[i, j], basis)
-            worst = max(worst, float(np.max(np.abs(comm - recon))))
-    if worst > MODEL_COMMUTATOR_TOL:
-        raise AlgebraError(
-            f"matrix model commutators do not match structure constants (residual {worst:.3e})"
-        )
-    return worst

@@ -23,13 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (
-    AbelianGroup,
-    AlgebraError,
-    LieAlgebra,
-    MatrixGroup,
-    structure_constants_from_matrix_basis,
-)
+from .algebra import AbelianGroup, AlgebraError, MatrixGroup
 from .completion import (
     FrameConditionError,
     LoopGeometryError,
@@ -147,7 +141,6 @@ def _action_from_file(path: str) -> Scenario:
     if gspec["type"] == "abelian":
         if "basis" in gspec:
             raise ConfigError("abelian group model takes no basis")
-        algebra = LieAlgebra.abelian(d)
         group = AbelianGroup(d)
     elif gspec["type"] == "matrix":
         if "basis" not in gspec:
@@ -156,9 +149,7 @@ def _action_from_file(path: str) -> Scenario:
         mats = [_matrix(m, "basis matrix") for m in raw] if isinstance(raw, list) else []
         if len(mats) != d or any(len(m) != len(m[0]) or len(m) != len(mats[0]) for m in mats):
             raise ConfigError("basis must be d matrices of equal square shape")
-        basis = np.array(mats)
-        algebra = LieAlgebra(structure_constants_from_matrix_basis(basis))
-        group = MatrixGroup(basis)
+        group = MatrixGroup(np.array(mats))
     else:
         raise ConfigError("group.type must be 'abelian' or 'matrix'")
 
@@ -195,7 +186,6 @@ def _action_from_file(path: str) -> Scenario:
             raise ConfigError(f"fields[{i}] must list {n} component expressions")
         fields.append(_exprs(row, f"fields[{i}]"))
     action = GAction(
-        algebra,
         group,
         Domain(tuple(coords), box=box, margins=margins),
         fields,
@@ -238,9 +228,12 @@ def _integrator_config(args) -> IntegratorConfig:
 
 def _parse_vector(text: str, where: str) -> list:
     try:
-        return [float(v) for v in text.split(",")]
+        out = [float(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError(f"{where} must be comma-separated numbers, got {text!r}") from None
+    if not all(map(math.isfinite, out)):
+        raise ConfigError(f"{where} must contain only finite numbers, got {text!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +321,8 @@ def _nan_to_none(v):
 
 
 def cmd_check(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     scenario = _scenario_from_args(args)
     action = scenario.action
     residual = check_homomorphism(action, sample_count=args.samples, seed=args.seed)
@@ -403,6 +398,23 @@ def cmd_lift(args) -> int:
     return EXIT_OK
 
 
+def _default_frame(action, x0) -> list:
+    """Basis vectors, in order, whose fields at ``x0`` span the orbit there.
+
+    A vector is kept when its field raises the rank of the fields kept before
+    it, at ``isotropy``'s cutoff, until the orbit dimension is reached.
+    """
+    iso = isotropy(action, x0)
+    F = action.field_matrix(x0)
+    kept: list = []
+    for i in range(action.dim_algebra):
+        if len(kept) == iso.orbit_dim:
+            break
+        if min(np.linalg.svd(F[kept + [i]], compute_uv=False)) >= iso.cutoff:
+            kept.append(i)
+    return np.eye(action.dim_algebra)[kept].tolist()
+
+
 def cmd_holonomy(args) -> int:
     scenario = _scenario_from_args(args)
     action = scenario.action
@@ -416,11 +428,7 @@ def cmd_holonomy(args) -> int:
             _parse_vector(row, "--frame") for row in args.frame.split(";")
         ]
     else:
-        k = isotropy(action, x0).orbit_dim
-        frame = [
-            [1.0 if i == j else 0.0 for j in range(action.dim_algebra)]
-            for i in range(k)
-        ]
+        frame = _default_frame(action, x0)
     hol = loop_to_group(
         action,
         frame,

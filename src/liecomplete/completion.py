@@ -79,6 +79,7 @@ class IsotropyReport:
     singular_values: tuple          # descending, padded with zeros to length d
     nullspace: np.ndarray           # rows form an orthonormal basis of the isotropy
     orbit_dim: int
+    cutoff: float                   # singular values below this count as null
 
     @property
     def isotropy_dim(self) -> int:
@@ -103,7 +104,7 @@ def isotropy(action, x, tol: float = 1e-8) -> IsotropyReport:
     cutoff = tol * sigma_max
     null_rows = Vt[sigmas < cutoff]
     rank = int(np.sum(sigmas >= cutoff))
-    return IsotropyReport(tuple(x), tuple(float(v) for v in sigmas), null_rows, rank)
+    return IsotropyReport(tuple(x), tuple(float(v) for v in sigmas), null_rows, rank, float(cutoff))
 
 
 @dataclass
@@ -218,9 +219,8 @@ def _sub_chord_segments(action, frame: np.ndarray, pts: np.ndarray, substeps: in
         bad = (sv[:, -1] <= 0.0) | (sv[:, 0] / sv[:, -1] > FRAME_CONDITION_LIMIT)
     if bad.any():
         s0, s1 = sv[np.argmax(bad)][[0, -1]]
-        raise FrameConditionError(
-            f"frame is ill-conditioned on the loop (cond {s0 / max(s1, 1e-300):.2e})"
-        )
+        cond = s0 / s1 if s1 > 0.0 else math.inf
+        raise FrameConditionError(f"frame is ill-conditioned on the loop (cond {cond:.2e})")
     # full column rank (checked above): the least-squares solution from the same SVD
     uc = (np.swapaxes(U, 1, 2) @ cdot[:, :, None])[:, :, 0]
     f = (np.swapaxes(Vt, 1, 2) @ (uc / sv)[:, :, None])[:, :, 0]

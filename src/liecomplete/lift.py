@@ -131,17 +131,7 @@ class GPath:
         self._bounds = bounds
 
         # closed-form prefix displacements: group point at each segment start
-        if group.kind == "abelian":
-            # adds in sequence, one segment after another
-            self._prefix = np.add.accumulate(np.vstack([self.start, vecs]))
-        else:
-            # one stacked exponential for all segments, then the products in order
-            prefix = [self.start]
-            g = self.start
-            for step in group.exp_segment(vecs, 1.0):
-                g = group.mul(g, step)
-                prefix.append(g)
-            self._prefix = prefix
+        self._prefix = group.products(self.start, group.exp_segment(vecs))
 
     @property
     def n_segments(self) -> int:
@@ -155,13 +145,13 @@ class GPath:
         w = self.widths[k]
         return [v / w for v in self._vec_rows[k]]
 
-    def group_point(self, k: int, frac: float):
-        """Group point a fraction ``frac`` of the way through segment k."""
-        base = self._prefix[k]
-        vec = self._vecs[k]
-        if self.group.kind == "abelian":
-            return base + frac * vec   # LinearSeg or ExpSeg: exp(frac * vec) is frac * vec
-        return self.group.mul(base, self.group.exp_segment(vec, frac))
+    def group_point(self, k, frac):
+        """Group point a fraction ``frac`` of the way through segment k.
+
+        ``k`` and ``frac`` may also be equal-length sequences, for a stack of points.
+        """
+        # a LinearSeg's point is the abelian exp(frac * delta), which is frac * delta
+        return self.group.mul(self._prefix[k], self.group.exp_segment(self._vecs[k], frac))
 
     def reverse(self) -> "GPath":
         segs = []
@@ -173,8 +163,7 @@ class GPath:
         return GPath(self.group, self.endpoint(), segs)
 
     def concat(self, other: "GPath") -> "GPath":
-        if type(other.group) is not type(self.group) or other.group.dim != self.group.dim:
-            raise PathError("cannot concatenate paths over different group models")
+        _check_group_compat(self.group, other.group)
         if self.group.distance(self.endpoint(), other.start) > _ENDPOINT_MATCH_TOL:
             raise PathError("second path must start at the first path's endpoint")
         segs = []
@@ -282,12 +271,11 @@ class _WindingTracker:
             self.prev = self._advance(interp, 0.0, self.prev, 1.0, 0)
 
 
-def _check_group_compat(action, path: GPath):
-    g1, g2 = action.group, path.group
+def _check_group_compat(g1, g2):
     if g1.kind != g2.kind or g1.dim != g2.dim:
-        raise PathError("path group model does not match the action's group model")
-    if g1.kind == "matrix" and not np.allclose(g1.basis, g2.basis):
-        raise PathError("path and action use different matrix bases")
+        raise PathError("the group models do not match")
+    if g1.kind == "matrix" and (g1.n != g2.n or not np.allclose(g1.basis, g2.basis)):
+        raise PathError("the group models use different matrix bases")
 
 
 def lift_path(
@@ -306,7 +294,7 @@ def lift_path(
     are computed when ``trace`` is first read.
     """
     cfg = cfg or IntegratorConfig()
-    _check_group_compat(action, path)
+    _check_group_compat(action.group, path.group)
     x0 = [float(v) for v in x0]
     action.require_inside(x0)
 
@@ -383,13 +371,7 @@ def _resolve(path: GPath, rows) -> list:
     """Trace rows ``(t, g, m)`` from rows ``(t, k, frac, m)`` of a lift of ``path``."""
     t0, _, _, m0 = rows[0]
     rest = rows[1:]
-    if path.group.kind == "abelian" and rest:
-        # the abelian group_point, base + frac * vec, for all rows at once
-        ks = [k for (_, k, _, _) in rest]
-        fracs = np.array([frac for (_, _, frac, _) in rest]).reshape(-1, 1)
-        points = list(path._prefix[ks] + fracs * path._vecs[ks])
-    else:
-        points = [path.group_point(k, frac) for (_, k, frac, _) in rest]
+    points = path.group_point([k for (_, k, _, _) in rest], [frac for (_, _, frac, _) in rest])
     return [(t0, path.start, m0)] + [(t, g, m) for (t, _, _, m), g in zip(rest, points)]
 
 

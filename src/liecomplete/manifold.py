@@ -17,7 +17,6 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .algebra import AbelianGroup, AlgebraError, LieAlgebra, MatrixGroup, validate_group_model
 from .expr import EVAL_ERRORS, Expr, _define, _is_const, _name_map, _py_float, _render_py, compile_scalars
 
 DEFAULT_SAMPLING_HALF_WIDTH = 2.0
@@ -145,11 +144,13 @@ def _compile_contraction(fields, rows: tuple, coords, params) -> Callable:
 
 
 class GAction:
-    """A Lie algebra action: fields[i][j] is the j-th component of zeta(e_i)."""
+    """A Lie algebra action: fields[i][j] is the j-th component of zeta(e_i).
+
+    ``e_i`` are the basis vectors of the group model's algebra.
+    """
 
     def __init__(
         self,
-        algebra: LieAlgebra,
         group,
         domain: Domain,
         fields: Sequence[Sequence[Expr]],
@@ -157,14 +158,14 @@ class GAction:
         winding_plane: Optional[Callable] = None,
         name: str = "",
     ):
-        self.algebra = algebra
         self.group = group
+        self.algebra = group.algebra
         self.domain = domain
         self.params = dict(params or {})
         self.name = name
         self.winding_plane = winding_plane
 
-        d, n = algebra.dim, domain.dim
+        d, n = group.dim, domain.dim
         if len(fields) != d or any(len(row) != n for row in fields):
             raise ActionError(f"fields must be a {d}x{n} grid of expressions")
         self.fields = tuple(tuple(row) for row in fields)
@@ -181,8 +182,6 @@ class GAction:
             extra = m.free_names - allowed
             if extra:
                 raise ActionError(f"margin uses unknown name(s) {sorted(extra)}")
-
-        validate_group_model(algebra, group)
 
         flat = [e for row in self.fields for e in row]
         self._field_fn = compile_scalars(flat, domain.coords, self.params)

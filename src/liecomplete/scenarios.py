@@ -26,7 +26,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .algebra import AbelianGroup, LieAlgebra, MatrixGroup
+from .algebra import AbelianGroup, MatrixGroup
 from .expr import parse
 from .manifold import Domain, GAction
 from .flow import IntegratorConfig
@@ -79,7 +79,6 @@ def _build_translation_rn(params) -> Scenario:
         for i in range(n)
     ]
     action = GAction(
-        LieAlgebra.abelian(n),
         AbelianGroup(n),
         Domain(coords),
         fields,
@@ -114,8 +113,7 @@ def _build_example4_annulus(params) -> Scenario:
         [parse("sin(theta)"), parse("cos(theta)/r")],
     ]
     action = GAction(
-        LieAlgebra.abelian(2, ("X", "Y")),
-        AbelianGroup(2),
+        AbelianGroup(2, ("X", "Y")),
         domain,
         fields,
         name="example4_annulus",
@@ -147,8 +145,7 @@ def _build_example6_helicoid(params) -> Scenario:
         [parse("0"), parse("1"), parse("-alpha*x*z/(x^2 + y^2)")],
     ]
     action = GAction(
-        LieAlgebra.abelian(2, ("X", "Y")),
-        AbelianGroup(2),
+        AbelianGroup(2, ("X", "Y")),
         domain,
         fields,
         params={"alpha": alpha},
@@ -176,8 +173,9 @@ def _build_example6_helicoid(params) -> Scenario:
     )
 
 
-# affine basis: T (translation) and D (dilation) with [T, D] = T, realized by
-# 2x2 matrices; signs chosen so act(g, v) = a*v - b has generator -d/dt
+# affine basis: T (translation) and D (dilation) with [T, D] = T, matching
+# [d/dx, x d/dx] = d/dx, realized by 2x2 matrices; signs chosen so
+# act(g, v) = a*v - b has generator -d/dt
 _AFFINE_BASIS = np.array(
     [
         [[0.0, 1.0], [0.0, 0.0]],    # T: exp(tT) = [[1, t], [0, 1]]
@@ -187,14 +185,8 @@ _AFFINE_BASIS = np.array(
 
 
 def _build_affine_line(params) -> Scenario:
-    c = np.zeros((2, 2, 2))
-    c[0, 1, 0] = 1.0   # [T, D] = T, matching [d/dx, x d/dx] = d/dx
-    c[1, 0, 0] = -1.0
-    algebra = LieAlgebra(c, ("T", "D"))
-    group = MatrixGroup(_AFFINE_BASIS)
     action = GAction(
-        algebra,
-        group,
+        MatrixGroup(_AFFINE_BASIS, ("T", "D")),
         Domain(("x",)),
         [[parse("1")], [parse("x")]],
         name="affine_line",
@@ -348,8 +340,13 @@ def circle_loop_path(
 
     The projection starts at ``x0_plane`` and follows the circle through it
     (radius preserved) for ``turns`` full revolutions, as a chord polygon with
-    ``chords_per_turn`` chords per turn.
+    ``chords_per_turn`` (at least 1) chords per turn.  ``turns`` is finite and
+    positive: ``clockwise`` sets the direction.
     """
+    if not (math.isfinite(turns) and turns > 0.0):
+        raise ScenarioError(f"turns must be finite and positive, got {turns!r}")
+    if not chords_per_turn >= 1:
+        raise ScenarioError(f"chords_per_turn must be at least 1, got {chords_per_turn!r}")
     x0_plane = np.asarray(x0_plane, dtype=float)
     if x0_plane.shape != (2,):
         raise ScenarioError("x0_plane must be a 2-vector")
@@ -396,17 +393,16 @@ def universal_constancy_check(
     path: GPath,
     x0,
     cfg: Optional[IntegratorConfig] = None,
-    target: Optional[Tuple[Callable, Callable]] = None,
 ) -> float:
     """Max deviation of ``act(g(t), f(x(t)))`` from its initial value along a lift.
 
-    ``(f, act)`` default to the scenario's built-in equivariant target; a
-    scenario without one (the sheared helicoid with positive alpha) raises.
+    ``(f, act)`` is the scenario's built-in equivariant target; a scenario
+    without one (the sheared helicoid with positive alpha) raises.
     The deviation is measured along the whole curve at genuine integration
     step endpoints: the step size is capped so trace rows never come from
     dense-output interpolation, whose error is lower order.
     """
-    pair = target if target is not None else scenario.equivariant_target
+    pair = scenario.equivariant_target
     if pair is None:
         raise ScenarioError(
             f"scenario {scenario.name!r} has no built-in equivariant target"

@@ -11,8 +11,8 @@ from liecomplete.algebra import (
     MatrixGroup,
     SingularElementError,
     structure_constants_from_matrix_basis,
-    validate_group_model,
 )
+from liecomplete.scenarios import build
 
 
 # aff(1) with basis X (translation), Y (dilation) and [Y, X] = X, represented
@@ -157,25 +157,43 @@ def test_element_shape_checked():
         G.element([1.0, 0.0])
 
 
+@pytest.mark.parametrize("G", [AbelianGroup(2), MatrixGroup(AFF_BASIS)], ids=["abelian", "matrix"])
+def test_stacks_give_the_bits_of_single_calls(G):
+    rng = np.random.default_rng(0)
+    X, t = rng.normal(size=(5, 2)), rng.uniform(-1.0, 1.0, size=5)
+    g = G.exp_segment(rng.normal(size=2))
+    steps = G.exp_segment(X, t)
+    prefix = G.products(g, steps)
+    assert prefix[0].tobytes() == g.tobytes()
+    for i in range(5):
+        assert steps[i].tobytes() == G.exp_segment(X[i], t[i]).tobytes()
+        assert prefix[i + 1].tobytes() == G.mul(prefix[i], steps[i]).tobytes()
+    assert G.mul(prefix[:-1], steps).tobytes() == prefix[1:].tobytes()
+    wrong = np.zeros(3) if G.kind == "abelian" else np.eye(3)
+    for a, b in ((g, wrong), (np.stack([wrong, wrong]), g)):
+        with pytest.raises(AlgebraError):
+            G.mul(a, b)
+    with pytest.raises(AlgebraError):
+        G.exp_segment(np.zeros((2, 3)))
+
+
 # ---------------------------------------------------------------------------
-# model/algebra cross-validation
+# the algebra each group model carries
 
 
-def test_validate_matrix_model(aff):
-    worst = validate_group_model(aff, MatrixGroup(AFF_BASIS))
-    assert worst < 1e-10
+def test_matrix_model_algebra_has_affine_lines_constants():
+    # [T, D] = T, as affine_line's constants were written by hand, with the
+    # same sign on every zero
+    c = np.zeros((2, 2, 2))
+    c[0, 1, 0] = 1.0
+    c[1, 0, 0] = -1.0
+    group = build("affine").action.group
+    assert MatrixGroup(group.basis).algebra.c.tobytes() == c.tobytes()
+    assert group.algebra.basis_names == ("T", "D")
 
 
-def test_validate_rejects_mismatched_constants():
-    with pytest.raises(AlgebraError, match="commutators"):
-        validate_group_model(LieAlgebra.abelian(2), MatrixGroup(AFF_BASIS))
-
-
-def test_validate_rejects_nonabelian_constants_on_abelian_model(aff):
-    with pytest.raises(AlgebraError, match="zero structure constants"):
-        validate_group_model(aff, AbelianGroup(2))
-
-
-def test_validate_dimension_mismatch(aff):
-    with pytest.raises(AlgebraError, match="dimension"):
-        validate_group_model(aff, AbelianGroup(3))
+def test_abelian_model_algebra_is_abelian():
+    G = AbelianGroup(3, ("a", "b", "c"))
+    assert G.algebra.c.shape == (3, 3, 3) and not G.algebra.c.any()
+    assert G.algebra.basis_names == ("a", "b", "c")
+    assert AbelianGroup(2).algebra.basis_names == ("X1", "X2")

@@ -96,6 +96,7 @@ def test_unknown_keys_are_config_errors(tmp_path, capsys):
     bases = [[[[0, "a"], [0, 0]], [[-1, 0], [0, 0]]],
              [[[0, 1], [0]], [[-1, 0], [0, 0]]],
              [[[0, 1], [0, 0]], [[-1, 0, 0], [0, 0, 0], [0, 0, 0]]],
+             [[[0, 1], [0, 0]], [[0, 0], [1, 0]]],    # commutators leave the span
              "ab"]
     for basis in bases:
         spec = dict(AFFINE_ACTION, group={"type": "matrix", "dim": 2, "basis": basis})
@@ -330,7 +331,7 @@ def test_lift_matrix_model_path(tmp_path):
     assert header == "t,g_11,g_12,g_21,g_22,x"
 
 
-def test_lift_argument_validation(tmp_path):
+def test_lift_argument_validation(tmp_path, capsys):
     path = _write(tmp_path, "p.json", {"start": [0.0, 0.0], "segments": []})
     base = ["lift", "--scenario", "example6", "--out", str(tmp_path / "o")]
     assert main(base + ["--x0", "1,0"]) == 3                       # wrong arity
@@ -340,6 +341,18 @@ def test_lift_argument_validation(tmp_path):
     assert main(base + ["--x0", "a,b,c", "--path", path]) == 3
     assert main(["lift", "--scenario", "affine", "--x0", "1",
                  "--circle-turns", "1", "--out", str(tmp_path / "o")]) == 3
+    capsys.readouterr()
+    # numbers from flags are finite, as numbers from files are
+    for x0 in ["nan,0", "inf,0", "0,-inf"]:
+        assert _config_error(["lift", "--scenario", "translation", "--x0", x0, "--path", path,
+                              "--out", str(tmp_path / "o")], capsys), x0
+    circle = base + ["--x0", "1,0,1"]
+    for flags in [["--circle-turns", "nan"], ["--circle-turns", "inf"], ["--circle-turns", "-1"],
+                  ["--circle-turns", "-0.5"], ["--circle-turns", "0"],
+                  ["--circle-turns", "1", "--chords-per-turn", "0"],
+                  ["--circle-turns", "1", "--chords-per-turn", "-3"],
+                  ["--circle-turns", "1", "--start-g", "0,nan"]]:
+        assert _config_error(circle + flags, capsys), flags
 
 
 def test_empty_path_lift(tmp_path):
@@ -366,7 +379,7 @@ def test_bad_path_files(tmp_path, capsys):
     capsys.readouterr()
     # matrix-model starts must be matrices of numbers
     out = ["--out", str(tmp_path / "o"), "--x0", "1", "--scenario", "affine"]
-    for start in [[[1, "0"], [0, 1]], [[1, 0], [0]]]:
+    for start in [[[1, "0"], [0, 1]], [[1, 0], [0]], [[0, 0], [0, 1]]]:   # the last is singular
         f4 = _write(tmp_path, "p4.json", {"start": start, "segments": []})
         assert _config_error(["lift", "--path", f4] + out, capsys), start
 
@@ -440,6 +453,28 @@ def test_holonomy_bad_loop(tmp_path, capsys):
     for substeps in ("0", "-3"):
         assert _config_error(["holonomy", "--scenario", "example6", "--loop", loop,
                               "--x0", "1,0,0", "--substeps", substeps], capsys)
+    for flags in [["--frame", "1,nan"], ["--frame", "1,0;inf,1"], ["--x0", "1,0,nan"]]:
+        assert _config_error(["holonomy", "--scenario", "example6", "--loop", loop,
+                              "--x0", "1,0,0"] + flags, capsys), flags
+
+
+def test_holonomy_default_frame_spans_the_orbit(tmp_path, capsys):
+    # the first basis field vanishes, so the frame is the second one
+    action = _write(tmp_path, "a.json", {
+        "group": {"type": "abelian", "dim": 2},
+        "manifold": {"dim": 1, "coords": ["x"]},
+        "fields": [["0"], ["1"]],
+    })
+    loop = _write(tmp_path, "loop.json", {"points": [[0.0], [0.5], [1.0]]})
+    argv = ["holonomy", "--scenario-file", action, "--loop", loop, "--open", "--x0", "0"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["element"] == pytest.approx([0.0, 1.0], abs=1e-12)
+    assert main(argv + ["--frame", "0,1"]) == 0
+    assert capsys.readouterr().out == out
+    # an exactly singular frame has an infinite condition number
+    assert main(argv + ["--frame", "1,0"]) == 3
+    assert "(cond inf)" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +539,8 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     assert main(["classify", "--scenario", "example6", "--points", "p.json",
                  "--abs-tol", "1e-9"]) == 3
     capsys.readouterr()
+    for samples in ("0", "-4"):
+        assert _config_error(["check", "--scenario", "example6", "--samples", samples], capsys)
 
 
 def test_help_exits_zero(capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from liecomplete.algebra import AbelianGroup, LieAlgebra
+from liecomplete.algebra import AbelianGroup
 from liecomplete.completion import (
     FrameConditionError,
     HolonomyElement,
@@ -66,7 +66,6 @@ def test_isotropy_affine_fixed_point(affine):
 
 def test_isotropy_zero_generator_axis():
     action = GAction(
-        LieAlgebra.abelian(3),
         AbelianGroup(3),
         Domain(("x", "y")),
         [

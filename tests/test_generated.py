@@ -12,9 +12,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from liecomplete.algebra import AbelianGroup, LieAlgebra
+from liecomplete.algebra import AbelianGroup
 from liecomplete.completion import (
     _GL2_OFFSET, _MAGNUS4, FRAME_CONDITION_LIMIT, ORBIT_RESIDUAL_REL, FrameConditionError,
     LoopGeometryError, LoopOutsideOrbitError, loop_to_group,
@@ -253,7 +254,7 @@ def _odd_action():
                  parse("1/z + k")),
     )
     fields = [[parse("x*y"), parse("0"), parse("1")], [parse("-1"), parse("z/x"), parse("k")]]
-    return GAction(LieAlgebra.abelian(2), AbelianGroup(2), domain, fields, params={"k": -2.5})
+    return GAction(AbelianGroup(2), domain, fields, params={"k": -2.5})
 
 
 @settings(max_examples=150, deadline=None)
@@ -326,6 +327,13 @@ def test_circle_chords_match_the_loop(x, y, turns, chords, clockwise):
     assert [_bits(d) for d in got] == [_bits(d) for d in ref]
 
 
+def _fraction_rows(data, count):
+    """Trace rows ``(t, k, frac, m)``: row 0, then two drawn fractions per segment."""
+    return [(0.0, 0, 0.0, ())] + [
+        (0.5, k, data.draw(st.floats(0.0, 1.0)), ()) for k in range(count) for _ in range(2)
+    ]
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), d=st.integers(1, 3), count=st.integers(0, 12))
 def test_abelian_path_points_match_the_loop(data, d, count):
@@ -345,14 +353,12 @@ def test_abelian_path_points_match_the_loop(data, d, count):
                  else np.asarray(s.X, dtype=float) * float(s.duration))
         g = G.mul(g, total)
     assert _bits(path.endpoint()) == _bits(g)
-    # trace rows resolved together equal group_point row by row
-    rows = [(0.0, 0, 0.0, ())] + [
-        (0.5, k, data.draw(st.floats(0.0, 1.0)), ()) for k in range(count) for _ in range(2)
-    ]
+    # trace rows resolved together equal base + frac * vec row by row
+    rows = _fraction_rows(data, count)
     resolved = _resolve(path, rows)
     assert _bits(resolved[0][1]) == _bits(path.start)
     for (_, k, frac, _), (_, g_row, _) in zip(rows[1:], resolved[1:]):
-        assert _bits(g_row) == _bits(path.group_point(k, frac))
+        assert _bits(g_row) == _bits(path._prefix[k] + frac * path._vecs[k])
 
 
 @settings(max_examples=30, deadline=None)
@@ -368,6 +374,12 @@ def test_matrix_path_points_match_the_loop(data, count):
         assert _bits(path._prefix[k].ravel()) == _bits(g.ravel())
         g = G.mul(g, G.exp_segment(np.asarray(s.X, dtype=float) * float(s.duration), 1.0))
     assert _bits(path.endpoint().ravel()) == _bits(g.ravel())
+    # trace rows resolved in one stacked exponential equal one exponential per row
+    rows = _fraction_rows(data, count)
+    resolved = _resolve(path, rows)
+    for (_, k, frac, _), (_, g_row, _) in zip(rows[1:], resolved[1:]):
+        A = np.einsum("i,ijk->jk", path._vecs[k], G.basis)
+        assert _bits(g_row.ravel()) == _bits((path._prefix[k] @ scipy.linalg.expm(frac * A)).ravel())
 
 
 def test_ragged_segments_are_a_path_error():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liecomplete.algebra import AbelianGroup
+from liecomplete.algebra import AbelianGroup, MatrixGroup
 from liecomplete.flow import COMPLETE, ESCAPED, IntegratorConfig
 from liecomplete.lift import (
     ExpSeg,
@@ -105,6 +105,18 @@ def test_concat_requires_matching_endpoint():
     b = GPath(G, (5.0, 5.0), [LinearSeg((1.0, 0.0), 1.0)])
     with pytest.raises(PathError):
         a.concat(b)
+
+
+def test_concat_requires_one_group_model(affine):
+    p1 = GPath(affine.group, np.eye(2), [ExpSeg((1.0, 0.0), 1.0)])
+    # the same exponent through T/2 ends at [[1, 1.5], [0, 1]], not at [[1, 1], [0, 1]]
+    half_t = MatrixGroup(np.array([[[0.0, 0.5], [0.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]]))
+    wide = MatrixGroup(np.zeros((2, 3, 3)))
+    for G, start in ((half_t, p1.endpoint()), (wide, np.eye(3)), (AbelianGroup(2), (0.0, 0.0))):
+        with pytest.raises(PathError):
+            p1.concat(GPath(G, start, [ExpSeg((1.0, 0.0), 1.0)]))
+        with pytest.raises(PathError):
+            lift_path(affine, GPath(G, start, []), (1.0,))
 
 
 def test_from_m_projection():
@@ -223,16 +235,16 @@ def test_trace_group_points_are_computed_on_first_read(affine, monkeypatch):
     calls = []
     expm = MatrixGroup.exp_segment
     monkeypatch.setattr(MatrixGroup, "exp_segment",
-                        lambda self, X, t=1.0: calls.append(t) or expm(self, X, t))
+                        lambda self, X, t=1.0: calls.append(np.shape(X)) or expm(self, X, t))
     p = GPath(affine.group, np.eye(2), [ExpSeg((0.3, 1.0), 1.0), ExpSeg((-0.5, 0.2), 2.0)])
-    assert len(calls) == 1          # the path's own prefix points, one stacked call
+    assert calls == [(2, 2)]        # the path's own prefix points, one stacked call
     res = lift_path(affine, p, (1.0,))
     assert res.status == COMPLETE and len(res.rows) > 2
     assert len(calls) == 1
     trace = res.trace
-    assert len(calls) == 1 + len(res.rows) - 1
+    assert calls == [(2, 2), (len(res.rows) - 1, 2)]   # one stacked call for every row
     assert res.trace is trace
-    assert len(calls) == 1 + len(res.rows) - 1
+    assert len(calls) == 2
     assert [(t, m) for (t, _, m) in trace] == [(t, m) for (t, _, _, m) in res.rows]
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from liecomplete.algebra import AbelianGroup, LieAlgebra
+from liecomplete.algebra import AbelianGroup
 from liecomplete.expr import parse
 from liecomplete.manifold import (
     ActionError,
@@ -33,8 +33,7 @@ def flipped_helicoid():
     but equals 2 at (1, 0, 1).
     """
     return GAction(
-        LieAlgebra.abelian(2, ("X", "Y")),
-        AbelianGroup(2),
+        AbelianGroup(2, ("X", "Y")),
         Domain(("x", "y", "z"), margins=(parse("x^2 + y^2"),)),
         [
             [parse("1"), parse("0"), parse("y*z/(x^2+y^2)")],
@@ -96,7 +95,6 @@ def test_box_margins():
 def test_domain_requires_known_names():
     with pytest.raises(ActionError):
         GAction(
-            LieAlgebra.abelian(1),
             AbelianGroup(1),
             Domain(("x",)),
             [[parse("x + stray")]],
@@ -106,7 +104,6 @@ def test_domain_requires_known_names():
 def test_field_grid_shape_checked():
     with pytest.raises(ActionError):
         GAction(
-            LieAlgebra.abelian(2),
             AbelianGroup(2),
             Domain(("x", "y")),
             [[parse("1"), parse("0")]],  # one row for a 2-dim algebra
@@ -160,7 +157,7 @@ def test_flipped_sign_fails_sampled_check():
 
 
 def _planar(fields, box=None):
-    return GAction(LieAlgebra.abelian(2), AbelianGroup(2), Domain(("x", "y"), box=box),
+    return GAction(AbelianGroup(2), Domain(("x", "y"), box=box),
                    [[parse(e) for e in row] for row in fields])
 
 
@@ -196,7 +193,6 @@ def test_sample_points_respect_margin(helicoid):
 
 def test_sampling_failure_on_empty_domain():
     action = GAction(
-        LieAlgebra.abelian(1),
         AbelianGroup(1),
         Domain(("x",), box=((0.0, 1.0),), margins=(parse("0 - 1"),)),
         [[parse("1")]],
