@@ -233,8 +233,7 @@ def _sub_chord_segments(action, frame: np.ndarray, pts: np.ndarray, substeps: in
 
     X = f @ frame                          # algebra velocity at every node
     X_lo, X_hi = X[0::2], X[1::2]
-    bracket = np.einsum("Ni,Nj,ijk->Nk", X_lo, X_hi, action.algebra.c)
-    rates = 0.5 * (X_lo + X_hi) + (_MAGNUS4 * dt) * bracket
+    rates = 0.5 * (X_lo + X_hi) + (_MAGNUS4 * dt) * action.algebra.bracket(X_lo, X_hi)
     return [ExpSeg(tuple(rate), dt) for rate in rates.tolist()]   # rate for time dt
 
 

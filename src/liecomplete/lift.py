@@ -115,7 +115,8 @@ class GPath:
             raise PathError(f"segment vector must have length {d}")
         # the total log-displacement of an ExpSeg is duration * X
         scale = [dur if isinstance(s, ExpSeg) else 1.0 for s, dur in zip(segs, durations)]
-        vecs = vecs * np.array(scale).reshape(-1, 1)
+        with np.errstate(over="ignore"):
+            vecs = vecs * np.array(scale).reshape(-1, 1)
         if not np.all(np.isfinite(vecs)):
             raise PathError("segment vector must be finite")
         self.segments = tuple(segs)
@@ -131,7 +132,16 @@ class GPath:
         self._bounds = bounds
 
         # closed-form prefix displacements: group point at each segment start
-        self._prefix = group.products(self.start, group.exp_segment(vecs))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._prefix = group.products(self.start, group.exp_segment(vecs))
+        except AlgebraError as exc:
+            raise PathError(f"bad segment: {exc}") from exc
+        # a matrix point that rounds to a singular one (say, exp(1e300 D)) has
+        # left the range of floating point just as an overflowed one has
+        if not np.all(np.isfinite(self._prefix)) or (
+                group.kind == "matrix" and not np.linalg.slogdet(self._prefix)[0].all()):
+            raise PathError("the path's group points are not finite and invertible")
 
     @property
     def n_segments(self) -> int:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from liecomplete.algebra import (
@@ -10,6 +11,7 @@ from liecomplete.algebra import (
     LieAlgebra,
     MatrixGroup,
     SingularElementError,
+    _PADE_THETA,
     structure_constants_from_matrix_basis,
 )
 from liecomplete.scenarios import build
@@ -96,10 +98,11 @@ def test_commutators_must_close():
 def test_abelian_ops():
     G = AbelianGroup(2)
     assert np.allclose(G.mul((1.0, 2.0), (3.0, 4.0)), (4.0, 6.0))
-    assert np.allclose(G.inv((1.0, -2.0)), (-1.0, 2.0))
+    assert np.allclose(G.exp_segment((1.0, -2.0), -1.0), (-1.0, 2.0))
     assert np.allclose(G.exp_segment((1.0, 0.0), 2.0), (2.0, 0.0))
     assert np.allclose(G.exp_segment((3.0, -1.0), 0.0), G.identity())
-    assert np.allclose(G.mul((1.0, 2.0), G.inv((1.0, 2.0))), G.identity())
+    X = np.array([1.0, 2.0])
+    assert np.allclose(G.mul(G.exp_segment(X), G.exp_segment(-X)), G.identity())
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +118,8 @@ def test_matrix_mul_hand_product():
 
 def test_matrix_inverse_round_trip():
     G = MatrixGroup(AFF_BASIS)
-    a = G.exp_segment((0.7, -0.3), 1.0)
-    assert np.allclose(G.mul(a, G.inv(a)), np.eye(2), atol=1e-12)
+    X = np.array([0.7, -0.3])
+    assert np.allclose(G.mul(G.exp_segment(X), G.exp_segment(-X)), np.eye(2), atol=1e-12)
 
 
 def test_nilpotent_exponential():
@@ -175,6 +178,99 @@ def test_stacks_give_the_bits_of_single_calls(G):
             G.mul(a, b)
     with pytest.raises(AlgebraError):
         G.exp_segment(np.zeros((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the matrix exponential
+
+
+def _gl(n):
+    """The matrix model of gl(n): exp_segment of a row is exp of that row as an n x n matrix."""
+    return MatrixGroup(np.eye(n * n).reshape(n * n, n, n))
+
+
+def _norm1(A):
+    return np.abs(A).sum(axis=-2).max(axis=-1)
+
+
+# 1-norm intervals of the Padé degrees 3, 5, 7, 9 and 13, then of 1-4 and 5-6 squarings
+_THETA = list(_PADE_THETA.values())
+NORM_BANDS = (list(zip([0.0] + _THETA, _THETA + [16.0 * _THETA[-1]]))
+              + [(16.0 * _THETA[-1], 64.0 * _THETA[-1])])
+
+
+def _band_stack(rng, n):
+    """One matrix per norm band, full, upper and lower triangular in turn, then zero and diagonal."""
+    shapes = (lambda M: M, np.triu, np.tril)
+    mats = []
+    for i, (lo, hi) in enumerate(NORM_BANDS * 3):
+        M = shapes[i // len(NORM_BANDS)](rng.uniform(-1.0, 1.0, (n, n)))
+        mats.append(M * ((lo + rng.uniform(0.01, 0.99) * (hi - lo)) / _norm1(M)))
+    return np.array(mats + [np.zeros((n, n)), np.diag(rng.normal(size=n))])
+
+
+def test_affine_exponential_matches_the_closed_form():
+    # exp([[a, b], [0, 0]]) = [[e^a, b (e^a - 1) / a], [0, 1]], which is exp_segment((b, a))
+    grid = np.concatenate([np.linspace(-50.0, 50.0, 201), [-1e-8, 1e-8, -1e-4, 1e-4, 0.01, -0.01]])
+    a, b = (v.ravel() for v in np.meshgrid(grid, grid))
+    E = MatrixGroup(AFF_BASIS).exp_segment(np.column_stack([b, a]))
+    ref = np.zeros_like(E)
+    ref[:, 0, 0] = np.exp(a)
+    ref[:, 0, 1] = np.where(a == 0.0, b, b * np.expm1(a) / np.where(a == 0.0, 1.0, a))
+    ref[:, 1, 1] = 1.0
+    err = np.abs(E - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert err.max() <= 1e-12, (a[np.argmax(err)], b[np.argmax(err)], err.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_exponential_matches_scipy(n, seed):
+    A = _band_stack(np.random.default_rng(seed), n)
+    norms = _norm1(A[: 3 * len(NORM_BANDS)]).reshape(3, -1)
+    assert all(lo < x <= hi for row in norms for x, (lo, hi) in zip(row, NORM_BANDS))
+    E = _gl(n).exp_segment(A.reshape(len(A), n * n))
+    S = scipy.linalg.expm(A)
+    err = np.abs(E - S).max(axis=(1, 2)) / np.abs(S).max(axis=(1, 2))
+    # forward error grows with the norm; both methods are backward stable
+    assert np.all(err <= 1e-12 * np.maximum(1.0, _norm1(A))), err
+
+
+def test_a_stack_of_every_band_gives_the_bits_of_single_calls():
+    n = 3
+    A = _band_stack(np.random.default_rng(7), n)
+    X = A.reshape(len(A), n * n)
+    t = np.random.default_rng(8).uniform(0.5, 1.0, len(A))
+    G = _gl(n)
+    stacked = G.exp_segment(X, t)
+    for i in range(len(A)):
+        assert stacked[i].tobytes() == G.exp_segment(X[i], t[i]).tobytes(), i
+    assert G.exp_segment(X[::-1], t[::-1]).tobytes() == stacked[::-1].tobytes()
+
+
+def test_empty_stack():
+    G = MatrixGroup(AFF_BASIS)
+    assert G.exp_segment(np.empty((0, 2))).shape == (0, 2, 2)
+    assert G.exp_segment(np.empty((0, 2)), np.empty(0)).shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("X", [(0.0, 800.0), (1e300, 1e300), (np.nan, 0.0), (0.0, np.inf)],
+                         ids=["overflow", "overflow-squared", "nan", "inf"])
+def test_a_non_finite_exponential_is_an_error(X):
+    G = MatrixGroup(AFF_BASIS)
+    with pytest.raises(AlgebraError):
+        G.exp_segment(X)
+    with pytest.raises(AlgebraError):
+        G.exp_segment([(0.1, 0.2), X])
+
+
+def test_large_translations_keep_an_exact_diagonal():
+    # a triangular slice's diagonal is exp of its own at every squaring, so
+    # hundreds of squarings do not decay it
+    G = MatrixGroup(AFF_BASIS)
+    for x in (1e10, 1e100, 1e300):
+        E = G.exp_segment((x, 0.0))
+        assert E[0, 0] == E[1, 1] == 1.0 and E[1, 0] == 0.0
+        assert abs(E[0, 1] - x) <= 1e-14 * x
 
 
 # ---------------------------------------------------------------------------

@@ -51,13 +51,30 @@ def _config_error(argv, capsys):
 
 
 def test_cli_import_leaves_scipy_linalg_out():
-    # scipy.linalg is most of the start-up time and only matrix-model
-    # exponentials use it
+    # importing scipy.linalg would be most of the start-up time
     src = os.path.dirname(os.path.dirname(os.path.abspath(liecomplete.__file__)))
     code = "import sys, liecomplete.cli; print('scipy.linalg' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_matrix_model_runs_leave_scipy_out(tmp_path):
+    # the matrix exponential is the package's own: neither a holonomy nor a
+    # matrix-path lift loads any scipy module
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liecomplete.__file__)))
+    loop = _write(tmp_path, "loop.json", {"points": [[1.0], [2.0], [1.5], [1.0]]})
+    path = _write(tmp_path, "path.json", {"start": [[1, 0], [0, 1]],
+                  "segments": [{"type": "exp", "X": [0.5, -0.25]}]})
+    runs = [["holonomy", "--scenario", "affine", "--loop", loop, "--x0", "1"],
+            ["lift", "--scenario", "affine", "--x0", "1", "--path", path,
+             "--out", str(tmp_path / "o")]]
+    code = ("import sys\nfrom liecomplete.cli import main\n"
+            f"codes = [main(argv) for argv in {runs!r}]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0] []"
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +399,11 @@ def test_bad_path_files(tmp_path, capsys):
     for start in [[[1, "0"], [0, 1]], [[1, 0], [0]], [[0, 0], [0, 1]]]:   # the last is singular
         f4 = _write(tmp_path, "p4.json", {"start": start, "segments": []})
         assert _config_error(["lift", "--path", f4] + out, capsys), start
+    # group points that overflow, or round to a singular matrix, are not a lift
+    for X in [[1e300, 1e300], [0, -800], [0, 746]]:
+        f5 = _write(tmp_path, "p5.json", {"start": [[1, 0], [0, 1]],
+                    "segments": [{"type": "exp", "X": X}]})
+        assert _config_error(["lift", "--path", f5] + out, capsys), X
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,20 @@ def test_path_validation():
         GPath(G, (0.0,), [LinearSeg((1.0, 0.0), 1.0)])
 
 
+@pytest.mark.parametrize("segs", [
+    [ExpSeg((1e300, 1e300), 1.0)],      # exp(-1e300) underflows: a singular point
+    [ExpSeg((0.0, -800.0), 1.0)],       # exp(800) overflows
+    [ExpSeg((0.0, 746.0), 1.0)],        # exp(-746) underflows to zero
+    [ExpSeg((0.0, -600.0), 1.0)] * 2,   # each factor is finite, their product is not
+    [ExpSeg((1e300, 0.0), 1e300)],      # the exponent duration * X overflows
+    [LinearSeg((1e308, 0.0), 1.0)] * 2,  # an abelian sum overflows
+], ids=["singular", "overflow", "underflow", "product", "exponent", "abelian"])
+def test_non_finite_group_points_are_a_path_error(affine, segs):
+    group = AbelianGroup(2) if isinstance(segs[0], LinearSeg) else affine.group
+    with pytest.raises(PathError):
+        GPath(group, group.identity(), segs)
+
+
 def test_linear_segment_needs_abelian_model(affine):
     with pytest.raises(PathError):
         GPath(affine.group, np.eye(2), [LinearSeg((1.0, 0.0), 1.0)])
