@@ -1,14 +1,18 @@
 """Lie algebras as structure constants, plus two concrete group models.
 
-The algebra is a plain coefficient object: ``c[i, j, k]`` is the coefficient
-of basis vector ``k`` in ``[e_i, e_j]``.  Each group model carries its own
-algebra: zero constants for the abelian model, the constants of the basis
-commutators for the matrix model.  Group elements are numpy arrays — 1-D
-vectors for the abelian model (the group is (R^d, +)), square matrices for
-the matrix model — and ``exp_segment``, ``mul`` and ``products`` also take
-stacks of them along a leading axis.  Everything here is exact linear
-algebra, up to the matrix exponential's Padé approximant; curve-level
-constructions live in :mod:`liecomplete.lift` and friends.
+The algebra is a plain coefficient object: ``c[i][j][k]`` is the coefficient
+of basis vector ``k`` in ``[e_i, e_j]``, held as nested tuples.  Each group
+model carries its own algebra: zero constants for the abelian model, the
+constants of the basis commutators for the matrix model.  Abelian elements
+are tuples of floats (the group is (R^d, +)); matrix elements are square
+numpy arrays.  ``exp_segment`` and ``mul`` also take stacks: lists of tuples
+for the abelian model, arrays with a leading axis for the matrix model; and
+``products`` gives the points along a stack of log-displacements.  Only the
+matrix model, its exponential and ``LieAlgebra.bracket`` import numpy,
+inside the functions that use it, so abelian work never loads it.
+Everything here is exact linear algebra, up to the matrix exponential's Padé
+approximant; curve-level constructions live in :mod:`liecomplete.lift` and
+friends.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, product
+from operator import add, mul
 from typing import Optional, Sequence
-
-import numpy as np
 
 JACOBI_TOL = 1e-12
 MODEL_COMMUTATOR_TOL = 1e-10
@@ -41,21 +45,24 @@ def _default_names(d: int) -> tuple:
 class LieAlgebra:
     """Finite-dimensional real Lie algebra given by structure constants."""
 
-    c: np.ndarray  # shape (d, d, d)
+    c: tuple  # c[i][j][k], d x d x d nested tuples of floats
     basis_names: tuple = ()
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.ndim != 3 or len(set(c.shape)) != 1:
+        try:
+            c = tuple(tuple(tuple(map(float, row)) for row in plane) for plane in self.c)
+        except (TypeError, ValueError):
+            c = None
+        d = len(c or ())
+        if c is None or any(len(plane) != d or any(len(row) != d for row in plane) for plane in c):
             raise AlgebraError("structure constants must have shape (d, d, d)")
         object.__setattr__(self, "c", c)
-        d = c.shape[0]
         names = self.basis_names or _default_names(d)
         if len(names) != d:
             raise AlgebraError("basis_names length must match dimension")
         object.__setattr__(self, "basis_names", tuple(names))
         # antisymmetry must hold exactly as stored, not just within tolerance
-        if not np.array_equal(c, -np.swapaxes(c, 0, 1)):
+        if any(c[i][j][k] != -c[j][i][k] for i, j, k in product(range(d), repeat=3)):
             raise AlgebraError("structure constants are not antisymmetric")
         jac = self.jacobi_residual()
         if jac >= JACOBI_TOL:
@@ -63,32 +70,38 @@ class LieAlgebra:
 
     @property
     def dim(self) -> int:
-        return self.c.shape[0]
+        return len(self.c)
 
     def jacobi_residual(self) -> float:
-        c = self.c
-        # sum over cyclic permutations of [[e_i,e_j],e_k]
-        t = np.einsum("ijm,mkl->ijkl", c, c)
-        total = t + np.einsum("ijkl->jkil", t) + np.einsum("ijkl->kijl", t)
-        return float(np.max(np.abs(total))) if self.dim else 0.0
+        c, r = self.c, range(self.dim)
+        nonzero = {(i, j): [(m, x) for m, x in enumerate(c[i][j]) if x] for i, j in product(r, r)}
+        # t[i, j, k]: the coefficients of [[e_i, e_j], e_k]
+        t = {(i, j, k): [sum(x * c[m][k][l] for m, x in nonzero[i, j]) for l in r]
+             for i, j, k in product(r, repeat=3)}
+        # the largest coefficient of a sum over cyclic permutations of [[e_i, e_j], e_k]
+        return max((abs(a + b + e) for i, j, k in product(r, repeat=3)
+                    for a, b, e in zip(t[i, j, k], t[j, k, i], t[k, i, j])), default=0.0)
 
-    def bracket(self, u, v) -> np.ndarray:
-        """[u, v] of two d-vectors, or row by row of two (m, d) stacks."""
+    def bracket(self, u, v):
+        """[u, v] of two d-vectors, or row by row of two (m, d) stacks, as an array."""
+        import numpy as np
         u = _last_axes(u, (self.dim,), "bracket argument")
         v = _last_axes(v, (self.dim,), "bracket argument")
-        return np.einsum("...i,...j,ijk->...k", u, v, self.c)
+        return np.einsum("...i,...j,ijk->...k", u, v, np.array(self.c))
 
     @staticmethod
     def abelian(d: int, basis_names: Optional[Sequence[str]] = None) -> "LieAlgebra":
-        return LieAlgebra(np.zeros((d, d, d)), tuple(basis_names or _default_names(d)))
+        return LieAlgebra((((0.0,) * d,) * d,) * d, tuple(basis_names or _default_names(d)))
 
 
-def structure_constants_from_matrix_basis(basis: np.ndarray) -> np.ndarray:
+def structure_constants_from_matrix_basis(basis):
     """Project pairwise commutators of ``basis`` back onto the basis.
 
     Raises if the commutators do not close on span(basis) within
-    ``MODEL_COMMUTATOR_TOL``.  The result is exactly antisymmetric.
+    ``MODEL_COMMUTATOR_TOL``.  The result is a ``(d, d, d)`` array and
+    exactly antisymmetric.
     """
+    import numpy as np
     basis = np.asarray(basis, dtype=float)
     d = basis.shape[0]
     flat = basis.reshape(d, -1).T  # (n*n, d)
@@ -107,9 +120,12 @@ def structure_constants_from_matrix_basis(basis: np.ndarray) -> np.ndarray:
     return c
 
 
-def _last_axes(a, shape: tuple, what: str) -> np.ndarray:
-    """``a`` as a float array whose trailing axes are ``shape``."""
+def _last_axes(a, shape: tuple, what: str):
+    """``a`` as a float array whose trailing axes are ``shape``; an empty list is an empty stack."""
+    import numpy as np
     a = np.asarray(a, dtype=float)
+    if a.shape == (0,):
+        a = a.reshape((0,) + shape)
     if a.shape[-len(shape):] != shape:
         raise AlgebraError(f"{what} must have trailing shape {shape}, got {a.shape}")
     return a
@@ -125,8 +141,9 @@ _PADE_B = {m: [float(math.factorial(2 * m - j) // (math.factorial(j) * math.fact
                for j in range(m + 1)] for m in _PADE_THETA}
 
 
-def _pade(A: np.ndarray, b: list) -> np.ndarray:
+def _pade(A, b: list):
     """The diagonal Padé approximant with coefficients ``b`` at every slice of ``A``."""
+    import numpy as np
     eye = np.eye(A.shape[-1])
     A2 = A @ A
     if len(b) == 14:   # degree 13: Higham's scheme with the powers A^2, A^4, A^6
@@ -144,34 +161,41 @@ def _pade(A: np.ndarray, b: list) -> np.ndarray:
     return np.linalg.solve(v - u, v + u)
 
 
-def _expm(A: np.ndarray) -> np.ndarray:
+def _expm(A):
     """exp of every ``(n, n)`` slice of ``A`` by scaling and squaring (Higham 2005).
 
     Every slice takes its Padé degree and its number of squarings from its
     own 1-norm, and each degree is one stacked evaluation, so a slice's bits
-    do not depend on the rest of the stack.  A slice whose off-diagonal part
-    is zero is exp of its diagonal.  A triangular slice gets the exact
-    exponentials of its diagonal before and after every squaring (Al-Mohy
-    and Higham, SIMAX 2009, Code Fragment 2.1), so that scaling does not
-    square up the rounding of its diagonal: a translation by 1e100 stays
-    ``[[1, 1e100], [0, 1]]`` instead of decaying to zero.
+    do not depend on the rest of the stack.  A 1-norm that overflows is read
+    as ``m * 2**e``, where ``e`` is the exponent of the slice's largest entry
+    and ``m`` the 1-norm of the slice times ``2**-e``, which cannot overflow.
+    A slice whose off-diagonal part is zero is exp of its diagonal.  A
+    triangular slice gets the exact exponentials of its diagonal before and
+    after every squaring (Al-Mohy and Higham, SIMAX 2009, Code Fragment 2.1),
+    so that scaling does not square up the rounding of its diagonal: a
+    translation by 1e100 stays ``[[1, 1e100], [0, 1]]`` instead of decaying
+    to zero.
     """
+    import numpy as np
     shape, n = A.shape, A.shape[-1]
     A = A.reshape(-1, n, n)
+    if not np.isfinite(A).all():
+        raise AlgebraError("matrix exponential of a matrix that is not finite")
     out = np.empty_like(A)
     diag = np.diagonal(A, axis1=1, axis2=2)
     diagonal = ~A[:, ~np.eye(n, dtype=bool)].any(axis=1)
     out[diagonal] = np.exp(diag[diagonal])[:, :, None] * np.eye(n)
-    norm = np.abs(A).sum(axis=1).max(axis=1)
-    if not np.isfinite(norm).all():
-        raise AlgebraError("matrix exponential of a matrix whose 1-norm is not finite")
+    with np.errstate(over="ignore"):
+        norm = np.abs(A).sum(axis=1).max(axis=1)
+    e = np.where(np.isinf(norm), np.frexp(np.abs(A).max(axis=(1, 2)))[1], 0)
     thetas = list(_PADE_THETA.values())
     degree = np.array(list(_PADE_THETA))[np.minimum(np.searchsorted(thetas, norm), len(thetas) - 1)]
     squarings = np.zeros(len(A), dtype=int)
     big = ~diagonal & (norm > thetas[-1])
-    squarings[big] = np.ceil(np.log2(norm[big] / thetas[-1]))
-    for m, b in _PADE_B.items():
-        k = np.flatnonzero(~diagonal & (degree == m))
+    m = np.abs(np.ldexp(A[big], -e[big, None, None])).sum(axis=1).max(axis=1)
+    squarings[big] = np.ceil(np.log2(m / thetas[-1])) + e[big]
+    for deg, b in _PADE_B.items():
+        k = np.flatnonzero(~diagonal & (degree == deg))
         if k.size:
             out[k] = _pade(np.ldexp(A[k], -squarings[k, None, None]), b)
     triangular = big & ~(np.triu(A, 1).any(axis=(1, 2)) & np.tril(A, -1).any(axis=(1, 2)))
@@ -185,9 +209,18 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
+def _is_stack(a) -> bool:
+    """Whether ``a`` is a stack of vectors rather than one vector of numbers."""
+    return len(a) == 0 or hasattr(a[0], "__iter__")
+
+
 @dataclass(frozen=True)
 class AbelianGroup:
-    """(R^d, +) with the zero bracket; elements are 1-D float arrays."""
+    """(R^d, +) with the zero bracket; elements are tuples of d floats.
+
+    A stack of elements is a list of them; the stacked operations work
+    column by column, one C-level pass per coordinate.
+    """
 
     dim: int
     basis_names: tuple = ()
@@ -197,44 +230,77 @@ class AbelianGroup:
     def algebra(self) -> LieAlgebra:
         return LieAlgebra.abelian(self.dim, self.basis_names)
 
-    def identity(self) -> np.ndarray:
-        return np.zeros(self.dim)
+    def identity(self) -> tuple:
+        return (0.0,) * self.dim
 
-    def element(self, data) -> np.ndarray:
-        g = np.asarray(data, dtype=float)
-        if g.shape != (self.dim,):
+    def element(self, data) -> tuple:
+        try:
+            g = tuple(map(float, data))
+        except (TypeError, ValueError):
+            g = ()
+        if len(g) != self.dim:
             raise AlgebraError(f"abelian element must be a {self.dim}-vector")
         return g
 
-    def mul(self, a, b) -> np.ndarray:
-        """a + b for elements or stacks of them."""
-        shape = (self.dim,)
-        return _last_axes(a, shape, "abelian element") + _last_axes(b, shape, "abelian element")
+    def _columns(self, stack) -> list:
+        """The d columns of a stack of d-vectors, as tuples of floats."""
+        if not len(stack):
+            return [()] * self.dim
+        try:
+            cols = [tuple(map(float, col)) for col in zip(*stack, strict=True)]
+        except (TypeError, ValueError):
+            cols = []
+        if len(cols) != self.dim:
+            raise AlgebraError(f"a stack of abelian elements must hold {self.dim}-vectors")
+        return cols
 
-    def exp_segment(self, X, t=1.0) -> np.ndarray:
-        """t * X of a d-vector or of each row of an (m, d) stack; ``t`` may give one value per row."""
-        return np.asarray(t, dtype=float)[..., None] * _last_axes(X, (self.dim,), "algebra vector")
+    def mul(self, a, b):
+        """a + b of two elements, or row by row of two stacks of one length."""
+        if not (_is_stack(a) or _is_stack(b)):
+            return tuple(map(add, self.element(a), self.element(b)))
+        if not (_is_stack(a) and _is_stack(b) and len(a) == len(b)):
+            raise AlgebraError("abelian mul takes two elements or two stacks of one length")
+        return list(zip(*[map(add, p, q) for p, q in zip(self._columns(a), self._columns(b))]))
 
-    def products(self, start, steps) -> np.ndarray:
-        """``(m + 1, d)`` running sums of ``start`` and each step of the stack ``steps``."""
-        return np.add.accumulate(np.vstack([start, steps]))
+    def exp_segment(self, X, t=1.0):
+        """t * X of a d-vector, or of each row of a stack; ``t`` may give one value per row."""
+        if not _is_stack(X):
+            return tuple(float(t) * v for v in self.element(X))
+        ts = list(map(float, t)) if hasattr(t, "__iter__") else [float(t)] * len(X)
+        if len(ts) != len(X):
+            raise AlgebraError("exp_segment takes one time or one per row")
+        return list(zip(*[map(mul, ts, col) for col in self._columns(X)]))
+
+    def products(self, start, X) -> list:
+        """``start`` and its running sums with each row of the stack ``X``, left to right.
+
+        These are the m + 1 points ``start + X_1 + ... + X_k``.  Raises
+        ``AlgebraError`` if one is not finite.  A coordinate that overflows
+        stays inf or NaN in every later sum, so the last sum decides.
+        """
+        cols = zip(self.element(start), self._columns(X))
+        out = list(zip(*[accumulate(col, initial=s) for s, col in cols]))
+        if not all(map(math.isfinite, out[-1])):
+            raise AlgebraError("the group points are not finite")
+        return out
 
     def distance(self, a, b) -> float:
-        return float(np.linalg.norm(self.element(a) - self.element(b)))
+        return math.dist(self.element(a), self.element(b))
 
     def to_jsonable(self, g) -> list:
-        return [float(v) for v in self.element(g)]
+        return list(self.element(g))
 
 
 @dataclass(frozen=True)
 class MatrixGroup:
     """Matrix group generated by exponentials of a represented basis."""
 
-    basis: np.ndarray  # shape (d, n, n)
+    basis: object  # a (d, n, n) numpy array
     basis_names: tuple = ()
     kind: str = field(default="matrix", init=False)
 
     def __post_init__(self):
+        import numpy as np
         basis = np.asarray(self.basis, dtype=float)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise AlgebraError("matrix basis must have shape (d, n, n)")
@@ -253,10 +319,12 @@ class MatrixGroup:
         """Constants of the basis commutators; raises if they do not close."""
         return LieAlgebra(structure_constants_from_matrix_basis(self.basis), self.basis_names)
 
-    def identity(self) -> np.ndarray:
+    def identity(self):
+        import numpy as np
         return np.eye(self.n)
 
-    def element(self, data) -> np.ndarray:
+    def element(self, data):
+        import numpy as np
         g = np.asarray(data, dtype=float)
         if g.shape != (self.n, self.n):
             raise AlgebraError(f"matrix element must be {self.n}x{self.n}")
@@ -264,12 +332,12 @@ class MatrixGroup:
             raise SingularElementError("matrix element is numerically singular")
         return g
 
-    def mul(self, a, b) -> np.ndarray:
+    def mul(self, a, b):
         """a @ b for elements or stacks of them."""
         shape = (self.n, self.n)
         return _last_axes(a, shape, "matrix element") @ _last_axes(b, shape, "matrix element")
 
-    def exp_segment(self, X, t=1.0) -> np.ndarray:
+    def exp_segment(self, X, t=1.0):
         """exp(t * X) of a d-vector, or one matrix per row of an (m, d) stack.
 
         ``t`` is a scalar or one value per row.  The whole stack goes through
@@ -277,6 +345,7 @@ class MatrixGroup:
         which gives each slice the bits of its own single call.  Raises
         ``AlgebraError`` when a result is not finite.
         """
+        import numpy as np
         X = _last_axes(X, (self.dim,), "algebra vector")
         A = np.einsum("...i,ijk->...jk", X, self.basis)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -285,16 +354,28 @@ class MatrixGroup:
             raise AlgebraError("matrix exponential is not finite")
         return E
 
-    def products(self, start, steps) -> np.ndarray:
-        """``(m + 1, n, n)`` running products of ``start`` and each matrix of ``steps``, in order."""
+    def products(self, start, X):
+        """``start`` and its running products with ``exp`` of each row of the stack ``X``, in order.
+
+        These are the ``(m + 1, n, n)`` points ``start @ exp(X_1) @ ... @
+        exp(X_k)``, with one stacked :meth:`exp_segment` for all rows.
+        Raises ``AlgebraError`` unless every point is finite and invertible:
+        a point that rounds to a singular matrix (say, exp(1e300 D)) has
+        left the range of floating point just as an overflowed one has.
+        """
+        import numpy as np
         out = [start]
-        for step in steps:
-            out.append(out[-1] @ step)
-        return np.array(out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in self.exp_segment(X):
+                out.append(out[-1] @ step)
+        out = np.array(out)
+        if not (np.isfinite(out).all() and np.linalg.slogdet(out)[0].all()):
+            raise AlgebraError("the group points are not finite and invertible")
+        return out
 
     def distance(self, a, b) -> float:
+        import numpy as np
         return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
 
     def to_jsonable(self, g) -> list:
-        return [[float(v) for v in row] for row in np.asarray(g, dtype=float)]
-
+        return [[float(v) for v in row] for row in g]

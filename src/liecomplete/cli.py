@@ -21,8 +21,6 @@ import math
 import sys
 from typing import Optional
 
-import numpy as np
-
 from .algebra import AbelianGroup, AlgebraError, MatrixGroup
 from .completion import (
     FrameConditionError,
@@ -149,7 +147,7 @@ def _action_from_file(path: str) -> Scenario:
         mats = [_matrix(m, "basis matrix") for m in raw] if isinstance(raw, list) else []
         if len(mats) != d or any(len(m) != len(m[0]) or len(m) != len(mats[0]) for m in mats):
             raise ConfigError("basis must be d matrices of equal square shape")
-        group = MatrixGroup(np.array(mats))
+        group = MatrixGroup(mats)
     else:
         raise ConfigError("group.type must be 'abelian' or 'matrix'")
 
@@ -185,14 +183,9 @@ def _action_from_file(path: str) -> Scenario:
         if not isinstance(row, list) or len(row) != n:
             raise ConfigError(f"fields[{i}] must list {n} component expressions")
         fields.append(_exprs(row, f"fields[{i}]"))
-    action = GAction(
-        group,
-        Domain(tuple(coords), box=box, margins=margins),
-        fields,
-        params=params,
-        name=spec.get("name", "custom"),
-    )
-    return Scenario(spec.get("name", "custom"), dict(params), action)
+    name = spec.get("name", "custom")
+    action = GAction(group, Domain(tuple(coords), box=box, margins=margins), fields, params, name=name)
+    return Scenario(name, dict(params), action)
 
 
 def _scenario_from_args(args) -> Scenario:
@@ -270,13 +263,13 @@ def _path_from_file(path: str, group) -> GPath:
     return GPath(group, start, segs)
 
 
-def _loop_from_file(path: str) -> np.ndarray:
+def _loop_from_file(path: str) -> list:
     spec = _load_json(path, "loop file")
     _check_keys(spec, ["points"], [], "loop file")
     pts = spec["points"]
     if not isinstance(pts, list) or len(pts) < 2:
         raise ConfigError("loop file needs at least two points")
-    return np.asarray(_matrix(pts, "loop points"))
+    return _matrix(pts, "loop points")
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +296,12 @@ def _write_json(path: Optional[str], payload: dict) -> None:
             fh.write(text)
 
 
-def _group_columns(action) -> list:
+def _group_columns(action) -> tuple:
+    """The CSV column names of a group point, and a function giving its cells in that order."""
     if action.group.kind == "abelian":
-        return [f"g_{name}" for name in action.algebra.basis_names]
+        return [f"g_{name}" for name in action.algebra.basis_names], tuple
     n = action.group.n
-    return [f"g_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+    return [f"g_{i + 1}{j + 1}" for i in range(n) for j in range(n)], lambda g: g.ravel()
 
 
 def _nan_to_none(v):
@@ -323,6 +317,8 @@ def _nan_to_none(v):
 def cmd_check(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     scenario = _scenario_from_args(args)
     action = scenario.action
     residual = check_homomorphism(action, sample_count=args.samples, seed=args.seed)
@@ -353,32 +349,21 @@ def cmd_lift(args) -> int:
     elif args.circle_turns is not None:
         if action.group.kind != "abelian" or action.group.dim != 2:
             raise ConfigError("--circle-turns requires a planar abelian group model")
-        start = (
-            _parse_vector(args.start_g, "--start-g")
-            if args.start_g
-            else [0.0, 0.0]
-        )
-        path = circle_loop_path(
-            start,
-            x0[:2],
-            turns=args.circle_turns,
-            chords_per_turn=args.chords_per_turn,
-            clockwise=args.clockwise,
-        )
+        start = _parse_vector(args.start_g, "--start-g") if args.start_g else [0.0, 0.0]
+        path = circle_loop_path(start, x0[:2], turns=args.circle_turns,
+                                chords_per_turn=args.chords_per_turn, clockwise=args.clockwise)
     else:
         raise ConfigError("a path is required (--path FILE or --circle-turns T)")
 
     result = lift_path(action, path, x0, cfg)
 
-    header = ["t"] + _group_columns(action) + list(action.domain.coords)
-    rows = ([t, *np.ravel(g), *m] for (t, g, m) in result.trace)
+    columns, cells = _group_columns(action)
+    header = ["t"] + columns + list(action.domain.coords)
+    rows = ([t, *cells(g), *m] for (t, g, m) in result.trace)
     _write_csv(args.out + ".trace.csv", header, rows)
     if args.plot:
-        _write_csv(
-            args.out + ".polyline.csv",
-            list(action.domain.coords),
-            (list(m) for (_, _, m) in result.trace),
-        )
+        _write_csv(args.out + ".polyline.csv", list(action.domain.coords),
+                   (list(m) for (_, _, m) in result.trace))
     summary = {
         "status": result.status,
         "endpoint_g": action.group.to_jsonable(result.endpoint_g),
@@ -404,8 +389,9 @@ def _default_frame(action, x0) -> list:
     A vector is kept when its field raises the rank of the fields kept before
     it, at ``isotropy``'s cutoff, until the orbit dimension is reached.
     """
+    import numpy as np
     iso = isotropy(action, x0)
-    F = action.field_matrix(x0)
+    F = np.array(action.field_matrix(x0))
     kept: list = []
     for i in range(action.dim_algebra):
         if len(kept) == iso.orbit_dim:
@@ -424,20 +410,10 @@ def cmd_holonomy(args) -> int:
     if args.substeps < 1:
         raise ConfigError(f"--substeps must be >= 1, got {args.substeps}")
     if args.frame:
-        frame = [
-            _parse_vector(row, "--frame") for row in args.frame.split(";")
-        ]
+        frame = [_parse_vector(row, "--frame") for row in args.frame.split(";")]
     else:
         frame = _default_frame(action, x0)
-    hol = loop_to_group(
-        action,
-        frame,
-        loop,
-        x0,
-        cfg,
-        closed=not args.open,
-        substeps=args.substeps,
-    )
+    hol = loop_to_group(action, frame, loop, x0, cfg, closed=not args.open, substeps=args.substeps)
     payload = {
         "element": action.group.to_jsonable(hol.element),
         "round_trip_residual": _nan_to_none(hol.round_trip_residual),
@@ -460,6 +436,8 @@ def cmd_classify(args) -> int:
     scenario = _scenario_from_args(args)
     if scenario.name != "example6_helicoid":
         raise ConfigError("classify requires the example6_helicoid scenario")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol}")
     alpha = scenario.params["alpha"]
     spec = _load_json(args.points, "points file")
     _check_keys(spec, ["points"], [], "points file")
@@ -477,16 +455,8 @@ def cmd_classify(args) -> int:
         except ScenarioError as e:
             raise ConfigError(f"points[{i}]: {e}") from None
         invariants.append(inv)
-        records.append(
-            {
-                "index": i,
-                "g": g,
-                "x": x,
-                "base": list(inv.base),
-                "kind": inv.kind,
-                "value": inv.value,
-            }
-        )
+        records.append({"index": i, "g": g, "x": x, "base": list(inv.base),
+                        "kind": inv.kind, "value": inv.value})
     groups: list = []
     reps: list = []
     for i, inv in enumerate(invariants):
@@ -581,6 +551,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _linalg_errors() -> tuple:
+    """numpy's ``LinAlgError`` once numpy is loaded; only the matrix model and SVDs load it."""
+    np = sys.modules.get("numpy")
+    return () if np is None else (np.linalg.LinAlgError,)
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
@@ -591,7 +567,7 @@ def main(argv: Optional[list] = None) -> int:
     except _CONFIG_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ArithmeticError, np.linalg.LinAlgError) as e:
+    except (ArithmeticError, *_linalg_errors()) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from .flow import COMPLETE, ESCAPED, IntegratorConfig
 from .lift import ExpSeg, GPath, LiftResult, lift_path
 
@@ -75,9 +73,10 @@ class LoopGeometryError(ValueError):
 
 @dataclass
 class IsotropyReport:
+    """The isotropy subalgebra at a point, from the SVD of the evaluation map."""
     point: tuple
     singular_values: tuple          # descending, padded with zeros to length d
-    nullspace: np.ndarray           # rows form an orthonormal basis of the isotropy
+    nullspace: object               # an array whose rows form an orthonormal basis of the isotropy
     orbit_dim: int
     cutoff: float                   # singular values below this count as null
 
@@ -92,11 +91,12 @@ def isotropy(action, x, tol: float = 1e-8) -> IsotropyReport:
     Directions with singular value below ``tol * sigma_max`` count as null;
     if every singular value is below ``tol`` the cutoff is absolute.
     """
+    import numpy as np
     x = [float(v) for v in x]
     action.require_inside(x)
     d = action.dim_algebra
     # evaluation map g -> T_x M has the basis fields as columns
-    B = action.field_matrix(x).T
+    B = np.array(action.field_matrix(x)).T
     U, s, Vt = np.linalg.svd(B, full_matrices=True)
     sigmas = np.zeros(d)
     sigmas[: len(s)] = s
@@ -109,6 +109,7 @@ def isotropy(action, x, tol: float = 1e-8) -> IsotropyReport:
 
 @dataclass
 class LeafRecord:
+    """Whether two graph points ``(g, x)`` were found on one leaf, and the witness lift."""
     a: tuple                         # (g, x)
     b: tuple
     verdict: str
@@ -143,38 +144,24 @@ def same_leaf(
 
     x_a = [float(v) for v in x_a]
     x_b = [float(v) for v in x_b]
+    ends = ((g_a, tuple(x_a)), (g_b, tuple(x_b)))
     if not witness.segments:
         # empty witness: only the trivial identification a == b is asserted
         residual = max(abs(p - q) for p, q in zip(x_a, x_b)) if x_a else 0.0
-        verdict = IDENTIFIED if residual < tol else NOT_IDENTIFIED
-        return LeafRecord((g_a, tuple(x_a)), (g_b, tuple(x_b)), verdict, residual)
+        return LeafRecord(*ends, IDENTIFIED if residual < tol else NOT_IDENTIFIED, residual)
 
     result = lift_path(action, witness, x_a, cfg)
     if result.status != COMPLETE:
-        return LeafRecord(
-            (g_a, tuple(x_a)),
-            (g_b, tuple(x_b)),
-            WITNESS_ESCAPED,
-            math.inf,
-            witness_winding=result.winding,
-            lift=result,
-        )
-    residual = float(
-        np.linalg.norm(np.asarray(result.endpoint_m) - np.asarray(x_b))
-    )
-    verdict = IDENTIFIED if residual < tol else NOT_IDENTIFIED
-    return LeafRecord(
-        (g_a, tuple(x_a)),
-        (g_b, tuple(x_b)),
-        verdict,
-        residual,
-        witness_winding=result.winding,
-        lift=result,
-    )
+        verdict, residual = WITNESS_ESCAPED, math.inf
+    else:
+        residual = math.dist(result.endpoint_m, x_b)
+        verdict = IDENTIFIED if residual < tol else NOT_IDENTIFIED
+    return LeafRecord(*ends, verdict, residual, witness_winding=result.winding, lift=result)
 
 
 @dataclass
 class HolonomyElement:
+    """The group element a manifold loop returns to, with its re-lift residual."""
     element: object                  # group element the loop returns to
     round_trip_residual: float
     loop_points: int
@@ -187,7 +174,7 @@ _GL2_OFFSET = 0.5 / math.sqrt(3.0)
 _MAGNUS4 = math.sqrt(3.0) / 12.0
 
 
-def _sub_chord_segments(action, frame: np.ndarray, pts: np.ndarray, substeps: int) -> list:
+def _sub_chord_segments(action, frame, pts, substeps: int) -> list:
     """One Magnus segment per sub-chord of the loop polyline ``pts``, in loop order.
 
     The two Gauss nodes of every sub-chord are built as one ``(N, n)`` array.
@@ -197,6 +184,7 @@ def _sub_chord_segments(action, frame: np.ndarray, pts: np.ndarray, substeps: in
     node of the first failing check (domain, then condition, then residual)
     names the error.
     """
+    import numpy as np
     n_chords = pts.shape[0] - 1
     dt = 1.0 / (n_chords * substeps)
     # node fractions along a chord: (lo, hi) of sub-chord 0, then of sub-chord 1, ...
@@ -268,6 +256,7 @@ def loop_to_group(
     ``affine_line`` walks of 64-256 points, one sub-chord per chord misses a
     1e-7 relative accuracy on most walks and two come within 15 % of it.
     """
+    import numpy as np
     cfg = cfg or IntegratorConfig()
     if substeps < 1:
         raise ValueError("substeps must be >= 1")

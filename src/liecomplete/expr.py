@@ -81,21 +81,25 @@ _FUNCTION_ARITY = {
 
 @dataclass(frozen=True)
 class Num:
+    """A number literal."""
     value: float
 
 
 @dataclass(frozen=True)
 class Var:
+    """A coordinate or parameter name."""
     name: str
 
 
 @dataclass(frozen=True)
 class Neg:
+    """Unary minus."""
     arg: "Node"
 
 
 @dataclass(frozen=True)
 class Bin:
+    """A binary operation."""
     op: str  # one of + - * /
     left: "Node"
     right: "Node"
@@ -103,12 +107,14 @@ class Bin:
 
 @dataclass(frozen=True)
 class Pow:
+    """A power with an integer exponent."""
     base: "Node"
     exponent: int
 
 
 @dataclass(frozen=True)
 class Call:
+    """A call of a built-in function."""
     fn: str
     args: tuple
 

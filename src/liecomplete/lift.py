@@ -29,9 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
+from operator import mul
 from typing import Callable, List, Optional, Sequence
-
-import numpy as np
 
 from .algebra import AlgebraError
 from .flow import COMPLETE, ESCAPED, IntegratorConfig, integrate_autonomous
@@ -68,12 +68,14 @@ class LiftEscapedError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearSeg:
+    """An abelian segment: total displacement ``delta`` over a clock weight ``duration``."""
     delta: tuple
     duration: float = 1.0
 
 
 @dataclass(frozen=True)
 class ExpSeg:
+    """A segment ``exp(tau * X)`` for ``tau`` in ``[0, duration]``: ``X`` is a rate."""
     X: tuple
     duration: float = 1.0
 
@@ -91,57 +93,49 @@ class GPath:
         except AlgebraError as exc:
             raise PathError(f"bad start point: {exc}") from exc
         segs = list(segments)
-        d = group.dim
+        abelian = group.kind == "abelian"
         raw: list = []
         durations: List[float] = []
+        scale: List[float] = []   # the total log-displacement of an ExpSeg is duration * X
         for s in segs:
-            if not (s.duration > 0.0 and math.isfinite(s.duration)):
+            dur = s.duration
+            if not (dur > 0.0 and math.isfinite(dur)):
                 raise PathError("segment durations must be positive and finite")
+            dur = float(dur)
             if isinstance(s, LinearSeg):
-                if group.kind != "abelian":
+                if not abelian:
                     raise PathError("LinearSeg requires the abelian group model")
                 raw.append(s.delta)   # total displacement
+                scale.append(1.0)
             elif isinstance(s, ExpSeg):
-                raw.append(s.X)       # a rate; scaled by the duration below
+                raw.append(s.X)       # a rate
+                scale.append(dur)
             else:
                 raise PathError(f"unknown segment type {type(s).__name__}")
-            durations.append(float(s.duration))
-        try:
-            vecs = np.array(raw, dtype=float) if segs else np.empty((0, d))
-            shape_ok = vecs.shape == (len(segs), d)
-        except ValueError:   # ragged: the vectors have different lengths
-            shape_ok = False
-        if not shape_ok:
+            durations.append(dur)
+        d = group.dim
+        try:   # column by column: the rows must all have length d
+            cols = [list(map(mul, scale, map(float, col))) for col in zip(*raw, strict=True)]
+        except (TypeError, ValueError):
+            cols = None
+        if cols is None or (segs and len(cols) != d):
             raise PathError(f"segment vector must have length {d}")
-        # the total log-displacement of an ExpSeg is duration * X
-        scale = [dur if isinstance(s, ExpSeg) else 1.0 for s, dur in zip(segs, durations)]
-        with np.errstate(over="ignore"):
-            vecs = vecs * np.array(scale).reshape(-1, 1)
-        if not np.all(np.isfinite(vecs)):
+        if not all(map(math.isfinite, chain.from_iterable(cols))):
             raise PathError("segment vector must be finite")
         self.segments = tuple(segs)
-        self._vecs = vecs
-        self._vec_rows = vecs.tolist()
+        self._vecs = list(zip(*cols))
         total = sum(durations)
-        self.widths = [dur / total for dur in durations] if segs else []
-        bounds = [0.0]
-        for w in self.widths:
-            bounds.append(bounds[-1] + w)
+        self.widths = [dur / total for dur in durations]
+        bounds = [0.0, *accumulate(self.widths)]
         if segs:
             bounds[-1] = 1.0
         self._bounds = bounds
 
         # closed-form prefix displacements: group point at each segment start
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._prefix = group.products(self.start, group.exp_segment(vecs))
+            self._prefix = group.products(self.start, self._vecs)
         except AlgebraError as exc:
-            raise PathError(f"bad segment: {exc}") from exc
-        # a matrix point that rounds to a singular one (say, exp(1e300 D)) has
-        # left the range of floating point just as an overflowed one has
-        if not np.all(np.isfinite(self._prefix)) or (
-                group.kind == "matrix" and not np.linalg.slogdet(self._prefix)[0].all()):
-            raise PathError("the path's group points are not finite and invertible")
+            raise PathError(f"bad path: {exc}") from exc
 
     @property
     def n_segments(self) -> int:
@@ -153,13 +147,10 @@ class GPath:
     def velocity(self, k: int) -> list:
         """Left-logarithmic derivative on segment k w.r.t. the path clock."""
         w = self.widths[k]
-        return [v / w for v in self._vec_rows[k]]
+        return [v / w for v in self._vecs[k]]
 
-    def group_point(self, k, frac):
-        """Group point a fraction ``frac`` of the way through segment k.
-
-        ``k`` and ``frac`` may also be equal-length sequences, for a stack of points.
-        """
+    def group_point(self, k: int, frac: float):
+        """Group point a fraction ``frac`` of the way through segment k."""
         # a LinearSeg's point is the abelian exp(frac * delta), which is frac * delta
         return self.group.mul(self._prefix[k], self.group.exp_segment(self._vecs[k], frac))
 
@@ -181,14 +172,15 @@ class GPath:
             # rebuild from total displacements so endpoints survive reweighting
             for s, vec, w in zip(p.segments, p._vecs, p.widths):
                 if isinstance(s, LinearSeg):
-                    segs.append(LinearSeg(tuple(vec), w))
+                    segs.append(LinearSeg(vec, w))
                 else:
-                    segs.append(ExpSeg(tuple(vec / w), w))
+                    segs.append(ExpSeg(tuple(v / w for v in vec), w))
         return GPath(self.group, self.start, segs)
 
 
 @dataclass
 class LiftResult:
+    """A lift of a group path: its verdict, endpoints, trace rows and winding."""
     status: str
     endpoint_g: object
     endpoint_m: tuple
@@ -212,6 +204,7 @@ class LiftResult:
 
 @dataclass
 class FlowOutcome:
+    """A flow of one fundamental field, on the flow's own clock."""
     status: str
     endpoint: tuple
     trace: list                      # [(t, point tuple), ...] times in flow units
@@ -226,6 +219,7 @@ class FlowOutcome:
 
 @dataclass
 class WordOutcome:
+    """A word of flows, on a clock that adds up the stage times' magnitudes."""
     status: str
     endpoint: tuple
     trace: list
@@ -284,8 +278,10 @@ class _WindingTracker:
 def _check_group_compat(g1, g2):
     if g1.kind != g2.kind or g1.dim != g2.dim:
         raise PathError("the group models do not match")
-    if g1.kind == "matrix" and (g1.n != g2.n or not np.allclose(g1.basis, g2.basis)):
-        raise PathError("the group models use different matrix bases")
+    if g1.kind == "matrix":
+        import numpy as np
+        if g1.n != g2.n or not np.allclose(g1.basis, g2.basis):
+            raise PathError("the group models use different matrix bases")
 
 
 def lift_path(
@@ -381,7 +377,9 @@ def _resolve(path: GPath, rows) -> list:
     """Trace rows ``(t, g, m)`` from rows ``(t, k, frac, m)`` of a lift of ``path``."""
     t0, _, _, m0 = rows[0]
     rest = rows[1:]
-    points = path.group_point([k for (_, k, _, _) in rest], [frac for (_, _, frac, _) in rest])
+    G, ks = path.group, [k for (_, k, _, _) in rest]
+    steps = G.exp_segment([path._vecs[k] for k in ks], [frac for (_, _, frac, _) in rest])
+    points = G.mul([path._prefix[k] for k in ks], steps)
     return [(t0, path.start, m0)] + [(t, g, m) for (t, _, _, m), g in zip(rest, points)]
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
-
-import numpy as np
 
 from .expr import EVAL_ERRORS, Expr, _define, _is_const, _name_map, _py_float, _render_py, compile_scalars
 
@@ -187,7 +187,7 @@ class GAction:
         self._field_fn = compile_scalars(flat, domain.coords, self.params)
         self._margin = _compile_margin(domain, self.params)
         self._contractions: dict = {}  # which coefficients are non-zero -> rhs factory
-        self._partials = None  # lazy (d, n, n) grid for the homomorphism check
+        self._partials = None  # lazy, for the homomorphism check
 
     @property
     def dim_algebra(self) -> int:
@@ -215,8 +215,8 @@ class GAction:
 
     # -- field evaluation ---------------------------------------------------
 
-    def field_matrix(self, p) -> np.ndarray:
-        """All basis fields at p as a (d, n) array.  No domain check.
+    def field_matrix(self, p) -> list:
+        """All basis fields at p as d rows of n floats.  No domain check.
 
         Raises ``ActionError`` naming p where a field cannot be evaluated or
         is not finite.
@@ -228,15 +228,19 @@ class GAction:
             raise ActionError(f"fields cannot be evaluated at {vals}: {e}") from None
         if not all(map(math.isfinite, flat)):
             raise ActionError(f"fields are not finite at {vals}")
-        return np.array(flat, dtype=float).reshape(self.dim_algebra, self.dim_manifold)
+        n = self.dim_manifold
+        return [list(flat[i:i + n]) for i in range(0, len(flat), n)]
 
-    def zeta(self, X, p) -> np.ndarray:
+    def zeta(self, X, p) -> list:
         """Value of the fundamental field of X at p (p must be inside)."""
-        X = np.asarray(X, dtype=float)
-        if X.shape != (self.dim_algebra,):
+        try:
+            X = [float(v) for v in X]
+        except (TypeError, ValueError):
+            X = None
+        if X is None or len(X) != self.dim_algebra:
             raise ActionError("zeta expects a d-vector of algebra coefficients")
         self.require_inside(p)
-        return X @ self.field_matrix(p)
+        return [sum(map(mul, X, col)) for col in zip(*self.field_matrix(p))]
 
     def rhs(self, X) -> Callable:
         """Velocity field y -> sum_i X_i zeta_i(y) as a fast list-in/list-out fn.
@@ -258,30 +262,25 @@ class GAction:
 
     # -- homomorphism check -------------------------------------------------
 
-    def _partial_fns(self):
+    def _partial_fn(self) -> Callable:
+        """One generated function: every d(field_i^k)/dx_l at a point, flat in (i, k, l) order."""
         if self._partials is None:
-            grid = []
-            for row in self.fields:
-                comp = []
-                for e in row:
-                    diffs = [e.diff(c) for c in self.domain.coords]
-                    comp.append(compile_scalars(diffs, self.domain.coords, self.params))
-                grid.append(comp)
-            self._partials = grid
+            coords = self.domain.coords
+            diffs = [e.diff(c) for row in self.fields for e in row for c in coords]
+            self._partials = compile_scalars(diffs, coords, self.params)
         return self._partials
 
 
-def sample_points(action: GAction, count: int, seed: int = 0) -> np.ndarray:
+def sample_points(action: GAction, count: int, seed: int = 0) -> list:
     """Rejection-sample ``count`` points with margin above ``SAMPLING_MARGIN``.
 
-    Points are drawn from the domain's box, whose unbounded sides default to
-    ``+-DEFAULT_SAMPLING_HALF_WIDTH``.
+    Points are drawn by ``random.Random(seed)`` from the domain's box, whose
+    unbounded sides default to ``+-DEFAULT_SAMPLING_HALF_WIDTH``.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     w = DEFAULT_SAMPLING_HALF_WIDTH
     box = [b or (None, None) for b in action.domain.box or [None] * action.dim_manifold]
-    lo = np.array([-w if b[0] is None else b[0] for b in box])
-    hi = np.array([w if b[1] is None else b[1] for b in box])
+    sides = [(-w if lo is None else lo, w if hi is None else hi) for lo, hi in box]
     out = []
     attempts = 0
     max_attempts = max(10_000, 200 * count)
@@ -290,11 +289,11 @@ def sample_points(action: GAction, count: int, seed: int = 0) -> np.ndarray:
             raise SamplingError(
                 f"domain sampling acceptance too low ({len(out)}/{attempts} accepted)"
             )
-        p = lo + (hi - lo) * rng.random(len(lo))
+        p = [lo + (hi - lo) * rng.random() for lo, hi in sides]
         attempts += 1
         if action.margin(p) > SAMPLING_MARGIN:
             out.append(p)
-    return np.array(out)
+    return out
 
 
 def check_homomorphism(
@@ -314,25 +313,21 @@ def check_homomorphism(
     if d < 2:
         return 0.0
     points = sample_points(action, sample_count, seed=seed)
-    partials = action._partial_fns()
+    partials = action._partial_fn()
     c = action.algebra.c
     worst = 0.0
-    for p in points:
-        vals = [float(v) for v in p]
-        F = action.field_matrix(vals)
-        rows = F.tolist()   # Python floats: an overflow gives inf or NaN silently
-        # dF[i][k][l] = d(field_i^k)/dx_l
+    for vals in points:
+        rows = action.field_matrix(vals)   # Python floats: an overflow gives inf or NaN silently
         try:
-            dF = [
-                [partials[i][k](*vals) for k in range(n)]
-                for i in range(d)
-            ]
+            flat = partials(*vals)
         except EVAL_ERRORS as e:
             raise ActionError(f"field partials cannot be evaluated at {vals}: {e}") from None
-        if not all(math.isfinite(v) for row in dF for comp in row for v in comp):
+        if not all(map(math.isfinite, flat)):
             raise ActionError(f"field partials are not finite at {vals}")
+        # dF[i][k][l] = d(field_i^k)/dx_l
+        dF = [[flat[m:m + n] for m in range(i * n * n, (i + 1) * n * n, n)] for i in range(d)]
         for i, j in itertools.combinations(range(d), 2):
-            expected = (c[i, j] @ F).tolist()
+            expected = [sum(map(mul, c[i][j], col)) for col in zip(*rows)]
             sq = 0.0
             for k in range(n):
                 lie = 0.0

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
-import numpy as np
-
 from .algebra import AbelianGroup, MatrixGroup
 from .expr import parse
 from .manifold import Domain, GAction
@@ -68,36 +66,25 @@ class Scenario:
 # builders
 
 
+def _f_id(x):
+    return [float(v) for v in x]
+
+
+def _translate(g, v):
+    """The planar or R^n translation of ``v`` by ``-g``; coordinates past ``g`` stay."""
+    return [a - b for a, b in zip(v, g)] + list(v[len(g):])
+
+
 def _build_translation_rn(params) -> Scenario:
     n = params["n"]
     if n != int(n) or n < 1:
         raise ScenarioError("translation_rn needs an integer n >= 1")
     n = int(n)
     coords = tuple(f"x{i + 1}" for i in range(n))
-    fields = [
-        [parse("1") if i == j else parse("0") for j in range(n)]
-        for i in range(n)
-    ]
-    action = GAction(
-        AbelianGroup(n),
-        Domain(coords),
-        fields,
-        name="translation_rn",
-    )
-
-    def f_id(x):
-        return np.asarray(x, dtype=float)
-
-    def act(g, v):
-        return np.asarray(v, dtype=float) - np.asarray(g, dtype=float)
-
-    return Scenario(
-        "translation_rn",
-        {"n": n},
-        action,
-        "translations of R^n (complete)",
-        equivariant_target=(f_id, act),
-    )
+    fields = [[parse("1") if i == j else parse("0") for j in range(n)] for i in range(n)]
+    action = GAction(AbelianGroup(n), Domain(coords), fields, name="translation_rn")
+    return Scenario("translation_rn", {"n": n}, action, "translations of R^n (complete)",
+                    equivariant_target=(_f_id, _translate))
 
 
 def _build_example4_annulus(params) -> Scenario:
@@ -112,26 +99,18 @@ def _build_example4_annulus(params) -> Scenario:
         [parse("cos(theta)"), parse("-sin(theta)/r")],
         [parse("sin(theta)"), parse("cos(theta)/r")],
     ]
-    action = GAction(
-        AbelianGroup(2, ("X", "Y")),
-        domain,
-        fields,
-        name="example4_annulus",
-    )
+    action = GAction(AbelianGroup(2, ("X", "Y")), domain, fields, name="example4_annulus")
 
     def p_map(x):
         r, th = float(x[0]), float(x[1])
-        return np.array([r * math.cos(th), r * math.sin(th)])
-
-    def act(g, v):
-        return np.asarray(v, dtype=float) - np.asarray(g, dtype=float)
+        return [r * math.cos(th), r * math.sin(th)]
 
     return Scenario(
         "example4_annulus",
         {"r0": r0, "r1": r1, "theta_min": th0, "theta_max": th1},
         action,
         "plane translations pulled back through the polar covering of a strip",
-        equivariant_target=(p_map, act),
+        equivariant_target=(p_map, _translate),
     )
 
 
@@ -152,63 +131,34 @@ def _build_example6_helicoid(params) -> Scenario:
         winding_plane=lambda p: (p[0], p[1]),
         name="example6_helicoid",
     )
-    target = None
-    if alpha == 0.0:
-        def f_id(x):
-            return np.asarray(x, dtype=float)
-
-        def act(g, v):
-            v = np.array(v, dtype=float)
-            v[0] -= g[0]
-            v[1] -= g[1]
-            return v
-
-        target = (f_id, act)
-    return Scenario(
-        "example6_helicoid",
-        {"alpha": alpha},
-        action,
-        "helicoidal shear action on R^3 minus the z-axis",
-        equivariant_target=target,
-    )
+    return Scenario("example6_helicoid", {"alpha": alpha}, action,
+                    "helicoidal shear action on R^3 minus the z-axis",
+                    equivariant_target=(_f_id, _translate) if alpha == 0.0 else None)
 
 
 # affine basis: T (translation) and D (dilation) with [T, D] = T, matching
 # [d/dx, x d/dx] = d/dx, realized by 2x2 matrices; signs chosen so
 # act(g, v) = a*v - b has generator -d/dt
-_AFFINE_BASIS = np.array(
-    [
-        [[0.0, 1.0], [0.0, 0.0]],    # T: exp(tT) = [[1, t], [0, 1]]
-        [[-1.0, 0.0], [0.0, 0.0]],   # D: exp(tD) = [[e^-t, 0], [0, 1]]
-    ]
-)
+_AFFINE_BASIS = [
+    [[0.0, 1.0], [0.0, 0.0]],    # T: exp(tT) = [[1, t], [0, 1]]
+    [[-1.0, 0.0], [0.0, 0.0]],   # D: exp(tD) = [[e^-t, 0], [0, 1]]
+]
 
 
 def _build_affine_line(params) -> Scenario:
-    action = GAction(
-        MatrixGroup(_AFFINE_BASIS, ("T", "D")),
-        Domain(("x",)),
-        [[parse("1")], [parse("x")]],
-        name="affine_line",
-    )
-
-    def f_id(x):
-        return np.asarray(x, dtype=float)
+    group = MatrixGroup(_AFFINE_BASIS, ("T", "D"))
+    action = GAction(group, Domain(("x",)), [[parse("1")], [parse("x")]], name="affine_line")
 
     def act(g, v):
         # act([[a, b], [0, 1]], v) = a*v - b; with the basis above this is the
         # left action whose minus-derivative gives the stored fields, so
         # act(c(t), y(t)) stays constant along every lift
         a, b = float(g[0][0]), float(g[0][1])
-        return a * np.asarray(v, dtype=float) - b
+        return [a * float(x) - b for x in v]
 
-    return Scenario(
-        "affine_line",
-        {},
-        action,
-        "affine transformations of the line (matrix model; complete, transitive)",
-        equivariant_target=(f_id, act),
-    )
+    return Scenario("affine_line", {}, action,
+                    "affine transformations of the line (matrix model; complete, transitive)",
+                    equivariant_target=(_f_id, act))
 
 
 _BUILDERS = {
@@ -291,14 +241,16 @@ class LeafInvariant:
 
 
 def leaf_invariant(alpha: float, g, x) -> LeafInvariant:
-    g = np.asarray(g, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if g.shape != (2,) or x.shape != (3,):
+    try:
+        g, x = [float(v) for v in g], [float(v) for v in x]
+    except (TypeError, ValueError):
+        g = x = []
+    if len(g) != 2 or len(x) != 3:
         raise ScenarioError("leaf_invariant expects g in R^2 and x in R^3")
     if x[0] == 0.0 and x[1] == 0.0:
         raise ScenarioError("manifold point lies on the excluded axis")
-    base = (float(g[0] - x[0]), float(g[1] - x[1]))
-    u = float(x[2])
+    base = (g[0] - x[0], g[1] - x[1])
+    u = x[2]
     if alpha == 0.0:
         return LeafInvariant(base, "alpha0", u)
     if u == 0.0:
@@ -347,18 +299,18 @@ def circle_loop_path(
         raise ScenarioError(f"turns must be finite and positive, got {turns!r}")
     if not chords_per_turn >= 1:
         raise ScenarioError(f"chords_per_turn must be at least 1, got {chords_per_turn!r}")
-    x0_plane = np.asarray(x0_plane, dtype=float)
-    if x0_plane.shape != (2,):
-        raise ScenarioError("x0_plane must be a 2-vector")
-    radius = float(np.hypot(x0_plane[0], x0_plane[1]))
+    try:
+        px, py = map(float, x0_plane)
+    except (TypeError, ValueError):
+        raise ScenarioError("x0_plane must be a 2-vector") from None
+    # abs of a complex is the C library's hypot, as numpy's hypot is
+    radius = abs(complex(px, py))
     if radius == 0.0:
         raise ScenarioError("cannot wind a circle of radius zero")
-    theta0 = math.atan2(x0_plane[1], x0_plane[0])
+    theta0 = math.atan2(py, px)
     n = max(1, int(round(chords_per_turn * turns)))
     sweep = 2.0 * math.pi * turns * (-1.0 if clockwise else 1.0)
-    start_g = np.asarray(start_g, dtype=float)
     segs = []
-    px, py = float(x0_plane[0]), float(x0_plane[1])
     for k in range(1, n + 1):
         th = theta0 + sweep * k / n
         qx, qy = radius * math.cos(th), radius * math.sin(th)
@@ -377,15 +329,13 @@ def equal_p_witness(scenario: Scenario, g, x_strip, y_strip, chords: int = 128) 
     if scenario.name != "example4_annulus":
         raise ScenarioError("equal_p_witness is specific to example4_annulus")
     p_map = scenario.equivariant_target[0]
-    x_strip = np.asarray(x_strip, dtype=float)
-    y_strip = np.asarray(y_strip, dtype=float)
     segs = []
     prev = p_map(x_strip)
     for k in range(1, chords + 1):
-        pt = p_map(x_strip + (y_strip - x_strip) * (k / chords))
-        segs.append(LinearSeg(tuple(pt - prev), 1.0))
+        pt = p_map([a + (b - a) * (k / chords) for a, b in zip(x_strip, y_strip)])
+        segs.append(LinearSeg((pt[0] - prev[0], pt[1] - prev[1]), 1.0))
         prev = pt
-    return GPath(scenario.action.group, np.asarray(g, dtype=float), segs)
+    return GPath(scenario.action.group, g, segs)
 
 
 def universal_constancy_check(
@@ -413,11 +363,10 @@ def universal_constancy_check(
     cfg = replace(cfg, max_step=cap if cfg.max_step is None else min(cfg.max_step, cap))
     result = lift_path(scenario.action, path, x0, cfg)
     rows = result.trace
-    ref = np.asarray(act(rows[0][1], f_map(rows[0][2])), dtype=float)
+    ref = act(rows[0][1], f_map(rows[0][2]))
     worst = 0.0
     for (_, g_t, m_t) in rows[1:]:
-        val = np.asarray(act(g_t, f_map(m_t)), dtype=float)
-        dev = float(np.max(np.abs(val - ref)))
+        dev = max(abs(a - b) for a, b in zip(act(g_t, f_map(m_t)), ref))
         if dev > worst:
             worst = dev
     return worst

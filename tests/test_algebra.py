@@ -1,5 +1,7 @@
 """Structure constants, brackets, and the two group models."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -30,8 +32,8 @@ def aff():
 
 def test_aff_structure_constants(aff):
     # [Y, X] = X: hand matrix commutator of the representation
-    assert np.allclose(aff.c[1, 0], [1.0, 0.0])
-    assert np.allclose(aff.c[0, 1], [-1.0, 0.0])
+    assert aff.c[1][0] == (1.0, 0.0)
+    assert aff.c[0][1] == (-1.0, 0.0)
 
 
 def test_bracket_aff(aff):
@@ -160,18 +162,28 @@ def test_element_shape_checked():
         G.element([1.0, 0.0])
 
 
+def _bytes(a) -> bytes:
+    """The bits of an element or a stack of them: tuples and lists of tuples for the abelian model."""
+    return np.asarray(a, dtype=float).tobytes()
+
+
 @pytest.mark.parametrize("G", [AbelianGroup(2), MatrixGroup(AFF_BASIS)], ids=["abelian", "matrix"])
 def test_stacks_give_the_bits_of_single_calls(G):
     rng = np.random.default_rng(0)
     X, t = rng.normal(size=(5, 2)), rng.uniform(-1.0, 1.0, size=5)
     g = G.exp_segment(rng.normal(size=2))
     steps = G.exp_segment(X, t)
-    prefix = G.products(g, steps)
-    assert prefix[0].tobytes() == g.tobytes()
     for i in range(5):
-        assert steps[i].tobytes() == G.exp_segment(X[i], t[i]).tobytes()
-        assert prefix[i + 1].tobytes() == G.mul(prefix[i], steps[i]).tobytes()
-    assert G.mul(prefix[:-1], steps).tobytes() == prefix[1:].tobytes()
+        assert _bytes(steps[i]) == _bytes(G.exp_segment(X[i], t[i]))
+    # products: the points after each row of log-displacements, one multiplication each
+    Xt = X * t[:, None]
+    steps = G.exp_segment(Xt)
+    prefix = G.products(g, Xt)
+    assert _bytes(prefix[0]) == _bytes(g)
+    for i in range(5):
+        assert _bytes(steps[i]) == _bytes(G.exp_segment(Xt[i]))
+        assert _bytes(prefix[i + 1]) == _bytes(G.mul(prefix[i], steps[i]))
+    assert _bytes(G.mul(prefix[:-1], steps)) == _bytes(prefix[1:])
     wrong = np.zeros(3) if G.kind == "abelian" else np.eye(3)
     for a, b in ((g, wrong), (np.stack([wrong, wrong]), g)):
         with pytest.raises(AlgebraError):
@@ -263,6 +275,22 @@ def test_a_non_finite_exponential_is_an_error(X):
         G.exp_segment([(0.1, 0.2), X])
 
 
+def test_a_one_norm_that_overflows_is_scaled_first():
+    # exp(A) = I + (1 - e^-a) / a * A = [[e^-a, 0], [1 - e^-a, 1]] for A = [[-a, 0], [a, 0]],
+    # whose entries are finite but whose 1-norm 2a overflows from a = 2**1023 on
+    G = _gl(2)
+    for a in (1.0, 1e300, 1e308, 1.7e308):
+        E = G.exp_segment((-a, 0.0, a, 0.0))
+        ref = [[math.exp(-a), 0.0], [-math.expm1(-a), 1.0]]
+        assert np.abs(E - ref).max() <= 1e-15, (a, E)   # [[0, 0], [1, 1]] from a = 1e300 on
+    # next to a slice of ordinary norm, which keeps the bits of its own call
+    X = [(0.1, 0.2, 0.3, 0.4), (-1e308, 0.0, 1e308, 0.0)]
+    assert G.exp_segment(X)[0].tobytes() == G.exp_segment(X[0]).tobytes()
+    for bad in ((-math.inf, 0.0, 1e308, 0.0), (math.nan, 0.0, 1e308, 0.0)):
+        with pytest.raises(AlgebraError):
+            G.exp_segment(bad)
+
+
 def test_large_translations_keep_an_exact_diagonal():
     # a triangular slice's diagonal is exp of its own at every squaring, so
     # hundreds of squarings do not decay it
@@ -284,12 +312,12 @@ def test_matrix_model_algebra_has_affine_lines_constants():
     c[0, 1, 0] = 1.0
     c[1, 0, 0] = -1.0
     group = build("affine").action.group
-    assert MatrixGroup(group.basis).algebra.c.tobytes() == c.tobytes()
+    assert np.array(MatrixGroup(group.basis).algebra.c).tobytes() == c.tobytes()
     assert group.algebra.basis_names == ("T", "D")
 
 
 def test_abelian_model_algebra_is_abelian():
     G = AbelianGroup(3, ("a", "b", "c"))
-    assert G.algebra.c.shape == (3, 3, 3) and not G.algebra.c.any()
+    assert G.algebra.c == (((0.0,) * 3,) * 3,) * 3
     assert G.algebra.basis_names == ("a", "b", "c")
     assert AbelianGroup(2).algebra.basis_names == ("X1", "X2")

@@ -77,6 +77,35 @@ def test_matrix_model_runs_leave_scipy_out(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "[0, 0] []"
 
 
+def test_abelian_runs_leave_numpy_out(tmp_path):
+    # importing numpy would be most of the start-up time: the package, and
+    # check, lift and classify on abelian actions, never load it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liecomplete.__file__)))
+    action = _write(tmp_path, "flipped.json", FLIPPED_ACTION)
+    path = _write(tmp_path, "path.json", {"start": [0.5, 0.0], "segments": [
+        {"type": "linear", "delta": [-0.5, 0.25]}, {"type": "exp", "X": [0.1, 0.2], "duration": 2}]})
+    points = _write(tmp_path, "pts.json", {"points": [{"g": [0, 0], "x": [1, 0, 1]}]})
+    out = str(tmp_path / "o")
+    runs = [["check", "--scenario", "example6"],
+            ["check", "--scenario-file", action],
+            ["lift", "--scenario", "example6", "--x0", "1,0,1", "--circle-turns", "1", "--out", out],
+            ["lift", "--scenario", "example6", "--x0", "1,0,1", "--path", path, "--out", out],
+            ["classify", "--scenario", "example6", "--points", points]]
+    code = ("import sys\n"
+            "def numpy_loaded():\n"
+            "    return any(m.split('.')[0] == 'numpy' for m in sys.modules)\n"
+            "import liecomplete\n"
+            "seen = [numpy_loaded()]\n"
+            "from liecomplete.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    seen.append((main(argv), numpy_loaded()))\n"
+            "print(seen)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+    assert out.stdout.strip().splitlines()[-1] == (
+        "[False, (0, False), (1, False), (0, False), (0, False), (0, False)]")
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -543,6 +572,16 @@ def test_classify_axis_point_is_config_error(tmp_path):
     assert main(["classify", "--scenario", "example6", "--points", f]) == 3
 
 
+def test_classify_tolerance_must_be_finite_and_non_negative(tmp_path, capsys):
+    f = _write(tmp_path, "pts.json", {"points": [{"g": [0, 0], "x": [1, 0, 1]},
+                                                 {"g": [0, 0], "x": [1, 0, 2]}]})
+    argv = ["classify", "--scenario", "example6", "--points", f, "--tol"]
+    for tol in ("nan", "inf", "-1"):
+        assert _config_error(argv + [tol], capsys), tol
+    assert main(argv + ["0"]) == 0
+    assert json.loads(capsys.readouterr().out)["groups"] == [[0], [1]]
+
+
 # ---------------------------------------------------------------------------
 # global argument handling
 
@@ -563,6 +602,7 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
     for samples in ("0", "-4"):
         assert _config_error(["check", "--scenario", "example6", "--samples", samples], capsys)
+    assert _config_error(["check", "--scenario", "example6", "--seed", "-1"], capsys)
 
 
 def test_help_exits_zero(capsys):

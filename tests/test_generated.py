@@ -357,7 +357,7 @@ def test_abelian_path_points_match_the_loop(data, d, count):
     resolved = _resolve(path, rows)
     assert _bits(resolved[0][1]) == _bits(path.start)
     for (_, k, frac, _), (_, g_row, _) in zip(rows[1:], resolved[1:]):
-        assert _bits(g_row) == _bits(path._prefix[k] + frac * path._vecs[k])
+        assert _bits(g_row) == _bits([p + frac * v for p, v in zip(path._prefix[k], path._vecs[k])])
 
 
 @settings(max_examples=30, deadline=None)

@@ -62,8 +62,9 @@ def test_zeta_is_linear(helicoid):
     for _ in range(20):
         a, b = rng.uniform(-2, 2, 2)
         p = (rng.uniform(0.5, 2), rng.uniform(-2, 2), rng.uniform(-1, 1))
-        lhs = helicoid.zeta((a, b), p)
-        rhs = a * helicoid.zeta((1.0, 0.0), p) + b * helicoid.zeta((0.0, 1.0), p)
+        # zeta returns a list of floats
+        lhs = np.array(helicoid.zeta((a, b), p))
+        rhs = a * np.array(helicoid.zeta((1.0, 0.0), p)) + b * np.array(helicoid.zeta((0.0, 1.0), p))
         assert np.max(np.abs(lhs - rhs)) < 1e-15 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -135,17 +136,18 @@ def test_flipped_sign_residual_at_hand_point():
 
 
 def _residual_at_points(action, pts):
-    partials = action._partial_fns()
+    partials = action._partial_fn()
     d, n = action.dim_algebra, action.dim_manifold
     worst = 0.0
     for p in pts:
         vals = [float(v) for v in p]
         F = action.field_matrix(vals)
-        dF = [[partials[i][k](*vals) for k in range(n)] for i in range(d)]
+        flat = partials(*vals)   # d(field_i^k)/dx_l at flat[(i * n + k) * n + l]
+        dF = [[flat[(i * n + k) * n:(i * n + k + 1) * n] for k in range(n)] for i in range(d)]
         sq = 0.0
         for k in range(n):
             lie = sum(
-                F[0, l] * dF[1][k][l] - F[1, l] * dF[0][k][l] for l in range(n)
+                F[0][l] * dF[1][k][l] - F[1][l] * dF[0][k][l] for l in range(n)
             )
             sq += lie * lie
         worst = max(worst, math.sqrt(sq))
@@ -187,7 +189,7 @@ def test_check_deterministic(helicoid):
 
 def test_sample_points_respect_margin(helicoid):
     pts = sample_points(helicoid, 50, seed=1)
-    assert pts.shape == (50, 3)
+    assert len(pts) == 50 and all(len(p) == 3 for p in pts)
     assert all(helicoid.margin(p) > SAMPLING_MARGIN for p in pts)
 
 
