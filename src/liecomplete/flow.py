@@ -1,14 +1,16 @@
 """The adaptive integrator behind every lift, with escape detection.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with FSAL and a PI-free
-step controller; its step and the cubic Hermite interpolant of a step are
-generated once per state dimension as straight-line Python.  Escape from the
-open domain is detected by scanning the domain margin along each accepted step
-(endpoints plus interpolated interior samples, with a golden-section dip
-refinement); a step whose margin dips well below both of its ends is retried
-so that it ends at the dip, so fast transits past a thin excluded set are not
-stepped over.  The escape time is refined by bisection on the margin against
-the escape threshold.
+step controller; its step, first-step norm, lazy cubic Hermite interpolant and
+the margins at the interpolant's interior samples are generated once per state
+dimension as straight-line Python.  Escape from the open domain is detected by
+scanning the domain margin along each accepted step in two phases: the five
+samples (ends plus interior) commit a step when none is near the escape level
+or well below the others; the rest get a golden-section dip refinement and
+the escape search.  A step whose margin dips well below both of its ends
+is retried so that it ends at the dip, so fast transits past a thin excluded
+set are not stepped over.  The escape time is refined by bisection on the
+margin against the escape threshold.
 
 Flows of single fields and words of flows are lifts of one-parameter group
 paths; they live beside :func:`liecomplete.lift.lift_path`.
@@ -75,10 +77,14 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.rel_tol < 1e-14:
             raise ValueError("rel_tol below 1e-14 is not resolvable in double precision")
-        if self.max_step is not None and self.max_step <= 0.0:
+        if self.max_step is not None and not self.max_step > 0.0:
             raise ValueError("max_step must be positive")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
+
+
+# margin scan sample points inside an accepted step
+_SCAN = (0.25, 0.5, 0.75, 1.0)
 
 
 def _lin(terms, i: int) -> str:
@@ -90,21 +96,28 @@ def _lin(terms, i: int) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _dp5_kernels(n: int):
-    """Generate the DP5 step and its Hermite interpolant for states of length n.
+    """Generate the DP5 step and the helpers around it for states of length n.
 
     ``step(rhs, y, f0, h, atol, rtol)`` returns ``(y1, f1, err)``, with ``f1 =
     rhs(y1)`` and ``err`` the RMS of the embedded error estimate scaled by
     ``atol + rtol * max(|y|, |y1|)``, or ``None`` when a stage raises one of
     the margin errors or gives a non-finite ``y1`` or ``err``.
     ``hermite(y0, f0, y1, f1, h)`` returns the cubic Hermite interpolant of
-    one step as a function of the step fraction s in [0, 1].  Both are
-    straight-line code with the same operations in the same order as an
-    index loop over the components.
+    one step as a function of the step fraction s in [0, 1], reading the
+    vectors when called; ``interior(margin, y0, f0, y1, f1, h)`` is ``margin``
+    at its points s = 0.25, 0.5, 0.75; ``first_norm(f0, y, atol, rtol)`` is the
+    RMS of ``f0 / (atol + rtol * |y|)``.  All four are straight-line code with
+    the same operations in the same order as an index loop over the components.
     """
     idx = range(n)
 
     def unpack(prefix):
         return "".join(f"{prefix}{i}, " for i in idx)
+
+    def hermite_sum(a, c):
+        return ", ".join(f"{a} * p{i} + b * q{i} + {c} * r{i} + d * u{i}" for i in idx)
+
+    ends = [f"{unpack(v)}= {name}" for v, name in zip("pqru", ("y0", "f0", "y1", "f1"))]
 
     def stage(row, i):
         # x + h * (a1 * k1 + ...); the first stage groups as x + (h * a21) * k1
@@ -149,22 +162,34 @@ def _dp5_kernels(n: int):
         "    return y1, f1, err",
         "",
         "def hermite(y0, f0, y1, f1, h):",
-        f"    {unpack('p')}= y0",
-        f"    {unpack('q')}= f0",
-        f"    {unpack('r')}= y1",
-        f"    {unpack('u')}= f1",
         "    def interp(s):",
+        *("        " + line for line in ends),
         "        s2 = s * s",
         "        a = s2 * (2.0 * s - 3.0) + 1.0",
         "        b = h * (s2 * (s - 2.0) + s)",
         "        c = s2 * (3.0 - 2.0 * s)",
         "        d = h * s2 * (s - 1.0)",
-        f"        return [{', '.join(f'a * p{i} + b * q{i} + c * r{i} + d * u{i}' for i in idx)}]",
+        f"        return [{hermite_sum('a', 'c')}]",
         "    return interp",
+        "",
+        "def interior(margin, y0, f0, y1, f1, h):",
+        *("    " + line for line in ends),
     ]
+    for j, s in enumerate(_SCAN[:-1]):
+        # interp(s) with the weights that do not involve h folded to literals
+        s2 = s * s
+        a, c = s2 * (2.0 * s - 3.0) + 1.0, s2 * (3.0 - 2.0 * s)
+        lines += [
+            f"    b = h * {s2 * (s - 2.0) + s!r}",
+            f"    d = h * {s2!r} * ({s - 1.0!r})",
+            f"    m{j} = margin([{hermite_sum(repr(a), repr(c))}])",
+        ]
+    squares = " + ".join(f"(f0[{i}] / (atol + rtol * abs(y[{i}]))) ** 2" for i in idx)
+    lines += ["    return m0, m1, m2", "", "def first_norm(f0, y, atol, rtol):",
+              f"    return _sqrt(({squares}) / {n})"]
     ns = {"_sqrt": math.sqrt, "_isfinite": math.isfinite, "_MARGIN_ERRORS": _MARGIN_ERRORS}
     exec(compile("\n".join(lines), f"<dp5 n={n}>", "exec"), ns)
-    return ns["step"], ns["hermite"]
+    return ns["step"], ns["hermite"], ns["interior"], ns["first_norm"]
 
 
 def _golden_min(fn, lo: float, hi: float, iters: int = 40):
@@ -186,12 +211,14 @@ def _golden_min(fn, lo: float, hi: float, iters: int = 40):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-# margin scan sample points inside an accepted step
-_SCAN = (0.25, 0.5, 0.75, 1.0)
+def _commits(ms, eps: float) -> bool:
+    """The scan's first phase: margins ``ms`` at s = 0, 0.25, 0.5, 0.75, 1 need no refining."""
+    mmin = min(ms)
+    return mmin > eps and not (mmin < 0.5 * max(ms) or mmin < 100.0 * eps)
 
 
-def _scan_margins(margin, interp, m0: float, m_end: float, eps: float, h: float, width: float):
-    """Check the margin along one accepted step.
+def _scan_margins(margin, interp, ms, eps: float, h: float, width: float):
+    """The scan's second phase, for margins ``ms`` that :func:`_commits` held back.
 
     Returns ``None`` when the step can be committed; ``("dip", s)`` when the
     margin dips at step fraction ``s`` well below both ends of the step, which
@@ -200,12 +227,7 @@ def _scan_margins(margin, interp, m0: float, m_end: float, eps: float, h: float,
     ``eps``, with ``s_lo`` the last fraction found inside and ``s_mid`` the
     middle of the final bisection bracket.
     """
-    ms = [m0]
-    for s in _SCAN[:-1]:
-        ms.append(margin(interp(s)))
-    ms.append(m_end)
     ss = (0.0,) + _SCAN
-
     cross = None  # (s with margin > eps, s with margin <= eps)
     for i in range(1, 5):
         if ms[i] <= eps:
@@ -221,7 +243,7 @@ def _scan_margins(margin, interp, m0: float, m_end: float, eps: float, h: float,
             s_star, m_star = _golden_min(lambda s: margin(interp(s)), lo, hi)
             if m_star <= eps:
                 cross = (lo, s_star)
-            elif m_star < 0.5 * min(m0, m_end):
+            elif m_star < 0.5 * min(ms[0], ms[4]):
                 return ("dip", s_star)
     if cross is None:
         return None
@@ -260,7 +282,9 @@ def integrate_autonomous(
     that ``GAction`` generates does); crossing ``ESCAPE_MARGIN`` ends the run
     as escaped.  ``on_step`` is called as
     ``on_step(t0, y0, t1, y1, interp)`` after each accepted (possibly
-    escape-truncated) step, with ``interp`` covering the reported sub-step.
+    escape-truncated) step, with ``interp`` covering the reported sub-step;
+    ``interp`` reads ``rhs`` results when called, so ``rhs`` must return a
+    new list each time.
 
     Returns ``(status, t_end, y_end, steps, low_confidence)``.
     """
@@ -269,7 +293,7 @@ def integrate_autonomous(
     t = 0.0
     eps = ESCAPE_MARGIN
     atol, rtol = cfg.abs_tol, cfg.rel_tol
-    step, hermite = _dp5_kernels(n)
+    step, hermite, interior, first_norm = _dp5_kernels(n)
 
     m_curr = margin(y)  # margin at the current point
     if m_curr <= eps:
@@ -288,9 +312,7 @@ def integrate_autonomous(
     # Solving ODEs I, II.4).  A whole-span first step can pass the error test
     # while its true error is far larger, because the embedded estimate is
     # only asymptotic in h.
-    d1 = math.sqrt(sum(
-        (f0[i] / (atol + rtol * abs(y[i]))) ** 2 for i in range(n)
-    ) / n)
+    d1 = first_norm(f0, y, atol, rtol)
     h = min(duration, (0.01 / d1) ** 0.2) if 0.0 < d1 < math.inf else duration
     if cfg.max_step is not None:
         h = min(h, cfg.max_step)
@@ -323,7 +345,9 @@ def integrate_autonomous(
         # accepted: check the margin along the step before committing
         interp = hermite(y, f0, y1, k7, h)
         m_end = margin(y1)
-        found = _scan_margins(margin, interp, m_curr, m_end, eps, h, ESCAPE_TIME_WIDTH)
+        ms = (m_curr, *interior(margin, y, f0, y1, k7, h), m_end)
+        found = None if _commits(ms, eps) else _scan_margins(
+            margin, interp, ms, eps, h, ESCAPE_TIME_WIDTH)
         if found is not None:
             if found[0] == "dip":
                 # a thin pass the step may have jumped: end the retried step at it

@@ -66,18 +66,22 @@ class LiftEscapedError(RuntimeError):
         self.result = result
 
 
-@dataclass(frozen=True)
 class LinearSeg:
     """An abelian segment: total displacement ``delta`` over a clock weight ``duration``."""
-    delta: tuple
-    duration: float = 1.0
+
+    __slots__ = ("delta", "duration")
+
+    def __init__(self, delta: tuple, duration: float = 1.0):
+        self.delta, self.duration = delta, duration
 
 
-@dataclass(frozen=True)
 class ExpSeg:
     """A segment ``exp(tau * X)`` for ``tau`` in ``[0, duration]``: ``X`` is a rate."""
-    X: tuple
-    duration: float = 1.0
+
+    __slots__ = ("X", "duration")
+
+    def __init__(self, X: tuple, duration: float = 1.0):
+        self.X, self.duration = X, duration
 
 
 _ENDPOINT_MATCH_TOL = 1e-9

@@ -248,7 +248,7 @@ class GAction:
         The contraction is generated once per set of non-zero coefficients;
         rows whose coefficient is zero are not evaluated.
         """
-        coeffs = [float(v) for v in X]
+        coeffs = list(map(float, X))
         nonzero = tuple(map(bool, coeffs))
         make = self._contractions.get(nonzero)
         if make is None:
@@ -258,7 +258,7 @@ class GAction:
             make = self._contractions[nonzero] = _compile_contraction(
                 self.fields, rows, self.domain.coords, self.params
             )
-        return make(*[c for c in coeffs if c])
+        return make(*filter(None, coeffs))
 
     # -- homomorphism check -------------------------------------------------
 

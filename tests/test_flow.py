@@ -157,6 +157,9 @@ def test_config_validation():
             IntegratorConfig(abs_tol=bad)
     with pytest.raises(ValueError):
         IntegratorConfig(max_steps=0)
+    for bad in (0.0, -1.0, math.nan):   # a NaN max_step would be ignored by min(h, nan)
+        with pytest.raises(ValueError, match="max_step must be positive"):
+            IntegratorConfig(max_step=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
 """Hot-path code against the loops it replaces.
 
-The rhs contraction, the domain margin, the Dormand-Prince step and its
-Hermite interpolant are generated as straight-line Python; group paths and
-the loop decompositions of ``loop_to_group`` are built from whole arrays.  The loop forms they replaced are kept here as
-references; the new code must give the same floats bit for bit (compared
-through ``float.hex``, so signed zeros and NaNs count too), because it does
-the same operations in the same order.
+The rhs contraction, the domain margin, the Dormand-Prince step, its Hermite
+interpolant, the margins at the interpolant's interior scan points and the
+first-step norm are generated as straight-line Python; the margin scan
+commits a step from its five margins before any refinement; group paths and
+the loop decompositions of ``loop_to_group`` are built from whole arrays.
+The loop forms they replaced are kept here as references; the new code must
+give the same floats bit for bit (compared through ``float.hex``, so signed
+zeros and NaNs count too), because it does the same operations in the same
+order.  Two whole-lift hashes pin every output of a long circle lift and of
+200 lines past the helicoid axis.
 """
 
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,7 +29,8 @@ from liecomplete.expr import compile_scalars, parse
 from liecomplete.flow import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
-    _E1, _E3, _E4, _E5, _E6, _E7, _MARGIN_ERRORS, _dp5_kernels,
+    _E1, _E3, _E4, _E5, _E6, _E7, _MARGIN_ERRORS, _SCAN, ESCAPE_MARGIN, ESCAPE_TIME_WIDTH,
+    _commits, _dp5_kernels, _golden_min, _scan_margins,
 )
 from liecomplete.lift import ExpSeg, GPath, LinearSeg, PathError, _resolve, lift_path
 from liecomplete.manifold import Domain, GAction
@@ -158,6 +165,65 @@ def loop_hermite(y0, f0, y1, f1, h):
     return interp
 
 
+def loop_first_norm(f0, y, atol, rtol):
+    """RMS of f0 scaled by atol + rtol * |y|, summed left to right.
+
+    This is ``math.sqrt(sum(...) / n)`` over a generator, as the integrator
+    computed it, on Pythons whose ``sum`` of floats is not compensated (< 3.12).
+    """
+    acc = 0
+    for i in range(len(y)):
+        acc += (f0[i] / (atol + rtol * abs(y[i]))) ** 2
+    return math.sqrt(acc / len(y))
+
+
+def loop_scan_margins(margin, interp, m0, m_end, eps, h, width):
+    """The one-phase margin scan: samples, crossing, dip and escape bisection."""
+    ms = [m0]
+    for s in _SCAN[:-1]:
+        ms.append(margin(interp(s)))
+    ms.append(m_end)
+    ss = (0.0,) + _SCAN
+
+    cross = None
+    for i in range(1, 5):
+        if ms[i] <= eps:
+            cross = (ss[i - 1], ss[i])
+            break
+    if cross is None:
+        mmin = min(ms)
+        mmax = max(ms)
+        if mmin < 0.5 * mmax or mmin < 100.0 * eps:
+            im = ms.index(mmin)
+            lo = ss[max(0, im - 1)]
+            hi = ss[min(4, im + 1)]
+            s_star, m_star = _golden_min(lambda s: margin(interp(s)), lo, hi)
+            if m_star <= eps:
+                cross = (lo, s_star)
+            elif m_star < 0.5 * min(m0, m_end):
+                return ("dip", s_star)
+    if cross is None:
+        return None
+
+    s_lo, s_hi = cross
+    low_conf = False
+    for _ in range(80):
+        width_ok = (s_hi - s_lo) * abs(h) < width
+        if width_ok and margin(interp(s_lo)) < 10.0 * eps:
+            break
+        if (s_hi - s_lo) < 1e-15:
+            low_conf = True
+            break
+        mid = 0.5 * (s_lo + s_hi)
+        if margin(interp(mid)) > eps:
+            s_lo = mid
+        else:
+            s_hi = mid
+    else:
+        low_conf = True
+    return ("escape", s_lo, 0.5 * (s_lo + s_hi), low_conf)
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -180,6 +246,20 @@ def _inside(action, data):
     if action.margin(point) <= 1e-3:
         point[0] += 1.0
     return point
+
+
+def _outcome(fn, *args):
+    """The bits of ``fn(*args)``, or the name of the margin error it raised."""
+    try:
+        out = fn(*args)
+    except _MARGIN_ERRORS as exc:
+        return type(exc).__name__
+    return _bits(out if isinstance(out, (list, tuple)) else [out])
+
+
+def _interior_ref(margin, y0, f0, y1, f1, h):
+    interp = loop_hermite(y0, f0, y1, f1, h)
+    return [margin(interp(s)) for s in _SCAN[:-1]]
 
 
 def _assert_same_step(new, ref):
@@ -222,13 +302,17 @@ def test_dp5_step_matches_the_loop(action, data, h, atol, rtol):
     y = _inside(action, data)
     rhs = action.rhs(X)
     f0 = rhs(y)
-    step, hermite = _dp5_kernels(len(y))
+    step, hermite, interior, first_norm = _dp5_kernels(len(y))
     new = step(rhs, y, f0, h, atol, rtol)
     _assert_same_step(new, loop_step(rhs, y, f0, h, atol, rtol))
+    assert _outcome(first_norm, f0, y, atol, rtol) == _outcome(loop_first_norm, f0, y, atol, rtol)
     if new is not None:
         y1, k7, _ = new
         for s in (0.0, 0.25, 0.5, 0.75, 1.0, data.draw(st.floats(0.0, 1.0))):
             assert _bits(hermite(y, f0, y1, k7, h)(s)) == _bits(loop_hermite(y, f0, y1, k7, h)(s))
+        margin = action._margin
+        assert (_bits(interior(margin, y, f0, y1, k7, h))
+                == _bits(_interior_ref(margin, y, f0, y1, k7, h)))
 
 
 def test_helicoid_margin_on_the_axis_and_box_walls():
@@ -279,6 +363,12 @@ def _stiff_rhs(y):
     return [math.sin(v) * y[0] * 1e3 - 1.0 / y[-1] + v * v * v for v in y]
 
 
+def _stiff_margin(y):
+    # finite for small states; -inf past y[-1] = 40, NaN (inf - inf) when y[0] is past it too
+    return (1.0 - 1e-3 * y[0] * y[-1] + (math.inf if y[0] > 40.0 else 0.0)
+            - (math.inf if y[-1] > 40.0 else 0.0))
+
+
 @settings(max_examples=80, deadline=None)
 @given(y=st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=5),
        h=step_size)
@@ -287,12 +377,97 @@ def test_dp5_step_matches_the_loop_for_any_n(y, h):
         f0 = _stiff_rhs(y)
     except ZeroDivisionError:
         return
-    step, hermite = _dp5_kernels(len(y))
+    step, hermite, interior, _ = _dp5_kernels(len(y))
     new = step(_stiff_rhs, y, f0, h, 1e-12, 1e-9)
     _assert_same_step(new, loop_step(_stiff_rhs, y, f0, h, 1e-12, 1e-9))
     if new is not None:
         y1, k7, _ = new
         assert _bits(hermite(y, f0, y1, k7, h)(0.3)) == _bits(loop_hermite(y, f0, y1, k7, h)(0.3))
+        assert (_bits(interior(_stiff_margin, y, f0, y1, k7, h))
+                == _bits(_interior_ref(_stiff_margin, y, f0, y1, k7, h)))
+
+
+# any floats of any n: NaN, infinities, zeros and values whose square overflows
+wide = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e200, -1e-300]),
+                 st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5),
+       atol=st.sampled_from([1e-12, 1e-3, 0.0, 1e-320]), rtol=st.sampled_from([1e-9, 1e-3, 0.5]))
+def test_first_norm_matches_the_loop_for_any_n(data, n, atol, rtol):
+    f0 = data.draw(st.lists(wide, min_size=n, max_size=n))
+    y = data.draw(st.lists(wide, min_size=n, max_size=n))
+    first_norm = _dp5_kernels(n)[3]
+    assert _outcome(first_norm, f0, y, atol, rtol) == _outcome(loop_first_norm, f0, y, atol, rtol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), h=st.one_of(step_size, st.just(-0.5), st.just(0.0)))
+def test_interior_margins_match_the_loop_where_the_margin_raises_or_is_nan(data, h):
+    action = _odd_action()
+    edge = st.one_of(st.just(0.0), st.just(1e120), st.just(-1e120), st.just(math.nan),
+                     st.floats(min_value=-20.0, max_value=20.0))
+    y0, f0, y1, f1 = (data.draw(st.lists(edge, min_size=3, max_size=3)) for _ in range(4))
+    interior = _dp5_kernels(3)[2]
+    assert (_bits(interior(action._margin, y0, f0, y1, f1, h))
+            == _bits(_interior_ref(action._margin, y0, f0, y1, f1, h)))
+
+
+# ---------------------------------------------------------------------------
+# the margin scan: the commit test is its first phase
+
+
+EPS = ESCAPE_MARGIN
+margin_value = st.one_of(
+    st.sampled_from([math.nan, -math.inf, math.inf, 0.0, -1.0, EPS, 100.0 * EPS, 1.0, 2.0]),
+    st.floats(min_value=-1.0, max_value=3.0),
+    st.floats(min_value=0.5, max_value=3.0),
+)
+
+
+def test_commit_test_is_the_first_phase_of_the_old_scan():
+    hits = {True: 0, False: 0}
+
+    @settings(max_examples=600, deadline=None)
+    @given(ms=st.one_of(st.lists(margin_value, min_size=5, max_size=5),
+                        st.lists(st.floats(0.6, 1.2), min_size=5, max_size=5),
+                        st.lists(st.sampled_from([EPS, 100.0 * EPS, 150.0 * EPS, 190.0 * EPS]),
+                                 min_size=5, max_size=5)),
+           half=st.integers(-1, 4))
+    def check(ms, half):
+        if half >= 0:   # one margin at exactly half of max(ms), with max's NaN ordering
+            ms[half] = 0.5 * max(ms)
+        ms = tuple(ms)
+        calls = []
+
+        def margin(p):
+            # the drawn samples at s = 0, 0.25, ..., 1, linear in between
+            s = p[0]
+            calls.append(s)
+            i = min(int(s * 4.0), 3)
+            return ms[i] if s * 4.0 == i else ms[i] + (ms[i + 1] - ms[i]) * (s * 4.0 - i)
+
+        def interp(s):
+            return [s]
+
+        old = loop_scan_margins(margin, interp, ms[0], ms[4], EPS, 0.01, ESCAPE_TIME_WIDTH)
+        assert calls[:3] == list(_SCAN[:-1])
+        refined = calls[3:]
+        fast = _commits(ms, EPS)
+        if math.isnan(ms[0]):
+            # min(ms) is then NaN: the step goes to the scan, which may commit it unrefined
+            assert not fast
+        else:
+            assert fast == (old is None and not refined)
+        hits[fast] += 1
+        if not fast:
+            calls.clear()
+            assert _scan_margins(margin, interp, ms, EPS, 0.01, ESCAPE_TIME_WIDTH) == old
+            assert calls == refined
+
+    check()
+    assert hits[True] >= 50 and hits[False] >= 50, hits
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +631,8 @@ def test_helicoid_loop_sub_chords_match_the_loop(r, phase, turns, chords, subste
 
 
 # ---------------------------------------------------------------------------
-# whole lifts, pinned to values recorded from the index-loop implementation
+# whole lifts, pinned to values recorded from the index-loop implementation and,
+# as sha256 hashes, from the one-phase margin scan with the eager interpolant
 
 
 @pytest.mark.parametrize("radius, phase, z0, turns, ccw, expected", [
@@ -491,3 +667,49 @@ def test_graze_lifts_are_unchanged(p0, delta, z0, expected):
     path = GPath(helicoid.group, (0.0, 0.0), [LinearSeg(delta, 1.0)])
     res = lift_path(helicoid, path, (p0[0], p0[1], z0))
     assert (res.status, res.endpoint_m, res.escape_time, res.winding, res.steps) == expected
+
+
+def _digest(h, *values):
+    """Feed floats as ``float.hex``, other leaves as ``repr``, nested sequences in order."""
+    for v in values:
+        if isinstance(v, float):
+            h.update(v.hex().encode())
+        elif v is None or isinstance(v, (str, bool, int)):
+            h.update(repr(v).encode())
+        else:
+            _digest(h, *v)
+        h.update(b",")
+
+
+def test_circle_lift_bytes_are_unchanged():
+    helicoid = build("example6_helicoid").action
+    x0 = (1.3 * math.cos(0.7), 1.3 * math.sin(0.7), -1.1)
+    res = lift_path(helicoid, circle_loop_path((0.0, 0.0), x0[:2], turns=1.0), x0)
+    assert (res.status, res.steps, len(res.rows)) == ("complete", 4096, 4097)
+    h = hashlib.sha256()
+    _digest(h, res.endpoint_m, res.winding, res.steps, res.rows)
+    assert h.hexdigest() == "470e8cf4b7f71f6c4b5c2c79c1db75fde0d7c7bf5fbc41d3b424209920e5b462"
+
+
+def test_graze_lift_bytes_are_unchanged():
+    helicoid = build("example6_helicoid").action
+    rng = random.Random(2024)
+    h = hashlib.sha256()
+    statuses = []
+    for _ in range(200):
+        # a line passing the axis at log-uniform distance d, from either side
+        d = math.exp(rng.uniform(math.log(1e-6), math.log(1e-1)))
+        psi = rng.uniform(-math.pi, math.pi)
+        u = (math.cos(psi), math.sin(psi))
+        side = rng.choice((-1.0, 1.0))
+        before, after = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
+        p0 = (-side * d * u[1] - before * u[0], side * d * u[0] - before * u[1])
+        delta = ((before + after) * u[0], (before + after) * u[1])
+        z0 = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
+        path = GPath(helicoid.group, (0.0, 0.0), [LinearSeg(delta, 1.0)])
+        res = lift_path(helicoid, path, (*p0, z0))
+        statuses.append(res.status)
+        _digest(h, res.status, res.escape_time, res.endpoint_m, res.low_confidence, res.steps,
+                res.rows)
+    assert (statuses.count("complete"), statuses.count("escaped")) == (144, 56)
+    assert h.hexdigest() == "2340f23eb7190712e72b2d125c420bfbbbf63a3fa29371a3b3d38be0dc900cba"

@@ -2,9 +2,13 @@
 
 ``perfbench/tracer.py`` times layers by rebinding public names such as
 ``GPath.__init__`` and ``MatrixGroup.exp_segment``; a name that moves or goes
-away silently drops its per-layer metrics, so it is caught here.
+away silently drops its per-layer metrics, so it is caught here.  Its
+``integrate_autonomous`` wrapper takes exactly ``(rhs, y0, duration, cfg,
+margin, on_step)``, so one traced lift checks that the wrapped call still
+works and that the counts it feeds are the integrator's.
 """
 
+import math
 import os
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -20,3 +24,28 @@ def test_perfbench_finds_every_hook_point(monkeypatch):
         assert tracer.missing == []
     finally:
         tracer.restore()
+
+
+def test_traced_lift_is_the_untraced_lift(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from tracer import Tracer, install
+    from workloads import CHORDS_PER_TURN, Pkg
+
+    pkg = Pkg()
+    action = pkg.scenarios.build("example6_helicoid").action
+    x0 = (1.3 * math.cos(0.7), 1.3 * math.sin(0.7), -1.1)
+    # the smallest winding op: a quarter turn, one integrator step per chord
+    path = pkg.scenarios.circle_loop_path((0.0, 0.0), x0[:2], turns=0.25)
+    plain = pkg.lift.lift_path(action, path, x0)
+    tracer = install(Tracer(), pkg)
+    try:
+        traced = pkg.lift.lift_path(action, path, x0)
+    finally:
+        tracer.restore()
+    assert (traced.status, traced.endpoint_m, traced.winding, traced.steps) == (
+        plain.status, plain.endpoint_m, plain.winding, plain.steps)
+    accepted = tracer.layer("lift.on_step")[0]
+    assert accepted == tracer.counts["flow.steps_attempted"] == CHORDS_PER_TURN // 4
+    assert tracer.counts["lift.segments"] == path.n_segments == accepted
+    assert tracer.layer("manifold.rhs")[0] == 7 * accepted
+    assert tracer.layer("manifold.margin")[0] == 5 * accepted
