@@ -1,0 +1,53 @@
+"""The base class of the package's records.
+
+Records are plain classes because ``dataclasses`` imports ``inspect`` and
+builds every class's methods with ``exec``, a large share of the time a CLI
+process spends importing the package.
+"""
+
+_set = object.__setattr__
+
+
+class Record:
+    """Fixed fields, set once, compared and hashed by value.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    the defaults of the fields that have one in ``_defaults``.  A subclass
+    that validates its arguments defines ``__init__`` and passes the checked
+    values on to this one.  Two records are equal when they are of one class
+    and their fields are equal, and hash by their fields.  Setting or
+    deleting any attribute raises ``AttributeError``; a subclass with a
+    ``functools.cached_property`` adds ``"__dict__"`` to its ``__slots__``.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if (len(args) > len(fields) or values.keys() != set(fields)
+                or not kwargs.keys().isdisjoint(fields[:len(args)])):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+        for name, value in values.items():
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -18,11 +18,12 @@ friends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, product
 from operator import add, mul
 from typing import Optional, Sequence
+
+from ._record import Record
 
 JACOBI_TOL = 1e-12
 MODEL_COMMUTATOR_TOL = 1e-10
@@ -41,26 +42,26 @@ def _default_names(d: int) -> tuple:
     return tuple(f"X{i + 1}" for i in range(d))
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
-    """Finite-dimensional real Lie algebra given by structure constants."""
+class LieAlgebra(Record):
+    """Finite-dimensional real Lie algebra given by structure constants.
 
-    c: tuple  # c[i][j][k], d x d x d nested tuples of floats
-    basis_names: tuple = ()
+    ``c[i][j][k]`` is stored as d x d x d nested tuples of floats.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("c", "basis_names")
+
+    def __init__(self, c, basis_names: Sequence[str] = ()):
         try:
-            c = tuple(tuple(tuple(map(float, row)) for row in plane) for plane in self.c)
+            c = tuple(tuple(tuple(map(float, row)) for row in plane) for plane in c)
         except (TypeError, ValueError):
             c = None
         d = len(c or ())
         if c is None or any(len(plane) != d or any(len(row) != d for row in plane) for plane in c):
             raise AlgebraError("structure constants must have shape (d, d, d)")
-        object.__setattr__(self, "c", c)
-        names = self.basis_names or _default_names(d)
+        names = basis_names or _default_names(d)
         if len(names) != d:
             raise AlgebraError("basis_names length must match dimension")
-        object.__setattr__(self, "basis_names", tuple(names))
+        super().__init__(c, tuple(names))
         # antisymmetry must hold exactly as stored, not just within tolerance
         if any(c[i][j][k] != -c[j][i][k] for i, j, k in product(range(d), repeat=3)):
             raise AlgebraError("structure constants are not antisymmetric")
@@ -214,17 +215,16 @@ def _is_stack(a) -> bool:
     return len(a) == 0 or hasattr(a[0], "__iter__")
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """(R^d, +) with the zero bracket; elements are tuples of d floats.
 
     A stack of elements is a list of them; the stacked operations work
     column by column, one C-level pass per coordinate.
     """
 
-    dim: int
-    basis_names: tuple = ()
-    kind: str = field(default="abelian", init=False)
+    __slots__ = ("dim", "basis_names", "__dict__")
+    _defaults = {"basis_names": ()}
+    kind = "abelian"
 
     @cached_property
     def algebra(self) -> LieAlgebra:
@@ -291,20 +291,18 @@ class AbelianGroup:
         return list(self.element(g))
 
 
-@dataclass(frozen=True)
-class MatrixGroup:
-    """Matrix group generated by exponentials of a represented basis."""
+class MatrixGroup(Record):
+    """Matrix group generated by exponentials of a represented basis, a (d, n, n) array."""
 
-    basis: object  # a (d, n, n) numpy array
-    basis_names: tuple = ()
-    kind: str = field(default="matrix", init=False)
+    __slots__ = ("basis", "basis_names", "__dict__")
+    kind = "matrix"
 
-    def __post_init__(self):
+    def __init__(self, basis, basis_names: Sequence[str] = ()):
         import numpy as np
-        basis = np.asarray(self.basis, dtype=float)
+        basis = np.asarray(basis, dtype=float)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise AlgebraError("matrix basis must have shape (d, n, n)")
-        object.__setattr__(self, "basis", basis)
+        super().__init__(basis, basis_names)
 
     @property
     def dim(self) -> int:

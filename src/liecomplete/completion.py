@@ -18,11 +18,11 @@ These are the pointwise and loop-level reports built on top of lifting:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from ._record import Record
 from .flow import COMPLETE, ESCAPED, IntegratorConfig
-from .lift import ExpSeg, GPath, LiftResult, lift_path
+from .lift import ExpSeg, GPath, lift_path
 
 __all__ = [
     "IsotropyReport",
@@ -71,14 +71,14 @@ class LoopGeometryError(ValueError):
     pass
 
 
-@dataclass
-class IsotropyReport:
-    """The isotropy subalgebra at a point, from the SVD of the evaluation map."""
-    point: tuple
-    singular_values: tuple          # descending, padded with zeros to length d
-    nullspace: object               # an array whose rows form an orthonormal basis of the isotropy
-    orbit_dim: int
-    cutoff: float                   # singular values below this count as null
+class IsotropyReport(Record):
+    """The isotropy subalgebra at a point, from the SVD of the evaluation map.
+
+    ``singular_values`` are descending, padded with zeros to length d; the
+    rows of the array ``nullspace`` form an orthonormal basis of the
+    isotropy; singular values below ``cutoff`` count as null.
+    """
+    __slots__ = ("point", "singular_values", "nullspace", "orbit_dim", "cutoff")
 
     @property
     def isotropy_dim(self) -> int:
@@ -107,15 +107,10 @@ def isotropy(action, x, tol: float = 1e-8) -> IsotropyReport:
     return IsotropyReport(tuple(x), tuple(float(v) for v in sigmas), null_rows, rank, float(cutoff))
 
 
-@dataclass
-class LeafRecord:
-    """Whether two graph points ``(g, x)`` were found on one leaf, and the witness lift."""
-    a: tuple                         # (g, x)
-    b: tuple
-    verdict: str
-    residual: float
-    witness_winding: Optional[float] = None
-    lift: Optional[LiftResult] = None
+class LeafRecord(Record):
+    """Whether two graph points ``a = (g, x)`` and ``b`` were found on one leaf, and the witness lift."""
+    __slots__ = ("a", "b", "verdict", "residual", "witness_winding", "lift")
+    _defaults = {"witness_winding": None, "lift": None}
 
 
 def same_leaf(
@@ -159,15 +154,10 @@ def same_leaf(
     return LeafRecord(*ends, verdict, residual, witness_winding=result.winding, lift=result)
 
 
-@dataclass
-class HolonomyElement:
+class HolonomyElement(Record):
     """The group element a manifold loop returns to, with its re-lift residual."""
-    element: object                  # group element the loop returns to
-    round_trip_residual: float
-    loop_points: int
-    closed: bool
-    path: GPath
-    note: str = field(default=_CLOSURE_NOTE)
+    __slots__ = ("element", "round_trip_residual", "loop_points", "closed", "path", "note")
+    _defaults = {"note": _CLOSURE_NOTE}
 
 
 _GL2_OFFSET = 0.5 / math.sqrt(3.0)

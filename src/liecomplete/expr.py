@@ -28,8 +28,9 @@ a model parameter is decided by the caller, not by the parser.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Union
+
+from ._record import Record
 
 
 class ExprSyntaxError(ValueError):
@@ -79,44 +80,34 @@ _FUNCTION_ARITY = {
 # AST
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Record):
     """A number literal."""
-    value: float
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     """A coordinate or parameter name."""
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     """Unary minus."""
-    arg: "Node"
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Bin:
-    """A binary operation."""
-    op: str  # one of + - * /
-    left: "Node"
-    right: "Node"
+class Bin(Record):
+    """A binary operation; ``op`` is one of + - * /."""
+    __slots__ = ("op", "left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(Record):
     """A power with an integer exponent."""
-    base: "Node"
-    exponent: int
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True)
-class Call:
-    """A call of a built-in function."""
-    fn: str
-    args: tuple
+class Call(Record):
+    """A call of a built-in function on a tuple of arguments."""
+    __slots__ = ("fn", "args")
 
 
 Node = Union[Num, Var, Neg, Bin, Pow, Call]

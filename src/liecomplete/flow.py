@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from ._record import Record
 from .expr import EVAL_ERRORS as _MARGIN_ERRORS
 
 __all__ = [
@@ -62,25 +62,24 @@ ESCAPE_TIME_WIDTH = 1e-6    # bisection bracket width on the time axis
 STEP_COLLAPSE = 1e-14       # controller collapse => low-confidence escape
 
 
-@dataclass
-class IntegratorConfig:
+class IntegratorConfig(Record):
     """Step-control knobs shared by flows and lifts."""
 
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_step: Optional[float] = None
-    max_steps: int = 1_000_000
+    __slots__ = ("rel_tol", "abs_tol", "max_step", "max_steps")
 
-    def __post_init__(self):
-        for name in ("rel_tol", "abs_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
+    def __init__(self, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
+                 max_step: Optional[float] = None, max_steps: int = 1_000_000):
+        for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+            if not 0.0 < tol < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.rel_tol < 1e-14:
+        if rel_tol < 1e-14:
             raise ValueError("rel_tol below 1e-14 is not resolvable in double precision")
-        if self.max_step is not None and not self.max_step > 0.0:
+        if max_step is not None and not max_step > 0.0:
             raise ValueError("max_step must be positive")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
+        # a NaN or infinite limit would never be reached
+        if type(max_steps) is not int or max_steps <= 0:
+            raise ValueError("max_steps must be a positive integer")
+        super().__init__(rel_tol, abs_tol, max_step, max_steps)
 
 
 # margin scan sample points inside an accepted step
@@ -312,7 +311,10 @@ def integrate_autonomous(
     # Solving ODEs I, II.4).  A whole-span first step can pass the error test
     # while its true error is far larger, because the embedded estimate is
     # only asymptotic in h.
-    d1 = first_norm(f0, y, atol, rtol)
+    try:
+        d1 = first_norm(f0, y, atol, rtol)
+    except OverflowError:   # a component's scaled square passes the float range
+        d1 = math.inf
     h = min(duration, (0.01 / d1) ** 0.2) if 0.0 < d1 < math.inf else duration
     if cfg.max_step is not None:
         h = min(h, cfg.max_step)

@@ -27,12 +27,12 @@ flow time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import mul
 from typing import Callable, List, Optional, Sequence
 
+from ._record import Record
 from .algebra import AlgebraError
 from .flow import COMPLETE, ESCAPED, IntegratorConfig, integrate_autonomous
 
@@ -182,19 +182,16 @@ class GPath:
         return GPath(self.group, self.start, segs)
 
 
-@dataclass
-class LiftResult:
-    """A lift of a group path: its verdict, endpoints, trace rows and winding."""
-    status: str
-    endpoint_g: object
-    endpoint_m: tuple
-    path: GPath
-    rows: list                      # [(t, k, frac, m), ...]: frac of the way through segment k
-    escape_time: Optional[float] = None
-    failed_segment: Optional[int] = None
-    winding: Optional[float] = None   # signed turns of the tracked plane projection
-    low_confidence: bool = False
-    steps: int = 0
+class LiftResult(Record):
+    """A lift of a group path: its verdict, endpoints, trace rows and winding.
+
+    ``rows`` are ``(t, k, frac, m)``, ``frac`` of the way through segment
+    ``k``; ``winding`` is the signed turns of the tracked plane projection.
+    """
+    __slots__ = ("status", "endpoint_g", "endpoint_m", "path", "rows", "escape_time",
+                 "failed_segment", "winding", "low_confidence", "steps", "__dict__")
+    _defaults = {"escape_time": None, "failed_segment": None, "winding": None,
+                 "low_confidence": False, "steps": 0}
 
     @property
     def complete(self) -> bool:
@@ -206,32 +203,29 @@ class LiftResult:
         return _resolve(self.path, self.rows)
 
 
-@dataclass
-class FlowOutcome:
-    """A flow of one fundamental field, on the flow's own clock."""
-    status: str
-    endpoint: tuple
-    trace: list                      # [(t, point tuple), ...] times in flow units
-    escape_time: Optional[float] = None
-    low_confidence: bool = False
-    steps: int = 0
+class FlowOutcome(Record):
+    """A flow of one fundamental field, on the flow's own clock.
+
+    ``trace`` is ``[(t, point tuple), ...]`` with times in flow units.
+    """
+    __slots__ = ("status", "endpoint", "trace", "escape_time", "low_confidence", "steps")
+    _defaults = {"escape_time": None, "low_confidence": False, "steps": 0}
 
     @property
     def complete(self) -> bool:
         return self.status == COMPLETE
 
 
-@dataclass
-class WordOutcome:
-    """A word of flows, on a clock that adds up the stage times' magnitudes."""
-    status: str
-    endpoint: tuple
-    trace: list
-    escape_time: Optional[float] = None   # global elapsed (unsigned) time
-    failed_stage: Optional[int] = None
-    stage_escape_time: Optional[float] = None  # signed time within the stage
-    low_confidence: bool = False
-    steps: int = 0
+class WordOutcome(Record):
+    """A word of flows, on a clock that adds up the stage times' magnitudes.
+
+    ``escape_time`` is global elapsed (unsigned) time, ``stage_escape_time``
+    the signed time within the failed stage.
+    """
+    __slots__ = ("status", "endpoint", "trace", "escape_time", "failed_stage",
+                 "stage_escape_time", "low_confidence", "steps")
+    _defaults = {"escape_time": None, "failed_stage": None, "stage_escape_time": None,
+                 "low_confidence": False, "steps": 0}
 
 
 class _WindingTracker:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
+from ._record import Record
 from .expr import EVAL_ERRORS, Expr, _define, _is_const, _name_map, _py_float, _render_py, compile_scalars
 
 DEFAULT_SAMPLING_HALF_WIDTH = 2.0
@@ -39,8 +39,7 @@ class SamplingError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Record):
     """Open subset of R^n: box bounds (optional per side) plus exclusion margins.
 
     A point is inside iff every margin expression is positive and every finite
@@ -48,17 +47,15 @@ class Domain:
     these, so it is continuous and positive exactly on the interior.
     """
 
-    coords: tuple
-    box: Optional[tuple] = None  # per-coord (lo, hi), entries may be None
-    margins: tuple = ()
+    __slots__ = ("coords", "box", "margins")
 
-    def __post_init__(self):
-        coords = tuple(self.coords)
+    def __init__(self, coords: Sequence[str], box: Optional[Sequence] = None, margins: Sequence = ()):
+        coords = tuple(coords)
         if not coords or len(set(coords)) != len(coords):
             raise DomainError("coordinate names must be non-empty and distinct")
-        object.__setattr__(self, "coords", coords)
-        if self.box is not None:
-            box = tuple(tuple(b) if b is not None else None for b in self.box)
+        if box is not None:
+            # per-coord (lo, hi), entries may be None
+            box = tuple(tuple(b) if b is not None else None for b in box)
             if len(box) != len(coords):
                 raise DomainError("box must give one (lo, hi) pair per coordinate")
             for b in box:
@@ -67,9 +64,8 @@ class Domain:
                 lo, hi = b
                 if lo is not None and hi is not None and not lo < hi:
                     raise DomainError("box bounds must satisfy lo < hi")
-            object.__setattr__(self, "box", box)
         # other names in margins are parameters, bound when an action is built
-        object.__setattr__(self, "margins", tuple(self.margins))
+        super().__init__(coords, box, tuple(margins))
 
     @property
     def dim(self) -> int:

@@ -21,9 +21,9 @@ Scenario and parameter names are part of the CLI contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional
 
+from ._record import Record
 from .algebra import AbelianGroup, MatrixGroup
 from .expr import parse
 from .manifold import Domain, GAction
@@ -50,16 +50,15 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass
-class Scenario:
-    """A built action plus the extras the oracles need."""
+class Scenario(Record):
+    """A built action plus the extras the oracles need.
 
-    name: str
-    params: Dict[str, float]
-    action: GAction
-    description: str = ""
-    # equivariant target: (map f: point -> vector, action (g, v) -> vector)
-    equivariant_target: Optional[Tuple[Callable, Callable]] = None
+    ``params`` maps parameter names to floats; ``equivariant_target``, when
+    given, is a pair (map f: point -> vector, action (g, v) -> vector).
+    """
+
+    __slots__ = ("name", "params", "action", "description", "equivariant_target")
+    _defaults = {"description": "", "equivariant_target": None}
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +219,7 @@ def closure_gap(alpha: float, u: float, theta_total: float) -> float:
     return abs(u) * math.exp(-alpha * theta_total)
 
 
-@dataclass(frozen=True)
-class LeafInvariant:
+class LeafInvariant(Record):
     """Complete leaf invariant for the helicoid scenario.
 
     ``base`` is the translation offset between the group point and the planar
@@ -235,9 +233,7 @@ class LeafInvariant:
       coordinate itself (no winding identification happens at alpha = 0).
     """
 
-    base: tuple
-    kind: str
-    value: Optional[float]
+    __slots__ = ("base", "kind", "value")
 
 
 def leaf_invariant(alpha: float, g, x) -> LeafInvariant:
@@ -360,7 +356,8 @@ def universal_constancy_check(
     f_map, act = pair
     cfg = cfg or IntegratorConfig()
     cap = 1.0 / TRACE_TARGET
-    cfg = replace(cfg, max_step=cap if cfg.max_step is None else min(cfg.max_step, cap))
+    cap = cap if cfg.max_step is None else min(cfg.max_step, cap)
+    cfg = IntegratorConfig(cfg.rel_tol, cfg.abs_tol, cap, cfg.max_steps)
     result = lift_path(scenario.action, path, x0, cfg)
     rows = result.trace
     ref = act(rows[0][1], f_map(rows[0][2]))

@@ -78,8 +78,10 @@ def test_matrix_model_runs_leave_scipy_out(tmp_path):
 
 
 def test_abelian_runs_leave_numpy_out(tmp_path):
-    # importing numpy would be most of the start-up time: the package, and
-    # check, lift and classify on abelian actions, never load it
+    # importing numpy would be most of the start-up time, and dataclasses with
+    # the inspect it imports a large share of the rest: the package, and check,
+    # lift and classify on abelian actions, load none of them (numpy itself
+    # imports inspect, so holonomy is not among the runs)
     src = os.path.dirname(os.path.dirname(os.path.abspath(liecomplete.__file__)))
     action = _write(tmp_path, "flipped.json", FLIPPED_ACTION)
     path = _write(tmp_path, "path.json", {"start": [0.5, 0.0], "segments": [
@@ -92,18 +94,18 @@ def test_abelian_runs_leave_numpy_out(tmp_path):
             ["lift", "--scenario", "example6", "--x0", "1,0,1", "--path", path, "--out", out],
             ["classify", "--scenario", "example6", "--points", points]]
     code = ("import sys\n"
-            "def numpy_loaded():\n"
-            "    return any(m.split('.')[0] == 'numpy' for m in sys.modules)\n"
+            "def loaded():\n"
+            "    return sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'dataclasses', 'inspect'})\n"
             "import liecomplete\n"
-            "seen = [numpy_loaded()]\n"
+            "seen = [loaded()]\n"
             "from liecomplete.cli import main\n"
             f"for argv in {runs!r}:\n"
-            "    seen.append((main(argv), numpy_loaded()))\n"
+            "    seen.append((main(argv), loaded()))\n"
             "print(seen)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
     assert out.stdout.strip().splitlines()[-1] == (
-        "[False, (0, False), (1, False), (0, False), (0, False), (0, False)]")
+        "[[], (0, []), (1, []), (0, []), (0, []), (0, [])]")
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +339,15 @@ def test_lift_escape_exit_code(tmp_path, capsys):
     assert summary["status"] == "escaped"
     assert abs(summary["escape_time"] - 1.0) < 1e-3
     assert summary["failed_segment"] == 0
+
+
+def test_lift_with_a_velocity_past_the_first_step_norm_range(tmp_path):
+    path = _write(tmp_path, "far.json", {"start": [0.0], "segments": [{"type": "linear", "delta": [1e150]}]})
+    out = str(tmp_path / "far")
+    assert main(["lift", "--scenario", "translation_rn", "--n", "1", "--x0", "0",
+                 "--path", path, "--out", out]) == 0
+    summary = json.loads((tmp_path / "far.summary.json").read_text())
+    assert summary["status"] == "complete"
 
 
 def test_lift_negative_x0_equals_syntax(tmp_path):

@@ -155,8 +155,10 @@ def test_config_validation():
             IntegratorConfig(rel_tol=bad)
         with pytest.raises(ValueError):
             IntegratorConfig(abs_tol=bad)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_steps=0)
+    # a NaN or infinite step limit is never reached; a fraction or a bool is not a count
+    for bad in (0, -3, math.nan, math.inf, 2.5, True, 1e6):
+        with pytest.raises(ValueError, match="max_steps"):
+            IntegratorConfig(max_steps=bad)
     for bad in (0.0, -1.0, math.nan):   # a NaN max_step would be ignored by min(h, nan)
         with pytest.raises(ValueError, match="max_step must be positive"):
             IntegratorConfig(max_step=bad)

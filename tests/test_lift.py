@@ -217,6 +217,14 @@ def test_clockwise_loop_grows_z(helicoid):
     assert res.winding == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_a_velocity_past_the_first_step_norm_range_completes():
+    # (1e150 / (atol + rtol * 0))**2 overflows a float in the first-step norm
+    action = build("translation_rn", {"n": 1}).action
+    res = lift_path(action, GPath(action.group, (0.0,), [LinearSeg((1e150,), 1.0)]), (0.0,))
+    assert res.status == COMPLETE
+    assert res.endpoint_m[0] == pytest.approx(1e150, rel=1e-12)
+
+
 def test_empty_path_is_identity(helicoid):
     p = GPath(helicoid.group, (0.4, -0.2), [])
     res = lift_path(helicoid, p, (1.0, 0.0, 0.5))
