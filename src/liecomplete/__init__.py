@@ -10,8 +10,7 @@ from .algebra import AbelianGroup, LieAlgebra, MatrixGroup, structure_constants_
 from .completion import HolonomyElement, IsotropyReport, LeafRecord, isotropy, loop_to_group, same_leaf
 from .expr import Expr, ExprDomainError, ExprNameError, ExprSyntaxError, parse
 from .flow import COMPLETE, ESCAPED, STEP_LIMIT, IntegratorConfig
-from .lift import ExpSeg, FlowOutcome, GPath, LiftResult, LinearSeg, WordOutcome
-from .lift import equivariance_check, flow, lift_path, run_word
+from .lift import ExpSeg, GPath, LiftResult, LinearSeg, equivariance_check, lift_path
 from .manifold import Domain, GAction, OutsideDomainError, check_homomorphism
 from .scenarios import build, circle_loop_path, leaf_invariant, oracle_z, scenario_names
 
@@ -27,7 +26,6 @@ __all__ = [
     "ExprDomainError",
     "ExprNameError",
     "ExprSyntaxError",
-    "FlowOutcome",
     "GAction",
     "GPath",
     "HolonomyElement",
@@ -37,7 +35,6 @@ __all__ = [
     "LieAlgebra",
     "LiftResult",
     "LinearSeg",
-    "WordOutcome",
     "MatrixGroup",
     "OutsideDomainError",
     "STEP_LIMIT",
@@ -45,14 +42,12 @@ __all__ = [
     "check_homomorphism",
     "circle_loop_path",
     "equivariance_check",
-    "flow",
     "isotropy",
     "leaf_invariant",
     "lift_path",
     "loop_to_group",
     "oracle_z",
     "parse",
-    "run_word",
     "same_leaf",
     "scenario_names",
     "structure_constants_from_matrix_basis",

@@ -304,6 +304,10 @@ class MatrixGroup(Record):
             raise AlgebraError("matrix basis must have shape (d, n, n)")
         super().__init__(basis, basis_names)
 
+    def _values(self) -> tuple:
+        # the basis takes part by value: an array has no truth value and no hash
+        return self.basis.shape, tuple(self.basis.ravel().tolist()), tuple(self.basis_names)
+
     @property
     def dim(self) -> int:
         return self.basis.shape[0]

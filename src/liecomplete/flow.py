@@ -13,7 +13,7 @@ set are not stepped over.  The escape time is refined by bisection on the
 margin against the escape threshold.
 
 Flows of single fields and words of flows are lifts of one-parameter group
-paths; they live beside :func:`liecomplete.lift.lift_path`.
+paths: :func:`liecomplete.lift.lift_path` over :meth:`liecomplete.lift.GPath.word`.
 
 References for the tableau: Dormand & Prince (1980), the standard RK5(4)7M
 coefficients as used by ode45/RKDP.
@@ -63,7 +63,7 @@ STEP_COLLAPSE = 1e-14       # controller collapse => low-confidence escape
 
 
 class IntegratorConfig(Record):
-    """Step-control knobs shared by flows and lifts."""
+    """Step-control knobs of lifts."""
 
     __slots__ = ("rel_tol", "abs_tol", "max_step", "max_steps")
 
@@ -272,7 +272,7 @@ def integrate_autonomous(
     duration: float,
     cfg: IntegratorConfig,
     margin: Callable,
-    on_step: Optional[Callable] = None,
+    on_step: Callable,
 ):
     """Integrate y' = rhs(y) over [0, duration] inside the open domain.
 
@@ -359,12 +359,11 @@ def integrate_autonomous(
                 continue
             _, s_cut, s_mid, low = found
             y_cut = interp(s_cut)
-            if on_step is not None and s_cut > 0.0:
+            if s_cut > 0.0:
                 on_step(t, y, t + s_cut * h, y_cut, lambda s, _i=interp, _c=s_cut: _i(s * _c))
             return ESCAPED, t + s_mid * h, tuple(y_cut), steps, low
 
-        if on_step is not None:
-            on_step(t, y, t + h, y1, interp)
+        on_step(t, y, t + h, y1, interp)
         t += h
         y = y1
         f0 = k7

@@ -18,10 +18,9 @@ Segments:
   Splitting an ExpSeg into consecutive pieces with the same ``X`` therefore
   never changes the endpoint.
 
-The flow of one fundamental field, :func:`flow`, is the lift of a one-segment
-``ExpSeg`` path from the identity, and a word of flows, :func:`run_word`, is
-the lift of one ``ExpSeg`` per stage; both map the unit path clock back to
-flow time.
+A flow of one fundamental field, and a word of such flows, is the lift of the
+path :meth:`GPath.word` builds from the identity, one ``ExpSeg`` per stage.
+Its unit clock is flow time over the sum of the stage times' magnitudes.
 """
 
 from __future__ import annotations
@@ -43,13 +42,9 @@ __all__ = [
     "ExpSeg",
     "GPath",
     "LiftResult",
-    "FlowOutcome",
-    "WordOutcome",
     "PathError",
     "LiftEscapedError",
     "lift_path",
-    "flow",
-    "run_word",
     "equivariance_check",
 ]
 
@@ -141,6 +136,22 @@ class GPath:
         except AlgebraError as exc:
             raise PathError(f"bad path: {exc}") from exc
 
+    @classmethod
+    def word(cls, group, word) -> "GPath":
+        """The path of a word ``[(X, t), ...]`` of flows, from the identity.
+
+        Each stage becomes ``ExpSeg(sign(t) * X, |t|)``.  Stages with
+        ``t == 0`` are dropped, so segment ``k`` is the ``k``-th non-zero
+        stage, and a word of zero stages gives a path with no segments.  A
+        lift's unit clock ``s`` is flow time ``s * sum(|t|)``.
+        """
+        segs = []
+        for X, t in word:
+            t = float(t)
+            if t != 0.0:
+                segs.append(ExpSeg(tuple(float(v) if t > 0.0 else -float(v) for v in X), abs(t)))
+        return cls(group, group.identity(), segs)
+
     @property
     def n_segments(self) -> int:
         return len(self.segments)
@@ -201,31 +212,6 @@ class LiftResult(Record):
     def trace(self) -> list:
         """``[(t, g, m), ...]`` with t in [0, 1]; group points resolved on first read."""
         return _resolve(self.path, self.rows)
-
-
-class FlowOutcome(Record):
-    """A flow of one fundamental field, on the flow's own clock.
-
-    ``trace`` is ``[(t, point tuple), ...]`` with times in flow units.
-    """
-    __slots__ = ("status", "endpoint", "trace", "escape_time", "low_confidence", "steps")
-    _defaults = {"escape_time": None, "low_confidence": False, "steps": 0}
-
-    @property
-    def complete(self) -> bool:
-        return self.status == COMPLETE
-
-
-class WordOutcome(Record):
-    """A word of flows, on a clock that adds up the stage times' magnitudes.
-
-    ``escape_time`` is global elapsed (unsigned) time, ``stage_escape_time``
-    the signed time within the failed stage.
-    """
-    __slots__ = ("status", "endpoint", "trace", "escape_time", "failed_stage",
-                 "stage_escape_time", "low_confidence", "steps")
-    _defaults = {"escape_time": None, "failed_stage": None, "stage_escape_time": None,
-                 "low_confidence": False, "steps": 0}
 
 
 class _WindingTracker:
@@ -379,63 +365,6 @@ def _resolve(path: GPath, rows) -> list:
     steps = G.exp_segment([path._vecs[k] for k in ks], [frac for (_, _, frac, _) in rest])
     points = G.mul([path._prefix[k] for k in ks], steps)
     return [(t0, path.start, m0)] + [(t, g, m) for (t, _, _, m), g in zip(rest, points)]
-
-
-def flow(action, X, t: float, x0, cfg: Optional[IntegratorConfig] = None) -> FlowOutcome:
-    """Flow x0 along the fundamental field of X for time t (t may be negative).
-
-    This is the one-stage word ``[(X, t)]``: ``cfg.max_step`` applies on the
-    unit lift clock, so in flow time it scales by ``|t|``.
-    """
-    out = run_word(action, [(X, t)], x0, cfg)
-    sign = -1.0 if t < 0.0 else 1.0
-    trace = [(sign * s, y) for (s, y) in out.trace]
-    return FlowOutcome(
-        out.status, out.endpoint, trace, out.stage_escape_time, out.low_confidence, out.steps
-    )
-
-
-def run_word(action, word, x0, cfg: Optional[IntegratorConfig] = None) -> WordOutcome:
-    """Compose flows for a word [(X, t), ...]; stops at the first escape.
-
-    The word is lifted as one group path from the identity with an
-    ``ExpSeg(sign(t) * X, |t|)`` per non-zero stage.  The returned trace uses a
-    global clock that accumulates |t| over stages, so it is monotone even when
-    some stage times are negative.  ``cfg.max_step`` applies on the unit lift
-    clock, so in flow time it scales by the total ``sum(|t|)``.
-    """
-    x0 = [float(v) for v in x0]
-    action.require_inside(x0)
-    stages = [(i, X, float(t)) for i, (X, t) in enumerate(word) if float(t) != 0.0]
-    if not stages:
-        return WordOutcome(COMPLETE, tuple(x0), [(0.0, tuple(x0))])
-
-    G = action.group
-    segs = [ExpSeg(tuple(float(v) if t > 0.0 else -float(v) for v in X), abs(t))
-            for (_, X, t) in stages]
-    total = sum(abs(t) for (_, _, t) in stages)
-    res = lift_path(action, GPath(G, G.identity(), segs), x0, cfg)
-    trace = [(total * s, m) for (s, _, _, m) in res.rows]
-    if res.complete:
-        return WordOutcome(COMPLETE, res.endpoint_m, trace, steps=res.steps)
-
-    k = res.failed_segment
-    stage, _, t = stages[k]
-    escape_time = stage_time = None
-    if res.status == ESCAPED:
-        escape_time = total * res.escape_time
-        elapsed = sum(abs(t_j) for (_, _, t_j) in stages[:k])
-        stage_time = math.copysign(escape_time - elapsed, t)
-    return WordOutcome(
-        res.status,
-        res.endpoint_m,
-        trace,
-        escape_time=escape_time,
-        failed_stage=stage,
-        stage_escape_time=stage_time,
-        low_confidence=res.low_confidence,
-        steps=res.steps,
-    )
 
 
 def equivariance_check(

@@ -16,7 +16,7 @@ import pytest
 from liecomplete.cli import main
 from liecomplete.completion import isotropy, loop_to_group, same_leaf
 from liecomplete.flow import COMPLETE
-from liecomplete.lift import GPath, LinearSeg, equivariance_check, flow, lift_path, run_word
+from liecomplete.lift import GPath, LinearSeg, equivariance_check, lift_path
 from liecomplete.manifold import check_homomorphism
 from liecomplete.scenarios import (
     build,
@@ -208,14 +208,14 @@ def test_criterion_11_property_suites():
             X = tuple(rng.uniform(-1.0, 1.0, size=2))
             s, t = rng.uniform(0.1, 0.9, size=2)
             x0 = (2.0, 2.0, 0.5)
-            whole = flow(heli, X, s + t, x0)
-            first = flow(heli, X, s, x0)
+            whole = lift_path(heli, GPath.word(G, [(X, s + t)]), x0)
+            first = lift_path(heli, GPath.word(G, [(X, s)]), x0)
             if whole.status != COMPLETE or first.status != COMPLETE:
                 continue
-            second = flow(heli, X, t, first.endpoint)
+            second = lift_path(heli, GPath.word(G, [(X, t)]), first.endpoint_m)
             if second.status != COMPLETE:
                 continue
-            assert np.max(np.abs(np.asarray(whole.endpoint) - second.endpoint)) < 1e-8
+            assert np.max(np.abs(np.asarray(whole.endpoint_m) - second.endpoint_m)) < 1e-8
             exercised += 1
         assert exercised == 50
 
@@ -225,10 +225,10 @@ def test_criterion_11_property_suites():
             X = tuple(rng.uniform(-1.0, 1.0, size=2))
             ang = rng.uniform(0.0, 2.0 * math.pi)
             x0 = (3.0 * math.cos(ang), 3.0 * math.sin(ang), 0.5)
-            out = run_word(heli, [(X, 1.0), (X, -1.0)], x0)
+            out = lift_path(heli, GPath.word(G, [(X, 1.0), (X, -1.0)]), x0)
             if out.status != COMPLETE:
                 continue
-            assert np.max(np.abs(np.asarray(out.endpoint) - x0)) < 1e-8
+            assert np.max(np.abs(np.asarray(out.endpoint_m) - x0)) < 1e-8
             exercised += 1
         assert exercised == 50
 

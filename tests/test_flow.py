@@ -1,4 +1,9 @@
-"""Flows of fundamental fields, words, and escape detection."""
+"""Flows of fundamental fields, words, and escape detection.
+
+A flow, or a word of flows, is the lift of ``GPath.word``'s path: the lift's
+unit clock ``s`` is flow time ``s * sum(|t|)``, and within a one-stage word
+flow time is ``s * t``.
+"""
 
 import math
 
@@ -7,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecomplete.flow import COMPLETE, ESCAPED, STEP_LIMIT, IntegratorConfig
-from liecomplete.lift import flow, run_word
+from liecomplete.lift import ExpSeg, GPath, lift_path
 from liecomplete.manifold import OutsideDomainError
 from liecomplete.scenarios import build
 
@@ -30,37 +35,37 @@ def affine():
 
 
 def test_translation_flow(plane):
-    out = flow(plane, (1.0, 0.0), 3.0, (0.0, 0.0))
-    assert out.status == COMPLETE
-    assert np.allclose(out.endpoint, (3.0, 0.0), atol=1e-10)
+    res = lift_path(plane, GPath.word(plane.group, [((1.0, 0.0), 3.0)]), (0.0, 0.0))
+    assert res.status == COMPLETE
+    assert np.allclose(res.endpoint_m, (3.0, 0.0), atol=1e-10)
 
 
 def test_helicoid_axis_parallel_flow(helicoid):
     # with y = 0 the z-component of the first field vanishes identically
-    out = flow(helicoid, (1.0, 0.0), 1.0, (1.0, 0.0, 0.7))
-    assert out.status == COMPLETE
-    assert np.allclose(out.endpoint, (2.0, 0.0, 0.7), atol=1e-9)
+    res = lift_path(helicoid, GPath.word(helicoid.group, [((1.0, 0.0), 1.0)]), (1.0, 0.0, 0.7))
+    assert res.status == COMPLETE
+    assert np.allclose(res.endpoint_m, (2.0, 0.0, 0.7), atol=1e-9)
 
 
 def test_radial_escape_time(helicoid):
-    out = flow(helicoid, (1.0, 0.0), 3.0, (-2.0, 0.0, 1.0))
-    assert out.status == ESCAPED
-    assert abs(out.escape_time - 2.0) < 1e-3
-    assert not out.low_confidence
+    res = lift_path(helicoid, GPath.word(helicoid.group, [((1.0, 0.0), 3.0)]), (-2.0, 0.0, 1.0))
+    assert res.status == ESCAPED
+    assert abs(3.0 * res.escape_time - 2.0) < 1e-3
+    assert not res.low_confidence
     # endpoint sits just inside the excluded axis, margin under 10*eps
-    assert 0.0 < helicoid.margin(out.endpoint) < 10 * EPS_DOM
+    assert 0.0 < helicoid.margin(res.endpoint_m) < 10 * EPS_DOM
 
 
 def test_escaped_endpoint_is_last_trace_point(helicoid):
-    out = flow(helicoid, (1.0, 0.0), 3.0, (-2.0, 0.0, 1.0))
-    assert out.trace[-1][1] == out.endpoint
-    assert all(helicoid.margin(y) > 0.0 for (_, y) in out.trace)
+    res = lift_path(helicoid, GPath.word(helicoid.group, [((1.0, 0.0), 3.0)]), (-2.0, 0.0, 1.0))
+    assert res.rows[-1][3] == res.endpoint_m
+    assert all(helicoid.margin(y) > 0.0 for (_, _, _, y) in res.rows)
 
 
 def test_trace_density(helicoid):
-    out = flow(helicoid, (1.0, 0.0), 1.0, (1.0, 0.0, 0.7))
-    assert len(out.trace) >= 64
-    times = [t for (t, _) in out.trace]
+    res = lift_path(helicoid, GPath.word(helicoid.group, [((1.0, 0.0), 1.0)]), (1.0, 0.0, 0.7))
+    assert len(res.rows) >= 64
+    times = [s for (s, _, _, _) in res.rows]   # |t| = 1: the lift clock is flow time
     assert times == sorted(times)
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(1.0)
@@ -70,61 +75,61 @@ def test_trace_density(helicoid):
 def test_first_step_is_not_trusted_over_the_whole_span(helicoid, a, t):
     # y stays 2, so the flow of (a, 0) turns the point by a known angle; one
     # step over the whole span passed the error test with z off by 4.6e-8 (rel)
-    out = flow(helicoid, (a, 0.0), t, (2.0, 2.0, 0.5))
+    res = lift_path(helicoid, GPath.word(helicoid.group, [((a, 0.0), t)]), (2.0, 2.0, 0.5))
     dtheta = math.atan2(2.0, 2.0 + a * t) - math.atan2(2.0, 2.0)
-    assert out.status == COMPLETE
-    assert out.endpoint[2] == pytest.approx(0.5 * math.exp(-dtheta), rel=1e-8)
+    assert res.status == COMPLETE
+    assert res.endpoint_m[2] == pytest.approx(0.5 * math.exp(-dtheta), rel=1e-8)
 
 
 def test_negative_time_flow(helicoid):
-    out = flow(helicoid, (1.0, 0.0), -1.0, (3.0, 0.0, 0.5))
-    assert out.status == COMPLETE
-    assert np.allclose(out.endpoint, (2.0, 0.0, 0.5), atol=1e-9)
-    assert out.trace[-1][0] == pytest.approx(-1.0)
+    res = lift_path(helicoid, GPath.word(helicoid.group, [((1.0, 0.0), -1.0)]), (3.0, 0.0, 0.5))
+    assert res.status == COMPLETE
+    assert np.allclose(res.endpoint_m, (2.0, 0.0, 0.5), atol=1e-9)
+    assert -1.0 * res.rows[-1][0] == pytest.approx(-1.0)
 
 
 def test_zero_time_flow(helicoid):
-    out = flow(helicoid, (1.0, 0.0), 0.0, (1.0, 0.0, 0.5))
-    assert out.status == COMPLETE
-    assert out.endpoint == (1.0, 0.0, 0.5)
+    res = lift_path(helicoid, GPath.word(helicoid.group, [((1.0, 0.0), 0.0)]), (1.0, 0.0, 0.5))
+    assert res.status == COMPLETE
+    assert res.endpoint_m == (1.0, 0.0, 0.5)
 
 
 def test_x0_outside_domain(helicoid):
     with pytest.raises(OutsideDomainError):
-        flow(helicoid, (1.0, 0.0), 1.0, (0.0, 0.0, 1.0))
+        lift_path(helicoid, GPath.word(helicoid.group, [((1.0, 0.0), 1.0)]), (0.0, 0.0, 1.0))
 
 
 def test_start_inside_margin_shell_escapes_immediately(helicoid):
     # margin = x^2 = 1e-10 < eps_dom, but strictly positive
-    out = flow(helicoid, (0.0, 1.0), 1.0, (1e-5, 0.0, 1.0))
-    assert out.status == ESCAPED
-    assert out.escape_time == 0.0
+    res = lift_path(helicoid, GPath.word(helicoid.group, [((0.0, 1.0), 1.0)]), (1e-5, 0.0, 1.0))
+    assert res.status == ESCAPED
+    assert res.escape_time == 0.0
 
 
 def test_step_limit(helicoid):
     cfg = IntegratorConfig(max_steps=3)
-    out = flow(helicoid, (0.0, 1.0), 50.0, (1.0, 0.0, 1.0), cfg)
-    assert out.status == STEP_LIMIT
-    assert out.escape_time is None
+    res = lift_path(helicoid, GPath.word(helicoid.group, [((0.0, 1.0), 50.0)]), (1.0, 0.0, 1.0), cfg)
+    assert res.status == STEP_LIMIT
+    assert res.escape_time is None
 
 
 def test_determinism(helicoid):
-    a = flow(helicoid, (0.3, 0.9), 1.7, (1.0, 0.2, 0.5))
-    b = flow(helicoid, (0.3, 0.9), 1.7, (1.0, 0.2, 0.5))
-    assert a.trace == b.trace
-    assert a.endpoint == b.endpoint
+    a = lift_path(helicoid, GPath.word(helicoid.group, [((0.3, 0.9), 1.7)]), (1.0, 0.2, 0.5))
+    b = lift_path(helicoid, GPath.word(helicoid.group, [((0.3, 0.9), 1.7)]), (1.0, 0.2, 0.5))
+    assert a.rows == b.rows
+    assert a.endpoint_m == b.endpoint_m
 
 
 @pytest.mark.parametrize("t", [1.5, -1.5])
 def test_matrix_model_dilation_flow(affine, t):
-    out = flow(affine, (0.0, 1.0), t, (2.0,))
-    assert out.status == COMPLETE
-    assert out.endpoint[0] == pytest.approx(2.0 * math.exp(t), rel=1e-9)
-    assert out.trace[-1][0] == pytest.approx(t)
+    res = lift_path(affine, GPath.word(affine.group, [((0.0, 1.0), t)]), (2.0,))
+    assert res.status == COMPLETE
+    assert res.endpoint_m[0] == pytest.approx(2.0 * math.exp(t), rel=1e-9)
+    assert t * res.rows[-1][0] == pytest.approx(t)
 
 
 def test_flows_compute_no_group_point_per_row(affine, monkeypatch):
-    # flow and run_word return manifold points only: the one exponential per
+    # a flow or a word reads manifold points only: the one exponential per
     # stage builds the path, and no trace row asks for its group point
     from liecomplete.algebra import MatrixGroup
 
@@ -132,12 +137,15 @@ def test_flows_compute_no_group_point_per_row(affine, monkeypatch):
     expm = MatrixGroup.exp_segment
     monkeypatch.setattr(MatrixGroup, "exp_segment",
                         lambda self, X, t=1.0: calls.append(t) or expm(self, X, t))
-    out = flow(affine, (0.0, 1.0), 1.5, (2.0,))
-    assert out.status == COMPLETE and len(out.trace) > 1
+    res = lift_path(affine, GPath.word(affine.group, [((0.0, 1.0), 1.5)]), (2.0,))
+    assert res.status == COMPLETE and len(res.rows) > 1
+    assert res.endpoint_m[0] == pytest.approx(2.0 * math.exp(1.5), rel=1e-9)
     assert len(calls) <= 1
     calls.clear()
-    out = run_word(affine, [((1.0, 0.0), 0.7), ((0.0, 1.0), -0.4)], (2.0,))
-    assert out.status == COMPLETE and len(out.trace) > 2
+    word = [((1.0, 0.0), 0.7), ((0.0, 1.0), -0.4)]
+    res = lift_path(affine, GPath.word(affine.group, word), (2.0,))
+    assert res.status == COMPLETE and len(res.rows) > 2
+    assert res.endpoint_m[0] == pytest.approx(2.7 * math.exp(-0.4), rel=1e-9)
     assert len(calls) <= 2
 
 
@@ -170,40 +178,45 @@ def test_config_validation():
 
 def test_square_word_returns(helicoid):
     word = [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0), ((1.0, 0.0), -1.0), ((0.0, 1.0), -1.0)]
-    out = run_word(helicoid, word, (1.0, 1.0, 1.0))
-    assert out.status == COMPLETE
-    assert np.max(np.abs(np.asarray(out.endpoint) - (1.0, 1.0, 1.0))) < 1e-8
+    res = lift_path(helicoid, GPath.word(helicoid.group, word), (1.0, 1.0, 1.0))
+    assert res.status == COMPLETE
+    assert np.max(np.abs(np.asarray(res.endpoint_m) - (1.0, 1.0, 1.0))) < 1e-8
 
 
 def test_single_stage_word_equals_flow(helicoid):
-    out_w = run_word(helicoid, [((0.0, 1.0), 0.8)], (1.0, 0.0, 0.5))
-    out_f = flow(helicoid, (0.0, 1.0), 0.8, (1.0, 0.0, 0.5))
+    # a one-stage word is the flow's one-segment path from the identity
+    G = helicoid.group
+    out_w = lift_path(helicoid, GPath.word(G, [((0.0, 1.0), 0.8)]), (1.0, 0.0, 0.5))
+    out_f = lift_path(helicoid, GPath(G, G.identity(), [ExpSeg((0.0, 1.0), 0.8)]), (1.0, 0.0, 0.5))
     assert out_w.status == out_f.status == COMPLETE
-    assert out_w.endpoint == out_f.endpoint
+    assert out_w.endpoint_m == out_f.endpoint_m
 
 
 def test_word_escape_reports_stage(helicoid):
-    out = run_word(helicoid, [((1.0, 0.0), -2.0), ((0.0, 1.0), 1.0)], (1.0, 0.0, 0.7))
-    assert out.status == ESCAPED
-    assert out.failed_stage == 0
+    word = [((1.0, 0.0), -2.0), ((0.0, 1.0), 1.0)]
+    res = lift_path(helicoid, GPath.word(helicoid.group, word), (1.0, 0.0, 0.7))
+    assert res.status == ESCAPED
+    assert res.failed_segment == 0
     # the first stage reaches the axis at local time -1, i.e. elapsed 1
-    assert abs(out.escape_time - 1.0) < 1e-3
-    assert abs(out.stage_escape_time - (-1.0)) < 1e-3
+    elapsed = 3.0 * res.escape_time
+    assert abs(elapsed - 1.0) < 1e-3
+    assert abs(math.copysign(elapsed, -2.0) - (-1.0)) < 1e-3
 
 
 def test_word_global_clock_monotone(helicoid):
     word = [((1.0, 0.0), 1.0), ((0.0, 1.0), -1.0)]
-    out = run_word(helicoid, word, (1.0, 0.0, 0.5))
-    times = [t for (t, _) in out.trace]
+    res = lift_path(helicoid, GPath.word(helicoid.group, word), (1.0, 0.0, 0.5))
+    times = [2.0 * s for (s, _, _, _) in res.rows]
     assert times == sorted(times)
     assert times[-1] == pytest.approx(2.0)
 
 
 def test_matrix_model_word(affine):
     # translate by 0.7, then dilate by e^-0.4
-    out = run_word(affine, [((1.0, 0.0), 0.7), ((0.0, 1.0), -0.4)], (2.0,))
-    assert out.status == COMPLETE
-    assert out.endpoint[0] == pytest.approx(2.7 * math.exp(-0.4), rel=1e-9)
+    word = [((1.0, 0.0), 0.7), ((0.0, 1.0), -0.4)]
+    res = lift_path(affine, GPath.word(affine.group, word), (2.0,))
+    assert res.status == COMPLETE
+    assert res.endpoint_m[0] == pytest.approx(2.7 * math.exp(-0.4), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +242,15 @@ def test_flow_group_law():
     def check(s, t, a, b):
         X = (a, b)
         x0 = (2.0, 2.0, 0.5)  # far from the axis so moderate flows stay inside
-        full = flow(action, X, s + t, x0)
-        first = flow(action, X, s, x0)
+        G = action.group
+        full = lift_path(action, GPath.word(G, [(X, s + t)]), x0)
+        first = lift_path(action, GPath.word(G, [(X, s)]), x0)
         if not (full.status == first.status == COMPLETE):
             return
-        second = flow(action, X, t, first.endpoint)
+        second = lift_path(action, GPath.word(G, [(X, t)]), first.endpoint_m)
         if second.status != COMPLETE:
             return
-        assert np.max(np.abs(np.asarray(full.endpoint) - second.endpoint)) < 1e-8
+        assert np.max(np.abs(np.asarray(full.endpoint_m) - second.endpoint_m)) < 1e-8
         exercised.append(X)
 
     check()
@@ -259,10 +273,10 @@ def test_word_inverse_returns():
         x0 = (3.0, 3.0, 0.5)
         word = [((a, b), t) for (a, b, t) in data]
         inverse = [((a, b), -t) for ((a, b), t) in reversed(word)]
-        out = run_word(action, word + inverse, x0)
-        if out.status != COMPLETE:
+        res = lift_path(action, GPath.word(action.group, word + inverse), x0)
+        if res.status != COMPLETE:
             return
-        assert np.max(np.abs(np.asarray(out.endpoint) - x0)) < 1e-8
+        assert np.max(np.abs(np.asarray(res.endpoint_m) - x0)) < 1e-8
         exercised.append(word)
 
     check()

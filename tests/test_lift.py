@@ -113,6 +113,35 @@ def test_exp_path_endpoint_matrix(affine):
     assert np.allclose(p.endpoint(), [[1.0, 2.0], [0.0, 1.0]], atol=1e-14)
 
 
+@pytest.mark.parametrize("word, status", [
+    ([((1.0, 0.0), 0.5), ((0.3, 0.7), 0.0), ((0.0, 1.0), -0.3)], COMPLETE),
+    ([((0.0, 1.0), -0.1), ((0.3, 0.7), 0.0), ((1.0, 0.0), -2.0)], ESCAPED),
+], ids=["complete", "escaped"])
+def test_word_path_drops_zero_stages(helicoid, word, status):
+    G, x0 = helicoid.group, (1.0, 0.1, 0.7)
+    path = GPath.word(G, word)
+    assert path.n_segments == 2
+    res = lift_path(helicoid, path, x0)
+    bare = lift_path(helicoid, GPath.word(G, [word[0], word[2]]), x0)
+    assert res.status == status
+    assert res.failed_segment == (None if status == COMPLETE else 1)
+
+    def bits(r):
+        return repr((r.status, r.endpoint_g, r.endpoint_m, r.rows, r.escape_time,
+                     r.failed_segment, r.winding, r.low_confidence, r.steps))
+
+    assert bits(res) == bits(bare)
+
+
+def test_word_path_negative_stage_time_negates_the_rate(helicoid, affine):
+    for G in (helicoid.group, affine.group):
+        path = GPath.word(G, [((0.25, -0.5), -0.75)])
+        (seg,) = path.segments
+        assert isinstance(seg, ExpSeg)
+        assert seg.X == (-0.25, 0.5) and seg.duration == 0.75
+        assert np.allclose(path.endpoint(), G.exp_segment((0.25, -0.5), -0.75), atol=1e-15)
+
+
 def test_concat_requires_matching_endpoint():
     G = AbelianGroup(2)
     a = GPath(G, (0.0, 0.0), [LinearSeg((1.0, 0.0), 1.0)])

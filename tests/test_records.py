@@ -8,7 +8,6 @@ from liecomplete.expr import Bin, Call, Neg, Num, Pow, Var, parse
 from liecomplete.manifold import Domain
 from liecomplete.scenarios import LeafInvariant
 
-# A matrix basis is compared as one array object: two equal arrays have no truth value.
 _AFFINE_BASIS = np.array([[[0.0, 1.0], [0.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]])
 
 # (record class, a function giving fresh equal field values, a field, another
@@ -16,7 +15,7 @@ _AFFINE_BASIS = np.array([[[0.0, 1.0], [0.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]])
 CASES = [
     (LieAlgebra, lambda: ([[[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]], ("T", "D")), "c", Pow),
     (AbelianGroup, lambda: (2, ("X", "Y")), "dim", Call),
-    (MatrixGroup, lambda: (_AFFINE_BASIS, ("T", "D")), "basis", Pow),
+    (MatrixGroup, lambda: (_AFFINE_BASIS.copy(), ("T", "D")), "basis", Pow),
     (Num, lambda: (1.5,), "value", Var),
     (Var, lambda: ("x",), "name", Neg),
     (Neg, lambda: (Var("x"),), "arg", Num),
@@ -35,10 +34,10 @@ def test_records_are_read_only_values(cls, values, field, other):
         with pytest.raises(AttributeError):
             setattr(a, name, getattr(b, field))
     assert a == b and not a != b
-    if cls is MatrixGroup:
-        with pytest.raises(TypeError):   # its basis is an array
-            hash(a)
-    else:
-        assert hash(a) == hash(b)
+    assert hash(a) == hash(b)
     twin = other(*values())
     assert a != twin and twin != a
+
+
+def test_matrix_groups_compare_their_bases_by_value():
+    assert MatrixGroup(_AFFINE_BASIS) != MatrixGroup(2 * _AFFINE_BASIS)
