@@ -28,11 +28,14 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
-        if (len(args) > len(fields) or values.keys() != set(fields)
-                or not kwargs.keys().isdisjoint(fields[:len(args)])):
-            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
-        for name, value in values.items():
+        items = zip(fields, args)   # a full positional call needs no merging
+        if kwargs or len(args) != len(fields):
+            values = {**self._defaults, **dict(items), **kwargs}
+            if (len(args) > len(fields) or values.keys() != set(fields)
+                    or not kwargs.keys().isdisjoint(fields[:len(args)])):
+                raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+            items = values.items()
+        for name, value in items:
             _set(self, name, value)
 
     def _values(self) -> tuple:

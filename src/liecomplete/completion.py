@@ -168,11 +168,11 @@ def _sub_chord_segments(action, frame, pts, substeps: int) -> list:
     """One Magnus segment per sub-chord of the loop polyline ``pts``, in loop order.
 
     The two Gauss nodes of every sub-chord are built as one ``(N, n)`` array.
-    Each node's field matrix is evaluated by the generated code; then one
-    stacked SVD gives every node's condition number and least-squares
-    solution, and the residuals are checked as arrays.  The first failing
-    node of the first failing check (domain, then condition, then residual)
-    names the error.
+    One loop checks each node's margin and appends its fields, from the
+    checked evaluator of ``GAction.field_matrix``, to one flat list, reshaped
+    once to ``(N, d, n)``; one stacked SVD gives every node's condition number
+    and least-squares solution.  The first failing node of the first failing
+    check (domain, then condition, then residual) names the error.
     """
     import numpy as np
     n_chords = pts.shape[0] - 1
@@ -186,11 +186,13 @@ def _sub_chord_segments(action, frame, pts, substeps: int) -> list:
     # chord velocity on the loop clock, once per node
     cdot = np.repeat(step[:, 0, :] * n_chords, 2 * substeps, axis=0)
 
-    F = np.empty((len(nodes), frame.shape[1], nodes.shape[1]))
-    for i, point in enumerate(nodes.tolist()):
-        if action.margin(point) <= 0.0:
+    margin, fields_at = action.margin, action._fields_at
+    flat: list = []
+    for point in nodes.tolist():
+        if margin(point) <= 0.0:
             raise LoopGeometryError(f"loop leaves the domain near {point}")
-        F[i] = action.field_matrix(point)
+        flat += fields_at(point)
+    F = np.array(flat).reshape(len(nodes), frame.shape[1], nodes.shape[1])
     St = np.swapaxes(frame @ F, 1, 2)    # (N, n, k): columns are frame fields
     U, sv, Vt = np.linalg.svd(St, full_matrices=False)
     with np.errstate(divide="ignore", invalid="ignore"):

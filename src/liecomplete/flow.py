@@ -274,9 +274,9 @@ def integrate_autonomous(
     margin: Callable,
     on_step: Callable,
 ):
-    """Integrate y' = rhs(y) over [0, duration] inside the open domain.
+    """Integrate y' = rhs(y) from the floats ``y0`` (not copied) over [0, duration] in the domain.
 
-    ``margin`` maps a state (list) to the signed distance proxy and must not
+    ``margin`` maps a state to the signed distance proxy and must not
     raise (where it cannot be evaluated it returns ``-inf``, as the margin
     that ``GAction`` generates does); crossing ``ESCAPE_MARGIN`` ends the run
     as escaped.  ``on_step`` is called as
@@ -288,7 +288,7 @@ def integrate_autonomous(
     Returns ``(status, t_end, y_end, steps, low_confidence)``.
     """
     n = len(y0)
-    y = [float(v) for v in y0]
+    y = y0
     t = 0.0
     eps = ESCAPE_MARGIN
     atol, rtol = cfg.abs_tol, cfg.rel_tol

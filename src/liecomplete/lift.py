@@ -316,7 +316,7 @@ def lift_path(
         steps_total += steps
         if status != COMPLETE:
             break
-        y = list(y_end)
+        y = y_end
     else:
         status = COMPLETE
 

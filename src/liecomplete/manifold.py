@@ -196,7 +196,11 @@ class GAction:
     # -- point predicates ---------------------------------------------------
 
     def margin(self, p) -> float:
-        return self._margin([float(v) for v in p])
+        """The domain margin at p: positive exactly inside, ``-inf`` at a non-finite point."""
+        vals = [float(v) for v in p]
+        if not all(map(math.isfinite, vals)):
+            return -math.inf
+        return self._margin(vals)
 
     def contains(self, p) -> bool:
         return self.margin(p) > 0.0
@@ -214,18 +218,24 @@ class GAction:
     def field_matrix(self, p) -> list:
         """All basis fields at p as d rows of n floats.  No domain check.
 
-        Raises ``ActionError`` naming p where a field cannot be evaluated or
-        is not finite.
+        The floats of p go through :meth:`_fields_at`, whose ``ActionError`` names them.
         """
-        vals = [float(v) for v in p]
+        flat = self._fields_at([float(v) for v in p])
+        n = self.dim_manifold
+        return [list(flat[i:i + n]) for i in range(0, len(flat), n)]
+
+    def _fields_at(self, vals: list) -> tuple:
+        """All basis fields at the floats ``vals``, flat in row order.  No domain check.
+
+        Raises ``ActionError`` naming ``vals`` where a field cannot be evaluated or is not finite.
+        """
         try:
             flat = self._field_fn(*vals)
         except EVAL_ERRORS as e:
             raise ActionError(f"fields cannot be evaluated at {vals}: {e}") from None
         if not all(map(math.isfinite, flat)):
             raise ActionError(f"fields are not finite at {vals}")
-        n = self.dim_manifold
-        return [list(flat[i:i + n]) for i in range(0, len(flat), n)]
+        return flat
 
     def zeta(self, X, p) -> list:
         """Value of the fundamental field of X at p (p must be inside)."""

@@ -310,6 +310,12 @@ def test_loop_to_group_leaves_domain():
         loop_to_group(annulus, _BASIS_FRAME, pts, pts[0])
 
 
+def test_loop_to_group_nan_point_leaves_domain(affine):
+    pts = [(1.0,), (math.nan,), (1.0,)]
+    with pytest.raises(LoopGeometryError, match="leaves the domain"):
+        loop_to_group(affine, ((1.0, 0.0),), pts, pts[0])
+
+
 def test_loop_to_group_substeps_validation(helicoid):
     pts = _circle_pts(8)
     with pytest.raises(ValueError):

@@ -9,7 +9,8 @@ The loop forms they replaced are kept here as references; the new code must
 give the same floats bit for bit (compared through ``float.hex``, so signed
 zeros and NaNs count too), because it does the same operations in the same
 order.  Two whole-lift hashes pin every output of a long circle lift and of
-200 lines past the helicoid axis.
+200 lines past the helicoid axis, and a third pins the group elements and
+re-lift residuals of ``loop_to_group``.
 """
 
 import hashlib
@@ -713,3 +714,27 @@ def test_graze_lift_bytes_are_unchanged():
                 res.rows)
     assert (statuses.count("complete"), statuses.count("escaped")) == (144, 56)
     assert h.hexdigest() == "2340f23eb7190712e72b2d125c420bfbbbf63a3fa29371a3b3d38be0dc900cba"
+
+
+def test_loop_to_group_bytes_are_unchanged():
+    # seeded affine_line walks under the T, D and {T, D} frames, then one
+    # helicoid circle: the group products and the re-lift residuals
+    affine = build("affine_line").action
+    rng = random.Random(2025)
+    h = hashlib.sha256()
+    for frame in (((1.0, 0.0),), ((0.0, 1.0),), ((1.0, 0.0), (0.0, 1.0))):
+        for _ in range(4):
+            x = rng.uniform(0.5, 2.0)
+            pts = [x]
+            for _ in range(rng.randrange(16, 48)):
+                x *= math.exp(rng.gauss(0.0, 0.05))
+                pts.append(x)
+            hol = loop_to_group(affine, frame, [[p] for p in pts], [pts[0]], closed=False)
+            _digest(h, hol.element.ravel().tolist(), hol.round_trip_residual)
+    helicoid = build("example6_helicoid").action
+    th = 0.4 + 2.0 * math.pi * np.arange(49) / 48
+    pts = np.column_stack([1.2 * np.cos(th), 1.2 * np.sin(th), np.zeros(49)])
+    pts[-1] = pts[0]
+    hol = loop_to_group(helicoid, ((1.0, 0.0), (0.0, 1.0)), pts, pts[0])
+    _digest(h, hol.element, hol.round_trip_residual)
+    assert h.hexdigest() == "02cb69aead8c5ba383f442dfcf556f246f2578a909b098a5307a47b738f9f55d"

@@ -17,6 +17,7 @@ from liecomplete.lift import (
     equivariance_check,
     lift_path,
 )
+from liecomplete.manifold import OutsideDomainError
 from liecomplete.scenarios import build, circle_loop_path
 
 E_MINUS_2PI = 1.8674427317079893e-3  # exp(-2*pi)
@@ -200,6 +201,12 @@ def test_radial_path_escapes(helicoid):
     assert res.failed_segment == 0
     assert not res.low_confidence
     assert all(helicoid.margin(m) > 0.0 for (_, _, m) in res.trace)
+
+
+def test_lift_from_a_non_finite_point_is_outside(helicoid):
+    p = GPath(helicoid.group, (0.0, 0.0), [LinearSeg((-1.0, 0.0), 1.0)])
+    with pytest.raises(OutsideDomainError):
+        lift_path(helicoid, p, (math.nan, 0.5, 1.0))
 
 
 @pytest.mark.parametrize("p0, delta, z0", [

@@ -93,6 +93,22 @@ def test_box_margins():
     assert not annulus.contains((1.0, 7.0))
 
 
+@pytest.mark.parametrize("name, p", [
+    ("example4_annulus", (math.nan, math.nan)),
+    ("example4_annulus", (1.0, math.nan)),
+    ("example6_helicoid", (math.inf, 0.0, 1.0)),
+    ("example6_helicoid", (1.0, 0.5, math.nan)),
+])
+def test_non_finite_points_are_outside(name, p):
+    # the generated margin skips a NaN (every comparison with it fails) and can
+    # pass an inf (x^2 + y^2 is inf), so the public margin checks the point itself
+    action = build(name).action
+    assert action.margin(p) == -math.inf
+    assert not action.contains(p)
+    with pytest.raises(OutsideDomainError):
+        action.require_inside(p)
+
+
 def test_domain_requires_known_names():
     with pytest.raises(ActionError):
         GAction(

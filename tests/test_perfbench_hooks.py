@@ -4,8 +4,9 @@
 ``GPath.__init__`` and ``MatrixGroup.exp_segment``; a name that moves or goes
 away silently drops its per-layer metrics, so it is caught here.  Its
 ``integrate_autonomous`` wrapper takes exactly ``(rhs, y0, duration, cfg,
-margin, on_step)``, so one traced lift checks that the wrapped call still
-works and that the counts it feeds are the integrator's.
+margin, on_step)``, so one traced lift, and one traced ``loop_to_group`` on
+the matrix model, check that the wrapped calls still work and that the counts
+they feed are the integrator's.
 """
 
 import math
@@ -49,3 +50,30 @@ def test_traced_lift_is_the_untraced_lift(monkeypatch):
     assert tracer.counts["lift.segments"] == path.n_segments == accepted
     assert tracer.layer("manifold.rhs")[0] == 7 * accepted
     assert tracer.layer("manifold.margin")[0] == 5 * accepted
+
+
+def test_traced_loop_to_group_is_the_untraced_one(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from tracer import Tracer, install
+    from workloads import AFFINE_FRAMES, Pkg, make_inputs
+
+    pkg = Pkg()
+    action = pkg.scenarios.build("affine_line").action
+    # the first affine_loop op of seed 3: a walk with one integrator step per sub-chord
+    op = make_inputs("affine_loop", 3, str(tmp_path))[0]
+    pts = [[x] for x in op["points"]]
+    args = (action, AFFINE_FRAMES[op["frame"]], pts, pts[0])
+    plain = pkg.completion.loop_to_group(*args, closed=False)
+    tracer = install(Tracer(), pkg)
+    try:
+        traced = pkg.completion.loop_to_group(*args, closed=False)
+    finally:
+        tracer.restore()
+    assert traced.element.tolist() == plain.element.tolist()
+    assert traced.round_trip_residual == plain.round_trip_residual
+    steps = tracer.counts["flow.steps_attempted"]
+    chords = len(pts) - 1
+    assert tracer.counts["lift.segments"] == tracer.layer("lift.on_step")[0] == steps == 4 * chords
+    assert tracer.layer("manifold.rhs")[0] == 7 * steps
+    assert tracer.layer("manifold.margin")[0] == 5 * steps
+    assert tracer.layer("completion.loop_to_group")[0] == 1
