@@ -8,6 +8,13 @@ process spends importing the package.
 _set = object.__setattr__
 
 
+def _by_value(v):
+    """An array's shape and flat values (an array has no truth value and no hash); else ``v``."""
+    if type(v).__hash__ is None and hasattr(v, "ravel"):
+        return v.shape, tuple(v.ravel().tolist())
+    return v
+
+
 class Record:
     """Fixed fields, set once, compared and hashed by value.
 
@@ -15,9 +22,11 @@ class Record:
     the defaults of the fields that have one in ``_defaults``.  A subclass
     that validates its arguments defines ``__init__`` and passes the checked
     values on to this one.  Two records are equal when they are of one class
-    and their fields are equal, and hash by their fields.  Setting or
-    deleting any attribute raises ``AttributeError``; a subclass with a
-    ``functools.cached_property`` adds ``"__dict__"`` to its ``__slots__``.
+    and their fields are equal, and hash by their fields; an array field
+    (an unhashable value with ``ravel``, as a numpy array is) counts by its
+    shape and flat values.  Setting or deleting any attribute raises
+    ``AttributeError``; a subclass with a ``functools.cached_property`` adds
+    ``"__dict__"`` to its ``__slots__``.
     """
 
     __slots__ = ()
@@ -39,7 +48,7 @@ class Record:
             _set(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple(_by_value(getattr(self, name)) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -302,11 +302,7 @@ class MatrixGroup(Record):
         basis = np.asarray(basis, dtype=float)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise AlgebraError("matrix basis must have shape (d, n, n)")
-        super().__init__(basis, basis_names)
-
-    def _values(self) -> tuple:
-        # the basis takes part by value: an array has no truth value and no hash
-        return self.basis.shape, tuple(self.basis.ravel().tolist()), tuple(self.basis_names)
+        super().__init__(basis, tuple(basis_names))
 
     @property
     def dim(self) -> int:

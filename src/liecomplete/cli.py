@@ -387,10 +387,14 @@ def _default_frame(action, x0) -> list:
     """Basis vectors, in order, whose fields at ``x0`` span the orbit there.
 
     A vector is kept when its field raises the rank of the fields kept before
-    it, at ``isotropy``'s cutoff, until the orbit dimension is reached.
+    it, at ``isotropy``'s cutoff, until the orbit dimension is reached.  A
+    fixed point has no such vector, and the user must give ``--frame``.
     """
     import numpy as np
     iso = isotropy(action, x0)
+    if iso.orbit_dim == 0:
+        raise ConfigError("x0 is a fixed point of the action, so there is no default frame: "
+                          "pass --frame")
     F = np.array(action.field_matrix(x0))
     kept: list = []
     for i in range(action.dim_algebra):

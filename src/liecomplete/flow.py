@@ -4,13 +4,16 @@ The integrator is an embedded Dormand-Prince 5(4) pair with FSAL and a PI-free
 step controller; its step, first-step norm, lazy cubic Hermite interpolant and
 the margins at the interpolant's interior samples are generated once per state
 dimension as straight-line Python.  Escape from the open domain is detected by
-scanning the domain margin along each accepted step in two phases: the five
-samples (ends plus interior) commit a step when none is near the escape level
-or well below the others; the rest get a golden-section dip refinement and
-the escape search.  A step whose margin dips well below both of its ends
-is retried so that it ends at the dip, so fast transits past a thin excluded
-set are not stepped over.  The escape time is refined by bisection on the
-margin against the escape threshold.
+one scan of the domain margin along each accepted step: it commits the step
+at once when none of the five samples (ends plus interior) is near the escape
+level or well below the others, and refines the rest by a golden-section dip
+search and the escape search.  A step whose margin dips well below both of
+its ends is retried so that it ends at the dip, so fast transits past a thin
+excluded set are not stepped over.  The escape time is refined by bisection
+on the margin against the escape threshold.  Every retried step, whether a
+stage failed, the error test failed or the margin dipped, shrinks the step
+size in one place, which also ends the run as a low-confidence escape once
+the size falls below ``STEP_COLLAPSE``.
 
 Flows of single fields and words of flows are lifts of one-parameter group
 paths: :func:`liecomplete.lift.lift_path` over :meth:`liecomplete.lift.GPath.word`.
@@ -210,22 +213,21 @@ def _golden_min(fn, lo: float, hi: float, iters: int = 40):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _commits(ms, eps: float) -> bool:
-    """The scan's first phase: margins ``ms`` at s = 0, 0.25, 0.5, 0.75, 1 need no refining."""
-    mmin = min(ms)
-    return mmin > eps and not (mmin < 0.5 * max(ms) or mmin < 100.0 * eps)
-
-
 def _scan_margins(margin, interp, ms, eps: float, h: float, width: float):
-    """The scan's second phase, for margins ``ms`` that :func:`_commits` held back.
+    """Decide an accepted step from its margins ``ms`` at s = 0, 0.25, 0.5, 0.75, 1.
 
-    Returns ``None`` when the step can be committed; ``("dip", s)`` when the
-    margin dips at step fraction ``s`` well below both ends of the step, which
-    is then retried so that it ends at the dip; or
-    ``("escape", s_lo, s_mid, low_confidence)`` when the margin crosses
-    ``eps``, with ``s_lo`` the last fraction found inside and ``s_mid`` the
-    middle of the final bisection bracket.
+    Returns ``None`` when the step can be committed, with no further margin
+    call when none of ``ms`` is near the escape level or well below the
+    others; ``("dip", s)`` when the margin dips at step fraction ``s`` well
+    below both ends of the step, which is then retried so that it ends at
+    the dip; or ``("escape", s_lo, s_mid, low_confidence)`` when the margin
+    crosses ``eps``, with ``s_lo`` the last fraction found inside and
+    ``s_mid`` the middle of the final bisection bracket.
     """
+    mmin = min(ms)
+    refine = mmin < 0.5 * max(ms) or mmin < 100.0 * eps
+    if mmin > eps and not refine:
+        return None
     ss = (0.0,) + _SCAN
     cross = None  # (s with margin > eps, s with margin <= eps)
     for i in range(1, 5):
@@ -233,37 +235,31 @@ def _scan_margins(margin, interp, ms, eps: float, h: float, width: float):
             cross = (ss[i - 1], ss[i])
             break
     if cross is None:
-        mmin = min(ms)
-        mmax = max(ms)
-        if mmin < 0.5 * mmax or mmin < 100.0 * eps:
-            im = ms.index(mmin)
-            lo = ss[max(0, im - 1)]
-            hi = ss[min(4, im + 1)]
-            s_star, m_star = _golden_min(lambda s: margin(interp(s)), lo, hi)
-            if m_star <= eps:
-                cross = (lo, s_star)
-            elif m_star < 0.5 * min(ms[0], ms[4]):
-                return ("dip", s_star)
-    if cross is None:
-        return None
+        if not refine:
+            return None
+        im = ms.index(mmin)
+        lo = ss[max(0, im - 1)]
+        hi = ss[min(4, im + 1)]
+        s_star, m_star = _golden_min(lambda s: margin(interp(s)), lo, hi)
+        if m_star <= eps:
+            cross = (lo, s_star)
+        elif m_star < 0.5 * min(ms[0], ms[4]):
+            return ("dip", s_star)
+        else:   # no dip worth a retry, or a NaN minimum
+            return None
 
-    s_lo, s_hi = cross  # margin(s_lo) > eps >= margin(s_hi)
-    low_conf = False
-    for _ in range(80):
-        width_ok = (s_hi - s_lo) * abs(h) < width
-        if width_ok and margin(interp(s_lo)) < 10.0 * eps:
-            break
-        if (s_hi - s_lo) < 1e-15:
-            low_conf = True
-            break
+    # margin(s_lo) > eps >= margin(s_hi); the bracket is at most 0.5 wide and
+    # each pass halves it, so the 1e-15 floor ends the search within 50 passes
+    s_lo, s_hi = cross
+    while not ((s_hi - s_lo) * h < width and margin(interp(s_lo)) < 10.0 * eps):
+        if s_hi - s_lo < 1e-15:
+            return ("escape", s_lo, 0.5 * (s_lo + s_hi), True)
         mid = 0.5 * (s_lo + s_hi)
         if margin(interp(mid)) > eps:
             s_lo = mid
         else:
             s_hi = mid
-    else:
-        low_conf = True
-    return ("escape", s_lo, 0.5 * (s_lo + s_hi), low_conf)
+    return ("escape", s_lo, 0.5 * (s_lo + s_hi), False)
 
 
 def integrate_autonomous(
@@ -316,61 +312,46 @@ def integrate_autonomous(
     except OverflowError:   # a component's scaled square passes the float range
         d1 = math.inf
     h = min(duration, (0.01 / d1) ** 0.2) if 0.0 < d1 < math.inf else duration
-    if cfg.max_step is not None:
-        h = min(h, cfg.max_step)
+    max_step = cfg.max_step or math.inf
 
     steps = 0
-    while True:
-        if steps >= cfg.max_steps:
-            return STEP_LIMIT, t, tuple(y), steps, False
+    while steps < cfg.max_steps:
         remaining = duration - t
         if remaining <= 0.0:
             return COMPLETE, t, tuple(y), steps, False
-        last = h >= remaining
-        if last:
-            h = remaining
+        h = min(h, max_step, remaining)
 
         out = step(rhs, y, f0, h, atol, rtol)
         steps += 1
+        # each attempt that is retried sets the factor h shrinks by, applied at the end
         if out is None:
-            h *= 0.5
-            if h < STEP_COLLAPSE:
-                return ESCAPED, t, tuple(y), steps, True
-            continue
-        y1, k7, err = out
-        if err > 1.0:
-            h *= max(0.2, 0.9 * err ** -0.2)
-            if h < STEP_COLLAPSE:
-                return ESCAPED, t, tuple(y), steps, True
-            continue
-
-        # accepted: check the margin along the step before committing
-        interp = hermite(y, f0, y1, k7, h)
-        m_end = margin(y1)
-        ms = (m_curr, *interior(margin, y, f0, y1, k7, h), m_end)
-        found = None if _commits(ms, eps) else _scan_margins(
-            margin, interp, ms, eps, h, ESCAPE_TIME_WIDTH)
-        if found is not None:
-            if found[0] == "dip":
-                # a thin pass the step may have jumped: end the retried step at it
-                h *= found[1]
-                if h < STEP_COLLAPSE:
-                    return ESCAPED, t, tuple(y), steps, True
+            shrink = 0.5
+        elif out[2] > 1.0:
+            shrink = max(0.2, 0.9 * out[2] ** -0.2)
+        else:
+            # accepted: check the margin along the step before committing
+            y1, k7, err = out
+            interp = hermite(y, f0, y1, k7, h)
+            m_end = margin(y1)
+            ms = (m_curr, *interior(margin, y, f0, y1, k7, h), m_end)
+            found = _scan_margins(margin, interp, ms, eps, h, ESCAPE_TIME_WIDTH)
+            if found is None:
+                on_step(t, y, t + h, y1, interp)
+                t += h
+                if h == remaining:   # the last step
+                    return COMPLETE, t, tuple(y1), steps, False
+                y, f0, m_curr = y1, k7, m_end
+                h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
                 continue
-            _, s_cut, s_mid, low = found
-            y_cut = interp(s_cut)
-            if s_cut > 0.0:
-                on_step(t, y, t + s_cut * h, y_cut, lambda s, _i=interp, _c=s_cut: _i(s * _c))
-            return ESCAPED, t + s_mid * h, tuple(y_cut), steps, low
-
-        on_step(t, y, t + h, y1, interp)
-        t += h
-        y = y1
-        f0 = k7
-        m_curr = m_end
-        if last:
-            return COMPLETE, t, tuple(y), steps, False
-        growth = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        h *= growth
-        if cfg.max_step is not None:
-            h = min(h, cfg.max_step)
+            if found[0] == "escape":
+                _, s_cut, s_mid, low = found
+                y_cut = interp(s_cut)
+                if s_cut > 0.0:
+                    on_step(t, y, t + s_cut * h, y_cut, lambda s, _i=interp, _c=s_cut: _i(s * _c))
+                return ESCAPED, t + s_mid * h, tuple(y_cut), steps, low
+            # a thin pass the step may have jumped: end the retried step at it
+            shrink = found[1]
+        h *= shrink
+        if h < STEP_COLLAPSE:
+            return ESCAPED, t, tuple(y), steps, True
+    return STEP_LIMIT, t, tuple(y), steps, False

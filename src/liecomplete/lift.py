@@ -230,33 +230,22 @@ class _WindingTracker:
         self.prev = math.atan2(v, u)
         self.total = 0.0
 
-    @staticmethod
-    def _fold(d: float) -> float:
-        d = math.remainder(d, math.tau)
+    def _advance(self, interp, s0, th0, s1, y1, depth=0) -> float:
+        """Add the turn from angle ``th0`` at ``s0`` to the point ``y1`` at ``s1``; its angle."""
+        u, v = self.plane(y1)
+        th1 = math.atan2(v, u)
+        d = math.remainder(th1 - th0, math.tau)
         if d == -math.pi:
             d = math.pi
-        return d
-
-    def _advance(self, interp, s0, th0, s1, depth) -> float:
-        u, v = self.plane(interp(s1))
-        th1 = math.atan2(v, u)
-        d = self._fold(th1 - th0)
         if abs(d) >= math.pi / 2 and depth < 24:
             sm = 0.5 * (s0 + s1)
-            thm = self._advance(interp, s0, th0, sm, depth + 1)
-            return self._advance(interp, sm, thm, s1, depth + 1)
+            thm = self._advance(interp, s0, th0, sm, interp(sm), depth + 1)
+            return self._advance(interp, sm, thm, s1, y1, depth + 1)
         self.total += d
         return th1
 
     def feed(self, interp, y_end):
-        u, v = self.plane(y_end)
-        th1 = math.atan2(v, u)
-        d = self._fold(th1 - self.prev)
-        if abs(d) < math.pi / 2:
-            self.total += d
-            self.prev = th1
-        else:
-            self.prev = self._advance(interp, 0.0, self.prev, 1.0, 0)
+        self.prev = self._advance(interp, 0.0, self.prev, 1.0, y_end)
 
 
 def _check_group_compat(g1, g2):

@@ -539,6 +539,19 @@ def test_holonomy_default_frame_spans_the_orbit(tmp_path, capsys):
     assert "(cond inf)" in capsys.readouterr().err
 
 
+def test_holonomy_at_a_fixed_point_asks_for_a_frame(tmp_path, capsys):
+    action = _write(tmp_path, "a.json", {
+        "group": {"type": "abelian", "dim": 1},
+        "manifold": {"dim": 1, "coords": ["x"]},
+        "fields": [["x"]],
+    })
+    loop = _write(tmp_path, "loop.json", {"points": [[0.0], [0.5], [0.0]]})
+    argv = ["holonomy", "--scenario-file", action, "--loop", loop, "--x0", "0"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "x0 is a fixed point" in err and "--frame" in err
+
+
 # ---------------------------------------------------------------------------
 # classify
 

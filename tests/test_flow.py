@@ -11,9 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liecomplete.flow import COMPLETE, ESCAPED, STEP_LIMIT, IntegratorConfig
-from liecomplete.lift import ExpSeg, GPath, lift_path
-from liecomplete.manifold import OutsideDomainError
+from liecomplete.algebra import AbelianGroup
+from liecomplete.expr import parse
+from liecomplete.flow import (
+    COMPLETE, ESCAPE_MARGIN, ESCAPE_TIME_WIDTH, ESCAPED, STEP_LIMIT, IntegratorConfig,
+    _golden_min, _scan_margins,
+)
+from liecomplete.lift import ExpSeg, GPath, LinearSeg, lift_path
+from liecomplete.manifold import Domain, GAction, OutsideDomainError
 from liecomplete.scenarios import build
 
 EPS_DOM = 1e-9
@@ -111,6 +116,60 @@ def test_step_limit(helicoid):
     res = lift_path(helicoid, GPath.word(helicoid.group, [((0.0, 1.0), 50.0)]), (1.0, 0.0, 1.0), cfg)
     assert res.status == STEP_LIMIT
     assert res.escape_time is None
+
+
+# ---------------------------------------------------------------------------
+# low-confidence escapes, on 1-D abelian actions lifted along one LinearSeg
+
+
+def _line_lift(field, x0, delta=1.0, exclusions=()):
+    domain = Domain(("x",), margins=[parse(e) for e in exclusions])
+    action = GAction(AbelianGroup(1), domain, [[parse(field)]])
+    return lift_path(action, GPath(action.group, (0.0,), [LinearSeg((delta,), 1.0)]), (x0,))
+
+
+def test_a_margin_that_drops_to_minus_inf_escapes_at_the_bisection_floor():
+    # the margin 1/sqrt(x) grows toward x = 0 and cannot be evaluated from
+    # there on, so no point near the crossing has a margin under 10 * eps
+    res = _line_lift("1", 1.0, -2.0, ["1/x * sqrt(x)"])
+    assert (res.status, res.low_confidence) == (ESCAPED, True)
+    assert res.escape_time == pytest.approx(0.5, abs=1e-12)
+
+
+def test_a_step_that_fails_at_every_size_collapses():
+    # sqrt(0.5 - x) is 0 at x0 and cannot be evaluated past it
+    res = _line_lift("1 + 0*sqrt(0.5 - x)", 0.5)
+    assert (res.status, res.escape_time, res.low_confidence, res.steps) == (ESCAPED, 0.0, True, 39)
+
+
+def test_a_field_not_evaluable_at_the_start_escapes_with_no_step():
+    res = _line_lift("sqrt(x - 1)", 0.5)
+    assert (res.status, res.escape_time, res.low_confidence, res.steps) == (ESCAPED, 0.0, True, 0)
+
+
+@pytest.mark.parametrize("h", [1e-300, 1e-12, 1e-3, 1.0, 1e12, 1e300])
+@pytest.mark.parametrize("ms, lo, drop", [
+    # a crossing between the samples at 0.75 and 1: a bracket 0.25 wide
+    ((1.0, 0.75, 0.5, 0.25, -math.inf), 0.75, 0.8),
+    # a crossing found by the dip search over [0.25, 0.75]: nearly 0.5 wide
+    ((1.0, 0.75, 50.0 * ESCAPE_MARGIN, 0.25, 0.1), 0.25, 0.7499),
+], ids=["sampled", "dip"])
+def test_the_escape_bisection_ends_within_50_passes(h, ms, lo, drop):
+    def margin(p):
+        calls.append(p[0])
+        return 1.0 - p[0] if p[0] < drop else -math.inf
+
+    calls = []
+    if lo == 0.25:
+        _golden_min(lambda s: margin([s]), lo, 0.75)
+    searched = len(calls)   # the dip search's calls come first
+    calls.clear()
+    found = _scan_margins(margin, lambda s: [s], ms, ESCAPE_MARGIN, h, ESCAPE_TIME_WIDTH)
+    assert found[0] == "escape" and found[3] is True
+    s_lo, s_mid = found[1:3]
+    assert s_lo < drop <= 2.0 * s_mid - s_lo and s_mid - s_lo < 1e-15
+    # each pass evaluates one new midpoint; the other calls revisit s_lo
+    assert len(set(calls[searched:]) - {lo}) <= 50
 
 
 def test_determinism(helicoid):

@@ -8,9 +8,10 @@ the loop decompositions of ``loop_to_group`` are built from whole arrays.
 The loop forms they replaced are kept here as references; the new code must
 give the same floats bit for bit (compared through ``float.hex``, so signed
 zeros and NaNs count too), because it does the same operations in the same
-order.  Two whole-lift hashes pin every output of a long circle lift and of
-200 lines past the helicoid axis, and a third pins the group elements and
-re-lift residuals of ``loop_to_group``.
+order.  Three whole-lift hashes pin every output of a long circle lift, of
+200 lines past the helicoid axis and of 300 coarse circles whose steps the
+winding tracker subdivides, and a fourth pins the group elements and re-lift
+residuals of ``loop_to_group``.
 """
 
 import hashlib
@@ -31,7 +32,7 @@ from liecomplete.flow import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
     _E1, _E3, _E4, _E5, _E6, _E7, _MARGIN_ERRORS, _SCAN, ESCAPE_MARGIN, ESCAPE_TIME_WIDTH,
-    _commits, _dp5_kernels, _golden_min, _scan_margins,
+    IntegratorConfig, _dp5_kernels, _golden_min, _scan_margins,
 )
 from liecomplete.lift import ExpSeg, GPath, LinearSeg, PathError, _resolve, lift_path
 from liecomplete.manifold import Domain, GAction
@@ -416,7 +417,7 @@ def test_interior_margins_match_the_loop_where_the_margin_raises_or_is_nan(data,
 
 
 # ---------------------------------------------------------------------------
-# the margin scan: the commit test is its first phase
+# the margin scan: the commit test is its first lines
 
 
 EPS = ESCAPE_MARGIN
@@ -455,17 +456,14 @@ def test_commit_test_is_the_first_phase_of_the_old_scan():
         old = loop_scan_margins(margin, interp, ms[0], ms[4], EPS, 0.01, ESCAPE_TIME_WIDTH)
         assert calls[:3] == list(_SCAN[:-1])
         refined = calls[3:]
-        fast = _commits(ms, EPS)
-        if math.isnan(ms[0]):
-            # min(ms) is then NaN: the step goes to the scan, which may commit it unrefined
-            assert not fast
-        else:
-            assert fast == (old is None and not refined)
-        hits[fast] += 1
-        if not fast:
-            calls.clear()
-            assert _scan_margins(margin, interp, ms, EPS, 0.01, ESCAPE_TIME_WIDTH) == old
-            assert calls == refined
+        calls.clear()
+        found = _scan_margins(margin, interp, ms, EPS, 0.01, ESCAPE_TIME_WIDTH)
+        assert found == old
+        assert calls == refined
+        # a NaN first margin makes min(ms) NaN: such a step is committed unrefined too
+        clear = found is None and not calls
+        assert clear == (old is None and not refined)
+        hits[clear] += 1
 
     check()
     assert hits[True] >= 50 and hits[False] >= 50, hits
@@ -714,6 +712,24 @@ def test_graze_lift_bytes_are_unchanged():
                 res.rows)
     assert (statuses.count("complete"), statuses.count("escaped")) == (144, 56)
     assert h.hexdigest() == "2340f23eb7190712e72b2d125c420bfbbbf63a3fa29371a3b3d38be0dc900cba"
+
+
+def test_coarse_circle_windings_are_unchanged():
+    # chord polygons of 3-8 chords per turn at loose tolerances: steps that turn
+    # by a quarter turn or more, which the winding tracker subdivides (22 times
+    # on this set when the hash was recorded; default tolerances almost never do)
+    helicoid = build("example6_helicoid").action
+    rng = random.Random(2026)
+    h = hashlib.sha256()
+    for _ in range(300):
+        r, phase, z0 = rng.uniform(0.3, 2.0), rng.uniform(-math.pi, math.pi), rng.uniform(-2.0, 2.0)
+        tol = 10.0 ** rng.uniform(-4.0, -2.0)
+        chords, turns, cw = rng.randint(3, 8), rng.choice((0.5, 1.0, 2.0)), rng.random() < 0.5
+        x0 = (r * math.cos(phase), r * math.sin(phase), z0)
+        path = circle_loop_path((0.0, 0.0), x0[:2], turns, chords, cw)
+        res = lift_path(helicoid, path, x0, IntegratorConfig(rel_tol=tol, abs_tol=tol))
+        _digest(h, res.status, res.winding, res.steps, res.rows)
+    assert h.hexdigest() == "a39e5469a510983a4ab7892db8c9d3304a5d667946e9d76a6259277621a68d7d"
 
 
 def test_loop_to_group_bytes_are_unchanged():

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from liecomplete.algebra import AbelianGroup, LieAlgebra, MatrixGroup
+from liecomplete.completion import IsotropyReport, isotropy
 from liecomplete.expr import Bin, Call, Neg, Num, Pow, Var, parse
+from liecomplete.lift import ExpSeg, GPath, lift_path
 from liecomplete.manifold import Domain
-from liecomplete.scenarios import LeafInvariant
+from liecomplete.scenarios import LeafInvariant, build
 
 _AFFINE_BASIS = np.array([[[0.0, 1.0], [0.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]])
 
@@ -41,3 +43,28 @@ def test_records_are_read_only_values(cls, values, field, other):
 
 def test_matrix_groups_compare_their_bases_by_value():
     assert MatrixGroup(_AFFINE_BASIS) != MatrixGroup(2 * _AFFINE_BASIS)
+
+
+@pytest.mark.parametrize("name, x", [("example6_helicoid", (1.0, 0.5, 0.2)), ("affine_line", (1.5,))])
+def test_isotropy_reports_compare_and_hash_their_nullspace_by_value(name, x):
+    action = build(name).action
+    a, b = isotropy(action, x), isotropy(action, x)
+    assert a.nullspace is not b.nullspace
+    assert a == b and hash(a) == hash(b)
+    wider = IsotropyReport(a.point, a.singular_values, np.zeros((1, action.dim_algebra + 1)),
+                           a.orbit_dim, a.cutoff)
+    assert a != wider and wider != a
+
+
+def test_matrix_model_lifts_compare_their_group_endpoints_by_value():
+    affine = build("affine_line").action
+    path = GPath(affine.group, np.eye(2), [ExpSeg((0.3, 0.2), 1.0)])
+    a, b = lift_path(affine, path, (1.0,)), lift_path(affine, path, (1.0,))
+    assert a.endpoint_g is not b.endpoint_g
+    assert a == b
+    assert a != lift_path(affine, GPath(affine.group, 2.0 * np.eye(2), path.segments), (1.0,))
+
+
+def test_numpy_scalars_still_compare_as_numbers():
+    a, b = LeafInvariant((0.5, -1.0), "plus", np.float64(0.25)), LeafInvariant((0.5, -1.0), "plus", 0.25)
+    assert a == b and hash(a) == hash(b)
