@@ -110,7 +110,6 @@ def isotropy(action, x, tol: float = 1e-8) -> IsotropyReport:
 class LeafRecord(Record):
     """Whether two graph points ``a = (g, x)`` and ``b`` were found on one leaf, and the witness lift."""
     __slots__ = ("a", "b", "verdict", "residual", "witness_winding", "lift")
-    _defaults = {"witness_winding": None, "lift": None}
 
 
 def same_leaf(
@@ -124,8 +123,9 @@ def same_leaf(
     """Decide leaf membership of ``a = (g, x)`` and ``b = (g', x')`` via a witness.
 
     The witness must run from ``g`` to ``g'`` in the group (checked to
-    ``1e-10``).  Its lift from ``x`` either reaches ``x'`` (identified), ends
-    elsewhere (not identified *by this witness*), or escapes.
+    ``1e-10``).  Its lift from ``x`` (``x`` itself for an empty witness)
+    either reaches ``x'`` (identified), ends elsewhere (not identified *by
+    this witness*), or escapes.
     """
     g_a, x_a = a
     g_b, x_b = b
@@ -140,18 +140,13 @@ def same_leaf(
     x_a = [float(v) for v in x_a]
     x_b = [float(v) for v in x_b]
     ends = ((g_a, tuple(x_a)), (g_b, tuple(x_b)))
-    if not witness.segments:
-        # empty witness: only the trivial identification a == b is asserted
-        residual = max(abs(p - q) for p, q in zip(x_a, x_b)) if x_a else 0.0
-        return LeafRecord(*ends, IDENTIFIED if residual < tol else NOT_IDENTIFIED, residual)
-
     result = lift_path(action, witness, x_a, cfg)
     if result.status != COMPLETE:
         verdict, residual = WITNESS_ESCAPED, math.inf
     else:
         residual = math.dist(result.endpoint_m, x_b)
         verdict = IDENTIFIED if residual < tol else NOT_IDENTIFIED
-    return LeafRecord(*ends, verdict, residual, witness_winding=result.winding, lift=result)
+    return LeafRecord(*ends, verdict, residual, result.winding, result)
 
 
 class HolonomyElement(Record):

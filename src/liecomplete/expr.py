@@ -1,6 +1,6 @@
 """Small arithmetic expression language for field components and domain margins.
 
-Grammar (UTF-8 text, whitespace between tokens ignored)::
+Grammar (UTF-8 text; spaces, tabs and line breaks between tokens are ignored)::
 
     expr     := term (('+' | '-') term)*
     term     := unary (('*' | '/') unary)*
@@ -28,6 +28,7 @@ a model parameter is decided by the caller, not by the parser.
 from __future__ import annotations
 
 import math
+import re
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from ._record import Record
@@ -116,56 +117,33 @@ Node = Union[Num, Var, Neg, Bin, Pow, Call]
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_OPS = set("+-*/^(),")
+# One token after optional whitespace: a number of decimal digits (an "int"
+# when it has neither point nor exponent), a name of word characters, an
+# operator, the end, or any other character, which is an error.  A name must
+# start with a letter or "_"; the tokenizer checks that.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>\w+)|(?P<op>[-+*/^(),])|(?P<end>\Z)|(?P<bad>.))",
+    re.DOTALL,
+)
 
 
 def _tokenize(src: str):
-    """Yield (kind, text, pos) triples; kinds: num, int, name, op, end."""
+    """Return (kind, text, pos) triples; kinds: num, int, name, op, end."""
     tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            is_int = True
-            if j < n and src[j] == ".":
-                is_int = False
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    is_int = False
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            if not math.isfinite(float(src[i:j])):
-                raise ExprSyntaxError("number literal is not finite", i)
-            tokens.append(("int" if is_int else "num", src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("name", src[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
+    for m in _TOKEN.finditer(src):   # some group matches at every offset
+        kind = m.lastgroup
+        text, pos = m[kind], m.start(kind)
+        if kind == "bad" or (kind == "name" and not (text[0].isalpha() or text[0] == "_")):
+            raise ExprSyntaxError(f"unexpected character {text[0]!r}", pos)
+        if kind == "num":
+            if not math.isfinite(float(text)):
+                raise ExprSyntaxError("number literal is not finite", pos)
+            if text.isdecimal():
+                kind = "int"
+        tokens.append((kind, text, pos))
+        if kind == "end":
+            return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +240,10 @@ class _Parser:
                 sign, (kind, text, pos) = -1, self.advance()
             if kind != "int":
                 raise ExprSyntaxError("exponent must be an integer literal", pos)
-            chain.append((sign, int(text), pos))
+            try:
+                chain.append((sign, int(text), pos))
+            except ValueError:   # past int()'s digit limit, by leading zeros
+                raise ExprSyntaxError("integer literal has too many digits", pos) from None
             if self.peek()[:2] != ("op", "^"):
                 break
             self.advance()
@@ -318,22 +299,7 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Free names / differentiation / printing
-
-
-def _free_names(node: Node, out: set):
-    if isinstance(node, Var):
-        out.add(node.name)
-    elif isinstance(node, Neg):
-        _free_names(node.arg, out)
-    elif isinstance(node, Bin):
-        _free_names(node.left, out)
-        _free_names(node.right, out)
-    elif isinstance(node, Pow):
-        _free_names(node.base, out)
-    elif isinstance(node, Call):
-        for a in node.args:
-            _free_names(a, out)
+# Differentiation / printing
 
 
 # Light folding keeps derivative trees readable and evaluation cheap.
@@ -524,6 +490,8 @@ _COMPILE_GLOBALS = {
     "_sign": _py_sign,
     "_abs": abs,
     "_inf": math.inf,
+    "_isfinite": math.isfinite,
+    "_EVAL_ERRORS": EVAL_ERRORS,
 }
 
 
@@ -546,7 +514,7 @@ def compile_scalars(
     bodies = [_render_py(e.node, name_map) for e in exprs]
     params = ", ".join(f"_v{i}" for i in range(len(args)))
     src = f"def _f({params}):\n    return ({', '.join(bodies)}{',' if len(bodies) == 1 else ''})"
-    return _define(src, "_f")
+    return _define(src)["_f"]
 
 
 def _name_map(arg_names: Iterable[str], consts: Optional[Mapping[str, float]]) -> dict:
@@ -566,44 +534,43 @@ def _py_float(v: float) -> str:
     return f"({v!r})" if math.copysign(1.0, v) < 0.0 else repr(v)
 
 
-def _define(src: str, name: str) -> Callable:
-    """Execute generated source with the expression globals; return ``name``."""
+def _define(src: str) -> dict:
+    """Execute generated source with the expression globals; return its namespace."""
     ns = dict(_COMPILE_GLOBALS)
-    exec(compile(src, "<expr>", "exec"), ns)
-    return ns[name]
+    exec(compile(src, "<generated>", "exec"), ns)
+    return ns
+
+
+def checked(fn: Callable, what: str, error: type) -> Callable:
+    """``fn`` as a list-in evaluator that raises ``error`` naming ``what`` and the point.
+
+    ``error`` is raised where ``fn(*vals)`` raises one of ``EVAL_ERRORS`` or
+    returns a value that is not finite; otherwise the tuple is returned.
+    """
+    def evaluate(vals):
+        try:
+            out = fn(*vals)
+        except EVAL_ERRORS as e:
+            raise error(f"{what} cannot be evaluated at {vals}: {e}") from None
+        if not all(map(math.isfinite, out)):
+            raise error(f"{what} are not finite at {vals}")
+        return out
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
 # Public wrapper
 
 
-class Expr:
-    """Parsed expression: evaluate, differentiate, print."""
+class Expr(Record):
+    """Parsed expression: evaluate, differentiate, print; equal by its tree."""
 
-    __slots__ = ("node", "_free")
-
-    def __init__(self, node: Node):
-        self.node = node
-        self._free = None
-
-    @property
-    def free_names(self) -> frozenset:
-        if self._free is None:
-            out: set = set()
-            _free_names(self.node, out)
-            self._free = frozenset(out)
-        return self._free
+    __slots__ = ("node",)
 
     def eval(self, env: Mapping[str, float]) -> float:
         """Value with every name bound by ``env``: the generated code, run once."""
-        fn = compile_scalars([self], (), env)
-        try:
-            (v,) = fn()
-        except EVAL_ERRORS as e:
-            raise ExprDomainError(str(e)) from None
-        if not math.isfinite(v):
-            raise ExprDomainError("non-finite result")
-        return v
+        fn = checked(compile_scalars([self], env), f"values of {self}", ExprDomainError)
+        return fn([float(v) for v in env.values()])[0]
 
     def diff(self, var: str) -> "Expr":
         return Expr(_diff(self.node, var))
@@ -613,12 +580,6 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"Expr({str(self)!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Expr) and self.node == other.node
-
-    def __hash__(self):
-        return hash(self.node)
 
 
 def parse(src: str) -> Expr:

@@ -29,7 +29,7 @@ import math
 from typing import Callable, Optional, Sequence
 
 from ._record import Record
-from .expr import EVAL_ERRORS as _MARGIN_ERRORS
+from .expr import EVAL_ERRORS, _define
 
 __all__ = [
     "IntegratorConfig",
@@ -103,7 +103,7 @@ def _dp5_kernels(n: int):
     ``step(rhs, y, f0, h, atol, rtol)`` returns ``(y1, f1, err)``, with ``f1 =
     rhs(y1)`` and ``err`` the RMS of the embedded error estimate scaled by
     ``atol + rtol * max(|y|, |y1|)``, or ``None`` when a stage raises one of
-    the margin errors or gives a non-finite ``y1`` or ``err``.
+    ``EVAL_ERRORS`` or gives a non-finite ``y1`` or ``err``.
     ``hermite(y0, f0, y1, f1, h)`` returns the cubic Hermite interpolant of
     one step as a function of the step fraction s in [0, 1], reading the
     vectors when called; ``interior(margin, y0, f0, y1, f1, h)`` is ``margin``
@@ -157,7 +157,7 @@ def _dp5_kernels(n: int):
         ]
     lines += [
         f"        err = _sqrt(({' + '.join(f'e{i} * e{i}' for i in idx)}) / {n})",
-        "    except _MARGIN_ERRORS:",
+        "    except _EVAL_ERRORS:",
         "        return None",
         f"    if not ({' and '.join(['_isfinite(err)'] + [f'_isfinite(z{i})' for i in idx])}):",
         "        return None",
@@ -189,8 +189,7 @@ def _dp5_kernels(n: int):
     squares = " + ".join(f"(f0[{i}] / (atol + rtol * abs(y[{i}]))) ** 2" for i in idx)
     lines += ["    return m0, m1, m2", "", "def first_norm(f0, y, atol, rtol):",
               f"    return _sqrt(({squares}) / {n})"]
-    ns = {"_sqrt": math.sqrt, "_isfinite": math.isfinite, "_MARGIN_ERRORS": _MARGIN_ERRORS}
-    exec(compile("\n".join(lines), f"<dp5 n={n}>", "exec"), ns)
+    ns = _define("\n".join(lines))
     return ns["step"], ns["hermite"], ns["interior"], ns["first_norm"]
 
 
@@ -298,7 +297,7 @@ def integrate_autonomous(
         f0 = rhs(y)
         if not all(map(math.isfinite, f0)):
             raise ValueError
-    except _MARGIN_ERRORS:
+    except EVAL_ERRORS:
         # in-domain but the field is not evaluable: nothing can move
         return ESCAPED, 0.0, tuple(y), 0, True
 

@@ -196,8 +196,8 @@ class GPath:
 class LiftResult(Record):
     """A lift of a group path: its verdict, endpoints, trace rows and winding.
 
-    ``rows`` are ``(t, k, frac, m)``, ``frac`` of the way through segment
-    ``k``; ``winding`` is the signed turns of the tracked plane projection.
+    ``rows`` is a tuple of ``(t, k, frac, m)``, ``frac`` of the way through
+    segment ``k``; ``winding`` is the signed turns of the tracked plane projection.
     """
     __slots__ = ("status", "endpoint_g", "endpoint_m", "path", "rows", "escape_time",
                  "failed_segment", "winding", "low_confidence", "steps", "__dict__")
@@ -309,8 +309,7 @@ def lift_path(
     else:
         status = COMPLETE
 
-    if small_path:
-        rows = _padded_rows(rows, kept_steps, path)
+    rows = tuple(_padded_rows(rows, kept_steps, path) if small_path else rows)
     winding = tracker.total / math.tau if tracker else None
     if status == COMPLETE:
         return LiftResult(COMPLETE, path.endpoint(), tuple(y), path, rows,

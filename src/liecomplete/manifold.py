@@ -17,7 +17,9 @@ from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
 from ._record import Record
-from .expr import EVAL_ERRORS, Expr, _define, _is_const, _name_map, _py_float, _render_py, compile_scalars
+from .expr import (
+    Expr, ExprNameError, _define, _is_const, _name_map, _py_float, _render_py, checked, compile_scalars,
+)
 
 DEFAULT_SAMPLING_HALF_WIDTH = 2.0
 SAMPLING_MARGIN = 0.1  # sampled points keep at least this margin
@@ -93,7 +95,7 @@ def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
                 "            m = v",
             ]
         lines += [
-            "    except (ValueError, ZeroDivisionError, OverflowError):",
+            "    except _EVAL_ERRORS:",
             "        return -_inf",
         ]
     for j, b in enumerate(domain.box or ()):
@@ -103,7 +105,7 @@ def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
         if hi is not None:
             lines += [f"    if (v := {_py_float(hi)} - _v{j}) < m:", "        m = v"]
     lines.append("    return m")
-    return _define("\n".join(lines), "_margin")
+    return _define("\n".join(lines))["_margin"]
 
 
 def _compile_contraction(fields, rows: tuple, coords, params) -> Callable:
@@ -136,7 +138,7 @@ def _compile_contraction(fields, rows: tuple, coords, params) -> Callable:
         f"        return [{', '.join(comps)}]",
         "    return _rhs",
     ])
-    return _define(src, "_make")
+    return _define(src)["_make"]
 
 
 class GAction:
@@ -166,22 +168,15 @@ class GAction:
             raise ActionError(f"fields must be a {d}x{n} grid of expressions")
         self.fields = tuple(tuple(row) for row in fields)
 
-        allowed = set(domain.coords) | set(self.params)
-        for i, row in enumerate(self.fields):
-            for j, e in enumerate(row):
-                extra = e.free_names - allowed
-                if extra:
-                    raise ActionError(
-                        f"field[{i}][{j}] uses unknown name(s) {sorted(extra)}"
-                    )
-        for m in domain.margins:
-            extra = m.free_names - allowed
-            if extra:
-                raise ActionError(f"margin uses unknown name(s) {sorted(extra)}")
-
+        # _fields_at: all basis fields at a list of floats, flat in row order,
+        # with no domain check; fields and margins name coordinates and params only
         flat = [e for row in self.fields for e in row]
-        self._field_fn = compile_scalars(flat, domain.coords, self.params)
-        self._margin = _compile_margin(domain, self.params)
+        try:
+            self._fields_at = checked(compile_scalars(flat, domain.coords, self.params),
+                                      "fields", ActionError)
+            self._margin = _compile_margin(domain, self.params)
+        except ExprNameError as e:
+            raise ActionError(str(e)) from None
         self._contractions: dict = {}  # which coefficients are non-zero -> rhs factory
         self._partials = None  # lazy, for the homomorphism check
 
@@ -218,24 +213,11 @@ class GAction:
     def field_matrix(self, p) -> list:
         """All basis fields at p as d rows of n floats.  No domain check.
 
-        The floats of p go through :meth:`_fields_at`, whose ``ActionError`` names them.
+        The floats of p go through ``_fields_at``, whose ``ActionError`` names them.
         """
         flat = self._fields_at([float(v) for v in p])
         n = self.dim_manifold
         return [list(flat[i:i + n]) for i in range(0, len(flat), n)]
-
-    def _fields_at(self, vals: list) -> tuple:
-        """All basis fields at the floats ``vals``, flat in row order.  No domain check.
-
-        Raises ``ActionError`` naming ``vals`` where a field cannot be evaluated or is not finite.
-        """
-        try:
-            flat = self._field_fn(*vals)
-        except EVAL_ERRORS as e:
-            raise ActionError(f"fields cannot be evaluated at {vals}: {e}") from None
-        if not all(map(math.isfinite, flat)):
-            raise ActionError(f"fields are not finite at {vals}")
-        return flat
 
     def zeta(self, X, p) -> list:
         """Value of the fundamental field of X at p (p must be inside)."""
@@ -269,11 +251,12 @@ class GAction:
     # -- homomorphism check -------------------------------------------------
 
     def _partial_fn(self) -> Callable:
-        """One generated function: every d(field_i^k)/dx_l at a point, flat in (i, k, l) order."""
+        """Every d(field_i^k)/dx_l at a list of floats, flat in (i, k, l) order, checked."""
         if self._partials is None:
             coords = self.domain.coords
             diffs = [e.diff(c) for row in self.fields for e in row for c in coords]
-            self._partials = compile_scalars(diffs, coords, self.params)
+            self._partials = checked(compile_scalars(diffs, coords, self.params),
+                                     "field partials", ActionError)
         return self._partials
 
 
@@ -324,12 +307,7 @@ def check_homomorphism(
     worst = 0.0
     for vals in points:
         rows = action.field_matrix(vals)   # Python floats: an overflow gives inf or NaN silently
-        try:
-            flat = partials(*vals)
-        except EVAL_ERRORS as e:
-            raise ActionError(f"field partials cannot be evaluated at {vals}: {e}") from None
-        if not all(map(math.isfinite, flat)):
-            raise ActionError(f"field partials are not finite at {vals}")
+        flat = partials(vals)
         # dF[i][k][l] = d(field_i^k)/dx_l
         dF = [[flat[m:m + n] for m in range(i * n * n, (i + 1) * n * n, n)] for i in range(d)]
         for i, j in itertools.combinations(range(d), 2):

@@ -174,11 +174,13 @@ def _planar_action(fields, exclusions=()):
     }
 
 
-@pytest.mark.parametrize("field", ["1e999*y", "x^10^10^4", "x^2^2^2^2^2"])
+# '²' is a digit to str.isdigit, but no number to float()
+@pytest.mark.parametrize("field", ["1e999*y", "x^10^10^4", "x^2^2^2^2^2", "x^²", "2²"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, field):
     f = _write(tmp_path, "a.json", _planar_action([[field, "0"], ["0", "1"]]))
     assert main(["check", "--scenario-file", f]) == 3
-    assert "offset" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "offset" in err and err.count("error:") == 1
 
 
 def test_fields_not_evaluable_in_the_domain_are_config_errors(tmp_path, capsys):
@@ -246,7 +248,7 @@ _VALID_TERMS = [
     "x", "y", "-x", "0.5", "2", "1e308", "x^2^2^2", "y^3^3^3", "x^-2^3",
     "sqrt(x)", "sqrt(-y)", "log(x)", "log(-x)", "log(y)", "1/x",
 ]
-_INVALID_TERMS = ["1e999", "1" + "0" * 400, "x^2^2^2^2^2", "y^10^10^3", "q", "sqrt(q)"]
+_INVALID_TERMS = ["1e999", "1" + "0" * 400, "x^2^2^2^2^2", "y^10^10^3", "q", "sqrt(q)", "x^²", "2²"]
 _FUZZ_TERMS = st.sampled_from(_VALID_TERMS * 3 + _INVALID_TERMS)
 # nesting on both sides of expr.MAX_DEPTH: long '+'/'*' chains, deep
 # parentheses and unary-minus chains

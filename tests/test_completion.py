@@ -156,6 +156,9 @@ def test_same_leaf_empty_witness(helicoid):
     assert same_leaf(helicoid, pt, pt, w).verdict == "identified"
     other = ((0.0, 0.0), (1.0, 0.0, U + 1.0))
     assert same_leaf(helicoid, pt, other, w).verdict == "not_identified_by_witness"
+    on_axis = ((0.0, 0.0), (0.0, 0.0, U))   # outside the domain, as for any witness
+    with pytest.raises(OutsideDomainError):
+        same_leaf(helicoid, on_axis, on_axis, w)
 
 
 def test_same_leaf_checks_witness_endpoints(helicoid):

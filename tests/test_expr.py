@@ -1,6 +1,8 @@
 """Expression language: parsing, evaluation, differentiation, codegen."""
 
+import inspect
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,8 @@ from liecomplete.expr import (
     ExprSyntaxError,
     Num,
     Pow,
+    _define,
+    _tokenize,
     compile_scalars,
     parse,
 )
@@ -22,13 +26,21 @@ from liecomplete.expr import (
 # parsing
 
 
+def _assert_free_names(src, names):
+    """The generator binds exactly ``names``: all of them compile, and leaving any out is refused."""
+    e = parse(src)
+    assert compile_scalars([e], sorted(names))(*[1.0] * len(names)) == (e.eval(dict.fromkeys(names, 1.0)),)
+    for name in names:
+        with pytest.raises(ExprNameError, match=f"unbound name {name!r}"):
+            compile_scalars([e], sorted(names - {name}))
+
+
 def test_free_names_simple():
-    assert parse("x + 2*y").free_names == {"x", "y"}
+    _assert_free_names("x + 2*y", {"x", "y"})
 
 
 def test_free_names_field_component():
-    e = parse("alpha*y*z/(x^2+y^2)")
-    assert e.free_names == {"alpha", "x", "y", "z"}
+    _assert_free_names("alpha*y*z/(x^2+y^2)", {"alpha", "x", "y", "z"})
 
 
 def test_syntax_error_position():
@@ -58,6 +70,103 @@ def test_function_arity_checked():
         parse("atan2(x)")
     with pytest.raises(ExprSyntaxError):
         parse("sin(x, y)")
+
+
+def _reference_tokenize(src: str):
+    """The character-by-character scanner the tokenizer's regular expression replaced."""
+    tokens = []
+    i, n = 0, len(src)
+    while i < n:
+        ch = src[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        if ch in "+-*/^(),":
+            tokens.append(("op", ch, i))
+            i += 1
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            is_int = True
+            if j < n and src[j] == ".":
+                is_int = False
+                j += 1
+                while j < n and src[j].isdigit():
+                    j += 1
+            if j < n and src[j] in "eE":
+                k = j + 1
+                if k < n and src[k] in "+-":
+                    k += 1
+                if k < n and src[k].isdigit():
+                    is_int = False
+                    j = k
+                    while j < n and src[j].isdigit():
+                        j += 1
+            if not math.isfinite(float(src[i:j])):   # a bare ValueError for '²'
+                raise ExprSyntaxError("number literal is not finite", i)
+            tokens.append(("int" if is_int else "num", src[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(("name", src[i:j], i))
+            i = j
+            continue
+        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def _scan(tokenize, src):
+    """Tokens, the syntax error's message, or the type of any other exception."""
+    try:
+        return tokenize(src)
+    except ExprSyntaxError as e:
+        return str(e)
+    except Exception as e:
+        return type(e)
+
+
+# digits that are decimal in other scripts (float reads them), digits and
+# numbers that are not (it cannot), letters, word and other characters
+_TOKEN_TEXT = st.text(st.sampled_from(list("0123456789.eE+-*/^(),x_ \t\r\n$") + [
+    "\u0661", "\u00b2", "\u00bd", "\u216b", "\u03b8", "\u00e9", "\u3007", "\u00a0",
+]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(src=st.one_of(_TOKEN_TEXT, st.text()))
+def test_tokenizer_matches_the_reference_scanner(src):
+    want, got = _scan(_reference_tokenize, src), _scan(_tokenize, src)
+    if isinstance(want, type):   # the reference crashed, as on "2\u00b2"
+        assert isinstance(got, (str, list)), (src, got)
+    else:
+        assert got == want, src
+
+
+@settings(max_examples=500, deadline=None)
+@given(src=st.one_of(_TOKEN_TEXT, st.text()))
+def test_parse_raises_only_syntax_errors(src):
+    try:
+        assert isinstance(parse(src), Expr)
+    except ExprSyntaxError:
+        pass
+
+
+def test_digits_that_are_not_decimal_are_syntax_errors():
+    # '²' is a digit to str.isdigit but no number to float
+    for src, offset in [("x^\u00b2", 2), ("2\u00b2", 1), ("\u00b2", 0), ("x + \u00bd", 4)]:
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as exc:
+            parse(src)
+        assert exc.value.position == offset, src
+    assert parse("\u0661\u0662 * x") == parse("12 * x")   # decimal digits of any script
+    # an integer with more digits than int() converts, all but one leading zeros
+    with pytest.raises(ExprSyntaxError, match="too many digits"):
+        parse("x^" + "0" * 5000 + "2")
 
 
 def test_exponent_must_be_integer_literal():
@@ -290,6 +399,15 @@ def test_print_preserves_precedence():
 
 # ---------------------------------------------------------------------------
 # compilation
+
+
+def test_one_exec_runs_all_generated_code():
+    # a second code generator would bring its own exec
+    src = pathlib.Path(inspect.getfile(_define)).parent
+    calls = [(path.name, line.strip()) for path in sorted(src.glob("*.py"))
+             for line in path.read_text(encoding="utf-8").splitlines() if "exec(" in line]
+    assert len(calls) == 1 and calls[0][0] == "expr.py", calls
+    assert calls[0][1] in inspect.getsource(_define)
 
 
 def test_compile_matches_eval():

@@ -27,11 +27,11 @@ from liecomplete.completion import (
     _GL2_OFFSET, _MAGNUS4, FRAME_CONDITION_LIMIT, ORBIT_RESIDUAL_REL, FrameConditionError,
     LoopGeometryError, LoopOutsideOrbitError, loop_to_group,
 )
-from liecomplete.expr import compile_scalars, parse
+from liecomplete.expr import EVAL_ERRORS, compile_scalars, parse
 from liecomplete.flow import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
-    _E1, _E3, _E4, _E5, _E6, _E7, _MARGIN_ERRORS, _SCAN, ESCAPE_MARGIN, ESCAPE_TIME_WIDTH,
+    _E1, _E3, _E4, _E5, _E6, _E7, _SCAN, ESCAPE_MARGIN, ESCAPE_TIME_WIDTH,
     IntegratorConfig, _dp5_kernels, _golden_min, _scan_margins,
 )
 from liecomplete.lift import ExpSeg, GPath, LinearSeg, PathError, _resolve, lift_path
@@ -145,7 +145,7 @@ def loop_step(rhs, y, f0, h, atol, rtol):
         err = math.sqrt(err / n)
         if not math.isfinite(err) or any(not math.isfinite(v) for v in y1):
             return None
-    except _MARGIN_ERRORS:
+    except EVAL_ERRORS:
         return None
     return y1, k7, err
 
@@ -254,7 +254,7 @@ def _outcome(fn, *args):
     """The bits of ``fn(*args)``, or the name of the margin error it raised."""
     try:
         out = fn(*args)
-    except _MARGIN_ERRORS as exc:
+    except EVAL_ERRORS as exc:
         return type(exc).__name__
     return _bits(out if isinstance(out, (list, tuple)) else [out])
 

@@ -110,12 +110,18 @@ def test_non_finite_points_are_outside(name, p):
 
 
 def test_domain_requires_known_names():
-    with pytest.raises(ActionError):
-        GAction(
-            AbelianGroup(1),
-            Domain(("x",)),
-            [[parse("x + stray")]],
-        )
+    # fields and margins name the coordinates and the parameters, nothing else
+    e = parse("alpha*y*z/(x^2+y^2)")
+    xyz = Domain(("x", "y", "z"))
+    assert GAction(AbelianGroup(1), xyz, [[e, e, e]], {"alpha": 0.5}).fields == ((e, e, e),)
+    for domain, field, params in [
+        (Domain(("x",)), "x + stray", None),
+        (Domain(("x",)), "x + 2*y", None),
+        (xyz, "alpha*y*z/(x^2+y^2)", {"beta": 0.5}),
+        (Domain(("x",), margins=[parse("x - beta")]), "x", {"alpha": 0.5}),
+    ]:
+        with pytest.raises(ActionError, match="unbound name"):
+            GAction(AbelianGroup(1), domain, [[parse(field)] * domain.dim], params)
 
 
 def test_field_grid_shape_checked():
@@ -158,7 +164,7 @@ def _residual_at_points(action, pts):
     for p in pts:
         vals = [float(v) for v in p]
         F = action.field_matrix(vals)
-        flat = partials(*vals)   # d(field_i^k)/dx_l at flat[(i * n + k) * n + l]
+        flat = partials(vals)   # d(field_i^k)/dx_l at flat[(i * n + k) * n + l]
         dF = [[flat[(i * n + k) * n:(i * n + k + 1) * n] for k in range(n)] for i in range(d)]
         sq = 0.0
         for k in range(n):

@@ -8,7 +8,7 @@ from liecomplete.completion import IsotropyReport, isotropy
 from liecomplete.expr import Bin, Call, Neg, Num, Pow, Var, parse
 from liecomplete.lift import ExpSeg, GPath, lift_path
 from liecomplete.manifold import Domain
-from liecomplete.scenarios import LeafInvariant, build
+from liecomplete.scenarios import LeafInvariant, build, circle_loop_path
 
 _AFFINE_BASIS = np.array([[[0.0, 1.0], [0.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]])
 
@@ -67,4 +67,12 @@ def test_matrix_model_lifts_compare_their_group_endpoints_by_value():
 
 def test_numpy_scalars_still_compare_as_numbers():
     a, b = LeafInvariant((0.5, -1.0), "plus", np.float64(0.25)), LeafInvariant((0.5, -1.0), "plus", 0.25)
+    assert a == b and hash(a) == hash(b)
+
+
+def test_lifts_hash_by_value():
+    action = build("example6_helicoid").action
+    path = circle_loop_path((0.0, 0.0), (1.0, 0.0), chords_per_turn=16)
+    a, b = lift_path(action, path, (1.0, 0.0, 0.5)), lift_path(action, path, (1.0, 0.0, 0.5))
+    assert a.rows is not b.rows
     assert a == b and hash(a) == hash(b)
