@@ -10,9 +10,9 @@ from .algebra import AbelianGroup, LieAlgebra, MatrixGroup, structure_constants_
 from .completion import HolonomyElement, IsotropyReport, LeafRecord, isotropy, loop_to_group, same_leaf
 from .expr import Expr, ExprDomainError, ExprNameError, ExprSyntaxError, parse
 from .flow import COMPLETE, ESCAPED, STEP_LIMIT, IntegratorConfig
-from .lift import ExpSeg, GPath, LiftResult, LinearSeg, equivariance_check, lift_path
+from .lift import ExpSeg, GPath, LiftResult, LinearSeg, lift_path
 from .manifold import Domain, GAction, OutsideDomainError, check_homomorphism
-from .scenarios import build, circle_loop_path, leaf_invariant, oracle_z, scenario_names
+from .scenarios import build, circle_loop_path, leaf_invariant, scenario_names
 
 __version__ = "0.1.0"
 
@@ -41,12 +41,10 @@ __all__ = [
     "build",
     "check_homomorphism",
     "circle_loop_path",
-    "equivariance_check",
     "isotropy",
     "leaf_invariant",
     "lift_path",
     "loop_to_group",
-    "oracle_z",
     "parse",
     "same_leaf",
     "scenario_names",

@@ -134,7 +134,7 @@ def _action_from_file(path: str) -> Scenario:
     _check_keys(mspec, ["dim", "coords"], ["box", "exclusions"], "manifold")
 
     d = gspec["dim"]
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:   # a bool is an int to isinstance
         raise ConfigError("group.dim must be a positive integer")
     if gspec["type"] == "abelian":
         if "basis" in gspec:
@@ -153,7 +153,7 @@ def _action_from_file(path: str) -> Scenario:
 
     n = mspec["dim"]
     coords = mspec["coords"]
-    if not isinstance(n, int) or not isinstance(coords, list) or len(coords) != n:
+    if type(n) is not int or not isinstance(coords, list) or len(coords) != n:
         raise ConfigError("manifold.coords must list exactly manifold.dim names")
     box = None
     if "box" in mspec:

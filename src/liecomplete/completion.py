@@ -247,13 +247,18 @@ def loop_to_group(
     cfg = cfg or IntegratorConfig()
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    frame = np.asarray(frame, dtype=float)
-    if frame.ndim != 2 or frame.shape[1] != action.dim_algebra:
+    try:
+        frame = np.asarray(frame, dtype=float)
+    except (TypeError, ValueError):   # ragged rows or entries that are not numbers
+        frame = None
+    if frame is None or frame.ndim != 2 or frame.shape[1] != action.dim_algebra:
         raise FrameConditionError("frame must be a list of algebra d-vectors")
     pts = np.asarray(m_loop, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != action.dim_manifold:
         raise LoopGeometryError("loop must be a list of at least two manifold points")
     x0 = np.asarray([float(v) for v in x0])
+    if x0.shape != (action.dim_manifold,):
+        raise LoopGeometryError(f"x0 must have {action.dim_manifold} coordinates")
     if np.max(np.abs(pts[0] - x0)) > 1e-9:
         raise LoopGeometryError("loop must start at x0")
     if closed and np.max(np.abs(pts[-1] - pts[0])) > 1e-9:

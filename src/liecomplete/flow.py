@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from ._record import Record
 from .expr import EVAL_ERRORS, _define
@@ -68,21 +68,19 @@ STEP_COLLAPSE = 1e-14       # controller collapse => low-confidence escape
 class IntegratorConfig(Record):
     """Step-control knobs of lifts."""
 
-    __slots__ = ("rel_tol", "abs_tol", "max_step", "max_steps")
+    __slots__ = ("rel_tol", "abs_tol", "max_steps")
 
     def __init__(self, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
-                 max_step: Optional[float] = None, max_steps: int = 1_000_000):
+                 max_steps: int = 1_000_000):
         for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
             if not 0.0 < tol < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if rel_tol < 1e-14:
             raise ValueError("rel_tol below 1e-14 is not resolvable in double precision")
-        if max_step is not None and not max_step > 0.0:
-            raise ValueError("max_step must be positive")
         # a NaN or infinite limit would never be reached
         if type(max_steps) is not int or max_steps <= 0:
             raise ValueError("max_steps must be a positive integer")
-        super().__init__(rel_tol, abs_tol, max_step, max_steps)
+        super().__init__(rel_tol, abs_tol, max_steps)
 
 
 # margin scan sample points inside an accepted step
@@ -311,14 +309,13 @@ def integrate_autonomous(
     except OverflowError:   # a component's scaled square passes the float range
         d1 = math.inf
     h = min(duration, (0.01 / d1) ** 0.2) if 0.0 < d1 < math.inf else duration
-    max_step = cfg.max_step or math.inf
 
     steps = 0
     while steps < cfg.max_steps:
         remaining = duration - t
         if remaining <= 0.0:
             return COMPLETE, t, tuple(y), steps, False
-        h = min(h, max_step, remaining)
+        h = min(h, remaining)
 
         out = step(rhs, y, f0, h, atol, rtol)
         steps += 1

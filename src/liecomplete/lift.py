@@ -43,22 +43,12 @@ __all__ = [
     "GPath",
     "LiftResult",
     "PathError",
-    "LiftEscapedError",
     "lift_path",
-    "equivariance_check",
 ]
 
 
 class PathError(ValueError):
     pass
-
-
-class LiftEscapedError(RuntimeError):
-    def __init__(self, result: "LiftResult"):
-        super().__init__(
-            f"lift escaped at t={result.escape_time} (segment {result.failed_segment})"
-        )
-        self.result = result
 
 
 class LinearSeg:
@@ -354,31 +344,3 @@ def _resolve(path: GPath, rows) -> list:
     points = G.mul([path._prefix[k] for k in ks], steps)
     return [(t0, path.start, m0)] + [(t, g, m) for (t, _, _, m), g in zip(rest, points)]
 
-
-def equivariance_check(
-    action,
-    path: GPath,
-    x0,
-    g,
-    cfg: Optional[IntegratorConfig] = None,
-) -> float:
-    """Residual of the leaf translation law under left-translating the path.
-
-    Lifts ``path`` and its left-translate by ``g`` from the same ``x0``; the
-    manifold endpoints must agree and the group endpoints must differ by left
-    multiplication by ``g``.  Raises :class:`LiftEscapedError` on escape.
-    """
-    base = lift_path(action, path, x0, cfg)
-    if not base.complete:
-        raise LiftEscapedError(base)
-    translated = GPath(path.group, action.group.mul(g, path.start), path.segments)
-    shifted = lift_path(action, translated, x0, cfg)
-    if not shifted.complete:
-        raise LiftEscapedError(shifted)
-    dm = 0.0
-    for a, b in zip(base.endpoint_m, shifted.endpoint_m):
-        dm = max(dm, abs(a - b))
-    dg = action.group.distance(
-        action.group.mul(g, base.endpoint_g), shifted.endpoint_g
-    )
-    return dm + dg

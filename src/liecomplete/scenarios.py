@@ -1,8 +1,9 @@
-"""Built-in worked scenarios with closed-form oracles.
+"""Built-in worked scenarios.
 
-Each builder assembles a :class:`~liecomplete.manifold.GAction` together with
-scenario extras (winding observable, equivariant comparison target, oracle
-helpers).  The four built-ins:
+Each builder assembles a :class:`~liecomplete.manifold.GAction`, with its
+winding observable where the scenario has one, into a :class:`Scenario`.
+The module also holds the helicoid's complete leaf invariant and the circle
+loop paths that ``lift --circle-turns`` follows.  The four built-ins:
 
 * ``translation_rn`` — translations of R^n; complete, the trivial baseline.
 * ``example4_annulus`` — translations pulled back through the polar covering
@@ -27,22 +28,17 @@ from ._record import Record
 from .algebra import AbelianGroup, MatrixGroup
 from .expr import parse
 from .manifold import Domain, GAction
-from .flow import IntegratorConfig
-from .lift import TRACE_TARGET, GPath, LinearSeg, lift_path
+from .lift import GPath, LinearSeg
 
 __all__ = [
     "Scenario",
     "ScenarioError",
     "build",
     "scenario_names",
-    "oracle_z",
-    "closure_gap",
     "LeafInvariant",
     "leaf_invariant",
     "invariants_match",
-    "universal_constancy_check",
     "circle_loop_path",
-    "equal_p_witness",
 ]
 
 
@@ -51,27 +47,13 @@ class ScenarioError(ValueError):
 
 
 class Scenario(Record):
-    """A built action plus the extras the oracles need.
+    """A built action under its scenario name; ``params`` maps parameter names to floats."""
 
-    ``params`` maps parameter names to floats; ``equivariant_target``, when
-    given, is a pair (map f: point -> vector, action (g, v) -> vector).
-    """
-
-    __slots__ = ("name", "params", "action", "description", "equivariant_target")
-    _defaults = {"description": "", "equivariant_target": None}
+    __slots__ = ("name", "params", "action")
 
 
 # ---------------------------------------------------------------------------
 # builders
-
-
-def _f_id(x):
-    return [float(v) for v in x]
-
-
-def _translate(g, v):
-    """The planar or R^n translation of ``v`` by ``-g``; coordinates past ``g`` stay."""
-    return [a - b for a, b in zip(v, g)] + list(v[len(g):])
 
 
 def _build_translation_rn(params) -> Scenario:
@@ -82,8 +64,7 @@ def _build_translation_rn(params) -> Scenario:
     coords = tuple(f"x{i + 1}" for i in range(n))
     fields = [[parse("1") if i == j else parse("0") for j in range(n)] for i in range(n)]
     action = GAction(AbelianGroup(n), Domain(coords), fields, name="translation_rn")
-    return Scenario("translation_rn", {"n": n}, action, "translations of R^n (complete)",
-                    equivariant_target=(_f_id, _translate))
+    return Scenario("translation_rn", {"n": n}, action)
 
 
 def _build_example4_annulus(params) -> Scenario:
@@ -99,18 +80,8 @@ def _build_example4_annulus(params) -> Scenario:
         [parse("sin(theta)"), parse("cos(theta)/r")],
     ]
     action = GAction(AbelianGroup(2, ("X", "Y")), domain, fields, name="example4_annulus")
-
-    def p_map(x):
-        r, th = float(x[0]), float(x[1])
-        return [r * math.cos(th), r * math.sin(th)]
-
-    return Scenario(
-        "example4_annulus",
-        {"r0": r0, "r1": r1, "theta_min": th0, "theta_max": th1},
-        action,
-        "plane translations pulled back through the polar covering of a strip",
-        equivariant_target=(p_map, _translate),
-    )
+    return Scenario("example4_annulus",
+                    {"r0": r0, "r1": r1, "theta_min": th0, "theta_max": th1}, action)
 
 
 def _build_example6_helicoid(params) -> Scenario:
@@ -130,9 +101,7 @@ def _build_example6_helicoid(params) -> Scenario:
         winding_plane=lambda p: (p[0], p[1]),
         name="example6_helicoid",
     )
-    return Scenario("example6_helicoid", {"alpha": alpha}, action,
-                    "helicoidal shear action on R^3 minus the z-axis",
-                    equivariant_target=(_f_id, _translate) if alpha == 0.0 else None)
+    return Scenario("example6_helicoid", {"alpha": alpha}, action)
 
 
 # affine basis: T (translation) and D (dilation) with [T, D] = T, matching
@@ -147,17 +116,7 @@ _AFFINE_BASIS = [
 def _build_affine_line(params) -> Scenario:
     group = MatrixGroup(_AFFINE_BASIS, ("T", "D"))
     action = GAction(group, Domain(("x",)), [[parse("1")], [parse("x")]], name="affine_line")
-
-    def act(g, v):
-        # act([[a, b], [0, 1]], v) = a*v - b; with the basis above this is the
-        # left action whose minus-derivative gives the stored fields, so
-        # act(c(t), y(t)) stays constant along every lift
-        a, b = float(g[0][0]), float(g[0][1])
-        return [a * float(x) - b for x in v]
-
-    return Scenario("affine_line", {}, action,
-                    "affine transformations of the line (matrix model; complete, transitive)",
-                    equivariant_target=(_f_id, act))
+    return Scenario("affine_line", {}, action)
 
 
 _BUILDERS = {
@@ -204,19 +163,7 @@ def build(name: str, params: Optional[Dict] = None) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# helicoid oracles
-
-
-def oracle_z(alpha: float, u: float, dtheta: float) -> float:
-    """Closed-form third coordinate after winding ``dtheta``: u * exp(-alpha*dtheta)."""
-    return u * math.exp(-alpha * dtheta)
-
-
-def closure_gap(alpha: float, u: float, theta_total: float) -> float:
-    """Distance from the spiral to the flat leaf after total winding ``theta_total``."""
-    if theta_total <= 0.0:
-        raise ScenarioError("total winding must be positive")
-    return abs(u) * math.exp(-alpha * theta_total)
+# helicoid leaf invariants
 
 
 class LeafInvariant(Record):
@@ -274,7 +221,7 @@ def invariants_match(i1: LeafInvariant, i2: LeafInvariant, tol: float = 1e-6) ->
 
 
 # ---------------------------------------------------------------------------
-# path constructors and the universal-target check
+# path constructors
 
 
 def circle_loop_path(
@@ -314,56 +261,3 @@ def circle_loop_path(
         px, py = qx, qy
     return GPath(AbelianGroup(2), start_g, segs)
 
-
-def equal_p_witness(scenario: Scenario, g, x_strip, y_strip, chords: int = 128) -> GPath:
-    """Witness identifying two strip points with the same image in the plane.
-
-    Moves along the straight strip segment from ``x_strip`` to ``y_strip`` and
-    projects its plane increments into the group; when the two points have
-    equal covering image the witness is a closed group loop at ``g``.
-    """
-    if scenario.name != "example4_annulus":
-        raise ScenarioError("equal_p_witness is specific to example4_annulus")
-    p_map = scenario.equivariant_target[0]
-    segs = []
-    prev = p_map(x_strip)
-    for k in range(1, chords + 1):
-        pt = p_map([a + (b - a) * (k / chords) for a, b in zip(x_strip, y_strip)])
-        segs.append(LinearSeg((pt[0] - prev[0], pt[1] - prev[1]), 1.0))
-        prev = pt
-    return GPath(scenario.action.group, g, segs)
-
-
-def universal_constancy_check(
-    scenario: Scenario,
-    path: GPath,
-    x0,
-    cfg: Optional[IntegratorConfig] = None,
-) -> float:
-    """Max deviation of ``act(g(t), f(x(t)))`` from its initial value along a lift.
-
-    ``(f, act)`` is the scenario's built-in equivariant target; a scenario
-    without one (the sheared helicoid with positive alpha) raises.
-    The deviation is measured along the whole curve at genuine integration
-    step endpoints: the step size is capped so trace rows never come from
-    dense-output interpolation, whose error is lower order.
-    """
-    pair = scenario.equivariant_target
-    if pair is None:
-        raise ScenarioError(
-            f"scenario {scenario.name!r} has no built-in equivariant target"
-        )
-    f_map, act = pair
-    cfg = cfg or IntegratorConfig()
-    cap = 1.0 / TRACE_TARGET
-    cap = cap if cfg.max_step is None else min(cfg.max_step, cap)
-    cfg = IntegratorConfig(cfg.rel_tol, cfg.abs_tol, cap, cfg.max_steps)
-    result = lift_path(scenario.action, path, x0, cfg)
-    rows = result.trace
-    ref = act(rows[0][1], f_map(rows[0][2]))
-    worst = 0.0
-    for (_, g_t, m_t) in rows[1:]:
-        dev = max(abs(a - b) for a, b in zip(act(g_t, f_map(m_t)), ref))
-        if dev > worst:
-            worst = dev
-    return worst

@@ -166,6 +166,18 @@ def test_unknown_keys_are_config_errors(tmp_path, capsys):
         assert _config_error(["check", "--scenario-file", f], capsys), spec
 
 
+def test_boolean_dims_are_config_errors(tmp_path, capsys):
+    # JSON true passes isinstance(..., int) but is no dimension
+    line = {"group": {"type": "abelian", "dim": 1},
+            "manifold": {"dim": 1, "coords": ["x"]}, "fields": [["1"]]}
+    assert main(["check", "--scenario-file", _write(tmp_path, "line.json", line)]) == 0
+    capsys.readouterr()
+    for spec in [dict(line, group={"type": "abelian", "dim": True}),
+                 dict(line, manifold={"dim": True, "coords": ["x"]})]:
+        f = _write(tmp_path, "bool.json", spec)
+        assert _config_error(["check", "--scenario-file", f], capsys), spec
+
+
 def _planar_action(fields, exclusions=()):
     return {
         "group": {"type": "abelian", "dim": 2},
@@ -520,6 +532,12 @@ def test_holonomy_bad_loop(tmp_path, capsys):
     for flags in [["--frame", "1,nan"], ["--frame", "1,0;inf,1"], ["--x0", "1,0,nan"]]:
         assert _config_error(["holonomy", "--scenario", "example6", "--loop", loop,
                               "--x0", "1,0,0"] + flags, capsys), flags
+    # a ragged frame, and an x0 with fewer coordinates than the loop points
+    line = _write(tmp_path, "line.json", {"points": [[1.0], [1.5], [2.0]]})
+    assert _config_error(["holonomy", "--scenario", "affine", "--open", "--frame", "1,0;1",
+                          "--loop", line, "--x0", "1"], capsys)
+    assert _config_error(["holonomy", "--scenario", "example6", "--frame", "1,0;0,1", "--open",
+                          "--loop", loop, "--x0", "1,0"], capsys)
 
 
 def test_holonomy_default_frame_spans_the_orbit(tmp_path, capsys):

@@ -8,17 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from liecomplete.algebra import AbelianGroup, MatrixGroup
 from liecomplete.flow import COMPLETE, ESCAPED, IntegratorConfig
-from liecomplete.lift import (
-    ExpSeg,
-    GPath,
-    LiftEscapedError,
-    LinearSeg,
-    PathError,
-    equivariance_check,
-    lift_path,
-)
+from liecomplete.lift import ExpSeg, GPath, LinearSeg, PathError, lift_path
 from liecomplete.manifold import OutsideDomainError
 from liecomplete.scenarios import build, circle_loop_path
+
+from scenario_oracles import LiftEscapedError, equivariance_check
 
 E_MINUS_2PI = 1.8674427317079893e-3  # exp(-2*pi)
 
