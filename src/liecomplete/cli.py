@@ -155,6 +155,8 @@ def _action_from_file(path: str) -> Scenario:
     coords = mspec["coords"]
     if type(n) is not int or not isinstance(coords, list) or len(coords) != n:
         raise ConfigError("manifold.coords must list exactly manifold.dim names")
+    if not all(isinstance(c, str) for c in coords):
+        raise ConfigError("manifold.coords must be strings")
     box = None
     if "box" in mspec:
         raw = mspec["box"]
@@ -184,6 +186,8 @@ def _action_from_file(path: str) -> Scenario:
             raise ConfigError(f"fields[{i}] must list {n} component expressions")
         fields.append(_exprs(row, f"fields[{i}]"))
     name = spec.get("name", "custom")
+    if not isinstance(name, str):
+        raise ConfigError("name must be a string")
     action = GAction(group, Domain(tuple(coords), box=box, margins=margins), fields, params, name=name)
     return Scenario(name, dict(params), action)
 

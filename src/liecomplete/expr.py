@@ -534,9 +534,9 @@ def _py_float(v: float) -> str:
     return f"({v!r})" if math.copysign(1.0, v) < 0.0 else repr(v)
 
 
-def _define(src: str) -> dict:
-    """Execute generated source with the expression globals; return its namespace."""
-    ns = dict(_COMPILE_GLOBALS)
+def _define(src: str, extra: Optional[Mapping[str, object]] = None) -> dict:
+    """Execute generated source with the expression globals and ``extra``; return its namespace."""
+    ns = dict(_COMPILE_GLOBALS, **(extra or {}))
     exec(compile(src, "<generated>", "exec"), ns)
     return ns
 

@@ -15,6 +15,12 @@ stage failed, the error test failed or the margin dipped, shrinks the step
 size in one place, which also ends the run as a low-confidence escape once
 the size falls below ``STEP_COLLAPSE``.
 
+A dip search is skipped, with the same outcome, when the margin carries a
+lower bound over boxes (``margin.lower``, as the margin ``GAction`` generates
+does) and that bound over the Bernstein hull of the interpolant on the
+search bracket shows that no sample there can fall below either of the
+search's tests.
+
 Flows of single fields and words of flows are lifts of one-parameter group
 paths: :func:`liecomplete.lift.lift_path` over :meth:`liecomplete.lift.GPath.word`.
 
@@ -87,6 +93,12 @@ class IntegratorConfig(Record):
 _SCAN = (0.25, 0.5, 0.75, 1.0)
 
 
+def _unpack_ends(n: int) -> list:
+    """Source lines binding the components of a step's y0, f0, y1, f1 to p_i, q_i, r_i, u_i."""
+    return [f"{''.join(f'{v}{i}, ' for i in range(n))}= {name}"
+            for v, name in zip("pqru", ("y0", "f0", "y1", "f1"))]
+
+
 def _lin(terms, i: int) -> str:
     """Source of ``c1 * k1_i + c2 * k2_i + ...`` for (coefficient, stage) pairs."""
     return " + ".join(
@@ -117,7 +129,7 @@ def _dp5_kernels(n: int):
     def hermite_sum(a, c):
         return ", ".join(f"{a} * p{i} + b * q{i} + {c} * r{i} + d * u{i}" for i in idx)
 
-    ends = [f"{unpack(v)}= {name}" for v, name in zip("pqru", ("y0", "f0", "y1", "f1"))]
+    ends = _unpack_ends(n)
 
     def stage(row, i):
         # x + h * (a1 * k1 + ...); the first stage groups as x + (h * a21) * k1
@@ -191,6 +203,47 @@ def _dp5_kernels(n: int):
     return ns["step"], ns["hermite"], ns["interior"], ns["first_norm"]
 
 
+# The Bernstein hull of a step's interpolant (Farouki & Rajan, CAGD 1988): its
+# control points restricted to [lo, hi] are three convex combinations deep and
+# within 17 u S of exact, and the computed interp(s) is within 8 u S of the
+# exact cubic, with u = 2**-53 and S = |y0| + |h f0| + |y1| + |h f1| per
+# component; the hull is widened by 64 u S, plus a floor for underflow.
+_HULL_REL = 2.0 ** -47
+_HULL_ABS = 1e-300
+
+
+@functools.lru_cache(maxsize=None)
+def _hull_kernel(n: int):
+    """Generate ``hull(y0, f0, y1, f1, h, lo, hi)`` for states of length n.
+
+    It returns ``(los, his)``, bounds of each component of the floats that
+    the step's interpolant ``hermite(y0, f0, y1, f1, h)`` computes for s in
+    [lo, hi] within [0, 1].  The cubic's Bernstein control points are y0,
+    y0 + h f0 / 3, y1 - h f1 / 3 and y1; those of its restriction to [lo, hi]
+    are the blossom at (lo, lo, lo), (lo, lo, hi), (lo, hi, hi) and
+    (hi, hi, hi), and lie within the hull widened by ``_HULL_REL``.
+    """
+    lines = ["def hull(y0, f0, y1, f1, h, lo, hi):", *("    " + line for line in _unpack_ends(n)),
+             "    t = h / 3.0"]
+    for i in range(n):
+        lines += [
+            f"    b1, b2 = p{i} + t * q{i}, r{i} - t * u{i}",
+            f"    l0, l1, l2 = p{i} + lo * (b1 - p{i}), b1 + lo * (b2 - b1), b2 + lo * (r{i} - b2)",
+            f"    g0, g1, g2 = p{i} + hi * (b1 - p{i}), b1 + hi * (b2 - b1), b2 + hi * (r{i} - b2)",
+            "    ll0, ll1 = l0 + lo * (l1 - l0), l1 + lo * (l2 - l1)",
+            "    lh0, lh1 = l0 + hi * (l1 - l0), l1 + hi * (l2 - l1)",
+            "    hh0, hh1 = g0 + hi * (g1 - g0), g1 + hi * (g2 - g1)",
+            "    c0, c1 = ll0 + lo * (ll1 - ll0), ll0 + hi * (ll1 - ll0)",
+            "    c2, c3 = lh0 + hi * (lh1 - lh0), hh0 + hi * (hh1 - hh0)",
+            f"    w = {_HULL_REL!r} * (abs(p{i}) + abs(h * q{i}) + abs(r{i}) + abs(h * u{i}))"
+            f" + {_HULL_ABS!r}",
+            f"    lo{i}, hi{i} = min(c0, c1, c2, c3) - w, max(c0, c1, c2, c3) + w",
+        ]
+    lines.append(f"    return [{', '.join(f'lo{i}' for i in range(n))}], "
+                 f"[{', '.join(f'hi{i}' for i in range(n))}]")
+    return _define("\n".join(lines))["hull"]
+
+
 def _golden_min(fn, lo: float, hi: float, iters: int = 40):
     """Golden-section minimum of fn over [lo, hi]; returns (s, fn(s))."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -210,7 +263,8 @@ def _golden_min(fn, lo: float, hi: float, iters: int = 40):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _scan_margins(margin, interp, ms, eps: float, h: float, width: float):
+def _scan_margins(margin, interp, ms, eps: float, h: float, width: float,
+                  lower=None, y0=None, f0=None, y1=None, f1=None):
     """Decide an accepted step from its margins ``ms`` at s = 0, 0.25, 0.5, 0.75, 1.
 
     Returns ``None`` when the step can be committed, with no further margin
@@ -220,6 +274,11 @@ def _scan_margins(margin, interp, ms, eps: float, h: float, width: float):
     the dip; or ``("escape", s_lo, s_mid, low_confidence)`` when the margin
     crosses ``eps``, with ``s_lo`` the last fraction found inside and
     ``s_mid`` the middle of the final bisection bracket.
+
+    ``lower``, when given, is the margin's lower bound over a box
+    (``margin.lower``), and ``y0, f0, y1, f1`` are the step's ends, from
+    which ``interp`` is built: a dip search that this bound over the
+    interpolant's hull proves would commit the step is skipped.
     """
     mmin = min(ms)
     refine = mmin < 0.5 * max(ms) or mmin < 100.0 * eps
@@ -237,6 +296,12 @@ def _scan_margins(margin, interp, ms, eps: float, h: float, width: float):
         im = ms.index(mmin)
         lo = ss[max(0, im - 1)]
         hi = ss[min(4, im + 1)]
+        # the search samples interp on [lo, hi] only, so its minimum is at least
+        # the bound, and a bound that passes both of its tests commits as it would
+        if lower is not None and math.isfinite(ms[0]) and math.isfinite(ms[4]):
+            bound = lower(*_hull_kernel(len(y0))(y0, f0, y1, f1, h, lo, hi))
+            if bound > eps and bound >= 0.5 * min(ms[0], ms[4]):
+                return None
         s_star, m_star = _golden_min(lambda s: margin(interp(s)), lo, hi)
         if m_star <= eps:
             cross = (lo, s_star)
@@ -272,7 +337,9 @@ def integrate_autonomous(
     ``margin`` maps a state to the signed distance proxy and must not
     raise (where it cannot be evaluated it returns ``-inf``, as the margin
     that ``GAction`` generates does); crossing ``ESCAPE_MARGIN`` ends the run
-    as escaped.  ``on_step`` is called as
+    as escaped.  A margin with the attribute ``lower(lo, hi)``, a lower bound
+    of it over boxes, as that margin has, lets the scan skip the dip searches
+    the bound proves futile.  ``on_step`` is called as
     ``on_step(t0, y0, t1, y1, interp)`` after each accepted (possibly
     escape-truncated) step, with ``interp`` covering the reported sub-step;
     ``interp`` reads ``rhs`` results when called, so ``rhs`` must return a
@@ -286,6 +353,7 @@ def integrate_autonomous(
     eps = ESCAPE_MARGIN
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     step, hermite, interior, first_norm = _dp5_kernels(n)
+    lower = getattr(margin, "lower", None)
 
     m_curr = margin(y)  # margin at the current point
     if m_curr <= eps:
@@ -330,7 +398,8 @@ def integrate_autonomous(
             interp = hermite(y, f0, y1, k7, h)
             m_end = margin(y1)
             ms = (m_curr, *interior(margin, y, f0, y1, k7, h), m_end)
-            found = _scan_margins(margin, interp, ms, eps, h, ESCAPE_TIME_WIDTH)
+            found = _scan_margins(margin, interp, ms, eps, h, ESCAPE_TIME_WIDTH,
+                                  lower, y, f0, y1, k7)
             if found is None:
                 on_step(t, y, t + h, y1, interp)
                 t += h

@@ -79,6 +79,10 @@ def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
 
     The minimum starts at ``inf`` and takes each value that is ``<`` it, so a
     NaN margin is ignored; a margin expression that raises gives ``-inf``.
+    Its attribute ``lower(lo, hi)`` is a lower bound of its value at every
+    list of floats p with ``lo[j] <= p[j] <= hi[j]``, or ``-inf`` where it
+    proves nothing (:func:`liecomplete.interval.margin_lower`); that is
+    generated on its first call.
     """
     names = _name_map(domain.coords, params)
     lines = [
@@ -105,7 +109,16 @@ def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
         if hi is not None:
             lines += [f"    if (v := {_py_float(hi)} - _v{j}) < m:", "        m = v"]
     lines.append("    return m")
-    return _define("\n".join(lines))["_margin"]
+    margin = _define("\n".join(lines))["_margin"]
+
+    def lower(lo, hi):
+        if margin.lower is lower:
+            from .interval import margin_lower
+            margin.lower = margin_lower(domain, names)
+        return margin.lower(lo, hi)
+
+    margin.lower = lower
+    return margin
 
 
 def _compile_contraction(fields, rows: tuple, coords, params) -> Callable:
@@ -167,6 +180,9 @@ class GAction:
         if len(fields) != d or any(len(row) != n for row in fields):
             raise ActionError(f"fields must be a {d}x{n} grid of expressions")
         self.fields = tuple(tuple(row) for row in fields)
+        shadowed = [k for k in self.params if k in domain.coords]
+        if shadowed:   # the expressions would read the coordinate
+            raise ActionError(f"parameter {shadowed[0]!r} is also a coordinate name")
 
         # _fields_at: all basis fields at a list of floats, flat in row order,
         # with no domain check; fields and margins name coordinates and params only

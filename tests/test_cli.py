@@ -178,6 +178,33 @@ def test_boolean_dims_are_config_errors(tmp_path, capsys):
         assert _config_error(["check", "--scenario-file", f], capsys), spec
 
 
+def test_non_string_names_are_config_errors(tmp_path, capsys):
+    # a coordinate name ends up in the CSV header and the name in the summary
+    line = {"group": {"type": "abelian", "dim": 1},
+            "manifold": {"dim": 1, "coords": ["x"]}, "fields": [["1"]]}
+    path = _write(tmp_path, "path.json", {"start": [0.0], "segments": [{"type": "linear", "delta": [1.0]}]})
+    lift = ["lift", "--x0", "0.5", "--path", path, "--out", str(tmp_path / "run")]
+    assert main(["lift", "--scenario-file", _write(tmp_path, "line.json", line)] + lift[1:]) == 0
+    capsys.readouterr()
+    for spec in [dict(line, manifold={"dim": 1, "coords": [1]}),
+                 dict(line, manifold={"dim": 2, "coords": ["x", None]}, fields=[["1", "0"]]),
+                 dict(line, name=5),
+                 dict(line, name=["line"])]:
+        f = _write(tmp_path, "names.json", spec)
+        assert _config_error(["check", "--scenario-file", f], capsys), spec
+        assert _config_error(["lift", "--scenario-file", f] + lift[1:], capsys), spec
+
+
+def test_a_parameter_named_like_a_coordinate_is_a_config_error(tmp_path, capsys):
+    # {"x": 2} was ignored: the field x read the coordinate
+    spec = {"group": {"type": "abelian", "dim": 1}, "manifold": {"dim": 1, "coords": ["x"]},
+            "params": {"x": 2}, "fields": [["x"]]}
+    f = _write(tmp_path, "shadow.json", spec)
+    assert main(["check", "--scenario-file", f]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "'x' is also a coordinate name" in err
+
+
 def _planar_action(fields, exclusions=()):
     return {
         "group": {"type": "abelian", "dim": 2},

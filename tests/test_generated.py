@@ -11,7 +11,9 @@ zeros and NaNs count too), because it does the same operations in the same
 order.  Three whole-lift hashes pin every output of a long circle lift, of
 200 lines past the helicoid axis and of 300 coarse circles whose steps the
 winding tracker subdivides, and a fourth pins the group elements and re-lift
-residuals of ``loop_to_group``.
+residuals of ``loop_to_group``.  The scan skips the dip searches that the
+margin's lower bound proves futile; three tests run each scan both with and
+without that shortcut, and the two must agree.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liecomplete import flow
 from liecomplete.algebra import AbelianGroup
 from liecomplete.completion import (
     _GL2_OFFSET, _MAGNUS4, FRAME_CONDITION_LIMIT, ORBIT_RESIDUAL_REL, FrameConditionError,
@@ -690,11 +693,9 @@ def test_circle_lift_bytes_are_unchanged():
     assert h.hexdigest() == "470e8cf4b7f71f6c4b5c2c79c1db75fde0d7c7bf5fbc41d3b424209920e5b462"
 
 
-def test_graze_lift_bytes_are_unchanged():
-    helicoid = build("example6_helicoid").action
+def graze_lines():
+    """200 seeded lines ``(p0, delta, z0)`` past the helicoid axis."""
     rng = random.Random(2024)
-    h = hashlib.sha256()
-    statuses = []
     for _ in range(200):
         # a line passing the axis at log-uniform distance d, from either side
         d = math.exp(rng.uniform(math.log(1e-6), math.log(1e-1)))
@@ -705,6 +706,14 @@ def test_graze_lift_bytes_are_unchanged():
         p0 = (-side * d * u[1] - before * u[0], side * d * u[0] - before * u[1])
         delta = ((before + after) * u[0], (before + after) * u[1])
         z0 = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
+        yield p0, delta, z0
+
+
+def test_graze_lift_bytes_are_unchanged():
+    helicoid = build("example6_helicoid").action
+    h = hashlib.sha256()
+    statuses = []
+    for p0, delta, z0 in graze_lines():
         path = GPath(helicoid.group, (0.0, 0.0), [LinearSeg(delta, 1.0)])
         res = lift_path(helicoid, path, (*p0, z0))
         statuses.append(res.status)
@@ -712,6 +721,118 @@ def test_graze_lift_bytes_are_unchanged():
                 res.rows)
     assert (statuses.count("complete"), statuses.count("escaped")) == (144, 56)
     assert h.hexdigest() == "2340f23eb7190712e72b2d125c420bfbbbf63a3fa29371a3b3d38be0dc900cba"
+
+
+# ---------------------------------------------------------------------------
+# the dip searches that the margin's lower bound over the interpolant's hull
+# proves futile are skipped: each scan is run both ways and must agree
+
+
+def _run_both_scans(monkeypatch):
+    """Make every margin scan run with and without the shortcut; return its tallies."""
+    tally = {"searches": 0, "skips": 0}
+    scan, golden = flow._scan_margins, flow._golden_min
+    minima, bounds = [], []
+
+    def search(fn, lo, hi):
+        out = golden(fn, lo, hi)
+        minima.append(out[1])
+        return out
+
+    def both(margin, interp, ms, eps, h, width, lower=None, *ends):
+        minima.clear()
+        full = scan(margin, interp, ms, eps, h, width)
+        searched = minima[:]
+        minima.clear()
+        bounds.clear()
+        fast = scan(margin, interp, ms, eps, h, width,
+                    lower and (lambda lo, hi: bounds.append(lower(lo, hi)) or bounds[-1]), *ends)
+        assert fast == full
+        if searched:
+            tally["searches"] += 1
+            if not minima:   # skipped: the search committed, at a minimum above the bound
+                tally["skips"] += 1
+                assert full is None and searched[0] >= bounds[-1]
+        return fast
+
+    monkeypatch.setattr(flow, "_golden_min", search)
+    monkeypatch.setattr(flow, "_scan_margins", both)
+    return tally
+
+
+def test_skipped_dip_searches_would_have_committed_on_the_graze_lines(monkeypatch):
+    tally = _run_both_scans(monkeypatch)
+    helicoid = build("example6_helicoid").action
+    for p0, delta, z0 in graze_lines():
+        lift_path(helicoid, GPath(helicoid.group, (0.0, 0.0), [LinearSeg(delta, 1.0)]), (*p0, z0))
+    assert tally == {"searches": 2412, "skips": 2412}
+
+
+def test_skipped_dip_searches_would_have_committed_near_the_axis(monkeypatch):
+    # loose tolerances too: their long steps past the axis dip, and those are searched
+    tally = _run_both_scans(monkeypatch)
+    helicoid = build("example6_helicoid").action
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.floats(math.log(1e-6), math.log(1e-1)).map(math.exp), psi=st.floats(-math.pi, math.pi),
+           before=st.floats(0.3, 1.5), after=st.floats(0.3, 1.5), z0=st.floats(0.5, 2.0),
+           tol=st.sampled_from([1e-9, 1e-6, 1e-4]))
+    def check(d, psi, before, after, z0, tol):
+        u = (math.cos(psi), math.sin(psi))
+        p0 = (-d * u[1] - before * u[0], d * u[0] - before * u[1])
+        path = GPath(helicoid.group, (0.0, 0.0), [LinearSeg(((before + after) * u[0],
+                                                              (before + after) * u[1]), 1.0)])
+        lift_path(helicoid, path, (*p0, z0), IntegratorConfig(rel_tol=tol, abs_tol=tol))
+
+    check()
+    assert tally["skips"] >= 100 and tally["searches"] - tally["skips"] >= 10, tally
+
+
+def test_skipped_dip_searches_would_have_committed_on_drawn_steps(monkeypatch):
+    # straight steps past the axis that the integrator did not choose: they dip,
+    # cross and end within a few eps of it far more often than its own steps
+    tally = _run_both_scans(monkeypatch)
+    margin = build("example6_helicoid").action._margin
+    _, hermite, interior, _ = _dp5_kernels(3)
+
+    @settings(max_examples=500, deadline=None)
+    @given(d2=st.floats(-1.0, 6.0).map(lambda e: EPS * 10.0 ** e),
+           psi=st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2]), st.floats(-math.pi, math.pi)),
+           near=st.floats(-0.5, 1.5), ratio=st.floats(-1.0, 3.0).map(lambda e: 10.0 ** e),
+           h=st.floats(1e-6, 1.0))
+    def check(d2, psi, near, ratio, h):
+        # the line at distance d = sqrt(d2) from the axis, nearest at step fraction
+        # `near`, over a length of ratio * d
+        u, d = (math.cos(psi), math.sin(psi)), math.sqrt(d2)
+        length = ratio * d
+        y0 = [-d * u[1] - near * length * u[0], d * u[0] - near * length * u[1], 1.0]
+        y1 = [y0[0] + length * u[0], y0[1] + length * u[1], 1.0]
+        f = [length * u[0] / h, length * u[1] / h, 0.0]
+        ms = (margin(y0), *interior(margin, y0, f, y1, f, h), margin(y1))
+        if ms[0] > EPS:   # a scan starts inside
+            flow._scan_margins(margin, hermite(y0, f, y1, f, h), ms, EPS, h, ESCAPE_TIME_WIDTH,
+                               margin.lower, y0, f, y1, f)
+
+    check()
+    assert tally["skips"] >= 50 and tally["searches"] - tally["skips"] >= 50, tally
+
+
+def test_graze_margin_calls_are_pinned():
+    # 188,732 when every dip search ran; the skipped ones made 42 calls each
+    helicoid = build("example6_helicoid").action
+    margin = helicoid._margin
+    calls = 0
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return margin(p)
+
+    counted.lower = getattr(margin, "lower", None)
+    helicoid._margin = counted
+    for p0, delta, z0 in graze_lines():
+        lift_path(helicoid, GPath(helicoid.group, (0.0, 0.0), [LinearSeg(delta, 1.0)]), (*p0, z0))
+    assert calls == 87_428
 
 
 def test_coarse_circle_windings_are_unchanged():

@@ -124,6 +124,14 @@ def test_domain_requires_known_names():
             GAction(AbelianGroup(1), domain, [[parse(field)] * domain.dim], params)
 
 
+def test_a_parameter_may_not_share_a_coordinate_name():
+    # the expressions would read the coordinate and ignore the parameter
+    x = Domain(("x",))
+    with pytest.raises(ActionError, match="parameter 'x' is also a coordinate name"):
+        GAction(AbelianGroup(1), x, [[parse("x")]], {"x": 2.0})
+    assert GAction(AbelianGroup(1), x, [[parse("a*x")]], {"a": 2.0}).params == {"a": 2.0}
+
+
 def test_field_grid_shape_checked():
     with pytest.raises(ActionError):
         GAction(

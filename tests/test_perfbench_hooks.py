@@ -6,7 +6,9 @@ away silently drops its per-layer metrics, so it is caught here.  Its
 ``integrate_autonomous`` wrapper takes exactly ``(rhs, y0, duration, cfg,
 margin, on_step)``, so one traced lift, and one traced ``loop_to_group`` on
 the matrix model, check that the wrapped calls still work and that the counts
-they feed are the integrator's.
+they feed are the integrator's.  Its wrapped margin has no ``lower`` bound, so
+a traced line past the helicoid axis runs the dip searches that the untraced
+one skips, and must give the same result.
 """
 
 import math
@@ -50,6 +52,34 @@ def test_traced_lift_is_the_untraced_lift(monkeypatch):
     assert tracer.counts["lift.segments"] == path.n_segments == accepted
     assert tracer.layer("manifold.rhs")[0] == 7 * accepted
     assert tracer.layer("manifold.margin")[0] == 5 * accepted
+
+
+def test_traced_graze_line_is_the_untraced_one(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from tracer import Tracer, install
+    from workloads import Pkg, make_inputs
+
+    from liecomplete import flow
+
+    searches = []
+    golden = flow._golden_min
+    monkeypatch.setattr(flow, "_golden_min", lambda fn, lo, hi: searches.append(lo) or golden(fn, lo, hi))
+    pkg = Pkg()
+    action = pkg.scenarios.build("example6_helicoid").action
+    # the first graze op of seed 3: a line past the axis whose steps dip
+    op = make_inputs("graze", 3, str(tmp_path))[0]
+    path = pkg.lift.GPath(action.group, (0.0, 0.0), [pkg.lift.LinearSeg(op["delta"], 1.0)])
+    x0 = (*op["p0"], op["z0"])
+    plain = pkg.lift.lift_path(action, path, x0)
+    skipped = len(searches)
+    # the span around the margin carries no lower bound, so every dip search runs
+    tracer = install(Tracer(), pkg)
+    try:
+        traced = pkg.lift.lift_path(action, path, x0)
+    finally:
+        tracer.restore()
+    assert traced == plain
+    assert (skipped, len(searches)) == (0, 20)
 
 
 def test_traced_loop_to_group_is_the_untraced_one(monkeypatch, tmp_path):
