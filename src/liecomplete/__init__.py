@@ -6,6 +6,7 @@ before the path ends, reconstructs group elements over manifold loops, and
 classifies graph points into leaves for the worked scenarios.
 """
 
+from ._record import InputError
 from .algebra import AbelianGroup, LieAlgebra, MatrixGroup, structure_constants_from_matrix_basis
 from .completion import HolonomyElement, IsotropyReport, LeafRecord, isotropy, loop_to_group, same_leaf
 from .expr import Expr, ExprDomainError, ExprNameError, ExprSyntaxError, parse
@@ -29,6 +30,7 @@ __all__ = [
     "GAction",
     "GPath",
     "HolonomyElement",
+    "InputError",
     "IntegratorConfig",
     "IsotropyReport",
     "LeafRecord",

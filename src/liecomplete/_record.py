@@ -1,4 +1,4 @@
-"""The base class of the package's records.
+"""The base classes of the package's records and of its input errors.
 
 Records are plain classes because ``dataclasses`` imports ``inspect`` and
 builds every class's methods with ``exec``, a large share of the time a CLI
@@ -6,6 +6,13 @@ process spends importing the package.
 """
 
 _set = object.__setattr__
+
+
+class InputError(ValueError):
+    """Malformed input from the caller: every module's input error derives from it.
+
+    The command line maps it, and it alone, to the invalid-input exit code.
+    """
 
 
 def _by_value(v):

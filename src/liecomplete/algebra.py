@@ -23,14 +23,14 @@ from itertools import accumulate, product
 from operator import add, mul
 from typing import Optional, Sequence
 
-from ._record import Record
+from ._record import InputError, Record
 
 JACOBI_TOL = 1e-12
 MODEL_COMMUTATOR_TOL = 1e-10
 SINGULAR_DET_TOL = 1e-12
 
 
-class AlgebraError(ValueError):
+class AlgebraError(InputError):
     pass
 
 

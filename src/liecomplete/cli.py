@@ -8,9 +8,12 @@ Subcommands::
     classify   leaf invariants for helicoid graph points, grouped by leaf
 
 Exit codes: 0 success, 1 check failure, 2 escape, 3 invalid input/config,
-4 numerical failure.  All file formats are JSON in, CSV/JSON out; unknown
-keys in input files are hard errors so that typos never silently change a
-run.  Outputs are byte-deterministic for fixed inputs and seed.
+4 numerical failure.  Exit 3 is every ``InputError``: the library's own
+checks of what it is given, the file formats' checks here, and usage errors,
+which argparse reports (flag exclusions included).  All file formats are
+JSON in, CSV/JSON out; unknown keys in input files are hard errors so that
+typos never silently change a run.  Outputs are byte-deterministic for fixed
+inputs and seed.
 """
 
 from __future__ import annotations
@@ -21,27 +24,14 @@ import math
 import sys
 from typing import Optional
 
-from .algebra import AbelianGroup, AlgebraError, MatrixGroup
-from .completion import (
-    FrameConditionError,
-    LoopGeometryError,
-    LoopOutsideOrbitError,
-    isotropy,
-    loop_to_group,
-)
-from .expr import ExprSyntaxError, parse as parse_expr
-from .flow import COMPLETE, ESCAPED, STEP_LIMIT, IntegratorConfig
-from .lift import ExpSeg, GPath, LinearSeg, PathError, lift_path
-from .manifold import (
-    ActionError,
-    Domain,
-    DomainError,
-    GAction,
-    OutsideDomainError,
-    SamplingError,
-    check_homomorphism,
-)
-from .scenarios import ScenarioError, Scenario, build, circle_loop_path, leaf_invariant, invariants_match
+from ._record import InputError
+from .algebra import AbelianGroup, MatrixGroup
+from .completion import isotropy, loop_to_group
+from .expr import parse as parse_expr
+from .flow import ESCAPED, STEP_LIMIT, IntegratorConfig
+from .lift import ExpSeg, GPath, LinearSeg, lift_path
+from .manifold import Domain, GAction, check_homomorphism
+from .scenarios import Scenario, build, circle_loop_path, leaf_invariant, invariants_match
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -52,36 +42,16 @@ EXIT_NUMERICAL = 4
 CHECK_RESIDUAL_LIMIT = 1e-6
 
 
-class ConfigError(ValueError):
-    pass
-
-
-_CONFIG_ERRORS = (
-    ConfigError,
-    ScenarioError,
-    ExprSyntaxError,
-    AlgebraError,
-    DomainError,
-    ActionError,
-    PathError,
-    OutsideDomainError,
-    SamplingError,
-    FrameConditionError,
-    LoopGeometryError,
-    LoopOutsideOrbitError,
-)
-
-
 def _check_keys(obj: dict, required, optional, where: str):
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
+        raise InputError(f"{where} must be a JSON object")
     for k in required:
         if k not in obj:
-            raise ConfigError(f"{where}: missing required key {k!r}")
+            raise InputError(f"{where}: missing required key {k!r}")
     allowed = set(required) | set(optional)
     unknown = sorted(set(obj) - allowed)
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {unknown}")
+        raise InputError(f"{where}: unknown key(s) {unknown}")
 
 
 def _load_json(path: str, where: str) -> dict:
@@ -89,18 +59,18 @@ def _load_json(path: str, where: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"{where}: file not found: {path}") from None
+        raise InputError(f"{where}: file not found: {path}") from None
     except json.JSONDecodeError as e:
-        raise ConfigError(f"{where}: invalid JSON ({e})") from None
+        raise InputError(f"{where}: invalid JSON ({e})") from None
 
 
 def _floats(seq, where: str) -> list:
     if not isinstance(seq, list):
-        raise ConfigError(f"{where} must be a list of numbers")
+        raise InputError(f"{where} must be a list of numbers")
     out = []
     for v in seq:
         if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise ConfigError(f"{where} must contain only finite numbers")
+            raise InputError(f"{where} must contain only finite numbers")
         out.append(float(v))
     return out
 
@@ -108,16 +78,16 @@ def _floats(seq, where: str) -> list:
 def _matrix(obj, where: str) -> list:
     """A non-empty list of rows of finite numbers, all of one length."""
     if not isinstance(obj, list) or not obj:
-        raise ConfigError(f"{where} must be a non-empty list of rows")
+        raise InputError(f"{where} must be a non-empty list of rows")
     rows = [_floats(row, where) for row in obj]
     if any(len(row) != len(rows[0]) for row in rows):
-        raise ConfigError(f"{where} must have rows of equal length")
+        raise InputError(f"{where} must have rows of equal length")
     return rows
 
 
 def _exprs(seq, where: str) -> list:
     if not isinstance(seq, list) or not all(isinstance(v, str) for v in seq):
-        raise ConfigError(f"{where} must be a list of expression strings")
+        raise InputError(f"{where} must be a list of expression strings")
     return [parse_expr(v) for v in seq]
 
 
@@ -135,33 +105,33 @@ def _action_from_file(path: str) -> Scenario:
 
     d = gspec["dim"]
     if type(d) is not int or d < 1:   # a bool is an int to isinstance
-        raise ConfigError("group.dim must be a positive integer")
+        raise InputError("group.dim must be a positive integer")
     if gspec["type"] == "abelian":
         if "basis" in gspec:
-            raise ConfigError("abelian group model takes no basis")
+            raise InputError("abelian group model takes no basis")
         group = AbelianGroup(d)
     elif gspec["type"] == "matrix":
         if "basis" not in gspec:
-            raise ConfigError("matrix group model requires a basis")
+            raise InputError("matrix group model requires a basis")
         raw = gspec["basis"]
         mats = [_matrix(m, "basis matrix") for m in raw] if isinstance(raw, list) else []
         if len(mats) != d or any(len(m) != len(m[0]) or len(m) != len(mats[0]) for m in mats):
-            raise ConfigError("basis must be d matrices of equal square shape")
+            raise InputError("basis must be d matrices of equal square shape")
         group = MatrixGroup(mats)
     else:
-        raise ConfigError("group.type must be 'abelian' or 'matrix'")
+        raise InputError("group.type must be 'abelian' or 'matrix'")
 
     n = mspec["dim"]
     coords = mspec["coords"]
     if type(n) is not int or not isinstance(coords, list) or len(coords) != n:
-        raise ConfigError("manifold.coords must list exactly manifold.dim names")
+        raise InputError("manifold.coords must list exactly manifold.dim names")
     if not all(isinstance(c, str) for c in coords):
-        raise ConfigError("manifold.coords must be strings")
+        raise InputError("manifold.coords must be strings")
     box = None
     if "box" in mspec:
         raw = mspec["box"]
-        if not isinstance(raw, list) or len(raw) != n:
-            raise ConfigError("manifold.box must give one entry per coordinate")
+        if not isinstance(raw, list):
+            raise InputError("manifold.box must be a list")
         box = []
         for b in raw:
             if b is None:
@@ -169,67 +139,52 @@ def _action_from_file(path: str) -> Scenario:
             else:
                 pair = _floats(b, "box bound")
                 if len(pair) != 2:
-                    raise ConfigError("box bounds must be [lo, hi] pairs")
+                    raise InputError("box bounds must be [lo, hi] pairs")
                 box.append((pair[0], pair[1]))
         box = tuple(box)
     margins = tuple(_exprs(mspec.get("exclusions", []), "manifold.exclusions"))
     params = spec.get("params", {})
     if not isinstance(params, dict):
-        raise ConfigError("params must be an object")
+        raise InputError("params must be an object")
     params = dict(zip(params, _floats(list(params.values()), "params")))
     fields_raw = spec["fields"]
-    if not isinstance(fields_raw, list) or len(fields_raw) != d:
-        raise ConfigError(f"fields must list {d} rows (one per algebra basis vector)")
-    fields = []
-    for i, row in enumerate(fields_raw):
-        if not isinstance(row, list) or len(row) != n:
-            raise ConfigError(f"fields[{i}] must list {n} component expressions")
-        fields.append(_exprs(row, f"fields[{i}]"))
+    if not isinstance(fields_raw, list):
+        raise InputError("fields must be a list of rows")
+    fields = [_exprs(row, f"fields[{i}]") for i, row in enumerate(fields_raw)]
     name = spec.get("name", "custom")
     if not isinstance(name, str):
-        raise ConfigError("name must be a string")
+        raise InputError("name must be a string")
     action = GAction(group, Domain(tuple(coords), box=box, margins=margins), fields, params, name=name)
     return Scenario(name, dict(params), action)
 
 
 def _scenario_from_args(args) -> Scenario:
     if args.scenario_file:
-        if args.scenario:
-            raise ConfigError("give either --scenario or --scenario-file, not both")
         return _action_from_file(args.scenario_file)
-    if not args.scenario:
-        raise ConfigError("a scenario is required (--scenario NAME or --scenario-file FILE)")
     params = {}
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.n is not None:
-        params["n"] = args.n
     for item in args.param or []:
         if "=" not in item:
-            raise ConfigError(f"--param expects key=value, got {item!r}")
+            raise InputError(f"--param expects key=value, got {item!r}")
         k, v = item.split("=", 1)
         try:
             params[k] = float(v)
         except ValueError:
-            raise ConfigError(f"--param {k}: value {v!r} is not a number") from None
+            raise InputError(f"--param {k}: value {v!r} is not a number") from None
     return build(args.scenario, params)
 
 
 def _integrator_config(args) -> IntegratorConfig:
     tols = {"rel_tol": args.rel_tol, "abs_tol": args.abs_tol}
-    try:
-        return IntegratorConfig(**{k: v for k, v in tols.items() if v is not None})
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return IntegratorConfig(**{k: v for k, v in tols.items() if v is not None})
 
 
 def _parse_vector(text: str, where: str) -> list:
     try:
         out = [float(v) for v in text.split(",")]
     except ValueError:
-        raise ConfigError(f"{where} must be comma-separated numbers, got {text!r}") from None
+        raise InputError(f"{where} must be comma-separated numbers, got {text!r}") from None
     if not all(map(math.isfinite, out)):
-        raise ConfigError(f"{where} must contain only finite numbers, got {text!r}")
+        raise InputError(f"{where} must contain only finite numbers, got {text!r}")
     return out
 
 
@@ -247,33 +202,30 @@ def _path_from_file(path: str, group) -> GPath:
     segs = []
     raw = spec["segments"]
     if not isinstance(raw, list):
-        raise ConfigError("segments must be a list")
+        raise InputError("segments must be a list")
     for i, s in enumerate(raw):
         where = f"segments[{i}]"
         _check_keys(s, ["type"], ["delta", "X", "duration"], where)
         dur = s.get("duration", 1.0)
         if not isinstance(dur, (int, float)) or isinstance(dur, bool) or dur <= 0:
-            raise ConfigError(f"{where}: duration must be a positive number")
+            raise InputError(f"{where}: duration must be a positive number")
         if s["type"] == "linear":
             if "delta" not in s or "X" in s:
-                raise ConfigError(f"{where}: linear segments take 'delta'")
+                raise InputError(f"{where}: linear segments take 'delta'")
             segs.append(LinearSeg(tuple(_floats(s["delta"], where)), float(dur)))
         elif s["type"] == "exp":
             if "X" not in s or "delta" in s:
-                raise ConfigError(f"{where}: exp segments take 'X'")
+                raise InputError(f"{where}: exp segments take 'X'")
             segs.append(ExpSeg(tuple(_floats(s["X"], where)), float(dur)))
         else:
-            raise ConfigError(f"{where}: type must be 'linear' or 'exp'")
+            raise InputError(f"{where}: type must be 'linear' or 'exp'")
     return GPath(group, start, segs)
 
 
 def _loop_from_file(path: str) -> list:
     spec = _load_json(path, "loop file")
     _check_keys(spec, ["points"], [], "loop file")
-    pts = spec["points"]
-    if not isinstance(pts, list) or len(pts) < 2:
-        raise ConfigError("loop file needs at least two points")
-    return _matrix(pts, "loop points")
+    return _matrix(spec["points"], "loop points")
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +271,8 @@ def _nan_to_none(v):
 
 
 def cmd_check(args) -> int:
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     scenario = _scenario_from_args(args)
     action = scenario.action
     residual = check_homomorphism(action, sample_count=args.samples, seed=args.seed)
@@ -343,21 +293,14 @@ def cmd_lift(args) -> int:
     action = scenario.action
     cfg = _integrator_config(args)
     x0 = _parse_vector(args.x0, "--x0")
-    if len(x0) != action.dim_manifold:
-        raise ConfigError(f"--x0 must have {action.dim_manifold} coordinates")
-
-    if args.path and args.circle_turns is not None:
-        raise ConfigError("give either --path or --circle-turns, not both")
     if args.path:
         path = _path_from_file(args.path, action.group)
-    elif args.circle_turns is not None:
+    else:
         if action.group.kind != "abelian" or action.group.dim != 2:
-            raise ConfigError("--circle-turns requires a planar abelian group model")
+            raise InputError("--circle-turns requires a planar abelian group model")
         start = _parse_vector(args.start_g, "--start-g") if args.start_g else [0.0, 0.0]
         path = circle_loop_path(start, x0[:2], turns=args.circle_turns,
                                 chords_per_turn=args.chords_per_turn, clockwise=args.clockwise)
-    else:
-        raise ConfigError("a path is required (--path FILE or --circle-turns T)")
 
     result = lift_path(action, path, x0, cfg)
 
@@ -397,8 +340,8 @@ def _default_frame(action, x0) -> list:
     import numpy as np
     iso = isotropy(action, x0)
     if iso.orbit_dim == 0:
-        raise ConfigError("x0 is a fixed point of the action, so there is no default frame: "
-                          "pass --frame")
+        raise InputError("x0 is a fixed point of the action, so there is no default frame: "
+                         "pass --frame")
     F = np.array(action.field_matrix(x0))
     kept: list = []
     for i in range(action.dim_algebra):
@@ -415,8 +358,6 @@ def cmd_holonomy(args) -> int:
     cfg = _integrator_config(args)
     x0 = _parse_vector(args.x0, "--x0")
     loop = _loop_from_file(args.loop)
-    if args.substeps < 1:
-        raise ConfigError(f"--substeps must be >= 1, got {args.substeps}")
     if args.frame:
         frame = [_parse_vector(row, "--frame") for row in args.frame.split(";")]
     else:
@@ -437,21 +378,17 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    # leaf invariants are the helicoid's closed form: an action file may carry
-    # any fields under that name, so only the built-in scenario is accepted
-    if args.scenario_file:
-        raise ConfigError("classify takes the built-in --scenario example6, not --scenario-file")
     scenario = _scenario_from_args(args)
     if scenario.name != "example6_helicoid":
-        raise ConfigError("classify requires the example6_helicoid scenario")
+        raise InputError("classify requires the example6_helicoid scenario")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol}")
+        raise InputError(f"--tol must be finite and >= 0, got {args.tol}")
     alpha = scenario.params["alpha"]
     spec = _load_json(args.points, "points file")
     _check_keys(spec, ["points"], [], "points file")
     raw = spec["points"]
     if not isinstance(raw, list) or not raw:
-        raise ConfigError("points file needs a non-empty 'points' list")
+        raise InputError("points file needs a non-empty 'points' list")
     invariants = []
     records = []
     for i, entry in enumerate(raw):
@@ -460,8 +397,8 @@ def cmd_classify(args) -> int:
         x = _floats(entry["x"], f"points[{i}].x")
         try:
             inv = leaf_invariant(alpha, g, x)
-        except ScenarioError as e:
-            raise ConfigError(f"points[{i}]: {e}") from None
+        except InputError as e:
+            raise InputError(f"points[{i}]: {e}") from None
         invariants.append(inv)
         records.append({"index": i, "g": g, "x": x, "base": list(inv.base),
                         "kind": inv.kind, "value": inv.value})
@@ -488,14 +425,17 @@ class _Parser(argparse.ArgumentParser):
     # usage errors must exit with the config-error code, not argparse's 2
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise ConfigError(message)
+        raise InputError(message)
 
 
-def _add_scenario_args(p: argparse.ArgumentParser):
-    p.add_argument("--scenario", help="built-in scenario name")
-    p.add_argument("--scenario-file", help="JSON action description")
-    p.add_argument("--alpha", type=float, help="shear rate parameter (helicoid)")
-    p.add_argument("--n", type=int, help="dimension parameter (translations)")
+def _add_scenario_args(p: argparse.ArgumentParser, action_files: bool = True):
+    if action_files:
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--scenario", help="built-in scenario name")
+        source.add_argument("--scenario-file", help="JSON action description")
+    else:
+        p.add_argument("--scenario", required=True, help="built-in scenario name")
+        p.set_defaults(scenario_file=None)
     p.add_argument(
         "--param",
         action="append",
@@ -526,9 +466,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     _add_tolerance_args(p)
     p.add_argument("--x0", required=True, help="start point, comma-separated")
-    p.add_argument("--path", help="path file (JSON)")
-    p.add_argument("--circle-turns", type=float, default=None,
-                   help="instead of --path: wind the projection this many turns")
+    path = p.add_mutually_exclusive_group(required=True)
+    path.add_argument("--path", help="path file (JSON)")
+    path.add_argument("--circle-turns", type=float,
+                      help="instead of --path: wind the projection this many turns")
     p.add_argument("--chords-per-turn", type=int, default=4096,
                    help="chord density for --circle-turns (default 4096)")
     p.add_argument("--clockwise", action="store_true", help="wind clockwise")
@@ -549,8 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output prefix (default: JSON to stdout)")
     p.set_defaults(fn=cmd_holonomy)
 
+    # leaf invariants are the helicoid's closed form: an action file may carry
+    # any fields under that name, so only the built-in scenario is accepted
     p = sub.add_parser("classify", help="leaf invariants of helicoid graph points")
-    _add_scenario_args(p)
+    _add_scenario_args(p, action_files=False)
     p.add_argument("--points", required=True, help="points file (JSON)")
     p.add_argument("--tol", type=float, default=1e-6, help="grouping tolerance")
     p.add_argument("--out", help="output prefix (default: JSON to stdout)")
@@ -572,7 +515,7 @@ def main(argv: Optional[list] = None) -> int:
         return args.fn(args)
     except SystemExit as e:          # argparse --help
         return int(e.code or 0)
-    except _CONFIG_ERRORS as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, *_linalg_errors()) as e:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from ._record import Record
+from ._record import InputError, Record
 from .flow import COMPLETE, ESCAPED, IntegratorConfig
 from .lift import ExpSeg, GPath, lift_path
 
@@ -55,19 +55,19 @@ _CLOSURE_NOTE = (
 )
 
 
-class MalformedWitnessError(ValueError):
+class MalformedWitnessError(InputError):
     pass
 
 
-class FrameConditionError(ValueError):
+class FrameConditionError(InputError):
     pass
 
 
-class LoopOutsideOrbitError(ValueError):
+class LoopOutsideOrbitError(InputError):
     pass
 
 
-class LoopGeometryError(ValueError):
+class LoopGeometryError(InputError):
     pass
 
 
@@ -246,7 +246,7 @@ def loop_to_group(
     import numpy as np
     cfg = cfg or IntegratorConfig()
     if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+        raise InputError("substeps must be >= 1")
     try:
         frame = np.asarray(frame, dtype=float)
     except (TypeError, ValueError):   # ragged rows or entries that are not numbers

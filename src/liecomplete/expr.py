@@ -31,10 +31,10 @@ import math
 import re
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from ._record import Record
+from ._record import InputError, Record
 
 
-class ExprSyntaxError(ValueError):
+class ExprSyntaxError(InputError):
     """Raised on malformed input; carries the 0-based offset of the problem."""
 
     def __init__(self, message: str, position: int):
@@ -42,7 +42,7 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-class ExprNameError(ValueError):
+class ExprNameError(InputError):
     """A free name had no binding at evaluation/compilation time."""
 
 

@@ -34,7 +34,7 @@ import functools
 import math
 from typing import Callable, Sequence
 
-from ._record import Record
+from ._record import InputError, Record
 from .expr import EVAL_ERRORS, _define
 
 __all__ = [
@@ -80,12 +80,12 @@ class IntegratorConfig(Record):
                  max_steps: int = 1_000_000):
         for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
             if not 0.0 < tol < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+                raise InputError(f"{name} must be positive and finite")
         if rel_tol < 1e-14:
-            raise ValueError("rel_tol below 1e-14 is not resolvable in double precision")
+            raise InputError("rel_tol below 1e-14 is not resolvable in double precision")
         # a NaN or infinite limit would never be reached
         if type(max_steps) is not int or max_steps <= 0:
-            raise ValueError("max_steps must be a positive integer")
+            raise InputError("max_steps must be a positive integer")
         super().__init__(rel_tol, abs_tol, max_steps)
 
 

@@ -28,10 +28,10 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import mul
+from operator import mul, truediv
 from typing import Callable, List, Optional, Sequence
 
-from ._record import Record
+from ._record import InputError, Record
 from .algebra import AlgebraError
 from .flow import COMPLETE, ESCAPED, IntegratorConfig, integrate_autonomous
 
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-class PathError(ValueError):
+class PathError(InputError):
     pass
 
 
@@ -109,12 +109,17 @@ class GPath:
             cols = None
         if cols is None or (segs and len(cols) != d):
             raise PathError(f"segment vector must have length {d}")
-        if not all(map(math.isfinite, chain.from_iterable(cols))):
-            raise PathError("segment vector must be finite")
+        total = sum(durations)
+        if not math.isfinite(total):
+            raise PathError("segment durations must have a finite sum")
+        self.widths = [dur / total for dur in durations]
+        # a velocity is a segment vector over its share of the clock: it is
+        # finite only if the vector is and the share has not underflowed to 0
+        if not all(self.widths) or not all(
+                map(math.isfinite, chain.from_iterable(map(truediv, col, self.widths) for col in cols))):
+            raise PathError("segment vectors and velocities (vector over share of the clock) must be finite")
         self.segments = tuple(segs)
         self._vecs = list(zip(*cols))
-        total = sum(durations)
-        self.widths = [dur / total for dur in durations]
         bounds = [0.0, *accumulate(self.widths)]
         if segs:
             bounds[-1] = 1.0

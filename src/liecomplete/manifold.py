@@ -16,7 +16,7 @@ import random
 from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
-from ._record import Record
+from ._record import InputError, Record
 from .expr import (
     Expr, ExprNameError, _define, _is_const, _name_map, _py_float, _render_py, checked, compile_scalars,
 )
@@ -25,19 +25,19 @@ DEFAULT_SAMPLING_HALF_WIDTH = 2.0
 SAMPLING_MARGIN = 0.1  # sampled points keep at least this margin
 
 
-class DomainError(ValueError):
+class DomainError(InputError):
     pass
 
 
-class OutsideDomainError(ValueError):
+class OutsideDomainError(InputError):
     pass
 
 
-class ActionError(ValueError):
+class ActionError(InputError):
     pass
 
 
-class SamplingError(RuntimeError):
+class SamplingError(InputError):
     pass
 
 
@@ -312,8 +312,11 @@ def check_homomorphism(
     the stored component expressions, so no finite differencing is involved.
     Fields or partials that are not finite at a sampled point raise
     ``ActionError``; a residual that is NaN (the bracket sum overflowed to
-    ``inf - inf``) is returned as NaN, which no limit passes.
+    ``inf - inf``) is returned as NaN, which no limit passes.  Fewer than one
+    sample would pass vacuously, and raise ``SamplingError``.
     """
+    if not sample_count >= 1:
+        raise SamplingError(f"sample_count must be >= 1, got {sample_count}")
     d, n = action.dim_algebra, action.dim_manifold
     if d < 2:
         return 0.0

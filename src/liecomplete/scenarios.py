@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
-from ._record import Record
+from ._record import InputError, Record
 from .algebra import AbelianGroup, MatrixGroup
 from .expr import parse
 from .manifold import Domain, GAction
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-class ScenarioError(ValueError):
+class ScenarioError(InputError):
     pass
 
 

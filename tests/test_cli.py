@@ -11,10 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import liecomplete
-from liecomplete import cli
+from liecomplete import InputError, cli
+from liecomplete.algebra import AlgebraError, SingularElementError
 from liecomplete.cli import main
-from liecomplete.expr import MAX_DEPTH
+from liecomplete.completion import (
+    FrameConditionError, LoopGeometryError, LoopOutsideOrbitError, MalformedWitnessError,
+)
+from liecomplete.expr import MAX_DEPTH, ExprDomainError, ExprNameError, ExprSyntaxError
 from liecomplete.flow import IntegratorConfig
+from liecomplete.lift import PathError
+from liecomplete.manifold import ActionError, DomainError, OutsideDomainError, SamplingError
+from liecomplete.scenarios import ScenarioError
 
 U = 0.7
 E_MINUS_2PI = 1.8674427317079893e-3
@@ -385,10 +392,19 @@ def test_lift_escape_exit_code(tmp_path, capsys):
 def test_lift_with_a_velocity_past_the_first_step_norm_range(tmp_path):
     path = _write(tmp_path, "far.json", {"start": [0.0], "segments": [{"type": "linear", "delta": [1e150]}]})
     out = str(tmp_path / "far")
-    assert main(["lift", "--scenario", "translation_rn", "--n", "1", "--x0", "0",
+    assert main(["lift", "--scenario", "translation_rn", "--param", "n=1", "--x0", "0",
                  "--path", path, "--out", out]) == 0
     summary = json.loads((tmp_path / "far.summary.json").read_text())
     assert summary["status"] == "complete"
+
+
+@pytest.mark.parametrize("durations", [[1e308, 1e308], [1e-320, 1.0]], ids=["total", "velocity"])
+def test_lift_durations_that_leave_a_velocity_not_finite_are_config_errors(tmp_path, capsys, durations):
+    # unchecked, these are a division by zero (exit 4) and a false escape at t = 0 (exit 2)
+    path = _write(tmp_path, "p.json", {"start": [0.0, 0.0], "segments": [
+        {"type": "linear", "delta": [1.0, 0.0], "duration": dur} for dur in durations]})
+    assert _config_error(["lift", "--scenario", "example6", "--x0", "1,0,1", "--path", path,
+                          "--out", str(tmp_path / "o")], capsys)
 
 
 def test_lift_negative_x0_equals_syntax(tmp_path):
@@ -676,6 +692,31 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     assert _config_error(["check", "--scenario", "example6", "--seed", "-1"], capsys)
 
 
+# argparse rejects these before any file is read
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["check", "--scenario", "example6", "--scenario-file", "action.json"],
+    ["lift", "--scenario", "example6", "--x0", "1,0,1", "--out", "o"],
+    ["lift", "--scenario", "example6", "--x0", "1,0,1", "--out", "o",
+     "--path", "path.json", "--circle-turns", "1"],
+], ids=["no-scenario", "both-scenarios", "no-path", "both-paths"])
+def test_flag_exclusions_are_config_errors(capsys, argv):
+    assert _config_error(argv, capsys)
+
+
+@pytest.mark.parametrize("cls, is_input", [
+    (ScenarioError, True), (ExprSyntaxError, True), (ExprNameError, True),
+    (AlgebraError, True), (SingularElementError, True), (DomainError, True),
+    (OutsideDomainError, True), (ActionError, True), (SamplingError, True),
+    (PathError, True), (FrameConditionError, True), (LoopGeometryError, True),
+    (LoopOutsideOrbitError, True), (MalformedWitnessError, True),
+    # a field that leaves its domain during a run is a numerical failure (exit 4)
+    (ExprDomainError, False),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_input_errors_share_the_class_main_maps_to_exit_3(cls, is_input):
+    assert issubclass(cls, InputError) is is_input
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["lift", "--help"]) == 0
@@ -684,8 +725,7 @@ def test_help_exits_zero(capsys):
 
 
 def test_scenario_params_via_flags(tmp_path, capsys):
-    assert main(["check", "--scenario", "example6", "--alpha", "0"]) == 0
-    assert main(["check", "--scenario", "translation", "--n", "3"]) == 0
+    assert main(["check", "--scenario", "example6", "--param", "alpha=0"]) == 0
     assert main(["check", "--scenario", "translation", "--param", "n=3"]) == 0
     assert main(["check", "--scenario", "example4", "--param", "r0=0.25"]) == 0
     assert main(["check", "--scenario", "example4", "--param", "r0"]) == 3
@@ -695,7 +735,7 @@ def test_scenario_params_via_flags(tmp_path, capsys):
         assert _config_error(["check", "--scenario", "translation", "--param", f"n={value}"],
                              capsys), value
     for value in ["nan", "inf"]:
-        assert _config_error(["lift", "--scenario", "example6", f"--alpha={value}",
+        assert _config_error(["lift", "--scenario", "example6", "--param", f"alpha={value}",
                               "--x0", "1,0,1", "--circle-turns", "1",
                               "--out", str(tmp_path / "o")], capsys), value
 

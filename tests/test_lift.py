@@ -77,6 +77,16 @@ def test_path_validation():
         GPath(G, (0.0,), [LinearSeg((1.0, 0.0), 1.0)])
 
 
+@pytest.mark.parametrize("durations", [
+    [1e308, 1e308],   # the total overflows, so every share of the clock is 0
+    [1e-320, 1.0],    # a share of 1e-320 gives the velocity 1 / 1e-320, which overflows
+    [1e-320, 1e10],   # a share that underflows to 0
+], ids=["total", "velocity", "share"])
+def test_durations_that_leave_a_velocity_not_finite_are_a_path_error(durations):
+    with pytest.raises(PathError):
+        GPath(AbelianGroup(2), (0.0, 0.0), [LinearSeg((1.0, 0.0), dur) for dur in durations])
+
+
 @pytest.mark.parametrize("segs", [
     [ExpSeg((1e300, 1e300), 1.0)],      # exp(-1e300) underflows: a singular point
     [ExpSeg((0.0, -800.0), 1.0)],       # exp(800) overflows

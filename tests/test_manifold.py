@@ -233,6 +233,13 @@ def test_sampling_failure_on_empty_domain():
         sample_points(action, 10, seed=0)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_check_homomorphism_needs_a_sample(helicoid, count):
+    # a residual over no points would be a vacuous pass
+    with pytest.raises(SamplingError):
+        check_homomorphism(helicoid, sample_count=count)
+
+
 def test_rhs_closure_matches_zeta(helicoid):
     rhs = helicoid.rhs((0.3, -0.8))
     p = [1.2, 0.4, 0.9]
