@@ -31,7 +31,7 @@ from .expr import parse as parse_expr
 from .flow import ESCAPED, STEP_LIMIT, IntegratorConfig
 from .lift import ExpSeg, GPath, LinearSeg, lift_path
 from .manifold import Domain, GAction, check_homomorphism
-from .scenarios import Scenario, build, circle_loop_path, leaf_invariant, invariants_match
+from .scenarios import Scenario, _override_params, build, circle_loop_path, leaf_invariant, invariants_match
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -64,14 +64,22 @@ def _load_json(path: str, where: str) -> dict:
         raise InputError(f"{where}: invalid JSON ({e})") from None
 
 
+def _number(v) -> Optional[float]:
+    """A JSON number as a float; None for any other value and for an integer past the float range."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return None
+    try:
+        return float(v)
+    except OverflowError:
+        return None
+
+
 def _floats(seq, where: str) -> list:
     if not isinstance(seq, list):
         raise InputError(f"{where} must be a list of numbers")
-    out = []
-    for v in seq:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise InputError(f"{where} must contain only finite numbers")
-        out.append(float(v))
+    out = [_number(v) for v in seq]
+    if not all(v is not None and math.isfinite(v) for v in out):
+        raise InputError(f"{where} must contain only finite numbers")
     return out
 
 
@@ -95,7 +103,8 @@ def _exprs(seq, where: str) -> list:
 # scenario / action loading
 
 
-def _action_from_file(path: str) -> Scenario:
+def _action_from_file(path: str, overrides: dict) -> Scenario:
+    """The action an action file describes, with ``overrides`` of the parameters it declares."""
     spec = _load_json(path, "action file")
     _check_keys(spec, ["group", "manifold", "fields"], ["name", "params"], "action file")
     gspec = spec["group"]
@@ -143,24 +152,23 @@ def _action_from_file(path: str) -> Scenario:
                 box.append((pair[0], pair[1]))
         box = tuple(box)
     margins = tuple(_exprs(mspec.get("exclusions", []), "manifold.exclusions"))
+    name = spec.get("name", "custom")
+    if not isinstance(name, str):
+        raise InputError("name must be a string")
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise InputError("params must be an object")
-    params = dict(zip(params, _floats(list(params.values()), "params")))
+    params = _override_params(name, dict(zip(params, _floats(list(params.values()), "params"))),
+                              overrides)
     fields_raw = spec["fields"]
     if not isinstance(fields_raw, list):
         raise InputError("fields must be a list of rows")
     fields = [_exprs(row, f"fields[{i}]") for i, row in enumerate(fields_raw)]
-    name = spec.get("name", "custom")
-    if not isinstance(name, str):
-        raise InputError("name must be a string")
     action = GAction(group, Domain(tuple(coords), box=box, margins=margins), fields, params, name=name)
     return Scenario(name, dict(params), action)
 
 
 def _scenario_from_args(args) -> Scenario:
-    if args.scenario_file:
-        return _action_from_file(args.scenario_file)
     params = {}
     for item in args.param or []:
         if "=" not in item:
@@ -170,6 +178,8 @@ def _scenario_from_args(args) -> Scenario:
             params[k] = float(v)
         except ValueError:
             raise InputError(f"--param {k}: value {v!r} is not a number") from None
+    if args.scenario_file:
+        return _action_from_file(args.scenario_file, params)
     return build(args.scenario, params)
 
 
@@ -206,17 +216,17 @@ def _path_from_file(path: str, group) -> GPath:
     for i, s in enumerate(raw):
         where = f"segments[{i}]"
         _check_keys(s, ["type"], ["delta", "X", "duration"], where)
-        dur = s.get("duration", 1.0)
-        if not isinstance(dur, (int, float)) or isinstance(dur, bool) or dur <= 0:
+        dur = _number(s.get("duration", 1.0))
+        if dur is None or dur <= 0:
             raise InputError(f"{where}: duration must be a positive number")
         if s["type"] == "linear":
             if "delta" not in s or "X" in s:
                 raise InputError(f"{where}: linear segments take 'delta'")
-            segs.append(LinearSeg(tuple(_floats(s["delta"], where)), float(dur)))
+            segs.append(LinearSeg(tuple(_floats(s["delta"], where)), dur))
         elif s["type"] == "exp":
             if "X" not in s or "delta" in s:
                 raise InputError(f"{where}: exp segments take 'X'")
-            segs.append(ExpSeg(tuple(_floats(s["X"], where)), float(dur)))
+            segs.append(ExpSeg(tuple(_floats(s["X"], where)), dur))
         else:
             raise InputError(f"{where}: type must be 'linear' or 'exp'")
     return GPath(group, start, segs)

@@ -1,10 +1,14 @@
 """The adaptive integrator behind every lift, with escape detection.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with FSAL and a PI-free
-step controller; its step, first-step norm, lazy cubic Hermite interpolant and
-the margins at the interpolant's interior samples are generated once per state
-dimension as straight-line Python.  Escape from the open domain is detected by
-one scan of the domain margin along each accepted step: it commits the step
+step controller.  Its step, first-step norm, lazy cubic Hermite interpolant
+and the margins at the interpolant's interior samples and at the step's end
+are generated as straight-line Python.  One generator emits the step and the
+margin scan in two forms with the same bits: the generic one calls a plain
+``rhs`` or ``margin`` and is generated once per state dimension; the other
+inlines an action's own contraction or margin, and ``GAction`` generates it
+on first use and hands it over as ``rhs.step`` or ``margin.scan``.  Escape
+from the open domain is detected by one scan of the domain margin along each accepted step: it commits the step
 at once when none of the five samples (ends plus interior) is near the escape
 level or well below the others, and refines the rest by a golden-section dip
 search and the escape search.  A step whose margin dips well below both of
@@ -93,10 +97,19 @@ class IntegratorConfig(Record):
 _SCAN = (0.25, 0.5, 0.75, 1.0)
 
 
+def _tuple(items) -> str:
+    """``a, b, ..., ``: the items with trailing commas, a target or a tuple of any length."""
+    return "".join(f"{v}, " for v in items)
+
+
+def _names(prefix: str, n: int) -> str:
+    """``p0, p1, ..., p{n-1}, ``."""
+    return _tuple(f"{prefix}{i}" for i in range(n))
+
+
 def _unpack_ends(n: int) -> list:
     """Source lines binding the components of a step's y0, f0, y1, f1 to p_i, q_i, r_i, u_i."""
-    return [f"{''.join(f'{v}{i}, ' for i in range(n))}= {name}"
-            for v, name in zip("pqru", ("y0", "f0", "y1", "f1"))]
+    return [f"{_names(v, n)}= {name}" for v, name in zip("pqru", ("y0", "f0", "y1", "f1"))]
 
 
 def _lin(terms, i: int) -> str:
@@ -106,30 +119,38 @@ def _lin(terms, i: int) -> str:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _dp5_kernels(n: int):
-    """Generate the DP5 step and the helpers around it for states of length n.
+_ROWS = (
+    ((_A21, "k1"),),
+    ((_A31, "k1"), (_A32, "k2")),
+    ((_A41, "k1"), (_A42, "k2"), (_A43, "k3")),
+    ((_A51, "k1"), (_A52, "k2"), (_A53, "k3"), (_A54, "k4")),
+    ((_A61, "k1"), (_A62, "k2"), (_A63, "k3"), (_A64, "k4"), (_A65, "k5")),
+)
+_WEIGHTS = ((_B1, "k1"), (_B3, "k3"), (_B4, "k4"), (_B5, "k5"), (_B6, "k6"))
+_ERRORS = ((_E1, "k1"), (_E3, "k3"), (_E4, "k4"), (_E5, "k5"), (_E6, "k6"), (_E7, "k7"))
 
-    ``step(rhs, y, f0, h, atol, rtol)`` returns ``(y1, f1, err)``, with ``f1 =
-    rhs(y1)`` and ``err`` the RMS of the embedded error estimate scaled by
-    ``atol + rtol * max(|y|, |y1|)``, or ``None`` when a stage raises one of
-    ``EVAL_ERRORS`` or gives a non-finite ``y1`` or ``err``.
-    ``hermite(y0, f0, y1, f1, h)`` returns the cubic Hermite interpolant of
-    one step as a function of the step fraction s in [0, 1], reading the
-    vectors when called; ``interior(margin, y0, f0, y1, f1, h)`` is ``margin``
-    at its points s = 0.25, 0.5, 0.75; ``first_norm(f0, y, atol, rtol)`` is the
-    RMS of ``f0 / (atol + rtol * |y|)``.  All four are straight-line code with
-    the same operations in the same order as an index loop over the components.
+
+def _step_lines(n: int, inline=None) -> list:
+    """Source lines of one DP5 step for states of length n.
+
+    With ``inline`` None this is ``step(rhs, y, f0, h, atol, rtol)``, which
+    calls ``rhs`` on a list at each stage.  Otherwise ``inline`` is the source
+    of the n components of the rhs at the point ``_v0, _v1, ...``, and the
+    step is ``step(y, f0, h, atol, rtol)`` with them in place of each call.
+
+    It returns ``(y1, f1, err)``, with ``f1`` the rhs at ``y1`` and ``err``
+    the RMS of the embedded error estimate scaled by ``atol + rtol *
+    max(|y|, |y1|)``, or ``None`` when a stage raises one of ``EVAL_ERRORS``
+    or gives a non-finite ``y1`` or ``err``.  Both forms are straight-line
+    code with the same operations in the same order as an index loop over
+    the components, so they give the same bits.
     """
     idx = range(n)
 
-    def unpack(prefix):
-        return "".join(f"{prefix}{i}, " for i in idx)
-
-    def hermite_sum(a, c):
-        return ", ".join(f"{a} * p{i} + b * q{i} + {c} * r{i} + d * u{i}" for i in idx)
-
-    ends = _unpack_ends(n)
+    def call(dest, args):
+        if inline is None:
+            return [f"{_names(dest, n)}= rhs([{', '.join(args)}])"]
+        return [f"{_names('_v', n)}= {_tuple(args)}", f"{_names(dest, n)}= {_tuple(inline)}"]
 
     def stage(row, i):
         # x + h * (a1 * k1 + ...); the first stage groups as x + (h * a21) * k1
@@ -137,70 +158,108 @@ def _dp5_kernels(n: int):
             return f"x{i} + h * {row[0][0]!r} * k1_{i}"
         return f"x{i} + h * ({_lin(row, i)})"
 
-    rows = [
-        [(_A21, "k1")],
-        [(_A31, "k1"), (_A32, "k2")],
-        [(_A41, "k1"), (_A42, "k2"), (_A43, "k3")],
-        [(_A51, "k1"), (_A52, "k2"), (_A53, "k3"), (_A54, "k4")],
-        [(_A61, "k1"), (_A62, "k2"), (_A63, "k3"), (_A64, "k4"), (_A65, "k5")],
-    ]
     lines = [
-        "def step(rhs, y, f0, h, atol, rtol):",
-        f"    {unpack('x')}= y",
-        f"    {unpack('k1_')}= f0",
+        f"def step({'rhs, ' if inline is None else ''}y, f0, h, atol, rtol):",
+        f"    {_names('x', n)}= y",
+        f"    {_names('k1_', n)}= f0",
         "    try:",
     ]
-    for s, row in enumerate(rows, start=2):
-        lines.append(f"        {unpack(f'k{s}_')}= rhs([{', '.join(stage(row, i) for i in idx)}])")
-    b = [(_B1, "k1"), (_B3, "k3"), (_B4, "k4"), (_B5, "k5"), (_B6, "k6")]
-    lines.append(f"        y1 = [{', '.join(f'x{i} + h * ({_lin(b, i)})' for i in idx)}]")
-    lines.append("        f1 = rhs(y1)")
-    lines.append(f"        {unpack('z')}= y1")
-    lines.append(f"        {unpack('k7_')}= f1")
-    e = [(_E1, "k1"), (_E3, "k3"), (_E4, "k4"), (_E5, "k5"), (_E6, "k6"), (_E7, "k7")]
+    calls = [call(f"k{s}_", [stage(row, i) for i in idx]) for s, row in enumerate(_ROWS, start=2)]
+    calls.append([f"{_names('z', n)}= {_tuple(f'x{i} + h * ({_lin(_WEIGHTS, i)})' for i in idx)}",
+                  *call("k7_", [f"z{i}" for i in idx])])
+    lines += ["        " + line for c in calls for line in c]
     for i in idx:
         lines += [
             f"        a = abs(x{i})",
             f"        b = abs(z{i})",
-            f"        e{i} = h * ({_lin(e, i)})"
-            f" / (atol + rtol * (b if b > a else a))",
+            f"        e{i} = h * ({_lin(_ERRORS, i)}) / (atol + rtol * (b if b > a else a))",
         ]
-    lines += [
+    return lines + [
         f"        err = _sqrt(({' + '.join(f'e{i} * e{i}' for i in idx)}) / {n})",
         "    except _EVAL_ERRORS:",
         "        return None",
         f"    if not ({' and '.join(['_isfinite(err)'] + [f'_isfinite(z{i})' for i in idx])}):",
         "        return None",
-        "    return y1, f1, err",
-        "",
-        "def hermite(y0, f0, y1, f1, h):",
-        "    def interp(s):",
-        *("        " + line for line in ends),
-        "        s2 = s * s",
-        "        a = s2 * (2.0 * s - 3.0) + 1.0",
-        "        b = h * (s2 * (s - 2.0) + s)",
-        "        c = s2 * (3.0 - 2.0 * s)",
-        "        d = h * s2 * (s - 1.0)",
-        f"        return [{hermite_sum('a', 'c')}]",
-        "    return interp",
-        "",
-        "def interior(margin, y0, f0, y1, f1, h):",
-        *("    " + line for line in ends),
+        f"    return [{', '.join(f'z{i}' for i in idx)}], [{', '.join(f'k7_{i}' for i in idx)}], err",
     ]
+
+
+def _scan_lines(n: int, inline=None) -> list:
+    """Source lines of the margins of one step at its interpolant's interior samples and its end.
+
+    With ``inline`` None this is ``scan(margin, y0, f0, y1, f1, h)``, which
+    calls ``margin`` on a list at each point.  Otherwise ``inline(name)`` gives
+    the source lines that set ``name`` to the margin at the point ``_v0, _v1,
+    ...``, using no other name but ``v``, and the scan is ``scan(y0, f0, y1,
+    f1, h)`` with those lines in place of each call.  It returns the margins at
+    ``hermite(y0, f0, y1, f1, h)(s)`` for s = 0.25, 0.5, 0.75, with the
+    weights that do not involve h folded to literals, and at ``y1``.
+    """
+    idx = range(n)
+
+    def at(j, args):
+        if inline is None:
+            return [f"m{j} = margin([{', '.join(args)}])"]
+        return [f"{_names('_v', n)}= {_tuple(args)}", *inline(f"m{j}")]
+
+    lines = [f"def scan({'margin, ' if inline is None else ''}y0, f0, y1, f1, h):",
+             *("    " + line for line in _unpack_ends(n))]
     for j, s in enumerate(_SCAN[:-1]):
-        # interp(s) with the weights that do not involve h folded to literals
         s2 = s * s
         a, c = s2 * (2.0 * s - 3.0) + 1.0, s2 * (3.0 - 2.0 * s)
         lines += [
             f"    b = h * {s2 * (s - 2.0) + s!r}",
             f"    d = h * {s2!r} * ({s - 1.0!r})",
-            f"    m{j} = margin([{hermite_sum(repr(a), repr(c))}])",
+            *("    " + line for line in at(j, [f"{a!r} * p{i} + b * q{i} + {c!r} * r{i} + d * u{i}"
+                                              for i in idx])),
         ]
-    squares = " + ".join(f"(f0[{i}] / (atol + rtol * abs(y[{i}]))) ** 2" for i in idx)
-    lines += ["    return m0, m1, m2", "", "def first_norm(f0, y, atol, rtol):",
-              f"    return _sqrt(({squares}) / {n})"]
+    return lines + ["    " + line for line in at(3, [f"r{i}" for i in idx])] + [
+        "    return m0, m1, m2, m3"]
+
+
+@functools.lru_cache(maxsize=None)
+def _dp5_kernels(n: int):
+    """The DP5 step and margin scan for states of length n that call a plain ``rhs`` and ``margin``.
+
+    ``step(rhs, y, f0, h, atol, rtol)`` and ``scan(margin, y0, f0, y1, f1,
+    h)`` are the kernels of :func:`_step_lines` and :func:`_scan_lines` that
+    call their first argument; an rhs or margin that carries its own
+    ``step`` or ``scan`` (as those ``GAction`` generates do) has them inlined
+    instead.
+    """
+    ns = _define("\n".join(_step_lines(n) + [""] + _scan_lines(n)))
+    return ns["step"], ns["scan"]
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_kernels(n: int):
+    """Generate the step interpolant and the first-step norm for states of length n.
+
+    ``hermite(y0, f0, y1, f1, h)`` returns the cubic Hermite interpolant of
+    one step as a function of the step fraction s in [0, 1], reading the
+    vectors when called; ``first_norm(f0, y, atol, rtol)`` is the RMS of
+    ``f0 / (atol + rtol * |y|)``.  Both are straight-line code with the same
+    operations in the same order as an index loop over the components.
+    """
+    sums = ", ".join(f"a * p{i} + b * q{i} + c * r{i} + d * u{i}" for i in range(n))
+    squares = " + ".join(f"(f0[{i}] / (atol + rtol * abs(y[{i}]))) ** 2" for i in range(n))
+    lines = [
+        "def hermite(y0, f0, y1, f1, h):",
+        "    def interp(s):",
+        *("        " + line for line in _unpack_ends(n)),
+        "        s2 = s * s",
+        "        a = s2 * (2.0 * s - 3.0) + 1.0",
+        "        b = h * (s2 * (s - 2.0) + s)",
+        "        c = s2 * (3.0 - 2.0 * s)",
+        "        d = h * s2 * (s - 1.0)",
+        f"        return [{sums}]",
+        "    return interp",
+        "",
+        "def first_norm(f0, y, atol, rtol):",
+        f"    return _sqrt(({squares}) / {n})",
+    ]
     ns = _define("\n".join(lines))
-    return ns["step"], ns["hermite"], ns["interior"], ns["first_norm"]
+    return ns["hermite"], ns["first_norm"]
 
 
 # The Bernstein hull of a step's interpolant (Farouki & Rajan, CAGD 1988): its
@@ -339,7 +398,12 @@ def integrate_autonomous(
     that ``GAction`` generates does); crossing ``ESCAPE_MARGIN`` ends the run
     as escaped.  A margin with the attribute ``lower(lo, hi)``, a lower bound
     of it over boxes, as that margin has, lets the scan skip the dip searches
-    the bound proves futile.  ``on_step`` is called as
+    the bound proves futile.  An ``rhs`` with the attribute ``step`` and a
+    margin with the attribute ``scan``, as those ``GAction`` generates have,
+    bring their own DP5 step and margin scan with their arithmetic inlined
+    (:func:`_step_lines`, :func:`_scan_lines`); a plain callable, such as
+    user code or a wrapper, gets the generic kernels, which call it, with the
+    same bits.  ``on_step`` is called as
     ``on_step(t0, y0, t1, y1, interp)`` after each accepted (possibly
     escape-truncated) step, with ``interp`` covering the reported sub-step;
     ``interp`` reads ``rhs`` results when called, so ``rhs`` must return a
@@ -352,7 +416,9 @@ def integrate_autonomous(
     t = 0.0
     eps = ESCAPE_MARGIN
     atol, rtol = cfg.abs_tol, cfg.rel_tol
-    step, hermite, interior, first_norm = _dp5_kernels(n)
+    hermite, first_norm = _hermite_kernels(n)
+    step = getattr(rhs, "step", None) or functools.partial(_dp5_kernels(n)[0], rhs)
+    scan = getattr(margin, "scan", None) or functools.partial(_dp5_kernels(n)[1], margin)
     lower = getattr(margin, "lower", None)
 
     m_curr = margin(y)  # margin at the current point
@@ -385,7 +451,7 @@ def integrate_autonomous(
             return COMPLETE, t, tuple(y), steps, False
         h = min(h, remaining)
 
-        out = step(rhs, y, f0, h, atol, rtol)
+        out = step(y, f0, h, atol, rtol)
         steps += 1
         # each attempt that is retried sets the factor h shrinks by, applied at the end
         if out is None:
@@ -396,8 +462,7 @@ def integrate_autonomous(
             # accepted: check the margin along the step before committing
             y1, k7, err = out
             interp = hermite(y, f0, y1, k7, h)
-            m_end = margin(y1)
-            ms = (m_curr, *interior(margin, y, f0, y1, k7, h), m_end)
+            ms = (m_curr, *scan(y, f0, y1, k7, h))
             found = _scan_margins(margin, interp, ms, eps, h, ESCAPE_TIME_WIDTH,
                                   lower, y, f0, y1, k7)
             if found is None:
@@ -405,7 +470,7 @@ def integrate_autonomous(
                 t += h
                 if h == remaining:   # the last step
                     return COMPLETE, t, tuple(y1), steps, False
-                y, f0, m_curr = y1, k7, m_end
+                y, f0, m_curr = y1, k7, ms[4]
                 h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
                 continue
             if found[0] == "escape":

@@ -115,11 +115,12 @@ class GPath:
         self.widths = [dur / total for dur in durations]
         # a velocity is a segment vector over its share of the clock: it is
         # finite only if the vector is and the share has not underflowed to 0
-        if not all(self.widths) or not all(
-                map(math.isfinite, chain.from_iterable(map(truediv, col, self.widths) for col in cols))):
+        vels = [list(map(truediv, col, self.widths)) for col in cols] if all(self.widths) else None
+        if vels is None or not all(map(math.isfinite, chain.from_iterable(vels))):
             raise PathError("segment vectors and velocities (vector over share of the clock) must be finite")
         self.segments = tuple(segs)
         self._vecs = list(zip(*cols))
+        self._velocities = list(zip(*vels))
         bounds = [0.0, *accumulate(self.widths)]
         if segs:
             bounds[-1] = 1.0
@@ -156,8 +157,7 @@ class GPath:
 
     def velocity(self, k: int) -> list:
         """Left-logarithmic derivative on segment k w.r.t. the path clock."""
-        w = self.widths[k]
-        return [v / w for v in self._vecs[k]]
+        return list(self._velocities[k])
 
     def group_point(self, k: int, frac: float):
         """Group point a fraction ``frac`` of the way through segment k."""
@@ -180,11 +180,8 @@ class GPath:
         segs = []
         for p in (self, other):
             # rebuild from total displacements so endpoints survive reweighting
-            for s, vec, w in zip(p.segments, p._vecs, p.widths):
-                if isinstance(s, LinearSeg):
-                    segs.append(LinearSeg(vec, w))
-                else:
-                    segs.append(ExpSeg(tuple(v / w for v in vec), w))
+            for s, vec, vel, w in zip(p.segments, p._vecs, p._velocities, p.widths):
+                segs.append(LinearSeg(vec, w) if isinstance(s, LinearSeg) else ExpSeg(vel, w))
         return GPath(self.group, self.start, segs)
 
 
@@ -207,6 +204,9 @@ class LiftResult(Record):
     def trace(self) -> list:
         """``[(t, g, m), ...]`` with t in [0, 1]; group points resolved on first read."""
         return _resolve(self.path, self.rows)
+
+
+_QUARTER_TURN = math.pi / 2
 
 
 class _WindingTracker:
@@ -232,7 +232,7 @@ class _WindingTracker:
         d = math.remainder(th1 - th0, math.tau)
         if d == -math.pi:
             d = math.pi
-        if abs(d) >= math.pi / 2 and depth < 24:
+        if abs(d) >= _QUARTER_TURN and depth < 24:
             sm = 0.5 * (s0 + s1)
             thm = self._advance(interp, s0, th0, sm, interp(sm), depth + 1)
             return self._advance(interp, sm, thm, s1, y1, depth + 1)
@@ -272,31 +272,35 @@ def lift_path(
     x0 = [float(v) for v in x0]
     action.require_inside(x0)
 
-    tracker = None
-    if action.winding_plane is not None:
-        tracker = _WindingTracker(action.winding_plane, x0)
+    plane = action.winding_plane
+    tracker = None if plane is None else _WindingTracker(plane, x0)
 
     rows: list = [(0.0, 0, 0.0, tuple(x0))]
     small_path = path.n_segments <= 8
     kept_steps: list = []  # (t_abs0, t_abs1, interp, seg_index) for padding
-    margin = action._margin
+    margin, contraction = action._margin, action._contraction
     y = x0
     steps_total = 0
 
     def on_step(t0, y0_, t1, y1, interp):
         # k, t_base and w are those of the segment being integrated
         if tracker is not None:
-            tracker.feed(interp, y1)
+            u, v = plane(y1)
+            th1 = math.atan2(v, u)
+            d = math.remainder(th1 - tracker.prev, math.tau)
+            if abs(d) < _QUARTER_TURN:   # the tracker's fold, which needs no subdivision
+                tracker.total += d
+                tracker.prev = th1
+            else:
+                tracker.feed(interp, y1)
         rows.append((t_base + t1, k, t1 / w, tuple(y1)))
-        if small_path:
+        # a trace that ends with more than TRACE_TARGET rows is not padded
+        if small_path and len(rows) <= TRACE_TARGET:
             kept_steps.append((t_base + t0, t_base + t1, interp, k))
 
-    for k in range(path.n_segments):
-        w = path.widths[k]
-        t_base = path._bounds[k]
-        status, t_end, y_end, steps, low = integrate_autonomous(
-            action.rhs(path.velocity(k)), y, w, cfg, margin, on_step
-        )
+    for k, (w, t_base, vel) in enumerate(zip(path.widths, path._bounds, path._velocities)):
+        rhs = contraction(tuple(map(bool, vel)))(*filter(None, vel))
+        status, t_end, y_end, steps, low = integrate_autonomous(rhs, y, w, cfg, margin, on_step)
         steps_total += steps
         if status != COMPLETE:
             break

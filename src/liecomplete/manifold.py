@@ -10,6 +10,7 @@ pairing between group velocities and fields fail that oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -20,6 +21,7 @@ from ._record import InputError, Record
 from .expr import (
     Expr, ExprNameError, _define, _is_const, _name_map, _py_float, _render_py, checked, compile_scalars,
 )
+from .flow import _names, _scan_lines, _step_lines
 
 DEFAULT_SAMPLING_HALF_WIDTH = 2.0
 SAMPLING_MARGIN = 0.1  # sampled points keep at least this margin
@@ -74,50 +76,63 @@ class Domain(Record):
         return len(self.coords)
 
 
-def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
-    """Generate p -> min(margins, box distances) as one list-in function.
+def _on_first_call(fn: Callable, attr: str, build: Callable) -> None:
+    """Set ``fn.<attr>`` to a stand-in that replaces itself with ``build()`` when first called."""
+    def first(*args):
+        if getattr(fn, attr) is first:
+            setattr(fn, attr, build())
+        return getattr(fn, attr)(*args)
+
+    setattr(fn, attr, first)
+
+
+def _margin_lines(domain: Domain, names: Mapping[str, str], m: str = "m") -> list:
+    """Source lines setting the name ``m`` to the margin at the point ``_v0, _v1, ...``, using ``v``.
 
     The minimum starts at ``inf`` and takes each value that is ``<`` it, so a
-    NaN margin is ignored; a margin expression that raises gives ``-inf``.
-    Its attribute ``lower(lo, hi)`` is a lower bound of its value at every
-    list of floats p with ``lo[j] <= p[j] <= hi[j]``, or ``-inf`` where it
-    proves nothing (:func:`liecomplete.interval.margin_lower`); that is
-    generated on its first call.
+    NaN margin is ignored; a margin expression that raises gives ``-inf``,
+    which no box distance lowers.
     """
-    names = _name_map(domain.coords, params)
-    lines = [
-        "def _margin(p):",
-        f"    {''.join(f'_v{j}, ' for j in range(domain.dim))}= p",
-        "    m = _inf",
-    ]
+    lines = [f"{m} = _inf"]
     if domain.margins:
-        lines.append("    try:")
+        lines.append("try:")
         for e in domain.margins:
-            lines += [
-                f"        v = {_render_py(e.node, names)}",
-                "        if v < m:",
-                "            m = v",
-            ]
-        lines += [
-            "    except _EVAL_ERRORS:",
-            "        return -_inf",
-        ]
+            lines += [f"    if (v := {_render_py(e.node, names)}) < {m}:", f"        {m} = v"]
+        lines += ["except _EVAL_ERRORS:", f"    {m} = -_inf"]
     for j, b in enumerate(domain.box or ()):
         lo, hi = b if b is not None else (None, None)
         if lo is not None:
-            lines += [f"    if (v := _v{j} - {_py_float(lo)}) < m:", "        m = v"]
+            lines += [f"if (v := _v{j} - {_py_float(lo)}) < {m}:", f"    {m} = v"]
         if hi is not None:
-            lines += [f"    if (v := {_py_float(hi)} - _v{j}) < m:", "        m = v"]
-    lines.append("    return m")
-    margin = _define("\n".join(lines))["_margin"]
+            lines += [f"if (v := {_py_float(hi)} - _v{j}) < {m}:", f"    {m} = v"]
+    return lines
 
-    def lower(lo, hi):
-        if margin.lower is lower:
-            from .interval import margin_lower
-            margin.lower = margin_lower(domain, names)
-        return margin.lower(lo, hi)
 
-    margin.lower = lower
+def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
+    """Generate p -> min(margins, box distances) as one list-in function.
+
+    Its value is that of :func:`_margin_lines`.  Two attributes are generated
+    on their first call: ``lower(lo, hi)``, a lower bound of the margin at
+    every list of floats p with ``lo[j] <= p[j] <= hi[j]``, or ``-inf`` where
+    it proves nothing (:func:`liecomplete.interval.margin_lower`); and
+    ``scan(y0, f0, y1, f1, h)``, the integrator's margin scan of a step with
+    these lines inlined (:func:`liecomplete.flow._scan_lines`).
+    """
+    names = _name_map(domain.coords, params)
+    margin = _define("\n".join([
+        "def _margin(p):",
+        f"    {_names('_v', domain.dim)}= p",
+        *("    " + line for line in _margin_lines(domain, names)),
+        "    return m",
+    ]))["_margin"]
+
+    def lower():   # the interval module is imported only when a bound is first asked for
+        from .interval import margin_lower
+        return margin_lower(domain, names)
+
+    _on_first_call(margin, "lower", lower)
+    body = functools.partial(_margin_lines, domain, names)
+    _on_first_call(margin, "scan", lambda: _define("\n".join(_scan_lines(domain.dim, body)))["scan"])
     return margin
 
 
@@ -129,7 +144,9 @@ def _compile_contraction(fields, rows: tuple, coords, params) -> Callable:
     left out and literal-1 entries are the bare coefficient, neither of
     which changes the sum.  The leading ``0.0 +`` (which turns a -0.0
     product into 0.0) is dropped only before a bare coefficient, which is
-    never zero.
+    never zero.  Each rhs carries the attribute ``step``, the integrator's
+    DP5 step with the contraction inlined (:func:`liecomplete.flow._step_lines`);
+    the coefficients are cells of both closures.
     """
     names = _name_map(coords, params)
     comps = []
@@ -147,8 +164,10 @@ def _compile_contraction(fields, rows: tuple, coords, params) -> Callable:
     src = "\n".join([
         f"def _make({', '.join(f'_c{i}' for i in rows)}):",
         "    def _rhs(y):",
-        f"        {''.join(f'_v{j}, ' for j in range(len(coords)))}= y",
+        f"        {_names('_v', len(coords))}= y",
         f"        return [{', '.join(comps)}]",
+        *("    " + line for line in _step_lines(len(coords), comps)),
+        "    _rhs.step = step",
         "    return _rhs",
     ])
     return _define(src)["_make"]
@@ -169,16 +188,16 @@ class GAction:
         winding_plane: Optional[Callable] = None,
         name: str = "",
     ):
+        d, n = group.dim, domain.dim
+        # before the algebra, whose structure constants are d^3 numbers
+        if len(fields) != d or any(len(row) != n for row in fields):
+            raise ActionError(f"fields must be a {d}x{n} grid of expressions")
         self.group = group
         self.algebra = group.algebra
         self.domain = domain
         self.params = dict(params or {})
         self.name = name
         self.winding_plane = winding_plane
-
-        d, n = group.dim, domain.dim
-        if len(fields) != d or any(len(row) != n for row in fields):
-            raise ActionError(f"fields must be a {d}x{n} grid of expressions")
         self.fields = tuple(tuple(row) for row in fields)
         shadowed = [k for k in self.params if k in domain.coords]
         if shadowed:   # the expressions would read the coordinate
@@ -250,19 +269,23 @@ class GAction:
         """Velocity field y -> sum_i X_i zeta_i(y) as a fast list-in/list-out fn.
 
         The contraction is generated once per set of non-zero coefficients;
-        rows whose coefficient is zero are not evaluated.
+        rows whose coefficient is zero are not evaluated.  The function
+        carries ``step``, the integrator's DP5 step with it inlined.
         """
         coeffs = list(map(float, X))
-        nonzero = tuple(map(bool, coeffs))
+        return self._contraction(tuple(map(bool, coeffs)))(*filter(None, coeffs))
+
+    def _contraction(self, nonzero: tuple) -> Callable:
+        """The rhs factory taking the non-zero coefficients where ``nonzero`` is true, in order."""
         make = self._contractions.get(nonzero)
         if make is None:
-            if len(coeffs) != self.dim_algebra:
+            if len(nonzero) != self.dim_algebra:
                 raise ActionError("rhs expects a d-vector of algebra coefficients")
             rows = tuple(i for i, c in enumerate(nonzero) if c)
             make = self._contractions[nonzero] = _compile_contraction(
                 self.fields, rows, self.domain.coords, self.params
             )
-        return make(*filter(None, coeffs))
+        return make
 
     # -- homomorphism check -------------------------------------------------
 

@@ -152,14 +152,19 @@ def build(name: str, params: Optional[Dict] = None) -> Scenario:
             f"unknown scenario {name!r}; available: {', '.join(scenario_names())}"
         )
     builder, defaults = _BUILDERS[key]
+    return builder(_override_params(key, defaults, params))
+
+
+def _override_params(name: str, defaults: Dict, params: Optional[Dict]) -> dict:
+    """``defaults`` with the values of ``params``, which must be finite and name keys of ``defaults``."""
     merged = dict(defaults)
     for k, v in (params or {}).items():
         if k not in defaults:
-            raise ScenarioError(f"scenario {key!r} has no parameter {k!r}")
+            raise ScenarioError(f"scenario {name!r} has no parameter {k!r}")
         if not math.isfinite(v):
             raise ScenarioError(f"parameter {k!r} must be finite, got {v!r}")
         merged[k] = v
-    return builder(merged)
+    return merged
 
 
 # ---------------------------------------------------------------------------

@@ -740,6 +740,59 @@ def test_scenario_params_via_flags(tmp_path, capsys):
                               "--out", str(tmp_path / "o")], capsys), value
 
 
+def test_params_override_those_an_action_file_declares(tmp_path, capsys):
+    spec = {"group": {"type": "abelian", "dim": 1}, "manifold": {"dim": 1, "coords": ["x"]},
+            "params": {"a": 1.0}, "fields": [["a*x"]]}
+    f = _write(tmp_path, "a.json", spec)
+    lift = ["lift", "--scenario-file", f, "--x0", "1", "--path",
+            _write(tmp_path, "p.json", {"start": [0], "segments": [{"type": "linear", "delta": [1]}]})]
+    assert main(lift + ["--out", str(tmp_path / "one")]) == 0
+    assert main(lift + ["--param", "a=2", "--out", str(tmp_path / "two")]) == 0
+    ends = [json.loads((tmp_path / f"{o}.summary.json").read_text())["endpoint_m"][0]
+            for o in ("one", "two")]
+    assert abs(ends[0] - math.e) < 1e-8 and abs(ends[1] - math.e ** 2) < 1e-7
+    capsys.readouterr()
+    # a name the file does not declare, or a value that is not finite, is the built-ins' error
+    assert main(["check", "--scenario-file", f, "--param", "a=5", "--param", "zzz=1"]) == 3
+    assert "error: scenario 'custom' has no parameter 'zzz'" in capsys.readouterr().err
+    assert main(["check", "--scenario-file", f, "--param", "a=inf"]) == 3
+    assert "error: parameter 'a' must be finite" in capsys.readouterr().err
+
+
+HUGE = 10 ** 400   # json writes it as digits; float() of it overflows
+
+
+@pytest.mark.parametrize("where", ["params", "box", "duration", "delta", "start", "loop", "classify"])
+def test_integers_past_the_float_range_are_config_errors(tmp_path, capsys, where):
+    action = {"group": {"type": "abelian", "dim": 1}, "manifold": {"dim": 1, "coords": ["x"]},
+              "fields": [["1"]]}
+    if where == "params":
+        action["params"] = {"a": HUGE}
+    elif where == "box":
+        action["manifold"]["box"] = [[0, HUGE]]
+    seg = {"type": "linear", "delta": [HUGE if where == "delta" else 1]}
+    if where == "duration":
+        seg["duration"] = HUGE
+    path = {"start": [HUGE if where == "start" else 0], "segments": [seg]}
+    files = {name: _write(tmp_path, f"{name}.json", spec) for name, spec in (
+        ("action", action), ("path", path),
+        ("loop", {"points": [[1, 0, 0], [HUGE, 0, 0], [1, 0, 0]]}),
+        ("points", {"points": [{"g": [0, 0], "x": [1, 0, HUGE]}]}))}
+    out = ["--out", str(tmp_path / "o")]
+    argv = {
+        "loop": ["holonomy", "--scenario", "example6", "--loop", files["loop"], "--x0", "1,0,0"],
+        "classify": ["classify", "--scenario", "example6", "--points", files["points"]],
+    }.get(where, ["lift", "--scenario-file", files["action"], "--x0", "0.5",
+                  "--path", files["path"]] + out)
+    assert _config_error(argv, capsys)
+
+
+def test_a_group_dim_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    spec = {"group": {"type": "abelian", "dim": HUGE}, "manifold": {"dim": 1, "coords": ["x"]},
+            "fields": [["1"]]}
+    assert _config_error(["check", "--scenario-file", _write(tmp_path, "a.json", spec)], capsys)
+
+
 def test_bad_integrator_tolerances(tmp_path, capsys):
     lift = ["lift", "--scenario", "example6", "--x0", "1,0,1",
             "--circle-turns", "0.1", "--out", str(tmp_path / "o")]

@@ -1,14 +1,16 @@
 """Hot-path code against the loops it replaces.
 
 The rhs contraction, the domain margin, the Dormand-Prince step, its Hermite
-interpolant, the margins at the interpolant's interior scan points and the
-first-step norm are generated as straight-line Python; the margin scan
-commits a step from its five margins before any refinement; group paths and
-the loop decompositions of ``loop_to_group`` are built from whole arrays.
-The loop forms they replaced are kept here as references; the new code must
-give the same floats bit for bit (compared through ``float.hex``, so signed
-zeros and NaNs count too), because it does the same operations in the same
-order.  Three whole-lift hashes pin every output of a long circle lift, of
+interpolant, the margins at the interpolant's interior scan points and at the
+step's end, and the first-step norm are generated as straight-line Python;
+the step and the margins come both as generic kernels that call a plain rhs
+or margin and as an action's own kernels with its contraction or margin
+inlined; the margin scan commits a step from its five margins before any
+refinement; group paths and the loop decompositions of ``loop_to_group`` are
+built from whole arrays.  The loop forms they replaced are kept here as
+references; the new code must give the same floats bit for bit (compared
+through ``float.hex``, so signed zeros and NaNs count too), because it does
+the same operations in the same order.  Three whole-lift hashes pin every output of a long circle lift, of
 200 lines past the helicoid axis and of 300 coarse circles whose steps the
 winding tracker subdivides, and a fourth pins the group elements and re-lift
 residuals of ``loop_to_group``.  The scan skips the dip searches that the
@@ -35,7 +37,7 @@ from liecomplete.flow import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
     _E1, _E3, _E4, _E5, _E6, _E7, _SCAN, ESCAPE_MARGIN, ESCAPE_TIME_WIDTH,
-    IntegratorConfig, _dp5_kernels, _golden_min, _scan_margins,
+    IntegratorConfig, _dp5_kernels, _golden_min, _hermite_kernels, _scan_margins,
 )
 from liecomplete.lift import ExpSeg, GPath, LinearSeg, PathError, _resolve, lift_path
 from liecomplete.manifold import Domain, GAction
@@ -53,6 +55,8 @@ IDS = ["translation1", "translation2", "translation3", "annulus", "helicoid", "a
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 coefficient = st.one_of(st.just(0.0), st.just(1.0), finite)
+# a NaN coefficient makes every stage NaN, so the step must give None
+step_coefficient = st.one_of(coefficient, st.just(math.nan))
 step_size = st.floats(min_value=1e-8, max_value=2.0)
 
 
@@ -262,9 +266,25 @@ def _outcome(fn, *args):
     return _bits(out if isinstance(out, (list, tuple)) else [out])
 
 
-def _interior_ref(margin, y0, f0, y1, f1, h):
+def _scan_ref(margin, y0, f0, y1, f1, h):
     interp = loop_hermite(y0, f0, y1, f1, h)
-    return [margin(interp(s)) for s in _SCAN[:-1]]
+    return [margin(interp(s)) for s in _SCAN[:-1]] + [margin(y1)]
+
+
+def _assert_same_scans(action, y0, f0, y1, f1, h):
+    """The generic scan and the action's own give the loop's margins."""
+    margin = action._margin
+    ref = _bits(_scan_ref(margin, y0, f0, y1, f1, h))
+    assert _bits(_dp5_kernels(len(y0))[1](margin, y0, f0, y1, f1, h)) == ref
+    assert _bits(margin.scan(y0, f0, y1, f1, h)) == ref
+
+
+def _assert_same_steps(rhs, y, f0, h, atol, rtol):
+    """The generic step and the rhs's own give the loop's step; returns it."""
+    ref = loop_step(rhs, y, f0, h, atol, rtol)
+    _assert_same_step(_dp5_kernels(len(y))[0](rhs, y, f0, h, atol, rtol), ref)
+    _assert_same_step(rhs.step(y, f0, h, atol, rtol), ref)
+    return ref
 
 
 def _assert_same_step(new, ref):
@@ -302,22 +322,19 @@ def test_margin_matches_the_loop(action, data):
        atol=st.floats(min_value=1e-14, max_value=1e-3),
        rtol=st.floats(min_value=1e-12, max_value=1e-3))
 def test_dp5_step_matches_the_loop(action, data, h, atol, rtol):
-    X = data.draw(st.lists(coefficient, min_size=action.dim_algebra,
+    X = data.draw(st.lists(step_coefficient, min_size=action.dim_algebra,
                            max_size=action.dim_algebra))
     y = _inside(action, data)
     rhs = action.rhs(X)
     f0 = rhs(y)
-    step, hermite, interior, first_norm = _dp5_kernels(len(y))
-    new = step(rhs, y, f0, h, atol, rtol)
-    _assert_same_step(new, loop_step(rhs, y, f0, h, atol, rtol))
+    hermite, first_norm = _hermite_kernels(len(y))
+    ref = _assert_same_steps(rhs, y, f0, h, atol, rtol)
     assert _outcome(first_norm, f0, y, atol, rtol) == _outcome(loop_first_norm, f0, y, atol, rtol)
-    if new is not None:
-        y1, k7, _ = new
+    if ref is not None:
+        y1, k7, _ = ref
         for s in (0.0, 0.25, 0.5, 0.75, 1.0, data.draw(st.floats(0.0, 1.0))):
             assert _bits(hermite(y, f0, y1, k7, h)(s)) == _bits(loop_hermite(y, f0, y1, k7, h)(s))
-        margin = action._margin
-        assert (_bits(interior(margin, y, f0, y1, k7, h))
-                == _bits(_interior_ref(margin, y, f0, y1, k7, h)))
+        _assert_same_scans(action, y, f0, y1, k7, h)
 
 
 def test_helicoid_margin_on_the_axis_and_box_walls():
@@ -374,22 +391,70 @@ def _stiff_margin(y):
             - (math.inf if y[-1] > 40.0 else 0.0))
 
 
+_STIFF = {}
+
+
+def _stiff_action(n):
+    """A one-field action on R^n like ``_stiff_rhs`` and ``_stiff_margin``, whose stages raise more ways.
+
+    Its field raises at x_n == 0, below x_1 == -60 and where an odd
+    component's cube passes the float range, and is infinite where an even
+    component's does.  Its margin raises below x_1 == -45, is NaN (inf - inf)
+    where x_1 cubed overflows, and is below 0 past the wall x_n == 40.
+    """
+    if n not in _STIFF:
+        coords = tuple(f"x{j + 1}" for j in range(n))
+        last = coords[-1]
+        cube = ["{0}*{0}*{0}", "{0}^3"]
+        field = [parse(f"sin({c}) * x1 * 1000 - 1/{last} + {cube[j % 2].format(c)} + sqrt(x1 + 60)")
+                 for j, c in enumerate(coords)]
+        box = (None,) * (n - 1) + ((None, 40.0),)
+        domain = Domain(coords, box=box,
+                        margins=(parse(f"1 - 0.001*x1*{last}"), parse("log(x1 + 45)"),
+                                 parse("x1*x1*x1 - x1*x1*x1 + 1")))
+        _STIFF[n] = GAction(AbelianGroup(1), domain, [field])
+    return _STIFF[n]
+
+
 @settings(max_examples=80, deadline=None)
 @given(y=st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=5),
-       h=step_size)
-def test_dp5_step_matches_the_loop_for_any_n(y, h):
-    try:
+       h=step_size, c=st.sampled_from([1.0, -0.75, math.nan]))
+def test_dp5_step_matches_the_loop_for_any_n(y, h, c):
+    step, scan = _dp5_kernels(len(y))
+    hermite = _hermite_kernels(len(y))[0]
+    # the generic kernels on plain functions
+    if y[-1] != 0.0:
         f0 = _stiff_rhs(y)
-    except ZeroDivisionError:
+        ref = loop_step(_stiff_rhs, y, f0, h, 1e-12, 1e-9)
+        _assert_same_step(step(_stiff_rhs, y, f0, h, 1e-12, 1e-9), ref)
+        if ref is not None:
+            y1, k7, _ = ref
+            assert _bits(hermite(y, f0, y1, k7, h)(0.3)) == _bits(loop_hermite(y, f0, y1, k7, h)(0.3))
+            assert (_bits(scan(_stiff_margin, y, f0, y1, k7, h))
+                    == _bits(_scan_ref(_stiff_margin, y, f0, y1, k7, h)))
+    # the generic and the action's own kernels on an action's
+    action = _stiff_action(len(y))
+    rhs = action.rhs([c])
+    try:
+        f0 = rhs(y)
+    except EVAL_ERRORS:
         return
-    step, hermite, interior, _ = _dp5_kernels(len(y))
-    new = step(_stiff_rhs, y, f0, h, 1e-12, 1e-9)
-    _assert_same_step(new, loop_step(_stiff_rhs, y, f0, h, 1e-12, 1e-9))
-    if new is not None:
-        y1, k7, _ = new
-        assert _bits(hermite(y, f0, y1, k7, h)(0.3)) == _bits(loop_hermite(y, f0, y1, k7, h)(0.3))
-        assert (_bits(interior(_stiff_margin, y, f0, y1, k7, h))
-                == _bits(_interior_ref(_stiff_margin, y, f0, y1, k7, h)))
+    ref = _assert_same_steps(rhs, y, f0, h, 1e-12, 1e-9)
+    if ref is not None:
+        y1, k7, _ = ref
+        _assert_same_scans(action, y, f0, y1, k7, h)
+
+
+@pytest.mark.parametrize("field, y, f0, h, atol", [
+    ("sqrt(x)", [1.0], [1.0], -10.0, 1e-12),      # the second stage takes sqrt(-1)
+    ("1/(x - 1.2)", [1.0], [1.0], 1.0, 1e-12),    # the second stage divides by 0
+    ("x^3", [1e100], [1e100], 1e10, 1e-12),       # a stage's cube passes the float range
+    ("x*x*x", [1e100], [1e100], 1e10, 1e-12),     # y1 is not finite
+    ("x", [1.0], [1.0], 1.0, 1e-300),             # y1 is finite, err is not
+], ids=["sqrt", "divide", "power", "y1", "err"])
+def test_dp5_step_matches_the_loop_where_the_step_fails(field, y, f0, h, atol):
+    action = GAction(AbelianGroup(1), Domain(("x",)), [[parse(field)]])
+    assert _assert_same_steps(action.rhs([1.0]), y, f0, h, atol, 1e-300) is None
 
 
 # any floats of any n: NaN, infinities, zeros and values whose square overflows
@@ -403,7 +468,7 @@ wide = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e20
 def test_first_norm_matches_the_loop_for_any_n(data, n, atol, rtol):
     f0 = data.draw(st.lists(wide, min_size=n, max_size=n))
     y = data.draw(st.lists(wide, min_size=n, max_size=n))
-    first_norm = _dp5_kernels(n)[3]
+    first_norm = _hermite_kernels(n)[1]
     assert _outcome(first_norm, f0, y, atol, rtol) == _outcome(loop_first_norm, f0, y, atol, rtol)
 
 
@@ -414,9 +479,7 @@ def test_interior_margins_match_the_loop_where_the_margin_raises_or_is_nan(data,
     edge = st.one_of(st.just(0.0), st.just(1e120), st.just(-1e120), st.just(math.nan),
                      st.floats(min_value=-20.0, max_value=20.0))
     y0, f0, y1, f1 = (data.draw(st.lists(edge, min_size=3, max_size=3)) for _ in range(4))
-    interior = _dp5_kernels(3)[2]
-    assert (_bits(interior(action._margin, y0, f0, y1, f1, h))
-            == _bits(_interior_ref(action._margin, y0, f0, y1, f1, h)))
+    _assert_same_scans(action, y0, f0, y1, f1, h)
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +856,7 @@ def test_skipped_dip_searches_would_have_committed_on_drawn_steps(monkeypatch):
     # cross and end within a few eps of it far more often than its own steps
     tally = _run_both_scans(monkeypatch)
     margin = build("example6_helicoid").action._margin
-    _, hermite, interior, _ = _dp5_kernels(3)
+    hermite = _hermite_kernels(3)[0]
 
     @settings(max_examples=500, deadline=None)
     @given(d2=st.floats(-1.0, 6.0).map(lambda e: EPS * 10.0 ** e),
@@ -808,7 +871,7 @@ def test_skipped_dip_searches_would_have_committed_on_drawn_steps(monkeypatch):
         y0 = [-d * u[1] - near * length * u[0], d * u[0] - near * length * u[1], 1.0]
         y1 = [y0[0] + length * u[0], y0[1] + length * u[1], 1.0]
         f = [length * u[0] / h, length * u[1] / h, 0.0]
-        ms = (margin(y0), *interior(margin, y0, f, y1, f, h), margin(y1))
+        ms = (margin(y0), *margin.scan(y0, f, y1, f, h))
         if ms[0] > EPS:   # a scan starts inside
             flow._scan_margins(margin, hermite(y0, f, y1, f, h), ms, EPS, h, ESCAPE_TIME_WIDTH,
                                margin.lower, y0, f, y1, f)

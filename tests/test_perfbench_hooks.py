@@ -6,9 +6,12 @@ away silently drops its per-layer metrics, so it is caught here.  Its
 ``integrate_autonomous`` wrapper takes exactly ``(rhs, y0, duration, cfg,
 margin, on_step)``, so one traced lift, and one traced ``loop_to_group`` on
 the matrix model, check that the wrapped calls still work and that the counts
-they feed are the integrator's.  Its wrapped margin has no ``lower`` bound, so
-a traced line past the helicoid axis runs the dip searches that the untraced
-one skips, and must give the same result.
+they feed are the integrator's.  Its span wrappers around ``rhs`` and
+``margin`` carry neither the margin's ``lower`` bound nor the action's own
+kernels (``rhs.step``, ``margin.scan``), so a traced lift runs the generic
+kernels, which call them: 7 rhs and 5 margin calls per one-step segment.  A
+traced line past the helicoid axis also runs the dip searches that the
+untraced one skips, and must give the same result.
 """
 
 import math
