@@ -80,10 +80,6 @@ class IsotropyReport(Record):
     """
     __slots__ = ("point", "singular_values", "nullspace", "orbit_dim", "cutoff")
 
-    @property
-    def isotropy_dim(self) -> int:
-        return self.nullspace.shape[0]
-
 
 def isotropy(action, x, tol: float = 1e-8) -> IsotropyReport:
     """SVD-based isotropy subalgebra at ``x`` (must lie in the domain).

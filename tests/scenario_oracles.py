@@ -9,11 +9,16 @@ Only tests read these; the package itself never calls them.
   for the equivariant target ``(f, act)`` of each scenario that has one.
 * :func:`equivariance_check` — the leaf translation law under left-translating
   a path, raising :class:`LiftEscapedError` when a lift escapes.
+* :func:`reverse_path`, :func:`concat_paths` and :func:`isotropy_dim` — the
+  reversed and joined group paths and the isotropy dimension that the
+  symmetry, transitivity and isotropy tests compare against.
 """
 
 import math
 
-from liecomplete.lift import TRACE_TARGET, ExpSeg, GPath, LinearSeg, lift_path
+from liecomplete.lift import (
+    TRACE_TARGET, ExpSeg, GPath, LinearSeg, PathError, _check_group_compat, lift_path,
+)
 from liecomplete.scenarios import ScenarioError
 
 
@@ -161,3 +166,38 @@ def equivariance_check(action, path: GPath, x0, g, cfg=None) -> float:
         action.group.mul(g, base.endpoint_g), shifted.endpoint_g
     )
     return dm + dg
+
+
+# ---------------------------------------------------------------------------
+# paths and isotropy
+
+ENDPOINT_MATCH_TOL = 1e-9
+
+
+def reverse_path(path: GPath) -> GPath:
+    """``path`` run backwards from its endpoint, each segment negated."""
+    segs = []
+    for s in reversed(path.segments):
+        if isinstance(s, LinearSeg):
+            segs.append(LinearSeg(tuple(-v for v in s.delta), s.duration))
+        else:
+            segs.append(ExpSeg(tuple(-v for v in s.X), s.duration))
+    return GPath(path.group, path.endpoint(), segs)
+
+
+def concat_paths(first: GPath, second: GPath) -> GPath:
+    """``first`` then ``second``, which must start at ``first``'s endpoint in the same group model."""
+    _check_group_compat(first.group, second.group)
+    if first.group.distance(first.endpoint(), second.start) > ENDPOINT_MATCH_TOL:
+        raise PathError("second path must start at the first path's endpoint")
+    segs = []
+    for p in (first, second):
+        # rebuild from total displacements so endpoints survive reweighting
+        for s, vec, vel, w in zip(p.segments, p._vecs, p._velocities, p.widths):
+            segs.append(LinearSeg(vec, w) if isinstance(s, LinearSeg) else ExpSeg(vel, w))
+    return GPath(first.group, first.start, segs)
+
+
+def isotropy_dim(report) -> int:
+    """The dimension of the isotropy subalgebra of an ``IsotropyReport``."""
+    return report.nullspace.shape[0]

@@ -22,8 +22,10 @@ from liecomplete.scenarios import build, circle_loop_path
 
 from scenario_oracles import (
     closure_gap,
+    concat_paths,
     equal_p_witness,
     equivariance_check,
+    reverse_path,
     universal_constancy_check,
 )
 
@@ -262,7 +264,7 @@ def test_criterion_11_property_suites():
             if r1.status != COMPLETE:
                 continue
             r2 = lift_path(heli, p2, r1.endpoint_m)
-            joined = lift_path(heli, p1.concat(p2), x0)
+            joined = lift_path(heli, concat_paths(p1, p2), x0)
             if r2.status != COMPLETE or joined.status != COMPLETE:
                 continue
             assert np.max(np.abs(np.asarray(joined.endpoint_m) - r2.endpoint_m)) < 1e-8
@@ -300,9 +302,9 @@ def test_criterion_11_property_suites():
             b = (tuple(w1.endpoint()), pb)
             c = (tuple(w2.endpoint()), pc)
             assert same_leaf(heli, a, b, w1).verdict == "identified"
-            assert same_leaf(heli, b, a, w1.reverse()).verdict == "identified"
+            assert same_leaf(heli, b, a, reverse_path(w1)).verdict == "identified"
             assert same_leaf(heli, b, c, w2).verdict == "identified"
-            joined = same_leaf(heli, a, c, w1.concat(w2))
+            joined = same_leaf(heli, a, c, concat_paths(w1, w2))
             assert joined.verdict == "identified" and joined.residual < 2e-6
 
         assert time.time() - t_start < 20.0
