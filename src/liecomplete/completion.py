@@ -18,10 +18,10 @@ These are the pointwise and loop-level reports built on top of lifting:
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._record import InputError, Record
-from .flow import COMPLETE, ESCAPED, IntegratorConfig
+from .flow import COMPLETE, IntegratorConfig
 from .lift import ExpSeg, GPath, lift_path
 
 __all__ = [

@@ -1,27 +1,29 @@
 """The adaptive integrator behind every lift, with escape detection.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with FSAL and a PI-free
-step controller, run in one loop over a whole piecewise-constant-velocity
-path.  The step, first-step norm, lazy cubic Hermite interpolant and the
-margins at the interpolant's interior samples and at the step's end are
-generated as straight-line Python; the step and the margin scan inline an
-action's own contraction or margin, and ``GAction`` generates them.  Escape
-from the open domain is detected by one scan of the domain margin along each
-accepted step: it commits the step at once when none of the five samples
-(ends plus interior) is near the escape level or well below the others, and
-refines the rest by a golden-section dip search and the escape search.  A
-step whose margin dips well below both of its ends is retried so that it
-ends at the dip, so fast transits past a thin excluded set are not stepped
-over.  The escape time is refined by bisection on the margin against the
-escape threshold.  Every retried step, whether a stage failed, the error
-test failed or the margin dipped, shrinks the step size in one place, which
-also ends the run as a low-confidence escape once the size falls below
-``STEP_COLLAPSE``.
+step controller.  Its step, first-step norm, lazy cubic Hermite interpolant
+and the margins at the interpolant's interior samples and at the step's end
+are generated as straight-line Python.  One generator emits the step and the
+margin scan in two forms with the same bits: the generic one calls a plain
+``rhs`` or ``margin`` and is generated once per state dimension; the other
+inlines an action's own contraction or margin, and ``GAction`` generates it
+on first use and hands it over as ``rhs.step`` or ``margin.scan``.  Escape
+from the open domain is detected by one scan of the domain margin along each accepted step: it commits the step
+at once when none of the five samples (ends plus interior) is near the escape
+level or well below the others, and refines the rest by a golden-section dip
+search and the escape search.  A step whose margin dips well below both of
+its ends is retried so that it ends at the dip, so fast transits past a thin
+excluded set are not stepped over.  The escape time is refined by bisection
+on the margin against the escape threshold.  Every retried step, whether a
+stage failed, the error test failed or the margin dipped, shrinks the step
+size in one place, which also ends the run as a low-confidence escape once
+the size falls below ``STEP_COLLAPSE``.
 
-A dip search is skipped, with the same outcome, when the margin's lower
-bound over boxes (``margin.lower``) over the Bernstein hull of the
-interpolant on the search bracket shows that no sample there can fall below
-either of the search's tests.
+A dip search is skipped, with the same outcome, when the margin carries a
+lower bound over boxes (``margin.lower``, as the margin ``GAction`` generates
+does) and that bound over the Bernstein hull of the interpolant on the
+search bracket shows that no sample there can fall below either of the
+search's tests.
 
 Flows of single fields and words of flows are lifts of one-parameter group
 paths: :func:`liecomplete.lift.lift_path` over :meth:`liecomplete.lift.GPath.word`.
@@ -44,7 +46,7 @@ __all__ = [
     "COMPLETE",
     "ESCAPED",
     "STEP_LIMIT",
-    "integrate_path",
+    "integrate_autonomous",
 ]
 
 COMPLETE = "complete"
@@ -128,22 +130,26 @@ _WEIGHTS = ((_B1, "k1"), (_B3, "k3"), (_B4, "k4"), (_B5, "k5"), (_B6, "k6"))
 _ERRORS = ((_E1, "k1"), (_E3, "k3"), (_E4, "k4"), (_E5, "k5"), (_E6, "k6"), (_E7, "k7"))
 
 
-def _step_lines(n: int, inline: Sequence[str], coeffs: Sequence[str]) -> list:
-    """Source lines of ``step(c, y, f0, h, atol, rtol)``, one DP5 step for states of length n.
+def _step_lines(n: int, inline=None) -> list:
+    """Source lines of one DP5 step for states of length n.
 
-    ``inline`` is the source of the n components of the rhs at the point
-    ``_v0, _v1, ...``, which may read the names ``coeffs``, unpacked in order
-    from the tuple ``c``; the step evaluates it in place of a call at each
-    stage.  It returns ``(y1, f1, err)``, with ``f1`` the rhs at ``y1`` and
-    ``err`` the RMS of the embedded error estimate scaled by ``atol + rtol *
+    With ``inline`` None this is ``step(rhs, y, f0, h, atol, rtol)``, which
+    calls ``rhs`` on a list at each stage.  Otherwise ``inline`` is the source
+    of the n components of the rhs at the point ``_v0, _v1, ...``, and the
+    step is ``step(y, f0, h, atol, rtol)`` with them in place of each call.
+
+    It returns ``(y1, f1, err)``, with ``f1`` the rhs at ``y1`` and ``err``
+    the RMS of the embedded error estimate scaled by ``atol + rtol *
     max(|y|, |y1|)``, or ``None`` when a stage raises one of ``EVAL_ERRORS``
-    or gives a non-finite ``y1`` or ``err``.  It is straight-line code with
-    the same operations in the same order as an index loop over the
-    components, so it gives the same bits.
+    or gives a non-finite ``y1`` or ``err``.  Both forms are straight-line
+    code with the same operations in the same order as an index loop over
+    the components, so they give the same bits.
     """
     idx = range(n)
 
     def call(dest, args):
+        if inline is None:
+            return [f"{_names(dest, n)}= rhs([{', '.join(args)}])"]
         return [f"{_names('_v', n)}= {_tuple(args)}", f"{_names(dest, n)}= {_tuple(inline)}"]
 
     def stage(row, i):
@@ -153,8 +159,7 @@ def _step_lines(n: int, inline: Sequence[str], coeffs: Sequence[str]) -> list:
         return f"x{i} + h * ({_lin(row, i)})"
 
     lines = [
-        "def step(c, y, f0, h, atol, rtol):",
-        f"    ({_tuple(coeffs)}) = c",
+        f"def step({'rhs, ' if inline is None else ''}y, f0, h, atol, rtol):",
         f"    {_names('x', n)}= y",
         f"    {_names('k1_', n)}= f0",
         "    try:",
@@ -179,21 +184,26 @@ def _step_lines(n: int, inline: Sequence[str], coeffs: Sequence[str]) -> list:
     ]
 
 
-def _scan_lines(n: int, inline: Callable) -> list:
-    """Source lines of ``scan(y0, f0, y1, f1, h)``, the margins of one step at its interpolant's interior samples and its end.
+def _scan_lines(n: int, inline=None) -> list:
+    """Source lines of the margins of one step at its interpolant's interior samples and its end.
 
-    ``inline(name)`` gives the source lines that set ``name`` to the margin
-    at the point ``_v0, _v1, ...``, using no other name but ``v``; the scan
-    runs them in place of a call at each point.  It returns the margins at
+    With ``inline`` None this is ``scan(margin, y0, f0, y1, f1, h)``, which
+    calls ``margin`` on a list at each point.  Otherwise ``inline(name)`` gives
+    the source lines that set ``name`` to the margin at the point ``_v0, _v1,
+    ...``, using no other name but ``v``, and the scan is ``scan(y0, f0, y1,
+    f1, h)`` with those lines in place of each call.  It returns the margins at
     ``hermite(y0, f0, y1, f1, h)(s)`` for s = 0.25, 0.5, 0.75, with the
     weights that do not involve h folded to literals, and at ``y1``.
     """
     idx = range(n)
 
     def at(j, args):
+        if inline is None:
+            return [f"m{j} = margin([{', '.join(args)}])"]
         return [f"{_names('_v', n)}= {_tuple(args)}", *inline(f"m{j}")]
 
-    lines = ["def scan(y0, f0, y1, f1, h):", *("    " + line for line in _unpack_ends(n))]
+    lines = [f"def scan({'margin, ' if inline is None else ''}y0, f0, y1, f1, h):",
+             *("    " + line for line in _unpack_ends(n))]
     for j, s in enumerate(_SCAN[:-1]):
         s2 = s * s
         a, c = s2 * (2.0 * s - 3.0) + 1.0, s2 * (3.0 - 2.0 * s)
@@ -205,6 +215,20 @@ def _scan_lines(n: int, inline: Callable) -> list:
         ]
     return lines + ["    " + line for line in at(3, [f"r{i}" for i in idx])] + [
         "    return m0, m1, m2, m3"]
+
+
+@functools.lru_cache(maxsize=None)
+def _dp5_kernels(n: int):
+    """The DP5 step and margin scan for states of length n that call a plain ``rhs`` and ``margin``.
+
+    ``step(rhs, y, f0, h, atol, rtol)`` and ``scan(margin, y0, f0, y1, f1,
+    h)`` are the kernels of :func:`_step_lines` and :func:`_scan_lines` that
+    call their first argument; an rhs or margin that carries its own
+    ``step`` or ``scan`` (as those ``GAction`` generates do) has them inlined
+    instead.
+    """
+    ns = _define("\n".join(_step_lines(n) + [""] + _scan_lines(n)))
+    return ns["step"], ns["scan"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -359,125 +383,105 @@ def _scan_margins(margin, interp, ms, eps: float, h: float, width: float,
     return ("escape", s_lo, 0.5 * (s_lo + s_hi), False)
 
 
-def integrate_path(
-    x0: Sequence[float],
-    widths: Sequence[float],
-    velocities: Sequence[Sequence[float]],
-    contraction: Callable,
-    margin: Callable,
+def integrate_autonomous(
+    rhs: Callable,
+    y0: Sequence[float],
+    duration: float,
     cfg: IntegratorConfig,
+    margin: Callable,
     on_step: Callable,
 ):
-    """Integrate a piecewise-constant-velocity path from the floats ``x0`` (not copied) in the domain.
+    """Integrate y' = rhs(y) from the floats ``y0`` (not copied) over [0, duration] in the domain.
 
-    Segment k lasts ``widths[k]`` at the velocity ``velocities[k]``, in
-    path time from 0.  ``contraction(nonzero)`` gives ``(rhs, step)`` for
-    the coefficients where ``nonzero`` is true: ``rhs(c, y)`` and its DP5
-    step ``step(c, y, f0, h, atol, rtol)`` (:func:`_step_lines`), with ``c``
-    the non-zero coefficients in order.  ``margin`` maps a state to the
-    signed distance proxy and never raises (``-inf`` where it cannot be
-    evaluated); crossing ``ESCAPE_MARGIN`` ends the run as escaped.  It
-    carries its scan of a step (``scan``, :func:`_scan_lines`) and a lower
-    bound over boxes (``lower(lo, hi)``) that lets the scan skip futile dip
-    searches.  ``GAction`` generates all of them.  Each segment starts from
-    the rhs at its first point and its own first step; ``max_steps`` bounds
-    the attempted steps of each segment.
+    ``margin`` maps a state to the signed distance proxy and must not
+    raise (where it cannot be evaluated it returns ``-inf``, as the margin
+    that ``GAction`` generates does); crossing ``ESCAPE_MARGIN`` ends the run
+    as escaped.  A margin with the attribute ``lower(lo, hi)``, a lower bound
+    of it over boxes, as that margin has, lets the scan skip the dip searches
+    the bound proves futile.  An ``rhs`` with the attribute ``step`` and a
+    margin with the attribute ``scan``, as those ``GAction`` generates have,
+    bring their own DP5 step and margin scan with their arithmetic inlined
+    (:func:`_step_lines`, :func:`_scan_lines`); a plain callable, such as
+    user code or a wrapper, gets the generic kernels, which call it, with the
+    same bits.  ``on_step`` is called as
+    ``on_step(t0, y0, t1, y1, interp)`` after each accepted (possibly
+    escape-truncated) step, with ``interp`` covering the reported sub-step;
+    ``interp`` reads ``rhs`` results when called, so ``rhs`` must return a
+    new list each time.
 
-    ``on_step`` is called as ``on_step(k, t0, t1, frac, y1, interp)`` after
-    each accepted (possibly escape-truncated) step of segment k from path
-    time ``t0`` to ``t1``, with ``frac`` the fraction of the segment done at
-    ``t1`` and ``interp`` covering the reported sub-step; ``interp`` reads
-    the step's vectors when called.
-
-    Returns ``(status, k, t_end, y_end, steps, low_confidence)``, with ``k``
-    the last segment integrated, ``t_end`` the time reached within it (the
-    escape time for an escape) and ``steps`` the attempted steps of all
-    segments.
+    Returns ``(status, t_end, y_end, steps, low_confidence)``.
     """
-    y = x0
+    n = len(y0)
+    y = y0
+    t = 0.0
     eps = ESCAPE_MARGIN
-    atol, rtol, max_steps = cfg.abs_tol, cfg.rel_tol, cfg.max_steps
-    hermite, first_norm = _hermite_kernels(len(x0))
-    scan, lower = margin.scan, margin.lower
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    hermite, first_norm = _hermite_kernels(n)
+    step = getattr(rhs, "step", None) or functools.partial(_dp5_kernels(n)[0], rhs)
+    scan = getattr(margin, "scan", None) or functools.partial(_dp5_kernels(n)[1], margin)
+    lower = getattr(margin, "lower", None)
 
-    m_curr = margin(y)  # margin at the current point; at a joint, the last scan's end margin
-    if widths and m_curr <= eps:
-        return ESCAPED, 0, 0.0, tuple(y), 0, False
+    m_curr = margin(y)  # margin at the current point
+    if m_curr <= eps:
+        return ESCAPED, 0.0, tuple(y), 0, False
 
-    total = k = 0
-    t = t_base = 0.0
-    nonzero = None
-    for k, (w, vel) in enumerate(zip(widths, velocities)):
-        pattern = tuple(map(bool, vel))
-        if pattern != nonzero:   # the kernels of the last segment serve while the pattern holds
-            nonzero = pattern
-            rhs, step = contraction(nonzero)
-        c = tuple(filter(None, vel))
-        try:
-            f0 = rhs(c, y)
-            if not all(map(math.isfinite, f0)):
-                raise ValueError
-        except EVAL_ERRORS:
-            # in-domain but the field is not evaluable: nothing can move
-            return ESCAPED, k, 0.0, tuple(y), total, True
+    try:
+        f0 = rhs(y)
+        if not all(map(math.isfinite, f0)):
+            raise ValueError
+    except EVAL_ERRORS:
+        # in-domain but the field is not evaluable: nothing can move
+        return ESCAPED, 0.0, tuple(y), 0, True
 
-        # First trial step: where a solution whose higher derivatives are the size
-        # of f0 would meet the tolerance (the h1 of Hairer, Norsett & Wanner,
-        # Solving ODEs I, II.4).  A whole-span first step can pass the error test
-        # while its true error is far larger, because the embedded estimate is
-        # only asymptotic in h.
-        try:
-            d1 = first_norm(f0, y, atol, rtol)
-        except OverflowError:   # a component's scaled square passes the float range
-            d1 = math.inf
-        h = min(w, (0.01 / d1) ** 0.2) if 0.0 < d1 < math.inf else w
+    # First trial step: where a solution whose higher derivatives are the size
+    # of f0 would meet the tolerance (the h1 of Hairer, Norsett & Wanner,
+    # Solving ODEs I, II.4).  A whole-span first step can pass the error test
+    # while its true error is far larger, because the embedded estimate is
+    # only asymptotic in h.
+    try:
+        d1 = first_norm(f0, y, atol, rtol)
+    except OverflowError:   # a component's scaled square passes the float range
+        d1 = math.inf
+    h = min(duration, (0.01 / d1) ** 0.2) if 0.0 < d1 < math.inf else duration
 
-        t = 0.0
-        steps = 0
-        while steps < max_steps:
-            remaining = w - t
-            if remaining <= 0.0:
-                break
-            h = min(h, remaining)
+    steps = 0
+    while steps < cfg.max_steps:
+        remaining = duration - t
+        if remaining <= 0.0:
+            return COMPLETE, t, tuple(y), steps, False
+        h = min(h, remaining)
 
-            out = step(c, y, f0, h, atol, rtol)
-            steps += 1
-            # each attempt that is retried sets the factor h shrinks by, applied at the end
-            if out is None:
-                shrink = 0.5
-            elif out[2] > 1.0:
-                shrink = max(0.2, 0.9 * out[2] ** -0.2)
-            else:
-                # accepted: check the margin along the step before committing
-                y1, k7, err = out
-                interp = hermite(y, f0, y1, k7, h)
-                ms = (m_curr, *scan(y, f0, y1, k7, h))
-                found = _scan_margins(margin, interp, ms, eps, h, ESCAPE_TIME_WIDTH,
-                                      lower, y, f0, y1, k7)
-                if found is None:
-                    t1 = t + h
-                    on_step(k, t_base + t, t_base + t1, t1 / w, y1, interp)
-                    t = t1
-                    y, f0, m_curr = y1, k7, ms[4]
-                    if h == remaining:   # the segment's last step
-                        break
-                    h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                    continue
-                if found[0] == "escape":
-                    _, s_cut, s_mid, low = found
-                    y_cut = interp(s_cut)
-                    if s_cut > 0.0:
-                        t1 = t + s_cut * h
-                        on_step(k, t_base + t, t_base + t1, t1 / w, y_cut,
-                                lambda s, _i=interp, _c=s_cut: _i(s * _c))
-                    return ESCAPED, k, t + s_mid * h, tuple(y_cut), total + steps, low
-                # a thin pass the step may have jumped: end the retried step at it
-                shrink = found[1]
-            h *= shrink
-            if h < STEP_COLLAPSE:
-                return ESCAPED, k, t, tuple(y), total + steps, True
+        out = step(y, f0, h, atol, rtol)
+        steps += 1
+        # each attempt that is retried sets the factor h shrinks by, applied at the end
+        if out is None:
+            shrink = 0.5
+        elif out[2] > 1.0:
+            shrink = max(0.2, 0.9 * out[2] ** -0.2)
         else:
-            return STEP_LIMIT, k, t, tuple(y), total + steps, False
-        total += steps
-        t_base += w
-    return COMPLETE, k, t, tuple(y), total, False
+            # accepted: check the margin along the step before committing
+            y1, k7, err = out
+            interp = hermite(y, f0, y1, k7, h)
+            ms = (m_curr, *scan(y, f0, y1, k7, h))
+            found = _scan_margins(margin, interp, ms, eps, h, ESCAPE_TIME_WIDTH,
+                                  lower, y, f0, y1, k7)
+            if found is None:
+                on_step(t, y, t + h, y1, interp)
+                t += h
+                if h == remaining:   # the last step
+                    return COMPLETE, t, tuple(y1), steps, False
+                y, f0, m_curr = y1, k7, ms[4]
+                h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                continue
+            if found[0] == "escape":
+                _, s_cut, s_mid, low = found
+                y_cut = interp(s_cut)
+                if s_cut > 0.0:
+                    on_step(t, y, t + s_cut * h, y_cut, lambda s, _i=interp, _c=s_cut: _i(s * _c))
+                return ESCAPED, t + s_mid * h, tuple(y_cut), steps, low
+            # a thin pass the step may have jumped: end the retried step at it
+            shrink = found[1]
+        h *= shrink
+        if h < STEP_COLLAPSE:
+            return ESCAPED, t, tuple(y), steps, True
+    return STEP_LIMIT, t, tuple(y), steps, False

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence
 
 from ._record import InputError, Record
 from .algebra import AlgebraError
-from .flow import COMPLETE, ESCAPED, IntegratorConfig, integrate_path
+from .flow import COMPLETE, ESCAPED, IntegratorConfig, integrate_autonomous
 
 TRACE_TARGET = 64  # minimum samples in a padded trace
 
@@ -237,13 +237,12 @@ def lift_path(
 ) -> LiftResult:
     """Lift a group path through the graph foliation starting over ``x0``.
 
-    Integrates the lifting equation, whose velocity is constant on each
-    segment, along the whole path in one integrator loop
-    (:func:`liecomplete.flow.integrate_path`); the group component advances
-    in closed form.  Escape anywhere truncates the lift and reports the path
-    time and segment.  Trace rows keep ``(t, k, frac, m)``, a fraction
-    ``frac`` of the way through segment ``k`` with row 0 at the path start;
-    their group points are computed when ``trace`` is first read.
+    Integrates the lifting equation segment by segment (the group velocity is
+    constant on each segment); the group component advances in closed form.
+    Escape anywhere truncates the lift and reports the path time and segment.
+    Trace rows keep ``(t, k, frac, m)``, a fraction ``frac`` of the way
+    through segment ``k`` with row 0 at the path start; their group points
+    are computed when ``trace`` is first read.
     """
     cfg = cfg or IntegratorConfig()
     _check_group_compat(action.group, path.group)
@@ -255,9 +254,13 @@ def lift_path(
 
     rows: list = [(0.0, 0, 0.0, tuple(x0))]
     small_path = path.n_segments <= 8
-    kept_steps: list = []  # (t0, t1, interp, k) for padding
+    kept_steps: list = []  # (t_abs0, t_abs1, interp, seg_index) for padding
+    margin, contraction = action._margin, action._contraction
+    y = x0
+    steps_total = 0
 
-    def on_step(k, t0, t1, frac, y1, interp):
+    def on_step(t0, y0_, t1, y1, interp):
+        # k, t_base and w are those of the segment being integrated
         if tracker is not None:
             u, v = plane(y1)
             th1 = math.atan2(v, u)
@@ -267,30 +270,37 @@ def lift_path(
                 tracker.prev = th1
             else:
                 tracker.feed(interp, y1)
-        rows.append((t1, k, frac, tuple(y1)))
+        rows.append((t_base + t1, k, t1 / w, tuple(y1)))
         # a trace that ends with more than TRACE_TARGET rows is not padded
         if small_path and len(rows) <= TRACE_TARGET:
-            kept_steps.append((t0, t1, interp, k))
+            kept_steps.append((t_base + t0, t_base + t1, interp, k))
 
-    status, k, t_end, y_end, steps, low = integrate_path(
-        x0, path.widths, path._velocities, action._contraction, action._margin, cfg, on_step)
+    for k, (w, t_base, vel) in enumerate(zip(path.widths, path._bounds, path._velocities)):
+        rhs = contraction(tuple(map(bool, vel)))(*filter(None, vel))
+        status, t_end, y_end, steps, low = integrate_autonomous(rhs, y, w, cfg, margin, on_step)
+        steps_total += steps
+        if status != COMPLETE:
+            break
+        y = y_end
+    else:
+        status = COMPLETE
 
     rows = tuple(_padded_rows(rows, kept_steps, path) if small_path else rows)
     winding = tracker.total / math.tau if tracker else None
     if status == COMPLETE:
-        return LiftResult(COMPLETE, path.endpoint(), y_end, path, rows,
-                          winding=winding, steps=steps)
+        return LiftResult(COMPLETE, path.endpoint(), tuple(y), path, rows,
+                          winding=winding, steps=steps_total)
     return LiftResult(
         status,
-        path.group_point(k, min(t_end / path.widths[k], 1.0)),
+        path.group_point(k, min(t_end / w, 1.0)),
         y_end,
         path,
         rows,
-        escape_time=path._bounds[k] + t_end if status == ESCAPED else None,
+        escape_time=t_base + t_end if status == ESCAPED else None,
         failed_segment=k,
         winding=winding,
         low_confidence=low,
-        steps=steps,
+        steps=steps_total,
     )
 
 

@@ -21,7 +21,7 @@ from ._record import InputError, Record
 from .expr import (
     Expr, ExprNameError, _define, _is_const, _name_map, _py_float, _render_py, checked, compile_scalars,
 )
-from .flow import _names, _scan_lines, _step_lines, _tuple
+from .flow import _names, _scan_lines, _step_lines
 
 DEFAULT_SAMPLING_HALF_WIDTH = 2.0
 SAMPLING_MARGIN = 0.1  # sampled points keep at least this margin
@@ -111,13 +111,12 @@ def _margin_lines(domain: Domain, names: Mapping[str, str], m: str = "m") -> lis
 def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
     """Generate p -> min(margins, box distances) as one list-in function.
 
-    Its value is that of :func:`_margin_lines`.  Two attributes, which the
-    integrator reads, are generated on their first call: ``lower(lo, hi)``,
-    a lower bound of the margin at every list of floats p with ``lo[j] <=
-    p[j] <= hi[j]``, or ``-inf`` where it proves nothing
-    (:func:`liecomplete.interval.margin_lower`); and ``scan(y0, f0, y1, f1,
-    h)``, the integrator's margin scan of a step with these lines inlined
-    (:func:`liecomplete.flow._scan_lines`).
+    Its value is that of :func:`_margin_lines`.  Two attributes are generated
+    on their first call: ``lower(lo, hi)``, a lower bound of the margin at
+    every list of floats p with ``lo[j] <= p[j] <= hi[j]``, or ``-inf`` where
+    it proves nothing (:func:`liecomplete.interval.margin_lower`); and
+    ``scan(y0, f0, y1, f1, h)``, the integrator's margin scan of a step with
+    these lines inlined (:func:`liecomplete.flow._scan_lines`).
     """
     names = _name_map(domain.coords, params)
     margin = _define("\n".join([
@@ -137,21 +136,19 @@ def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
     return margin
 
 
-def _compile_contraction(fields, rows: tuple, coords, params) -> tuple:
-    """Generate ``(rhs, step)`` for the coefficients of ``rows``: ``rhs(c, y)`` is sum_i c_i zeta_i(y).
+def _compile_contraction(fields, rows: tuple, coords, params) -> Callable:
+    """Generate a factory: coefficients of ``rows`` -> y -> sum_i c_i zeta_i(y).
 
-    ``c`` holds the coefficients of ``rows`` in order, as an argument of
-    both functions.  Each component adds ``c_i * field`` over ``rows`` in
-    order onto ``0.0``, as a loop accumulating into a zeroed list would;
-    literal-0 entries are left out and literal-1 entries are the bare
-    coefficient, neither of which changes the sum.  The leading ``0.0 +``
-    (which turns a -0.0 product into 0.0) is dropped only before a bare
-    coefficient, which is never zero.  ``step(c, y, f0, h, atol, rtol)`` is
-    the integrator's DP5 step with the contraction inlined
-    (:func:`liecomplete.flow._step_lines`).
+    Each component adds ``c_i * field`` over ``rows`` in order onto ``0.0``,
+    as a loop accumulating into a zeroed list would; literal-0 entries are
+    left out and literal-1 entries are the bare coefficient, neither of
+    which changes the sum.  The leading ``0.0 +`` (which turns a -0.0
+    product into 0.0) is dropped only before a bare coefficient, which is
+    never zero.  Each rhs carries the attribute ``step``, the integrator's
+    DP5 step with the contraction inlined (:func:`liecomplete.flow._step_lines`);
+    the coefficients are cells of both closures.
     """
     names = _name_map(coords, params)
-    coeffs = [f"_c{i}" for i in rows]
     comps = []
     for j in range(len(coords)):
         terms = []
@@ -164,15 +161,16 @@ def _compile_contraction(fields, rows: tuple, coords, params) -> tuple:
         if not terms or "*" in terms[0]:
             terms.insert(0, "0.0")
         comps.append(" + ".join(terms))
-    ns = _define("\n".join([
-        "def rhs(c, y):",
-        f"    ({_tuple(coeffs)}) = c",
-        f"    {_names('_v', len(coords))}= y",
-        f"    return [{', '.join(comps)}]",
-        "",
-        *_step_lines(len(coords), comps, coeffs),
-    ]))
-    return ns["rhs"], ns["step"]
+    src = "\n".join([
+        f"def _make({', '.join(f'_c{i}' for i in rows)}):",
+        "    def _rhs(y):",
+        f"        {_names('_v', len(coords))}= y",
+        f"        return [{', '.join(comps)}]",
+        *("    " + line for line in _step_lines(len(coords), comps)),
+        "    _rhs.step = step",
+        "    return _rhs",
+    ])
+    return _define(src)["_make"]
 
 
 class GAction:
@@ -214,7 +212,7 @@ class GAction:
             self._margin = _compile_margin(domain, self.params)
         except ExprNameError as e:
             raise ActionError(str(e)) from None
-        self._contractions: dict = {}  # which coefficients are non-zero -> (rhs, step)
+        self._contractions: dict = {}  # which coefficients are non-zero -> rhs factory
         self._partials = None  # lazy, for the homomorphism check
 
     @property
@@ -271,23 +269,23 @@ class GAction:
         """Velocity field y -> sum_i X_i zeta_i(y) as a fast list-in/list-out fn.
 
         The contraction is generated once per set of non-zero coefficients;
-        rows whose coefficient is zero are not evaluated.
+        rows whose coefficient is zero are not evaluated.  The function
+        carries ``step``, the integrator's DP5 step with it inlined.
         """
         coeffs = list(map(float, X))
-        rhs = self._contraction(tuple(map(bool, coeffs)))[0]
-        return functools.partial(rhs, tuple(filter(None, coeffs)))
+        return self._contraction(tuple(map(bool, coeffs)))(*filter(None, coeffs))
 
-    def _contraction(self, nonzero: tuple) -> tuple:
-        """``(rhs, step)`` of :func:`_compile_contraction` for the rows where ``nonzero`` is true."""
-        kernels = self._contractions.get(nonzero)
-        if kernels is None:
+    def _contraction(self, nonzero: tuple) -> Callable:
+        """The rhs factory taking the non-zero coefficients where ``nonzero`` is true, in order."""
+        make = self._contractions.get(nonzero)
+        if make is None:
             if len(nonzero) != self.dim_algebra:
                 raise ActionError("rhs expects a d-vector of algebra coefficients")
             rows = tuple(i for i, c in enumerate(nonzero) if c)
-            kernels = self._contractions[nonzero] = _compile_contraction(
+            make = self._contractions[nonzero] = _compile_contraction(
                 self.fields, rows, self.domain.coords, self.params
             )
-        return kernels
+        return make
 
     # -- homomorphism check -------------------------------------------------
 

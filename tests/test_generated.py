@@ -3,20 +3,19 @@
 The rhs contraction, the domain margin, the Dormand-Prince step, its Hermite
 interpolant, the margins at the interpolant's interior scan points and at the
 step's end, and the first-step norm are generated as straight-line Python;
-the step and the margin scan are an action's own kernels, with its
-contraction or margin inlined; the margin scan commits a step from its five
-margins before any refinement; one integrator loop lifts a whole path,
-carrying the end margin of a segment's last step into the next segment;
-group paths and the loop decompositions of ``loop_to_group`` are built from
-whole arrays.  The loop forms they replaced are kept here as references; the
-new code must give the same floats bit for bit (compared through
-``float.hex``, so signed zeros and NaNs count too), because it does the same
-operations in the same order.  Three whole-lift hashes pin every output of a
-long circle lift, of 200 lines past the helicoid axis and of 300 coarse
-circles whose steps the winding tracker subdivides, and a fourth pins the
-group elements and re-lift residuals of ``loop_to_group``.  The scan skips
-the dip searches that the margin's lower bound proves futile; three tests run
-each scan both with and without that shortcut, and the two must agree.
+the step and the margins come both as generic kernels that call a plain rhs
+or margin and as an action's own kernels with its contraction or margin
+inlined; the margin scan commits a step from its five margins before any
+refinement; group paths and the loop decompositions of ``loop_to_group`` are
+built from whole arrays.  The loop forms they replaced are kept here as
+references; the new code must give the same floats bit for bit (compared
+through ``float.hex``, so signed zeros and NaNs count too), because it does
+the same operations in the same order.  Three whole-lift hashes pin every output of a long circle lift, of
+200 lines past the helicoid axis and of 300 coarse circles whose steps the
+winding tracker subdivides, and a fourth pins the group elements and re-lift
+residuals of ``loop_to_group``.  The scan skips the dip searches that the
+margin's lower bound proves futile; three tests run each scan both with and
+without that shortcut, and the two must agree.
 """
 
 import hashlib
@@ -27,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liecomplete import flow, lift
+from liecomplete import flow
 from liecomplete.algebra import AbelianGroup
 from liecomplete.completion import (
     _GL2_OFFSET, _MAGNUS4, FRAME_CONDITION_LIMIT, ORBIT_RESIDUAL_REL, FrameConditionError,
@@ -38,7 +37,7 @@ from liecomplete.flow import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
     _E1, _E3, _E4, _E5, _E6, _E7, _SCAN, ESCAPE_MARGIN, ESCAPE_TIME_WIDTH,
-    IntegratorConfig, _golden_min, _hermite_kernels, _scan_margins,
+    IntegratorConfig, _dp5_kernels, _golden_min, _hermite_kernels, _scan_margins,
 )
 from liecomplete.lift import ExpSeg, GPath, LinearSeg, PathError, _resolve, lift_path
 from liecomplete.manifold import Domain, GAction
@@ -273,17 +272,18 @@ def _scan_ref(margin, y0, f0, y1, f1, h):
 
 
 def _assert_same_scans(action, y0, f0, y1, f1, h):
-    """The action's own scan gives the loop's margins."""
+    """The generic scan and the action's own give the loop's margins."""
     margin = action._margin
-    assert _bits(margin.scan(y0, f0, y1, f1, h)) == _bits(_scan_ref(margin, y0, f0, y1, f1, h))
+    ref = _bits(_scan_ref(margin, y0, f0, y1, f1, h))
+    assert _bits(_dp5_kernels(len(y0))[1](margin, y0, f0, y1, f1, h)) == ref
+    assert _bits(margin.scan(y0, f0, y1, f1, h)) == ref
 
 
-def _assert_same_steps(action, X, y, f0, h, atol, rtol):
-    """The action's own step for the coefficients X gives the loop's step; returns it."""
-    coeffs = [float(v) for v in X]
-    step = action._contraction(tuple(map(bool, coeffs)))[1]
-    ref = loop_step(action.rhs(X), y, f0, h, atol, rtol)
-    _assert_same_step(step(tuple(filter(None, coeffs)), y, f0, h, atol, rtol), ref)
+def _assert_same_steps(rhs, y, f0, h, atol, rtol):
+    """The generic step and the rhs's own give the loop's step; returns it."""
+    ref = loop_step(rhs, y, f0, h, atol, rtol)
+    _assert_same_step(_dp5_kernels(len(y))[0](rhs, y, f0, h, atol, rtol), ref)
+    _assert_same_step(rhs.step(y, f0, h, atol, rtol), ref)
     return ref
 
 
@@ -325,9 +325,10 @@ def test_dp5_step_matches_the_loop(action, data, h, atol, rtol):
     X = data.draw(st.lists(step_coefficient, min_size=action.dim_algebra,
                            max_size=action.dim_algebra))
     y = _inside(action, data)
-    f0 = action.rhs(X)(y)
+    rhs = action.rhs(X)
+    f0 = rhs(y)
     hermite, first_norm = _hermite_kernels(len(y))
-    ref = _assert_same_steps(action, X, y, f0, h, atol, rtol)
+    ref = _assert_same_steps(rhs, y, f0, h, atol, rtol)
     assert _outcome(first_norm, f0, y, atol, rtol) == _outcome(loop_first_norm, f0, y, atol, rtol)
     if ref is not None:
         y1, k7, _ = ref
@@ -379,11 +380,22 @@ def test_rhs_with_literal_zero_and_minus_one_entries(X, y):
     assert _bits(action.rhs(X)(y)) == _bits(loop_rhs(action, X)(y))
 
 
+def _stiff_rhs(y):
+    # raises at y[-1] == 0 and overflows for large states
+    return [math.sin(v) * y[0] * 1e3 - 1.0 / y[-1] + v * v * v for v in y]
+
+
+def _stiff_margin(y):
+    # finite for small states; -inf past y[-1] = 40, NaN (inf - inf) when y[0] is past it too
+    return (1.0 - 1e-3 * y[0] * y[-1] + (math.inf if y[0] > 40.0 else 0.0)
+            - (math.inf if y[-1] > 40.0 else 0.0))
+
+
 _STIFF = {}
 
 
 def _stiff_action(n):
-    """A one-field action on R^n whose steps and scans raise, overflow or give NaN at some stages.
+    """A one-field action on R^n like ``_stiff_rhs`` and ``_stiff_margin``, whose stages raise more ways.
 
     Its field raises at x_n == 0, below x_1 == -60 and where an odd
     component's cube passes the float range, and is infinite where an even
@@ -408,16 +420,28 @@ def _stiff_action(n):
 @given(y=st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=5),
        h=step_size, c=st.sampled_from([1.0, -0.75, math.nan]))
 def test_dp5_step_matches_the_loop_for_any_n(y, h, c):
+    step, scan = _dp5_kernels(len(y))
     hermite = _hermite_kernels(len(y))[0]
+    # the generic kernels on plain functions
+    if y[-1] != 0.0:
+        f0 = _stiff_rhs(y)
+        ref = loop_step(_stiff_rhs, y, f0, h, 1e-12, 1e-9)
+        _assert_same_step(step(_stiff_rhs, y, f0, h, 1e-12, 1e-9), ref)
+        if ref is not None:
+            y1, k7, _ = ref
+            assert _bits(hermite(y, f0, y1, k7, h)(0.3)) == _bits(loop_hermite(y, f0, y1, k7, h)(0.3))
+            assert (_bits(scan(_stiff_margin, y, f0, y1, k7, h))
+                    == _bits(_scan_ref(_stiff_margin, y, f0, y1, k7, h)))
+    # the generic and the action's own kernels on an action's
     action = _stiff_action(len(y))
+    rhs = action.rhs([c])
     try:
-        f0 = action.rhs([c])(y)
+        f0 = rhs(y)
     except EVAL_ERRORS:
         return
-    ref = _assert_same_steps(action, [c], y, f0, h, 1e-12, 1e-9)
+    ref = _assert_same_steps(rhs, y, f0, h, 1e-12, 1e-9)
     if ref is not None:
         y1, k7, _ = ref
-        assert _bits(hermite(y, f0, y1, k7, h)(0.3)) == _bits(loop_hermite(y, f0, y1, k7, h)(0.3))
         _assert_same_scans(action, y, f0, y1, k7, h)
 
 
@@ -430,7 +454,7 @@ def test_dp5_step_matches_the_loop_for_any_n(y, h, c):
 ], ids=["sqrt", "divide", "power", "y1", "err"])
 def test_dp5_step_matches_the_loop_where_the_step_fails(field, y, f0, h, atol):
     action = GAction(AbelianGroup(1), Domain(("x",)), [[parse(field)]])
-    assert _assert_same_steps(action, [1.0], y, f0, h, atol, 1e-300) is None
+    assert _assert_same_steps(action.rhs([1.0]), y, f0, h, atol, 1e-300) is None
 
 
 # any floats of any n: NaN, infinities, zeros and values whose square overflows
@@ -856,46 +880,22 @@ def test_skipped_dip_searches_would_have_committed_on_drawn_steps(monkeypatch):
     assert tally["skips"] >= 50 and tally["searches"] - tally["skips"] >= 50, tally
 
 
-def _count_margin_calls(action):
-    """Make the action's margin count its evaluations, four for each scan; returns the tally."""
-    margin = action._margin
-    tally = [0]
-
-    def counted(p):
-        tally[0] += 1
-        return margin(p)
-
-    def scan(*ends):
-        tally[0] += 4
-        return margin.scan(*ends)
-
-    counted.scan, counted.lower = scan, margin.lower
-    action._margin = counted
-    return tally
-
-
 def test_graze_margin_calls_are_pinned():
     # 188,732 when every dip search ran; the skipped ones made 42 calls each
     helicoid = build("example6_helicoid").action
-    calls = _count_margin_calls(helicoid)
+    margin = helicoid._margin
+    calls = 0
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return margin(p)
+
+    counted.lower = getattr(margin, "lower", None)
+    helicoid._margin = counted
     for p0, delta, z0 in graze_lines():
         lift_path(helicoid, GPath(helicoid.group, (0.0, 0.0), [LinearSeg(delta, 1.0)]), (*p0, z0))
-    assert calls[0] == 87_428
-
-
-def test_a_joint_reuses_the_end_margin_of_the_step_before_it(monkeypatch):
-    # a quarter turn of 1,024 one-step chords in one integrator call: the point's
-    # check, the start margin and 4 per scan; 5,121 when each joint recomputed it
-    helicoid = build("example6_helicoid").action
-    calls = _count_margin_calls(helicoid)
-    integrations = []
-    integrate = lift.integrate_path
-    monkeypatch.setattr(lift, "integrate_path",
-                        lambda *args: integrations.append(1) or integrate(*args))
-    x0 = (1.3 * math.cos(0.7), 1.3 * math.sin(0.7), -1.1)
-    res = lift_path(helicoid, circle_loop_path((0.0, 0.0), x0[:2], turns=0.25), x0)
-    assert (res.status, res.steps, len(integrations)) == ("complete", 1024, 1)
-    assert calls[0] == 1 + 1 + 4 * 1024
+    assert calls == 87_428
 
 
 def test_coarse_circle_windings_are_unchanged():

@@ -1,16 +1,17 @@
-"""The benchmark's tracer finds the names it rebinds in the package.
+"""The benchmark's tracer still finds every name it rebinds in the package.
 
 ``perfbench/tracer.py`` times layers by rebinding public names such as
 ``GPath.__init__`` and ``MatrixGroup.exp_segment``; a name that moves or goes
-away silently drops its per-layer metrics, so it is caught here.  One hook
-point is gone: the tracer wraps a per-segment ``integrate_autonomous``, and a
-lift is now one ``integrate_path`` call over the whole path, so the tracer
-lists that name as missing and drops the ``flow.*``, ``manifold.rhs.*``,
-``manifold.margin.*`` and ``lift.on_step.*`` metrics it fed; any other name
-that goes missing still fails here.  One traced lift, one traced line past
-the helicoid axis and one traced ``loop_to_group`` on the matrix model check
-that the wrapped calls still work, give the untraced results and run the
-same kernels: a traced line skips the same dip searches as an untraced one.
+away silently drops its per-layer metrics, so it is caught here.  Its
+``integrate_autonomous`` wrapper takes exactly ``(rhs, y0, duration, cfg,
+margin, on_step)``, so one traced lift, and one traced ``loop_to_group`` on
+the matrix model, check that the wrapped calls still work and that the counts
+they feed are the integrator's.  Its span wrappers around ``rhs`` and
+``margin`` carry neither the margin's ``lower`` bound nor the action's own
+kernels (``rhs.step``, ``margin.scan``), so a traced lift runs the generic
+kernels, which call them: 7 rhs and 5 margin calls per one-step segment.  A
+traced line past the helicoid axis also runs the dip searches that the
+untraced one skips, and must give the same result.
 """
 
 import math
@@ -26,7 +27,7 @@ def test_perfbench_finds_every_hook_point(monkeypatch):
 
     tracer = install(Tracer(), Pkg())
     try:
-        assert tracer.missing == ["integrate_autonomous"]
+        assert tracer.missing == []
     finally:
         tracer.restore()
 
@@ -49,8 +50,11 @@ def test_traced_lift_is_the_untraced_lift(monkeypatch):
         tracer.restore()
     assert (traced.status, traced.endpoint_m, traced.winding, traced.steps) == (
         plain.status, plain.endpoint_m, plain.winding, plain.steps)
-    assert tracer.counts["lift.segments"] == path.n_segments == traced.steps == CHORDS_PER_TURN // 4
-    assert tracer.layer("lift.lift_path")[0] == 1
+    accepted = tracer.layer("lift.on_step")[0]
+    assert accepted == tracer.counts["flow.steps_attempted"] == CHORDS_PER_TURN // 4
+    assert tracer.counts["lift.segments"] == path.n_segments == accepted
+    assert tracer.layer("manifold.rhs")[0] == 7 * accepted
+    assert tracer.layer("manifold.margin")[0] == 5 * accepted
 
 
 def test_traced_graze_line_is_the_untraced_one(monkeypatch, tmp_path):
@@ -71,14 +75,14 @@ def test_traced_graze_line_is_the_untraced_one(monkeypatch, tmp_path):
     x0 = (*op["p0"], op["z0"])
     plain = pkg.lift.lift_path(action, path, x0)
     skipped = len(searches)
-    # the tracer wraps no kernel, so the traced lift skips the same dip searches
+    # the span around the margin carries no lower bound, so every dip search runs
     tracer = install(Tracer(), pkg)
     try:
         traced = pkg.lift.lift_path(action, path, x0)
     finally:
         tracer.restore()
     assert traced == plain
-    assert (skipped, len(searches)) == (0, 0)
+    assert (skipped, len(searches)) == (0, 20)
 
 
 def test_traced_loop_to_group_is_the_untraced_one(monkeypatch, tmp_path):
@@ -100,5 +104,9 @@ def test_traced_loop_to_group_is_the_untraced_one(monkeypatch, tmp_path):
         tracer.restore()
     assert traced.element.tolist() == plain.element.tolist()
     assert traced.round_trip_residual == plain.round_trip_residual
-    assert tracer.counts["lift.segments"] == 4 * (len(pts) - 1)
+    steps = tracer.counts["flow.steps_attempted"]
+    chords = len(pts) - 1
+    assert tracer.counts["lift.segments"] == tracer.layer("lift.on_step")[0] == steps == 4 * chords
+    assert tracer.layer("manifold.rhs")[0] == 7 * steps
+    assert tracer.layer("manifold.margin")[0] == 5 * steps
     assert tracer.layer("completion.loop_to_group")[0] == 1
