@@ -217,8 +217,8 @@ def _path_from_file(path: str, group) -> GPath:
         where = f"segments[{i}]"
         _check_keys(s, ["type"], ["delta", "X", "duration"], where)
         dur = _number(s.get("duration", 1.0))
-        if dur is None or dur <= 0:
-            raise InputError(f"{where}: duration must be a positive number")
+        if dur is None:
+            raise InputError(f"{where}: duration must be a number")
         if s["type"] == "linear":
             if "delta" not in s or "X" in s:
                 raise InputError(f"{where}: linear segments take 'delta'")

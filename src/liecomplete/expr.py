@@ -468,7 +468,13 @@ def _render_py(node: Node, name_map: Mapping[str, str]) -> str:
     if isinstance(node, Neg):
         return f"(-{_render_py(node.arg, name_map)})"
     if isinstance(node, Bin):
-        return f"({_render_py(node.left, name_map)} {node.op} {_render_py(node.right, name_map)})"
+        left, right = _render_py(node.left, name_map), _render_py(node.right, name_map)
+        # 1.0 * x, x * 1.0 and x / 1.0 are x for every float, NaN and -0.0 included
+        if right == "1.0" and node.op in "*/":
+            return left
+        if left == "1.0" and node.op == "*":
+            return right
+        return f"({left} {node.op} {right})"
     if isinstance(node, Pow):
         return f"({_render_py(node.base, name_map)} ** {node.exponent})"
     if isinstance(node, Call):

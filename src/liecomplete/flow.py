@@ -7,17 +7,20 @@ are generated as straight-line Python.  One generator emits the step and the
 margin scan in two forms with the same bits: the generic one calls a plain
 ``rhs`` or ``margin`` and is generated once per state dimension; the other
 inlines an action's own contraction or margin, and ``GAction`` generates it
-on first use and hands it over as ``rhs.step`` or ``margin.scan``.  Escape
-from the open domain is detected by one scan of the domain margin along each accepted step: it commits the step
-at once when none of the five samples (ends plus interior) is near the escape
-level or well below the others, and refines the rest by a golden-section dip
-search and the escape search.  A step whose margin dips well below both of
-its ends is retried so that it ends at the dip, so fast transits past a thin
-excluded set are not stepped over.  The escape time is refined by bisection
-on the margin against the escape threshold.  Every retried step, whether a
-stage failed, the error test failed or the margin dipped, shrinks the step
-size in one place, which also ends the run as a low-confidence escape once
-the size falls below ``STEP_COLLAPSE``.
+on first use and hands it over as ``rhs.step`` or ``margin.scan``.  Each
+committed step is handed to the caller's ``on_step``, from which a lift
+records its trace rows and its winding.  Escape from the open domain is
+detected by one scan of the domain margin along each accepted step: it
+commits the step at once when none of the five samples (ends plus interior)
+is near the escape level ``ESCAPE_MARGIN`` or well below the others, and
+refines the rest by a golden-section dip search and the escape search.  A
+step whose margin dips well below both of its ends is retried so that it
+ends at the dip, so fast transits past a thin excluded set are not stepped
+over.  The escape time is refined by bisection on the margin against the
+escape threshold, to a bracket ``ESCAPE_TIME_WIDTH`` wide.  Every retried
+step, whether a stage failed, the error test failed or the margin dipped,
+shrinks the step size in one place, which also ends the run as a
+low-confidence escape once the size falls below ``STEP_COLLAPSE``.
 
 A dip search is skipped, with the same outcome, when the margin carries a
 lower bound over boxes (``margin.lower``, as the margin ``GAction`` generates
@@ -303,14 +306,14 @@ def _hull_kernel(n: int):
     return _define("\n".join(lines))["hull"]
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int = 40):
-    """Golden-section minimum of fn over [lo, hi]; returns (s, fn(s))."""
+def _golden_min(fn, lo: float, hi: float):
+    """Golden-section minimum of fn over [lo, hi] in 40 iterations; returns (s, fn(s))."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(40):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -322,8 +325,7 @@ def _golden_min(fn, lo: float, hi: float, iters: int = 40):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _scan_margins(margin, interp, ms, eps: float, h: float, width: float,
-                  lower=None, y0=None, f0=None, y1=None, f1=None):
+def _scan_margins(margin, interp, ms, h: float, lower=None, y0=None, f0=None, y1=None, f1=None):
     """Decide an accepted step from its margins ``ms`` at s = 0, 0.25, 0.5, 0.75, 1.
 
     Returns ``None`` when the step can be committed, with no further margin
@@ -331,7 +333,7 @@ def _scan_margins(margin, interp, ms, eps: float, h: float, width: float,
     others; ``("dip", s)`` when the margin dips at step fraction ``s`` well
     below both ends of the step, which is then retried so that it ends at
     the dip; or ``("escape", s_lo, s_mid, low_confidence)`` when the margin
-    crosses ``eps``, with ``s_lo`` the last fraction found inside and
+    crosses ``ESCAPE_MARGIN``, with ``s_lo`` the last fraction found inside and
     ``s_mid`` the middle of the final bisection bracket.
 
     ``lower``, when given, is the margin's lower bound over a box
@@ -339,6 +341,7 @@ def _scan_margins(margin, interp, ms, eps: float, h: float, width: float,
     which ``interp`` is built: a dip search that this bound over the
     interpolant's hull proves would commit the step is skipped.
     """
+    eps = ESCAPE_MARGIN
     mmin = min(ms)
     refine = mmin < 0.5 * max(ms) or mmin < 100.0 * eps
     if mmin > eps and not refine:
@@ -372,7 +375,7 @@ def _scan_margins(margin, interp, ms, eps: float, h: float, width: float,
     # margin(s_lo) > eps >= margin(s_hi); the bracket is at most 0.5 wide and
     # each pass halves it, so the 1e-15 floor ends the search within 50 passes
     s_lo, s_hi = cross
-    while not ((s_hi - s_lo) * h < width and margin(interp(s_lo)) < 10.0 * eps):
+    while not ((s_hi - s_lo) * h < ESCAPE_TIME_WIDTH and margin(interp(s_lo)) < 10.0 * eps):
         if s_hi - s_lo < 1e-15:
             return ("escape", s_lo, 0.5 * (s_lo + s_hi), True)
         mid = 0.5 * (s_lo + s_hi)
@@ -403,9 +406,9 @@ def integrate_autonomous(
     bring their own DP5 step and margin scan with their arithmetic inlined
     (:func:`_step_lines`, :func:`_scan_lines`); a plain callable, such as
     user code or a wrapper, gets the generic kernels, which call it, with the
-    same bits.  ``on_step`` is called as
-    ``on_step(t0, y0, t1, y1, interp)`` after each accepted (possibly
-    escape-truncated) step, with ``interp`` covering the reported sub-step;
+    same bits.  ``on_step(t0, t1, y1, interp)`` is called after each
+    accepted (possibly escape-truncated) step, from time ``t0`` to the point
+    ``y1`` at time ``t1``, with ``interp`` covering the reported sub-step;
     ``interp`` reads ``rhs`` results when called, so ``rhs`` must return a
     new list each time.
 
@@ -414,7 +417,6 @@ def integrate_autonomous(
     n = len(y0)
     y = y0
     t = 0.0
-    eps = ESCAPE_MARGIN
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     hermite, first_norm = _hermite_kernels(n)
     step = getattr(rhs, "step", None) or functools.partial(_dp5_kernels(n)[0], rhs)
@@ -422,7 +424,7 @@ def integrate_autonomous(
     lower = getattr(margin, "lower", None)
 
     m_curr = margin(y)  # margin at the current point
-    if m_curr <= eps:
+    if m_curr <= ESCAPE_MARGIN:
         return ESCAPED, 0.0, tuple(y), 0, False
 
     try:
@@ -463,10 +465,9 @@ def integrate_autonomous(
             y1, k7, err = out
             interp = hermite(y, f0, y1, k7, h)
             ms = (m_curr, *scan(y, f0, y1, k7, h))
-            found = _scan_margins(margin, interp, ms, eps, h, ESCAPE_TIME_WIDTH,
-                                  lower, y, f0, y1, k7)
+            found = _scan_margins(margin, interp, ms, h, lower, y, f0, y1, k7)
             if found is None:
-                on_step(t, y, t + h, y1, interp)
+                on_step(t, t + h, y1, interp)
                 t += h
                 if h == remaining:   # the last step
                     return COMPLETE, t, tuple(y1), steps, False
@@ -477,7 +478,7 @@ def integrate_autonomous(
                 _, s_cut, s_mid, low = found
                 y_cut = interp(s_cut)
                 if s_cut > 0.0:
-                    on_step(t, y, t + s_cut * h, y_cut, lambda s, _i=interp, _c=s_cut: _i(s * _c))
+                    on_step(t, t + s_cut * h, y_cut, lambda s, _i=interp, _c=s_cut: _i(s * _c))
                 return ESCAPED, t + s_mid * h, tuple(y_cut), steps, low
             # a thin pass the step may have jumped: end the retried step at it
             shrink = found[1]

@@ -83,10 +83,10 @@ class GPath:
         raw: list = []
         durations: List[float] = []
         scale: List[float] = []   # the total log-displacement of an ExpSeg is duration * X
-        for s in segs:
+        for i, s in enumerate(segs):
             dur = s.duration
             if not (dur > 0.0 and math.isfinite(dur)):
-                raise PathError("segment durations must be positive and finite")
+                raise PathError(f"segment {i}: duration must be positive and finite")
             dur = float(dur)
             if isinstance(s, LinearSeg):
                 if not abelian:
@@ -156,11 +156,6 @@ class GPath:
         """Left-logarithmic derivative on segment k w.r.t. the path clock."""
         return list(self._velocities[k])
 
-    def group_point(self, k: int, frac: float):
-        """Group point a fraction ``frac`` of the way through segment k."""
-        # a LinearSeg's point is the abelian exp(frac * delta), which is frac * delta
-        return self.group.mul(self._prefix[k], self.group.exp_segment(self._vecs[k], frac))
-
 
 class LiftResult(Record):
     """A lift of a group path: its verdict, endpoints, trace rows and winding.
@@ -186,38 +181,26 @@ class LiftResult(Record):
 _QUARTER_TURN = math.pi / 2
 
 
-class _WindingTracker:
-    """Unwrapped angle of a plane projection along the lift.
+def _turn(plane: Callable, interp, s0, th0, s1, y1, total: float, depth: int = 0):
+    """``(total + turn, th1)``: the turn of the plane projection from angle ``th0`` to ``y1``.
 
-    Per-step jumps are folded into (-pi, pi]; any step that appears to rotate
-    by >= pi/2 is subdivided on the step interpolant until jumps are small, so
-    the fold is exact for trajectories the integrator resolves.
+    ``th0`` is the angle at the fraction ``s0`` of a step with interpolant
+    ``interp``, ``y1`` the point at ``s1``, and ``th1`` its angle.  The jump
+    is folded into (-pi, pi]; one of a quarter turn or more is split at the
+    middle of ``[s0, s1]`` on the interpolant until jumps are small, each
+    piece added to ``total`` in order, so the fold is exact for trajectories
+    the integrator resolves.
     """
-
-    __slots__ = ("plane", "prev", "total")
-
-    def __init__(self, plane: Callable, y0):
-        self.plane = plane
-        u, v = plane(y0)
-        self.prev = math.atan2(v, u)
-        self.total = 0.0
-
-    def _advance(self, interp, s0, th0, s1, y1, depth=0) -> float:
-        """Add the turn from angle ``th0`` at ``s0`` to the point ``y1`` at ``s1``; its angle."""
-        u, v = self.plane(y1)
-        th1 = math.atan2(v, u)
-        d = math.remainder(th1 - th0, math.tau)
-        if d == -math.pi:
-            d = math.pi
-        if abs(d) >= _QUARTER_TURN and depth < 24:
-            sm = 0.5 * (s0 + s1)
-            thm = self._advance(interp, s0, th0, sm, interp(sm), depth + 1)
-            return self._advance(interp, sm, thm, s1, y1, depth + 1)
-        self.total += d
-        return th1
-
-    def feed(self, interp, y_end):
-        self.prev = self._advance(interp, 0.0, self.prev, 1.0, y_end)
+    u, v = plane(y1)
+    th1 = math.atan2(v, u)
+    d = math.remainder(th1 - th0, math.tau)
+    if d == -math.pi:
+        d = math.pi
+    if abs(d) >= _QUARTER_TURN and depth < 24:
+        sm = 0.5 * (s0 + s1)
+        total, thm = _turn(plane, interp, s0, th0, sm, interp(sm), total, depth + 1)
+        return _turn(plane, interp, sm, thm, s1, y1, total, depth + 1)
+    return total + d, th1
 
 
 def _check_group_compat(g1, g2):
@@ -240,9 +223,11 @@ def lift_path(
     Integrates the lifting equation segment by segment (the group velocity is
     constant on each segment); the group component advances in closed form.
     Escape anywhere truncates the lift and reports the path time and segment.
-    Trace rows keep ``(t, k, frac, m)``, a fraction ``frac`` of the way
-    through segment ``k`` with row 0 at the path start; their group points
-    are computed when ``trace`` is first read.
+    An action with a ``winding_plane`` gets the signed turns of that plane
+    projection, summed over the accepted steps by :func:`_turn`.  Trace rows
+    keep ``(t, k, frac, m)``, a fraction ``frac`` of the way through segment
+    ``k`` with row 0 at the path start; their group points are computed when
+    ``trace`` is first read.
     """
     cfg = cfg or IntegratorConfig()
     _check_group_compat(action.group, path.group)
@@ -250,7 +235,9 @@ def lift_path(
     action.require_inside(x0)
 
     plane = action.winding_plane
-    tracker = None if plane is None else _WindingTracker(plane, x0)
+    if plane is not None:
+        u, v = plane(x0)
+        angle, turned = math.atan2(v, u), 0.0
 
     rows: list = [(0.0, 0, 0.0, tuple(x0))]
     small_path = path.n_segments <= 8
@@ -259,17 +246,11 @@ def lift_path(
     y = x0
     steps_total = 0
 
-    def on_step(t0, y0_, t1, y1, interp):
+    def on_step(t0, t1, y1, interp):
         # k, t_base and w are those of the segment being integrated
-        if tracker is not None:
-            u, v = plane(y1)
-            th1 = math.atan2(v, u)
-            d = math.remainder(th1 - tracker.prev, math.tau)
-            if abs(d) < _QUARTER_TURN:   # the tracker's fold, which needs no subdivision
-                tracker.total += d
-                tracker.prev = th1
-            else:
-                tracker.feed(interp, y1)
+        nonlocal angle, turned
+        if plane is not None:
+            turned, angle = _turn(plane, interp, 0.0, angle, 1.0, y1, turned)
         rows.append((t_base + t1, k, t1 / w, tuple(y1)))
         # a trace that ends with more than TRACE_TARGET rows is not padded
         if small_path and len(rows) <= TRACE_TARGET:
@@ -285,14 +266,14 @@ def lift_path(
     else:
         status = COMPLETE
 
-    rows = tuple(_padded_rows(rows, kept_steps, path) if small_path else rows)
-    winding = tracker.total / math.tau if tracker else None
+    rows = tuple(_padded_rows(rows, kept_steps, path))
+    winding = turned / math.tau if plane is not None else None
     if status == COMPLETE:
         return LiftResult(COMPLETE, path.endpoint(), tuple(y), path, rows,
                           winding=winding, steps=steps_total)
     return LiftResult(
         status,
-        path.group_point(k, min(t_end / w, 1.0)),
+        _path_points(path, [k], [min(t_end / w, 1.0)])[0],
         y_end,
         path,
         rows,
@@ -321,12 +302,17 @@ def _padded_rows(rows, kept_steps, path: GPath):
     return out
 
 
+def _path_points(path: GPath, ks, fracs):
+    """The group points ``fracs[i]`` of the way through segments ``ks[i]`` of ``path``, as one stack."""
+    G = path.group
+    # a LinearSeg's point is the abelian exp(frac * delta), which is frac * delta
+    steps = G.exp_segment([path._vecs[k] for k in ks], fracs)
+    return G.mul([path._prefix[k] for k in ks], steps)
+
+
 def _resolve(path: GPath, rows) -> list:
     """Trace rows ``(t, g, m)`` from rows ``(t, k, frac, m)`` of a lift of ``path``."""
     t0, _, _, m0 = rows[0]
     rest = rows[1:]
-    G, ks = path.group, [k for (_, k, _, _) in rest]
-    steps = G.exp_segment([path._vecs[k] for k in ks], [frac for (_, _, frac, _) in rest])
-    points = G.mul([path._prefix[k] for k in ks], steps)
+    points = _path_points(path, [k for (_, k, _, _) in rest], [frac for (_, _, frac, _) in rest])
     return [(t0, path.start, m0)] + [(t, g, m) for (t, _, _, m), g in zip(rest, points)]
-

@@ -487,6 +487,12 @@ def test_bad_path_files(tmp_path, capsys):
     f2 = _write(tmp_path, "p2.json", {"start": [0, 0],
                 "segments": [{"type": "linear", "delta": [1, 0], "duration": 0}]})
     assert main(["lift", "--path", f2] + out) == 3
+    capsys.readouterr()
+    # the path rejects a duration that is not positive, the file one that is not a number
+    for dur in [-1.5, "1"]:
+        f2 = _write(tmp_path, "p2.json", {"start": [0, 0],
+                    "segments": [{"type": "linear", "delta": [1, 0], "duration": dur}]})
+        assert _config_error(["lift", "--path", f2] + out, capsys), dur
     f3 = _write(tmp_path, "p3.json", {"start": [0, 0], "segments": [], "also": 1})
     assert main(["lift", "--path", f3] + out) == 3
     assert main(["lift", "--path", str(tmp_path / "missing.json")] + out) == 3

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from liecomplete.algebra import AbelianGroup
 from liecomplete.expr import parse
 from liecomplete.flow import (
-    COMPLETE, ESCAPE_MARGIN, ESCAPE_TIME_WIDTH, ESCAPED, STEP_LIMIT, IntegratorConfig,
+    COMPLETE, ESCAPE_MARGIN, ESCAPED, STEP_LIMIT, IntegratorConfig,
     _golden_min, _scan_margins,
 )
 from liecomplete.lift import ExpSeg, GPath, LinearSeg, lift_path
@@ -164,7 +164,7 @@ def test_the_escape_bisection_ends_within_50_passes(h, ms, lo, drop):
         _golden_min(lambda s: margin([s]), lo, 0.75)
     searched = len(calls)   # the dip search's calls come first
     calls.clear()
-    found = _scan_margins(margin, lambda s: [s], ms, ESCAPE_MARGIN, h, ESCAPE_TIME_WIDTH)
+    found = _scan_margins(margin, lambda s: [s], ms, h)
     assert found[0] == "escape" and found[3] is True
     s_lo, s_mid = found[1:3]
     assert s_lo < drop <= 2.0 * s_mid - s_lo and s_mid - s_lo < 1e-15

@@ -6,16 +6,18 @@ step's end, and the first-step norm are generated as straight-line Python;
 the step and the margins come both as generic kernels that call a plain rhs
 or margin and as an action's own kernels with its contraction or margin
 inlined; the margin scan commits a step from its five margins before any
-refinement; group paths and the loop decompositions of ``loop_to_group`` are
-built from whole arrays.  The loop forms they replaced are kept here as
-references; the new code must give the same floats bit for bit (compared
-through ``float.hex``, so signed zeros and NaNs count too), because it does
-the same operations in the same order.  Three whole-lift hashes pin every output of a long circle lift, of
-200 lines past the helicoid axis and of 300 coarse circles whose steps the
-winding tracker subdivides, and a fourth pins the group elements and re-lift
-residuals of ``loop_to_group``.  The scan skips the dip searches that the
-margin's lower bound proves futile; three tests run each scan both with and
-without that shortcut, and the two must agree.
+refinement, at the fixed escape level ``ESCAPE_MARGIN`` and bisection width
+``ESCAPE_TIME_WIDTH``; group paths and the loop decompositions of
+``loop_to_group`` are built from whole arrays.  The loop forms they replaced
+are kept here as references; the new code must give the same floats bit for
+bit (compared through ``float.hex``, so signed zeros and NaNs count too),
+because it does the same operations in the same order.  Three whole-lift
+hashes pin every output of a long circle lift, of 200 lines past the
+helicoid axis and of 300 coarse circles whose steps the winding fold
+(``lift._turn``) subdivides, and a fourth pins the group elements and
+re-lift residuals of ``loop_to_group``.  The scan skips the dip searches
+that the margin's lower bound proves futile; three tests run each scan both
+with and without that shortcut, and the two must agree.
 """
 
 import hashlib
@@ -523,7 +525,7 @@ def test_commit_test_is_the_first_phase_of_the_old_scan():
         assert calls[:3] == list(_SCAN[:-1])
         refined = calls[3:]
         calls.clear()
-        found = _scan_margins(margin, interp, ms, EPS, 0.01, ESCAPE_TIME_WIDTH)
+        found = _scan_margins(margin, interp, ms, 0.01)
         assert found == old
         assert calls == refined
         # a NaN first margin makes min(ms) NaN: such a step is committed unrefined too
@@ -802,13 +804,13 @@ def _run_both_scans(monkeypatch):
         minima.append(out[1])
         return out
 
-    def both(margin, interp, ms, eps, h, width, lower=None, *ends):
+    def both(margin, interp, ms, h, lower=None, *ends):
         minima.clear()
-        full = scan(margin, interp, ms, eps, h, width)
+        full = scan(margin, interp, ms, h)
         searched = minima[:]
         minima.clear()
         bounds.clear()
-        fast = scan(margin, interp, ms, eps, h, width,
+        fast = scan(margin, interp, ms, h,
                     lower and (lambda lo, hi: bounds.append(lower(lo, hi)) or bounds[-1]), *ends)
         assert fast == full
         if searched:
@@ -873,8 +875,7 @@ def test_skipped_dip_searches_would_have_committed_on_drawn_steps(monkeypatch):
         f = [length * u[0] / h, length * u[1] / h, 0.0]
         ms = (margin(y0), *margin.scan(y0, f, y1, f, h))
         if ms[0] > EPS:   # a scan starts inside
-            flow._scan_margins(margin, hermite(y0, f, y1, f, h), ms, EPS, h, ESCAPE_TIME_WIDTH,
-                               margin.lower, y0, f, y1, f)
+            flow._scan_margins(margin, hermite(y0, f, y1, f, h), ms, h, margin.lower, y0, f, y1, f)
 
     check()
     assert tally["skips"] >= 50 and tally["searches"] - tally["skips"] >= 50, tally
@@ -900,7 +901,7 @@ def test_graze_margin_calls_are_pinned():
 
 def test_coarse_circle_windings_are_unchanged():
     # chord polygons of 3-8 chords per turn at loose tolerances: steps that turn
-    # by a quarter turn or more, which the winding tracker subdivides (22 times
+    # by a quarter turn or more, which the winding fold subdivides (22 times
     # on this set when the hash was recorded; default tolerances almost never do)
     helicoid = build("example6_helicoid").action
     rng = random.Random(2026)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from liecomplete.algebra import AbelianGroup, MatrixGroup
 from liecomplete.flow import COMPLETE, ESCAPED, IntegratorConfig
 from liecomplete.lift import ExpSeg, GPath, LinearSeg, PathError, lift_path
-from liecomplete.manifold import OutsideDomainError
+from liecomplete.manifold import Domain, GAction, OutsideDomainError
 from liecomplete.scenarios import build, circle_loop_path
 
 from scenario_oracles import LiftEscapedError, concat_paths, equivariance_check, reverse_path
@@ -67,8 +67,8 @@ def test_reversed_segment_negates_derivative():
 
 def test_path_validation():
     G = AbelianGroup(2)
-    with pytest.raises(PathError):
-        GPath(G, (0.0, 0.0), [LinearSeg((1.0, 0.0), 0.0)])
+    with pytest.raises(PathError, match="segment 1: duration"):
+        GPath(G, (0.0, 0.0), [LinearSeg((1.0, 0.0), 1.0), LinearSeg((1.0, 0.0), 0.0)])
     with pytest.raises(PathError):
         GPath(G, (0.0, 0.0), [LinearSeg((1.0,), 1.0)])
     with pytest.raises(PathError):
@@ -205,6 +205,23 @@ def test_radial_path_escapes(helicoid):
     assert res.failed_segment == 0
     assert not res.low_confidence
     assert all(helicoid.margin(m) > 0.0 for (_, _, m) in res.trace)
+
+
+@pytest.mark.parametrize("model", ["abelian", "matrix"])
+def test_escape_endpoint_is_the_group_point_at_the_escape_time(helicoid, affine, model):
+    # one segment over the whole clock: the escape is escape_time of the way through it
+    if model == "abelian":
+        action, x0 = helicoid, (1.0, 0.0, 0.7)
+        path = GPath(action.group, (0.25, -0.5), [LinearSeg((-2.0, 0.0))])
+    else:
+        action = GAction(affine.group, Domain(("x",), box=((0.5, None),)), affine.fields)
+        x0 = (1.0,)
+        path = GPath(action.group, [[2.0, 0.3], [0.0, 1.0]], [ExpSeg((-1.5, 0.7))])
+    res = lift_path(action, path, x0)
+    assert res.status == ESCAPED and 0.0 < res.escape_time < 1.0
+    G = action.group
+    expected = G.mul(path._prefix[0], G.exp_segment(path._vecs[0], res.escape_time))
+    assert np.asarray(res.endpoint_g).tobytes() == np.asarray(expected).tobytes()
 
 
 def test_lift_from_a_non_finite_point_is_outside(helicoid):
