@@ -141,16 +141,7 @@ def _action_from_file(path: str, overrides: dict) -> Scenario:
         raw = mspec["box"]
         if not isinstance(raw, list):
             raise InputError("manifold.box must be a list")
-        box = []
-        for b in raw:
-            if b is None:
-                box.append(None)
-            else:
-                pair = _floats(b, "box bound")
-                if len(pair) != 2:
-                    raise InputError("box bounds must be [lo, hi] pairs")
-                box.append((pair[0], pair[1]))
-        box = tuple(box)
+        box = [None if b is None else _floats(b, "box bound") for b in raw]
     margins = tuple(_exprs(mspec.get("exclusions", []), "manifold.exclusions"))
     name = spec.get("name", "custom")
     if not isinstance(name, str):

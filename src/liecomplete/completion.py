@@ -44,6 +44,7 @@ IDENTIFIED = "identified"
 NOT_IDENTIFIED = "not_identified_by_witness"
 WITNESS_ESCAPED = "witness_escaped"
 
+ISOTROPY_TOL = 1e-8   # relative singular-value cutoff of the isotropy's null directions
 SAME_LEAF_TOL = 1e-6
 WITNESS_ENDPOINT_TOL = 1e-10
 FRAME_CONDITION_LIMIT = 1e6
@@ -81,11 +82,12 @@ class IsotropyReport(Record):
     __slots__ = ("point", "singular_values", "nullspace", "orbit_dim", "cutoff")
 
 
-def isotropy(action, x, tol: float = 1e-8) -> IsotropyReport:
+def isotropy(action, x) -> IsotropyReport:
     """SVD-based isotropy subalgebra at ``x`` (must lie in the domain).
 
-    Directions with singular value below ``tol * sigma_max`` count as null;
-    if every singular value is below ``tol`` the cutoff is absolute.
+    Directions with singular value below ``ISOTROPY_TOL * sigma_max`` count
+    as null; if every singular value is below ``ISOTROPY_TOL`` the cutoff is
+    absolute.
     """
     import numpy as np
     x = [float(v) for v in x]
@@ -96,8 +98,8 @@ def isotropy(action, x, tol: float = 1e-8) -> IsotropyReport:
     U, s, Vt = np.linalg.svd(B, full_matrices=True)
     sigmas = np.zeros(d)
     sigmas[: len(s)] = s
-    sigma_max = sigmas[0] if sigmas.size and sigmas[0] > tol else 1.0
-    cutoff = tol * sigma_max
+    sigma_max = sigmas[0] if sigmas.size and sigmas[0] > ISOTROPY_TOL else 1.0
+    cutoff = ISOTROPY_TOL * sigma_max
     null_rows = Vt[sigmas < cutoff]
     rank = int(np.sum(sigmas >= cutoff))
     return IsotropyReport(tuple(x), tuple(float(v) for v in sigmas), null_rows, rank, float(cutoff))
@@ -108,20 +110,14 @@ class LeafRecord(Record):
     __slots__ = ("a", "b", "verdict", "residual", "witness_winding", "lift")
 
 
-def same_leaf(
-    action,
-    a,
-    b,
-    witness: GPath,
-    cfg: Optional[IntegratorConfig] = None,
-    tol: float = SAME_LEAF_TOL,
-) -> LeafRecord:
+def same_leaf(action, a, b, witness: GPath) -> LeafRecord:
     """Decide leaf membership of ``a = (g, x)`` and ``b = (g', x')`` via a witness.
 
     The witness must run from ``g`` to ``g'`` in the group (checked to
-    ``1e-10``).  Its lift from ``x`` (``x`` itself for an empty witness)
-    either reaches ``x'`` (identified), ends elsewhere (not identified *by
-    this witness*), or escapes.
+    ``1e-10``).  Its lift from ``x`` (``x`` itself for an empty witness), at
+    the default ``IntegratorConfig()``, either reaches ``x'`` within
+    ``SAME_LEAF_TOL`` (identified), ends elsewhere (not identified *by this
+    witness*), or escapes.
     """
     g_a, x_a = a
     g_b, x_b = b
@@ -136,12 +132,12 @@ def same_leaf(
     x_a = [float(v) for v in x_a]
     x_b = [float(v) for v in x_b]
     ends = ((g_a, tuple(x_a)), (g_b, tuple(x_b)))
-    result = lift_path(action, witness, x_a, cfg)
+    result = lift_path(action, witness, x_a)
     if result.status != COMPLETE:
         verdict, residual = WITNESS_ESCAPED, math.inf
     else:
         residual = math.dist(result.endpoint_m, x_b)
-        verdict = IDENTIFIED if residual < tol else NOT_IDENTIFIED
+        verdict = IDENTIFIED if residual < SAME_LEAF_TOL else NOT_IDENTIFIED
     return LeafRecord(*ends, verdict, residual, result.winding, result)
 
 

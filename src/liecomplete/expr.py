@@ -18,7 +18,7 @@ parentheses is one level of nesting, and an expression may nest at most
 
 Functions: sin, cos, exp, log, sqrt, atan2(y, x), abs, sign.  ``sign`` is
 included so the derivative of ``abs`` is expressible; ``sign(0) = 0``, which
-fixes ``abs'(0) = 0``.
+fixes ``abs'(0) = 0``, and the sign of a NaN is NaN.
 
 Names are bound when :func:`compile_scalars` generates code, the only
 evaluator (:meth:`Expr.eval` runs it once); whether a name is a coordinate or
@@ -483,6 +483,9 @@ def _render_py(node: Node, name_map: Mapping[str, str]) -> str:
 
 
 def _py_sign(v: float) -> float:
+    """0.0 at zero, NaN at NaN (whose sign bit means nothing), else +-1.0."""
+    if v != v:
+        return v
     return 0.0 if v == 0.0 else math.copysign(1.0, v)
 
 

@@ -3,13 +3,15 @@
 The integrator is an embedded Dormand-Prince 5(4) pair with FSAL and a PI-free
 step controller.  Its step, first-step norm, lazy cubic Hermite interpolant
 and the margins at the interpolant's interior samples and at the step's end
-are generated as straight-line Python.  One generator emits the step and the
-margin scan in two forms with the same bits: the generic one calls a plain
-``rhs`` or ``margin`` and is generated once per state dimension; the other
-inlines an action's own contraction or margin, and ``GAction`` generates it
-on first use and hands it over as ``rhs.step`` or ``margin.scan``.  Each
-committed step is handed to the caller's ``on_step``, from which a lift
-records its trace rows and its winding.  Escape from the open domain is
+are generated as straight-line Python.  One generator emits the step in two
+forms with the same bits: the generic one calls a plain ``rhs`` and is
+generated once per state dimension; the other inlines an action's own
+contraction, and ``GAction`` generates it on first use and hands it over as
+``rhs.step``.  The margin scan is generated only with an action's margin
+inlined (``margin.scan``); a plain ``margin`` is called at the points the
+interpolant gives, which are the same floats.  Each committed step is handed
+to the caller's ``on_step``, from which a lift records its trace rows and its
+winding.  Escape from the open domain is
 detected by one scan of the domain margin along each accepted step: it
 commits the step at once when none of the five samples (ends plus interior)
 is near the escape level ``ESCAPE_MARGIN`` or well below the others, and
@@ -25,8 +27,8 @@ low-confidence escape once the size falls below ``STEP_COLLAPSE``.
 A dip search is skipped, with the same outcome, when the margin carries a
 lower bound over boxes (``margin.lower``, as the margin ``GAction`` generates
 does) and that bound over the Bernstein hull of the interpolant on the
-search bracket shows that no sample there can fall below either of the
-search's tests.
+search bracket (:func:`_hull`) shows that no sample there can fall below
+either of the search's tests.
 
 Flows of single fields and words of flows are lifts of one-parameter group
 paths: :func:`liecomplete.lift.lift_path` over :meth:`liecomplete.lift.GPath.word`.
@@ -187,26 +189,21 @@ def _step_lines(n: int, inline=None) -> list:
     ]
 
 
-def _scan_lines(n: int, inline=None) -> list:
-    """Source lines of the margins of one step at its interpolant's interior samples and its end.
+def _scan_lines(n: int, inline: Callable) -> list:
+    """Source lines of ``scan(y0, f0, y1, f1, h)``, a margin's values along one step, inlined.
 
-    With ``inline`` None this is ``scan(margin, y0, f0, y1, f1, h)``, which
-    calls ``margin`` on a list at each point.  Otherwise ``inline(name)`` gives
-    the source lines that set ``name`` to the margin at the point ``_v0, _v1,
-    ...``, using no other name but ``v``, and the scan is ``scan(y0, f0, y1,
-    f1, h)`` with those lines in place of each call.  It returns the margins at
-    ``hermite(y0, f0, y1, f1, h)(s)`` for s = 0.25, 0.5, 0.75, with the
-    weights that do not involve h folded to literals, and at ``y1``.
+    ``inline(name)`` gives the source lines that set ``name`` to the margin
+    at the point ``_v0, _v1, ...``, using no other name but ``v``.  The scan
+    returns the margins at ``hermite(y0, f0, y1, f1, h)(s)`` for s = 0.25,
+    0.5, 0.75, with the weights that do not involve h folded to literals, and
+    at ``y1``: the same floats as the margin called at those points.
     """
     idx = range(n)
 
     def at(j, args):
-        if inline is None:
-            return [f"m{j} = margin([{', '.join(args)}])"]
         return [f"{_names('_v', n)}= {_tuple(args)}", *inline(f"m{j}")]
 
-    lines = [f"def scan({'margin, ' if inline is None else ''}y0, f0, y1, f1, h):",
-             *("    " + line for line in _unpack_ends(n))]
+    lines = ["def scan(y0, f0, y1, f1, h):", *("    " + line for line in _unpack_ends(n))]
     for j, s in enumerate(_SCAN[:-1]):
         s2 = s * s
         a, c = s2 * (2.0 * s - 3.0) + 1.0, s2 * (3.0 - 2.0 * s)
@@ -222,16 +219,12 @@ def _scan_lines(n: int, inline=None) -> list:
 
 @functools.lru_cache(maxsize=None)
 def _dp5_kernels(n: int):
-    """The DP5 step and margin scan for states of length n that call a plain ``rhs`` and ``margin``.
+    """The DP5 step ``step(rhs, y, f0, h, atol, rtol)`` of :func:`_step_lines` for states of length n.
 
-    ``step(rhs, y, f0, h, atol, rtol)`` and ``scan(margin, y0, f0, y1, f1,
-    h)`` are the kernels of :func:`_step_lines` and :func:`_scan_lines` that
-    call their first argument; an rhs or margin that carries its own
-    ``step`` or ``scan`` (as those ``GAction`` generates do) has them inlined
-    instead.
+    It calls its plain ``rhs``; an rhs that carries its own ``step`` (as
+    those ``GAction`` generates do) has it inlined instead.
     """
-    ns = _define("\n".join(_step_lines(n) + [""] + _scan_lines(n)))
-    return ns["step"], ns["scan"]
+    return _define("\n".join(_step_lines(n)))["step"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,36 +267,29 @@ _HULL_REL = 2.0 ** -47
 _HULL_ABS = 1e-300
 
 
-@functools.lru_cache(maxsize=None)
-def _hull_kernel(n: int):
-    """Generate ``hull(y0, f0, y1, f1, h, lo, hi)`` for states of length n.
+def _hull(y0, f0, y1, f1, h, lo, hi):
+    """``(los, his)``: bounds of each component of ``hermite(y0, f0, y1, f1, h)(s)`` for s in [lo, hi].
 
-    It returns ``(los, his)``, bounds of each component of the floats that
-    the step's interpolant ``hermite(y0, f0, y1, f1, h)`` computes for s in
-    [lo, hi] within [0, 1].  The cubic's Bernstein control points are y0,
-    y0 + h f0 / 3, y1 - h f1 / 3 and y1; those of its restriction to [lo, hi]
-    are the blossom at (lo, lo, lo), (lo, lo, hi), (lo, hi, hi) and
+    [lo, hi] lies within [0, 1].  The cubic's Bernstein control points are
+    y0, y0 + h f0 / 3, y1 - h f1 / 3 and y1; those of its restriction to
+    [lo, hi] are the blossom at (lo, lo, lo), (lo, lo, hi), (lo, hi, hi) and
     (hi, hi, hi), and lie within the hull widened by ``_HULL_REL``.
     """
-    lines = ["def hull(y0, f0, y1, f1, h, lo, hi):", *("    " + line for line in _unpack_ends(n)),
-             "    t = h / 3.0"]
-    for i in range(n):
-        lines += [
-            f"    b1, b2 = p{i} + t * q{i}, r{i} - t * u{i}",
-            f"    l0, l1, l2 = p{i} + lo * (b1 - p{i}), b1 + lo * (b2 - b1), b2 + lo * (r{i} - b2)",
-            f"    g0, g1, g2 = p{i} + hi * (b1 - p{i}), b1 + hi * (b2 - b1), b2 + hi * (r{i} - b2)",
-            "    ll0, ll1 = l0 + lo * (l1 - l0), l1 + lo * (l2 - l1)",
-            "    lh0, lh1 = l0 + hi * (l1 - l0), l1 + hi * (l2 - l1)",
-            "    hh0, hh1 = g0 + hi * (g1 - g0), g1 + hi * (g2 - g1)",
-            "    c0, c1 = ll0 + lo * (ll1 - ll0), ll0 + hi * (ll1 - ll0)",
-            "    c2, c3 = lh0 + hi * (lh1 - lh0), hh0 + hi * (hh1 - hh0)",
-            f"    w = {_HULL_REL!r} * (abs(p{i}) + abs(h * q{i}) + abs(r{i}) + abs(h * u{i}))"
-            f" + {_HULL_ABS!r}",
-            f"    lo{i}, hi{i} = min(c0, c1, c2, c3) - w, max(c0, c1, c2, c3) + w",
-        ]
-    lines.append(f"    return [{', '.join(f'lo{i}' for i in range(n))}], "
-                 f"[{', '.join(f'hi{i}' for i in range(n))}]")
-    return _define("\n".join(lines))["hull"]
+    t = h / 3.0
+    los, his = [], []
+    for p, q, r, u in zip(y0, f0, y1, f1):
+        b1, b2 = p + t * q, r - t * u
+        l0, l1, l2 = p + lo * (b1 - p), b1 + lo * (b2 - b1), b2 + lo * (r - b2)
+        g0, g1, g2 = p + hi * (b1 - p), b1 + hi * (b2 - b1), b2 + hi * (r - b2)
+        ll0, ll1 = l0 + lo * (l1 - l0), l1 + lo * (l2 - l1)
+        lh0, lh1 = l0 + hi * (l1 - l0), l1 + hi * (l2 - l1)
+        hh0, hh1 = g0 + hi * (g1 - g0), g1 + hi * (g2 - g1)
+        c0, c1 = ll0 + lo * (ll1 - ll0), ll0 + hi * (ll1 - ll0)
+        c2, c3 = lh0 + hi * (lh1 - lh0), hh0 + hi * (hh1 - hh0)
+        w = _HULL_REL * (abs(p) + abs(h * q) + abs(r) + abs(h * u)) + _HULL_ABS
+        los.append(min(c0, c1, c2, c3) - w)
+        his.append(max(c0, c1, c2, c3) + w)
+    return los, his
 
 
 def _golden_min(fn, lo: float, hi: float):
@@ -361,7 +347,7 @@ def _scan_margins(margin, interp, ms, h: float, lower=None, y0=None, f0=None, y1
         # the search samples interp on [lo, hi] only, so its minimum is at least
         # the bound, and a bound that passes both of its tests commits as it would
         if lower is not None and math.isfinite(ms[0]) and math.isfinite(ms[4]):
-            bound = lower(*_hull_kernel(len(y0))(y0, f0, y1, f1, h, lo, hi))
+            bound = lower(*_hull(y0, f0, y1, f1, h, lo, hi))
             if bound > eps and bound >= 0.5 * min(ms[0], ms[4]):
                 return None
         s_star, m_star = _golden_min(lambda s: margin(interp(s)), lo, hi)
@@ -404,13 +390,14 @@ def integrate_autonomous(
     the bound proves futile.  An ``rhs`` with the attribute ``step`` and a
     margin with the attribute ``scan``, as those ``GAction`` generates have,
     bring their own DP5 step and margin scan with their arithmetic inlined
-    (:func:`_step_lines`, :func:`_scan_lines`); a plain callable, such as
-    user code or a wrapper, gets the generic kernels, which call it, with the
-    same bits.  ``on_step(t0, t1, y1, interp)`` is called after each
-    accepted (possibly escape-truncated) step, from time ``t0`` to the point
-    ``y1`` at time ``t1``, with ``interp`` covering the reported sub-step;
-    ``interp`` reads ``rhs`` results when called, so ``rhs`` must return a
-    new list each time.
+    (:func:`_step_lines`, :func:`_scan_lines`).  A plain callable, such as
+    user code or a wrapper, gives the same bits: a plain ``rhs`` gets the
+    generic step, which calls it, and a plain ``margin`` is called at the
+    step's interpolant at s = 0.25, 0.5 and 0.75 and at its end.
+    ``on_step(t0, t1, y1, interp)`` is called after each accepted (possibly
+    escape-truncated) step, from time ``t0`` to the point ``y1`` at time
+    ``t1``, with ``interp`` covering the reported sub-step; ``interp`` reads
+    ``rhs`` results when called, so ``rhs`` must return a new list each time.
 
     Returns ``(status, t_end, y_end, steps, low_confidence)``.
     """
@@ -419,8 +406,8 @@ def integrate_autonomous(
     t = 0.0
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     hermite, first_norm = _hermite_kernels(n)
-    step = getattr(rhs, "step", None) or functools.partial(_dp5_kernels(n)[0], rhs)
-    scan = getattr(margin, "scan", None) or functools.partial(_dp5_kernels(n)[1], margin)
+    step = getattr(rhs, "step", None) or functools.partial(_dp5_kernels(n), rhs)
+    scan = getattr(margin, "scan", None)
     lower = getattr(margin, "lower", None)
 
     m_curr = margin(y)  # margin at the current point
@@ -464,7 +451,10 @@ def integrate_autonomous(
             # accepted: check the margin along the step before committing
             y1, k7, err = out
             interp = hermite(y, f0, y1, k7, h)
-            ms = (m_curr, *scan(y, f0, y1, k7, h))
+            if scan:
+                ms = (m_curr, *scan(y, f0, y1, k7, h))
+            else:
+                ms = (m_curr, *[margin(interp(s)) for s in _SCAN[:-1]], margin(y1))
             found = _scan_margins(margin, interp, ms, h, lower, y, f0, y1, k7)
             if found is None:
                 on_step(t, t + h, y1, interp)

@@ -23,11 +23,11 @@ import math
 from typing import Callable, Mapping
 
 from .expr import Bin, Call, Neg, Node, Num, Pow, Var, _define, _py_float, _py_sign
+from .manifold import _least_lines
 
 __all__ = ["margin_lower"]
 
 _INF = math.inf
-_nextafter = math.nextafter
 _LIBM_REL = 2.0 ** -50
 _LIBM_ABS = 2.0 ** -1070
 _OPS = {"+": "_iadd", "-": "_isub", "*": "_imul", "/": "_idiv"}
@@ -58,7 +58,7 @@ def _outward(lo: float, hi: float) -> tuple:
     """``(lo, hi)`` an ulp wider on each side; ``OverflowError`` unless finite."""
     if not -_INF < lo <= hi < _INF:
         raise OverflowError("enclosure is not finite")
-    return _nextafter(lo, -_INF), _nextafter(hi, _INF)
+    return math.nextafter(lo, -_INF), math.nextafter(hi, _INF)
 
 
 def _libm(lo: float, hi: float) -> tuple:
@@ -119,7 +119,6 @@ def _iunit(x):
 
 
 _HELPERS = {
-    "_nextafter": _nextafter,
     "_iadd": _iadd,
     "_isub": _isub,
     "_imul": _imul,
@@ -142,14 +141,17 @@ def margin_lower(domain, names: Mapping[str, str]) -> Callable:
     """Generate ``lower(lo, hi)``, at most the domain margin at every p with ``lo <= p <= hi``.
 
     The margin is the one ``manifold._compile_margin`` generates with the
-    name map ``names``: the least of the margin expressions and the box
-    walls' distances.  The bound is ``-inf`` unless every ``lo[j] <= hi[j]``
-    is finite, and where a margin expression might raise in the box or a
-    bound is not finite.  A wall's distance is monotone in its coordinate,
-    so its bound is at the box side, rounded down.
+    name map ``names``: the least of ``domain.terms``, here the least of
+    their enclosures' lower ends, by the same
+    :func:`liecomplete.manifold._least_lines`.  The bound is ``-inf`` unless
+    every ``lo[j] <= hi[j]`` is finite, and where a term might raise in the
+    box or a bound is not finite.  A box wall's term ``x - lo`` or ``hi - x``
+    is monotone in its coordinate, so its bound is at the box side, rounded
+    down, unless that distance overflows.
     """
     n = domain.dim
     pairs = {k: v if k in domain.coords else f"({v}, {v})" for k, v in names.items()}
+    least = _least_lines(domain.terms, lambda node: f"{_render_interval(node, pairs)}[0]", "m")
     lines = [
         "def _lower(lo, hi):",
         f"    {''.join(f'_l{j}, ' for j in range(n))}= lo",
@@ -157,19 +159,7 @@ def margin_lower(domain, names: Mapping[str, str]) -> Callable:
         f"    if not ({' and '.join(f'-_inf < _l{j} <= _h{j} < _inf' for j in range(n))}):",
         "        return -_inf",
         f"    {''.join(f'_v{j}, ' for j in range(n))}= {''.join(f'(_l{j}, _h{j}), ' for j in range(n))}",
-        "    m = _inf",
+        *("    " + line for line in least),
+        "    return m",
     ]
-    if domain.margins:
-        lines.append("    try:")
-        for e in domain.margins:
-            lines += [f"        v = {_render_interval(e.node, pairs)}[0]", "        if v < m:", "            m = v"]
-        lines += ["    except _EVAL_ERRORS:", "        return -_inf"]
-    for j, b in enumerate(domain.box or ()):
-        lo, hi = b if b is not None else (None, None)
-        if lo is not None:
-            lines += [f"    if (v := _nextafter(_l{j} - {_py_float(lo)}, -_inf)) < m:", "        m = v"]
-        if hi is not None:
-            lines += [f"    if (v := _nextafter({_py_float(hi)} - _h{j}, -_inf)) < m:", "        m = v"]
-    lines.append("    return m")
     return _define("\n".join(lines), _HELPERS)["_lower"]
-

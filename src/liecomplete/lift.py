@@ -152,10 +152,6 @@ class GPath:
     def endpoint(self):
         return self._prefix[-1]
 
-    def velocity(self, k: int) -> list:
-        """Left-logarithmic derivative on segment k w.r.t. the path clock."""
-        return list(self._velocities[k])
-
 
 class LiftResult(Record):
     """A lift of a group path: its verdict, endpoints, trace rows and winding.
@@ -167,10 +163,6 @@ class LiftResult(Record):
                  "failed_segment", "winding", "low_confidence", "steps", "__dict__")
     _defaults = {"escape_time": None, "failed_segment": None, "winding": None,
                  "low_confidence": False, "steps": 0}
-
-    @property
-    def complete(self) -> bool:
-        return self.status == COMPLETE
 
     @cached_property
     def trace(self) -> list:

@@ -19,7 +19,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from ._record import InputError, Record
 from .expr import (
-    Expr, ExprNameError, _define, _is_const, _name_map, _py_float, _render_py, checked, compile_scalars,
+    Bin, Expr, ExprNameError, Num, Var, _define, _is_const, _name_map, _render_py, checked,
+    compile_scalars,
 )
 from .flow import _names, _scan_lines, _step_lines
 
@@ -47,8 +48,8 @@ class Domain(Record):
     """Open subset of R^n: box bounds (optional per side) plus exclusion margins.
 
     A point is inside iff every margin expression is positive and every finite
-    box bound is strictly respected.  ``margin`` below is the min of all of
-    these, so it is continuous and positive exactly on the interior.
+    box bound is strictly respected.  The domain margin is the least of
+    ``terms``, so it is continuous and positive exactly on the interior.
     """
 
     __slots__ = ("coords", "box", "margins")
@@ -65,6 +66,8 @@ class Domain(Record):
             for b in box:
                 if b is None:
                     continue
+                if len(b) != 2:
+                    raise DomainError("box entries must be (lo, hi) pairs")
                 lo, hi = b
                 if lo is not None and hi is not None and not lo < hi:
                     raise DomainError("box bounds must satisfy lo < hi")
@@ -74,6 +77,23 @@ class Domain(Record):
     @property
     def dim(self) -> int:
         return len(self.coords)
+
+    @property
+    def terms(self) -> list:
+        """The margin's terms: the margin expressions' trees, then ``x - lo`` or ``hi - x`` per box side.
+
+        The domain margin is the least of them (:func:`_least_lines`).  A
+        ``lo`` of ``-inf``, a ``hi`` of ``inf`` and a NaN side are no walls:
+        their distance is never below ``inf``, so they are left out.
+        """
+        terms = [e.node for e in self.margins]
+        for c, b in zip(self.coords, self.box or ()):
+            lo, hi = b or (None, None)
+            if lo is not None and lo > -math.inf:
+                terms.append(Bin("-", Var(c), Num(lo)))
+            if hi is not None and hi < math.inf:
+                terms.append(Bin("-", Num(hi), Var(c)))
+        return terms
 
 
 def _on_first_call(fn: Callable, attr: str, build: Callable) -> None:
@@ -86,43 +106,38 @@ def _on_first_call(fn: Callable, attr: str, build: Callable) -> None:
     setattr(fn, attr, first)
 
 
-def _margin_lines(domain: Domain, names: Mapping[str, str], m: str = "m") -> list:
-    """Source lines setting the name ``m`` to the margin at the point ``_v0, _v1, ...``, using ``v``.
+def _least_lines(terms, render: Callable, m: str) -> list:
+    """Source lines setting the name ``m`` to the least of ``terms``, using ``v``.
 
-    The minimum starts at ``inf`` and takes each value that is ``<`` it, so a
-    NaN margin is ignored; a margin expression that raises gives ``-inf``,
-    which no box distance lowers.
+    ``render(node)`` is the source of a term's value.  The least starts at
+    ``inf`` and takes each term that is ``<`` it, so a NaN term is ignored;
+    a term that raises gives ``-inf``.
     """
     lines = [f"{m} = _inf"]
-    if domain.margins:
+    if terms:
         lines.append("try:")
-        for e in domain.margins:
-            lines += [f"    if (v := {_render_py(e.node, names)}) < {m}:", f"        {m} = v"]
+        for node in terms:
+            lines += [f"    if (v := {render(node)}) < {m}:", f"        {m} = v"]
         lines += ["except _EVAL_ERRORS:", f"    {m} = -_inf"]
-    for j, b in enumerate(domain.box or ()):
-        lo, hi = b if b is not None else (None, None)
-        if lo is not None:
-            lines += [f"if (v := _v{j} - {_py_float(lo)}) < {m}:", f"    {m} = v"]
-        if hi is not None:
-            lines += [f"if (v := {_py_float(hi)} - _v{j}) < {m}:", f"    {m} = v"]
     return lines
 
 
 def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
-    """Generate p -> min(margins, box distances) as one list-in function.
+    """Generate p -> the least of ``domain.terms`` as one list-in function, by :func:`_least_lines`.
 
-    Its value is that of :func:`_margin_lines`.  Two attributes are generated
-    on their first call: ``lower(lo, hi)``, a lower bound of the margin at
-    every list of floats p with ``lo[j] <= p[j] <= hi[j]``, or ``-inf`` where
-    it proves nothing (:func:`liecomplete.interval.margin_lower`); and
-    ``scan(y0, f0, y1, f1, h)``, the integrator's margin scan of a step with
-    these lines inlined (:func:`liecomplete.flow._scan_lines`).
+    Two attributes are generated on their first call: ``lower(lo, hi)``, a
+    lower bound of the margin at every list of floats p with ``lo[j] <= p[j]
+    <= hi[j]``, or ``-inf`` where it proves nothing
+    (:func:`liecomplete.interval.margin_lower`); and ``scan(y0, f0, y1, f1,
+    h)``, the integrator's margin scan of a step with these lines inlined
+    (:func:`liecomplete.flow._scan_lines`).
     """
     names = _name_map(domain.coords, params)
+    body = functools.partial(_least_lines, domain.terms, lambda node: _render_py(node, names))
     margin = _define("\n".join([
         "def _margin(p):",
         f"    {_names('_v', domain.dim)}= p",
-        *("    " + line for line in _margin_lines(domain, names)),
+        *("    " + line for line in body("m")),
         "    return m",
     ]))["_margin"]
 
@@ -131,7 +146,6 @@ def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
         return margin_lower(domain, names)
 
     _on_first_call(margin, "lower", lower)
-    body = functools.partial(_margin_lines, domain, names)
     _on_first_call(margin, "scan", lambda: _define("\n".join(_scan_lines(domain.dim, body)))["scan"])
     return margin
 

@@ -16,6 +16,7 @@ Only tests read these; the package itself never calls them.
 
 import math
 
+from liecomplete.flow import COMPLETE
 from liecomplete.lift import (
     TRACE_TARGET, ExpSeg, GPath, LinearSeg, PathError, _check_group_compat, lift_path,
 )
@@ -153,11 +154,11 @@ def equivariance_check(action, path: GPath, x0, g, cfg=None) -> float:
     multiplication by ``g``.  Raises :class:`LiftEscapedError` on escape.
     """
     base = lift_path(action, path, x0, cfg)
-    if not base.complete:
+    if base.status != COMPLETE:
         raise LiftEscapedError(base)
     translated = GPath(path.group, action.group.mul(g, path.start), path.segments)
     shifted = lift_path(action, translated, x0, cfg)
-    if not shifted.complete:
+    if shifted.status != COMPLETE:
         raise LiftEscapedError(shifted)
     dm = 0.0
     for a, b in zip(base.endpoint_m, shifted.endpoint_m):

@@ -220,6 +220,15 @@ def _planar_action(fields, exclusions=()):
     }
 
 
+def test_a_box_entry_of_three_numbers_is_a_config_error(tmp_path, capsys):
+    action = _planar_action([["1", "0"], ["0", "1"]])
+    action["manifold"]["box"] = [[0.0, 1.0, 2.0], None]
+    f = _write(tmp_path, "box3.json", action)
+    assert main(["check", "--scenario-file", f]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "(lo, hi) pairs" in err
+
+
 # '²' is a digit to str.isdigit, but no number to float()
 @pytest.mark.parametrize("field", ["1e999*y", "x^10^10^4", "x^2^2^2^2^2", "x^²", "2²"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, field):

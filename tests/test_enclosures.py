@@ -1,8 +1,8 @@
 """Lower bounds of the domain margin over boxes, and hulls of a step's interpolant.
 
 ``GAction``'s generated margin carries ``lower(lo, hi)``, a bound built from
-interval enclosures of the same expressions and box walls, and the flow's
-hull kernel bounds each component of the floats the step's Hermite
+interval enclosures of the same margin terms (expressions and box walls), and
+the flow's ``_hull`` bounds each component of the floats the step's Hermite
 interpolant computes over a bracket.  The margin scan skips a dip search on
 their word alone, so both must hold for the computed floats at every point,
 not only in exact arithmetic; they are checked at dense points of random
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from liecomplete.algebra import AbelianGroup
 from liecomplete.expr import MAX_DEPTH, parse
-from liecomplete.flow import _SCAN, _golden_min, _hermite_kernels, _hull_kernel
+from liecomplete.flow import _SCAN, _golden_min, _hermite_kernels, _hull
 from liecomplete.manifold import Domain, GAction
 from liecomplete.scenarios import build
 from test_cli import _VALID_TERMS
@@ -179,7 +179,7 @@ def test_hull_holds_the_computed_interpolant_on_the_bracket(data, n, h, bracket)
     y0, f0, y1, f1 = (data.draw(st.lists(component, min_size=n, max_size=n)) for _ in range(4))
     lo, hi = bracket
     interp = _hermite_kernels(n)[0](y0, f0, y1, f1, h)
-    los, his = _hull_kernel(n)(y0, f0, y1, f1, h, lo, hi)
+    los, his = _hull(y0, f0, y1, f1, h, lo, hi)
     samples = [min(lo + (hi - lo) * i / 32, hi) for i in range(33)] + [hi]
     # the golden-section dip search samples the bracket only, and its samples are checked too
     _golden_min(lambda s: samples.append(s) or interp(s)[0], lo, hi)
@@ -193,6 +193,6 @@ def test_hull_of_a_line_is_its_ends():
     # a cubic that is a line: the restriction's control points are its values at lo and hi
     y0, y1, h = [1.0, -2.0], [3.0, 2.0], 0.5
     f = [(b - a) / h for a, b in zip(y0, y1)]
-    los, his = _hull_kernel(2)(y0, f, y1, f, h, 0.25, 0.75)
+    los, his = _hull(y0, f, y1, f, h, 0.25, 0.75)
     assert all(abs(a - b) < 1e-12 for a, b in zip(los, [1.5, -1.0]))
     assert all(abs(a - b) < 1e-12 for a, b in zip(his, [2.5, 1.0]))

@@ -285,6 +285,14 @@ def test_eval_sign_and_abs():
     assert parse("abs(x)").eval({"x": -3.0}) == 3.0
 
 
+def test_sign_of_nan_is_nan():
+    # a NaN's sign bit is no sign: inf - inf has it set, and must not read as -1
+    with pytest.raises(ExprDomainError):
+        parse("sign(x)").eval({"x": math.nan})
+    with pytest.raises(ExprDomainError):
+        parse("sign(x*x*x*x - x*x*x*x)").eval({"x": 1e100})
+
+
 # ---------------------------------------------------------------------------
 # differentiation (frozen hand values first, then properties)
 

@@ -147,6 +147,12 @@ def test_a_field_not_evaluable_at_the_start_escapes_with_no_step():
     assert (res.status, res.escape_time, res.low_confidence, res.steps) == (ESCAPED, 0.0, True, 0)
 
 
+def test_a_field_not_finite_at_the_start_escapes_with_no_step():
+    # the field evaluates, but to inf: nothing can move either
+    res = _line_lift("x*1e308*10", 1.0)
+    assert (res.status, res.escape_time, res.low_confidence, res.steps) == (ESCAPED, 0.0, True, 0)
+
+
 @pytest.mark.parametrize("h", [1e-300, 1e-12, 1e-3, 1.0, 1e12, 1e300])
 @pytest.mark.parametrize("ms, lo, drop", [
     # a crossing between the samples at 0.75 and 1: a bracket 0.25 wide

@@ -3,14 +3,15 @@
 The rhs contraction, the domain margin, the Dormand-Prince step, its Hermite
 interpolant, the margins at the interpolant's interior scan points and at the
 step's end, and the first-step norm are generated as straight-line Python;
-the step and the margins come both as generic kernels that call a plain rhs
-or margin and as an action's own kernels with its contraction or margin
-inlined; the margin scan commits a step from its five margins before any
-refinement, at the fixed escape level ``ESCAPE_MARGIN`` and bisection width
-``ESCAPE_TIME_WIDTH``; group paths and the loop decompositions of
-``loop_to_group`` are built from whole arrays.  The loop forms they replaced
-are kept here as references; the new code must give the same floats bit for
-bit (compared through ``float.hex``, so signed zeros and NaNs count too),
+the step comes both as a generic kernel that calls a plain rhs and as an
+action's own kernel with its contraction inlined, and the margins come as an
+action's own scan with its margin inlined, while a plain margin is called at
+the generated interpolant's scan points; the margin scan commits a step from
+its five margins before any refinement, at the fixed escape level
+``ESCAPE_MARGIN`` and bisection width ``ESCAPE_TIME_WIDTH``; group paths and
+the loop decompositions of ``loop_to_group`` are built from whole arrays.
+The loop forms they replaced are kept here as references; the new code must
+give the same floats bit for bit (compared through ``float.hex``, so signed zeros and NaNs count too),
 because it does the same operations in the same order.  Three whole-lift
 hashes pin every output of a long circle lift, of 200 lines past the
 helicoid axis and of 300 coarse circles whose steps the winding fold
@@ -273,18 +274,24 @@ def _scan_ref(margin, y0, f0, y1, f1, h):
     return [margin(interp(s)) for s in _SCAN[:-1]] + [margin(y1)]
 
 
+def _plain_scan(margin, y0, f0, y1, f1, h):
+    """The margins the integrator reads for a plain margin: at the generated interpolant and at y1."""
+    interp = _hermite_kernels(len(y0))[0](y0, f0, y1, f1, h)
+    return [margin(interp(s)) for s in _SCAN[:-1]] + [margin(y1)]
+
+
 def _assert_same_scans(action, y0, f0, y1, f1, h):
-    """The generic scan and the action's own give the loop's margins."""
+    """A plain margin's reads and the action's own scan give the loop's margins."""
     margin = action._margin
     ref = _bits(_scan_ref(margin, y0, f0, y1, f1, h))
-    assert _bits(_dp5_kernels(len(y0))[1](margin, y0, f0, y1, f1, h)) == ref
+    assert _bits(_plain_scan(margin, y0, f0, y1, f1, h)) == ref
     assert _bits(margin.scan(y0, f0, y1, f1, h)) == ref
 
 
 def _assert_same_steps(rhs, y, f0, h, atol, rtol):
     """The generic step and the rhs's own give the loop's step; returns it."""
     ref = loop_step(rhs, y, f0, h, atol, rtol)
-    _assert_same_step(_dp5_kernels(len(y))[0](rhs, y, f0, h, atol, rtol), ref)
+    _assert_same_step(_dp5_kernels(len(y))(rhs, y, f0, h, atol, rtol), ref)
     _assert_same_step(rhs.step(y, f0, h, atol, rtol), ref)
     return ref
 
@@ -422,9 +429,9 @@ def _stiff_action(n):
 @given(y=st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=5),
        h=step_size, c=st.sampled_from([1.0, -0.75, math.nan]))
 def test_dp5_step_matches_the_loop_for_any_n(y, h, c):
-    step, scan = _dp5_kernels(len(y))
+    step = _dp5_kernels(len(y))
     hermite = _hermite_kernels(len(y))[0]
-    # the generic kernels on plain functions
+    # the generic step and the interpolant's reads on plain functions
     if y[-1] != 0.0:
         f0 = _stiff_rhs(y)
         ref = loop_step(_stiff_rhs, y, f0, h, 1e-12, 1e-9)
@@ -432,9 +439,9 @@ def test_dp5_step_matches_the_loop_for_any_n(y, h, c):
         if ref is not None:
             y1, k7, _ = ref
             assert _bits(hermite(y, f0, y1, k7, h)(0.3)) == _bits(loop_hermite(y, f0, y1, k7, h)(0.3))
-            assert (_bits(scan(_stiff_margin, y, f0, y1, k7, h))
+            assert (_bits(_plain_scan(_stiff_margin, y, f0, y1, k7, h))
                     == _bits(_scan_ref(_stiff_margin, y, f0, y1, k7, h)))
-    # the generic and the action's own kernels on an action's
+    # the generic and the action's own kernels on an action's, and its plain margin's reads
     action = _stiff_action(len(y))
     rhs = action.rhs([c])
     try:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from liecomplete.algebra import AbelianGroup, MatrixGroup
 from liecomplete.flow import COMPLETE, ESCAPED, IntegratorConfig
-from liecomplete.lift import ExpSeg, GPath, LinearSeg, PathError, lift_path
+from liecomplete.lift import ExpSeg, GPath, LinearSeg, PathError, _turn, lift_path
 from liecomplete.manifold import Domain, GAction, OutsideDomainError
 from liecomplete.scenarios import build, circle_loop_path
 
@@ -34,18 +34,18 @@ def _chord_path(group, start, points):
 
 
 # ---------------------------------------------------------------------------
-# GPath construction and its left-logarithmic derivative, GPath.velocity
+# GPath construction and its left-logarithmic derivative, GPath._velocities
 
 
 def test_left_log_derivative_linear():
     G = AbelianGroup(2)
     p = GPath(G, (0.0, 0.0), [LinearSeg((2.0, 0.0), 1.0)])
-    assert p.velocity(0) == [2.0, 0.0]
+    assert list(p._velocities[0]) == [2.0, 0.0]
 
 
 def test_left_log_derivative_exp_rate(affine):
     p = GPath(affine.group, np.eye(2), [ExpSeg((0.5, -1.0), 1.0)])
-    assert p.velocity(0) == [0.5, -1.0]
+    assert list(p._velocities[0]) == [0.5, -1.0]
 
 
 def test_left_log_derivative_piecewise_and_boundary():
@@ -53,15 +53,15 @@ def test_left_log_derivative_piecewise_and_boundary():
     p = GPath(G, (0.0,), [LinearSeg((1.0,), 1.0), LinearSeg((-3.0,), 1.0)])
     # widths are 1/2 each, so the clock-rate doubles the displacement
     assert p.widths == [0.5, 0.5]
-    assert p.velocity(0) == [2.0]
-    assert p.velocity(1) == [-6.0]
+    assert list(p._velocities[0]) == [2.0]
+    assert list(p._velocities[1]) == [-6.0]
 
 
 def test_reversed_segment_negates_derivative():
     G = AbelianGroup(2)
     p = GPath(G, (0.0, 0.0), [LinearSeg((2.0, -1.0), 1.0)])
     r = reverse_path(p)
-    assert r.velocity(0) == [-2.0, 1.0]
+    assert list(r._velocities[0]) == [-2.0, 1.0]
     assert np.allclose(r.endpoint(), (0.0, 0.0))
 
 
@@ -187,6 +187,13 @@ def test_unit_loop_scales_z(helicoid):
     assert res.endpoint_m[2] == pytest.approx(E_MINUS_2PI, rel=1e-7)
     assert res.winding == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(res.endpoint_g, path.endpoint())
+
+
+def test_an_exact_half_turn_at_the_depth_cap_folds_to_plus_pi():
+    # from angle pi/2 to (0, -1): the jump -pi folds to +pi, and at depth 24
+    # it is not split, so the interpolant is never read
+    turned = _turn(lambda y: (y[0], y[1]), None, 0.0, math.pi / 2, 1.0, (0.0, -1.0, 1.0), 0.0, 24)
+    assert turned == (math.pi, -math.pi / 2)
 
 
 def test_translate_preserves_z(helicoid):

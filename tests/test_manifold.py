@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from liecomplete.algebra import AbelianGroup
-from liecomplete.expr import parse
+from liecomplete.expr import Expr, parse
 from liecomplete.manifold import (
     ActionError,
     Domain,
+    DomainError,
     GAction,
     OutsideDomainError,
     SamplingError,
@@ -91,6 +92,31 @@ def test_box_margins():
     assert annulus.margin((1.9, 0.0)) == pytest.approx(0.1)
     assert not annulus.contains((0.4, 0.0))
     assert not annulus.contains((1.0, 7.0))
+
+
+@pytest.mark.parametrize("coords, box, message", [
+    ((), None, "non-empty and distinct"),
+    (("x", "x"), None, "non-empty and distinct"),
+    (("x", "y"), ((0.0, 1.0),), "one \\(lo, hi\\) pair per coordinate"),
+    (("x",), ((1.0, 1.0),), "lo < hi"),
+    (("x",), ((2.0, 1.0),), "lo < hi"),
+    (("x",), ((0.0, 1.0, 2.0),), "\\(lo, hi\\) pairs"),
+], ids=["empty", "repeated", "box-length", "lo-equals-hi", "lo-above-hi", "three-numbers"])
+def test_malformed_domains_are_domain_errors(coords, box, message):
+    with pytest.raises(DomainError, match=message):
+        Domain(coords, box=box)
+
+
+def test_box_walls_are_margin_terms():
+    # the margin expressions first, then x - lo or hi - x per given box side
+    domain = Domain(("x", "y"), box=((0.0, None), (-1.0, 2.0)), margins=(parse("x*y"),))
+    assert [str(Expr(t)) for t in domain.terms] == ["x * y", "x - 0", "y - (-1)", "2 - y"]
+    assert Domain(("x",)).terms == []
+    # a side at -inf or inf bounds nothing, and would leave the margin's lower bound no proof
+    unbounded = Domain(("x",), box=((-math.inf, 1.0),))
+    assert [str(Expr(t)) for t in unbounded.terms] == ["1 - x"]
+    action = GAction(AbelianGroup(1), unbounded, [[parse("1")]])
+    assert action._margin.lower([0.0], [0.5]) == math.nextafter(0.5, 0.0)
 
 
 @pytest.mark.parametrize("name, p", [
