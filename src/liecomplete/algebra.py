@@ -299,7 +299,10 @@ class MatrixGroup(Record):
 
     def __init__(self, basis, basis_names: Sequence[str] = ()):
         import numpy as np
-        basis = np.asarray(basis, dtype=float)
+        try:
+            basis = np.asarray(basis, dtype=float)
+        except (TypeError, ValueError):   # ragged matrices or entries that are not numbers
+            basis = np.zeros(0)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise AlgebraError("matrix basis must have shape (d, n, n)")
         super().__init__(basis, tuple(basis_names))

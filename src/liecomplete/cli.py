@@ -372,7 +372,7 @@ def cmd_holonomy(args) -> int:
         "note": hol.note,
     }
     _write_json(args.out + ".holonomy.json" if args.out else None, payload)
-    if hol.round_trip_residual is None or not math.isfinite(hol.round_trip_residual):
+    if not math.isfinite(hol.round_trip_residual):
         print("round trip: escaped", file=sys.stderr)
         return EXIT_ESCAPED
     return EXIT_OK

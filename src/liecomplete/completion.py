@@ -180,7 +180,10 @@ def _sub_chord_segments(action, frame, pts, substeps: int) -> list:
             raise LoopGeometryError(f"loop leaves the domain near {point}")
         flat += fields_at(point)
     F = np.array(flat).reshape(len(nodes), frame.shape[1], nodes.shape[1])
-    St = np.swapaxes(frame @ F, 1, 2)    # (N, n, k): columns are frame fields
+    with np.errstate(over="ignore", invalid="ignore"):
+        St = np.swapaxes(frame @ F, 1, 2)    # (N, n, k): columns are frame fields
+    if not np.isfinite(St).all():   # a frame that is not finite, or overflows: the SVD cannot take it
+        raise FrameConditionError("frame fields are not finite on the loop")
     U, sv, Vt = np.linalg.svd(St, full_matrices=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         bad = (sv[:, -1] <= 0.0) | (sv[:, 0] / sv[:, -1] > FRAME_CONDITION_LIMIT)
@@ -245,10 +248,13 @@ def loop_to_group(
         frame = None
     if frame is None or frame.ndim != 2 or frame.shape[1] != action.dim_algebra:
         raise FrameConditionError("frame must be a list of algebra d-vectors")
-    pts = np.asarray(m_loop, dtype=float)
+    try:
+        pts = np.asarray(m_loop, dtype=float)
+        x0 = np.asarray([float(v) for v in x0])
+    except (TypeError, ValueError):   # ragged points or entries that are not numbers
+        raise LoopGeometryError("loop and x0 must hold manifold points of numbers") from None
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != action.dim_manifold:
         raise LoopGeometryError("loop must be a list of at least two manifold points")
-    x0 = np.asarray([float(v) for v in x0])
     if x0.shape != (action.dim_manifold,):
         raise LoopGeometryError(f"x0 must have {action.dim_manifold} coordinates")
     if np.max(np.abs(pts[0] - x0)) > 1e-9:

@@ -469,11 +469,12 @@ def _render_py(node: Node, name_map: Mapping[str, str]) -> str:
         return f"(-{_render_py(node.arg, name_map)})"
     if isinstance(node, Bin):
         left, right = _render_py(node.left, name_map), _render_py(node.right, name_map)
-        # 1.0 * x, x * 1.0 and x / 1.0 are x for every float, NaN and -0.0 included
-        if right == "1.0" and node.op in "*/":
-            return left
-        if left == "1.0" and node.op == "*":
-            return right
+        # 1.0 * x, x * 1.0 and x / 1.0 are x for every float, NaN and -0.0 included;
+        # with -1.0 they are -x but for the sign of a NaN, which no result reads
+        if right in ("1.0", "(-1.0)") and node.op in "*/":
+            return left if right == "1.0" else f"(-{left})"
+        if left in ("1.0", "(-1.0)") and node.op == "*":
+            return right if left == "1.0" else f"(-{right})"
         return f"({left} {node.op} {right})"
     if isinstance(node, Pow):
         return f"({_render_py(node.base, name_map)} ** {node.exponent})"

@@ -84,6 +84,8 @@ class GPath:
         durations: List[float] = []
         scale: List[float] = []   # the total log-displacement of an ExpSeg is duration * X
         for i, s in enumerate(segs):
+            if not isinstance(s, (LinearSeg, ExpSeg)):
+                raise PathError(f"unknown segment type {type(s).__name__}")
             dur = s.duration
             if not (dur > 0.0 and math.isfinite(dur)):
                 raise PathError(f"segment {i}: duration must be positive and finite")
@@ -93,11 +95,9 @@ class GPath:
                     raise PathError("LinearSeg requires the abelian group model")
                 raw.append(s.delta)   # total displacement
                 scale.append(1.0)
-            elif isinstance(s, ExpSeg):
+            else:
                 raw.append(s.X)       # a rate
                 scale.append(dur)
-            else:
-                raise PathError(f"unknown segment type {type(s).__name__}")
             durations.append(dur)
         d = group.dim
         try:   # column by column: the rows must all have length d

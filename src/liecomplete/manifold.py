@@ -45,34 +45,40 @@ class SamplingError(InputError):
 
 
 class Domain(Record):
-    """Open subset of R^n: box bounds (optional per side) plus exclusion margins.
+    """Open subset of R^n: a box plus exclusion margins.
 
-    A point is inside iff every margin expression is positive and every finite
-    box bound is strictly respected.  The domain margin is the least of
-    ``terms``, so it is continuous and positive exactly on the interior.
+    ``box`` holds one ``(lo, hi)`` float pair per coordinate, with ``-inf``
+    or ``inf`` for each open side.  A point is inside iff every margin
+    expression is positive and every finite box side is strictly respected.
+    The domain margin is the least of ``terms``, so it is continuous and
+    positive exactly on the interior.
     """
 
     __slots__ = ("coords", "box", "margins")
 
     def __init__(self, coords: Sequence[str], box: Optional[Sequence] = None, margins: Sequence = ()):
+        """``box`` may be None, and an entry or a side None, for open; a side must be a number, not NaN."""
         coords = tuple(coords)
         if not coords or len(set(coords)) != len(coords):
             raise DomainError("coordinate names must be non-empty and distinct")
-        if box is not None:
-            # per-coord (lo, hi), entries may be None
-            box = tuple(tuple(b) if b is not None else None for b in box)
-            if len(box) != len(coords):
-                raise DomainError("box must give one (lo, hi) pair per coordinate")
-            for b in box:
-                if b is None:
-                    continue
-                if len(b) != 2:
-                    raise DomainError("box entries must be (lo, hi) pairs")
-                lo, hi = b
-                if lo is not None and hi is not None and not lo < hi:
-                    raise DomainError("box bounds must satisfy lo < hi")
+        box = (None,) * len(coords) if box is None else tuple(box)
+        if len(box) != len(coords):
+            raise DomainError("box must give one (lo, hi) pair per coordinate")
+        sides = []
+        for b in box:
+            try:
+                lo, hi = (None, None) if b is None else b
+            except (TypeError, ValueError):
+                raise DomainError("box entries must be (lo, hi) pairs") from None
+            lo, hi = _side(lo, -math.inf), _side(hi, math.inf)
+            if not lo < hi:
+                raise DomainError("box bounds must satisfy lo < hi")
+            sides.append((lo, hi))
+        margins = tuple(margins)
+        if not all(isinstance(e, Expr) for e in margins):
+            raise DomainError("margins must be expressions")
         # other names in margins are parameters, bound when an action is built
-        super().__init__(coords, box, tuple(margins))
+        super().__init__(coords, tuple(sides), margins)
 
     @property
     def dim(self) -> int:
@@ -80,20 +86,31 @@ class Domain(Record):
 
     @property
     def terms(self) -> list:
-        """The margin's terms: the margin expressions' trees, then ``x - lo`` or ``hi - x`` per box side.
+        """The margin's terms: the margin expressions' trees, then ``x - lo`` or ``hi - x`` per finite side.
 
-        The domain margin is the least of them (:func:`_least_lines`).  A
-        ``lo`` of ``-inf``, a ``hi`` of ``inf`` and a NaN side are no walls:
-        their distance is never below ``inf``, so they are left out.
+        The domain margin is the least of them (:func:`_least_lines`).  An
+        open side bounds nothing, so it has no term.
         """
         terms = [e.node for e in self.margins]
-        for c, b in zip(self.coords, self.box or ()):
-            lo, hi = b or (None, None)
-            if lo is not None and lo > -math.inf:
+        for c, (lo, hi) in zip(self.coords, self.box):
+            if lo > -math.inf:
                 terms.append(Bin("-", Var(c), Num(lo)))
-            if hi is not None and hi < math.inf:
+            if hi < math.inf:
                 terms.append(Bin("-", Num(hi), Var(c)))
         return terms
+
+
+def _side(v, open_side: float) -> float:
+    """A box side as a float, ``open_side`` for None; raises ``DomainError`` for a non-number or NaN."""
+    if v is None:
+        return open_side
+    try:
+        side = float(v)
+    except (TypeError, ValueError, OverflowError):
+        side = math.nan
+    if isinstance(v, str) or side != side:
+        raise DomainError(f"box sides must be numbers or None, not {v!r}")
+    return side
 
 
 def _on_first_call(fn: Callable, attr: str, build: Callable) -> None:
@@ -204,7 +221,8 @@ class GAction:
     ):
         d, n = group.dim, domain.dim
         # before the algebra, whose structure constants are d^3 numbers
-        if len(fields) != d or any(len(row) != n for row in fields):
+        if (len(fields) != d or any(len(row) != n for row in fields)
+                or not all(isinstance(e, Expr) for row in fields for e in row)):
             raise ActionError(f"fields must be a {d}x{n} grid of expressions")
         self.group = group
         self.algebra = group.algebra
@@ -317,12 +335,11 @@ def sample_points(action: GAction, count: int, seed: int = 0) -> list:
     """Rejection-sample ``count`` points with margin above ``SAMPLING_MARGIN``.
 
     Points are drawn by ``random.Random(seed)`` from the domain's box, whose
-    unbounded sides default to ``+-DEFAULT_SAMPLING_HALF_WIDTH``.
+    open sides are sampled at ``+-DEFAULT_SAMPLING_HALF_WIDTH``.
     """
     rng = random.Random(seed)
     w = DEFAULT_SAMPLING_HALF_WIDTH
-    box = [b or (None, None) for b in action.domain.box or [None] * action.dim_manifold]
-    sides = [(-w if lo is None else lo, w if hi is None else hi) for lo, hi in box]
+    sides = [(-w if lo == -math.inf else lo, w if hi == math.inf else hi) for lo, hi in action.domain.box]
     out = []
     attempts = 0
     max_attempts = max(10_000, 200 * count)

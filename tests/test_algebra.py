@@ -84,6 +84,23 @@ def test_jacobi_enforced():
 def test_basis_names_default_and_explicit(aff):
     assert aff.basis_names == ("X", "Y")
     assert LieAlgebra.abelian(3).basis_names == ("X1", "X2", "X3")
+    with pytest.raises(AlgebraError, match="basis_names length"):
+        LieAlgebra(np.zeros((2, 2, 2)), ("X",))
+
+
+@pytest.mark.parametrize("c", [np.zeros((2, 2)), np.zeros((2, 2, 3)), [[["a"]]], 5.0],
+                         ids=["two-axes", "not-square", "not-numbers", "not-a-grid"])
+def test_malformed_structure_constants(c):
+    with pytest.raises(AlgebraError, match="shape \\(d, d, d\\)"):
+        LieAlgebra(c)
+
+
+@pytest.mark.parametrize("basis", [np.zeros((2, 2)), np.zeros((1, 2, 3)),
+                                   [[[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0]]]],
+                         ids=["two-axes", "not-square", "ragged"])
+def test_matrix_basis_shape_checked(basis):
+    with pytest.raises(AlgebraError, match="shape \\(d, n, n\\)"):
+        MatrixGroup(basis)
 
 
 def test_commutators_must_close():
@@ -105,6 +122,18 @@ def test_abelian_ops():
     assert np.allclose(G.exp_segment((3.0, -1.0), 0.0), G.identity())
     X = np.array([1.0, 2.0])
     assert np.allclose(G.mul(G.exp_segment(X), G.exp_segment(-X)), G.identity())
+
+
+def test_abelian_elements_and_stacks_hold_d_numbers():
+    G = AbelianGroup(2)
+    for g in ((1.0,), (1.0, 2.0, 3.0), ("a", 1.0), 5.0):
+        with pytest.raises(AlgebraError, match="2-vector"):
+            G.element(g)
+    for stack in ([(1.0,)], [(1.0, 2.0), (1.0,)], [("a", 1.0)]):
+        with pytest.raises(AlgebraError, match="2-vectors"):
+            G.exp_segment(stack)
+    with pytest.raises(AlgebraError, match="one time or one per row"):
+        G.exp_segment([(1.0, 0.0)] * 2, [1.0])
 
 
 # ---------------------------------------------------------------------------

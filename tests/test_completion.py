@@ -288,6 +288,10 @@ def test_loop_to_group_frame_condition(helicoid):
         loop_to_group(helicoid, ((1.0, 0.0), (1.0, 0.0)), pts, pts[0])
     with pytest.raises(FrameConditionError):
         loop_to_group(helicoid, ((1.0,),), pts, pts[0])
+    # frames that are not finite stop before the SVD, which would not converge
+    for frame in (((math.nan, 0.0), (0.0, 1.0)), ((math.inf, 0.0), (0.0, 1.0))):
+        with pytest.raises(FrameConditionError, match="not finite"):
+            loop_to_group(helicoid, frame, pts, pts[0])
 
 
 def test_loop_to_group_velocity_outside_orbit(helicoid):
@@ -306,6 +310,8 @@ def test_loop_to_group_geometry_checks(helicoid):
         loop_to_group(helicoid, _BASIS_FRAME, pts, (5.0, 5.0, 0.0))    # wrong basepoint
     with pytest.raises(LoopGeometryError):
         loop_to_group(helicoid, _BASIS_FRAME, [pts[0]], pts[0])        # single point
+    with pytest.raises(LoopGeometryError, match="of numbers"):
+        loop_to_group(helicoid, _BASIS_FRAME, [(1.0, 0.0, 0.0), (1.0, 0.0)], pts[0])   # ragged
 
 
 def test_loop_to_group_leaves_domain():

@@ -442,16 +442,24 @@ def test_compile_renders_any_float_literal():
 
 
 def test_factors_of_one_are_not_rendered():
-    # 1.0 * x, x * 1.0 and x / 1.0 are x for every float, so they are not computed
+    # 1.0 * x, x * 1.0 and x / 1.0 are x for every float, so they are not computed;
+    # with -1.0 they are -x, whose bits are those of the product for every float
+    # but NaN, whose sign no result reads
     action = build("example6_helicoid", {"alpha": 1.0}).action
     names = _name_map(action.domain.coords, action.params)
     rendered = [_render_py(e.node, names) for row in action.fields for e in row]
     assert rendered[2] == "((_v1 * _v2) / ((_v0 ** 2) + (_v1 ** 2)))"
-    assert not any("1.0 *" in r or "* 1.0" in r or "/ 1.0" in r for r in rendered), rendered
+    assert rendered[5] == "(((-_v0) * _v2) / ((_v0 ** 2) + (_v1 ** 2)))"
+    assert not any("1.0 *" in r or "* 1.0" in r or "/ 1.0" in r
+                   or "1.0) *" in r or "* (-1.0" in r or "/ (-1.0" in r for r in rendered), rendered
     assert _render_py(parse("1/x").node, {"x": "_v0"}) == "(1.0 / _v0)"
+    assert _render_py(parse("-1/x").node, {"x": "_v0"}) == "((-1.0) / _v0)"
     fn = compile_scalars([parse(src) for src in ("1*x", "x*1", "x/1", "a*x", "x/a")], ("x",), {"a": 1.0})
+    neg = compile_scalars([parse(src) for src in ("(-1)*x", "x*(-1)", "x/(-1)", "b*x", "x/b")], ("x",),
+                          {"b": -1.0})
     for x in (math.nan, -0.0, 0.0, math.inf, -math.inf, 5e-324, -3.5):
         assert [v.hex() for v in fn(x)] == [x.hex()] * 5
+        assert [v.hex() for v in neg(x)] == [(-x).hex()] * 5
 
 
 def test_eval_runs_the_generated_code():

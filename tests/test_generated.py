@@ -108,15 +108,12 @@ def loop_margin(domain, params):
                         m = v
             except (ValueError, ZeroDivisionError, OverflowError):
                 return -math.inf
-        if box is not None:
-            for x, b in zip(vals, box):
-                if b is None:
-                    continue
-                lo, hi = b
-                if lo is not None and x - lo < m:
-                    m = x - lo
-                if hi is not None and hi - x < m:
-                    m = hi - x
+        # an open side's distance is inf or NaN, never below m
+        for x, (lo, hi) in zip(vals, box):
+            if x - lo < m:
+                m = x - lo
+            if hi - x < m:
+                m = hi - x
         return m
 
     return margin
@@ -250,10 +247,8 @@ def _inside(action, data):
     """A point of the action's domain with margin above 1e-3."""
     point = data.draw(st.lists(finite, min_size=action.dim_manifold,
                                max_size=action.dim_manifold))
-    box = action.domain.box or (None,) * action.dim_manifold
-    for j, b in enumerate(box):
-        if b is not None:
-            lo, hi = b
+    for j, (lo, hi) in enumerate(action.domain.box):
+        if hi - lo < math.inf:
             point[j] = lo + (hi - lo) * (0.05 + 0.9 * abs(math.sin(point[j])))
     if action.margin(point) <= 1e-3:
         point[0] += 1.0

@@ -75,6 +75,11 @@ def test_path_validation():
         GPath(G, (0.0, 0.0), [LinearSeg((math.nan, 0.0), 1.0)])
     with pytest.raises(PathError):
         GPath(G, (0.0,), [LinearSeg((1.0, 0.0), 1.0)])
+    with pytest.raises(PathError, match="unknown segment type tuple"):
+        GPath(G, (0.0, 0.0), [LinearSeg((1.0, 0.0), 1.0), (1.0, 0.0)])
+    # finite velocities, but the group point after the segment overflows
+    with pytest.raises(PathError, match="group points are not finite"):
+        GPath(G, (1e308, 0.0), [LinearSeg((1e308, 0.0), 1.0)])
 
 
 @pytest.mark.parametrize("durations", [

@@ -74,6 +74,16 @@ def test_zeta_outside_domain_raises(helicoid):
         helicoid.zeta((1.0, 0.0), (0.0, 0.0, 1.0))
 
 
+def test_zeta_and_rhs_take_d_coefficients(helicoid):
+    for X in ((1.0,), (1.0, 0.0, 0.0)):
+        with pytest.raises(ActionError, match="d-vector"):
+            helicoid.zeta(X, (1.0, 0.0, 1.0))
+        with pytest.raises(ActionError, match="d-vector"):
+            helicoid.rhs(X)
+    with pytest.raises(ActionError, match="d-vector"):
+        helicoid.zeta(("a", 1.0), (1.0, 0.0, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # domain membership and margins
 
@@ -101,14 +111,40 @@ def test_box_margins():
     (("x",), ((1.0, 1.0),), "lo < hi"),
     (("x",), ((2.0, 1.0),), "lo < hi"),
     (("x",), ((0.0, 1.0, 2.0),), "\\(lo, hi\\) pairs"),
-], ids=["empty", "repeated", "box-length", "lo-equals-hi", "lo-above-hi", "three-numbers"])
+    (("x",), (1.0,), "\\(lo, hi\\) pairs"),
+    (("x",), ((math.nan, 1.0),), "numbers or None"),
+    (("x",), (("a", None),), "numbers or None"),
+    (("x",), ((math.inf, None),), "lo < hi"),
+], ids=["empty", "repeated", "box-length", "lo-equals-hi", "lo-above-hi", "three-numbers",
+        "not-a-pair", "nan-side", "string-side", "open-lo-above-hi"])
 def test_malformed_domains_are_domain_errors(coords, box, message):
     with pytest.raises(DomainError, match=message):
         Domain(coords, box=box)
 
 
+def test_an_open_side_has_one_form():
+    # no box, a None entry, a None side and an infinite side all store (-inf, inf) sides
+    forms = [((None, 1.0), None), ((-math.inf, 1.0), (None, None)), ((-math.inf, 1.0), (-math.inf, math.inf))]
+    domains = [Domain(("x", "y"), box=box) for box in forms]
+    assert all(d == domains[0] for d in domains)
+    assert domains[0].box == ((-math.inf, 1.0), (-math.inf, math.inf))
+    assert Domain(("x",)).box == ((-math.inf, math.inf),)
+    assert {tuple(str(Expr(t)) for t in d.terms) for d in domains} == {("1 - x",)}
+    # [d/dx, x*y d/dy] = y d/dy is not zero; open sides are sampled over +-2, however written
+    fields = [[parse("1"), parse("0")], [parse("0"), parse("x*y")]]
+    residuals = {check_homomorphism(GAction(AbelianGroup(2), d, fields), 50) for d in domains}
+    assert len(residuals) == 1 and 1.0 < residuals.pop() < 2.0
+
+
+def test_margins_and_fields_must_be_expressions():
+    with pytest.raises(DomainError, match="expressions"):
+        Domain(("x",), margins=("x",))
+    with pytest.raises(ActionError, match="expressions"):
+        GAction(AbelianGroup(1), Domain(("x",)), [["x"]])
+
+
 def test_box_walls_are_margin_terms():
-    # the margin expressions first, then x - lo or hi - x per given box side
+    # the margin expressions first, then x - lo or hi - x per finite box side
     domain = Domain(("x", "y"), box=((0.0, None), (-1.0, 2.0)), margins=(parse("x*y"),))
     assert [str(Expr(t)) for t in domain.terms] == ["x * y", "x - 0", "y - (-1)", "2 - y"]
     assert Domain(("x",)).terms == []

@@ -161,6 +161,9 @@ def test_leaf_invariant_validation():
         leaf_invariant(1.0, (0.0, 0.0), (0.0, 0.0, 1.0))
     with pytest.raises(ScenarioError):
         leaf_invariant(1.0, (0.0,), (1.0, 0.0, 1.0))
+    for g, x in [((0.0, "a"), (1.0, 0.0, 1.0)), ((0.0, 0.0), (1.0, None, 1.0)), (5.0, (1.0, 0.0, 1.0))]:
+        with pytest.raises(ScenarioError, match="expects g in R\\^2"):
+            leaf_invariant(1.0, g, x)
 
 
 def test_invariants_match_wraps_around():
