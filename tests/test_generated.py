@@ -46,6 +46,8 @@ from liecomplete.lift import ExpSeg, GPath, LinearSeg, PathError, _resolve, lift
 from liecomplete.manifold import Domain, GAction
 from liecomplete.scenarios import build, circle_loop_path
 
+from scenario_oracles import oracle_z
+
 SCENARIOS = [
     ("translation_rn", {"n": 1}),
     ("translation_rn", {"n": 2}),
@@ -788,6 +790,54 @@ def test_graze_lift_bytes_are_unchanged():
                 res.rows)
     assert (statuses.count("complete"), statuses.count("escaped")) == (144, 56)
     assert h.hexdigest() == "2340f23eb7190712e72b2d125c420bfbbbf63a3fa29371a3b3d38be0dc900cba"
+
+
+def _graze_oracle(p0, delta, z0):
+    """The closed-form lift of a graze line: ``("escaped", t)``, ``("complete", z, turns)`` or None.
+
+    The margin is the squared distance r^2 to the axis, and the line comes
+    within d of it; a line with d^2 within a factor 2 of ``ESCAPE_MARGIN``
+    either way has no verdict the tolerances decide (None).  An escaping
+    line leaves at the first root of |p0 + t delta|^2 = eps; a complete one
+    winds by the angle its ends subtend at the axis.
+    """
+    eps = ESCAPE_MARGIN
+    d2 = (p0[0] * delta[1] - p0[1] * delta[0]) ** 2 / (delta[0] ** 2 + delta[1] ** 2)
+    if 0.5 * eps < d2 < 2.0 * eps:
+        return None
+    if d2 <= 0.5 * eps:
+        a = delta[0] ** 2 + delta[1] ** 2
+        b = 2.0 * (p0[0] * delta[0] + p0[1] * delta[1])
+        c = p0[0] ** 2 + p0[1] ** 2 - eps
+        # c > 0 > b, so the smaller root is the stable 2c / (-b + sqrt)
+        return "escaped", 2.0 * c / (-b + math.sqrt(b * b - 4.0 * a * c))
+    p1 = (p0[0] + delta[0], p0[1] + delta[1])
+    dtheta = math.atan2(p0[0] * p1[1] - p0[1] * p1[0], p0[0] * p1[0] + p0[1] * p1[1])
+    return "complete", oracle_z(1.0, z0, dtheta), dtheta / math.tau
+
+
+def test_graze_lifts_meet_the_closed_form():
+    # bounds from the tolerances (rel 1e-9, escape bracket ESCAPE_TIME_WIDTH),
+    # as perfbench's graze oracle sets them, not from observed errors
+    helicoid = build("example6_helicoid").action
+    worst = {"z": 0.0, "winding": 0.0, "escape_time": 0.0}
+    checked = 0
+    for p0, delta, z0 in graze_lines():
+        expected = _graze_oracle(p0, delta, z0)
+        if expected is None:
+            continue
+        checked += 1
+        res = lift_path(helicoid, GPath(helicoid.group, (0.0, 0.0), [LinearSeg(delta, 1.0)]),
+                        (*p0, z0))
+        assert res.status == expected[0], (p0, delta, z0)
+        if res.status == "escaped":
+            worst["escape_time"] = max(worst["escape_time"], abs(res.escape_time - expected[1]))
+        else:
+            worst["z"] = max(worst["z"], abs(res.endpoint_m[2] - expected[1]) / abs(expected[1]))
+            worst["winding"] = max(worst["winding"], abs(res.winding - expected[2]))
+    assert checked == 187
+    assert worst["z"] <= 1e-6 and worst["winding"] <= 1e-9, worst
+    assert worst["escape_time"] <= ESCAPE_TIME_WIDTH, worst
 
 
 # ---------------------------------------------------------------------------
