@@ -457,7 +457,12 @@ def _to_str(node: Node, parent_prec: int = 0) -> str:
 # Compilation to plain Python for hot loops
 
 
-def _render_py(node: Node, name_map: Mapping[str, str]) -> str:
+def _render_py(node: Node, name_map: Mapping[str, str], temps: Mapping[str, str] = {}) -> str:
+    """Fully parenthesised Python source of ``node``, with names as ``name_map`` gives them.
+
+    A subtree whose source (with its own subtrees so replaced) is a key of
+    ``temps`` is the name that ``temps`` gives it (:func:`_shared_subtrees`).
+    """
     if isinstance(node, Num):
         return _py_float(node.value)
     if isinstance(node, Var):
@@ -466,21 +471,81 @@ def _render_py(node: Node, name_map: Mapping[str, str]) -> str:
         except KeyError:
             raise ExprNameError(f"unbound name {node.name!r}") from None
     if isinstance(node, Neg):
-        return f"(-{_render_py(node.arg, name_map)})"
-    if isinstance(node, Bin):
-        left, right = _render_py(node.left, name_map), _render_py(node.right, name_map)
+        src = f"(-{_render_py(node.arg, name_map, temps)})"
+    elif isinstance(node, Bin):
+        left, right = _render_py(node.left, name_map, temps), _render_py(node.right, name_map, temps)
         # 1.0 * x, x * 1.0 and x / 1.0 are x for every float, NaN and -0.0 included;
         # with -1.0 they are -x but for the sign of a NaN, which no result reads
         if right in ("1.0", "(-1.0)") and node.op in "*/":
-            return left if right == "1.0" else f"(-{left})"
-        if left in ("1.0", "(-1.0)") and node.op == "*":
-            return right if left == "1.0" else f"(-{right})"
-        return f"({left} {node.op} {right})"
+            src = left if right == "1.0" else f"(-{left})"
+        elif left in ("1.0", "(-1.0)") and node.op == "*":
+            src = right if left == "1.0" else f"(-{right})"
+        else:
+            src = f"({left} {node.op} {right})"
+    elif isinstance(node, Pow):
+        src = f"({_render_py(node.base, name_map, temps)} ** {node.exponent})"
+    elif isinstance(node, Call):
+        src = f"_{node.fn}({', '.join(_render_py(a, name_map, temps) for a in node.args)})"
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    return temps.get(src, src)
+
+
+def _children(node: Node) -> tuple:
+    if isinstance(node, Neg):
+        return (node.arg,)
+    if isinstance(node, Bin):
+        return (node.left, node.right)
     if isinstance(node, Pow):
-        return f"({_render_py(node.base, name_map)} ** {node.exponent})"
+        return (node.base,)
     if isinstance(node, Call):
-        return f"_{node.fn}({', '.join(_render_py(a, name_map) for a in node.args)})"
-    raise TypeError(f"not an expression node: {node!r}")
+        return node.args
+    return ()
+
+
+def _reads(node: Node, names) -> bool:
+    """Whether ``node`` reads any of ``names``."""
+    if isinstance(node, Var):
+        return node.name in names
+    return any(_reads(child, names) for child in _children(node))
+
+
+def _shared_subtrees(nodes: Iterable[Node], name_map: Mapping[str, str], args) -> tuple:
+    """``(lines, temps)``: each subtree that rendering ``nodes`` would compute more than once, computed once.
+
+    Subtrees are the same when their sources are (:func:`_render_py`); the
+    repeats are counted over all of ``nodes``, a repeat's own subtrees once.
+    A repeated subtree that is not a leaf and reads one of the names
+    ``args`` gets a name ``_t0, _t1, ...``: ``lines`` are the assignments
+    ``_tK = source``, each after those of its own subtrees, and ``temps``
+    passed to :func:`_render_py` renders the subtree as its name.  A
+    subtree that reads no argument stays inline, where Python folds it.  A
+    pure expression has the same value wherever it is computed.
+    """
+    counts: dict = {}
+    order = []   # the first occurrence of each source, its own subtrees first
+
+    def count(node):
+        if isinstance(node, (Num, Var)):
+            return
+        key = _render_py(node, name_map)
+        seen = key in counts
+        counts[key] = counts.get(key, 0) + 1
+        if not seen:
+            for child in _children(node):
+                count(child)
+            order.append((key, node))
+
+    for node in nodes:
+        count(node)
+    temps: dict = {}
+    lines = []
+    for key, node in order:
+        if counts[key] > 1 and _reads(node, args):
+            src = _render_py(node, name_map, temps)
+            temps[src] = f"_t{len(lines)}"
+            lines.append(f"_t{len(lines)} = {src}")
+    return lines, temps
 
 
 def _py_sign(v: float) -> float:

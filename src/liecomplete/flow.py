@@ -139,9 +139,11 @@ def _step_lines(n: int, inline=None) -> list:
     """Source lines of one DP5 step for states of length n.
 
     With ``inline`` None this is ``step(rhs, y, f0, h, atol, rtol)``, which
-    calls ``rhs`` on a list at each stage.  Otherwise ``inline`` is the source
-    of the n components of the rhs at the point ``_v0, _v1, ...``, and the
-    step is ``step(y, f0, h, atol, rtol)`` with them in place of each call.
+    calls ``rhs`` on a list at each stage.  Otherwise ``inline`` is ``(lines,
+    comps)``: ``comps`` is the source of the n components of the rhs at the
+    point ``_v0, _v1, ...``, which may read the temps that ``lines`` assign
+    (the subtrees they share, computed once), and the step is ``step(y, f0,
+    h, atol, rtol)`` with both in place of each call.
 
     It returns ``(y1, f1, err)``, with ``f1`` the rhs at ``y1`` and ``err``
     the RMS of the embedded error estimate scaled by ``atol + rtol *
@@ -155,7 +157,8 @@ def _step_lines(n: int, inline=None) -> list:
     def call(dest, args):
         if inline is None:
             return [f"{_names(dest, n)}= rhs([{', '.join(args)}])"]
-        return [f"{_names('_v', n)}= {_tuple(args)}", f"{_names(dest, n)}= {_tuple(inline)}"]
+        temps, comps = inline
+        return [f"{_names('_v', n)}= {_tuple(args)}", *temps, f"{_names(dest, n)}= {_tuple(comps)}"]
 
     def stage(row, i):
         # x + h * (a1 * k1 + ...); the first stage groups as x + (h * a21) * k1

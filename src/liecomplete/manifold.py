@@ -19,8 +19,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from ._record import InputError, Record
 from .expr import (
-    Bin, Expr, ExprNameError, Num, Var, _define, _is_const, _name_map, _render_py, checked,
-    compile_scalars,
+    Bin, Expr, ExprNameError, Num, Var, _define, _is_const, _name_map, _render_py,
+    _shared_subtrees, checked, compile_scalars,
 )
 from .flow import _names, _scan_lines, _step_lines
 
@@ -175,20 +175,23 @@ def _compile_contraction(fields, rows: tuple, coords, params) -> Callable:
     left out and literal-1 entries are the bare coefficient, neither of
     which changes the sum.  The leading ``0.0 +`` (which turns a -0.0
     product into 0.0) is dropped only before a bare coefficient, which is
-    never zero.  Each rhs carries the attribute ``step``, the integrator's
-    DP5 step with the contraction inlined (:func:`liecomplete.flow._step_lines`);
-    the coefficients are cells of both closures.
+    never zero.  A subtree that the fields compute more than once across
+    the components is computed once, into a temp ``_tK`` before the
+    components (:func:`liecomplete.expr._shared_subtrees`); the values are
+    the same, and a raise is still one of ``EVAL_ERRORS``.  Each rhs carries
+    the attribute ``step``, the integrator's DP5 step with the contraction
+    and its temps inlined (:func:`liecomplete.flow._step_lines`); the
+    coefficients are cells of both closures.
     """
     names = _name_map(coords, params)
+    used = [[(i, fields[i][j].node) for i in rows if not _is_const(fields[i][j].node, 0.0)]
+            for j in range(len(coords))]
+    temps_lines, temps = _shared_subtrees(
+        [node for terms in used for _, node in terms if not _is_const(node, 1.0)], names, coords)
     comps = []
-    for j in range(len(coords)):
-        terms = []
-        for i in rows:
-            node = fields[i][j].node
-            if _is_const(node, 1.0):
-                terms.append(f"_c{i}")
-            elif not _is_const(node, 0.0):
-                terms.append(f"_c{i} * {_render_py(node, names)}")
+    for terms in used:
+        terms = [f"_c{i}" if _is_const(node, 1.0) else f"_c{i} * {_render_py(node, names, temps)}"
+                 for i, node in terms]
         if not terms or "*" in terms[0]:
             terms.insert(0, "0.0")
         comps.append(" + ".join(terms))
@@ -196,8 +199,9 @@ def _compile_contraction(fields, rows: tuple, coords, params) -> Callable:
         f"def _make({', '.join(f'_c{i}' for i in rows)}):",
         "    def _rhs(y):",
         f"        {_names('_v', len(coords))}= y",
+        *("        " + line for line in temps_lines),
         f"        return [{', '.join(comps)}]",
-        *("    " + line for line in _step_lines(len(coords), comps)),
+        *("    " + line for line in _step_lines(len(coords), (temps_lines, comps))),
         "    _rhs.step = step",
         "    return _rhs",
     ])

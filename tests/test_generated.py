@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liecomplete import flow
+from liecomplete import flow, manifold
 from liecomplete.algebra import AbelianGroup
 from liecomplete.completion import (
     _GL2_OFFSET, _MAGNUS4, FRAME_CONDITION_LIMIT, ORBIT_RESIDUAL_REL, FrameConditionError,
@@ -75,21 +75,18 @@ def _bits(values):
 
 def loop_rhs(action, X):
     """y -> sum_i X_i zeta_i(y), accumulated row by row into a zeroed list."""
-    d, n = action.dim_algebra, action.dim_manifold
+    n = action.dim_manifold
     coeffs = [float(v) for v in X]
-    field_fn = compile_scalars(
-        [e for row in action.fields for e in row], action.domain.coords, action.params
-    )
+    # one function per row, so that a row whose coefficient is zero is not evaluated
+    row_fns = [compile_scalars(row, action.domain.coords, action.params) for row in action.fields]
 
     def f(y):
-        flat = field_fn(*y)
         out = [0.0] * n
-        for i in range(d):
-            ci = coeffs[i]
+        for ci, row_fn in zip(coeffs, row_fns):
             if ci != 0.0:
-                base = i * n
+                row = row_fn(*y)
                 for j in range(n):
-                    out[j] += ci * flat[base + j]
+                    out[j] += ci * row[j]
         return out
 
     return f
@@ -449,6 +446,51 @@ def test_dp5_step_matches_the_loop_for_any_n(y, h, c):
     if ref is not None:
         y1, k7, _ = ref
         _assert_same_scans(action, y, f0, y1, k7, h)
+
+
+def _shared_action():
+    """Fields that share subtrees across components and rows; their stages raise where z < -5."""
+    fields = [[parse("x*y/(x^2 + 1)"), parse("y/(x^2 + 1)"), parse("sqrt(z + 5)")],
+              [parse("sqrt(z + 5)*x"), parse("1"), parse("y/(x^2 + 1) - 2")]]
+    return GAction(AbelianGroup(2), Domain(("x", "y", "z")), fields)
+
+
+def test_helicoid_step_computes_the_shared_square_once_per_stage(monkeypatch):
+    sources = []
+    define = manifold._define
+    monkeypatch.setattr(manifold, "_define", lambda src: sources.append(src) or define(src))
+    build("example6_helicoid").action.rhs([1.0, 0.5])
+    lines = [line.strip() for line in sources[-1].splitlines()]
+    # the rhs's point, then the points of the six rhs calls of the step
+    starts = [k for k, line in enumerate(lines) if line.startswith("_v0, _v1, _v2, =")] + [len(lines)]
+    assert len(starts) == 8
+    for a, b in zip(starts, starts[1:]):
+        assert sum(line.count("((_v0 ** 2) + (_v1 ** 2))") for line in lines[a:b]) == 1
+
+
+def test_dp5_step_with_shared_subtrees_matches_the_loop():
+    action = _shared_action()
+    hits = {"step": 0, "none": 0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(y=st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=3, max_size=3),
+           X=st.lists(step_coefficient, min_size=2, max_size=2), h=step_size)
+    def check(y, X, h):
+        rhs, ref_rhs = action.rhs(X), loop_rhs(action, X)
+        try:
+            f0 = ref_rhs(y)
+        except EVAL_ERRORS:
+            with pytest.raises(EVAL_ERRORS):
+                rhs(y)
+            return
+        assert _bits(rhs(y)) == _bits(f0)
+        ref = loop_step(ref_rhs, y, f0, h, 1e-12, 1e-9)
+        _assert_same_step(rhs.step(y, f0, h, 1e-12, 1e-9), ref)
+        _assert_same_step(_dp5_kernels(3)(rhs, y, f0, h, 1e-12, 1e-9), ref)
+        hits["none" if ref is None else "step"] += 1
+
+    check()
+    assert hits["step"] >= 50 and hits["none"] >= 20, hits
 
 
 @pytest.mark.parametrize("field, y, f0, h, atol", [
