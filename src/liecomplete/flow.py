@@ -1,28 +1,40 @@
 """The adaptive integrator behind every lift, with escape detection.
 
-The integrator is an embedded Dormand-Prince 5(4) pair with FSAL and a PI-free
-step controller.  Its step, first-step norm, lazy cubic Hermite interpolant
-and the margins at the interpolant's interior samples and at the step's end
-are generated as straight-line Python.  One generator emits the step in two
-forms with the same bits: the generic one calls a plain ``rhs`` and is
-generated once per state dimension; the other inlines an action's own
-contraction, and ``GAction`` generates it on first use and hands it over as
-``rhs.step``.  The margin scan is generated only with an action's margin
-inlined (``margin.scan``); a plain ``margin`` is called at the points the
-interpolant gives, which are the same floats.  Each committed step is handed
-to the caller's ``on_step``, from which a lift records its trace rows and its
-winding.  Escape from the open domain is
-detected by one scan of the domain margin along each accepted step: it
-commits the step at once when none of the five samples (ends plus interior)
-is near the escape level ``ESCAPE_MARGIN`` or well below the others, and
-refines the rest by a golden-section dip search and the escape search.  A
-step whose margin dips well below both of its ends is retried so that it
-ends at the dip, so fast transits past a thin excluded set are not stepped
-over.  The escape time is refined by bisection on the margin against the
-escape threshold, to a bracket ``ESCAPE_TIME_WIDTH`` wide.  Every retried
-step, whether a stage failed, the error test failed or the margin dipped,
-shrinks the step size in one place, which also ends the run as a
-low-confidence escape once the size falls below ``STEP_COLLAPSE``.
+The integrator is an embedded Dormand-Prince 5(4) pair with FSAL.  After an
+accepted step of size ``h`` with error ``err > 0`` the size is multiplied by
+the standard factor ``min(5, max(0.2, 0.9 err^-1/5))`` (by 5 when ``err`` is
+0); from the second accepted step of a call on, that factor is also held to
+Gustafsson's predictive one, ``max(0.2, 0.9 (h / h_acc) (err_acc /
+err^2)^1/5)``, with ``h_acc`` the size of the accepted step before and
+``err_acc`` its error, at least 1e-2 (Gustafsson, ACM TOMS 20, 1994; Hairer &
+Wanner, Solving ODEs II, IV.8, as in RADAU5).  Where the error grows along the
+run, as on a pass near a field's singular set, the standard factor alone
+accepts a step and rejects the next, over and over; the predictive one shrinks
+the step before it is rejected.  Its state restarts with each call, so the
+first step of every segment is decided by the standard factor alone, and a
+single loop over a path's segments must reset it at every joint to take the
+same steps.  Its step, first-step norm, lazy cubic Hermite interpolant and the
+margins at the interpolant's interior samples and at the step's end are
+generated as straight-line Python.  One generator emits the step in two forms
+with the same bits: the generic one calls a plain ``rhs`` and is generated
+once per state dimension; the other inlines an action's own contraction, with
+the subtrees its components share computed once per stage, and ``GAction``
+generates it on first use and hands it over as ``rhs.step``.  The margin scan
+is generated only with an action's margin inlined (``margin.scan``); a plain
+``margin`` is called at the points the interpolant gives, which are the same
+floats.  Each committed step is handed to the caller's ``on_step``, from which
+a lift records its trace rows and its winding.  Escape from the open domain is
+detected by one scan of the domain margin along each accepted step: it commits
+the step at once when none of the five samples (ends plus interior) is near
+the escape level ``ESCAPE_MARGIN`` or well below the others, and refines the
+rest by a golden-section dip search and the escape search.  A step whose
+margin dips well below both of its ends is retried so that it ends at the dip,
+so fast transits past a thin excluded set are not stepped over.  The escape
+time is refined by bisection on the margin against the escape threshold, to a
+bracket ``ESCAPE_TIME_WIDTH`` wide.  Every retried step, whether a stage
+failed, the error test failed or the margin dipped, shrinks the step size in
+one place, which also ends the run as a low-confidence escape once the size
+falls below ``STEP_COLLAPSE``.
 
 A dip search is skipped, with the same outcome, when the margin carries a
 lower bound over boxes (``margin.lower``, as the margin ``GAction`` generates
@@ -437,6 +449,7 @@ def integrate_autonomous(
     h = min(duration, (0.01 / d1) ** 0.2) if 0.0 < d1 < math.inf else duration
 
     steps = 0
+    h_acc = err_acc = None   # the last accepted step's size, and its error but at least 1e-2
     while steps < cfg.max_steps:
         remaining = duration - t
         if remaining <= 0.0:
@@ -465,7 +478,14 @@ def integrate_autonomous(
                 if h == remaining:   # the last step
                     return COMPLETE, t, tuple(y1), steps, False
                 y, f0, m_curr = y1, k7, ms[4]
-                h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                if err == 0.0:
+                    fac = 5.0
+                else:
+                    fac = min(5.0, max(0.2, 0.9 * err ** -0.2))
+                    if h_acc is not None:   # the predictive factor; err ** 2 could underflow to 0
+                        fac = min(fac, max(0.2, 0.9 * (h / h_acc) * err_acc ** 0.2 / err ** 0.4))
+                h_acc, err_acc = h, max(err, 1e-2)
+                h *= fac
                 continue
             if found[0] == "escape":
                 _, s_cut, s_mid, low = found

@@ -84,7 +84,7 @@ def test_traced_graze_line_is_the_untraced_one(monkeypatch, tmp_path):
     finally:
         tracer.restore()
     assert traced == plain
-    assert (skipped, len(searches)) == (0, 20)
+    assert (skipped, len(searches)) == (0, 27)
 
 
 def test_traced_loop_to_group_is_the_untraced_one(monkeypatch, tmp_path):
