@@ -348,9 +348,12 @@ class MatrixGroup(Record):
         """
         import numpy as np
         X = _last_axes(X, (self.dim,), "algebra vector")
+        t = np.asarray(t, dtype=float)
+        if t.ndim and t.shape != X.shape[:-1]:
+            raise AlgebraError("exp_segment takes one time or one per row")
         A = np.einsum("...i,ijk->...jk", X, self.basis)
         with np.errstate(over="ignore", invalid="ignore"):
-            E = _expm(np.asarray(t, dtype=float)[..., None, None] * A)
+            E = _expm(t[..., None, None] * A)
         if not np.isfinite(E).all():
             raise AlgebraError("matrix exponential is not finite")
         return E

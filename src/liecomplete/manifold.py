@@ -276,7 +276,11 @@ class GAction:
             raise OutsideDomainError(
                 f"point has {len(p)} coordinates, expected {self.dim_manifold}"
             )
-        if not self.contains(p):
+        try:
+            vals = [float(v) for v in p]
+        except (TypeError, ValueError, OverflowError):
+            raise OutsideDomainError(f"point {list(p)} is not a list of numbers") from None
+        if not self.contains(vals):
             raise OutsideDomainError(f"point {list(p)} is outside the domain")
 
     # -- field evaluation ---------------------------------------------------
@@ -308,7 +312,10 @@ class GAction:
         rows whose coefficient is zero are not evaluated.  The function
         carries ``step``, the integrator's DP5 step with it inlined.
         """
-        coeffs = list(map(float, X))
+        try:
+            coeffs = list(map(float, X))
+        except (TypeError, ValueError, OverflowError):
+            raise ActionError("rhs expects a d-vector of algebra coefficients") from None
         return self._contraction(tuple(map(bool, coeffs)))(*filter(None, coeffs))
 
     def _contraction(self, nonzero: tuple) -> Callable:

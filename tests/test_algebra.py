@@ -165,6 +165,17 @@ def test_exp_segment_zero_is_identity():
     assert np.allclose(G.exp_segment((0.4, 1.3), 0.0), np.eye(2))
 
 
+def test_matrix_exp_segment_takes_one_time_or_one_per_row():
+    G = MatrixGroup(AFF_BASIS)
+    stack = [(0.4, 1.3)] * 3
+    for t in ([1.0, 2.0], [1.0] * 4, [[1.0, 2.0, 3.0]], [1.0]):
+        with pytest.raises(AlgebraError, match="one time or one per row"):
+            G.exp_segment(stack, t)
+    with pytest.raises(AlgebraError, match="one time or one per row"):
+        G.exp_segment((0.4, 1.3), [1.0, 2.0])
+    assert np.array_equal(G.exp_segment(stack, [2.0] * 3), G.exp_segment(stack, 2.0))
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     X=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
