@@ -473,7 +473,8 @@ def _render_py(node: Node, name_map: Mapping[str, str], temps: Mapping[str, str]
     if isinstance(node, Neg):
         src = f"(-{_render_py(node.arg, name_map, temps)})"
     elif isinstance(node, Bin):
-        left, right = _render_py(node.left, name_map, temps), _render_py(node.right, name_map, temps)
+        left = _render_py(node.left, name_map, temps)
+        right = _render_py(node.right, name_map, temps)
         # 1.0 * x, x * 1.0 and x / 1.0 are x for every float, NaN and -0.0 included;
         # with -1.0 they are -x but for the sign of a NaN, which no result reads
         if right in ("1.0", "(-1.0)") and node.op in "*/":
@@ -503,24 +504,16 @@ def _children(node: Node) -> tuple:
     return ()
 
 
-def _reads(node: Node, names) -> bool:
-    """Whether ``node`` reads any of ``names``."""
-    if isinstance(node, Var):
-        return node.name in names
-    return any(_reads(child, names) for child in _children(node))
-
-
-def _shared_subtrees(nodes: Iterable[Node], name_map: Mapping[str, str], args) -> tuple:
-    """``(lines, temps)``: each subtree that rendering ``nodes`` would compute more than once, computed once.
+def _shared_subtrees(nodes: Iterable[Node], name_map: Mapping[str, str]) -> tuple:
+    """``(lines, temps)`` that compute once each subtree that rendering ``nodes`` repeats.
 
     Subtrees are the same when their sources are (:func:`_render_py`); the
     repeats are counted over all of ``nodes``, a repeat's own subtrees once.
-    A repeated subtree that is not a leaf and reads one of the names
-    ``args`` gets a name ``_t0, _t1, ...``: ``lines`` are the assignments
-    ``_tK = source``, each after those of its own subtrees, and ``temps``
-    passed to :func:`_render_py` renders the subtree as its name.  A
-    subtree that reads no argument stays inline, where Python folds it.  A
-    pure expression has the same value wherever it is computed.
+    A repeated subtree that is not a leaf gets a name ``_t0, _t1, ...``:
+    ``lines`` are the assignments ``_tK = source``, each after those of its
+    own subtrees, and ``temps`` passed to :func:`_render_py` renders the
+    subtree as its name.  A pure expression has the same value wherever it
+    is computed.
     """
     counts: dict = {}
     order = []   # the first occurrence of each source, its own subtrees first
@@ -541,7 +534,7 @@ def _shared_subtrees(nodes: Iterable[Node], name_map: Mapping[str, str], args) -
     temps: dict = {}
     lines = []
     for key, node in order:
-        if counts[key] > 1 and _reads(node, args):
+        if counts[key] > 1:
             src = _render_py(node, name_map, temps)
             temps[src] = f"_t{len(lines)}"
             lines.append(f"_t{len(lines)} = {src}")

@@ -170,7 +170,8 @@ def _step_lines(n: int, inline=None) -> list:
         if inline is None:
             return [f"{_names(dest, n)}= rhs([{', '.join(args)}])"]
         temps, comps = inline
-        return [f"{_names('_v', n)}= {_tuple(args)}", *temps, f"{_names(dest, n)}= {_tuple(comps)}"]
+        return [f"{_names('_v', n)}= {_tuple(args)}", *temps,
+                f"{_names(dest, n)}= {_tuple(comps)}"]
 
     def stage(row, i):
         # x + h * (a1 * k1 + ...); the first stage groups as x + (h * a21) * k1

@@ -186,8 +186,7 @@ def _compile_contraction(fields, rows: tuple, coords, params) -> Callable:
     names = _name_map(coords, params)
     used = [[(i, fields[i][j].node) for i in rows if not _is_const(fields[i][j].node, 0.0)]
             for j in range(len(coords))]
-    temps_lines, temps = _shared_subtrees(
-        [node for terms in used for _, node in terms if not _is_const(node, 1.0)], names, coords)
+    temps_lines, temps = _shared_subtrees([node for terms in used for _, node in terms], names)
     comps = []
     for terms in used:
         terms = [f"_c{i}" if _is_const(node, 1.0) else f"_c{i} * {_render_py(node, names, temps)}"

@@ -462,7 +462,8 @@ def test_helicoid_step_computes_the_shared_square_once_per_stage(monkeypatch):
     build("example6_helicoid").action.rhs([1.0, 0.5])
     lines = [line.strip() for line in sources[-1].splitlines()]
     # the rhs's point, then the points of the six rhs calls of the step
-    starts = [k for k, line in enumerate(lines) if line.startswith("_v0, _v1, _v2, =")] + [len(lines)]
+    starts = [k for k, line in enumerate(lines) if line.startswith("_v0, _v1, _v2, =")]
+    starts.append(len(lines))
     assert len(starts) == 8
     for a, b in zip(starts, starts[1:]):
         assert sum(line.count("((_v0 ** 2) + (_v1 ** 2))") for line in lines[a:b]) == 1
@@ -835,7 +836,7 @@ def test_graze_lift_bytes_are_unchanged():
 
 
 def _graze_oracle(p0, delta, z0):
-    """The closed-form lift of a graze line: ``("escaped", t)``, ``("complete", z, turns)`` or None.
+    """A graze line's closed-form lift: ``("escaped", t)``, ``("complete", z, turns)`` or None.
 
     The margin is the squared distance r^2 to the axis, and the line comes
     within d of it; a line with d^2 within a factor 2 of ``ESCAPE_MARGIN``
