@@ -450,23 +450,29 @@ def test_dp5_step_matches_the_loop_for_any_n(y, h, c):
 
 def _shared_action():
     """Fields that share subtrees across components and rows; their stages raise where z < -5."""
-    fields = [[parse("x*y/(x^2 + 1)"), parse("y/(x^2 + 1)"), parse("sqrt(z + 5)")],
+    fields = [[parse("y/(x^2 + 1)"), parse("x*y/(x^2 + 1)"), parse("sqrt(z + 5)")],
               [parse("sqrt(z + 5)*x"), parse("1"), parse("y/(x^2 + 1) - 2")]]
     return GAction(AbelianGroup(2), Domain(("x", "y", "z")), fields)
 
 
-def test_helicoid_step_computes_the_shared_square_once_per_stage(monkeypatch):
+@pytest.mark.parametrize("make, shared", [
+    (lambda: build("example6_helicoid").action, ["((_v0 ** 2) + (_v1 ** 2))"]),
+    # y/(x^2 + 1), first, holds x^2 + 1, which x*y/(x^2 + 1) shares too
+    (_shared_action, ["((_v0 ** 2) + 1.0)", "_sqrt((_v2 + 5.0))", "(_v1 / "]),
+], ids=["helicoid", "nested"])
+def test_shared_subtrees_are_computed_once_per_stage(monkeypatch, make, shared):
     sources = []
     define = manifold._define
     monkeypatch.setattr(manifold, "_define", lambda src: sources.append(src) or define(src))
-    build("example6_helicoid").action.rhs([1.0, 0.5])
+    make().rhs([1.0, 0.5])
     lines = [line.strip() for line in sources[-1].splitlines()]
     # the rhs's point, then the points of the six rhs calls of the step
     starts = [k for k, line in enumerate(lines) if line.startswith("_v0, _v1, _v2, =")]
     starts.append(len(lines))
     assert len(starts) == 8
     for a, b in zip(starts, starts[1:]):
-        assert sum(line.count("((_v0 ** 2) + (_v1 ** 2))") for line in lines[a:b]) == 1
+        for text in shared:
+            assert sum(line.count(text) for line in lines[a:b]) == 1, (text, lines[a:b])
 
 
 def test_dp5_step_with_shared_subtrees_matches_the_loop():
