@@ -16,9 +16,12 @@ because it does the same operations in the same order.  Three whole-lift
 hashes pin every output of a long circle lift, of 200 lines past the
 helicoid axis and of 300 coarse circles whose steps the winding fold
 (``lift._turn``) subdivides, and a fourth pins the group elements and
-re-lift residuals of ``loop_to_group``.  The scan skips the dip searches
-that the margin's lower bound proves futile; three tests run each scan both
-with and without that shortcut, and the two must agree.
+re-lift residuals of ``loop_to_group``; the 200 lines are also checked
+against their closed form, within bounds set by the tolerances, which is
+what lets their hashes be re-pinned when the step sequence changes.  The
+scan skips the dip searches that the margin's lower bound proves futile;
+three tests run each scan both with and without that shortcut, and the two
+must agree.
 """
 
 import hashlib
