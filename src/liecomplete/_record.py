@@ -2,7 +2,10 @@
 
 Records are plain classes because ``dataclasses`` imports ``inspect`` and
 builds every class's methods with ``exec``, a large share of the time a CLI
-process spends importing the package.
+process spends importing the package.  A caller's numbers become floats by
+one rule, ``float()``'s: where it refuses a value, :func:`number`,
+:func:`floats` and :func:`array` raise the calling module's input error.
+They only convert; each caller keeps its own rule for NaN and inf.
 """
 
 _set = object.__setattr__
@@ -13,6 +16,49 @@ class InputError(ValueError):
 
     The command line maps it, and it alone, to the invalid-input exit code.
     """
+
+
+# What ``float()`` raises for a value that is not a number: None or a list,
+# a string such as "x", or an int past the float range such as 10**400.
+NOT_A_NUMBER = (TypeError, ValueError, OverflowError)
+
+
+def number(v, error: type, message: str) -> float:
+    """``float(v)``, or ``error(message)`` where ``float()`` refuses ``v``."""
+    try:
+        return float(v)
+    except NOT_A_NUMBER:
+        raise error(message) from None
+
+
+def floats(values, error: type, message: str, n=None) -> list:
+    """The list of ``float(v)`` over ``values`` (``n`` of them, if given), or ``error(message)``."""
+    try:
+        out = list(map(float, values))
+    except NOT_A_NUMBER:
+        raise error(message) from None
+    if n is not None and len(out) != n:
+        raise error(message)
+    return out
+
+
+def array(a, error: type, message: str):
+    """``a`` as a numpy float array by the rule of :func:`floats` (numpy reads None as NaN)."""
+    import numpy as np
+    try:
+        a = np.asarray(a)   # a ragged nesting raises ValueError
+        if a.dtype.kind not in "biuf":   # None, a big int or a string: through float()
+            a = np.array(list(map(float, a.ravel().tolist()))).reshape(a.shape)
+        return a.astype(float, copy=False)
+    except NOT_A_NUMBER:
+        raise error(message) from None
+
+
+def positive_int(n, error: type, name: str) -> int:
+    """``n`` if it is an int of at least 1, or ``error`` naming ``name``: a bool, float or NaN is no count."""
+    if type(n) is not int or n < 1:
+        raise error(f"{name} must be a positive integer")
+    return n
 
 
 def _by_value(v):

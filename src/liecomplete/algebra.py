@@ -23,7 +23,7 @@ from itertools import accumulate, product
 from operator import add, mul
 from typing import Optional, Sequence
 
-from ._record import InputError, Record
+from ._record import NOT_A_NUMBER, InputError, Record, array, floats, number
 
 JACOBI_TOL = 1e-12
 MODEL_COMMUTATOR_TOL = 1e-10
@@ -53,7 +53,7 @@ class LieAlgebra(Record):
     def __init__(self, c, basis_names: Sequence[str] = ()):
         try:
             c = tuple(tuple(tuple(map(float, row)) for row in plane) for plane in c)
-        except (TypeError, ValueError):
+        except NOT_A_NUMBER:
             c = None
         d = len(c or ())
         if c is None or any(len(plane) != d or any(len(row) != d for row in plane) for plane in c):
@@ -103,7 +103,7 @@ def structure_constants_from_matrix_basis(basis):
     exactly antisymmetric.
     """
     import numpy as np
-    basis = np.asarray(basis, dtype=float)
+    basis = array(basis, AlgebraError, "matrix basis must have shape (d, n, n)")
     d = basis.shape[0]
     flat = basis.reshape(d, -1).T  # (n*n, d)
     c = np.zeros((d, d, d))
@@ -123,8 +123,7 @@ def structure_constants_from_matrix_basis(basis):
 
 def _last_axes(a, shape: tuple, what: str):
     """``a`` as a float array whose trailing axes are ``shape``; an empty list is an empty stack."""
-    import numpy as np
-    a = np.asarray(a, dtype=float)
+    a = array(a, AlgebraError, f"{what} must hold numbers")
     if a.shape == (0,):
         a = a.reshape((0,) + shape)
     if a.shape[-len(shape):] != shape:
@@ -175,7 +174,9 @@ def _expm(A):
     after every squaring (Al-Mohy and Higham, SIMAX 2009, Code Fragment 2.1),
     so that scaling does not square up the rounding of its diagonal: a
     translation by 1e100 stays ``[[1, 1e100], [0, 1]]`` instead of decaying
-    to zero.
+    to zero.  Any other slice with such a norm still squares up the rounding
+    of its Padé value: ``[[-1e300, 1e300], [1e300, -1e300]]``, whose
+    exponential is ``[[0.5, 0.5], [0.5, 0.5]]``, comes out not finite.
     """
     import numpy as np
     shape, n = A.shape, A.shape[-1]
@@ -211,8 +212,8 @@ def _expm(A):
 
 
 def _is_stack(a) -> bool:
-    """Whether ``a`` is a stack of vectors rather than one vector of numbers."""
-    return len(a) == 0 or hasattr(a[0], "__iter__")
+    """Whether ``a`` is a stack of vectors: not one vector of numbers, nor a value without a length."""
+    return hasattr(a, "__len__") and (len(a) == 0 or hasattr(a[0], "__iter__"))
 
 
 class AbelianGroup(Record):
@@ -234,13 +235,7 @@ class AbelianGroup(Record):
         return (0.0,) * self.dim
 
     def element(self, data) -> tuple:
-        try:
-            g = tuple(map(float, data))
-        except (TypeError, ValueError):
-            g = ()
-        if len(g) != self.dim:
-            raise AlgebraError(f"abelian element must be a {self.dim}-vector")
-        return g
+        return tuple(floats(data, AlgebraError, f"abelian element must be a {self.dim}-vector", self.dim))
 
     def _columns(self, stack) -> list:
         """The d columns of a stack of d-vectors, as tuples of floats."""
@@ -248,7 +243,7 @@ class AbelianGroup(Record):
             return [()] * self.dim
         try:
             cols = [tuple(map(float, col)) for col in zip(*stack, strict=True)]
-        except (TypeError, ValueError):
+        except NOT_A_NUMBER:
             cols = []
         if len(cols) != self.dim:
             raise AlgebraError(f"a stack of abelian elements must hold {self.dim}-vectors")
@@ -264,11 +259,11 @@ class AbelianGroup(Record):
 
     def exp_segment(self, X, t=1.0):
         """t * X of a d-vector, or of each row of a stack; ``t`` may give one value per row."""
+        message = "exp_segment takes one time or one per row"
         if not _is_stack(X):
-            return tuple(float(t) * v for v in self.element(X))
-        ts = list(map(float, t)) if hasattr(t, "__iter__") else [float(t)] * len(X)
-        if len(ts) != len(X):
-            raise AlgebraError("exp_segment takes one time or one per row")
+            t = number(t, AlgebraError, message)
+            return tuple(t * v for v in self.element(X))
+        ts = floats(t if hasattr(t, "__iter__") else [t] * len(X), AlgebraError, message, len(X))
         return list(zip(*[map(mul, ts, col) for col in self._columns(X)]))
 
     def products(self, start, X) -> list:
@@ -298,13 +293,10 @@ class MatrixGroup(Record):
     kind = "matrix"
 
     def __init__(self, basis, basis_names: Sequence[str] = ()):
-        import numpy as np
-        try:
-            basis = np.asarray(basis, dtype=float)
-        except (TypeError, ValueError):   # ragged matrices or entries that are not numbers
-            basis = np.zeros(0)
+        message = "matrix basis must have shape (d, n, n)"
+        basis = array(basis, AlgebraError, message)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
-            raise AlgebraError("matrix basis must have shape (d, n, n)")
+            raise AlgebraError(message)
         super().__init__(basis, tuple(basis_names))
 
     @property
@@ -326,9 +318,10 @@ class MatrixGroup(Record):
 
     def element(self, data):
         import numpy as np
-        g = np.asarray(data, dtype=float)
+        message = f"matrix element must be {self.n}x{self.n}"
+        g = array(data, AlgebraError, message)
         if g.shape != (self.n, self.n):
-            raise AlgebraError(f"matrix element must be {self.n}x{self.n}")
+            raise AlgebraError(message)
         if abs(np.linalg.det(g)) <= SINGULAR_DET_TOL:
             raise SingularElementError("matrix element is numerically singular")
         return g
@@ -348,7 +341,7 @@ class MatrixGroup(Record):
         """
         import numpy as np
         X = _last_axes(X, (self.dim,), "algebra vector")
-        t = np.asarray(t, dtype=float)
+        t = array(t, AlgebraError, "exp_segment takes one time or one per row")
         if t.ndim and t.shape != X.shape[:-1]:
             raise AlgebraError("exp_segment takes one time or one per row")
         A = np.einsum("...i,ijk->...jk", X, self.basis)

@@ -24,7 +24,7 @@ import math
 import sys
 from typing import Optional
 
-from ._record import InputError
+from ._record import InputError, floats, positive_int
 from .algebra import AbelianGroup, MatrixGroup
 from .completion import isotropy, loop_to_group
 from .expr import parse as parse_expr
@@ -64,22 +64,16 @@ def _load_json(path: str, where: str) -> dict:
         raise InputError(f"{where}: invalid JSON ({e})") from None
 
 
-def _number(v) -> Optional[float]:
-    """A JSON number as a float; None for any other value and for an integer past the float range."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        return None
-    try:
-        return float(v)
-    except OverflowError:
-        return None
-
-
 def _floats(seq, where: str) -> list:
+    """A JSON list of finite numbers as floats: a bool, a string or an int past the float range is none."""
     if not isinstance(seq, list):
         raise InputError(f"{where} must be a list of numbers")
-    out = [_number(v) for v in seq]
-    if not all(v is not None and math.isfinite(v) for v in out):
-        raise InputError(f"{where} must contain only finite numbers")
+    message = f"{where} must contain only finite numbers"
+    if not all(type(v) in (int, float) for v in seq):
+        raise InputError(message)
+    out = floats(seq, InputError, message)
+    if not all(map(math.isfinite, out)):
+        raise InputError(message)
     return out
 
 
@@ -112,9 +106,7 @@ def _action_from_file(path: str, overrides: dict) -> Scenario:
     mspec = spec["manifold"]
     _check_keys(mspec, ["dim", "coords"], ["box", "exclusions"], "manifold")
 
-    d = gspec["dim"]
-    if type(d) is not int or d < 1:   # a bool is an int to isinstance
-        raise InputError("group.dim must be a positive integer")
+    d = positive_int(gspec["dim"], InputError, "group.dim")
     if gspec["type"] == "abelian":
         if "basis" in gspec:
             raise InputError("abelian group model takes no basis")
@@ -165,10 +157,7 @@ def _scenario_from_args(args) -> Scenario:
         if "=" not in item:
             raise InputError(f"--param expects key=value, got {item!r}")
         k, v = item.split("=", 1)
-        try:
-            params[k] = float(v)
-        except ValueError:
-            raise InputError(f"--param {k}: value {v!r} is not a number") from None
+        params[k] = v   # the scenario converts it, or refuses a value that is not a number
     if args.scenario_file:
         return _action_from_file(args.scenario_file, params)
     return build(args.scenario, params)
@@ -180,10 +169,7 @@ def _integrator_config(args) -> IntegratorConfig:
 
 
 def _parse_vector(text: str, where: str) -> list:
-    try:
-        out = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise InputError(f"{where} must be comma-separated numbers, got {text!r}") from None
+    out = floats(text.split(","), InputError, f"{where} must be comma-separated numbers, got {text!r}")
     if not all(map(math.isfinite, out)):
         raise InputError(f"{where} must contain only finite numbers, got {text!r}")
     return out
@@ -207,9 +193,7 @@ def _path_from_file(path: str, group) -> GPath:
     for i, s in enumerate(raw):
         where = f"segments[{i}]"
         _check_keys(s, ["type"], ["delta", "X", "duration"], where)
-        dur = _number(s.get("duration", 1.0))
-        if dur is None:
-            raise InputError(f"{where}: duration must be a number")
+        dur, = _floats([s.get("duration", 1.0)], f"{where}: duration")
         if s["type"] == "linear":
             if "delta" not in s or "X" in s:
                 raise InputError(f"{where}: linear segments take 'delta'")

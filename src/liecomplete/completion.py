@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from ._record import InputError, Record
+from ._record import InputError, Record, array, floats, positive_int
 from .flow import COMPLETE, IntegratorConfig
 from .lift import ExpSeg, GPath, lift_path
 
@@ -90,8 +90,7 @@ def isotropy(action, x) -> IsotropyReport:
     absolute.
     """
     import numpy as np
-    x = [float(v) for v in x]
-    action.require_inside(x)
+    x = action.require_inside(x)
     d = action.dim_algebra
     # evaluation map g -> T_x M has the basis fields as columns
     B = np.array(action.field_matrix(x)).T
@@ -129,8 +128,7 @@ def same_leaf(action, a, b, witness: GPath) -> LeafRecord:
     if group.distance(witness.endpoint(), g_b) > WITNESS_ENDPOINT_TOL:
         raise MalformedWitnessError("witness does not end at b's group element")
 
-    x_a = [float(v) for v in x_a]
-    x_b = [float(v) for v in x_b]
+    x_a, x_b = action._point(x_a), action._point(x_b)
     ends = ((g_a, tuple(x_a)), (g_b, tuple(x_b)))
     result = lift_path(action, witness, x_a)
     if result.status != COMPLETE:
@@ -240,23 +238,16 @@ def loop_to_group(
     """
     import numpy as np
     cfg = cfg or IntegratorConfig()
-    if substeps < 1:
-        raise InputError("substeps must be >= 1")
-    try:
-        frame = np.asarray(frame, dtype=float)
-    except (TypeError, ValueError):   # ragged rows or entries that are not numbers
-        frame = None
-    if frame is None or frame.ndim != 2 or frame.shape[1] != action.dim_algebra:
-        raise FrameConditionError("frame must be a list of algebra d-vectors")
-    try:
-        pts = np.asarray(m_loop, dtype=float)
-        x0 = np.asarray([float(v) for v in x0])
-    except (TypeError, ValueError):   # ragged points or entries that are not numbers
-        raise LoopGeometryError("loop and x0 must hold manifold points of numbers") from None
+    positive_int(substeps, InputError, "substeps")
+    message = "frame must be a list of algebra d-vectors"
+    frame = array(frame, FrameConditionError, message)
+    if frame.ndim != 2 or frame.shape[1] != action.dim_algebra:
+        raise FrameConditionError(message)
+    message = "loop and x0 must hold manifold points of numbers"
+    pts = array(m_loop, LoopGeometryError, message)
+    x0 = np.array(floats(x0, LoopGeometryError, message, action.dim_manifold))
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != action.dim_manifold:
         raise LoopGeometryError("loop must be a list of at least two manifold points")
-    if x0.shape != (action.dim_manifold,):
-        raise LoopGeometryError(f"x0 must have {action.dim_manifold} coordinates")
     if np.max(np.abs(pts[0] - x0)) > 1e-9:
         raise LoopGeometryError("loop must start at x0")
     if closed and np.max(np.abs(pts[-1] - pts[0])) > 1e-9:

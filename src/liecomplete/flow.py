@@ -55,7 +55,7 @@ import functools
 import math
 from typing import Callable, Sequence
 
-from ._record import InputError, Record
+from ._record import InputError, Record, number, positive_int
 from .expr import EVAL_ERRORS, _define
 
 __all__ = [
@@ -99,15 +99,14 @@ class IntegratorConfig(Record):
 
     def __init__(self, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
                  max_steps: int = 1_000_000):
+        rel_tol = number(rel_tol, InputError, "rel_tol must be positive and finite")
+        abs_tol = number(abs_tol, InputError, "abs_tol must be positive and finite")
         for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
             if not 0.0 < tol < math.inf:
                 raise InputError(f"{name} must be positive and finite")
         if rel_tol < 1e-14:
             raise InputError("rel_tol below 1e-14 is not resolvable in double precision")
-        # a NaN or infinite limit would never be reached
-        if type(max_steps) is not int or max_steps <= 0:
-            raise InputError("max_steps must be a positive integer")
-        super().__init__(rel_tol, abs_tol, max_steps)
+        super().__init__(rel_tol, abs_tol, positive_int(max_steps, InputError, "max_steps"))
 
 
 # margin scan sample points inside an accepted step

@@ -29,9 +29,9 @@ import math
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import mul, truediv
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from ._record import InputError, Record
+from ._record import NOT_A_NUMBER, InputError, Record, floats, number
 from .algebra import AlgebraError
 from .flow import COMPLETE, ESCAPED, IntegratorConfig, integrate_autonomous
 
@@ -80,29 +80,26 @@ class GPath:
             raise PathError(f"bad start point: {exc}") from exc
         segs = list(segments)
         abelian = group.kind == "abelian"
-        raw: list = []
-        durations: List[float] = []
-        scale: List[float] = []   # the total log-displacement of an ExpSeg is duration * X
-        for i, s in enumerate(segs):
-            if not isinstance(s, (LinearSeg, ExpSeg)):
+        raw, durations = [], []
+        for s in segs:
+            if isinstance(s, ExpSeg):
+                raw.append(s.X)       # a rate: the segment's total is duration * X
+            elif not isinstance(s, LinearSeg):
                 raise PathError(f"unknown segment type {type(s).__name__}")
-            dur = s.duration
-            if not (dur > 0.0 and math.isfinite(dur)):
-                raise PathError(f"segment {i}: duration must be positive and finite")
-            dur = float(dur)
-            if isinstance(s, LinearSeg):
-                if not abelian:
-                    raise PathError("LinearSeg requires the abelian group model")
+            elif abelian:
                 raw.append(s.delta)   # total displacement
-                scale.append(1.0)
             else:
-                raw.append(s.X)       # a rate
-                scale.append(dur)
-            durations.append(dur)
+                raise PathError("LinearSeg requires the abelian group model")
+            durations.append(s.duration)
+        durations = floats(durations, PathError, "segment durations must be numbers")
+        for i, dur in enumerate(durations):
+            if not 0.0 < dur < math.inf:
+                raise PathError(f"segment {i}: duration must be positive and finite")
+        scale = [dur if isinstance(s, ExpSeg) else 1.0 for s, dur in zip(segs, durations)]
         d = group.dim
         try:   # column by column: the rows must all have length d
             cols = [list(map(mul, scale, map(float, col))) for col in zip(*raw, strict=True)]
-        except (TypeError, ValueError):
+        except NOT_A_NUMBER:
             cols = None
         if cols is None or (segs and len(cols) != d):
             raise PathError(f"segment vector must have length {d}")
@@ -138,11 +135,13 @@ class GPath:
         stage, and a word of zero stages gives a path with no segments.  A
         lift's unit clock ``s`` is flow time ``s * sum(|t|)``.
         """
+        message = "a word's stages must be (vector, time) pairs of numbers"
         segs = []
         for X, t in word:
-            t = float(t)
+            t = number(t, PathError, message)
             if t != 0.0:
-                segs.append(ExpSeg(tuple(float(v) if t > 0.0 else -float(v) for v in X), abs(t)))
+                X = floats(X, PathError, message)
+                segs.append(ExpSeg(tuple(X) if t > 0.0 else tuple(-v for v in X), abs(t)))
         return cls(group, group.identity(), segs)
 
     @property
@@ -223,8 +222,7 @@ def lift_path(
     """
     cfg = cfg or IntegratorConfig()
     _check_group_compat(action.group, path.group)
-    x0 = [float(v) for v in x0]
-    action.require_inside(x0)
+    x0 = action.require_inside(x0)
 
     plane = action.winding_plane
     if plane is not None:

@@ -17,7 +17,7 @@ import random
 from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
-from ._record import InputError, Record
+from ._record import InputError, Record, floats, number, positive_int
 from .expr import (
     Bin, Expr, ExprNameError, Num, Var, _define, _is_const, _name_map, _render_py,
     _shared_subtrees, checked, compile_scalars,
@@ -26,6 +26,7 @@ from .flow import _names, _scan_lines, _step_lines
 
 DEFAULT_SAMPLING_HALF_WIDTH = 2.0
 SAMPLING_MARGIN = 0.1  # sampled points keep at least this margin
+_NOT_A_POINT = "point is not a list of numbers, one per coordinate"
 
 
 class DomainError(InputError):
@@ -104,10 +105,7 @@ def _side(v, open_side: float) -> float:
     """A box side as a float, ``open_side`` for None; raises ``DomainError`` for a non-number or NaN."""
     if v is None:
         return open_side
-    try:
-        side = float(v)
-    except (TypeError, ValueError, OverflowError):
-        side = math.nan
+    side = number(v, DomainError, "box sides must be numbers or None")
     if isinstance(v, str) or side != side:
         raise DomainError(f"box sides must be numbers or None, not {v!r}")
     return side
@@ -230,10 +228,12 @@ class GAction:
         self.group = group
         self.algebra = group.algebra
         self.domain = domain
-        self.params = dict(params or {})
+        self.params = {k: number(v, ActionError, f"parameter {k!r} must be a number")
+                       for k, v in (params or {}).items()}
         self.name = name
         self.winding_plane = winding_plane
         self.fields = tuple(tuple(row) for row in fields)
+        self._dim = n
         shadowed = [k for k in self.params if k in domain.coords]
         if shadowed:   # the expressions would read the coordinate
             raise ActionError(f"parameter {shadowed[0]!r} is also a coordinate name")
@@ -260,9 +260,13 @@ class GAction:
 
     # -- point predicates ---------------------------------------------------
 
+    def _point(self, p) -> list:
+        """The floats of the point ``p``, one per coordinate, or ``OutsideDomainError``."""
+        return floats(p, OutsideDomainError, _NOT_A_POINT, self._dim)
+
     def margin(self, p) -> float:
         """The domain margin at p: positive exactly inside, ``-inf`` at a non-finite point."""
-        vals = [float(v) for v in p]
+        vals = floats(p, OutsideDomainError, _NOT_A_POINT, self._dim)   # _point, inlined: it is hot
         if not all(map(math.isfinite, vals)):
             return -math.inf
         return self._margin(vals)
@@ -270,17 +274,12 @@ class GAction:
     def contains(self, p) -> bool:
         return self.margin(p) > 0.0
 
-    def require_inside(self, p):
-        if len(p) != self.dim_manifold:
-            raise OutsideDomainError(
-                f"point has {len(p)} coordinates, expected {self.dim_manifold}"
-            )
-        try:
-            vals = [float(v) for v in p]
-        except (TypeError, ValueError, OverflowError):
-            raise OutsideDomainError(f"point {list(p)} is not a list of numbers") from None
+    def require_inside(self, p) -> list:
+        """The floats of ``p``; raises ``OutsideDomainError`` unless they are a point inside the domain."""
+        vals = self._point(p)
         if not self.contains(vals):
             raise OutsideDomainError(f"point {list(p)} is outside the domain")
+        return vals
 
     # -- field evaluation ---------------------------------------------------
 
@@ -289,18 +288,13 @@ class GAction:
 
         The floats of p go through ``_fields_at``, whose ``ActionError`` names them.
         """
-        flat = self._fields_at([float(v) for v in p])
+        flat = self._fields_at(self._point(p))
         n = self.dim_manifold
         return [list(flat[i:i + n]) for i in range(0, len(flat), n)]
 
     def zeta(self, X, p) -> list:
         """Value of the fundamental field of X at p (p must be inside)."""
-        try:
-            X = [float(v) for v in X]
-        except (TypeError, ValueError):
-            X = None
-        if X is None or len(X) != self.dim_algebra:
-            raise ActionError("zeta expects a d-vector of algebra coefficients")
+        X = floats(X, ActionError, "zeta expects a d-vector of algebra coefficients", self.dim_algebra)
         self.require_inside(p)
         return [sum(map(mul, X, col)) for col in zip(*self.field_matrix(p))]
 
@@ -311,18 +305,13 @@ class GAction:
         rows whose coefficient is zero are not evaluated.  The function
         carries ``step``, the integrator's DP5 step with it inlined.
         """
-        try:
-            coeffs = list(map(float, X))
-        except (TypeError, ValueError, OverflowError):
-            raise ActionError("rhs expects a d-vector of algebra coefficients") from None
+        coeffs = floats(X, ActionError, "rhs expects a d-vector of algebra coefficients", self.dim_algebra)
         return self._contraction(tuple(map(bool, coeffs)))(*filter(None, coeffs))
 
     def _contraction(self, nonzero: tuple) -> Callable:
         """The rhs factory taking the non-zero coefficients where ``nonzero`` is true, in order."""
         make = self._contractions.get(nonzero)
         if make is None:
-            if len(nonzero) != self.dim_algebra:
-                raise ActionError("rhs expects a d-vector of algebra coefficients")
             rows = tuple(i for i, c in enumerate(nonzero) if c)
             make = self._contractions[nonzero] = _compile_contraction(
                 self.fields, rows, self.domain.coords, self.params
@@ -376,11 +365,10 @@ def check_homomorphism(
     the stored component expressions, so no finite differencing is involved.
     Fields or partials that are not finite at a sampled point raise
     ``ActionError``; a residual that is NaN (the bracket sum overflowed to
-    ``inf - inf``) is returned as NaN, which no limit passes.  Fewer than one
-    sample would pass vacuously, and raise ``SamplingError``.
+    ``inf - inf``) is returned as NaN, which no limit passes.  A ``sample_count``
+    that is not an int of at least 1 (none would pass vacuously) is a ``SamplingError``.
     """
-    if not sample_count >= 1:
-        raise SamplingError(f"sample_count must be >= 1, got {sample_count}")
+    positive_int(sample_count, SamplingError, "sample_count")
     d, n = action.dim_algebra, action.dim_manifold
     if d < 2:
         return 0.0

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
-from ._record import InputError, Record
+from ._record import InputError, Record, floats, number
 from .algebra import AbelianGroup, MatrixGroup
 from .expr import parse
 from .manifold import Domain, GAction
@@ -68,8 +68,7 @@ def _build_translation_rn(params) -> Scenario:
 
 
 def _build_example4_annulus(params) -> Scenario:
-    r0, r1 = float(params["r0"]), float(params["r1"])
-    th0, th1 = float(params["theta_min"]), float(params["theta_max"])
+    r0, r1, th0, th1 = (params[k] for k in ("r0", "r1", "theta_min", "theta_max"))
     if not (0.0 < r0 < r1):
         raise ScenarioError("need 0 < r0 < r1")
     if not th0 < th1:
@@ -85,7 +84,7 @@ def _build_example4_annulus(params) -> Scenario:
 
 
 def _build_example6_helicoid(params) -> Scenario:
-    alpha = float(params["alpha"])
+    alpha = params["alpha"]
     if alpha < 0.0:
         raise ScenarioError("alpha must be >= 0")
     domain = Domain(("x", "y", "z"), margins=(parse("x^2 + y^2"),))
@@ -156,11 +155,12 @@ def build(name: str, params: Optional[Dict] = None) -> Scenario:
 
 
 def _override_params(name: str, defaults: Dict, params: Optional[Dict]) -> dict:
-    """``defaults`` with the values of ``params``, which must be finite and name keys of ``defaults``."""
+    """``defaults`` with the values of ``params`` as floats; they must be finite and keys of ``defaults``."""
     merged = dict(defaults)
     for k, v in (params or {}).items():
         if k not in defaults:
             raise ScenarioError(f"scenario {name!r} has no parameter {k!r}")
+        v = number(v, ScenarioError, f"parameter {k!r} must be a number")
         if not math.isfinite(v):
             raise ScenarioError(f"parameter {k!r} must be finite, got {v!r}")
         merged[k] = v
@@ -189,12 +189,11 @@ class LeafInvariant(Record):
 
 
 def leaf_invariant(alpha: float, g, x) -> LeafInvariant:
-    try:
-        g, x = [float(v) for v in g], [float(v) for v in x]
-    except (TypeError, ValueError):
-        g = x = []
-    if len(g) != 2 or len(x) != 3:
-        raise ScenarioError("leaf_invariant expects g in R^2 and x in R^3")
+    message = "leaf_invariant expects g in R^2, x in R^3 and alpha, all finite"
+    alpha = number(alpha, ScenarioError, message)
+    g, x = floats(g, ScenarioError, message, 2), floats(x, ScenarioError, message, 3)
+    if not all(map(math.isfinite, (alpha, *g, *x))):   # math.floor of a phase of inf raises
+        raise ScenarioError(message)
     if x[0] == 0.0 and x[1] == 0.0:
         raise ScenarioError("manifold point lies on the excluded axis")
     base = (g[0] - x[0], g[1] - x[1])
@@ -243,20 +242,19 @@ def circle_loop_path(
     ``chords_per_turn`` (at least 1) chords per turn.  ``turns`` is finite and
     positive: ``clockwise`` sets the direction.
     """
-    if not (math.isfinite(turns) and turns > 0.0):
+    turns = number(turns, ScenarioError, "turns must be a number")
+    chords = number(chords_per_turn, ScenarioError, "chords_per_turn must be a number")
+    if not 0.0 < turns < math.inf:
         raise ScenarioError(f"turns must be finite and positive, got {turns!r}")
-    if not chords_per_turn >= 1:
-        raise ScenarioError(f"chords_per_turn must be at least 1, got {chords_per_turn!r}")
-    try:
-        px, py = map(float, x0_plane)
-    except (TypeError, ValueError):
-        raise ScenarioError("x0_plane must be a 2-vector") from None
+    if not 1.0 <= chords < math.inf:
+        raise ScenarioError(f"chords_per_turn must be finite and at least 1, got {chords!r}")
+    px, py = floats(x0_plane, ScenarioError, "x0_plane must be a 2-vector", 2)
     # abs of a complex is the C library's hypot, as numpy's hypot is
     radius = abs(complex(px, py))
     if radius == 0.0:
         raise ScenarioError("cannot wind a circle of radius zero")
     theta0 = math.atan2(py, px)
-    n = max(1, int(round(chords_per_turn * turns)))
+    n = max(1, int(round(chords * turns)))
     sweep = 2.0 * math.pi * turns * (-1.0 if clockwise else 1.0)
     segs = []
     for k in range(1, n + 1):

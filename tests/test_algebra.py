@@ -126,10 +126,14 @@ def test_abelian_ops():
 
 def test_abelian_elements_and_stacks_hold_d_numbers():
     G = AbelianGroup(2)
-    for g in ((1.0,), (1.0, 2.0, 3.0), ("a", 1.0), 5.0):
+    for g in ((1.0,), (1.0, 2.0, 3.0), ("a", 1.0), (None, 1.0), (10 ** 400, 1.0), 5.0):
         with pytest.raises(AlgebraError, match="2-vector"):
             G.element(g)
-    for stack in ([(1.0,)], [(1.0, 2.0), (1.0,)], [("a", 1.0)]):
+    with pytest.raises(AlgebraError, match="2-vector"):
+        G.mul(5.0, (0.0, 0.0))
+    with pytest.raises(AlgebraError, match="2-vector"):
+        G.exp_segment(5.0)
+    for stack in ([(1.0,)], [(1.0, 2.0), (1.0,)], [("a", 1.0)], [(None, 1.0)], [(10 ** 400, 1.0)]):
         with pytest.raises(AlgebraError, match="2-vectors"):
             G.exp_segment(stack)
     with pytest.raises(AlgebraError, match="one time or one per row"):

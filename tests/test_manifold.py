@@ -80,14 +80,15 @@ def test_zeta_and_rhs_take_d_coefficients(helicoid):
             helicoid.zeta(X, (1.0, 0.0, 1.0))
         with pytest.raises(ActionError, match="d-vector"):
             helicoid.rhs(X)
-    with pytest.raises(ActionError, match="d-vector"):
-        helicoid.zeta(("a", 1.0), (1.0, 0.0, 1.0))
-    with pytest.raises(ActionError, match="d-vector"):
-        helicoid.rhs(("a", 1.0))
+    for X in (("a", 1.0), (None, 1.0), (10 ** 400, 1.0)):
+        with pytest.raises(ActionError, match="d-vector"):
+            helicoid.zeta(X, (1.0, 0.0, 1.0))
+        with pytest.raises(ActionError, match="d-vector"):
+            helicoid.rhs(X)
 
 
 def test_require_inside_refuses_a_coordinate_that_is_not_a_number(helicoid):
-    for p in ((1.0, "a", 0.0), (1.0, None, 0.0), (1.0, 10 ** 400, 0.0)):
+    for p in ((1.0, "a", 0.0), (1.0, None, 0.0), (1.0, 10 ** 400, 0.0), (1.0, 0.0), 5.0):
         with pytest.raises(OutsideDomainError, match="not a list of numbers"):
             helicoid.require_inside(p)
 

@@ -164,6 +164,11 @@ def test_leaf_invariant_validation():
     for g, x in [((0.0, "a"), (1.0, 0.0, 1.0)), ((0.0, 0.0), (1.0, None, 1.0)), (5.0, (1.0, 0.0, 1.0))]:
         with pytest.raises(ScenarioError, match="expects g in R\\^2"):
             leaf_invariant(1.0, g, x)
+    # a non-finite phase has no floor
+    for alpha, x in [(math.inf, (1.0, 0.0, 1.0)), (math.nan, (1.0, 0.0, 1.0)),
+                     (1.0, (1.0, 0.0, math.inf)), (1.0, (math.nan, 0.0, 1.0))]:
+        with pytest.raises(ScenarioError, match="all finite"):
+            leaf_invariant(alpha, (0.0, 0.0), x)
 
 
 def test_invariants_match_wraps_around():
@@ -196,6 +201,9 @@ def test_circle_loop_path_validation():
         circle_loop_path((0.0, 0.0), (0.0, 0.0))
     with pytest.raises(ScenarioError):
         circle_loop_path((0.0, 0.0), (1.0, 0.0, 0.0))
+    for bad in ({"turns": 0.0}, {"turns": math.inf}, {"chords_per_turn": 0.5}, {"chords_per_turn": math.inf}):
+        with pytest.raises(ScenarioError, match="finite"):
+            circle_loop_path((0.0, 0.0), (1.0, 0.0), **bad)
 
 
 def test_equal_p_witness_identifies_equal_image_points():
