@@ -6,50 +6,32 @@ before the path ends, reconstructs group elements over manifold loops, and
 classifies graph points into leaves for the worked scenarios.
 """
 
-from ._record import InputError
-from .algebra import AbelianGroup, LieAlgebra, MatrixGroup, structure_constants_from_matrix_basis
-from .completion import HolonomyElement, IsotropyReport, LeafRecord, isotropy, loop_to_group, same_leaf
-from .expr import Expr, ExprDomainError, ExprNameError, ExprSyntaxError, parse
-from .flow import COMPLETE, ESCAPED, STEP_LIMIT, IntegratorConfig
-from .lift import ExpSeg, GPath, LiftResult, LinearSeg, lift_path
-from .manifold import Domain, GAction, OutsideDomainError, check_homomorphism
-from .scenarios import build, circle_loop_path, leaf_invariant, scenario_names
+import importlib.util
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroup",
-    "COMPLETE",
-    "Domain",
-    "ESCAPED",
-    "ExpSeg",
-    "Expr",
-    "ExprDomainError",
-    "ExprNameError",
-    "ExprSyntaxError",
-    "GAction",
-    "GPath",
-    "HolonomyElement",
-    "InputError",
-    "IntegratorConfig",
-    "IsotropyReport",
-    "LeafRecord",
-    "LieAlgebra",
-    "LiftResult",
-    "LinearSeg",
-    "MatrixGroup",
-    "OutsideDomainError",
-    "STEP_LIMIT",
-    "build",
-    "check_homomorphism",
-    "circle_loop_path",
-    "isotropy",
-    "leaf_invariant",
-    "lift_path",
-    "loop_to_group",
-    "parse",
-    "same_leaf",
-    "scenario_names",
-    "structure_constants_from_matrix_basis",
-    "__version__",
-]
+# each exported name under the module that defines it; a name, or a submodule,
+# is imported when it is first read (PEP 562), so a command loads what it runs
+_EXPORTS = {
+    "_record": ("InputError",),
+    "algebra": ("AbelianGroup", "LieAlgebra", "MatrixGroup", "structure_constants_from_matrix_basis"),
+    "completion": ("HolonomyElement", "IsotropyReport", "LeafRecord",
+                   "isotropy", "loop_to_group", "same_leaf"),
+    "expr": ("Expr", "ExprDomainError", "ExprNameError", "ExprSyntaxError", "parse"),
+    "flow": ("COMPLETE", "ESCAPED", "STEP_LIMIT", "IntegratorConfig"),
+    "lift": ("ExpSeg", "GPath", "LiftResult", "LinearSeg", "lift_path"),
+    "manifold": ("Domain", "GAction", "OutsideDomainError", "check_homomorphism"),
+    "scenarios": ("build", "circle_loop_path", "leaf_invariant", "scenario_names"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    """An exported name from its module, or else the submodule ``name``."""
+    module = f"{__name__}.{_MODULE_OF.get(name, name)}"
+    if "." in name or importlib.util.find_spec(module) is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(module)
+    globals()[name] = value = getattr(value, name) if name in _MODULE_OF else value
+    return value

@@ -26,10 +26,7 @@ from typing import Optional
 
 from ._record import InputError, floats, positive_int
 from .algebra import AbelianGroup, MatrixGroup
-from .completion import isotropy, loop_to_group
 from .expr import parse as parse_expr
-from .flow import ESCAPED, STEP_LIMIT, IntegratorConfig
-from .lift import ExpSeg, GPath, LinearSeg, lift_path
 from .manifold import Domain, GAction, check_homomorphism
 from .scenarios import Scenario, _override_params, build, circle_loop_path, leaf_invariant, invariants_match
 
@@ -163,7 +160,8 @@ def _scenario_from_args(args) -> Scenario:
     return build(args.scenario, params)
 
 
-def _integrator_config(args) -> IntegratorConfig:
+def _integrator_config(args):
+    from .flow import IntegratorConfig
     tols = {"rel_tol": args.rel_tol, "abs_tol": args.abs_tol}
     return IntegratorConfig(**{k: v for k, v in tols.items() if v is not None})
 
@@ -179,7 +177,8 @@ def _parse_vector(text: str, where: str) -> list:
 # path / loop loading
 
 
-def _path_from_file(path: str, group) -> GPath:
+def _path_from_file(path: str, group):
+    from .lift import ExpSeg, GPath, LinearSeg
     spec = _load_json(path, "path file")
     _check_keys(spec, ["start", "segments"], [], "path file")
     if group.kind == "abelian":
@@ -274,6 +273,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from .flow import ESCAPED, STEP_LIMIT
+    from .lift import lift_path
     scenario = _scenario_from_args(args)
     action = scenario.action
     cfg = _integrator_config(args)
@@ -323,6 +324,7 @@ def _default_frame(action, x0) -> list:
     fixed point has no such vector, and the user must give ``--frame``.
     """
     import numpy as np
+    from .completion import isotropy
     iso = isotropy(action, x0)
     if iso.orbit_dim == 0:
         raise InputError("x0 is a fixed point of the action, so there is no default frame: "
@@ -338,6 +340,7 @@ def _default_frame(action, x0) -> list:
 
 
 def cmd_holonomy(args) -> int:
+    from .completion import loop_to_group
     scenario = _scenario_from_args(args)
     action = scenario.action
     cfg = _integrator_config(args)

@@ -31,7 +31,7 @@ import math
 import re
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from ._record import InputError, Record
+from ._record import InputError, Record, floats
 
 
 class ExprSyntaxError(InputError):
@@ -609,6 +609,16 @@ def _define(src: str, extra: Optional[Mapping[str, object]] = None) -> dict:
     return ns
 
 
+def _tuple(items) -> str:
+    """``a, b, ..., ``: the items with trailing commas, a target or a tuple of any length."""
+    return "".join(f"{v}, " for v in items)
+
+
+def _names(prefix: str, n: int) -> str:
+    """``p0, p1, ..., p{n-1}, ``."""
+    return _tuple(f"{prefix}{i}" for i in range(n))
+
+
 def checked(fn: Callable, what: str, error: type) -> Callable:
     """``fn`` as a list-in evaluator that raises ``error`` naming ``what`` and the point.
 
@@ -636,9 +646,9 @@ class Expr(Record):
     __slots__ = ("node",)
 
     def eval(self, env: Mapping[str, float]) -> float:
-        """Value with every name bound by ``env``: the generated code, run once."""
+        """Value with every name bound by ``env`` to a number: the generated code, run once."""
         fn = checked(compile_scalars([self], env), f"values of {self}", ExprDomainError)
-        return fn([float(v) for v in env.values()])[0]
+        return fn(floats(env.values(), InputError, f"the names of {self} must be bound to numbers"))[0]
 
     def diff(self, var: str) -> "Expr":
         return Expr(_diff(self.node, var))

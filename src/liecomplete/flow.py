@@ -56,7 +56,7 @@ import math
 from typing import Callable, Sequence
 
 from ._record import InputError, Record, number, positive_int
-from .expr import EVAL_ERRORS, _define
+from .expr import EVAL_ERRORS, _define, _names, _tuple
 
 __all__ = [
     "IntegratorConfig",
@@ -111,16 +111,6 @@ class IntegratorConfig(Record):
 
 # margin scan sample points inside an accepted step
 _SCAN = (0.25, 0.5, 0.75, 1.0)
-
-
-def _tuple(items) -> str:
-    """``a, b, ..., ``: the items with trailing commas, a target or a tuple of any length."""
-    return "".join(f"{v}, " for v in items)
-
-
-def _names(prefix: str, n: int) -> str:
-    """``p0, p1, ..., p{n-1}, ``."""
-    return _tuple(f"{prefix}{i}" for i in range(n))
 
 
 def _unpack_ends(n: int) -> list:

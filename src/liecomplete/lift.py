@@ -131,16 +131,19 @@ class GPath:
         """The path of a word ``[(X, t), ...]`` of flows, from the identity.
 
         Each stage becomes ``ExpSeg(sign(t) * X, |t|)``.  Stages with
-        ``t == 0`` are dropped, so segment ``k`` is the ``k``-th non-zero
-        stage, and a word of zero stages gives a path with no segments.  A
-        lift's unit clock ``s`` is flow time ``s * sum(|t|)``.
+        ``t == 0`` are checked and dropped, so segment ``k`` is the ``k``-th
+        non-zero stage, and a word of zero stages gives a path with no
+        segments.  A lift's unit clock ``s`` is flow time ``s * sum(|t|)``.
         """
         message = "a word's stages must be (vector, time) pairs of numbers"
         segs = []
-        for X, t in word:
-            t = number(t, PathError, message)
+        for stage in word:
+            try:
+                X, t = stage
+            except (TypeError, ValueError):   # not a pair
+                raise PathError(message) from None
+            X, t = floats(X, PathError, message, group.dim), number(t, PathError, message)
             if t != 0.0:
-                X = floats(X, PathError, message)
                 segs.append(ExpSeg(tuple(X) if t > 0.0 else tuple(-v for v in X), abs(t)))
         return cls(group, group.identity(), segs)
 

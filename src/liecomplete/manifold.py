@@ -19,10 +19,9 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from ._record import InputError, Record, floats, number, positive_int
 from .expr import (
-    Bin, Expr, ExprNameError, Num, Var, _define, _is_const, _name_map, _render_py,
+    Bin, Expr, ExprNameError, Num, Var, _define, _is_const, _name_map, _names, _render_py,
     _shared_subtrees, checked, compile_scalars,
 )
-from .flow import _names, _scan_lines, _step_lines
 
 DEFAULT_SAMPLING_HALF_WIDTH = 2.0
 SAMPLING_MARGIN = 0.1  # sampled points keep at least this margin
@@ -160,8 +159,12 @@ def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
         from .interval import margin_lower
         return margin_lower(domain, names)
 
+    def scan():   # the integrator's module is imported only when a step is first scanned
+        from .flow import _scan_lines
+        return _define("\n".join(_scan_lines(domain.dim, body)))["scan"]
+
     _on_first_call(margin, "lower", lower)
-    _on_first_call(margin, "scan", lambda: _define("\n".join(_scan_lines(domain.dim, body)))["scan"])
+    _on_first_call(margin, "scan", scan)
     return margin
 
 
@@ -181,6 +184,7 @@ def _compile_contraction(fields, rows: tuple, coords, params) -> Callable:
     and its temps inlined (:func:`liecomplete.flow._step_lines`); the
     coefficients are cells of both closures.
     """
+    from .flow import _step_lines
     names = _name_map(coords, params)
     used = [[(i, fields[i][j].node) for i in rows if not _is_const(fields[i][j].node, 0.0)]
             for j in range(len(coords))]
@@ -334,8 +338,11 @@ def sample_points(action: GAction, count: int, seed: int = 0) -> list:
     """Rejection-sample ``count`` points with margin above ``SAMPLING_MARGIN``.
 
     Points are drawn by ``random.Random(seed)`` from the domain's box, whose
-    open sides are sampled at ``+-DEFAULT_SAMPLING_HALF_WIDTH``.
+    open sides are sampled at ``+-DEFAULT_SAMPLING_HALF_WIDTH``.  A ``count``
+    that is not an int of at least 0 is a ``SamplingError``.
     """
+    if type(count) is not int or count < 0:
+        raise SamplingError("count must be a non-negative integer")
     rng = random.Random(seed)
     w = DEFAULT_SAMPLING_HALF_WIDTH
     sides = [(-w if lo == -math.inf else lo, w if hi == math.inf else hi) for lo, hi in action.domain.box]
@@ -364,14 +371,13 @@ def check_homomorphism(
     The vector-field bracket is computed from symbolic partial derivatives of
     the stored component expressions, so no finite differencing is involved.
     Fields or partials that are not finite at a sampled point raise
-    ``ActionError``; a residual that is NaN (the bracket sum overflowed to
+    ``ActionError``, also for a one-dimensional algebra, which has no pair
+    to bracket; a residual that is NaN (the bracket sum overflowed to
     ``inf - inf``) is returned as NaN, which no limit passes.  A ``sample_count``
     that is not an int of at least 1 (none would pass vacuously) is a ``SamplingError``.
     """
     positive_int(sample_count, SamplingError, "sample_count")
     d, n = action.dim_algebra, action.dim_manifold
-    if d < 2:
-        return 0.0
     points = sample_points(action, sample_count, seed=seed)
     partials = action._partial_fn()
     c = action.algebra.c

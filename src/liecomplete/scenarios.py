@@ -28,7 +28,6 @@ from ._record import InputError, Record, floats, number
 from .algebra import AbelianGroup, MatrixGroup
 from .expr import parse
 from .manifold import Domain, GAction
-from .lift import GPath, LinearSeg
 
 __all__ = [
     "Scenario",
@@ -56,10 +55,15 @@ class Scenario(Record):
 # builders
 
 
+# the abelian algebra's Jacobi check grows as n^4: at n = 16 `check` takes one to
+# two seconds, n = 64 takes 9 s only to build, and n = 1e300 never ends (2 vCPUs)
+MAX_TRANSLATION_DIM = 16
+
+
 def _build_translation_rn(params) -> Scenario:
     n = params["n"]
-    if n != int(n) or n < 1:
-        raise ScenarioError("translation_rn needs an integer n >= 1")
+    if not 1 <= n <= MAX_TRANSLATION_DIM or n != int(n):
+        raise ScenarioError(f"translation_rn needs an integer n from 1 to {MAX_TRANSLATION_DIM}")
     n = int(n)
     coords = tuple(f"x{i + 1}" for i in range(n))
     fields = [[parse("1") if i == j else parse("0") for j in range(n)] for i in range(n)]
@@ -234,7 +238,7 @@ def circle_loop_path(
     turns: float = 1.0,
     chords_per_turn: int = 4096,
     clockwise: bool = False,
-) -> GPath:
+):
     """Group path whose lift's planar projection circles the origin.
 
     The projection starts at ``x0_plane`` and follows the circle through it
@@ -242,6 +246,7 @@ def circle_loop_path(
     ``chords_per_turn`` (at least 1) chords per turn.  ``turns`` is finite and
     positive: ``clockwise`` sets the direction.
     """
+    from .lift import GPath, LinearSeg
     turns = number(turns, ScenarioError, "turns must be a number")
     chords = number(chords_per_turn, ScenarioError, "chords_per_turn must be a number")
     if not 0.0 < turns < math.inf:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import liecomplete
-from liecomplete import InputError, cli
+from liecomplete import InputError
 from liecomplete.algebra import AlgebraError, SingularElementError
 from liecomplete.cli import main
 from liecomplete.completion import (
@@ -21,7 +21,7 @@ from liecomplete.expr import MAX_DEPTH, ExprDomainError, ExprNameError, ExprSynt
 from liecomplete.flow import IntegratorConfig
 from liecomplete.lift import PathError
 from liecomplete.manifold import ActionError, DomainError, OutsideDomainError, SamplingError
-from liecomplete.scenarios import ScenarioError
+from liecomplete.scenarios import MAX_TRANSLATION_DIM, ScenarioError
 
 U = 0.7
 E_MINUS_2PI = 1.8674427317079893e-3
@@ -88,7 +88,9 @@ def test_abelian_runs_leave_numpy_out(tmp_path):
     # importing numpy would be most of the start-up time, and dataclasses with
     # the inspect it imports a large share of the rest: the package, and check,
     # lift and classify on abelian actions, load none of them (numpy itself
-    # imports inspect, so holonomy is not among the runs)
+    # imports inspect, so holonomy is not among the runs); each run loads only
+    # the package modules it runs, so the integrator and the lift wait for a
+    # lift, and the holonomy code is never loaded
     src = os.path.dirname(os.path.dirname(os.path.abspath(liecomplete.__file__)))
     action = _write(tmp_path, "flipped.json", FLIPPED_ACTION)
     path = _write(tmp_path, "path.json", {"start": [0.5, 0.0], "segments": [
@@ -97,12 +99,14 @@ def test_abelian_runs_leave_numpy_out(tmp_path):
     out = str(tmp_path / "o")
     runs = [["check", "--scenario", "example6"],
             ["check", "--scenario-file", action],
+            ["classify", "--scenario", "example6", "--points", points],
             ["lift", "--scenario", "example6", "--x0", "1,0,1", "--circle-turns", "1", "--out", out],
-            ["lift", "--scenario", "example6", "--x0", "1,0,1", "--path", path, "--out", out],
-            ["classify", "--scenario", "example6", "--points", points]]
+            ["lift", "--scenario", "example6", "--x0", "1,0,1", "--path", path, "--out", out]]
+    watched = {"numpy", "dataclasses", "inspect",
+               "liecomplete.flow", "liecomplete.lift", "liecomplete.completion"}
     code = ("import sys\n"
             "def loaded():\n"
-            "    return sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'dataclasses', 'inspect'})\n"
+            f"    return sorted({{m.split('.')[0] for m in sys.modules}}.union(sys.modules) & {watched!r})\n"
             "import liecomplete\n"
             "seen = [loaded()]\n"
             "from liecomplete.cli import main\n"
@@ -111,8 +115,9 @@ def test_abelian_runs_leave_numpy_out(tmp_path):
             "print(seen)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
-    assert out.stdout.strip().splitlines()[-1] == (
-        "[[], (0, []), (1, []), (0, []), (0, []), (0, [])]")
+    lifted = ['liecomplete.flow', 'liecomplete.lift']
+    assert out.stdout.strip().splitlines()[-1] == repr(
+        [[], (0, []), (1, []), (0, []), (0, lifted), (0, lifted)])
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +257,13 @@ def test_fields_not_evaluable_in_the_domain_are_config_errors(tmp_path, capsys):
     f = _write(tmp_path, "inv.json", _planar_action([["1/x", "0"], ["0", "1"]]))
     loop = _write(tmp_path, "loop0.json", {"points": [[0.0, 0.0], [0.0, 0.5], [0.0, 0.0]]})
     assert main(["holonomy", "--scenario-file", f, "--loop", loop, "--x0", "0,0"]) == 3
+    capsys.readouterr()
+    # one field has no pair to bracket, and is still evaluated at each sample
+    f = _write(tmp_path, "line.json", {"group": {"type": "abelian", "dim": 1},
+                                       "manifold": {"dim": 1, "coords": ["x"]},
+                                       "fields": [["log(-1 - x^2)"]]})
+    assert main(["check", "--scenario-file", f]) == 3
+    assert "fields cannot be evaluated at" in capsys.readouterr().err
 
 
 def test_fields_that_are_not_finite_are_config_errors(tmp_path, capsys):
@@ -322,7 +334,8 @@ def test_fuzzed_action_files_exit_with_a_code(tmp_path, capsys, monkeypatch):
     # a stiff drawn field, such as y' = x^8/y near y = 0, takes the default
     # million steps (about 30 s) to reach the step limit; a lower limit ends
     # it with the same exit code
-    monkeypatch.setattr(cli, "IntegratorConfig", functools.partial(IntegratorConfig, max_steps=10_000))
+    monkeypatch.setattr(liecomplete.flow, "IntegratorConfig",
+                        functools.partial(IntegratorConfig, max_steps=10_000))
     path = _write(tmp_path, "path.json", {
         "start": [0.0, 0.0], "segments": [{"type": "linear", "delta": [0.5, 0.25]}],
     })
@@ -742,11 +755,14 @@ def test_help_exits_zero(capsys):
 def test_scenario_params_via_flags(tmp_path, capsys):
     assert main(["check", "--scenario", "example6", "--param", "alpha=0"]) == 0
     assert main(["check", "--scenario", "translation", "--param", "n=3"]) == 0
+    assert main(["check", "--scenario", "translation", "--param", "n=1"]) == 0
+    assert "bracket homomorphism residual: 0\n" in capsys.readouterr().out
     assert main(["check", "--scenario", "example4", "--param", "r0=0.25"]) == 0
     assert main(["check", "--scenario", "example4", "--param", "r0"]) == 3
     assert main(["check", "--scenario", "example4", "--param", "r0=x"]) == 3
     capsys.readouterr()
-    for value in ["nan", "inf", "2.5"]:
+    # past the cap on n, and an n whose build would never end, are refused before any build
+    for value in ["nan", "inf", "2.5", str(MAX_TRANSLATION_DIM + 1), "1e300"]:
         assert _config_error(["check", "--scenario", "translation", "--param", f"n={value}"],
                              capsys), value
     for value in ["nan", "inf"]:

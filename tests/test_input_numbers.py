@@ -3,7 +3,8 @@
 The values are those ``float()`` refuses: an int past the float range, a
 string that is no number, and None; where an entry point takes a vector, a
 vector one coordinate short as well.  Counts (``max_steps``, ``sample_count``,
-``substeps``) must be ints of at least 1, not bools or floats.
+``substeps``) must be ints of at least 1, not bools or floats, and a sample's
+``count`` an int of at least 0.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from liecomplete.flow import IntegratorConfig
 from liecomplete.lift import ExpSeg, GPath, LinearSeg, PathError, lift_path
 from liecomplete.manifold import (
     ActionError, Domain, DomainError, GAction, OutsideDomainError, SamplingError, check_homomorphism,
+    sample_points,
 )
 from liecomplete.scenarios import ScenarioError, build, circle_loop_path, leaf_invariant
 
@@ -54,6 +56,7 @@ VECTORS = [
     ("GPath-LinearSeg", PathError, lambda b: GPath(PLANE, (0.0, 0.0), [LinearSeg(vec(b, 0.0))])),
     ("GPath-ExpSeg", PathError, lambda b: GPath(MATRIX, MATRIX.identity(), [ExpSeg(vec(b, 0.0))])),
     ("GPath.word", PathError, lambda b: GPath.word(PLANE, [(vec(b, 0.0), 1.0)])),
+    ("GPath.word-dropped", PathError, lambda b: GPath.word(PLANE, [(vec(b, 0.0), 0.0)])),
     ("lift_path-x0", OutsideDomainError, lambda b: lift_path(HELICOID, EMPTY, vec(b, 0.0, 1.0))),
     ("GAction.margin", OutsideDomainError, lambda b: HELICOID.margin(vec(b, 0.0, 1.0))),
     ("GAction.field_matrix", OutsideDomainError, lambda b: HELICOID.field_matrix(vec(b, 0.0, 1.0))),
@@ -87,6 +90,9 @@ SCALARS = [
     ("IntegratorConfig-abs_tol", InputError, lambda b: IntegratorConfig(abs_tol=b)),
     ("GPath-duration", PathError, lambda b: GPath(PLANE, (0.0, 0.0), [LinearSeg((1.0, 0.0), b)])),
     ("GPath.word-time", PathError, lambda b: GPath.word(PLANE, [((1.0, 0.0), b)])),
+    ("GPath.word-stage", PathError, lambda b: GPath.word(PLANE, [b])),
+    ("GPath.word-dropped-stage", PathError, lambda b: GPath.word(PLANE, [(b, 0.0)])),
+    ("Expr.eval", InputError, lambda b: parse("x + 1").eval({"x": b})),
     ("GAction-params", ActionError,
      lambda b: GAction(AbelianGroup(1), Domain(("x",)), [[parse("a")]], params={"a": b})),
     ("Domain-box", DomainError, lambda b: Domain(("x",), box=((0.0, b),))),
@@ -113,17 +119,22 @@ def test_a_value_that_is_not_a_number_raises_the_module_input_error(error, call,
         call(value)
 
 
-# (count, its error, a call with the count n)
+# (count, its error, a call with the count n, the least count)
 COUNTS = [
-    ("max_steps", InputError, lambda n: IntegratorConfig(max_steps=n)),
-    ("sample_count", SamplingError, lambda n: check_homomorphism(HELICOID, sample_count=n)),
+    ("max_steps", InputError, lambda n: IntegratorConfig(max_steps=n), 1),
+    ("sample_count", SamplingError, lambda n: check_homomorphism(HELICOID, sample_count=n), 1),
     ("substeps", InputError,
-     lambda n: loop_to_group(AFFINE, [[1.0, 0.0]], [[1.0], [2.0]], [1.0], closed=False, substeps=n)),
+     lambda n: loop_to_group(AFFINE, [[1.0, 0.0]], [[1.0], [2.0]], [1.0], closed=False, substeps=n), 1),
+    ("count", SamplingError, lambda n: sample_points(HELICOID, n), 0),   # an empty sample is one
 ]
 
+BAD_COUNTS = [pytest.param(name, error, call, least, n, id=f"{name}-{n!r}")
+              for name, error, call, least in COUNTS
+              for n in [least - 1, least - 2, 2.5, 4.0, True, "x", None]]
 
-@pytest.mark.parametrize("name, error, call", COUNTS, ids=[c[0] for c in COUNTS])
-@pytest.mark.parametrize("n", [0, -1, 2.5, 4.0, True, "x", None])
-def test_a_count_is_an_int_of_at_least_one(name, error, call, n):
-    with pytest.raises(error, match=f"{name} must be a positive integer"):
+
+@pytest.mark.parametrize("name, error, call, least, n", BAD_COUNTS)
+def test_a_count_is_an_int_of_at_least_its_least(name, error, call, least, n):
+    rule = "a positive integer" if least == 1 else "a non-negative integer"
+    with pytest.raises(error, match=f"{name} must be {rule}"):
         call(n)

@@ -23,6 +23,8 @@ REFUSALS = {"TypeError", "ValueError", "OverflowError"}
 ALLOWED = {
     ("manifold.py", "__init__", ("TypeError", "ValueError")):
         "Domain unpacks each box entry as a (lo, hi) pair",
+    ("lift.py", "word", ("TypeError", "ValueError")):
+        "GPath.word unpacks each stage as a (vector, time) pair",
     ("expr.py", "exponent", ("ValueError",)):
         "int() refuses an exponent literal past its digit limit",
     ("flow.py", "integrate_autonomous", ("OverflowError",)):
