@@ -13,17 +13,20 @@ accepts a step and rejects the next, over and over; the predictive one shrinks
 the step before it is rejected.  Its state restarts with each call, so the
 first step of every segment is decided by the standard factor alone, and a
 single loop over a path's segments must reset it at every joint to take the
-same steps.  Its step, first-step norm, lazy cubic Hermite interpolant and the
-margins at the interpolant's interior samples and at the step's end are
-generated as straight-line Python.  One generator emits the step in two forms
-with the same bits: the generic one calls a plain ``rhs`` and is generated
-once per state dimension; the other inlines an action's own contraction, with
-the subtrees its components share computed once per stage, and ``GAction``
-generates it on first use and hands it over as ``rhs.step``.  The margin scan
-is generated only with an action's margin inlined (``margin.scan``); a plain
-``margin`` is called at the points the interpolant gives, which are the same
-floats.  Each committed step is handed to the caller's ``on_step``, from which
-a lift records its trace rows and its winding.  Escape from the open domain is
+same steps.  The whole run of one call is generated as straight-line Python
+with one local per component (:func:`_kernel`): the first step size, the
+stages, the error test, the margins at the interpolant's interior samples
+and at the step's end, the commit test and the controller.  One generator
+emits it in two renderings with the same bits: the generic kernel calls a
+plain ``rhs`` and ``margin`` and is generated once per state dimension; an
+action's own kernel inlines its contraction, with the subtrees its
+components share computed once per stage, and its domain margin, and folds
+the stage sums of the components that are constant along the run out of the
+loop; ``GAction`` generates it once per set of non-zero coefficients and
+hands it over as ``rhs.kernel``.  The lazy cubic Hermite interpolant
+(:func:`_hermite`) is generated too.  Each committed step is handed to the
+caller's ``on_step``, from which a lift records its trace rows and its
+winding.  Escape from the open domain is
 detected by one scan of the domain margin along each accepted step: it commits
 the step at once when none of the five samples (ends plus interior) is near
 the escape level ``ESCAPE_MARGIN`` or well below the others, and refines the
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Callable, Sequence
 
 from ._record import InputError, Record, number, positive_int
@@ -112,142 +116,31 @@ class IntegratorConfig(Record):
 # margin scan sample points inside an accepted step
 _SCAN = (0.25, 0.5, 0.75, 1.0)
 
-
-def _unpack_ends(n: int) -> list:
-    """Source lines binding the components of a step's y0, f0, y1, f1 to p_i, q_i, r_i, u_i."""
-    return [f"{_names(v, n)}= {name}" for v, name in zip("pqru", ("y0", "f0", "y1", "f1"))]
-
-
-def _lin(terms, i: int) -> str:
-    """Source of ``c1 * k1_i + c2 * k2_i + ...`` for (coefficient, stage) pairs."""
-    return " + ".join(
-        f"{c!r} * {k}_{i}" if c > 0.0 else f"({c!r}) * {k}_{i}" for c, k in terms
-    )
-
-
+# the tableau's rows, weights and error weights as (coefficient, stage) pairs
 _ROWS = (
-    ((_A21, "k1"),),
-    ((_A31, "k1"), (_A32, "k2")),
-    ((_A41, "k1"), (_A42, "k2"), (_A43, "k3")),
-    ((_A51, "k1"), (_A52, "k2"), (_A53, "k3"), (_A54, "k4")),
-    ((_A61, "k1"), (_A62, "k2"), (_A63, "k3"), (_A64, "k4"), (_A65, "k5")),
+    ((_A21, 1),),
+    ((_A31, 1), (_A32, 2)),
+    ((_A41, 1), (_A42, 2), (_A43, 3)),
+    ((_A51, 1), (_A52, 2), (_A53, 3), (_A54, 4)),
+    ((_A61, 1), (_A62, 2), (_A63, 3), (_A64, 4), (_A65, 5)),
 )
-_WEIGHTS = ((_B1, "k1"), (_B3, "k3"), (_B4, "k4"), (_B5, "k5"), (_B6, "k6"))
-_ERRORS = ((_E1, "k1"), (_E3, "k3"), (_E4, "k4"), (_E5, "k5"), (_E6, "k6"), (_E7, "k7"))
-
-
-def _step_lines(n: int, inline=None) -> list:
-    """Source lines of one DP5 step for states of length n.
-
-    With ``inline`` None this is ``step(rhs, y, f0, h, atol, rtol)``, which
-    calls ``rhs`` on a list at each stage.  Otherwise ``inline`` is ``(lines,
-    comps)``: ``comps`` is the source of the n components of the rhs at the
-    point ``_v0, _v1, ...``, which may read the temps that ``lines`` assign
-    (the subtrees they share, computed once), and the step is ``step(y, f0,
-    h, atol, rtol)`` with both in place of each call.
-
-    It returns ``(y1, f1, err)``, with ``f1`` the rhs at ``y1`` and ``err``
-    the RMS of the embedded error estimate scaled by ``atol + rtol *
-    max(|y|, |y1|)``, or ``None`` when a stage raises one of ``EVAL_ERRORS``
-    or gives a non-finite ``y1`` or ``err``.  Both forms are straight-line
-    code with the same operations in the same order as an index loop over
-    the components, so they give the same bits.
-    """
-    idx = range(n)
-
-    def call(dest, args):
-        if inline is None:
-            return [f"{_names(dest, n)}= rhs([{', '.join(args)}])"]
-        temps, comps = inline
-        return [f"{_names('_v', n)}= {_tuple(args)}", *temps,
-                f"{_names(dest, n)}= {_tuple(comps)}"]
-
-    def stage(row, i):
-        # x + h * (a1 * k1 + ...); the first stage groups as x + (h * a21) * k1
-        if len(row) == 1:
-            return f"x{i} + h * {row[0][0]!r} * k1_{i}"
-        return f"x{i} + h * ({_lin(row, i)})"
-
-    lines = [
-        f"def step({'rhs, ' if inline is None else ''}y, f0, h, atol, rtol):",
-        f"    {_names('x', n)}= y",
-        f"    {_names('k1_', n)}= f0",
-        "    try:",
-    ]
-    calls = [call(f"k{s}_", [stage(row, i) for i in idx]) for s, row in enumerate(_ROWS, start=2)]
-    calls.append([f"{_names('z', n)}= {_tuple(f'x{i} + h * ({_lin(_WEIGHTS, i)})' for i in idx)}",
-                  *call("k7_", [f"z{i}" for i in idx])])
-    lines += ["        " + line for c in calls for line in c]
-    for i in idx:
-        lines += [
-            f"        a = abs(x{i})",
-            f"        b = abs(z{i})",
-            f"        e{i} = h * ({_lin(_ERRORS, i)}) / (atol + rtol * (b if b > a else a))",
-        ]
-    return lines + [
-        f"        err = _sqrt(({' + '.join(f'e{i} * e{i}' for i in idx)}) / {n})",
-        "    except _EVAL_ERRORS:",
-        "        return None",
-        f"    if not ({' and '.join(['_isfinite(err)'] + [f'_isfinite(z{i})' for i in idx])}):",
-        "        return None",
-        f"    return [{', '.join(f'z{i}' for i in idx)}], [{', '.join(f'k7_{i}' for i in idx)}], err",
-    ]
-
-
-def _scan_lines(n: int, inline: Callable) -> list:
-    """Source lines of ``scan(y0, f0, y1, f1, h)``, a margin's values along one step, inlined.
-
-    ``inline(name)`` gives the source lines that set ``name`` to the margin
-    at the point ``_v0, _v1, ...``, using no other name but ``v``.  The scan
-    returns the margins at ``hermite(y0, f0, y1, f1, h)(s)`` for s = 0.25,
-    0.5, 0.75, with the weights that do not involve h folded to literals, and
-    at ``y1``: the same floats as the margin called at those points.
-    """
-    idx = range(n)
-
-    def at(j, args):
-        return [f"{_names('_v', n)}= {_tuple(args)}", *inline(f"m{j}")]
-
-    lines = ["def scan(y0, f0, y1, f1, h):", *("    " + line for line in _unpack_ends(n))]
-    for j, s in enumerate(_SCAN[:-1]):
-        s2 = s * s
-        a, c = s2 * (2.0 * s - 3.0) + 1.0, s2 * (3.0 - 2.0 * s)
-        lines += [
-            f"    b = h * {s2 * (s - 2.0) + s!r}",
-            f"    d = h * {s2!r} * ({s - 1.0!r})",
-            *("    " + line for line in at(j, [f"{a!r} * p{i} + b * q{i} + {c!r} * r{i} + d * u{i}"
-                                              for i in idx])),
-        ]
-    return lines + ["    " + line for line in at(3, [f"r{i}" for i in idx])] + [
-        "    return m0, m1, m2, m3"]
+_WEIGHTS = ((_B1, 1), (_B3, 3), (_B4, 4), (_B5, 5), (_B6, 6))
+_ERRORS = ((_E1, 1), (_E3, 3), (_E4, 4), (_E5, 5), (_E6, 6), (_E7, 7))
 
 
 @functools.lru_cache(maxsize=None)
-def _dp5_kernels(n: int):
-    """The DP5 step ``step(rhs, y, f0, h, atol, rtol)`` of :func:`_step_lines` for states of length n.
+def _hermite(n: int):
+    """``hermite(y0, f0, y1, f1, h)``: the cubic Hermite interpolant of one step, for states of length n.
 
-    It calls its plain ``rhs``; an rhs that carries its own ``step`` (as
-    those ``GAction`` generates do) has it inlined instead.
-    """
-    return _define("\n".join(_step_lines(n)))["step"]
-
-
-@functools.lru_cache(maxsize=None)
-def _hermite_kernels(n: int):
-    """Generate the step interpolant and the first-step norm for states of length n.
-
-    ``hermite(y0, f0, y1, f1, h)`` returns the cubic Hermite interpolant of
-    one step as a function of the step fraction s in [0, 1], reading the
-    vectors when called; ``first_norm(f0, y, atol, rtol)`` is the RMS of
-    ``f0 / (atol + rtol * |y|)``.  Both are straight-line code with the same
-    operations in the same order as an index loop over the components.
+    It returns the interpolant as a function of the step fraction s in [0,
+    1], reading the vectors when called; it is straight-line code with the
+    same operations in the same order as an index loop over the components.
     """
     sums = ", ".join(f"a * p{i} + b * q{i} + c * r{i} + d * u{i}" for i in range(n))
-    squares = " + ".join(f"(f0[{i}] / (atol + rtol * abs(y[{i}]))) ** 2" for i in range(n))
-    lines = [
+    return _define("\n".join([
         "def hermite(y0, f0, y1, f1, h):",
         "    def interp(s):",
-        *("        " + line for line in _unpack_ends(n)),
+        *(f"        {_names(v, n)}= {name}" for v, name in zip("pqru", ("y0", "f0", "y1", "f1"))),
         "        s2 = s * s",
         "        a = s2 * (2.0 * s - 3.0) + 1.0",
         "        b = h * (s2 * (s - 2.0) + s)",
@@ -255,12 +148,231 @@ def _hermite_kernels(n: int):
         "        d = h * s2 * (s - 1.0)",
         f"        return [{sums}]",
         "    return interp",
-        "",
-        "def first_norm(f0, y, atol, rtol):",
-        f"    return _sqrt(({squares}) / {n})",
+    ]))["hermite"]
+
+
+def _kernel(n: int, inline=None) -> tuple:
+    """``(lines, names)``: the source of one run of :func:`integrate_autonomous` for states of length n.
+
+    ``names`` are the globals the source reads besides the expression
+    globals.  With ``inline`` None the lines define the generic kernel
+    ``integrate(rhs, margin, lower, y0, duration, atol, rtol, max_steps,
+    on_step)``, which calls its plain ``rhs`` and ``margin`` and hands
+    ``lower`` to :func:`_scan_margins`.  Otherwise ``inline`` is ``(temps,
+    comps, const, least)``: ``comps`` is the source of the n components of
+    the rhs at the point ``_v0, _v1, ...``, which may read the temps that the
+    lines ``temps`` assign (the subtrees they share, computed once);
+    ``const`` holds the indices of the components that read no point, which
+    are the same at every stage; and ``least(m)`` gives the lines that set
+    ``m`` to the margin at that point, using no other name but ``v``.  The
+    lines then define ``integrate(y0, duration, atol, rtol, max_steps,
+    on_step)`` with both inlined, which reads the global ``_margin`` for the
+    margin that ``least`` computes.  A constant component's stage sums are
+    computed once, before the loop.
+
+    The loop is that of a step at a time: the first step size, the DP5
+    stages, the error test, the margin scan, the commit test, the step
+    size controller and the collapse test, as straight-line code with one
+    local per component.  It does the same operations in the same order as
+    an index loop over the components, and compares where that loop took the
+    builtin ``min`` or ``max`` (which keep their first argument unless a
+    later one is strictly below or above it), so it gives the same bits.
+    Steps that the commit test does not clear go to :func:`_scan_margins`,
+    looked up in this module at each such step.
+    """
+    idx = range(n)
+    own = inline is not None
+    temps, comps, const, least = inline if own else ((), (), (), None)
+    moving = [i for i in idx if i not in const]
+    eps = repr(ESCAPE_MARGIN)
+
+    def k(s, i):   # a constant component's stages all equal its first
+        return f"k1_{i}" if i in const else f"k{s}_{i}"
+
+    def lin(terms, i):
+        return " + ".join(f"{c!r} * {k(s, i)}" if c > 0.0 else f"({c!r}) * {k(s, i)}"
+                          for c, s in terms)
+
+    def contraction(s):
+        """Lines setting ``k{s}_i`` of the components that move to the rhs at ``_v0, _v1, ...``."""
+        if not moving:
+            return []
+        return [*temps, f"{_tuple(f'k{s}_{i}' for i in moving)}= {_tuple(comps[i] for i in moving)}"]
+
+    def rhs_at(s, args):
+        if not own:
+            return [f"{_names(f'k{s}_', n)}= rhs([{', '.join(args)}])"]
+        return [f"{_names('_v', n)}= {_tuple(args)}", *contraction(s)] if moving else []
+
+    def margin_at(m, args):
+        if not own:
+            return [f"{m} = margin([{', '.join(args)}])"]
+        return [f"{_names('_v', n)}= {_tuple(args)}", *least(m)]
+
+    def stage(s, row, i):
+        # x + h * (a1 * k1 + ...); the first stage groups as x + (h * a21) * k1
+        if len(row) == 1:
+            return f"x{i} + h * {row[0][0]!r} * {k(1, i)}"
+        if i in const:
+            return f"x{i} + h * s{s}_{i}"
+        return f"x{i} + h * ({lin(row, i)})"
+
+    x, z = _names("x", n), _names("z", n)
+    if own:
+        lines = ["def integrate(y0, duration, atol, rtol, max_steps, on_step):",
+                 "    y = y0",
+                 f"    {_names('_v', n)}= y",
+                 *("    " + line for line in least("m_curr"))]
+        first = contraction(1)
+    else:
+        lines = ["def integrate(rhs, margin, lower, y0, duration, atol, rtol, max_steps, on_step):",
+                 "    y = y0",
+                 "    m_curr = margin(y)"]
+        first = ["f0 = rhs(y)", f"{_names('k1_', n)}= f0"]
+    lines += [
+        f"    if m_curr <= {eps}:",
+        f"        return {ESCAPED!r}, 0.0, tuple(y), 0, False",
+        *(f"    k1_{i} = {comps[i]}" for i in const),
+        "    try:",
+        *("        " + line for line in first),
+        f"        if not ({' and '.join(f'_isfinite(k1_{i})' for i in idx)}):",
+        "            raise ValueError",
+        "    except _EVAL_ERRORS:",
+        "        # in-domain but the field is not evaluable: nothing can move",
+        f"        return {ESCAPED!r}, 0.0, tuple(y), 0, True",
     ]
-    ns = _define("\n".join(lines))
-    return ns["hermite"], ns["first_norm"]
+    if own:
+        lines.append(f"    f0 = [{', '.join(f'k1_{i}' for i in idx)}]")
+    lines.append(f"    {x}= y")
+    for i in const:   # the sums of a component that reads no point
+        if moving:   # its stages are evaluated only for the components that move
+            lines += [f"    s{s}_{i} = {lin(row, i)}" for s, row in enumerate(_ROWS[1:], start=3)]
+        lines += [f"    w{i} = {lin(_WEIGHTS, i)}", f"    q{i} = {lin(_ERRORS, i)}"]
+    squares = " + ".join(f"(k1_{i} / (atol + rtol * abs(x{i}))) ** 2" for i in idx)
+    lines += [
+        # the first trial step is where a solution whose higher derivatives are
+        # the size of f0 would meet the tolerance (Hairer, Norsett & Wanner's h1)
+        "    try:",
+        f"        d1 = _sqrt(({squares}) / {n})",
+        "    except OverflowError:   # a component's scaled square passes the float range",
+        "        d1 = _inf",
+        "    h = duration",
+        "    if 0.0 < d1 < _inf:",
+        "        h1 = (0.01 / d1) ** 0.2",
+        "        if h1 < duration:",
+        "            h = h1",
+        "    t = 0.0",
+        "    steps = 0",
+        "    h_acc = err_acc = None",
+        "    while steps < max_steps:",
+        "        remaining = duration - t",
+        "        if remaining <= 0.0:",
+        f"            return {COMPLETE!r}, t, ({x}), steps, False",
+        "        if remaining < h:",
+        "            h = remaining",
+        "        steps += 1",
+        "        try:",
+    ]
+    step = [line for s, row in enumerate(_ROWS, start=2)
+            for line in rhs_at(s, [stage(s, row, i) for i in idx])]
+    ends = (f"x{i} + h * w{i}" if i in const else f"x{i} + h * ({lin(_WEIGHTS, i)})" for i in idx)
+    step.append(f"{z}= {_tuple(ends)}")
+    if own:
+        step += rhs_at(7, [f"z{i}" for i in idx])
+    else:
+        step += [f"y1 = [{z}]", f"{_names('k7_', n)}= rhs(y1)"]
+    for i in idx:
+        step += [
+            f"a = abs(x{i})",
+            f"b = abs(z{i})",
+            f"e{i} = h * {f'q{i}' if i in const else f'({lin(_ERRORS, i)})'}"
+            " / (atol + rtol * (b if b > a else a))",
+        ]
+    step.append(f"err = _sqrt(({' + '.join(f'e{i} * e{i}' for i in idx)}) / {n})")
+    lines += ["            " + line for line in step]
+    accept = [f"y1 = [{z}]"] if own else []
+    accept.append(f"f1 = [{', '.join(k(7, i) for i in idx)}]")
+    for j, s in enumerate(_SCAN[:-1]):
+        # the interpolant at s with the weights that do not involve h folded to
+        # literals: the same floats as hermite(...)(s)
+        s2 = s * s
+        a, c = s2 * (2.0 * s - 3.0) + 1.0, s2 * (3.0 - 2.0 * s)
+        accept += [f"b = h * {s2 * (s - 2.0) + s!r}", f"d = h * {s2!r} * ({s - 1.0!r})",
+                   *margin_at(f"m{j}", [f"{a!r} * x{i} + b * k1_{i} + {c!r} * z{i} + d * {k(7, i)}"
+                                        for i in idx])]
+    accept += margin_at("m3", [f"z{i}" for i in idx]) if own else ["m3 = margin(y1)"]
+    accept.append("mn = mx = m_curr")
+    for j in range(4):
+        accept += [f"if m{j} < mn:", f"    mn = m{j}", f"if m{j} > mx:", f"    mx = m{j}"]
+    margin, lower = ("_margin", "_margin.lower") if own else ("margin", "lower")
+    accept += [
+        "interp = _hermite(y, f0, y1, f1, h)",
+        # the first lines of _scan_margins: a step that passes them is committed
+        f"if mn > {eps} and not (mn < 0.5 * mx or mn < {100.0 * ESCAPE_MARGIN!r}):",
+        "    found = None",
+        "else:",
+        f"    found = _flow._scan_margins({margin}, interp, (m_curr, m0, m1, m2, m3), h, {lower},"
+        " y, f0, y1, f1)",
+        "if found is None:",
+        "    on_step(t, t + h, y1, interp)",
+        "    t += h",
+        "    if h == remaining:   # the last step",
+        f"        return {COMPLETE!r}, t, ({z}), steps, False",
+        "    y, f0, m_curr = y1, f1, m3",
+        f"    {x}= {z}",
+        *([f"    {_tuple(f'k1_{i}' for i in moving)}= {_tuple(f'k7_{i}' for i in moving)}"]
+          if moving else []),
+        "    if err == 0.0:",
+        "        fac = 5.0",
+        "    else:",
+        "        g = 0.9 * err ** -0.2",
+        "        fac = g if g > 0.2 else 0.2",
+        "        if not fac < 5.0:",
+        "            fac = 5.0",
+        "        if h_acc is not None:   # the predictive factor; err ** 2 could underflow to 0",
+        "            g = 0.9 * (h / h_acc) * err_acc ** 0.2 / err ** 0.4",
+        "            if not g > 0.2:",
+        "                g = 0.2",
+        "            if g < fac:",
+        "                fac = g",
+        "    h_acc = h",
+        "    err_acc = 0.01 if 0.01 > err else err",
+        "    h *= fac",
+        "    continue",
+        "if found[0] == 'escape':",
+        "    _, s_cut, s_mid, low = found",
+        "    y_cut = interp(s_cut)",
+        "    if s_cut > 0.0:",
+        "        on_step(t, t + s_cut * h, y_cut, lambda s, _i=interp, _c=s_cut: _i(s * _c))",
+        f"    return {ESCAPED!r}, t + s_mid * h, tuple(y_cut), steps, low",
+        "# a thin pass the step may have jumped: end the retried step at it",
+        "shrink = found[1]",
+    ]
+    finite = " and ".join(["_isfinite(err)"] + [f"_isfinite(z{i})" for i in idx])
+    lines += [
+        "        except _EVAL_ERRORS:",
+        "            shrink = 0.5",
+        "        else:",
+        f"            if not ({finite}):",
+        "                shrink = 0.5",
+        "            elif err > 1.0:",
+        "                g = 0.9 * err ** -0.2",
+        "                shrink = g if g > 0.2 else 0.2",
+        "            else:   # accepted: check the margin along the step before committing",
+        *("                " + line for line in accept),
+        "        h *= shrink",
+        f"        if h < {STEP_COLLAPSE!r}:",
+        f"            return {ESCAPED!r}, t, ({x}), steps, True",
+        f"    return {STEP_LIMIT!r}, t, ({x}), steps, False",
+    ]
+    return lines, {"_flow": sys.modules[__name__], "_hermite": _hermite(n)}
+
+
+@functools.lru_cache(maxsize=None)
+def _generic_kernel(n: int):
+    """The generic kernel of :func:`_kernel` for states of length n."""
+    lines, names = _kernel(n)
+    return _define("\n".join(lines), names)["integrate"]
 
 
 # The Bernstein hull of a step's interpolant (Farouki & Rajan, CAGD 1988): its
@@ -392,100 +504,21 @@ def integrate_autonomous(
     that ``GAction`` generates does); crossing ``ESCAPE_MARGIN`` ends the run
     as escaped.  A margin with the attribute ``lower(lo, hi)``, a lower bound
     of it over boxes, as that margin has, lets the scan skip the dip searches
-    the bound proves futile.  An ``rhs`` with the attribute ``step`` and a
-    margin with the attribute ``scan``, as those ``GAction`` generates have,
-    bring their own DP5 step and margin scan with their arithmetic inlined
-    (:func:`_step_lines`, :func:`_scan_lines`).  A plain callable, such as
-    user code or a wrapper, gives the same bits: a plain ``rhs`` gets the
-    generic step, which calls it, and a plain ``margin`` is called at the
-    step's interpolant at s = 0.25, 0.5 and 0.75 and at its end.
-    ``on_step(t0, t1, y1, interp)`` is called after each accepted (possibly
+    the bound proves futile.  An ``rhs`` that ``GAction`` generates carries
+    the attribute ``kernel``, a pair of the action's domain margin and the
+    run with both inlined (:func:`_kernel`), which is taken when ``margin``
+    is that margin.  Other callables, such as user code or wrappers, give
+    the same bits in the generic kernel: it calls ``rhs`` at each stage and
+    ``margin`` at the step's interpolant at s = 0.25, 0.5 and 0.75 and at its
+    end.  ``on_step(t0, t1, y1, interp)`` is called after each accepted (possibly
     escape-truncated) step, from time ``t0`` to the point ``y1`` at time
     ``t1``, with ``interp`` covering the reported sub-step; ``interp`` reads
     ``rhs`` results when called, so ``rhs`` must return a new list each time.
 
     Returns ``(status, t_end, y_end, steps, low_confidence)``.
     """
-    n = len(y0)
-    y = y0
-    t = 0.0
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
-    hermite, first_norm = _hermite_kernels(n)
-    step = getattr(rhs, "step", None) or functools.partial(_dp5_kernels(n), rhs)
-    scan = getattr(margin, "scan", None)
-    lower = getattr(margin, "lower", None)
-
-    m_curr = margin(y)  # margin at the current point
-    if m_curr <= ESCAPE_MARGIN:
-        return ESCAPED, 0.0, tuple(y), 0, False
-
-    try:
-        f0 = rhs(y)
-        if not all(map(math.isfinite, f0)):
-            raise ValueError
-    except EVAL_ERRORS:
-        # in-domain but the field is not evaluable: nothing can move
-        return ESCAPED, 0.0, tuple(y), 0, True
-
-    # First trial step: where a solution whose higher derivatives are the size
-    # of f0 would meet the tolerance (the h1 of Hairer, Norsett & Wanner,
-    # Solving ODEs I, II.4).  A whole-span first step can pass the error test
-    # while its true error is far larger, because the embedded estimate is
-    # only asymptotic in h.
-    try:
-        d1 = first_norm(f0, y, atol, rtol)
-    except OverflowError:   # a component's scaled square passes the float range
-        d1 = math.inf
-    h = min(duration, (0.01 / d1) ** 0.2) if 0.0 < d1 < math.inf else duration
-
-    steps = 0
-    h_acc = err_acc = None   # the last accepted step's size, and its error but at least 1e-2
-    while steps < cfg.max_steps:
-        remaining = duration - t
-        if remaining <= 0.0:
-            return COMPLETE, t, tuple(y), steps, False
-        h = min(h, remaining)
-
-        out = step(y, f0, h, atol, rtol)
-        steps += 1
-        # each attempt that is retried sets the factor h shrinks by, applied at the end
-        if out is None:
-            shrink = 0.5
-        elif out[2] > 1.0:
-            shrink = max(0.2, 0.9 * out[2] ** -0.2)
-        else:
-            # accepted: check the margin along the step before committing
-            y1, k7, err = out
-            interp = hermite(y, f0, y1, k7, h)
-            if scan:
-                ms = (m_curr, *scan(y, f0, y1, k7, h))
-            else:
-                ms = (m_curr, *[margin(interp(s)) for s in _SCAN[:-1]], margin(y1))
-            found = _scan_margins(margin, interp, ms, h, lower, y, f0, y1, k7)
-            if found is None:
-                on_step(t, t + h, y1, interp)
-                t += h
-                if h == remaining:   # the last step
-                    return COMPLETE, t, tuple(y1), steps, False
-                y, f0, m_curr = y1, k7, ms[4]
-                if err == 0.0:
-                    fac = 5.0
-                else:
-                    fac = min(5.0, max(0.2, 0.9 * err ** -0.2))
-                    if h_acc is not None:   # the predictive factor; err ** 2 could underflow to 0
-                        fac = min(fac, max(0.2, 0.9 * (h / h_acc) * err_acc ** 0.2 / err ** 0.4))
-                h_acc, err_acc = h, max(err, 1e-2)
-                h *= fac
-                continue
-            if found[0] == "escape":
-                _, s_cut, s_mid, low = found
-                y_cut = interp(s_cut)
-                if s_cut > 0.0:
-                    on_step(t, t + s_cut * h, y_cut, lambda s, _i=interp, _c=s_cut: _i(s * _c))
-                return ESCAPED, t + s_mid * h, tuple(y_cut), steps, low
-            # a thin pass the step may have jumped: end the retried step at it
-            shrink = found[1]
-        h *= shrink
-        if h < STEP_COLLAPSE:
-            return ESCAPED, t, tuple(y), steps, True
-    return STEP_LIMIT, t, tuple(y), steps, False
+    own = getattr(rhs, "kernel", None)
+    if own is not None and own[0] is margin:
+        return own[1](y0, duration, cfg.abs_tol, cfg.rel_tol, cfg.max_steps, on_step)
+    return _generic_kernel(len(y0))(rhs, margin, getattr(margin, "lower", None), y0, duration,
+                                    cfg.abs_tol, cfg.rel_tol, cfg.max_steps, on_step)

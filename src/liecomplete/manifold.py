@@ -25,6 +25,10 @@ from .expr import (
 
 DEFAULT_SAMPLING_HALF_WIDTH = 2.0
 SAMPLING_MARGIN = 0.1  # sampled points keep at least this margin
+# the sampled points are all held until they are used: at this cap the
+# helicoid's check peaks 19 MB above the interpreter and takes 1.3 s, and the
+# points of the largest translation_rn (16 coordinates) hold 67 MB
+MAX_SAMPLES = 100_000
 _NOT_A_POINT = "point is not a list of numbers, one per coordinate"
 
 
@@ -136,22 +140,24 @@ def _least_lines(terms, render: Callable, m: str) -> list:
     return lines
 
 
+def _margin_lines(domain: Domain, names: Mapping[str, str]) -> Callable:
+    """``least(m)``: the lines of :func:`_least_lines` setting ``m`` to the margin at ``_v0, _v1, ...``."""
+    return functools.partial(_least_lines, domain.terms, lambda node: _render_py(node, names))
+
+
 def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
     """Generate p -> the least of ``domain.terms`` as one list-in function, by :func:`_least_lines`.
 
-    Two attributes are generated on their first call: ``lower(lo, hi)``, a
-    lower bound of the margin at every list of floats p with ``lo[j] <= p[j]
-    <= hi[j]``, or ``-inf`` where it proves nothing
-    (:func:`liecomplete.interval.margin_lower`); and ``scan(y0, f0, y1, f1,
-    h)``, the integrator's margin scan of a step with these lines inlined
-    (:func:`liecomplete.flow._scan_lines`).
+    The attribute ``lower(lo, hi)`` is generated on its first call: a lower
+    bound of the margin at every list of floats p with ``lo[j] <= p[j] <=
+    hi[j]``, or ``-inf`` where it proves nothing
+    (:func:`liecomplete.interval.margin_lower`).
     """
     names = _name_map(domain.coords, params)
-    body = functools.partial(_least_lines, domain.terms, lambda node: _render_py(node, names))
     margin = _define("\n".join([
         "def _margin(p):",
         f"    {_names('_v', domain.dim)}= p",
-        *("    " + line for line in body("m")),
+        *("    " + line for line in _margin_lines(domain, names)("m")),
         "    return m",
     ]))["_margin"]
 
@@ -159,16 +165,11 @@ def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
         from .interval import margin_lower
         return margin_lower(domain, names)
 
-    def scan():   # the integrator's module is imported only when a step is first scanned
-        from .flow import _scan_lines
-        return _define("\n".join(_scan_lines(domain.dim, body)))["scan"]
-
     _on_first_call(margin, "lower", lower)
-    _on_first_call(margin, "scan", scan)
     return margin
 
 
-def _compile_contraction(fields, rows: tuple, coords, params) -> Callable:
+def _compile_contraction(fields, rows: tuple, domain: Domain, params, margin: Callable) -> Callable:
     """Generate a factory: coefficients of ``rows`` -> y -> sum_i c_i zeta_i(y).
 
     Each component adds ``c_i * field`` over ``rows`` in order onto ``0.0``,
@@ -180,11 +181,15 @@ def _compile_contraction(fields, rows: tuple, coords, params) -> Callable:
     the components is computed once, into a temp ``_tK`` before the
     components (:func:`liecomplete.expr._shared_subtrees`); the values are
     the same, and a raise is still one of ``EVAL_ERRORS``.  Each rhs carries
-    the attribute ``step``, the integrator's DP5 step with the contraction
-    and its temps inlined (:func:`liecomplete.flow._step_lines`); the
+    the attribute ``kernel``, the pair of ``margin`` (the domain's, compiled
+    by :func:`_compile_margin`) and the integrator's run with the
+    contraction, its temps and that margin inlined
+    (:func:`liecomplete.flow._kernel`); a component made of bare
+    coefficients alone, or of none, is constant along the run.  The
     coefficients are cells of both closures.
     """
-    from .flow import _step_lines
+    from .flow import _kernel
+    coords = domain.coords
     names = _name_map(coords, params)
     used = [[(i, fields[i][j].node) for i in rows if not _is_const(fields[i][j].node, 0.0)]
             for j in range(len(coords))]
@@ -196,17 +201,19 @@ def _compile_contraction(fields, rows: tuple, coords, params) -> Callable:
         if not terms or "*" in terms[0]:
             terms.insert(0, "0.0")
         comps.append(" + ".join(terms))
+    const = [j for j, terms in enumerate(used) if all(_is_const(node, 1.0) for _, node in terms)]
+    kernel, kernel_names = _kernel(len(coords), (temps_lines, comps, const, _margin_lines(domain, names)))
     src = "\n".join([
         f"def _make({', '.join(f'_c{i}' for i in rows)}):",
         "    def _rhs(y):",
         f"        {_names('_v', len(coords))}= y",
         *("        " + line for line in temps_lines),
         f"        return [{', '.join(comps)}]",
-        *("    " + line for line in _step_lines(len(coords), (temps_lines, comps))),
-        "    _rhs.step = step",
+        *("    " + line for line in kernel),
+        "    _rhs.kernel = (_margin, integrate)",
         "    return _rhs",
     ])
-    return _define(src)["_make"]
+    return _define(src, dict(kernel_names, _margin=margin))["_make"]
 
 
 class GAction:
@@ -248,7 +255,8 @@ class GAction:
         try:
             self._fields_at = checked(compile_scalars(flat, domain.coords, self.params),
                                       "fields", ActionError)
-            self._margin = _compile_margin(domain, self.params)
+            # the margin the rhs kernels inline; callers read _margin, which starts as it
+            self._margin = self._kernel_margin = _compile_margin(domain, self.params)
         except ExprNameError as e:
             raise ActionError(str(e)) from None
         self._contractions: dict = {}  # which coefficients are non-zero -> rhs factory
@@ -307,7 +315,8 @@ class GAction:
 
         The contraction is generated once per set of non-zero coefficients;
         rows whose coefficient is zero are not evaluated.  The function
-        carries ``step``, the integrator's DP5 step with it inlined.
+        carries ``kernel``: the domain margin and the integrator's run with
+        both inlined, which the integrator takes when it is passed that margin.
         """
         coeffs = floats(X, ActionError, "rhs expects a d-vector of algebra coefficients", self.dim_algebra)
         return self._contraction(tuple(map(bool, coeffs)))(*filter(None, coeffs))
@@ -318,7 +327,7 @@ class GAction:
         if make is None:
             rows = tuple(i for i, c in enumerate(nonzero) if c)
             make = self._contractions[nonzero] = _compile_contraction(
-                self.fields, rows, self.domain.coords, self.params
+                self.fields, rows, self.domain, self.params, self._kernel_margin
             )
         return make
 
@@ -339,10 +348,12 @@ def sample_points(action: GAction, count: int, seed: int = 0) -> list:
 
     Points are drawn by ``random.Random(seed)`` from the domain's box, whose
     open sides are sampled at ``+-DEFAULT_SAMPLING_HALF_WIDTH``.  A ``count``
-    that is not an int of at least 0 is a ``SamplingError``.
+    that is not an int from 0 to ``MAX_SAMPLES`` is a ``SamplingError``.
     """
     if type(count) is not int or count < 0:
         raise SamplingError("count must be a non-negative integer")
+    if count > MAX_SAMPLES:
+        raise SamplingError(f"count {count} passes the cap of {MAX_SAMPLES} samples")
     rng = random.Random(seed)
     w = DEFAULT_SAMPLING_HALF_WIDTH
     sides = [(-w if lo == -math.inf else lo, w if hi == math.inf else hi) for lo, hi in action.domain.box]
@@ -374,7 +385,8 @@ def check_homomorphism(
     ``ActionError``, also for a one-dimensional algebra, which has no pair
     to bracket; a residual that is NaN (the bracket sum overflowed to
     ``inf - inf``) is returned as NaN, which no limit passes.  A ``sample_count``
-    that is not an int of at least 1 (none would pass vacuously) is a ``SamplingError``.
+    that is not an int from 1 (none would pass vacuously) to ``MAX_SAMPLES``
+    is a ``SamplingError``.
     """
     positive_int(sample_count, SamplingError, "sample_count")
     d, n = action.dim_algebra, action.dim_manifold

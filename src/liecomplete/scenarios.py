@@ -232,6 +232,13 @@ def invariants_match(i1: LeafInvariant, i2: LeafInvariant, tol: float = 1e-6) ->
 # path constructors
 
 
+# every chord is built before the lift starts, and holds about 1 kB from the
+# path to the lift's trace: 100,000 chords of the helicoid circle peak 100 MB
+# above the interpreter and take 1.5 s to build and lift, so at this cap a lift
+# takes about 1 GB and 15 s
+MAX_CIRCLE_CHORDS = 1_000_000
+
+
 def circle_loop_path(
     start_g,
     x0_plane,
@@ -243,8 +250,9 @@ def circle_loop_path(
 
     The projection starts at ``x0_plane`` and follows the circle through it
     (radius preserved) for ``turns`` full revolutions, as a chord polygon with
-    ``chords_per_turn`` (at least 1) chords per turn.  ``turns`` is finite and
-    positive: ``clockwise`` sets the direction.
+    ``chords_per_turn`` (at least 1) chords per turn, at most
+    ``MAX_CIRCLE_CHORDS`` in all.  ``turns`` is finite and positive:
+    ``clockwise`` sets the direction.
     """
     from .lift import GPath, LinearSeg
     turns = number(turns, ScenarioError, "turns must be a number")
@@ -259,7 +267,11 @@ def circle_loop_path(
     if radius == 0.0:
         raise ScenarioError("cannot wind a circle of radius zero")
     theta0 = math.atan2(py, px)
-    n = max(1, int(round(chords * turns)))
+    total = chords * turns
+    if not total <= MAX_CIRCLE_CHORDS:
+        raise ScenarioError(f"a circle path of chords_per_turn * turns = {total:.3g} chords "
+                            f"passes the cap of {MAX_CIRCLE_CHORDS}")
+    n = max(1, int(round(total)))
     sweep = 2.0 * math.pi * turns * (-1.0 if clockwise else 1.0)
     segs = []
     for k in range(1, n + 1):

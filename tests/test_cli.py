@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +21,10 @@ from liecomplete.completion import (
 from liecomplete.expr import MAX_DEPTH, ExprDomainError, ExprNameError, ExprSyntaxError
 from liecomplete.flow import IntegratorConfig
 from liecomplete.lift import PathError
-from liecomplete.manifold import ActionError, DomainError, OutsideDomainError, SamplingError
-from liecomplete.scenarios import MAX_TRANSLATION_DIM, ScenarioError
+from liecomplete.manifold import (
+    MAX_SAMPLES, ActionError, DomainError, OutsideDomainError, SamplingError,
+)
+from liecomplete.scenarios import MAX_CIRCLE_CHORDS, MAX_TRANSLATION_DIM, ScenarioError
 
 U = 0.7
 E_MINUS_2PI = 1.8674427317079893e-3
@@ -489,6 +492,20 @@ def test_lift_argument_validation(tmp_path, capsys):
                   ["--circle-turns", "1", "--chords-per-turn", "-3"],
                   ["--circle-turns", "1", "--start-g", "0,nan"]]:
         assert _config_error(circle + flags, capsys), flags
+
+
+def test_huge_chord_and_sample_counts_exit_3_at_once(tmp_path, capsys):
+    # a circle path's chords and the check's points are all built before they are
+    # used, so counts past their caps are refused before any is built
+    circle = ["lift", "--scenario", "example6", "--x0", "1,0,1", "--out", str(tmp_path / "o")]
+    t0 = time.perf_counter()
+    for flags in [["--circle-turns", "1e9"],
+                  ["--circle-turns", "1e300", "--chords-per-turn", "10000000000"],
+                  ["--circle-turns", repr(1.001 * MAX_CIRCLE_CHORDS / 4096)]]:
+        assert _config_error(circle + flags, capsys), flags
+    for samples in ("1000000000", str(MAX_SAMPLES + 1)):
+        assert _config_error(["check", "--scenario", "example6", "--samples", samples], capsys)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_empty_path_lift(tmp_path):

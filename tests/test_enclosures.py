@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from liecomplete.algebra import AbelianGroup
 from liecomplete.expr import MAX_DEPTH, parse
-from liecomplete.flow import _SCAN, _golden_min, _hermite_kernels, _hull
+from liecomplete.flow import _SCAN, _golden_min, _hermite, _hull
 from liecomplete.manifold import Domain, GAction
 from liecomplete.scenarios import build
 from test_cli import _VALID_TERMS
@@ -178,7 +178,7 @@ brackets = st.one_of(
 def test_hull_holds_the_computed_interpolant_on_the_bracket(data, n, h, bracket):
     y0, f0, y1, f1 = (data.draw(st.lists(component, min_size=n, max_size=n)) for _ in range(4))
     lo, hi = bracket
-    interp = _hermite_kernels(n)[0](y0, f0, y1, f1, h)
+    interp = _hermite(n)(y0, f0, y1, f1, h)
     los, his = _hull(y0, f0, y1, f1, h, lo, hi)
     samples = [min(lo + (hi - lo) * i / 32, hi) for i in range(33)] + [hi]
     # the golden-section dip search samples the bracket only, and its samples are checked too

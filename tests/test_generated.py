@@ -1,17 +1,18 @@
 """Hot-path code against the loops it replaces.
 
-The rhs contraction, the domain margin, the Dormand-Prince step, its Hermite
-interpolant, the margins at the interpolant's interior scan points and at the
-step's end, and the first-step norm are generated as straight-line Python;
-the step comes both as a generic kernel that calls a plain rhs and as an
-action's own kernel with its contraction inlined, and the margins come as an
-action's own scan with its margin inlined, while a plain margin is called at
-the generated interpolant's scan points; the margin scan commits a step from
-its five margins before any refinement, at the fixed escape level
-``ESCAPE_MARGIN`` and bisection width ``ESCAPE_TIME_WIDTH``; group paths and
-the loop decompositions of ``loop_to_group`` are built from whole arrays.
-The loop forms they replaced are kept here as references; the new code must
-give the same floats bit for bit (compared through ``float.hex``, so signed zeros and NaNs count too),
+The rhs contraction, the domain margin, the Hermite interpolant and the
+integrator's whole run over a segment are generated as straight-line Python.
+The run comes both as a generic kernel that calls a plain rhs and margin and
+as an action's own kernel with its contraction and margin inlined; both are
+compared here with ``loop_integrate``, the loop they replaced, which takes a
+step at a time through the loop forms of the step, the first-step norm and
+the interpolant, and hands every accepted step's margins to
+``_scan_margins``.  The kernels' commit test is the first phase of that scan,
+at the fixed escape level ``ESCAPE_MARGIN`` and bisection width
+``ESCAPE_TIME_WIDTH``; group paths and the loop decompositions of
+``loop_to_group`` are built from whole arrays.  The loop forms are kept
+here as references; the new code must give the same floats bit for bit
+(compared through ``float.hex``, so signed zeros and NaNs count too),
 because it does the same operations in the same order.  Three whole-lift
 hashes pin every output of a long circle lift, of 200 lines past the
 helicoid axis and of 300 coarse circles whose steps the winding fold
@@ -24,6 +25,7 @@ three tests run each scan both with and without that shortcut, and the two
 must agree.
 """
 
+import functools
 import hashlib
 import math
 import random
@@ -42,8 +44,8 @@ from liecomplete.expr import EVAL_ERRORS, compile_scalars, parse
 from liecomplete.flow import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
-    _E1, _E3, _E4, _E5, _E6, _E7, _SCAN, ESCAPE_MARGIN, ESCAPE_TIME_WIDTH,
-    IntegratorConfig, _dp5_kernels, _golden_min, _hermite_kernels, _scan_margins,
+    _E1, _E3, _E4, _E5, _E6, _E7, _SCAN, COMPLETE, ESCAPE_MARGIN, ESCAPE_TIME_WIDTH, ESCAPED,
+    STEP_COLLAPSE, STEP_LIMIT, IntegratorConfig, _golden_min, _hermite, _scan_margins,
 )
 from liecomplete.lift import ExpSeg, GPath, LinearSeg, PathError, _resolve, lift_path
 from liecomplete.manifold import Domain, GAction
@@ -235,6 +237,77 @@ def loop_scan_margins(margin, interp, m0, m_end, eps, h, width):
     return ("escape", s_lo, 0.5 * (s_lo + s_hi), low_conf)
 
 
+def loop_integrate(rhs, y0, duration, atol, rtol, max_steps, margin, on_step):
+    """The integrator loop that the generated kernels replace, a step at a time on the loop forms.
+
+    Every accepted step's margins go to ``_scan_margins``, which commits
+    most of them in its first lines; ``margin.lower``, when there is one,
+    goes with them.
+    """
+    y = y0
+    t = 0.0
+    lower = getattr(margin, "lower", None)
+    m_curr = margin(y)
+    if m_curr <= ESCAPE_MARGIN:
+        return ESCAPED, 0.0, tuple(y), 0, False
+    try:
+        f0 = rhs(y)
+        if not all(map(math.isfinite, f0)):
+            raise ValueError
+    except EVAL_ERRORS:
+        return ESCAPED, 0.0, tuple(y), 0, True
+    try:
+        d1 = loop_first_norm(f0, y, atol, rtol)
+    except OverflowError:
+        d1 = math.inf
+    h = min(duration, (0.01 / d1) ** 0.2) if 0.0 < d1 < math.inf else duration
+
+    steps = 0
+    h_acc = err_acc = None
+    while steps < max_steps:
+        remaining = duration - t
+        if remaining <= 0.0:
+            return COMPLETE, t, tuple(y), steps, False
+        h = min(h, remaining)
+        out = loop_step(rhs, y, f0, h, atol, rtol)
+        steps += 1
+        if out is None:
+            shrink = 0.5
+        elif out[2] > 1.0:
+            shrink = max(0.2, 0.9 * out[2] ** -0.2)
+        else:
+            y1, k7, err = out
+            interp = loop_hermite(y, f0, y1, k7, h)
+            ms = (m_curr, *[margin(interp(s)) for s in _SCAN[:-1]], margin(y1))
+            found = _scan_margins(margin, interp, ms, h, lower, y, f0, y1, k7)
+            if found is None:
+                on_step(t, t + h, y1, interp)
+                t += h
+                if h == remaining:
+                    return COMPLETE, t, tuple(y1), steps, False
+                y, f0, m_curr = y1, k7, ms[4]
+                if err == 0.0:
+                    fac = 5.0
+                else:
+                    fac = min(5.0, max(0.2, 0.9 * err ** -0.2))
+                    if h_acc is not None:
+                        fac = min(fac, max(0.2, 0.9 * (h / h_acc) * err_acc ** 0.2 / err ** 0.4))
+                h_acc, err_acc = h, max(err, 1e-2)
+                h *= fac
+                continue
+            if found[0] == "escape":
+                _, s_cut, s_mid, low = found
+                y_cut = interp(s_cut)
+                if s_cut > 0.0:
+                    on_step(t, t + s_cut * h, y_cut, lambda s, _i=interp, _c=s_cut: _i(s * _c))
+                return ESCAPED, t + s_mid * h, tuple(y_cut), steps, low
+            shrink = found[1]
+        h *= shrink
+        if h < STEP_COLLAPSE:
+            return ESCAPED, t, tuple(y), steps, True
+    return STEP_LIMIT, t, tuple(y), steps, False
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -257,48 +330,43 @@ def _inside(action, data):
     return point
 
 
-def _outcome(fn, *args):
-    """The bits of ``fn(*args)``, or the name of the margin error it raised."""
+def _run(integrate, *args):
+    """A run's return value and its ``on_step`` calls, as bits, or the name of the error it raised.
+
+    Each call gives ``t0``, ``t1``, ``y1`` and the interpolant at s = 0,
+    0.25, 0.5, 0.75 and 1.
+    """
+    calls = []
+
+    def on_step(t0, t1, y1, interp):
+        calls.append((t0.hex(), t1.hex(), _bits(y1),
+                      [_bits(interp(s)) for s in (0.0, 0.25, 0.5, 0.75, 1.0)]))
+
     try:
-        out = fn(*args)
+        status, t_end, y_end, steps, low = integrate(*args, on_step)
     except EVAL_ERRORS as exc:
-        return type(exc).__name__
-    return _bits(out if isinstance(out, (list, tuple)) else [out])
+        return type(exc).__name__, calls
+    return (status, t_end.hex(), _bits(y_end), steps, low), calls
 
 
-def _scan_ref(margin, y0, f0, y1, f1, h):
-    interp = loop_hermite(y0, f0, y1, f1, h)
-    return [margin(interp(s)) for s in _SCAN[:-1]] + [margin(y1)]
+def _assert_same_runs(rhs, margin, y0, duration, atol, rtol, max_steps):
+    """Both kernels give the loop's run from ``y0``; returns it.
 
-
-def _plain_scan(margin, y0, f0, y1, f1, h):
-    """The margins the integrator reads for a plain margin: at the generated interpolant and at y1."""
-    interp = _hermite_kernels(len(y0))[0](y0, f0, y1, f1, h)
-    return [margin(interp(s)) for s in _SCAN[:-1]] + [margin(y1)]
-
-
-def _assert_same_scans(action, y0, f0, y1, f1, h):
-    """A plain margin's reads and the action's own scan give the loop's margins."""
-    margin = action._margin
-    ref = _bits(_scan_ref(margin, y0, f0, y1, f1, h))
-    assert _bits(_plain_scan(margin, y0, f0, y1, f1, h)) == ref
-    assert _bits(margin.scan(y0, f0, y1, f1, h)) == ref
-
-
-def _assert_same_steps(rhs, y, f0, h, atol, rtol):
-    """The generic step and the rhs's own give the loop's step; returns it."""
-    ref = loop_step(rhs, y, f0, h, atol, rtol)
-    _assert_same_step(_dp5_kernels(len(y))(rhs, y, f0, h, atol, rtol), ref)
-    _assert_same_step(rhs.step(y, f0, h, atol, rtol), ref)
+    The action's own kernel runs when ``rhs`` carries one for ``margin``;
+    the generic kernel runs on plain wrappers of both, which carry the
+    margin's ``lower`` bound where it has one.
+    """
+    ref = _run(loop_integrate, rhs, y0, duration, atol, rtol, max_steps, margin)
+    plain_rhs, plain_margin = (lambda y: rhs(y)), (lambda p: margin(p))
+    if hasattr(margin, "lower"):
+        plain_margin.lower = margin.lower
+    lower = getattr(margin, "lower", None)
+    generic = flow._generic_kernel(len(y0))
+    assert _run(generic, plain_rhs, plain_margin, lower, y0, duration, atol, rtol, max_steps) == ref
+    own = getattr(rhs, "kernel", None)
+    if own is not None and own[0] is margin:
+        assert _run(own[1], y0, duration, atol, rtol, max_steps) == ref
     return ref
-
-
-def _assert_same_step(new, ref):
-    if ref is None:
-        assert new is None
-        return
-    y1, k7, err = new
-    assert (_bits(y1), _bits(k7), err.hex()) == (_bits(ref[0]), _bits(ref[1]), ref[2].hex())
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +396,18 @@ def test_margin_matches_the_loop(action, data):
        atol=st.floats(min_value=1e-14, max_value=1e-3),
        rtol=st.floats(min_value=1e-12, max_value=1e-3))
 def test_dp5_step_matches_the_loop(action, data, h, atol, rtol):
+    # the first step of a run over h: its size, stages, error test and margin scan
     X = data.draw(st.lists(step_coefficient, min_size=action.dim_algebra,
                            max_size=action.dim_algebra))
     y = _inside(action, data)
     rhs = action.rhs(X)
+    _assert_same_runs(rhs, action._margin, y, h, atol, rtol, 1)
     f0 = rhs(y)
-    hermite, first_norm = _hermite_kernels(len(y))
-    ref = _assert_same_steps(rhs, y, f0, h, atol, rtol)
-    assert _outcome(first_norm, f0, y, atol, rtol) == _outcome(loop_first_norm, f0, y, atol, rtol)
+    ref = loop_step(rhs, y, f0, h, atol, rtol)
     if ref is not None:
         y1, k7, _ = ref
         for s in (0.0, 0.25, 0.5, 0.75, 1.0, data.draw(st.floats(0.0, 1.0))):
-            assert _bits(hermite(y, f0, y1, k7, h)(s)) == _bits(loop_hermite(y, f0, y1, k7, h)(s))
-        _assert_same_scans(action, y, f0, y1, k7, h)
+            assert _bits(_hermite(len(y))(y, f0, y1, k7, h)(s)) == _bits(loop_hermite(y, f0, y1, k7, h)(s))
 
 
 def test_helicoid_margin_on_the_axis_and_box_walls():
@@ -356,6 +423,7 @@ def test_helicoid_margin_on_the_axis_and_box_walls():
 # margins that raise or give NaN, any n
 
 
+@functools.lru_cache(maxsize=None)
 def _odd_action():
     coords = ("x", "y", "z")
     domain = Domain(
@@ -366,6 +434,11 @@ def _odd_action():
     )
     fields = [[parse("x*y"), parse("0"), parse("1")], [parse("-1"), parse("z/x"), parse("k")]]
     return GAction(AbelianGroup(2), domain, fields, params={"k": -2.5})
+
+
+@functools.lru_cache(maxsize=None)
+def _translation(n):
+    return build("translation_rn", {"n": n}).action
 
 
 @settings(max_examples=150, deadline=None)
@@ -426,29 +499,18 @@ def _stiff_action(n):
 @given(y=st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=5),
        h=step_size, c=st.sampled_from([1.0, -0.75, math.nan]))
 def test_dp5_step_matches_the_loop_for_any_n(y, h, c):
-    step = _dp5_kernels(len(y))
-    hermite = _hermite_kernels(len(y))[0]
-    # the generic step and the interpolant's reads on plain functions
+    # the generic kernel on plain functions, whose margin can be NaN
+    _assert_same_runs(_stiff_rhs, _stiff_margin, y, h, 1e-12, 1e-9, 2)
     if y[-1] != 0.0:
         f0 = _stiff_rhs(y)
         ref = loop_step(_stiff_rhs, y, f0, h, 1e-12, 1e-9)
-        _assert_same_step(step(_stiff_rhs, y, f0, h, 1e-12, 1e-9), ref)
         if ref is not None:
             y1, k7, _ = ref
+            hermite = _hermite(len(y))
             assert _bits(hermite(y, f0, y1, k7, h)(0.3)) == _bits(loop_hermite(y, f0, y1, k7, h)(0.3))
-            assert (_bits(_plain_scan(_stiff_margin, y, f0, y1, k7, h))
-                    == _bits(_scan_ref(_stiff_margin, y, f0, y1, k7, h)))
-    # the generic and the action's own kernels on an action's, and its plain margin's reads
+    # both kernels on an action's
     action = _stiff_action(len(y))
-    rhs = action.rhs([c])
-    try:
-        f0 = rhs(y)
-    except EVAL_ERRORS:
-        return
-    ref = _assert_same_steps(rhs, y, f0, h, 1e-12, 1e-9)
-    if ref is not None:
-        y1, k7, _ = ref
-        _assert_same_scans(action, y, f0, y1, k7, h)
+    _assert_same_runs(action.rhs([c]), action._margin, y, h, 1e-12, 1e-9, 2)
 
 
 def _shared_action():
@@ -466,16 +528,25 @@ def _shared_action():
 def test_shared_subtrees_are_computed_once_per_stage(monkeypatch, make, shared):
     sources = []
     define = manifold._define
-    monkeypatch.setattr(manifold, "_define", lambda src: sources.append(src) or define(src))
+    monkeypatch.setattr(manifold, "_define",
+                        lambda src, names=None: sources.append(src) or define(src, names))
     make().rhs([1.0, 0.5])
     lines = [line.strip() for line in sources[-1].splitlines()]
-    # the rhs's point, then the points of the six rhs calls of the step
+    # the lines from each point to the next: the rhs's, then the kernel's start,
+    # its six stages and its four margin samples
     starts = [k for k, line in enumerate(lines) if line.startswith("_v0, _v1, _v2, =")]
     starts.append(len(lines))
-    assert len(starts) == 8
+    assert len(starts) == 13
+    contractions = 0
     for a, b in zip(starts, starts[1:]):
-        for text in shared:
-            assert sum(line.count(text) for line in lines[a:b]) == 1, (text, lines[a:b])
+        # the contraction's lines: its temps, then the components that read them or the point
+        body = [line for line in lines[a:b]
+                if line.startswith(("_t", "return [", "k")) and ("_v" in line or "_t" in line)]
+        if body:
+            contractions += 1
+            for text in shared:
+                assert sum(line.count(text) for line in body) == 1, (text, body)
+    assert contractions == 8
 
 
 def test_dp5_step_with_shared_subtrees_matches_the_loop():
@@ -494,50 +565,152 @@ def test_dp5_step_with_shared_subtrees_matches_the_loop():
                 rhs(y)
             return
         assert _bits(rhs(y)) == _bits(f0)
-        ref = loop_step(ref_rhs, y, f0, h, 1e-12, 1e-9)
-        _assert_same_step(rhs.step(y, f0, h, 1e-12, 1e-9), ref)
-        _assert_same_step(_dp5_kernels(3)(rhs, y, f0, h, 1e-12, 1e-9), ref)
-        hits["none" if ref is None else "step"] += 1
+        (status, _, _, steps, _), calls = _assert_same_runs(rhs, action._margin, y, h, 1e-12, 1e-9, 1)
+        hits["step" if calls else "none"] += 1
 
     check()
     assert hits["step"] >= 50 and hits["none"] >= 20, hits
 
 
-@pytest.mark.parametrize("field, y, f0, h, atol", [
-    ("sqrt(x)", [1.0], [1.0], -10.0, 1e-12),      # the second stage takes sqrt(-1)
-    ("1/(x - 1.2)", [1.0], [1.0], 1.0, 1e-12),    # the second stage divides by 0
-    ("x^3", [1e100], [1e100], 1e10, 1e-12),       # a stage's cube passes the float range
-    ("x*x*x", [1e100], [1e100], 1e10, 1e-12),     # y1 is not finite
-    ("x", [1.0], [1.0], 1.0, 1e-300),             # y1 is finite, err is not
+@pytest.mark.parametrize("field, y, h", [
+    ("-sqrt(x)", [1.0], 10.0),       # the second stage takes sqrt(-1)
+    ("1/(2 - x)", [1.0], 5.0),       # the second stage divides by 0
+    ("x^3", [1e50], 1.0),            # a stage's cube passes the float range
+    ("x*x*x", [1e100], 1e10),        # y1 is not finite
+    ("x", [1.0], 1.0),               # y1 is finite, err is not
 ], ids=["sqrt", "divide", "power", "y1", "err"])
-def test_dp5_step_matches_the_loop_where_the_step_fails(field, y, f0, h, atol):
+def test_dp5_step_matches_the_loop_where_the_step_fails(field, y, h):
+    # at these tolerances the first-step norm passes the float range, so the
+    # first step is the whole run; it fails, and a one-step run ends there
     action = GAction(AbelianGroup(1), Domain(("x",)), [[parse(field)]])
-    assert _assert_same_steps(action.rhs([1.0]), y, f0, h, atol, 1e-300) is None
+    rhs = action.rhs([1.0])
+    assert loop_step(rhs, y, rhs(y), h, 1e-300, 1e-300) is None
+    ref = _assert_same_runs(rhs, action._margin, y, h, 1e-300, 1e-300, 1)
+    assert ref == ((STEP_LIMIT, "0x0.0p+0", _bits(y), 1, False), [])
 
 
 # any floats of any n: NaN, infinities, zeros and values whose square overflows
 wide = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e200, -1e-300]),
                  st.floats(allow_nan=True, allow_infinity=True))
+# a field's value at the start, which must be finite for a run to take a step
+wide_finite = st.one_of(st.sampled_from([0.0, -0.0, 1e200, -1e-300, 1e-320]),
+                        st.floats(allow_nan=False, allow_infinity=False))
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(1, 5),
        atol=st.sampled_from([1e-12, 1e-3, 0.0, 1e-320]), rtol=st.sampled_from([1e-9, 1e-3, 0.5]))
 def test_first_norm_matches_the_loop_for_any_n(data, n, atol, rtol):
-    f0 = data.draw(st.lists(wide, min_size=n, max_size=n))
+    # the first-step norm sets the first step's size, which the second
+    # stage's point shows; a zero atol at a zero component divides by 0
+    f0 = data.draw(st.lists(wide_finite, min_size=n, max_size=n))
     y = data.draw(st.lists(wide, min_size=n, max_size=n))
-    first_norm = _hermite_kernels(n)[1]
-    assert _outcome(first_norm, f0, y, atol, rtol) == _outcome(loop_first_norm, f0, y, atol, rtol)
+    points = []
+
+    def rhs(p):   # a constant field, recording where it is evaluated
+        points.append(_bits(p))
+        return list(f0)
+
+    def margin(_p):
+        return 1.0
+
+    ref = _run(loop_integrate, rhs, y, 1.0, atol, rtol, 1, margin)
+    ref_points = points[:]
+    points.clear()
+    assert _run(flow._generic_kernel(n), rhs, margin, None, y, 1.0, atol, rtol, 1) == ref
+    assert points == ref_points
+    # the action's own kernel, whose field is its coefficients
+    _assert_same_runs(_translation(n).rhs(f0), _translation(n)._margin, y, 1.0, atol, rtol, 1)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), h=st.one_of(step_size, st.just(-0.5), st.just(0.0)))
 def test_interior_margins_match_the_loop_where_the_margin_raises_or_is_nan(data, h):
+    # runs from points where the margin's terms raise or are NaN, and that
+    # step to such points
     action = _odd_action()
     edge = st.one_of(st.just(0.0), st.just(1e120), st.just(-1e120), st.just(math.nan),
                      st.floats(min_value=-20.0, max_value=20.0))
-    y0, f0, y1, f1 = (data.draw(st.lists(edge, min_size=3, max_size=3)) for _ in range(4))
-    _assert_same_scans(action, y0, f0, y1, f1, h)
+    y0 = data.draw(st.lists(edge, min_size=3, max_size=3))
+    X = data.draw(st.lists(coefficient, min_size=2, max_size=2))
+    _assert_same_runs(action.rhs(X), action._margin, y0, h, 1e-12, 1e-9, 3)
+
+
+# ---------------------------------------------------------------------------
+# whole runs of both kernels against the loop, on every action above
+
+
+KERNEL_ACTIONS = {
+    **{name: (lambda i=i: build(*SCENARIOS[i]).action) for i, name in enumerate(IDS)},
+    "odd": _odd_action,
+    **{f"stiff{n}": (lambda n=n: _stiff_action(n)) for n in range(1, 5)},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_action(name):
+    return KERNEL_ACTIONS[name]()
+
+
+def test_kernels_match_the_loop():
+    seen = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(KERNEL_ACTIONS)),
+           tol=st.floats(-12.0, -4.0).map(lambda e: 10.0 ** e), max_steps=st.integers(1, 5),
+           duration=st.one_of(st.floats(1e-3, 3.0), st.just(2e-14)),
+           scale=st.sampled_from([1.0, 1.0, 1.0, 1e20]), wall=st.integers(-3, 4))
+    def check(data, name, tol, max_steps, duration, scale, wall):
+        action = _kernel_action(name)
+        X = data.draw(st.lists(step_coefficient, min_size=action.dim_algebra,
+                               max_size=action.dim_algebra))
+        # far out, the stiff fields are large enough to collapse the first step
+        y = [v * scale for v in _inside(action, data)]
+        if 0 <= wall < len(y):   # next to a wall of the box, where a run soon escapes
+            lo, hi = action.domain.box[wall]
+            y[wall] = lo + 1e-3 if lo > -math.inf else hi - 1e-3
+        rhs, margin = action.rhs(X), action._margin
+        (status, t_end, _, steps, low), calls = _assert_same_runs(rhs, margin, y, duration, tol, tol,
+                                                                  max_steps)
+        if status != ESCAPED:
+            seen.add(status)
+        elif steps == 0:
+            seen.add("the start's field is not finite" if low else "the start is outside")
+        elif low and t_end == (calls[-1][1] if calls else "0x0.0p+0"):
+            seen.add("collapse")
+        elif len(calls) == steps:   # the escaping step was reported too
+            seen.add("escape, truncated")
+        if steps > len(calls) + (status == ESCAPED):
+            seen.add("a retried step")
+        if name.startswith("stiff"):
+            # the plain functions the stiff action copies, whose margin can be NaN
+            def margin(p):
+                m = _stiff_margin(p)
+                if m != m:
+                    seen.add("a NaN margin")
+                return m
+
+            _assert_same_runs(_stiff_rhs, margin, y, duration, tol, tol, max_steps)
+
+    check()
+    # an escape within five steps is rare here; the test below makes sure of one
+    assert seen - {"escape, truncated"} == {
+        COMPLETE, STEP_LIMIT, "collapse", "the start is outside", "the start's field is not finite",
+        "a retried step", "a NaN margin"}, seen
+
+
+@pytest.mark.parametrize("name, X, y, duration, max_steps", [
+    ("annulus", [-1.0, 0.0], [0.5005, 0.0], 1.0, 5),     # into the inner wall
+    ("annulus", [0.0, 1.0], [1.0, 6.2], 1.0, 5),         # along the outer angle wall
+    # a line past the helicoid axis, the first of test_graze_lifts_are_unchanged
+    ("helicoid", [1.3885844503675473, -0.08632935250536138],
+     [-0.6966148691848703, 0.0433077274846184, 1.0048098438034014], 1.0, 60),
+], ids=["annulus-radius", "annulus-angle", "helicoid-axis"])
+def test_kernels_match_the_loop_where_a_run_escapes(name, X, y, duration, max_steps):
+    action = _kernel_action(name)
+    (status, _, _, steps, low), calls = _assert_same_runs(
+        action.rhs(X), action._margin, y, duration, 1e-12, 1e-9, max_steps)
+    assert (status, low) == (ESCAPED, False) and calls and steps < max_steps
 
 
 # ---------------------------------------------------------------------------
@@ -892,6 +1065,19 @@ def test_graze_lifts_meet_the_closed_form():
     assert worst["escape_time"] <= ESCAPE_TIME_WIDTH, worst
 
 
+@pytest.mark.xfail(strict=True, reason="at rel_tol = abs_tol = 1e-4 this line ends complete in 32 "
+                   "steps with z = 47.733, 23 % off, and low_confidence False: each step's error "
+                   "estimate passes while the endpoint does not (ROADMAP items 1 and 4)")
+def test_loose_tolerance_graze_line_meets_the_closed_form():
+    helicoid = build("example6_helicoid").action
+    p0, delta = (0.09361096894322748, -0.8158817092138324), (-0.21762414564659185, 1.8594338202151732)
+    z0 = 1.6833601080978853
+    _, z, _ = _graze_oracle(p0, delta, z0)
+    res = lift_path(helicoid, GPath(helicoid.group, (0.0, 0.0), [LinearSeg(delta, 1.0)]), (*p0, z0),
+                    IntegratorConfig(rel_tol=1e-4, abs_tol=1e-4))
+    assert res.status == "complete" and abs(res.endpoint_m[2] - z) <= 0.05 * abs(z)
+
+
 def test_graze_steps_do_not_see_saw(monkeypatch):
     # near the axis the error estimate grows along each line; a controller that
     # reacts only to the last error accepts a step, then rejects the next, over and over
@@ -984,7 +1170,7 @@ def test_skipped_dip_searches_would_have_committed_on_drawn_steps(monkeypatch):
     # cross and end within a few eps of it far more often than its own steps
     tally = _run_both_scans(monkeypatch)
     margin = build("example6_helicoid").action._margin
-    hermite = _hermite_kernels(3)[0]
+    hermite = _hermite(3)
 
     @settings(max_examples=500, deadline=None)
     @given(d2=st.floats(-1.0, 6.0).map(lambda e: EPS * 10.0 ** e),
@@ -999,9 +1185,11 @@ def test_skipped_dip_searches_would_have_committed_on_drawn_steps(monkeypatch):
         y0 = [-d * u[1] - near * length * u[0], d * u[0] - near * length * u[1], 1.0]
         y1 = [y0[0] + length * u[0], y0[1] + length * u[1], 1.0]
         f = [length * u[0] / h, length * u[1] / h, 0.0]
-        ms = (margin(y0), *margin.scan(y0, f, y1, f, h))
+        # the margins a kernel reads along the step: at the interpolant's scan points and at its end
+        interp = hermite(y0, f, y1, f, h)
+        ms = (margin(y0), *[margin(interp(s)) for s in _SCAN[:-1]], margin(y1))
         if ms[0] > EPS:   # a scan starts inside
-            flow._scan_margins(margin, hermite(y0, f, y1, f, h), ms, h, margin.lower, y0, f, y1, f)
+            flow._scan_margins(margin, interp, ms, h, margin.lower, y0, f, y1, f)
 
     check()
     assert tally["skips"] >= 50 and tally["searches"] - tally["skips"] >= 50, tally

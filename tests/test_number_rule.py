@@ -27,8 +27,6 @@ ALLOWED = {
         "GPath.word unpacks each stage as a (vector, time) pair",
     ("expr.py", "exponent", ("ValueError",)):
         "int() refuses an exponent literal past its digit limit",
-    ("flow.py", "integrate_autonomous", ("OverflowError",)):
-        "the first-step norm squares a component past the float range",
 }
 
 

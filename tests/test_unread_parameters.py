@@ -1,16 +1,25 @@
 """Every function parameter under ``src/`` is read by its function's body, and every default is set.
 
 A parameter that nothing reads is dead weight at every call site.  The few
-that exist only so that a function fits an interface are listed here.  A
-defaulted parameter of a module- or class-level function that no call in
-``src/``, ``tests/`` or ``perfbench/`` passes is a constant in disguise.
+that exist only so that a function fits an interface are listed here.  The
+integrator kernels that ``flow._kernel`` generates, generic and inlined into
+an action's contraction, are held to the same rule.  A defaulted parameter
+of a module- or class-level function that no call in ``src/``, ``tests/``
+or ``perfbench/`` passes is a constant in disguise.
 """
 
 import ast
 import math
 import pathlib
 
+import pytest
+
 import liecomplete
+from liecomplete import flow, manifold
+from liecomplete.algebra import AbelianGroup
+from liecomplete.expr import parse
+from liecomplete.manifold import Domain, GAction
+from liecomplete.scenarios import build
 
 SRC = pathlib.Path(liecomplete.__file__).parent
 TESTS = pathlib.Path(__file__).parent
@@ -26,10 +35,10 @@ INTERFACE_ONLY = {
 }
 
 
-def unread_parameters(path: pathlib.Path) -> set:
-    """``(file, function, parameter)`` for each parameter in ``path`` that its body never loads."""
+def unread_parameters(name: str, source: str) -> set:
+    """``(name, function, parameter)`` for each parameter in ``source`` that its body never loads."""
     out = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         a = node.args
@@ -37,15 +46,36 @@ def unread_parameters(path: pathlib.Path) -> set:
         body = node.body if isinstance(node.body, list) else [node.body]
         read = {n.id for stmt in body for n in ast.walk(stmt)
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        name = getattr(node, "name", "<lambda>")
-        out |= {(path.name, name, p) for p in params if p not in read and p not in ("self", "cls")}
+        function = getattr(node, "name", "<lambda>")
+        out |= {(name, function, p) for p in params if p not in read and p not in ("self", "cls")}
     return out
 
 
 def test_every_parameter_is_read():
-    found = set().union(*map(unread_parameters, sorted(SRC.rglob("*.py"))))
+    found = set().union(*(unread_parameters(path.name, path.read_text(encoding="utf-8"))
+                          for path in sorted(SRC.rglob("*.py"))))
     assert found - INTERFACE_ONLY == set()
     assert INTERFACE_ONLY <= found   # an entry no longer needed is taken off the list
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_parameter_of_the_generated_kernels_is_read(monkeypatch, n):
+    sources = {"generic": "\n".join(flow._kernel(n)[0])}
+    define = manifold._define
+    monkeypatch.setattr(manifold, "_define",
+                        lambda src, names=None: sources.setdefault(f"own{len(sources)}", src)
+                        and define(src, names))
+    # an action whose components are all constant, one whose components all
+    # move, and one with both
+    build("translation_rn", {"n": n}).action.rhs([1.0] * n)
+    coords = [f"x{j}" for j in range(n)]
+    fields = [[parse(f"x{j} * x{(j + 1) % n}") for j in range(n)]]
+    GAction(AbelianGroup(1), Domain(coords, margins=(parse("1 - x0*x0"),)), fields).rhs([0.5])
+    if n == 3:
+        build("example6_helicoid").action.rhs([1.0, 0.5])
+    # the generic kernel and the actions' own; the rest are their margins
+    assert sum("def integrate(" in src for src in sources.values()) == (4 if n == 3 else 3)
+    assert set().union(*(unread_parameters(name, src) for name, src in sources.items())) == set()
 
 
 
