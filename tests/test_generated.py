@@ -240,9 +240,9 @@ def loop_scan_margins(margin, interp, m0, m_end, eps, h, width):
 def loop_integrate(rhs, y0, duration, atol, rtol, max_steps, margin, on_step):
     """The integrator loop that the generated kernels replace, a step at a time on the loop forms.
 
-    Every accepted step's margins go to ``_scan_margins``, which commits
-    most of them in its first lines; ``margin.lower``, when there is one,
-    goes with them.
+    Every accepted step's margins go to ``flow._scan_margins``, which
+    commits most of them in its first lines; ``margin.lower``, when there
+    is one, goes with them.
     """
     y = y0
     t = 0.0
@@ -279,7 +279,7 @@ def loop_integrate(rhs, y0, duration, atol, rtol, max_steps, margin, on_step):
             y1, k7, err = out
             interp = loop_hermite(y, f0, y1, k7, h)
             ms = (m_curr, *[margin(interp(s)) for s in _SCAN[:-1]], margin(y1))
-            found = _scan_margins(margin, interp, ms, h, lower, y, f0, y1, k7)
+            found = flow._scan_margins(margin, interp, ms, h, lower, y, f0, y1, k7)
             if found is None:
                 on_step(t, t + h, y1, interp)
                 t += h
@@ -331,42 +331,59 @@ def _inside(action, data):
 
 
 def _run(integrate, *args):
-    """A run's return value and its ``on_step`` calls, as bits, or the name of the error it raised.
+    """A run's return value (as bits, or the name of the error it raised), ``on_step`` calls and scans.
 
     Each call gives ``t0``, ``t1``, ``y1`` and the interpolant at s = 0,
-    0.25, 0.5, 0.75 and 1.
+    0.25, 0.5, 0.75 and 1; each scan is the five margins of a step handed
+    to ``flow._scan_margins``.
     """
-    calls = []
+    calls, scans = [], []
+    scan = flow._scan_margins
 
     def on_step(t0, t1, y1, interp):
         calls.append((t0.hex(), t1.hex(), _bits(y1),
                       [_bits(interp(s)) for s in (0.0, 0.25, 0.5, 0.75, 1.0)]))
 
+    def recorded(margin, interp, ms, *rest):
+        scans.append(ms)
+        return scan(margin, interp, ms, *rest)
+
+    flow._scan_margins = recorded
     try:
         status, t_end, y_end, steps, low = integrate(*args, on_step)
     except EVAL_ERRORS as exc:
-        return type(exc).__name__, calls
-    return (status, t_end.hex(), _bits(y_end), steps, low), calls
+        return type(exc).__name__, calls, scans
+    finally:
+        flow._scan_margins = scan
+    return (status, t_end.hex(), _bits(y_end), steps, low), calls, scans
+
+
+def _refined(ms):
+    """Whether the first lines of ``_scan_margins`` leave the step with margins ``ms`` to refinement."""
+    mmin = min(ms)
+    return not (mmin > ESCAPE_MARGIN and not (mmin < 0.5 * max(ms) or mmin < 100.0 * ESCAPE_MARGIN))
 
 
 def _assert_same_runs(rhs, margin, y0, duration, atol, rtol, max_steps):
     """Both kernels give the loop's run from ``y0``; returns it.
 
-    The action's own kernel runs when ``rhs`` carries one for ``margin``;
-    the generic kernel runs on plain wrappers of both, which carry the
-    margin's ``lower`` bound where it has one.
+    The generic kernel always runs, with the margin's ``lower`` bound where
+    it has one, and the action's own kernel when ``rhs`` carries one for
+    ``margin``.
     """
-    ref = _run(loop_integrate, rhs, y0, duration, atol, rtol, max_steps, margin)
-    plain_rhs, plain_margin = (lambda y: rhs(y)), (lambda p: margin(p))
-    if hasattr(margin, "lower"):
-        plain_margin.lower = margin.lower
-    lower = getattr(margin, "lower", None)
+    out, calls, scans = _run(loop_integrate, rhs, y0, duration, atol, rtol, max_steps, margin)
+    # the loop scans every accepted step, the kernels only those that the
+    # commit test does not clear, with the same margins
+    ref = out, calls, [_bits(ms) for ms in scans if _refined(ms)]
     generic = flow._generic_kernel(len(y0))
-    assert _run(generic, plain_rhs, plain_margin, lower, y0, duration, atol, rtol, max_steps) == ref
+    lower = getattr(margin, "lower", None)
+    out, calls, scans = _run(generic, rhs, margin, lower, y0, duration, atol, rtol, max_steps)
+    assert (out, calls, [_bits(ms) for ms in scans]) == ref
     own = getattr(rhs, "kernel", None)
     if own is not None and own[0] is margin:
-        assert _run(own[1], y0, duration, atol, rtol, max_steps) == ref
-    return ref
+        out, calls, scans = _run(own[1], y0, duration, atol, rtol, max_steps)
+        assert (out, calls, [_bits(ms) for ms in scans]) == ref
+    return ref[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +582,7 @@ def test_dp5_step_with_shared_subtrees_matches_the_loop():
                 rhs(y)
             return
         assert _bits(rhs(y)) == _bits(f0)
-        (status, _, _, steps, _), calls = _assert_same_runs(rhs, action._margin, y, h, 1e-12, 1e-9, 1)
+        _, calls = _assert_same_runs(rhs, action._margin, y, h, 1e-12, 1e-9, 1)
         hits["step" if calls else "none"] += 1
 
     check()
@@ -614,10 +631,10 @@ def test_first_norm_matches_the_loop_for_any_n(data, n, atol, rtol):
     def margin(_p):
         return 1.0
 
-    ref = _run(loop_integrate, rhs, y, 1.0, atol, rtol, 1, margin)
+    ref = _run(loop_integrate, rhs, y, 1.0, atol, rtol, 1, margin)[:2]
     ref_points = points[:]
     points.clear()
-    assert _run(flow._generic_kernel(n), rhs, margin, None, y, 1.0, atol, rtol, 1) == ref
+    assert _run(flow._generic_kernel(n), rhs, margin, None, y, 1.0, atol, rtol, 1)[:2] == ref
     assert points == ref_points
     # the action's own kernel, whose field is its coefficients
     _assert_same_runs(_translation(n).rhs(f0), _translation(n)._margin, y, 1.0, atol, rtol, 1)
@@ -684,13 +701,13 @@ def test_kernels_match_the_loop():
             seen.add("a retried step")
         if name.startswith("stiff"):
             # the plain functions the stiff action copies, whose margin can be NaN
-            def margin(p):
+            def stiff_margin(p):
                 m = _stiff_margin(p)
                 if m != m:
                     seen.add("a NaN margin")
                 return m
 
-            _assert_same_runs(_stiff_rhs, margin, y, duration, tol, tol, max_steps)
+            _assert_same_runs(_stiff_rhs, stiff_margin, y, duration, tol, tol, max_steps)
 
     check()
     # an escape within five steps is rare here; the test below makes sure of one
