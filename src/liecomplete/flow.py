@@ -16,28 +16,28 @@ single loop over a path's segments must reset it at every joint to take the
 same steps.  The whole run of one call is generated as straight-line Python
 with one local per component (:func:`_kernel`): the first step size, the
 stages, the error test, the margins at the interpolant's interior samples
-and at the step's end, the commit test and the controller.  One generator
-emits it in two renderings with the same bits: the generic kernel calls a
-plain ``rhs`` and ``margin`` and is generated once per state dimension; an
-action's own kernel inlines its contraction, with the subtrees its
-components share computed once per stage, and its domain margin, and folds
-the stage sums of the components that are constant along the run out of the
-loop; ``GAction`` generates it once per set of non-zero coefficients and
-hands it over as ``rhs.kernel``.  The lazy cubic Hermite interpolant
-(:func:`_hermite`) is generated too.  Each committed step is handed to the
-caller's ``on_step``, from which a lift records its trace rows and its
-winding.  Escape from the open domain is
-detected by one scan of the domain margin along each accepted step: it commits
-the step at once when none of the five samples (ends plus interior) is near
-the escape level ``ESCAPE_MARGIN`` or well below the others, and refines the
-rest by a golden-section dip search and the escape search.  A step whose
-margin dips well below both of its ends is retried so that it ends at the dip,
-so fast transits past a thin excluded set are not stepped over.  The escape
-time is refined by bisection on the margin against the escape threshold, to a
-bracket ``ESCAPE_TIME_WIDTH`` wide.  Every retried step, whether a stage
-failed, the error test failed or the margin dipped, shrinks the step size in
-one place, which also ends the run as a low-confidence escape once the size
-falls below ``STEP_COLLAPSE``.
+and at the step's end, the commit test and the controller.  The caller
+supplies the field and the margin at a point as source lines, and the
+components that are constant along the run, whose stage sums are folded out
+of the loop.  An action's own kernel inlines its contraction, with the
+subtrees its components share computed once per stage, and its domain
+margin; ``GAction`` generates it once per set of non-zero coefficients and
+hands it over as ``rhs.kernel``.  The generic kernel, generated once per
+state dimension, has lines that call a plain ``rhs`` and ``margin`` in
+their place.  The lazy cubic Hermite interpolant (:func:`_hermite`) is
+generated too.  Each committed step is handed to the caller's ``on_step``,
+from which a lift records its trace rows and its winding.  Escape from the
+open domain is detected by one scan of the domain margin along each accepted
+step: it commits the step at once when none of the five samples (ends plus
+interior) is near the escape level ``ESCAPE_MARGIN`` or well below the
+others, and refines the rest by a golden-section dip search and the escape
+search.  A step whose margin dips well below both of its ends is retried so
+that it ends at the dip, so fast transits past a thin excluded set are not
+stepped over.  The escape time is refined by bisection on the margin against
+the escape threshold, to a bracket ``ESCAPE_TIME_WIDTH`` wide.  Every
+retried step, whether a stage failed, the error test failed or the margin
+dipped, shrinks the step size in one place, which also ends the run as a
+low-confidence escape once the size falls below ``STEP_COLLAPSE``.
 
 A dip search is skipped, with the same outcome, when the margin carries a
 lower bound over boxes (``margin.lower``, as the margin ``GAction`` generates
@@ -151,24 +151,22 @@ def _hermite(n: int):
     ]))["hermite"]
 
 
-def _kernel(n: int, inline=None) -> tuple:
+def _kernel(n: int, params: str, contraction: Callable, const: dict, least: Callable,
+            scan: tuple) -> tuple:
     """``(lines, names)``: the source of one run of :func:`integrate_autonomous` for states of length n.
 
     ``names`` are the globals the source reads besides the expression
-    globals.  With ``inline`` None the lines define the generic kernel
-    ``integrate(rhs, margin, lower, y0, duration, atol, rtol, max_steps,
-    on_step)``, which calls its plain ``rhs`` and ``margin`` and hands
-    ``lower`` to :func:`_scan_margins`.  Otherwise ``inline`` is ``(temps,
-    comps, const, least)``: ``comps`` is the source of the n components of
-    the rhs at the point ``_v0, _v1, ...``, which may read the temps that the
-    lines ``temps`` assign (the subtrees they share, computed once);
-    ``const`` holds the indices of the components that read no point, which
-    are the same at every stage; and ``least(m)`` gives the lines that set
-    ``m`` to the margin at that point, using no other name but ``v``.  The
-    lines then define ``integrate(y0, duration, atol, rtol, max_steps,
-    on_step)`` with both inlined, which reads the global ``_margin`` for the
-    margin that ``least`` computes.  A constant component's stage sums are
-    computed once, before the loop.
+    globals.  The lines define ``integrate(y0, duration, atol, rtol,
+    max_steps, on_step)``, with the parameters ``params`` (empty, or source
+    ending in ``", "``) before ``y0``, from the caller's pieces of the field
+    and its margin at the point ``_v0, _v1, ...``: ``contraction(s)`` gives the
+    lines that set ``k{s}_i`` of the components that move; ``const`` maps
+    the index of each component that reads no point, and so is the same at
+    every stage, to its source, evaluated once before the loop along with
+    its stage sums; ``least(m)`` gives the lines that set ``m`` to the
+    margin; and ``scan`` is the pair of sources of the margin and of its
+    lower bound over boxes that :func:`_scan_margins` is handed.  The run
+    builds ``f0`` and ``f1`` from its own locals.
 
     The loop is that of a step at a time: the first step size, the DP5
     stages, the error test, the margin scan, the commit test, the step
@@ -181,8 +179,6 @@ def _kernel(n: int, inline=None) -> tuple:
     looked up in this module at each such step.
     """
     idx = range(n)
-    own = inline is not None
-    temps, comps, const, least = inline if own else ((), (), (), None)
     moving = [i for i in idx if i not in const]
     eps = repr(ESCAPE_MARGIN)
 
@@ -193,20 +189,10 @@ def _kernel(n: int, inline=None) -> tuple:
         return " + ".join(f"{c!r} * {k(s, i)}" if c > 0.0 else f"({c!r}) * {k(s, i)}"
                           for c, s in terms)
 
-    def contraction(s):
-        """Lines setting ``k{s}_i`` of the components that move to the rhs at ``_v0, _v1, ...``."""
-        if not moving:
-            return []
-        return [*temps, f"{_tuple(f'k{s}_{i}' for i in moving)}= {_tuple(comps[i] for i in moving)}"]
-
     def rhs_at(s, args):
-        if not own:
-            return [f"{_names(f'k{s}_', n)}= rhs([{', '.join(args)}])"]
         return [f"{_names('_v', n)}= {_tuple(args)}", *contraction(s)] if moving else []
 
     def margin_at(m, args):
-        if not own:
-            return [f"{m} = margin([{', '.join(args)}])"]
         return [f"{_names('_v', n)}= {_tuple(args)}", *least(m)]
 
     def stage(s, row, i):
@@ -218,32 +204,24 @@ def _kernel(n: int, inline=None) -> tuple:
         return f"x{i} + h * ({lin(row, i)})"
 
     x, z = _names("x", n), _names("z", n)
-    if own:
-        lines = ["def integrate(y0, duration, atol, rtol, max_steps, on_step):",
-                 "    y = y0",
-                 f"    {_names('_v', n)}= y",
-                 *("    " + line for line in least("m_curr"))]
-        first = contraction(1)
-    else:
-        lines = ["def integrate(rhs, margin, lower, y0, duration, atol, rtol, max_steps, on_step):",
-                 "    y = y0",
-                 "    m_curr = margin(y)"]
-        first = ["f0 = rhs(y)", f"{_names('k1_', n)}= f0"]
-    lines += [
+    lines = [
+        f"def integrate({params}y0, duration, atol, rtol, max_steps, on_step):",
+        "    y = y0",
+        f"    {_names('_v', n)}= y",
+        *("    " + line for line in least("m_curr")),
         f"    if m_curr <= {eps}:",
         f"        return {ESCAPED!r}, 0.0, tuple(y), 0, False",
-        *(f"    k1_{i} = {comps[i]}" for i in const),
+        *(f"    k1_{i} = {const[i]}" for i in const),
         "    try:",
-        *("        " + line for line in first),
+        *("        " + line for line in (contraction(1) if moving else [])),
         f"        if not ({' and '.join(f'_isfinite(k1_{i})' for i in idx)}):",
         "            raise ValueError",
         "    except _EVAL_ERRORS:",
         "        # in-domain but the field is not evaluable: nothing can move",
         f"        return {ESCAPED!r}, 0.0, tuple(y), 0, True",
+        f"    f0 = [{', '.join(f'k1_{i}' for i in idx)}]",
+        f"    {x}= y",
     ]
-    if own:
-        lines.append(f"    f0 = [{', '.join(f'k1_{i}' for i in idx)}]")
-    lines.append(f"    {x}= y")
     for i in const:   # the sums of a component that reads no point
         if moving:   # its stages are evaluated only for the components that move
             lines += [f"    s{s}_{i} = {lin(row, i)}" for s, row in enumerate(_ROWS[1:], start=3)]
@@ -276,11 +254,7 @@ def _kernel(n: int, inline=None) -> tuple:
     step = [line for s, row in enumerate(_ROWS, start=2)
             for line in rhs_at(s, [stage(s, row, i) for i in idx])]
     ends = (f"x{i} + h * w{i}" if i in const else f"x{i} + h * ({lin(_WEIGHTS, i)})" for i in idx)
-    step.append(f"{z}= {_tuple(ends)}")
-    if own:
-        step += rhs_at(7, [f"z{i}" for i in idx])
-    else:
-        step += [f"y1 = [{z}]", f"{_names('k7_', n)}= rhs(y1)"]
+    step += [f"{z}= {_tuple(ends)}", *rhs_at(7, [f"z{i}" for i in idx])]
     for i in idx:
         step += [
             f"a = abs(x{i})",
@@ -290,8 +264,7 @@ def _kernel(n: int, inline=None) -> tuple:
         ]
     step.append(f"err = _sqrt(({' + '.join(f'e{i} * e{i}' for i in idx)}) / {n})")
     lines += ["            " + line for line in step]
-    accept = [f"y1 = [{z}]"] if own else []
-    accept.append(f"f1 = [{', '.join(k(7, i) for i in idx)}]")
+    accept = [f"y1 = [{z}]", f"f1 = [{', '.join(k(7, i) for i in idx)}]"]
     for j, s in enumerate(_SCAN[:-1]):
         # the interpolant at s with the weights that do not involve h folded to
         # literals: the same floats as hermite(...)(s)
@@ -300,18 +273,16 @@ def _kernel(n: int, inline=None) -> tuple:
         accept += [f"b = h * {s2 * (s - 2.0) + s!r}", f"d = h * {s2!r} * ({s - 1.0!r})",
                    *margin_at(f"m{j}", [f"{a!r} * x{i} + b * k1_{i} + {c!r} * z{i} + d * {k(7, i)}"
                                         for i in idx])]
-    accept += margin_at("m3", [f"z{i}" for i in idx]) if own else ["m3 = margin(y1)"]
-    accept.append("mn = mx = m_curr")
+    accept += [*margin_at("m3", [f"z{i}" for i in idx]), "mn = mx = m_curr"]
     for j in range(4):
         accept += [f"if m{j} < mn:", f"    mn = m{j}", f"if m{j} > mx:", f"    mx = m{j}"]
-    margin, lower = ("_margin", "_margin.lower") if own else ("margin", "lower")
     accept += [
         "interp = _hermite(y, f0, y1, f1, h)",
         # the first lines of _scan_margins: a step that passes them is committed
         f"if mn > {eps} and not (mn < 0.5 * mx or mn < {100.0 * ESCAPE_MARGIN!r}):",
         "    found = None",
         "else:",
-        f"    found = _flow._scan_margins({margin}, interp, (m_curr, m0, m1, m2, m3), h, {lower},"
+        f"    found = _flow._scan_margins({scan[0]}, interp, (m_curr, m0, m1, m2, m3), h, {scan[1]},"
         " y, f0, y1, f1)",
         "if found is None:",
         "    on_step(t, t + h, y1, interp)",
@@ -370,8 +341,16 @@ def _kernel(n: int, inline=None) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _generic_kernel(n: int):
-    """The generic kernel of :func:`_kernel` for states of length n."""
-    lines, names = _kernel(n)
+    """The generic kernel for states of length n: :func:`_kernel` calling a plain ``rhs`` and ``margin``.
+
+    It is ``integrate(rhs, margin, lower, y0, duration, atol, rtol,
+    max_steps, on_step)`` and hands ``lower`` to :func:`_scan_margins`.  A
+    result of ``rhs`` is unpacked into locals at once, so the list may be
+    reused, and one of the wrong length is a field that cannot be evaluated.
+    """
+    point = f"[{', '.join(f'_v{i}' for i in range(n))}]"
+    lines, names = _kernel(n, "rhs, margin, lower, ", lambda s: [f"{_names(f'k{s}_', n)}= rhs({point})"],
+                           {}, lambda m: [f"{m} = margin({point})"], ("margin", "lower"))
     return _define("\n".join(lines), names)["integrate"]
 
 
@@ -512,8 +491,7 @@ def integrate_autonomous(
     ``margin`` at the step's interpolant at s = 0.25, 0.5 and 0.75 and at its
     end.  ``on_step(t0, t1, y1, interp)`` is called after each accepted (possibly
     escape-truncated) step, from time ``t0`` to the point ``y1`` at time
-    ``t1``, with ``interp`` covering the reported sub-step; ``interp`` reads
-    ``rhs`` results when called, so ``rhs`` must return a new list each time.
+    ``t1``, with ``interp`` covering the reported sub-step.
 
     Returns ``(status, t_end, y_end, steps, low_confidence)``.
     """

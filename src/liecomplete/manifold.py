@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from ._record import InputError, Record, floats, number, positive_int
 from .expr import (
     Bin, Expr, ExprNameError, Num, Var, _define, _is_const, _name_map, _names, _render_py,
-    _shared_subtrees, checked, compile_scalars,
+    _shared_subtrees, _tuple, checked, compile_scalars,
 )
 
 DEFAULT_SAMPLING_HALF_WIDTH = 2.0
@@ -182,11 +182,12 @@ def _compile_contraction(fields, rows: tuple, domain: Domain, params, margin: Ca
     components (:func:`liecomplete.expr._shared_subtrees`); the values are
     the same, and a raise is still one of ``EVAL_ERRORS``.  Each rhs carries
     the attribute ``kernel``, the pair of ``margin`` (the domain's, compiled
-    by :func:`_compile_margin`) and the integrator's run with the
-    contraction, its temps and that margin inlined
-    (:func:`liecomplete.flow._kernel`); a component made of bare
-    coefficients alone, or of none, is constant along the run.  The
-    coefficients are cells of both closures.
+    by :func:`_compile_margin`) and the integrator's run
+    (:func:`liecomplete.flow._kernel`) with that margin and with the
+    contraction of the components that move, and its temps, inlined; a
+    component made of bare coefficients alone, or of none, is constant along
+    the run, and is handed to the run as its source.  The coefficients are
+    cells of both closures.
     """
     from .flow import _kernel
     coords = domain.coords
@@ -201,8 +202,12 @@ def _compile_contraction(fields, rows: tuple, domain: Domain, params, margin: Ca
         if not terms or "*" in terms[0]:
             terms.insert(0, "0.0")
         comps.append(" + ".join(terms))
-    const = [j for j, terms in enumerate(used) if all(_is_const(node, 1.0) for _, node in terms)]
-    kernel, kernel_names = _kernel(len(coords), (temps_lines, comps, const, _margin_lines(domain, names)))
+    const = {j: comps[j] for j, terms in enumerate(used) if all(_is_const(node, 1.0) for _, node in terms)}
+    moving = [j for j in range(len(coords)) if j not in const]
+    values = _tuple(comps[j] for j in moving)
+    kernel, kernel_names = _kernel(
+        len(coords), "", lambda s: [*temps_lines, f"{_tuple(f'k{s}_{j}' for j in moving)}= {values}"],
+        const, _margin_lines(domain, names), ("_margin", "_margin.lower"))
     src = "\n".join([
         f"def _make({', '.join(f'_c{i}' for i in rows)}):",
         "    def _rhs(y):",

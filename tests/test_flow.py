@@ -15,7 +15,7 @@ from liecomplete.algebra import AbelianGroup
 from liecomplete.expr import parse
 from liecomplete.flow import (
     COMPLETE, ESCAPE_MARGIN, ESCAPED, STEP_LIMIT, IntegratorConfig,
-    _golden_min, _scan_margins,
+    _golden_min, _scan_margins, integrate_autonomous,
 )
 from liecomplete.lift import ExpSeg, GPath, LinearSeg, lift_path
 from liecomplete.manifold import Domain, GAction, OutsideDomainError
@@ -151,6 +151,41 @@ def test_a_field_not_finite_at_the_start_escapes_with_no_step():
     # the field evaluates, but to inf: nothing can move either
     res = _line_lift("x*1e308*10", 1.0)
     assert (res.status, res.escape_time, res.low_confidence, res.steps) == (ESCAPED, 0.0, True, 0)
+
+
+def _plain_run(rhs):
+    """``integrate_autonomous`` of a plain ``rhs`` from (0, 0) over 1 at margin 1, with its steps.
+
+    Each step is ``(t0, t1, y1, interp(s))`` at s = 0, 0.25, 0.5, 0.75 and
+    1, with the interpolant read after the run.
+    """
+    steps = []
+    out = integrate_autonomous(rhs, [0.0, 0.0], 1.0, IntegratorConfig(), lambda y: 1.0,
+                               lambda t0, t1, y1, interp: steps.append((t0, t1, list(y1), interp)))
+    return out, [(t0, t1, y1, [interp(s) for s in (0.0, 0.25, 0.5, 0.75, 1.0)])
+                 for t0, t1, y1, interp in steps]
+
+
+def test_a_plain_rhs_may_reuse_its_result_list():
+    # the field (1, y0), written into one list that every call overwrites
+    shared = [0.0, 0.0]
+
+    def reusing(y):
+        shared[:] = 1.0, y[0]
+        return shared
+
+    fresh = _plain_run(lambda y: [1.0, y[0]])
+    assert len(fresh[1]) > 1
+    assert _plain_run(reusing) == fresh
+
+
+@pytest.mark.parametrize("rhs", [lambda y: [1.0], lambda y: [1.0, y[0], 0.0]])
+def test_a_plain_rhs_of_the_wrong_length_escapes_with_no_step(rhs):
+    steps = []
+    y0 = [0.0, 0.0]
+    out = integrate_autonomous(rhs, y0, 1.0, IntegratorConfig(), lambda y: 1.0,
+                               lambda *step: steps.append(step))
+    assert (out, steps) == ((ESCAPED, 0.0, (0.0, 0.0), 0, True), [])
 
 
 @pytest.mark.parametrize("h", [1e-300, 1e-12, 1e-3, 1.0, 1e12, 1e300])

@@ -2,9 +2,10 @@
 
 The rhs contraction, the domain margin, the Hermite interpolant and the
 integrator's whole run over a segment are generated as straight-line Python.
-The run comes both as a generic kernel that calls a plain rhs and margin and
-as an action's own kernel with its contraction and margin inlined; both are
-compared here with ``loop_integrate``, the loop they replaced, which takes a
+The run is one generated loop, fed either lines that call a plain rhs and
+margin (the generic kernel) or an action's contraction and margin to inline
+(its own kernel); both kernels are compared here with ``loop_integrate``,
+the loop they replaced, which takes a
 step at a time through the loop forms of the step, the first-step norm and
 the interpolant, and hands every accepted step's margins to
 ``_scan_margins``.  The kernels' commit test is the first phase of that scan,

@@ -8,12 +8,11 @@ margin, on_step)``, so one traced lift, and one traced ``loop_to_group`` on
 the matrix model, check that the wrapped calls still work and that the counts
 they feed are the integrator's.  Its span wrappers around ``rhs`` and
 ``margin`` carry neither the margin's ``lower`` bound nor the action's own
-kernels (``rhs.step``, ``margin.scan``), so a traced lift runs the generic
-step, which calls the rhs, and calls the margin at the step's start, at the
-interpolant's scan points and at its end: 7 rhs and 5 margin calls per
-one-step segment.  A
-traced line past the helicoid axis also runs the dip searches that the
-untraced one skips, and must give the same result.
+kernel (``rhs.kernel``), so a traced lift runs the generic kernel, which
+calls the rhs at each stage, and calls the margin at the step's start, at
+the interpolant's scan points and at its end: 7 rhs and 5 margin calls per
+one-step segment.  A traced line past the helicoid axis also runs the dip
+searches that the untraced one skips, and must give the same result.
 """
 
 import math

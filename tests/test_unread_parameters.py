@@ -2,10 +2,10 @@
 
 A parameter that nothing reads is dead weight at every call site.  The few
 that exist only so that a function fits an interface are listed here.  The
-integrator kernels that ``flow._kernel`` generates, generic and inlined into
-an action's contraction, are held to the same rule.  A defaulted parameter
-of a module- or class-level function that no call in ``src/``, ``tests/``
-or ``perfbench/`` passes is a constant in disguise.
+integrator kernels that ``flow._kernel`` generates, the generic one and those
+inlined into an action's contraction, are held to the same rule.  A
+defaulted parameter of a module- or class-level function that no call in
+``src/``, ``tests/`` or ``perfbench/`` passes is a constant in disguise.
 """
 
 import ast
@@ -60,11 +60,13 @@ def test_every_parameter_is_read():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_every_parameter_of_the_generated_kernels_is_read(monkeypatch, n):
-    sources = {"generic": "\n".join(flow._kernel(n)[0])}
+    sources = {}
     define = manifold._define
-    monkeypatch.setattr(manifold, "_define",
-                        lambda src, names=None: sources.setdefault(f"own{len(sources)}", src)
-                        and define(src, names))
+    for module in (flow, manifold):
+        monkeypatch.setattr(module, "_define",
+                            lambda src, names=None: sources.setdefault(f"src{len(sources)}", src)
+                            and define(src, names))
+    flow._generic_kernel.__wrapped__(n)   # past the cache, so that its source is generated
     # an action whose components are all constant, one whose components all
     # move, and one with both
     build("translation_rn", {"n": n}).action.rhs([1.0] * n)
@@ -73,7 +75,7 @@ def test_every_parameter_of_the_generated_kernels_is_read(monkeypatch, n):
     GAction(AbelianGroup(1), Domain(coords, margins=(parse("1 - x0*x0"),)), fields).rhs([0.5])
     if n == 3:
         build("example6_helicoid").action.rhs([1.0, 0.5])
-    # the generic kernel and the actions' own; the rest are their margins
+    # the generic kernel and the actions' own; the rest are margins and interpolants
     assert sum("def integrate(" in src for src in sources.values()) == (4 if n == 3 else 3)
     assert set().union(*(unread_parameters(name, src) for name, src in sources.items())) == set()
 
