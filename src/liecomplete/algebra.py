@@ -361,11 +361,8 @@ class MatrixGroup(Record):
         left the range of floating point just as an overflowed one has.
         """
         import numpy as np
-        out = [start]
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in self.exp_segment(X):
-                out.append(out[-1] @ step)
-        out = np.array(out)
+            out = np.array(list(accumulate(self.exp_segment(X), np.matmul, initial=start)))
         if not (np.isfinite(out).all() and np.linalg.slogdet(out)[0].all()):
             raise AlgebraError("the group points are not finite and invertible")
         return out

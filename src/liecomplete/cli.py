@@ -144,7 +144,7 @@ def _action_from_file(path: str, overrides: dict) -> Scenario:
     if not isinstance(fields_raw, list):
         raise InputError("fields must be a list of rows")
     fields = [_exprs(row, f"fields[{i}]") for i, row in enumerate(fields_raw)]
-    action = GAction(group, Domain(tuple(coords), box=box, margins=margins), fields, params, name=name)
+    action = GAction(group, Domain(tuple(coords), box=box, margins=margins), fields, params)
     return Scenario(name, dict(params), action)
 
 

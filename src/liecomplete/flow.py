@@ -28,12 +28,12 @@ their place.  The lazy cubic Hermite interpolant (:func:`_hermite`) is
 generated too.  Each committed step is handed to the caller's ``on_step``,
 from which a lift records its trace rows and its winding.  Escape from the
 open domain is detected by one scan of the domain margin along each accepted
-step: it commits the step at once when none of the five samples (ends plus
-interior) is near the escape level ``ESCAPE_MARGIN`` or well below the
-others, and refines the rest by a golden-section dip search and the escape
-search.  A step whose margin dips well below both of its ends is retried so
-that it ends at the dip, so fast transits past a thin excluded set are not
-stepped over.  The escape time is refined by bisection on the margin against
+step: the run's commit test commits the step at once when none of the five
+samples (ends plus interior) is near the escape level ``ESCAPE_MARGIN`` or
+well below the others, and hands the rest to :func:`_scan_margins`, which
+refines them by a golden-section dip search and the escape search.  A step
+whose margin dips well below both of its ends is retried so that it ends at
+the dip, so fast transits past a thin excluded set are not stepped over.  The escape time is refined by bisection on the margin against
 the escape threshold, to a bracket ``ESCAPE_TIME_WIDTH`` wide.  Every
 retried step, whether a stage failed, the error test failed or the margin
 dipped, shrinks the step size in one place, which also ends the run as a
@@ -278,7 +278,8 @@ def _kernel(n: int, params: str, contraction: Callable, const: dict, least: Call
         accept += [f"if m{j} < mn:", f"    mn = m{j}", f"if m{j} > mx:", f"    mx = m{j}"]
     accept += [
         "interp = _hermite(y, f0, y1, f1, h)",
-        # the first lines of _scan_margins: a step that passes them is committed
+        # the commit test: _scan_margins would find no crossing and no reason
+        # to refine in a step that passes it, and return None with no margin call
         f"if mn > {eps} and not (mn < 0.5 * mx or mn < {100.0 * ESCAPE_MARGIN!r}):",
         "    found = None",
         "else:",
@@ -410,11 +411,12 @@ def _golden_min(fn, lo: float, hi: float):
 def _scan_margins(margin, interp, ms, h: float, lower=None, y0=None, f0=None, y1=None, f1=None):
     """Decide an accepted step from its margins ``ms`` at s = 0, 0.25, 0.5, 0.75, 1.
 
-    Returns ``None`` when the step can be committed, with no further margin
-    call when none of ``ms`` is near the escape level or well below the
-    others; ``("dip", s)`` when the margin dips at step fraction ``s`` well
-    below both ends of the step, which is then retried so that it ends at
-    the dip; or ``("escape", s_lo, s_mid, low_confidence)`` when the margin
+    Returns ``None`` when the step can be committed, with no margin call
+    when none of ``ms`` is at or below the escape level, near it or well
+    below the others (the run's commit test, which the kernels make before
+    they call this); ``("dip", s)`` when the margin dips at step fraction
+    ``s`` well below both ends of the step, which is then retried so that it
+    ends at the dip; or ``("escape", s_lo, s_mid, low_confidence)`` when the margin
     crosses ``ESCAPE_MARGIN``, with ``s_lo`` the last fraction found inside and
     ``s_mid`` the middle of the final bisection bracket.
 
@@ -426,8 +428,6 @@ def _scan_margins(margin, interp, ms, h: float, lower=None, y0=None, f0=None, y1
     eps = ESCAPE_MARGIN
     mmin = min(ms)
     refine = mmin < 0.5 * max(ms) or mmin < 100.0 * eps
-    if mmin > eps and not refine:
-        return None
     ss = (0.0,) + _SCAN
     cross = None  # (s with margin > eps, s with margin <= eps)
     for i in range(1, 5):

@@ -250,7 +250,7 @@ def lift_path(
             kept_steps.append((t_base + t0, t_base + t1, interp, k))
 
     for k, (w, t_base, vel) in enumerate(zip(path.widths, path._bounds, path._velocities)):
-        rhs = contraction(tuple(map(bool, vel)))(*filter(None, vel))
+        rhs = contraction(vel)
         status, t_end, y_end, steps, low = integrate_autonomous(rhs, y, w, cfg, margin, on_step)
         steps_total += steps
         if status != COMPLETE:

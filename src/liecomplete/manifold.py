@@ -114,16 +114,6 @@ def _side(v, open_side: float) -> float:
     return side
 
 
-def _on_first_call(fn: Callable, attr: str, build: Callable) -> None:
-    """Set ``fn.<attr>`` to a stand-in that replaces itself with ``build()`` when first called."""
-    def first(*args):
-        if getattr(fn, attr) is first:
-            setattr(fn, attr, build())
-        return getattr(fn, attr)(*args)
-
-    setattr(fn, attr, first)
-
-
 def _least_lines(terms, render: Callable, m: str) -> list:
     """Source lines setting the name ``m`` to the least of ``terms``, using ``v``.
 
@@ -148,10 +138,12 @@ def _margin_lines(domain: Domain, names: Mapping[str, str]) -> Callable:
 def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
     """Generate p -> the least of ``domain.terms`` as one list-in function, by :func:`_least_lines`.
 
-    The attribute ``lower(lo, hi)`` is generated on its first call: a lower
-    bound of the margin at every list of floats p with ``lo[j] <= p[j] <=
-    hi[j]``, or ``-inf`` where it proves nothing
-    (:func:`liecomplete.interval.margin_lower`).
+    The attribute ``lower(lo, hi)`` is a lower bound of the margin at every
+    list of floats p with ``lo[j] <= p[j] <= hi[j]``, or ``-inf`` where it
+    proves nothing (:func:`liecomplete.interval.margin_lower`).  It starts
+    as a stand-in that generates the bound and puts it in its place on its
+    first call, so a caller that holds the stand-in builds the bound once,
+    and the interval module is imported only when a bound is first asked for.
     """
     names = _name_map(domain.coords, params)
     margin = _define("\n".join([
@@ -161,11 +153,13 @@ def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
         "    return m",
     ]))["_margin"]
 
-    def lower():   # the interval module is imported only when a bound is first asked for
-        from .interval import margin_lower
-        return margin_lower(domain, names)
+    def lower(lo, hi):
+        if margin.lower is lower:
+            from .interval import margin_lower
+            margin.lower = margin_lower(domain, names)
+        return margin.lower(lo, hi)
 
-    _on_first_call(margin, "lower", lower)
+    margin.lower = lower
     return margin
 
 
@@ -234,7 +228,6 @@ class GAction:
         fields: Sequence[Sequence[Expr]],
         params: Optional[Mapping[str, float]] = None,
         winding_plane: Optional[Callable] = None,
-        name: str = "",
     ):
         d, n = group.dim, domain.dim
         # before the algebra, whose structure constants are d^3 numbers
@@ -246,7 +239,6 @@ class GAction:
         self.domain = domain
         self.params = {k: number(v, ActionError, f"parameter {k!r} must be a number")
                        for k, v in (params or {}).items()}
-        self.name = name
         self.winding_plane = winding_plane
         self.fields = tuple(tuple(row) for row in fields)
         self._dim = n
@@ -318,23 +310,29 @@ class GAction:
     def rhs(self, X) -> Callable:
         """Velocity field y -> sum_i X_i zeta_i(y) as a fast list-in/list-out fn.
 
-        The contraction is generated once per set of non-zero coefficients;
-        rows whose coefficient is zero are not evaluated.  The function
-        carries ``kernel``: the domain margin and the integrator's run with
-        both inlined, which the integrator takes when it is passed that margin.
+        The coefficients are checked and handed to :meth:`_contraction`.
+        The function carries ``kernel``: the domain margin and the
+        integrator's run with both inlined, which the integrator takes when
+        it is passed that margin.
         """
         coeffs = floats(X, ActionError, "rhs expects a d-vector of algebra coefficients", self.dim_algebra)
-        return self._contraction(tuple(map(bool, coeffs)))(*filter(None, coeffs))
+        return self._contraction(coeffs)
 
-    def _contraction(self, nonzero: tuple) -> Callable:
-        """The rhs factory taking the non-zero coefficients where ``nonzero`` is true, in order."""
+    def _contraction(self, coeffs) -> Callable:
+        """The rhs of the floats ``coeffs``, one per basis vector, with no check.
+
+        The factory is generated once per set of non-zero coefficients, which
+        keys the cache, and is called with those coefficients in order; rows
+        whose coefficient is zero are not evaluated.
+        """
+        nonzero = tuple(map(bool, coeffs))
         make = self._contractions.get(nonzero)
         if make is None:
             rows = tuple(i for i, c in enumerate(nonzero) if c)
             make = self._contractions[nonzero] = _compile_contraction(
                 self.fields, rows, self.domain, self.params, self._kernel_margin
             )
-        return make
+        return make(*filter(None, coeffs))
 
     # -- homomorphism check -------------------------------------------------
 

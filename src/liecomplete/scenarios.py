@@ -1,7 +1,8 @@
 """Built-in worked scenarios.
 
-Each builder assembles a :class:`~liecomplete.manifold.GAction`, with its
-winding observable where the scenario has one, into a :class:`Scenario`.
+Each builder returns a scenario's parameters and its
+:class:`~liecomplete.manifold.GAction`, with its winding observable where the
+scenario has one; :func:`build` names the pair by its key in ``_BUILDERS``.
 The module also holds the helicoid's complete leaf invariant and the circle
 loop paths that ``lift --circle-turns`` follows.  The four built-ins:
 
@@ -60,18 +61,17 @@ class Scenario(Record):
 MAX_TRANSLATION_DIM = 16
 
 
-def _build_translation_rn(params) -> Scenario:
+def _build_translation_rn(params) -> tuple:
     n = params["n"]
     if not 1 <= n <= MAX_TRANSLATION_DIM or n != int(n):
         raise ScenarioError(f"translation_rn needs an integer n from 1 to {MAX_TRANSLATION_DIM}")
     n = int(n)
     coords = tuple(f"x{i + 1}" for i in range(n))
     fields = [[parse("1") if i == j else parse("0") for j in range(n)] for i in range(n)]
-    action = GAction(AbelianGroup(n), Domain(coords), fields, name="translation_rn")
-    return Scenario("translation_rn", {"n": n}, action)
+    return {"n": n}, GAction(AbelianGroup(n), Domain(coords), fields)
 
 
-def _build_example4_annulus(params) -> Scenario:
+def _build_example4_annulus(params) -> tuple:
     r0, r1, th0, th1 = (params[k] for k in ("r0", "r1", "theta_min", "theta_max"))
     if not (0.0 < r0 < r1):
         raise ScenarioError("need 0 < r0 < r1")
@@ -82,12 +82,11 @@ def _build_example4_annulus(params) -> Scenario:
         [parse("cos(theta)"), parse("-sin(theta)/r")],
         [parse("sin(theta)"), parse("cos(theta)/r")],
     ]
-    action = GAction(AbelianGroup(2, ("X", "Y")), domain, fields, name="example4_annulus")
-    return Scenario("example4_annulus",
-                    {"r0": r0, "r1": r1, "theta_min": th0, "theta_max": th1}, action)
+    return ({"r0": r0, "r1": r1, "theta_min": th0, "theta_max": th1},
+            GAction(AbelianGroup(2, ("X", "Y")), domain, fields))
 
 
-def _build_example6_helicoid(params) -> Scenario:
+def _build_example6_helicoid(params) -> tuple:
     alpha = params["alpha"]
     if alpha < 0.0:
         raise ScenarioError("alpha must be >= 0")
@@ -96,15 +95,13 @@ def _build_example6_helicoid(params) -> Scenario:
         [parse("1"), parse("0"), parse("alpha*y*z/(x^2 + y^2)")],
         [parse("0"), parse("1"), parse("-alpha*x*z/(x^2 + y^2)")],
     ]
-    action = GAction(
+    return {"alpha": alpha}, GAction(
         AbelianGroup(2, ("X", "Y")),
         domain,
         fields,
         params={"alpha": alpha},
         winding_plane=lambda p: (p[0], p[1]),
-        name="example6_helicoid",
     )
-    return Scenario("example6_helicoid", {"alpha": alpha}, action)
 
 
 # affine basis: T (translation) and D (dilation) with [T, D] = T, matching
@@ -116,10 +113,9 @@ _AFFINE_BASIS = [
 ]
 
 
-def _build_affine_line(params) -> Scenario:
+def _build_affine_line(params) -> tuple:
     group = MatrixGroup(_AFFINE_BASIS, ("T", "D"))
-    action = GAction(group, Domain(("x",)), [[parse("1")], [parse("x")]], name="affine_line")
-    return Scenario("affine_line", {}, action)
+    return {}, GAction(group, Domain(("x",)), [[parse("1")], [parse("x")]])
 
 
 _BUILDERS = {
@@ -155,7 +151,7 @@ def build(name: str, params: Optional[Dict] = None) -> Scenario:
             f"unknown scenario {name!r}; available: {', '.join(scenario_names())}"
         )
     builder, defaults = _BUILDERS[key]
-    return builder(_override_params(key, defaults, params))
+    return Scenario(key, *builder(_override_params(key, defaults, params)))
 
 
 def _override_params(name: str, defaults: Dict, params: Optional[Dict]) -> dict:

@@ -106,7 +106,7 @@ def test_abelian_runs_leave_numpy_out(tmp_path):
             ["lift", "--scenario", "example6", "--x0", "1,0,1", "--circle-turns", "1", "--out", out],
             ["lift", "--scenario", "example6", "--x0", "1,0,1", "--path", path, "--out", out]]
     watched = {"numpy", "dataclasses", "inspect",
-               "liecomplete.flow", "liecomplete.lift", "liecomplete.completion"}
+               "liecomplete.flow", "liecomplete.lift", "liecomplete.completion", "liecomplete.interval"}
     code = ("import sys\n"
             "def loaded():\n"
             f"    return sorted({{m.split('.')[0] for m in sys.modules}}.union(sys.modules) & {watched!r})\n"

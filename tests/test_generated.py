@@ -8,8 +8,8 @@ margin (the generic kernel) or an action's contraction and margin to inline
 the loop they replaced, which takes a
 step at a time through the loop forms of the step, the first-step norm and
 the interpolant, and hands every accepted step's margins to
-``_scan_margins``.  The kernels' commit test is the first phase of that scan,
-at the fixed escape level ``ESCAPE_MARGIN`` and bisection width
+``_scan_margins``.  The kernels' commit test clears the steps that scan would
+commit with no margin call, at the fixed escape level ``ESCAPE_MARGIN`` and bisection width
 ``ESCAPE_TIME_WIDTH``; group paths and the loop decompositions of
 ``loop_to_group`` are built from whole arrays.  The loop forms are kept
 here as references; the new code must give the same floats bit for bit
@@ -242,7 +242,7 @@ def loop_integrate(rhs, y0, duration, atol, rtol, max_steps, margin, on_step):
     """The integrator loop that the generated kernels replace, a step at a time on the loop forms.
 
     Every accepted step's margins go to ``flow._scan_margins``, which
-    commits most of them in its first lines; ``margin.lower``, when there
+    commits most of them with no margin call; ``margin.lower``, when there
     is one, goes with them.
     """
     y = y0
@@ -360,7 +360,7 @@ def _run(integrate, *args):
 
 
 def _refined(ms):
-    """Whether the first lines of ``_scan_margins`` leave the step with margins ``ms`` to refinement."""
+    """Whether the kernels' commit test hands the step with margins ``ms`` to ``_scan_margins``."""
     mmin = min(ms)
     return not (mmin > ESCAPE_MARGIN and not (mmin < 0.5 * max(ms) or mmin < 100.0 * ESCAPE_MARGIN))
 
@@ -732,7 +732,7 @@ def test_kernels_match_the_loop_where_a_run_escapes(name, X, y, duration, max_st
 
 
 # ---------------------------------------------------------------------------
-# the margin scan: the commit test is its first lines
+# the margin scan: the commit test clears what it would commit unrefined
 
 
 EPS = ESCAPE_MARGIN

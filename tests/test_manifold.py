@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from liecomplete import interval
 from liecomplete.algebra import AbelianGroup
 from liecomplete.expr import Expr, parse
 from liecomplete.manifold import (
@@ -162,6 +163,23 @@ def test_box_walls_are_margin_terms():
     assert [str(Expr(t)) for t in unbounded.terms] == ["1 - x"]
     action = GAction(AbelianGroup(1), unbounded, [[parse("1")]])
     assert action._margin.lower([0.0], [0.5]) == math.nextafter(0.5, 0.0)
+
+
+def test_margin_bound_is_built_once_on_first_call(monkeypatch):
+    # a caller may hold the stand-in: its later calls must not build the bound again
+    built, real = [], interval.margin_lower
+
+    def margin_lower(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(interval, "margin_lower", margin_lower)
+    action = build("example6_helicoid").action
+    held = action._margin.lower
+    box = ([0.6, 0.8, 1.0], [0.7, 0.9, 1.0])
+    assert held(*box) == held(*box) > 0.0
+    assert len(built) == 1
+    assert action._margin.lower is built[0] is not held
 
 
 @pytest.mark.parametrize("name, p", [

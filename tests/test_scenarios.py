@@ -15,6 +15,8 @@ from liecomplete.scenarios import (
     circle_loop_path,
     invariants_match,
     leaf_invariant,
+    _ALIASES,
+    _BUILDERS,
     scenario_names,
 )
 
@@ -53,9 +55,15 @@ def test_aliases_and_names():
         "example6_helicoid",
         "translation_rn",
     ]
-    assert build("example6").name == "example6_helicoid"
-    assert build("affine").name == "affine_line"
+    for alias, key in [*((key, key) for key in _BUILDERS), *_ALIASES.items()]:
+        assert build(alias).name == key
     assert build("translation", {"n": 3}).action.dim_manifold == 3
+    overrides = {"translation_rn": {"n": 3}, "example4_annulus": {"r0": 0.25, "theta_max": 1.0},
+                 "example6_helicoid": {"alpha": 2.0}, "affine_line": {}}
+    assert set(overrides) == set(_BUILDERS)
+    for key, (_, defaults) in _BUILDERS.items():
+        assert build(key).params == defaults
+        assert build(key, overrides[key]).params == {**defaults, **overrides[key]}
 
 
 def test_build_errors():
