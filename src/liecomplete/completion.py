@@ -153,10 +153,15 @@ def _sub_chord_segments(action, frame, pts, substeps: int) -> list:
     """One Magnus segment per sub-chord of the loop polyline ``pts``, in loop order.
 
     The two Gauss nodes of every sub-chord are built as one ``(N, n)`` array.
-    One loop checks each node's margin and appends its fields, from the
-    checked evaluator of ``GAction.field_matrix``, to one flat list, reshaped
-    once to ``(N, d, n)``; one stacked SVD gives every node's condition number
-    and least-squares solution.  The first failing node of the first failing
+    One loop checks each node's margin, with the generated margin after one
+    finiteness pass over the array, and appends its fields, from the checked
+    evaluator of ``GAction.field_matrix``, to one flat list, reshaped once to
+    ``(N, d, n)``.  The node matrices ``M`` (``n x k``, columns the frame's
+    fields) are then solved as one stack.  A rank-one stack (``n == 1``, a
+    one-dimensional orbit, or ``k == 1``, a one-field frame) has one singular
+    value ``sigma = |M|`` per node and the solution ``(M / sigma)^T (c / sigma)``;
+    any other stack takes one stacked SVD for the condition numbers and the
+    least-squares solutions.  The first failing node of the first failing
     check (domain, then condition, then residual) names the error.
     """
     import numpy as np
@@ -171,27 +176,39 @@ def _sub_chord_segments(action, frame, pts, substeps: int) -> list:
     # chord velocity on the loop clock, once per node
     cdot = np.repeat(step[:, 0, :] * n_chords, 2 * substeps, axis=0)
 
-    margin, fields_at = action.margin, action._fields_at
+    margin, fields_at = action._margin, action._fields_at
     flat: list = []
-    for point in nodes.tolist():
-        if margin(point) <= 0.0:
+    for point, finite in zip(nodes.tolist(), np.isfinite(nodes).all(axis=1).tolist()):
+        if not finite or margin(point) <= 0.0:
             raise LoopGeometryError(f"loop leaves the domain near {point}")
         flat += fields_at(point)
     F = np.array(flat).reshape(len(nodes), frame.shape[1], nodes.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         St = np.swapaxes(frame @ F, 1, 2)    # (N, n, k): columns are frame fields
-    if not np.isfinite(St).all():   # a frame that is not finite, or overflows: the SVD cannot take it
+    if not np.isfinite(St).all():   # a frame that is not finite, or overflows, has no solve
         raise FrameConditionError("frame fields are not finite on the loop")
-    U, sv, Vt = np.linalg.svd(St, full_matrices=False)
+    rank_one = min(St.shape[1:]) == 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        bad = (sv[:, -1] <= 0.0) | (sv[:, 0] / sv[:, -1] > FRAME_CONDITION_LIMIT)
+        if rank_one:
+            # the one singular value |M|, scaled by the largest entry so that squares
+            # neither overflow nor underflow; an all-zero node gives nan, which fails below
+            peak = np.abs(St).max(axis=(1, 2))
+            sv = (peak * np.sqrt(np.square(St / peak[:, None, None]).sum(axis=(1, 2))))[:, None]
+        else:
+            U, sv, Vt = np.linalg.svd(St, full_matrices=False)
+        bad = ~(sv[:, -1] > 0.0) | (sv[:, 0] / sv[:, -1] > FRAME_CONDITION_LIMIT)
     if bad.any():
         s0, s1 = sv[np.argmax(bad)][[0, -1]]
         cond = s0 / s1 if s1 > 0.0 else math.inf
         raise FrameConditionError(f"frame is ill-conditioned on the loop (cond {cond:.2e})")
-    # full column rank (checked above): the least-squares solution from the same SVD
-    uc = (np.swapaxes(U, 1, 2) @ cdot[:, :, None])[:, :, 0]
-    f = (np.swapaxes(Vt, 1, 2) @ (uc / sv)[:, :, None])[:, :, 0]
+    # the least-squares solution of least norm: a frame with more fields than the
+    # orbit's dimension ({T, D} on the affine line) has a line of exact solutions
+    if rank_one:
+        s = sv[:, :, None]
+        f = ((np.swapaxes(St, 1, 2) / s) @ (cdot[:, :, None] / s))[:, :, 0]
+    else:
+        uc = (np.swapaxes(U, 1, 2) @ cdot[:, :, None])[:, :, 0]
+        f = (np.swapaxes(Vt, 1, 2) @ (uc / sv)[:, :, None])[:, :, 0]
     res = np.linalg.norm((St @ f[:, :, None])[:, :, 0] - cdot, axis=1)
     bad = res > ORBIT_RESIDUAL_REL * np.linalg.norm(cdot, axis=1) + 1e-14
     if bad.any():
@@ -219,10 +236,12 @@ def loop_to_group(
     ``frame`` is a list of algebra coefficient vectors whose fundamental
     fields span the orbit tangent along the loop.  Each chord is cut into
     ``substeps`` sub-chords of equal width.  At the two Gauss nodes of every
-    sub-chord the loop velocity is least-squares decomposed in the frame
-    (condition number and residual are checked), all nodes in one stacked
-    SVD.  Each sub-chord then becomes one exponential segment with the
-    4th-order Magnus exponent of ``g' = g X``:
+    sub-chord the loop velocity is decomposed in the frame, as the
+    least-squares solution of least norm (condition number and residual are
+    checked), all nodes as one stack: in closed form when each node's matrix
+    is a single row or column (a one-dimensional orbit or a one-field
+    frame), by one stacked SVD otherwise.  Each sub-chord then becomes one
+    exponential segment with the 4th-order Magnus exponent of ``g' = g X``:
 
         Omega = dt * (X_lo + X_hi) / 2 + (sqrt(3) / 12) * dt**2 * [X_lo, X_hi]
 

@@ -202,7 +202,7 @@ def _check_group_compat(g1, g2):
         raise PathError("the group models do not match")
     if g1.kind == "matrix":
         import numpy as np
-        if g1.n != g2.n or not np.allclose(g1.basis, g2.basis):
+        if g1.n != g2.n or not np.array_equal(g1.basis, g2.basis):   # exactly, as == on groups
             raise PathError("the group models use different matrix bases")
 
 

@@ -882,22 +882,38 @@ def test_ragged_segments_are_a_path_error():
 # loop_to_group
 
 
-def loop_velocity_at(action, frame, point, cdot):
-    """One node's frame decomposition: its own SVD and checks, as the node loop did."""
+def _rank_one_solve(St, cdot):
+    """The one singular value |St| of a single row or column, and the least-norm solution."""
+    peak = np.abs(St).max()
+    sigma = peak * np.sqrt(np.square(St / peak).sum())
+    return np.array([sigma]), (St.T / sigma) @ (cdot / sigma)
+
+
+def _svd_solve(St, cdot):
+    U, sv, Vt = np.linalg.svd(St, full_matrices=False)
+    return sv, Vt.T @ ((U.T @ cdot) / sv)
+
+
+def loop_velocity_at(action, frame, point, cdot, svd_only=False):
+    """One node's frame decomposition and checks, as the node loop did.
+
+    A single row or column is solved by its norm, as the stacked solve does,
+    unless ``svd_only``; any other node matrix by its own SVD.
+    """
     if action.margin(point) <= 0.0:
         raise LoopGeometryError(f"loop leaves the domain near {list(point)}")
     St = (frame @ action.field_matrix(point)).T
-    U, sv, Vt = np.linalg.svd(St, full_matrices=False)
-    if sv[-1] <= 0.0 or sv[0] / sv[-1] > FRAME_CONDITION_LIMIT:
+    solve = _rank_one_solve if min(St.shape) == 1 and not svd_only else _svd_solve
+    sv, f = solve(St, cdot)
+    if not sv[-1] > 0.0 or sv[0] / sv[-1] > FRAME_CONDITION_LIMIT:
         raise FrameConditionError("frame is ill-conditioned on the loop")
-    f = Vt.T @ ((U.T @ cdot) / sv)
     res = float(np.linalg.norm(St @ f - cdot))
     if res > ORBIT_RESIDUAL_REL * float(np.linalg.norm(cdot)) + 1e-14:
         raise LoopOutsideOrbitError("loop velocity leaves the frame span")
     return f @ frame
 
 
-def loop_sub_chords(action, frame, pts, substeps):
+def loop_sub_chords(action, frame, pts, substeps, svd_only=False):
     """The (rate, duration) of every sub-chord, one chord and one node at a time."""
     frame = np.asarray(frame, dtype=float)
     pts = np.asarray(pts, dtype=float)
@@ -911,8 +927,8 @@ def loop_sub_chords(action, frame, pts, substeps):
             mid = (s + 0.5) / substeps
             lo = p0 + (mid - _GL2_OFFSET / substeps) * (p1 - p0)
             hi = p0 + (mid + _GL2_OFFSET / substeps) * (p1 - p0)
-            X_lo = loop_velocity_at(action, frame, lo, cdot)
-            X_hi = loop_velocity_at(action, frame, hi, cdot)
+            X_lo = loop_velocity_at(action, frame, lo, cdot, svd_only)
+            X_hi = loop_velocity_at(action, frame, hi, cdot, svd_only)
             rate = 0.5 * (X_lo + X_hi) + (_MAGNUS4 * dt) * action.algebra.bracket(X_lo, X_hi)
             out.append((tuple(rate), dt))
     return out
@@ -942,6 +958,72 @@ def test_helicoid_loop_sub_chords_match_the_loop(r, phase, turns, chords, subste
     pts = np.column_stack([r * np.cos(th), r * np.sin(th), np.zeros(chords + 1)])
     _assert_sub_chords_match_the_loop(build("example6_helicoid").action, ((1.0, 0.0), (0.0, 1.0)),
                                       pts, substeps)
+
+
+_AFFINE_FRAMES = [((1.0, 0.0),), ((0.0, 1.0),), ((1.0, 0.0), (0.0, 1.0))]
+
+
+def _affine_walk(x, logs):
+    return [(x * math.exp(v),) for v in np.cumsum([0.0] + logs)]
+
+
+def _helicoid_line(frame, start, steps):
+    """Points at z = 0 along the one frame field, which is constant there; steps may turn back."""
+    (a, b), = frame
+    return [(start[0] + a * t, start[1] + b * t, 0.0) for t in np.cumsum([0.0] + steps)]
+
+
+_walks = st.one_of(
+    st.tuples(st.just("affine_line"), st.sampled_from(_AFFINE_FRAMES),
+              st.builds(_affine_walk, st.floats(0.5, 2.0),
+                        st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=30))),
+    st.tuples(st.just("example6_helicoid"), st.sampled_from([((1.0, 0.0),), ((0.0, 1.0),)]),
+              st.tuples(st.floats(1.0, 3.0), st.floats(-0.2, 0.2),
+                        st.lists(st.floats(-0.2, 0.2), min_size=1, max_size=30))).map(
+        lambda w: (w[0], w[1], _helicoid_line(w[1], (w[2][0], w[2][1] + 1.0), w[2][2]))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk=_walks, substeps=st.integers(1, 4))
+def test_rank_one_nodes_agree_with_their_svd(walk, substeps):
+    key, frame, pts = walk
+    action = build(key).action
+    hol = loop_to_group(action, frame, pts, pts[0], closed=False, substeps=substeps)
+    ref = loop_sub_chords(action, frame, pts, substeps, svd_only=True)
+    for seg, (X, dur) in zip(hol.path.segments, ref, strict=True):
+        assert seg.duration == dur
+        assert np.max(np.abs(np.subtract(seg.X, X))) <= 1e-13 * np.max(np.abs(X))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_rank_one_nodes_take_frames_whose_squares_leave_the_float_range(scale):
+    # |M|^2 underflows to 0 or overflows to inf, yet |M| and the solution are finite
+    affine = build("affine_line").action
+    pts = _affine_walk(1.0, [0.1, -0.2, 0.05])
+    for frame in _AFFINE_FRAMES:
+        ref = loop_to_group(affine, frame, pts, pts[0], closed=False).element
+        got = loop_to_group(affine, np.multiply(frame, scale), pts, pts[0], closed=False).element
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_only_node_matrices_of_rank_above_one_take_an_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+    affine = build("affine_line").action
+    pts = _affine_walk(1.0, [0.1, -0.2, 0.05])
+    for frame in _AFFINE_FRAMES:
+        loop_to_group(affine, frame, pts, pts[0], closed=False)
+    helicoid = build("example6_helicoid").action
+    for frame in (((1.0, 0.0),), ((0.0, 1.0),)):
+        pts = _helicoid_line(frame, (1.0, 1.0), [0.1, -0.2, 0.05])
+        loop_to_group(helicoid, frame, pts, pts[0], closed=False)
+    assert calls == []
+    th = 0.4 + 2.0 * math.pi * np.arange(9) / 8
+    pts = np.column_stack([1.2 * np.cos(th), 1.2 * np.sin(th), np.zeros(9)])
+    loop_to_group(helicoid, ((1.0, 0.0), (0.0, 1.0)), pts, pts[0], closed=False)
+    assert calls == [(64, 3, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -1270,4 +1352,4 @@ def test_loop_to_group_bytes_are_unchanged():
     pts[-1] = pts[0]
     hol = loop_to_group(helicoid, ((1.0, 0.0), (0.0, 1.0)), pts, pts[0])
     _digest(h, hol.element, hol.round_trip_residual)
-    assert h.hexdigest() == "02cb69aead8c5ba383f442dfcf556f246f2578a909b098a5307a47b738f9f55d"
+    assert h.hexdigest() == "bbc1755a003734e021f0a4335a707d4dcc53b3dfb1b30377db2c84272e40e362"

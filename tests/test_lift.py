@@ -172,6 +172,21 @@ def test_concat_requires_one_group_model(affine):
             lift_path(affine, GPath(G, start, []), (1.0,))
 
 
+@pytest.mark.parametrize("nudge", ["scaled", "one_entry"])
+def test_a_basis_that_differs_in_any_bit_is_another_group_model(affine, nudge):
+    basis = np.array(affine.group.basis)
+    if nudge == "scaled":
+        basis = basis * (1.0 + 1e-7)
+    else:
+        basis[0][basis[0] != 0.0] = 1.000001
+    other = MatrixGroup(basis)
+    assert other != affine.group
+    with pytest.raises(PathError, match="different matrix bases"):
+        lift_path(affine, GPath(other, np.eye(2), [ExpSeg((1.0, 0.0), 1.0)]), (1.0,))
+    with pytest.raises(PathError, match="different matrix bases"):
+        concat_paths(GPath(affine.group, np.eye(2), []), GPath(other, np.eye(2), []))
+
+
 def test_from_m_projection():
     G = AbelianGroup(2)
     pts = [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
