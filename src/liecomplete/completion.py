@@ -187,28 +187,25 @@ def _sub_chord_segments(action, frame, pts, substeps: int) -> list:
         St = np.swapaxes(frame @ F, 1, 2)    # (N, n, k): columns are frame fields
     if not np.isfinite(St).all():   # a frame that is not finite, or overflows, has no solve
         raise FrameConditionError("frame fields are not finite on the loop")
-    rank_one = min(St.shape[1:]) == 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if rank_one:
+    # the least-squares solution of least norm: a frame with more fields than the
+    # orbit's dimension ({T, D} on the affine line) has a line of exact solutions
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if min(St.shape[1:]) == 1:
             # the one singular value |M|, scaled by the largest entry so that squares
             # neither overflow nor underflow; an all-zero node gives nan, which fails below
             peak = np.abs(St).max(axis=(1, 2))
             sv = (peak * np.sqrt(np.square(St / peak[:, None, None]).sum(axis=(1, 2))))[:, None]
+            s = sv[:, :, None]
+            f = ((np.swapaxes(St, 1, 2) / s) @ (cdot[:, :, None] / s))[:, :, 0]
         else:
             U, sv, Vt = np.linalg.svd(St, full_matrices=False)
+            uc = (np.swapaxes(U, 1, 2) @ cdot[:, :, None])[:, :, 0]
+            f = (np.swapaxes(Vt, 1, 2) @ (uc / sv)[:, :, None])[:, :, 0]
         bad = ~(sv[:, -1] > 0.0) | (sv[:, 0] / sv[:, -1] > FRAME_CONDITION_LIMIT)
     if bad.any():
         s0, s1 = sv[np.argmax(bad)][[0, -1]]
         cond = s0 / s1 if s1 > 0.0 else math.inf
         raise FrameConditionError(f"frame is ill-conditioned on the loop (cond {cond:.2e})")
-    # the least-squares solution of least norm: a frame with more fields than the
-    # orbit's dimension ({T, D} on the affine line) has a line of exact solutions
-    if rank_one:
-        s = sv[:, :, None]
-        f = ((np.swapaxes(St, 1, 2) / s) @ (cdot[:, :, None] / s))[:, :, 0]
-    else:
-        uc = (np.swapaxes(U, 1, 2) @ cdot[:, :, None])[:, :, 0]
-        f = (np.swapaxes(Vt, 1, 2) @ (uc / sv)[:, :, None])[:, :, 0]
     res = np.linalg.norm((St @ f[:, :, None])[:, :, 0] - cdot, axis=1)
     bad = res > ORBIT_RESIDUAL_REL * np.linalg.norm(cdot, axis=1) + 1e-14
     if bad.any():

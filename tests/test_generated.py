@@ -941,13 +941,20 @@ def _assert_sub_chords_match_the_loop(action, frame, pts, substeps):
     assert [(_bits(X), dur.hex()) for X, dur in got] == [(_bits(X), dur.hex()) for X, dur in ref]
 
 
+_AFFINE_FRAMES = [((1.0, 0.0),), ((0.0, 1.0),), ((1.0, 0.0), (0.0, 1.0))]
+
+
+def _affine_walk(x, logs):
+    return [(x * math.exp(v),) for v in np.cumsum([0.0] + logs)]
+
+
 @settings(max_examples=40, deadline=None)
-@given(frame=st.sampled_from([((1.0, 0.0),), ((0.0, 1.0),), ((1.0, 0.0), (0.0, 1.0))]),
+@given(frame=st.sampled_from(_AFFINE_FRAMES),
        x=st.floats(0.5, 2.0), logs=st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=30),
        substeps=st.integers(1, 4))
 def test_affine_walk_sub_chords_match_the_loop(frame, x, logs, substeps):
-    pts = [(x * math.exp(v),) for v in np.cumsum([0.0] + logs)]
-    _assert_sub_chords_match_the_loop(build("affine_line").action, frame, pts, substeps)
+    _assert_sub_chords_match_the_loop(build("affine_line").action, frame, _affine_walk(x, logs),
+                                      substeps)
 
 
 @settings(max_examples=25, deadline=None)
@@ -960,32 +967,27 @@ def test_helicoid_loop_sub_chords_match_the_loop(r, phase, turns, chords, subste
                                       pts, substeps)
 
 
-_AFFINE_FRAMES = [((1.0, 0.0),), ((0.0, 1.0),), ((1.0, 0.0), (0.0, 1.0))]
-
-
-def _affine_walk(x, logs):
-    return [(x * math.exp(v),) for v in np.cumsum([0.0] + logs)]
-
-
 def _helicoid_line(frame, start, steps):
     """Points at z = 0 along the one frame field, which is constant there; steps may turn back."""
     (a, b), = frame
     return [(start[0] + a * t, start[1] + b * t, 0.0) for t in np.cumsum([0.0] + steps)]
 
 
-_walks = st.one_of(
-    st.tuples(st.just("affine_line"), st.sampled_from(_AFFINE_FRAMES),
-              st.builds(_affine_walk, st.floats(0.5, 2.0),
-                        st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=30))),
-    st.tuples(st.just("example6_helicoid"), st.sampled_from([((1.0, 0.0),), ((0.0, 1.0),)]),
-              st.tuples(st.floats(1.0, 3.0), st.floats(-0.2, 0.2),
-                        st.lists(st.floats(-0.2, 0.2), min_size=1, max_size=30))).map(
-        lambda w: (w[0], w[1], _helicoid_line(w[1], (w[2][0], w[2][1] + 1.0), w[2][2]))),
-)
+@st.composite
+def _rank_one_walks(draw):
+    """An affine walk under any frame, or a helicoid line under a one-field frame."""
+    if draw(st.booleans()):
+        frame = draw(st.sampled_from(_AFFINE_FRAMES))
+        logs = draw(st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=30))
+        return "affine_line", frame, _affine_walk(draw(st.floats(0.5, 2.0)), logs)
+    frame = draw(st.sampled_from(_AFFINE_FRAMES[:2]))
+    start = (draw(st.floats(1.0, 3.0)), draw(st.floats(0.8, 1.2)))
+    steps = draw(st.lists(st.floats(-0.2, 0.2), min_size=1, max_size=30))
+    return "example6_helicoid", frame, _helicoid_line(frame, start, steps)
 
 
 @settings(max_examples=60, deadline=None)
-@given(walk=_walks, substeps=st.integers(1, 4))
+@given(walk=_rank_one_walks(), substeps=st.integers(1, 4))
 def test_rank_one_nodes_agree_with_their_svd(walk, substeps):
     key, frame, pts = walk
     action = build(key).action
