@@ -21,11 +21,17 @@ supplies the field and the margin at a point as source lines, and the
 components that are constant along the run, whose stage sums are folded out
 of the loop.  An action's own kernel inlines its contraction, with the
 subtrees its components share computed once per stage, and its domain
-margin; ``GAction`` generates it once per set of non-zero coefficients and
-hands it over as ``rhs.kernel``.  The generic kernel, generated once per
-state dimension, has lines that call a plain ``rhs`` and ``margin`` in
-their place.  The lazy cubic Hermite interpolant (:func:`_hermite`) is
-generated too.  Each committed step is handed to the caller's ``on_step``,
+margin, whose samples along a step set only the coordinates the margin
+reads.  ``GAction`` generates it once per set of non-zero coefficients, as
+the attribute ``kernel`` of the pattern's contraction ``func``, whose
+leading parameters are the coefficients.  A segment's rhs is
+``partial(func, *coefficients)``, and the integrator hands the kernel
+``rhs.args``, which it unpacks into locals: no function is built per
+segment.  The generic kernel, generated once per state dimension, has
+lines that call a plain ``rhs`` and ``margin`` in their place, at whole
+points.  The lazy cubic Hermite interpolant (:func:`_hermite`) is generated
+once per state dimension too, and bound to each step's ends by
+``functools.partial``.  Each committed step is handed to the caller's ``on_step``,
 from which a lift records its trace rows and its winding.  Escape from the
 open domain is detected by one scan of the domain margin along each accepted
 step: the run's commit test commits the step at once when none of the five
@@ -56,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import sys
 from typing import Callable, Sequence
 
@@ -132,39 +139,42 @@ _ERRORS = ((_E1, 1), (_E3, 3), (_E4, 4), (_E5, 5), (_E6, 6), (_E7, 7))
 def _hermite(n: int):
     """``hermite(y0, f0, y1, f1, h)``: the cubic Hermite interpolant of one step, for states of length n.
 
-    It returns the interpolant as a function of the step fraction s in [0,
-    1], reading the vectors when called; it is straight-line code with the
-    same operations in the same order as an index loop over the components.
+    It returns ``partial(interp, y0, f0, y1, f1, h)``, the interpolant as a
+    function of the step fraction s in [0, 1], of one function ``interp(y0,
+    f0, y1, f1, h, s)`` generated per n, which reads the vectors when
+    called; it is straight-line code with the same operations in the same
+    order as an index loop over the components.
     """
     sums = ", ".join(f"a * p{i} + b * q{i} + c * r{i} + d * u{i}" for i in range(n))
-    return _define("\n".join([
-        "def hermite(y0, f0, y1, f1, h):",
-        "    def interp(s):",
-        *(f"        {_names(v, n)}= {name}" for v, name in zip("pqru", ("y0", "f0", "y1", "f1"))),
-        "        s2 = s * s",
-        "        a = s2 * (2.0 * s - 3.0) + 1.0",
-        "        b = h * (s2 * (s - 2.0) + s)",
-        "        c = s2 * (3.0 - 2.0 * s)",
-        "        d = h * s2 * (s - 1.0)",
-        f"        return [{sums}]",
-        "    return interp",
-    ]))["hermite"]
+    interp = _define("\n".join([
+        "def interp(y0, f0, y1, f1, h, s):",
+        *(f"    {_names(v, n)}= {name}" for v, name in zip("pqru", ("y0", "f0", "y1", "f1"))),
+        "    s2 = s * s",
+        "    a = s2 * (2.0 * s - 3.0) + 1.0",
+        "    b = h * (s2 * (s - 2.0) + s)",
+        "    c = s2 * (3.0 - 2.0 * s)",
+        "    d = h * s2 * (s - 1.0)",
+        f"    return [{sums}]",
+    ]))["interp"]
+    return functools.partial(functools.partial, interp)
 
 
-def _kernel(n: int, params: str, contraction: Callable, const: dict, least: Callable,
+def _kernel(n: int, params: str, head: list, contraction: Callable, const: dict, least: Callable,
             scan: tuple) -> tuple:
     """``(lines, names)``: the source of one run of :func:`integrate_autonomous` for states of length n.
 
     ``names`` are the globals the source reads besides the expression
     globals.  The lines define ``integrate(y0, duration, atol, rtol,
     max_steps, on_step)``, with the parameters ``params`` (empty, or source
-    ending in ``", "``) before ``y0``, from the caller's pieces of the field
-    and its margin at the point ``_v0, _v1, ...``: ``contraction(s)`` gives the
+    ending in ``", "``) before ``y0`` and the lines ``head``, such as those
+    that unpack them, first in its body, from the caller's pieces of the
+    field and its margin at the point ``_v0, _v1, ...``: ``contraction(s)`` gives the
     lines that set ``k{s}_i`` of the components that move; ``const`` maps
     the index of each component that reads no point, and so is the same at
     every stage, to its source, evaluated once before the loop along with
     its stage sums; ``least(m)`` gives the lines that set ``m`` to the
-    margin; and ``scan`` is the pair of sources of the margin and of its
+    margin, and the margin samples along a step set only the ``_v{i}`` these
+    lines name; and ``scan`` is the pair of sources of the margin and of its
     lower bound over boxes that :func:`_scan_margins` is handed.  The run
     builds ``f0`` and ``f1`` from its own locals.
 
@@ -180,6 +190,8 @@ def _kernel(n: int, params: str, contraction: Callable, const: dict, least: Call
     """
     idx = range(n)
     moving = [i for i in idx if i not in const]
+    tokens = set(re.findall(r"\w+", "\n".join(least("m"))))
+    read = [i for i in idx if f"_v{i}" in tokens]   # the coordinates the margin reads
     eps = repr(ESCAPE_MARGIN)
 
     def k(s, i):   # a constant component's stages all equal its first
@@ -193,7 +205,8 @@ def _kernel(n: int, params: str, contraction: Callable, const: dict, least: Call
         return [f"{_names('_v', n)}= {_tuple(args)}", *contraction(s)] if moving else []
 
     def margin_at(m, args):
-        return [f"{_names('_v', n)}= {_tuple(args)}", *least(m)]
+        point = [f"{_tuple(f'_v{i}' for i in read)}= {_tuple(args[i] for i in read)}"] if read else []
+        return [*point, *least(m)]
 
     def stage(s, row, i):
         # x + h * (a1 * k1 + ...); the first stage groups as x + (h * a21) * k1
@@ -206,6 +219,7 @@ def _kernel(n: int, params: str, contraction: Callable, const: dict, least: Call
     x, z = _names("x", n), _names("z", n)
     lines = [
         f"def integrate({params}y0, duration, atol, rtol, max_steps, on_step):",
+        *("    " + line for line in head),
         "    y = y0",
         f"    {_names('_v', n)}= y",
         *("    " + line for line in least("m_curr")),
@@ -350,7 +364,8 @@ def _generic_kernel(n: int):
     reused, and one of the wrong length is a field that cannot be evaluated.
     """
     point = f"[{', '.join(f'_v{i}' for i in range(n))}]"
-    lines, names = _kernel(n, "rhs, margin, lower, ", lambda s: [f"{_names(f'k{s}_', n)}= rhs({point})"],
+    lines, names = _kernel(n, "rhs, margin, lower, ", [],
+                           lambda s: [f"{_names(f'k{s}_', n)}= rhs({point})"],
                            {}, lambda m: [f"{m} = margin({point})"], ("margin", "lower"))
     return _define("\n".join(lines), names)["integrate"]
 
@@ -483,10 +498,12 @@ def integrate_autonomous(
     that ``GAction`` generates does); crossing ``ESCAPE_MARGIN`` ends the run
     as escaped.  A margin with the attribute ``lower(lo, hi)``, a lower bound
     of it over boxes, as that margin has, lets the scan skip the dip searches
-    the bound proves futile.  An ``rhs`` that ``GAction`` generates carries
-    the attribute ``kernel``, a pair of the action's domain margin and the
-    run with both inlined (:func:`_kernel`), which is taken when ``margin``
-    is that margin.  Other callables, such as user code or wrappers, give
+    the bound proves futile.  An ``rhs`` that ``GAction`` generates is
+    ``partial(func, *coefficients)``, and ``func`` carries the attribute
+    ``kernel``, a pair of the action's domain margin and the run with both
+    inlined (:func:`_kernel`), whose first parameter is the tuple of the
+    coefficients; it is called with ``rhs.args`` when ``margin`` is that
+    margin.  Other callables, such as user code or wrappers, give
     the same bits in the generic kernel: it calls ``rhs`` at each stage and
     ``margin`` at the step's interpolant at s = 0.25, 0.5 and 0.75 and at its
     end.  ``on_step(t0, t1, y1, interp)`` is called after each accepted (possibly
@@ -495,8 +512,8 @@ def integrate_autonomous(
 
     Returns ``(status, t_end, y_end, steps, low_confidence)``.
     """
-    own = getattr(rhs, "kernel", None)
+    own = getattr(getattr(rhs, "func", None), "kernel", None)
     if own is not None and own[0] is margin:
-        return own[1](y0, duration, cfg.abs_tol, cfg.rel_tol, cfg.max_steps, on_step)
+        return own[1](rhs.args, y0, duration, cfg.abs_tol, cfg.rel_tol, cfg.max_steps, on_step)
     return _generic_kernel(len(y0))(rhs, margin, getattr(margin, "lower", None), y0, duration,
                                     cfg.abs_tol, cfg.rel_tol, cfg.max_steps, on_step)

@@ -218,7 +218,8 @@ def lift_path(
     constant on each segment); the group component advances in closed form.
     Escape anywhere truncates the lift and reports the path time and segment.
     An action with a ``winding_plane`` gets the signed turns of that plane
-    projection, summed over the accepted steps by :func:`_turn`.  Trace rows
+    projection, summed over the accepted steps: a jump under a quarter turn
+    is folded inline, and :func:`_turn` splits a larger one.  Trace rows
     keep ``(t, k, frac, m)``, a fraction ``frac`` of the way through segment
     ``k`` with row 0 at the path start; their group points are computed when
     ``trace`` is first read.
@@ -243,7 +244,16 @@ def lift_path(
         # k, t_base and w are those of the segment being integrated
         nonlocal angle, turned
         if plane is not None:
-            turned, angle = _turn(plane, interp, 0.0, angle, 1.0, y1, turned)
+            # _turn's fold, inline where it would not split the jump
+            u, v = plane(y1)
+            th1 = math.atan2(v, u)
+            d = math.remainder(th1 - angle, math.tau)
+            if d == -math.pi:
+                d = math.pi
+            if abs(d) < _QUARTER_TURN:
+                turned, angle = turned + d, th1
+            else:
+                turned, angle = _turn(plane, interp, 0.0, angle, 1.0, y1, turned)
         rows.append((t_base + t1, k, t1 / w, tuple(y1)))
         # a trace that ends with more than TRACE_TARGET rows is not padded
         if small_path and len(rows) <= TRACE_TARGET:

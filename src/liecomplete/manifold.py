@@ -164,7 +164,7 @@ def _compile_margin(domain: Domain, params: Mapping[str, float]) -> Callable:
 
 
 def _compile_contraction(fields, rows: tuple, domain: Domain, params, margin: Callable) -> Callable:
-    """Generate a factory: coefficients of ``rows`` -> y -> sum_i c_i zeta_i(y).
+    """Generate ``_rhs(c..., y)`` -> sum_i c_i zeta_i(y), with one leading parameter per entry of ``rows``.
 
     Each component adds ``c_i * field`` over ``rows`` in order onto ``0.0``,
     as a loop accumulating into a zeroed list would; literal-0 entries are
@@ -174,14 +174,15 @@ def _compile_contraction(fields, rows: tuple, domain: Domain, params, margin: Ca
     never zero.  A subtree that the fields compute more than once across
     the components is computed once, into a temp ``_tK`` before the
     components (:func:`liecomplete.expr._shared_subtrees`); the values are
-    the same, and a raise is still one of ``EVAL_ERRORS``.  Each rhs carries
-    the attribute ``kernel``, the pair of ``margin`` (the domain's, compiled
-    by :func:`_compile_margin`) and the integrator's run
+    the same, and a raise is still one of ``EVAL_ERRORS``.  The function
+    carries the attribute ``kernel``, the pair of ``margin`` (the domain's,
+    compiled by :func:`_compile_margin`) and the integrator's run
     (:func:`liecomplete.flow._kernel`) with that margin and with the
     contraction of the components that move, and its temps, inlined; a
     component made of bare coefficients alone, or of none, is constant along
-    the run, and is handed to the run as its source.  The coefficients are
-    cells of both closures.
+    the run, and is handed to the run as its source.  The run takes the
+    coefficients as one tuple, the rhs's ``args``, and unpacks them, so they
+    are plain locals of both functions.
     """
     from .flow import _kernel
     coords = domain.coords
@@ -199,20 +200,20 @@ def _compile_contraction(fields, rows: tuple, domain: Domain, params, margin: Ca
     const = {j: comps[j] for j, terms in enumerate(used) if all(_is_const(node, 1.0) for _, node in terms)}
     moving = [j for j in range(len(coords)) if j not in const]
     values = _tuple(comps[j] for j in moving)
+    coeffs = _tuple(f"_c{i}" for i in rows)
     kernel, kernel_names = _kernel(
-        len(coords), "", lambda s: [*temps_lines, f"{_tuple(f'k{s}_{j}' for j in moving)}= {values}"],
+        len(coords), "args, ", [f"({coeffs}) = args"],
+        lambda s: [*temps_lines, f"{_tuple(f'k{s}_{j}' for j in moving)}= {values}"],
         const, _margin_lines(domain, names), ("_margin", "_margin.lower"))
     src = "\n".join([
-        f"def _make({', '.join(f'_c{i}' for i in rows)}):",
-        "    def _rhs(y):",
-        f"        {_names('_v', len(coords))}= y",
-        *("        " + line for line in temps_lines),
-        f"        return [{', '.join(comps)}]",
-        *("    " + line for line in kernel),
-        "    _rhs.kernel = (_margin, integrate)",
-        "    return _rhs",
+        f"def _rhs({coeffs}y):",
+        f"    {_names('_v', len(coords))}= y",
+        *("    " + line for line in temps_lines),
+        f"    return [{', '.join(comps)}]",
+        *kernel,
+        "_rhs.kernel = (_margin, integrate)",
     ])
-    return _define(src, dict(kernel_names, _margin=margin))["_make"]
+    return _define(src, dict(kernel_names, _margin=margin))["_rhs"]
 
 
 class GAction:
@@ -256,7 +257,7 @@ class GAction:
             self._margin = self._kernel_margin = _compile_margin(domain, self.params)
         except ExprNameError as e:
             raise ActionError(str(e)) from None
-        self._contractions: dict = {}  # which coefficients are non-zero -> rhs factory
+        self._contractions: dict = {}  # which coefficients are non-zero -> contraction
         self._partials = None  # lazy, for the homomorphism check
 
     @property
@@ -311,9 +312,10 @@ class GAction:
         """Velocity field y -> sum_i X_i zeta_i(y) as a fast list-in/list-out fn.
 
         The coefficients are checked and handed to :meth:`_contraction`.
-        The function carries ``kernel``: the domain margin and the
-        integrator's run with both inlined, which the integrator takes when
-        it is passed that margin.
+        The result is ``partial(func, *coefficients)``, and ``func`` carries
+        ``kernel``: the domain margin and the integrator's run with both
+        inlined, which the integrator calls with ``rhs.args`` when it is
+        passed that margin.
         """
         coeffs = floats(X, ActionError, "rhs expects a d-vector of algebra coefficients", self.dim_algebra)
         return self._contraction(coeffs)
@@ -321,18 +323,20 @@ class GAction:
     def _contraction(self, coeffs) -> Callable:
         """The rhs of the floats ``coeffs``, one per basis vector, with no check.
 
-        The factory is generated once per set of non-zero coefficients, which
-        keys the cache, and is called with those coefficients in order; rows
-        whose coefficient is zero are not evaluated.
+        The contraction and its kernel are generated once per set of
+        non-zero coefficients, which keys the cache, and the rhs binds those
+        coefficients in order to it with ``functools.partial``, so no
+        function is built per call; rows whose coefficient is zero are not
+        evaluated.
         """
         nonzero = tuple(map(bool, coeffs))
-        make = self._contractions.get(nonzero)
-        if make is None:
+        rhs = self._contractions.get(nonzero)
+        if rhs is None:
             rows = tuple(i for i, c in enumerate(nonzero) if c)
-            make = self._contractions[nonzero] = _compile_contraction(
+            rhs = self._contractions[nonzero] = _compile_contraction(
                 self.fields, rows, self.domain, self.params, self._kernel_margin
             )
-        return make(*filter(None, coeffs))
+        return functools.partial(rhs, *filter(None, coeffs))
 
     # -- homomorphism check -------------------------------------------------
 

@@ -369,8 +369,10 @@ def _assert_same_runs(rhs, margin, y0, duration, atol, rtol, max_steps):
     """Both kernels give the loop's run from ``y0``; returns it.
 
     The generic kernel always runs, with the margin's ``lower`` bound where
-    it has one, and the action's own kernel when ``rhs`` carries one for
-    ``margin``.
+    it has one.  Unless ``rhs`` is the plain ``_stiff_rhs``, it is an
+    action's rhs, ``partial(func, *coefficients)``, and ``margin`` that
+    action's margin: the pattern's own kernel, ``func.kernel``, must be
+    there for that margin, and runs with the coefficients ``rhs.args``.
     """
     out, calls, scans = _run(loop_integrate, rhs, y0, duration, atol, rtol, max_steps, margin)
     # the loop scans every accepted step, the kernels only those that the
@@ -380,9 +382,10 @@ def _assert_same_runs(rhs, margin, y0, duration, atol, rtol, max_steps):
     lower = getattr(margin, "lower", None)
     out, calls, scans = _run(generic, rhs, margin, lower, y0, duration, atol, rtol, max_steps)
     assert (out, calls, [_bits(ms) for ms in scans]) == ref
-    own = getattr(rhs, "kernel", None)
-    if own is not None and own[0] is margin:
-        out, calls, scans = _run(own[1], y0, duration, atol, rtol, max_steps)
+    if rhs is not _stiff_rhs:
+        own = rhs.func.kernel
+        assert own[0] is margin
+        out, calls, scans = _run(own[1], rhs.args, y0, duration, atol, rtol, max_steps)
         assert (out, calls, [_bits(ms) for ms in scans]) == ref
     return ref[:2]
 
@@ -398,6 +401,22 @@ def test_rhs_matches_the_loop(action, data):
                            max_size=action.dim_algebra))
     y = _inside(action, data)
     assert _bits(action.rhs(X)(y)) == _bits(loop_rhs(action, X)(y))
+
+
+def test_rhs_of_one_pattern_share_one_function_and_kernel():
+    # a segment's rhs binds its coefficients to its pattern's function, which
+    # is generated once, with its kernel: a lift builds no function per segment
+    action = build("example6_helicoid").action
+    y = [0.3, -1.2, 0.7]
+    a, b = action.rhs([1.0, 0.5]), action.rhs([-2.0, 3e-7])
+    assert a.func is b.func and a.func.kernel is b.func.kernel
+    assert (a.args, b.args) == ((1.0, 0.5), (-2.0, 3e-7))
+    for X, rhs in (([1.0, 0.5], a), ([-2.0, 3e-7], b)):
+        assert _bits(rhs(y)) == _bits(loop_rhs(action, X)(y))
+    # a zero coefficient is another pattern, whose row is left out
+    c = action.rhs([0.0, 3.0])
+    assert c.func is not a.func and c.args == (3.0,)
+    assert _bits(c(y)) == _bits(loop_rhs(action, [0.0, 3.0])(y))
 
 
 @settings(max_examples=60, deadline=None)
@@ -550,11 +569,12 @@ def test_shared_subtrees_are_computed_once_per_stage(monkeypatch, make, shared):
                         lambda src, names=None: sources.append(src) or define(src, names))
     make().rhs([1.0, 0.5])
     lines = [line.strip() for line in sources[-1].splitlines()]
-    # the lines from each point to the next: the rhs's, then the kernel's start,
-    # its six stages and its four margin samples
+    # the lines from each point to the next: the rhs's, then the kernel's start
+    # and its six stages; the four margin samples set only the coordinates the
+    # margin reads, which are never all three here
     starts = [k for k, line in enumerate(lines) if line.startswith("_v0, _v1, _v2, =")]
     starts.append(len(lines))
-    assert len(starts) == 13
+    assert len(starts) == 9
     contractions = 0
     for a, b in zip(starts, starts[1:]):
         # the contraction's lines: its temps, then the components that read them or the point
@@ -565,6 +585,27 @@ def test_shared_subtrees_are_computed_once_per_stage(monkeypatch, make, shared):
             for text in shared:
                 assert sum(line.count(text) for line in body) == 1, (text, body)
     assert contractions == 8
+
+
+def test_margin_samples_set_only_the_coordinates_the_margin_reads(monkeypatch):
+    # the helicoid's margin x^2 + y^2 reads no z, so no sample computes the z
+    # term of the interpolant; the generic kernel's plain margin takes whole points
+    sources = []
+    define = manifold._define
+    for module in (flow, manifold):
+        monkeypatch.setattr(module, "_define",
+                            lambda src, names=None: sources.append(src) or define(src, names))
+    build("example6_helicoid").action.rhs([1.0, 0.5])
+    lines = [line.strip() for line in sources[-1].splitlines()]
+    samples = [line for line in lines if line.startswith("_v0, _v1, =")]
+    assert len(samples) == 4   # the three interior samples, then the step's end
+    assert samples[-1] == "_v0, _v1, = z0, z1,"
+    for line in samples[:3]:
+        assert "x0" in line and "x1" in line and not any(v in line for v in ("x2", "z2", "k1_2", "k7_2"))
+    flow._generic_kernel.__wrapped__(3)   # past the cache, so that its source is generated
+    lines = [line.strip() for line in sources[-1].splitlines()]
+    # the start, the six stages and the four margin samples
+    assert sum(line.startswith("_v0, _v1, _v2, =") for line in lines) == 11
 
 
 def test_dp5_step_with_shared_subtrees_matches_the_loop():

@@ -8,7 +8,8 @@ margin, on_step)``, so one traced lift, and one traced ``loop_to_group`` on
 the matrix model, check that the wrapped calls still work and that the counts
 they feed are the integrator's.  Its span wrappers around ``rhs`` and
 ``margin`` carry neither the margin's ``lower`` bound nor the action's own
-kernel (``rhs.kernel``), so a traced lift runs the generic kernel, which
+kernel (``rhs.func.kernel``, called with the coefficients ``rhs.args``), so
+a traced lift runs the generic kernel, which
 calls the rhs at each stage, and calls the margin at the step's start, at
 the interpolant's scan points and at its end: 7 rhs and 5 margin calls per
 one-step segment.  A traced line past the helicoid axis also runs the dip
