@@ -352,8 +352,6 @@ def _mul(a: Node, b: Node) -> Node:
 def _div(a: Node, b: Node) -> Node:
     if _is_const(a, 0.0):
         return Num(0.0)
-    if _is_const(b, 1.0):
-        return a
     return Bin("/", a, b)
 
 

@@ -19,17 +19,17 @@ stages, the error test, the margins at the interpolant's interior samples
 and at the step's end, the commit test and the controller.  The caller
 supplies the field and the margin at a point as source lines, and the
 components that are constant along the run, whose stage sums are folded out
-of the loop.  An action's own kernel inlines its contraction, with the
-subtrees its components share computed once per stage, and its domain
-margin, whose samples along a step set only the coordinates the margin
-reads.  ``GAction`` generates it once per set of non-zero coefficients, as
-the attribute ``kernel`` of the pattern's contraction ``func``, whose
-leading parameters are the coefficients.  A segment's rhs is
-``partial(func, *coefficients)``, and the integrator hands the kernel
-``rhs.args``, which it unpacks into locals: no function is built per
-segment.  The generic kernel, generated once per state dimension, has
-lines that call a plain ``rhs`` and ``margin`` in their place, at whole
-points.  The lazy cubic Hermite interpolant (:func:`_hermite`) is generated
+of the loop.  Every kernel is ``integrate(args, y0, duration, atol, rtol,
+max_steps, on_step)`` and unpacks ``args`` into locals on its first line.
+An action's own kernel inlines its contraction, with the subtrees its
+components share computed once per stage, and its domain margin, whose
+samples along a step set only the coordinates the margin reads.
+``GAction`` generates it once per set of non-zero coefficients, as the
+attribute ``kernel`` of the pattern's contraction ``func``; a segment's rhs
+is ``partial(func, *coefficients)``, and its ``args`` are the kernel's.
+The generic kernel, generated once per state dimension, takes ``args =
+(rhs, margin)`` and calls them at whole points.  The lazy cubic Hermite
+interpolant (:func:`_hermite`) is generated
 once per state dimension too, and bound to each step's ends by
 ``functools.partial``.  Each committed step is handed to the caller's ``on_step``,
 from which a lift records its trace rows and its winding.  Escape from the
@@ -45,10 +45,10 @@ retried step, whether a stage failed, the error test failed or the margin
 dipped, shrinks the step size in one place, which also ends the run as a
 low-confidence escape once the size falls below ``STEP_COLLAPSE``.
 
-A dip search is skipped, with the same outcome, when the margin carries a
-lower bound over boxes (``margin.lower``, as the margin ``GAction`` generates
-does) and that bound over the Bernstein hull of the interpolant on the
-search bracket (:func:`_hull`) shows that no sample there can fall below
+A dip search is skipped, with the same outcome, when the margin has the
+attribute ``lower``, a lower bound over boxes (as the margin ``GAction``
+generates has), and that bound over the Bernstein hull of the interpolant on
+the search bracket (:func:`_hull`) shows that no sample there can fall below
 either of the search's tests.
 
 Flows of single fields and words of flows are lifts of one-parameter group
@@ -159,24 +159,22 @@ def _hermite(n: int):
     return functools.partial(functools.partial, interp)
 
 
-def _kernel(n: int, params: str, head: list, contraction: Callable, const: dict, least: Callable,
-            scan: tuple) -> tuple:
+def _kernel(n: int, head: list, contraction: Callable, const: dict, least: Callable) -> tuple:
     """``(lines, names)``: the source of one run of :func:`integrate_autonomous` for states of length n.
 
     ``names`` are the globals the source reads besides the expression
-    globals.  The lines define ``integrate(y0, duration, atol, rtol,
-    max_steps, on_step)``, with the parameters ``params`` (empty, or source
-    ending in ``", "``) before ``y0`` and the lines ``head``, such as those
-    that unpack them, first in its body, from the caller's pieces of the
-    field and its margin at the point ``_v0, _v1, ...``: ``contraction(s)`` gives the
-    lines that set ``k{s}_i`` of the components that move; ``const`` maps
-    the index of each component that reads no point, and so is the same at
-    every stage, to its source, evaluated once before the loop along with
-    its stage sums; ``least(m)`` gives the lines that set ``m`` to the
+    globals.  The lines define ``integrate(args, y0, duration, atol, rtol,
+    max_steps, on_step)``, whose body opens with ``head``, the lines that
+    unpack ``args``.  They are built from the caller's pieces of the field
+    and its margin at the point ``_v0, _v1, ...``: ``contraction(s)`` gives
+    the lines that set ``k{s}_i`` of the components that move; ``const``
+    maps the index of each component that reads no point, and so is the same
+    at every stage, to its source, evaluated once before the loop along with
+    its stage sums; and ``least(m)`` gives the lines that set ``m`` to the
     margin, and the margin samples along a step set only the ``_v{i}`` these
-    lines name; and ``scan`` is the pair of sources of the margin and of its
-    lower bound over boxes that :func:`_scan_margins` is handed.  The run
-    builds ``f0`` and ``f1`` from its own locals.
+    lines name.  The margin that :func:`_scan_margins` is handed is
+    ``_margin``, a local that ``head`` sets or a global.  The run builds
+    ``f0`` and ``f1`` from its own locals.
 
     The loop is that of a step at a time: the first step size, the DP5
     stages, the error test, the margin scan, the commit test, the step
@@ -218,7 +216,7 @@ def _kernel(n: int, params: str, head: list, contraction: Callable, const: dict,
 
     x, z = _names("x", n), _names("z", n)
     lines = [
-        f"def integrate({params}y0, duration, atol, rtol, max_steps, on_step):",
+        "def integrate(args, y0, duration, atol, rtol, max_steps, on_step):",
         *("    " + line for line in head),
         "    y = y0",
         f"    {_names('_v', n)}= y",
@@ -297,8 +295,7 @@ def _kernel(n: int, params: str, head: list, contraction: Callable, const: dict,
         f"if mn > {eps} and not (mn < 0.5 * mx or mn < {100.0 * ESCAPE_MARGIN!r}):",
         "    found = None",
         "else:",
-        f"    found = _flow._scan_margins({scan[0]}, interp, (m_curr, m0, m1, m2, m3), h, {scan[1]},"
-        " y, f0, y1, f1)",
+        "    found = _flow._scan_margins(_margin, interp, (m_curr, m0, m1, m2, m3), h, y, f0, y1, f1)",
         "if found is None:",
         "    on_step(t, t + h, y1, interp)",
         "    t += h",
@@ -358,15 +355,14 @@ def _kernel(n: int, params: str, head: list, contraction: Callable, const: dict,
 def _generic_kernel(n: int):
     """The generic kernel for states of length n: :func:`_kernel` calling a plain ``rhs`` and ``margin``.
 
-    It is ``integrate(rhs, margin, lower, y0, duration, atol, rtol,
-    max_steps, on_step)`` and hands ``lower`` to :func:`_scan_margins`.  A
-    result of ``rhs`` is unpacked into locals at once, so the list may be
-    reused, and one of the wrong length is a field that cannot be evaluated.
+    Its ``args`` are ``(rhs, margin)``.  A result of ``rhs`` is unpacked
+    into locals at once, so the list may be reused, and one of the wrong
+    length is a field that cannot be evaluated.
     """
     point = f"[{', '.join(f'_v{i}' for i in range(n))}]"
-    lines, names = _kernel(n, "rhs, margin, lower, ", [],
+    lines, names = _kernel(n, ["rhs, _margin = args"],
                            lambda s: [f"{_names(f'k{s}_', n)}= rhs({point})"],
-                           {}, lambda m: [f"{m} = margin({point})"], ("margin", "lower"))
+                           {}, lambda m: [f"{m} = _margin({point})"])
     return _define("\n".join(lines), names)["integrate"]
 
 
@@ -423,7 +419,7 @@ def _golden_min(fn, lo: float, hi: float):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _scan_margins(margin, interp, ms, h: float, lower=None, y0=None, f0=None, y1=None, f1=None):
+def _scan_margins(margin, interp, ms, h: float, y0=None, f0=None, y1=None, f1=None):
     """Decide an accepted step from its margins ``ms`` at s = 0, 0.25, 0.5, 0.75, 1.
 
     Returns ``None`` when the step can be committed, with no margin call
@@ -435,10 +431,10 @@ def _scan_margins(margin, interp, ms, h: float, lower=None, y0=None, f0=None, y1
     crosses ``ESCAPE_MARGIN``, with ``s_lo`` the last fraction found inside and
     ``s_mid`` the middle of the final bisection bracket.
 
-    ``lower``, when given, is the margin's lower bound over a box
-    (``margin.lower``), and ``y0, f0, y1, f1`` are the step's ends, from
-    which ``interp`` is built: a dip search that this bound over the
-    interpolant's hull proves would commit the step is skipped.
+    ``y0, f0, y1, f1`` are the step's ends, from which ``interp`` is built.
+    When ``margin`` has the attribute ``lower``, its lower bound over a box,
+    a dip search that this bound over the interpolant's hull proves would
+    commit the step is skipped.
     """
     eps = ESCAPE_MARGIN
     mmin = min(ms)
@@ -457,6 +453,7 @@ def _scan_margins(margin, interp, ms, h: float, lower=None, y0=None, f0=None, y1
         hi = ss[min(4, im + 1)]
         # the search samples interp on [lo, hi] only, so its minimum is at least
         # the bound, and a bound that passes both of its tests commits as it would
+        lower = getattr(margin, "lower", None)
         if lower is not None and math.isfinite(ms[0]) and math.isfinite(ms[4]):
             bound = lower(*_hull(y0, f0, y1, f1, h, lo, hi))
             if bound > eps and bound >= 0.5 * min(ms[0], ms[4]):
@@ -496,17 +493,16 @@ def integrate_autonomous(
     ``margin`` maps a state to the signed distance proxy and must not
     raise (where it cannot be evaluated it returns ``-inf``, as the margin
     that ``GAction`` generates does); crossing ``ESCAPE_MARGIN`` ends the run
-    as escaped.  A margin with the attribute ``lower(lo, hi)``, a lower bound
-    of it over boxes, as that margin has, lets the scan skip the dip searches
-    the bound proves futile.  An ``rhs`` that ``GAction`` generates is
-    ``partial(func, *coefficients)``, and ``func`` carries the attribute
-    ``kernel``, a pair of the action's domain margin and the run with both
-    inlined (:func:`_kernel`), whose first parameter is the tuple of the
-    coefficients; it is called with ``rhs.args`` when ``margin`` is that
-    margin.  Other callables, such as user code or wrappers, give
-    the same bits in the generic kernel: it calls ``rhs`` at each stage and
-    ``margin`` at the step's interpolant at s = 0.25, 0.5 and 0.75 and at its
-    end.  ``on_step(t0, t1, y1, interp)`` is called after each accepted (possibly
+    as escaped; its attribute ``lower``, where it has one, is read by
+    :func:`_scan_margins`.
+    An ``rhs`` that ``GAction`` generates is ``partial(func, *coefficients)``,
+    and ``func`` carries the attribute ``kernel``, a pair of the action's
+    domain margin and the run with both inlined (:func:`_kernel`), which is
+    called with ``rhs.args`` when ``margin`` is that margin.  Other
+    callables, such as user code or wrappers, give the same bits in the
+    generic kernel, called with ``(rhs, margin)``: it calls ``rhs`` at each
+    stage and ``margin`` at the step's interpolant at s = 0.25, 0.5 and 0.75
+    and at its end.  ``on_step(t0, t1, y1, interp)`` is called after each accepted (possibly
     escape-truncated) step, from time ``t0`` to the point ``y1`` at time
     ``t1``, with ``interp`` covering the reported sub-step.
 
@@ -515,5 +511,5 @@ def integrate_autonomous(
     own = getattr(getattr(rhs, "func", None), "kernel", None)
     if own is not None and own[0] is margin:
         return own[1](rhs.args, y0, duration, cfg.abs_tol, cfg.rel_tol, cfg.max_steps, on_step)
-    return _generic_kernel(len(y0))(rhs, margin, getattr(margin, "lower", None), y0, duration,
-                                    cfg.abs_tol, cfg.rel_tol, cfg.max_steps, on_step)
+    return _generic_kernel(len(y0))((rhs, margin), y0, duration, cfg.abs_tol, cfg.rel_tol,
+                                    cfg.max_steps, on_step)

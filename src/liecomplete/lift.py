@@ -248,8 +248,6 @@ def lift_path(
             u, v = plane(y1)
             th1 = math.atan2(v, u)
             d = math.remainder(th1 - angle, math.tau)
-            if d == -math.pi:
-                d = math.pi
             if abs(d) < _QUARTER_TURN:
                 turned, angle = turned + d, th1
             else:

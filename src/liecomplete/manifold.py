@@ -202,9 +202,9 @@ def _compile_contraction(fields, rows: tuple, domain: Domain, params, margin: Ca
     values = _tuple(comps[j] for j in moving)
     coeffs = _tuple(f"_c{i}" for i in rows)
     kernel, kernel_names = _kernel(
-        len(coords), "args, ", [f"({coeffs}) = args"],
+        len(coords), [f"({coeffs}) = args"],
         lambda s: [*temps_lines, f"{_tuple(f'k{s}_{j}' for j in moving)}= {values}"],
-        const, _margin_lines(domain, names), ("_margin", "_margin.lower"))
+        const, _margin_lines(domain, names))
     src = "\n".join([
         f"def _rhs({coeffs}y):",
         f"    {_names('_v', len(coords))}= y",

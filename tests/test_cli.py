@@ -749,13 +749,86 @@ def test_flag_exclusions_are_config_errors(capsys, argv):
     assert _config_error(argv, capsys)
 
 
+_ABELIAN = {"group": {"type": "abelian", "dim": 1}, "manifold": {"dim": 1, "coords": ["x"]},
+            "fields": [["1"]]}
+
+
+# each validation branch of the file formats: (file, its content, the message's start)
+@pytest.mark.parametrize("kind, payload, message", [
+    ("action", [1, 2], "action file must be a JSON object"),
+    ("action", {k: v for k, v in _ABELIAN.items() if k != "fields"}, "action file: missing required key"),
+    ("action", "{", "action file: invalid JSON"),
+    ("action", dict(_ABELIAN, group={"type": "abelian", "dim": 1, "basis": [[[1.0]]]}),
+     "abelian group model takes no"),
+    ("action", dict(_ABELIAN, group={"type": "matrix", "dim": 1}), "matrix group model requires"),
+    ("action", dict(_ABELIAN, group={"type": "lie", "dim": 1}), "group.type must be"),
+    ("action", dict(_ABELIAN, manifold={"dim": 1, "coords": ["x"], "box": {"x": [0, 1]}}),
+     "manifold.box must be a list"),
+    ("action", dict(_ABELIAN, params=[1.0]), "params must be an object"),
+    ("action", dict(_ABELIAN, fields="1"), "fields must be a list of rows"),
+    ("path", {"start": 0.0, "segments": []}, "path start must be a list of numbers"),
+    ("path", {"start": [0.0, 0.0], "segments": {}}, "segments must be a list"),
+    ("path", {"start": [0.0, 0.0], "segments": [{"type": "exp", "X": [1, 0], "delta": [1, 0]}]},
+     "segments[0]: exp segments take 'X'"),
+    ("path", {"start": [0.0, 0.0], "segments": [{"type": "spline", "delta": [1, 0]}]},
+     "segments[0]: type must be"),
+    ("loop", {"points": []}, "loop points must be a non-empty list"),
+    ("points", {"points": []}, "points file needs a non-empty"),
+], ids=["not-object", "missing-key", "invalid-json", "abelian-basis", "matrix-no-basis",
+        "group-type", "box", "params", "fields", "start", "segments", "exp-delta",
+        "segment-type", "empty-loop", "empty-points"])
+def test_malformed_files_are_config_errors(tmp_path, capsys, kind, payload, message):
+    f = tmp_path / f"{kind}.json"
+    f.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    argv = {
+        "action": ["check", "--scenario-file", str(f)],
+        "path": ["lift", "--scenario", "example6", "--x0", "1,0,1", "--path", str(f),
+                 "--out", str(tmp_path / "o")],
+        "loop": ["holonomy", "--scenario", "affine", "--x0", "1", "--loop", str(f)],
+        "points": ["classify", "--scenario", "example6", "--points", str(f)],
+    }[kind]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_a_lift_that_reaches_the_step_limit_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(liecomplete.flow, "IntegratorConfig",
+                        functools.partial(IntegratorConfig, max_steps=1))
+    path = _write(tmp_path, "path.json", {"start": [0.0, 0.0],
+                  "segments": [{"type": "linear", "delta": [-2.0, 0.001]}]})
+    out = str(tmp_path / "o")
+    assert main(["lift", "--scenario", "example6", "--x0", "1,0,1", "--path", path,
+                 "--out", out]) == 4
+    assert capsys.readouterr().out == "status: step_limit\n"
+    assert json.loads((tmp_path / "o.summary.json").read_text())["status"] == "step_limit"
+
+
+@pytest.mark.parametrize("kind", ["arithmetic", "linalg"])
+def test_numerical_failures_exit_4(capsys, monkeypatch, kind):
+    if kind == "arithmetic":
+        error = ZeroDivisionError("float division by zero")
+    else:   # main catches LinAlgError only once numpy is loaded
+        import numpy as np
+        error = np.linalg.LinAlgError("Singular matrix")
+
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(liecomplete.cli, "cmd_check", fail)
+    assert main(["check", "--scenario", "example6"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"numerical failure: {error}\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("cls, is_input", [
     (ScenarioError, True), (ExprSyntaxError, True), (ExprNameError, True),
     (AlgebraError, True), (SingularElementError, True), (DomainError, True),
     (OutsideDomainError, True), (ActionError, True), (SamplingError, True),
     (PathError, True), (FrameConditionError, True), (LoopGeometryError, True),
     (LoopOutsideOrbitError, True), (MalformedWitnessError, True),
-    # a field that leaves its domain during a run is a numerical failure (exit 4)
+    # only Expr.eval raises it, an ArithmeticError: a numerical failure (exit 4)
     (ExprDomainError, False),
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_input_errors_share_the_class_main_maps_to_exit_3(cls, is_input):

@@ -333,6 +333,25 @@ def test_diff_of_constant_in_missing_var():
     assert d.eval({"x": 3.0}) == 0.0
 
 
+@pytest.mark.parametrize("src, closed", [
+    ("exp(x)", lambda x, y: math.exp(x)),
+    ("exp(2*x*y)", lambda x, y: 2.0 * y * math.exp(2.0 * x * y)),
+    ("sign(x)", lambda x, y: 0.0),
+    ("sign(x*y) * x", lambda x, y: math.copysign(1.0, x * y)),
+    ("x^0", lambda x, y: 0.0),
+    ("(x*y)^0 * x", lambda x, y: 1.0),
+    ("x^1", lambda x, y: 1.0),
+    ("(x*y)^1", lambda x, y: y),
+], ids=["exp", "exp-chain", "sign", "sign-product", "x^0", "product^0", "x^1", "product^1"])
+def test_diff_rules_of_exp_sign_and_the_powers_0_and_1(src, closed):
+    e, h = parse(src), 1e-6
+    d = e.diff("x")
+    for x, y in ((0.7, 1.3), (-1.1, 0.4), (0.25, -2.0)):   # away from sign's jump
+        assert d.eval({"x": x, "y": y}) == pytest.approx(closed(x, y), rel=1e-14, abs=1e-300)
+        fd = (e.eval({"x": x + h, "y": y}) - e.eval({"x": x - h, "y": y})) / (2.0 * h)
+        assert d.eval({"x": x, "y": y}) == pytest.approx(fd, rel=1e-7, abs=1e-9)
+
+
 # random smooth expression generator: arithmetic over {sin, cos, x, y, consts}
 _smooth_leaf = st.sampled_from(["x", "y", "0.5", "2", "1.25"])
 

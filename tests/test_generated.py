@@ -242,12 +242,10 @@ def loop_integrate(rhs, y0, duration, atol, rtol, max_steps, margin, on_step):
     """The integrator loop that the generated kernels replace, a step at a time on the loop forms.
 
     Every accepted step's margins go to ``flow._scan_margins``, which
-    commits most of them with no margin call; ``margin.lower``, when there
-    is one, goes with them.
+    commits most of them with no margin call.
     """
     y = y0
     t = 0.0
-    lower = getattr(margin, "lower", None)
     m_curr = margin(y)
     if m_curr <= ESCAPE_MARGIN:
         return ESCAPED, 0.0, tuple(y), 0, False
@@ -280,7 +278,7 @@ def loop_integrate(rhs, y0, duration, atol, rtol, max_steps, margin, on_step):
             y1, k7, err = out
             interp = loop_hermite(y, f0, y1, k7, h)
             ms = (m_curr, *[margin(interp(s)) for s in _SCAN[:-1]], margin(y1))
-            found = flow._scan_margins(margin, interp, ms, h, lower, y, f0, y1, k7)
+            found = flow._scan_margins(margin, interp, ms, h, y, f0, y1, k7)
             if found is None:
                 on_step(t, t + h, y1, interp)
                 t += h
@@ -368,19 +366,18 @@ def _refined(ms):
 def _assert_same_runs(rhs, margin, y0, duration, atol, rtol, max_steps):
     """Both kernels give the loop's run from ``y0``; returns it.
 
-    The generic kernel always runs, with the margin's ``lower`` bound where
-    it has one.  Unless ``rhs`` is the plain ``_stiff_rhs``, it is an
-    action's rhs, ``partial(func, *coefficients)``, and ``margin`` that
-    action's margin: the pattern's own kernel, ``func.kernel``, must be
-    there for that margin, and runs with the coefficients ``rhs.args``.
+    The generic kernel always runs, with ``(rhs, margin)``.  Unless ``rhs``
+    is the plain ``_stiff_rhs``, it is an action's rhs, ``partial(func,
+    *coefficients)``, and ``margin`` that action's margin: the pattern's own
+    kernel, ``func.kernel``, must be there for that margin, and runs with the
+    coefficients ``rhs.args``.
     """
     out, calls, scans = _run(loop_integrate, rhs, y0, duration, atol, rtol, max_steps, margin)
     # the loop scans every accepted step, the kernels only those that the
     # commit test does not clear, with the same margins
     ref = out, calls, [_bits(ms) for ms in scans if _refined(ms)]
     generic = flow._generic_kernel(len(y0))
-    lower = getattr(margin, "lower", None)
-    out, calls, scans = _run(generic, rhs, margin, lower, y0, duration, atol, rtol, max_steps)
+    out, calls, scans = _run(generic, (rhs, margin), y0, duration, atol, rtol, max_steps)
     assert (out, calls, [_bits(ms) for ms in scans]) == ref
     if rhs is not _stiff_rhs:
         own = rhs.func.kernel
@@ -676,7 +673,7 @@ def test_first_norm_matches_the_loop_for_any_n(data, n, atol, rtol):
     ref = _run(loop_integrate, rhs, y, 1.0, atol, rtol, 1, margin)[:2]
     ref_points = points[:]
     points.clear()
-    assert _run(flow._generic_kernel(n), rhs, margin, None, y, 1.0, atol, rtol, 1)[:2] == ref
+    assert _run(flow._generic_kernel(n), (rhs, margin), y, 1.0, atol, rtol, 1)[:2] == ref
     assert points == ref_points
     # the action's own kernel, whose field is its coefficients
     _assert_same_runs(_translation(n).rhs(f0), _translation(n)._margin, y, 1.0, atol, rtol, 1)
@@ -1259,14 +1256,18 @@ def _run_both_scans(monkeypatch):
         minima.append(out[1])
         return out
 
-    def both(margin, interp, ms, h, lower=None, *ends):
+    def both(margin, interp, ms, h, *ends):
+        # the full scan's margin has no lower bound; the fast scan's records each bound
         minima.clear()
-        full = scan(margin, interp, ms, h)
+        full = scan(lambda p: margin(p), interp, ms, h)
         searched = minima[:]
         minima.clear()
         bounds.clear()
-        fast = scan(margin, interp, ms, h,
-                    lower and (lambda lo, hi: bounds.append(lower(lo, hi)) or bounds[-1]), *ends)
+        recorded = functools.partial(margin)
+        lower = getattr(margin, "lower", None)
+        if lower is not None:
+            recorded.lower = lambda lo, hi: bounds.append(lower(lo, hi)) or bounds[-1]
+        fast = scan(recorded, interp, ms, h, *ends)
         assert fast == full
         if searched:
             tally["searches"] += 1
@@ -1332,7 +1333,7 @@ def test_skipped_dip_searches_would_have_committed_on_drawn_steps(monkeypatch):
         interp = hermite(y0, f, y1, f, h)
         ms = (margin(y0), *[margin(interp(s)) for s in _SCAN[:-1]], margin(y1))
         if ms[0] > EPS:   # a scan starts inside
-            flow._scan_margins(margin, interp, ms, h, margin.lower, y0, f, y1, f)
+            flow._scan_margins(margin, interp, ms, h, y0, f, y1, f)
 
     check()
     assert tally["skips"] >= 50 and tally["searches"] - tally["skips"] >= 50, tally
