@@ -21,6 +21,7 @@ class InputError(ValueError):
 # What ``float()`` raises for a value that is not a number: None or a list,
 # a string such as "x", or an int past the float range such as 10**400.
 NOT_A_NUMBER = (TypeError, ValueError, OverflowError)
+TEXT = (str, bytes)   # no vector: it iterates as characters, which float() may take
 
 
 def number(v, error: type, message: str) -> float:
@@ -37,7 +38,7 @@ def floats(values, error: type, message: str, n=None) -> list:
         out = list(map(float, values))
     except NOT_A_NUMBER:
         raise error(message) from None
-    if n is not None and len(out) != n:
+    if isinstance(values, TEXT) or (n is not None and len(out) != n):
         raise error(message)
     return out
 

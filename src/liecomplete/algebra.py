@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from operator import add, mul
 from typing import Optional, Sequence
 
-from ._record import NOT_A_NUMBER, InputError, Record, array, floats, number
+from ._record import NOT_A_NUMBER, TEXT, InputError, Record, array, floats, number
 
 JACOBI_TOL = 1e-12
 MODEL_COMMUTATOR_TOL = 1e-10
@@ -238,14 +238,14 @@ class AbelianGroup(Record):
         return tuple(floats(data, AlgebraError, f"abelian element must be a {self.dim}-vector", self.dim))
 
     def _columns(self, stack) -> list:
-        """The d columns of a stack of d-vectors, as tuples of floats."""
+        """The d columns of a stack of d-vectors, as tuples of floats; a str or bytes is no vector."""
         if not len(stack):
             return [()] * self.dim
         try:
             cols = [tuple(map(float, col)) for col in zip(*stack, strict=True)]
         except NOT_A_NUMBER:
             cols = []
-        if len(cols) != self.dim:
+        if len(cols) != self.dim or any(map(isinstance, stack, repeat(TEXT))):
             raise AlgebraError(f"a stack of abelian elements must hold {self.dim}-vectors")
         return cols
 
@@ -258,12 +258,13 @@ class AbelianGroup(Record):
         return list(zip(*[map(add, p, q) for p, q in zip(self._columns(a), self._columns(b))]))
 
     def exp_segment(self, X, t=1.0):
-        """t * X of a d-vector, or of each row of a stack; ``t`` may give one value per row."""
+        """t * X of a d-vector, or of each row of a stack; ``t`` may give one value per row, but a str is one."""
         message = "exp_segment takes one time or one per row"
         if not _is_stack(X):
             t = number(t, AlgebraError, message)
             return tuple(t * v for v in self.element(X))
-        ts = floats(t if hasattr(t, "__iter__") else [t] * len(X), AlgebraError, message, len(X))
+        ts = floats(t if hasattr(t, "__iter__") and not isinstance(t, TEXT) else [t] * len(X),
+                    AlgebraError, message, len(X))
         return list(zip(*[map(mul, ts, col) for col in self._columns(X)]))
 
     def products(self, start, X) -> list:

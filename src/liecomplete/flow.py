@@ -29,10 +29,10 @@ attribute ``kernel`` of the pattern's contraction ``func``; a segment's rhs
 is ``partial(func, *coefficients)``, and its ``args`` are the kernel's.
 The generic kernel, generated once per state dimension, takes ``args =
 (rhs, margin)`` and calls them at whole points.  The lazy cubic Hermite
-interpolant (:func:`_hermite`) is generated
-once per state dimension too, and bound to each step's ends by
-``functools.partial``.  Each committed step is handed to the caller's ``on_step``,
-from which a lift records its trace rows and its winding.  Escape from the
+interpolant (:func:`_hermite`) is generated once per state dimension too, and
+bound to each step's data by ``functools.partial``; the margin scan reads the
+step from it alone, and the caller's ``on_step`` gets it with the step's times
+and end, from which a lift records its trace rows and its winding.  Escape from the
 open domain is detected by one scan of the domain margin along each accepted
 step: the run's commit test commits the step at once when none of the five
 samples (ends plus interior) is near the escape level ``ESCAPE_MARGIN`` or
@@ -295,7 +295,7 @@ def _kernel(n: int, head: list, contraction: Callable, const: dict, least: Calla
         f"if mn > {eps} and not (mn < 0.5 * mx or mn < {100.0 * ESCAPE_MARGIN!r}):",
         "    found = None",
         "else:",
-        "    found = _flow._scan_margins(_margin, interp, (m_curr, m0, m1, m2, m3), h, y, f0, y1, f1)",
+        "    found = _flow._scan_margins(_margin, interp, (m_curr, m0, m1, m2, m3), h)",
         "if found is None:",
         "    on_step(t, t + h, y1, interp)",
         "    t += h",
@@ -375,14 +375,15 @@ _HULL_REL = 2.0 ** -47
 _HULL_ABS = 1e-300
 
 
-def _hull(y0, f0, y1, f1, h, lo, hi):
-    """``(los, his)``: bounds of each component of ``hermite(y0, f0, y1, f1, h)(s)`` for s in [lo, hi].
+def _hull(interp, lo, hi):
+    """``(los, his)``: bounds of each component of ``interp(s)`` for s in [lo, hi], within [0, 1].
 
-    [lo, hi] lies within [0, 1].  The cubic's Bernstein control points are
-    y0, y0 + h f0 / 3, y1 - h f1 / 3 and y1; those of its restriction to
-    [lo, hi] are the blossom at (lo, lo, lo), (lo, lo, hi), (lo, hi, hi) and
-    (hi, hi, hi), and lie within the hull widened by ``_HULL_REL``.
+    ``interp`` is ``_hermite(n)(y0, f0, y1, f1, h)``, a cubic with the Bernstein
+    control points y0, y0 + h f0 / 3, y1 - h f1 / 3 and y1; those of its
+    restriction to [lo, hi] are the blossom at (lo, lo, lo), (lo, lo, hi),
+    (lo, hi, hi) and (hi, hi, hi), and lie within the hull widened by ``_HULL_REL``.
     """
+    y0, f0, y1, f1, h = interp.args
     t = h / 3.0
     los, his = [], []
     for p, q, r, u in zip(y0, f0, y1, f1):
@@ -419,7 +420,7 @@ def _golden_min(fn, lo: float, hi: float):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _scan_margins(margin, interp, ms, h: float, y0=None, f0=None, y1=None, f1=None):
+def _scan_margins(margin, interp, ms, h: float):
     """Decide an accepted step from its margins ``ms`` at s = 0, 0.25, 0.5, 0.75, 1.
 
     Returns ``None`` when the step can be committed, with no margin call
@@ -431,9 +432,8 @@ def _scan_margins(margin, interp, ms, h: float, y0=None, f0=None, y1=None, f1=No
     crosses ``ESCAPE_MARGIN``, with ``s_lo`` the last fraction found inside and
     ``s_mid`` the middle of the final bisection bracket.
 
-    ``y0, f0, y1, f1`` are the step's ends, from which ``interp`` is built.
     When ``margin`` has the attribute ``lower``, its lower bound over a box,
-    a dip search that this bound over the interpolant's hull proves would
+    a dip search that this bound over the hull of ``interp`` proves would
     commit the step is skipped.
     """
     eps = ESCAPE_MARGIN
@@ -455,7 +455,7 @@ def _scan_margins(margin, interp, ms, h: float, y0=None, f0=None, y1=None, f1=No
         # the bound, and a bound that passes both of its tests commits as it would
         lower = getattr(margin, "lower", None)
         if lower is not None and math.isfinite(ms[0]) and math.isfinite(ms[4]):
-            bound = lower(*_hull(y0, f0, y1, f1, h, lo, hi))
+            bound = lower(*_hull(interp, lo, hi))
             if bound > eps and bound >= 0.5 * min(ms[0], ms[4]):
                 return None
         s_star, m_star = _golden_min(lambda s: margin(interp(s)), lo, hi)

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import mul, truediv
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from ._record import NOT_A_NUMBER, InputError, Record, floats, number
+from ._record import NOT_A_NUMBER, TEXT, InputError, Record, floats, number
 from .algebra import AlgebraError
 from .flow import COMPLETE, ESCAPED, IntegratorConfig, integrate_autonomous
 
@@ -97,11 +97,11 @@ class GPath:
                 raise PathError(f"segment {i}: duration must be positive and finite")
         scale = [dur if isinstance(s, ExpSeg) else 1.0 for s, dur in zip(segs, durations)]
         d = group.dim
-        try:   # column by column: the rows must all have length d
+        try:   # column by column: the rows must all have length d, and none be a str or bytes
             cols = [list(map(mul, scale, map(float, col))) for col in zip(*raw, strict=True)]
         except NOT_A_NUMBER:
             cols = None
-        if cols is None or (segs and len(cols) != d):
+        if cols is None or (segs and len(cols) != d) or any(map(isinstance, raw, repeat(TEXT))):
             raise PathError(f"segment vector must have length {d}")
         total = sum(durations)
         if not math.isfinite(total):
@@ -159,7 +159,7 @@ class LiftResult(Record):
     """A lift of a group path: its verdict, endpoints, trace rows and winding.
 
     ``rows`` is a tuple of ``(t, k, frac, m)``, ``frac`` of the way through
-    segment ``k``; ``winding`` is the signed turns of the tracked plane projection.
+    segment ``k``; ``winding`` is the signed turns of (x0, x1) if the action winds.
     """
     __slots__ = ("status", "endpoint_g", "endpoint_m", "path", "rows", "escape_time",
                  "failed_segment", "winding", "low_confidence", "steps", "__dict__")
@@ -175,26 +175,25 @@ class LiftResult(Record):
 _QUARTER_TURN = math.pi / 2
 
 
-def _turn(plane: Callable, interp, s0, th0, s1, y1, total: float, depth: int = 0):
-    """``(total + turn, th1)``: the turn of the plane projection from angle ``th0`` to ``y1``.
+def _turn(interp, s0, th0, s1, th1, total: float, depth: int = 0) -> float:
+    """``total`` plus the turn of (x0, x1) from the angle ``th0`` to the angle ``th1``.
 
-    ``th0`` is the angle at the fraction ``s0`` of a step with interpolant
-    ``interp``, ``y1`` the point at ``s1``, and ``th1`` its angle.  The jump
-    is folded into (-pi, pi]; one of a quarter turn or more is split at the
-    middle of ``[s0, s1]`` on the interpolant until jumps are small, each
-    piece added to ``total`` in order, so the fold is exact for trajectories
-    the integrator resolves.
+    The angles are at the fractions ``s0`` and ``s1`` of a step with
+    interpolant ``interp``.  The jump is folded into (-pi, pi]; one of a
+    quarter turn or more is split at the middle of ``[s0, s1]`` on the
+    interpolant until jumps are small, each piece added to ``total`` in
+    order, so the fold is exact for trajectories the integrator resolves.
     """
-    u, v = plane(y1)
-    th1 = math.atan2(v, u)
     d = math.remainder(th1 - th0, math.tau)
     if d == -math.pi:
         d = math.pi
     if abs(d) >= _QUARTER_TURN and depth < 24:
         sm = 0.5 * (s0 + s1)
-        total, thm = _turn(plane, interp, s0, th0, sm, interp(sm), total, depth + 1)
-        return _turn(plane, interp, sm, thm, s1, y1, total, depth + 1)
-    return total + d, th1
+        ym = interp(sm)
+        thm = math.atan2(ym[1], ym[0])
+        total = _turn(interp, s0, th0, sm, thm, total, depth + 1)
+        return _turn(interp, sm, thm, s1, th1, total, depth + 1)
+    return total + d
 
 
 def _check_group_compat(g1, g2):
@@ -217,21 +216,20 @@ def lift_path(
     Integrates the lifting equation segment by segment (the group velocity is
     constant on each segment); the group component advances in closed form.
     Escape anywhere truncates the lift and reports the path time and segment.
-    An action with a ``winding_plane`` gets the signed turns of that plane
-    projection, summed over the accepted steps: a jump under a quarter turn
-    is folded inline, and :func:`_turn` splits a larger one.  Trace rows
-    keep ``(t, k, frac, m)``, a fraction ``frac`` of the way through segment
-    ``k`` with row 0 at the path start; their group points are computed when
-    ``trace`` is first read.
+    An action with ``winding`` set gets the signed turns of (x0, x1), summed
+    over the accepted steps: a jump under a quarter turn is folded inline,
+    and :func:`_turn` splits a larger one.  Trace rows keep ``(t, k, frac,
+    m)``, a fraction ``frac`` of the way through segment ``k`` with row 0 at
+    the path start; their group points are computed when ``trace`` is first
+    read.
     """
     cfg = cfg or IntegratorConfig()
     _check_group_compat(action.group, path.group)
     x0 = action.require_inside(x0)
 
-    plane = action.winding_plane
-    if plane is not None:
-        u, v = plane(x0)
-        angle, turned = math.atan2(v, u), 0.0
+    winds = action.winding
+    if winds:
+        angle, turned = math.atan2(x0[1], x0[0]), 0.0
 
     rows: list = [(0.0, 0, 0.0, tuple(x0))]
     small_path = path.n_segments <= 8
@@ -243,15 +241,14 @@ def lift_path(
     def on_step(t0, t1, y1, interp):
         # k, t_base and w are those of the segment being integrated
         nonlocal angle, turned
-        if plane is not None:
+        if winds:
             # _turn's fold, inline where it would not split the jump
-            u, v = plane(y1)
-            th1 = math.atan2(v, u)
+            th1 = math.atan2(y1[1], y1[0])
             d = math.remainder(th1 - angle, math.tau)
             if abs(d) < _QUARTER_TURN:
                 turned, angle = turned + d, th1
             else:
-                turned, angle = _turn(plane, interp, 0.0, angle, 1.0, y1, turned)
+                turned, angle = _turn(interp, 0.0, angle, 1.0, th1, turned), th1
         rows.append((t_base + t1, k, t1 / w, tuple(y1)))
         # a trace that ends with more than TRACE_TARGET rows is not padded
         if small_path and len(rows) <= TRACE_TARGET:
@@ -268,7 +265,7 @@ def lift_path(
         status = COMPLETE
 
     rows = tuple(_padded_rows(rows, kept_steps, path))
-    winding = turned / math.tau if plane is not None else None
+    winding = turned / math.tau if winds else None
     if status == COMPLETE:
         return LiftResult(COMPLETE, path.endpoint(), tuple(y), path, rows,
                           winding=winding, steps=steps_total)

@@ -219,7 +219,8 @@ def _compile_contraction(fields, rows: tuple, domain: Domain, params, margin: Ca
 class GAction:
     """A Lie algebra action: fields[i][j] is the j-th component of zeta(e_i).
 
-    ``e_i`` are the basis vectors of the group model's algebra.
+    ``e_i`` are the basis vectors of the group model's algebra.  A lift under
+    an action with ``winding`` set counts the turns of (x0, x1) about 0.
     """
 
     def __init__(
@@ -228,7 +229,7 @@ class GAction:
         domain: Domain,
         fields: Sequence[Sequence[Expr]],
         params: Optional[Mapping[str, float]] = None,
-        winding_plane: Optional[Callable] = None,
+        winding: bool = False,
     ):
         d, n = group.dim, domain.dim
         # before the algebra, whose structure constants are d^3 numbers
@@ -240,7 +241,7 @@ class GAction:
         self.domain = domain
         self.params = {k: number(v, ActionError, f"parameter {k!r} must be a number")
                        for k, v in (params or {}).items()}
-        self.winding_plane = winding_plane
+        self.winding = winding
         self.fields = tuple(tuple(row) for row in fields)
         self._dim = n
         shadowed = [k for k in self.params if k in domain.coords]

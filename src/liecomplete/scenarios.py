@@ -95,13 +95,8 @@ def _build_example6_helicoid(params) -> tuple:
         [parse("1"), parse("0"), parse("alpha*y*z/(x^2 + y^2)")],
         [parse("0"), parse("1"), parse("-alpha*x*z/(x^2 + y^2)")],
     ]
-    return {"alpha": alpha}, GAction(
-        AbelianGroup(2, ("X", "Y")),
-        domain,
-        fields,
-        params={"alpha": alpha},
-        winding_plane=lambda p: (p[0], p[1]),
-    )
+    return {"alpha": alpha}, GAction(AbelianGroup(2, ("X", "Y")), domain, fields,
+                                     params={"alpha": alpha}, winding=True)
 
 
 # affine basis: T (translation) and D (dilation) with [T, D] = T, matching

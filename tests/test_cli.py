@@ -647,6 +647,16 @@ def test_holonomy_default_frame_spans_the_orbit(tmp_path, capsys):
     assert "(cond inf)" in capsys.readouterr().err
 
 
+def test_holonomy_default_frame_stops_at_the_orbit_dimension(tmp_path, capsys):
+    # the affine line is one orbit of the two-dimensional affine group: T alone spans it
+    loop = _write(tmp_path, "loop.json", {"points": [[1.0], [1.5], [2.0], [1.0]]})
+    argv = ["holonomy", "--scenario", "affine", "--loop", loop, "--x0", "1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert main(argv + ["--frame", "1,0"]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_holonomy_at_a_fixed_point_asks_for_a_frame(tmp_path, capsys):
     action = _write(tmp_path, "a.json", {
         "group": {"type": "abelian", "dim": 1},

@@ -179,7 +179,7 @@ def test_hull_holds_the_computed_interpolant_on_the_bracket(data, n, h, bracket)
     y0, f0, y1, f1 = (data.draw(st.lists(component, min_size=n, max_size=n)) for _ in range(4))
     lo, hi = bracket
     interp = _hermite(n)(y0, f0, y1, f1, h)
-    los, his = _hull(y0, f0, y1, f1, h, lo, hi)
+    los, his = _hull(interp, lo, hi)
     samples = [min(lo + (hi - lo) * i / 32, hi) for i in range(33)] + [hi]
     # the golden-section dip search samples the bracket only, and its samples are checked too
     _golden_min(lambda s: samples.append(s) or interp(s)[0], lo, hi)
@@ -193,6 +193,6 @@ def test_hull_of_a_line_is_its_ends():
     # a cubic that is a line: the restriction's control points are its values at lo and hi
     y0, y1, h = [1.0, -2.0], [3.0, 2.0], 0.5
     f = [(b - a) / h for a, b in zip(y0, y1)]
-    los, his = _hull(y0, f, y1, f, h, 0.25, 0.75)
+    los, his = _hull(_hermite(2)(y0, f, y1, f, h), 0.25, 0.75)
     assert all(abs(a - b) < 1e-12 for a, b in zip(los, [1.5, -1.0]))
     assert all(abs(a - b) < 1e-12 for a, b in zip(his, [2.5, 1.0]))

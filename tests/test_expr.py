@@ -73,6 +73,13 @@ def test_function_arity_checked():
         parse("atan2(x)")
     with pytest.raises(ExprSyntaxError):
         parse("sin(x, y)")
+    with pytest.raises(ExprSyntaxError, match=r"expected ',' or '\)' \(at offset 8\)") as exc:
+        parse("atan2(x y)")
+    assert exc.value.position == 8
+
+
+def test_repr_shows_the_expression_text():
+    assert repr(parse("x^2 + sin(y)")) == "Expr('x^2 + sin(y)')"
 
 
 def _reference_tokenize(src: str):

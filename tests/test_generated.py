@@ -162,21 +162,26 @@ def loop_step(rhs, y, f0, h, atol, rtol):
     return y1, k7, err
 
 
+def _loop_interp(y0, f0, y1, f1, h, s):
+    """Cubic Hermite interpolant of one step at the fraction s in [0, 1]."""
+    s2 = s * s
+    a = s2 * (2.0 * s - 3.0) + 1.0
+    b = h * (s2 * (s - 2.0) + s)
+    c = s2 * (3.0 - 2.0 * s)
+    d = h * s2 * (s - 1.0)
+    return [
+        a * y0[i] + b * f0[i] + c * y1[i] + d * f1[i]
+        for i in range(len(y0))
+    ]
+
+
 def loop_hermite(y0, f0, y1, f1, h):
-    """Cubic Hermite interpolant of one step; s runs over [0, 1]."""
+    """``_loop_interp`` bound to one step's data.
 
-    def interp(s):
-        s2 = s * s
-        a = s2 * (2.0 * s - 3.0) + 1.0
-        b = h * (s2 * (s - 2.0) + s)
-        c = s2 * (3.0 - 2.0 * s)
-        d = h * s2 * (s - 1.0)
-        return [
-            a * y0[i] + b * f0[i] + c * y1[i] + d * f1[i]
-            for i in range(len(y0))
-        ]
-
-    return interp
+    The data are its ``args``, as for the interpolants ``flow._hermite``
+    makes, so the margin scan's hull reads them from it.
+    """
+    return functools.partial(_loop_interp, y0, f0, y1, f1, h)
 
 
 def loop_first_norm(f0, y, atol, rtol):
@@ -278,7 +283,7 @@ def loop_integrate(rhs, y0, duration, atol, rtol, max_steps, margin, on_step):
             y1, k7, err = out
             interp = loop_hermite(y, f0, y1, k7, h)
             ms = (m_curr, *[margin(interp(s)) for s in _SCAN[:-1]], margin(y1))
-            found = flow._scan_margins(margin, interp, ms, h, y, f0, y1, k7)
+            found = flow._scan_margins(margin, interp, ms, h)
             if found is None:
                 on_step(t, t + h, y1, interp)
                 t += h
@@ -1256,7 +1261,7 @@ def _run_both_scans(monkeypatch):
         minima.append(out[1])
         return out
 
-    def both(margin, interp, ms, h, *ends):
+    def both(margin, interp, ms, h):
         # the full scan's margin has no lower bound; the fast scan's records each bound
         minima.clear()
         full = scan(lambda p: margin(p), interp, ms, h)
@@ -1267,7 +1272,7 @@ def _run_both_scans(monkeypatch):
         lower = getattr(margin, "lower", None)
         if lower is not None:
             recorded.lower = lambda lo, hi: bounds.append(lower(lo, hi)) or bounds[-1]
-        fast = scan(recorded, interp, ms, h, *ends)
+        fast = scan(recorded, interp, ms, h)
         assert fast == full
         if searched:
             tally["searches"] += 1
@@ -1333,7 +1338,7 @@ def test_skipped_dip_searches_would_have_committed_on_drawn_steps(monkeypatch):
         interp = hermite(y0, f, y1, f, h)
         ms = (margin(y0), *[margin(interp(s)) for s in _SCAN[:-1]], margin(y1))
         if ms[0] > EPS:   # a scan starts inside
-            flow._scan_margins(margin, interp, ms, h, y0, f, y1, f)
+            flow._scan_margins(margin, interp, ms, h)
 
     check()
     assert tally["skips"] >= 50 and tally["searches"] - tally["skips"] >= 50, tally

@@ -4,7 +4,8 @@ The values are those ``float()`` refuses: an int past the float range, a
 string that is no number, and None; where an entry point takes a vector, a
 vector one coordinate short as well.  Counts (``max_steps``, ``sample_count``,
 ``substeps``) must be ints of at least 1, not bools or floats, and a sample's
-``count`` an int of at least 0.
+``count`` an int of at least 0.  A str or bytes of digits, whose items
+``float()`` takes, is no vector either.
 """
 
 import pytest
@@ -117,6 +118,48 @@ PROBES = [pytest.param(error, call, value, id=f"{name}-{vid}")
 def test_a_value_that_is_not_a_number_raises_the_module_input_error(error, call, value):
     with pytest.raises(error):
         call(value)
+
+
+# (entry point, its error, a digit string of the vector's length, a call with it as the vector)
+TEXTS = [
+    ("lift_path-x0", OutsideDomainError, "101", lambda v: lift_path(HELICOID, EMPTY, v)),
+    ("GAction.margin", OutsideDomainError, "101", HELICOID.margin),
+    ("GAction.field_matrix", OutsideDomainError, "101", HELICOID.field_matrix),
+    ("GAction.zeta-X", ActionError, "12", lambda v: HELICOID.zeta(v, (1.0, 0.0, 1.0))),
+    ("GAction.zeta-p", OutsideDomainError, "101", lambda v: HELICOID.zeta((1.0, 0.0), v)),
+    ("GAction.rhs", ActionError, "12", HELICOID.rhs),
+    ("AbelianGroup.element", AlgebraError, "12", PLANE.element),
+    ("AbelianGroup.mul-stacks", AlgebraError, "12", lambda v: PLANE.mul([v], [(0.0, 0.0)])),
+    ("AbelianGroup.exp_segment-stack", AlgebraError, "12", lambda v: PLANE.exp_segment([v])),
+    ("GPath-start", PathError, "12", lambda v: GPath(PLANE, v, [])),
+    ("GPath-LinearSeg", PathError, "12", lambda v: GPath(PLANE, (0.0, 0.0), [LinearSeg(v)])),
+    ("GPath-ExpSeg", PathError, "12", lambda v: GPath(MATRIX, MATRIX.identity(), [ExpSeg(v)])),
+    ("GPath.word", PathError, "12", lambda v: GPath.word(PLANE, [(v, 1.0)])),
+    ("circle_loop_path-start", PathError, "12",
+     lambda v: circle_loop_path(v, (1.0, 0.0), chords_per_turn=4)),
+    ("circle_loop_path-x0_plane", ScenarioError, "12", lambda v: circle_loop_path((0.0, 0.0), v)),
+    ("leaf_invariant-g", ScenarioError, "12", lambda v: leaf_invariant(1.0, v, (1.0, 0.0, 1.0))),
+    ("leaf_invariant-x", ScenarioError, "101", lambda v: leaf_invariant(1.0, (0.0, 0.0), v)),
+    ("isotropy", OutsideDomainError, "101", lambda v: isotropy(HELICOID, v)),
+    # the loop starts where float() reads the first item, so only the string itself is wrong
+    ("loop_to_group-x0", LoopGeometryError, "1",
+     lambda v: loop_to_group(AFFINE, [[1.0, 0.0]], [[float(v[0])], [60.0]], v, closed=False)),
+]
+
+
+@pytest.mark.parametrize("error, call, v", [
+    pytest.param(error, call, v, id=f"{name}-{type(v).__name__}")
+    for name, error, text, call in TEXTS for v in (text, text.encode())])
+def test_a_string_is_not_a_vector_of_its_characters(error, call, v):
+    with pytest.raises(error):
+        call(v)
+
+
+def test_a_string_time_is_one_time_for_a_stack_in_both_models():
+    # as float() reads it, and not as one time per character
+    stack = [(1.0, 0.0)] * 2
+    assert PLANE.exp_segment(stack, "23") == [(23.0, 0.0)] * 2
+    assert MATRIX.exp_segment(stack, "23").tolist() == MATRIX.exp_segment(stack, 23.0).tolist()
 
 
 # (count, its error, a call with the count n, the least count)

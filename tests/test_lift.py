@@ -210,10 +210,9 @@ def test_unit_loop_scales_z(helicoid):
 
 
 def test_an_exact_half_turn_at_the_depth_cap_folds_to_plus_pi():
-    # from angle pi/2 to (0, -1): the jump -pi folds to +pi, and at depth 24
+    # from angle pi/2 to -pi/2: the jump -pi folds to +pi, and at depth 24
     # it is not split, so the interpolant is never read
-    turned = _turn(lambda y: (y[0], y[1]), None, 0.0, math.pi / 2, 1.0, (0.0, -1.0, 1.0), 0.0, 24)
-    assert turned == (math.pi, -math.pi / 2)
+    assert _turn(None, 0.0, math.pi / 2, 1.0, -math.pi / 2, 0.0, 24) == math.pi
 
 
 def test_translate_preserves_z(helicoid):

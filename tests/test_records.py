@@ -35,6 +35,10 @@ def test_records_are_read_only_values(cls, values, field, other):
     for name in (field, "kind", "new_attribute"):
         with pytest.raises(AttributeError):
             setattr(a, name, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(TypeError):
+        cls(*values(), None)   # a field too many
     assert a == b and not a != b
     assert hash(a) == hash(b)
     twin = other(*values())
