@@ -7,9 +7,10 @@ constants of the basis commutators for the matrix model.  Abelian elements
 are tuples of floats (the group is (R^d, +)); matrix elements are square
 numpy arrays.  ``exp_segment`` and ``mul`` also take stacks: lists of tuples
 for the abelian model, arrays with a leading axis for the matrix model; and
-``products`` gives the points along a stack of log-displacements.  Only the
-matrix model, its exponential and ``LieAlgebra.bracket`` import numpy,
-inside the functions that use it, so abelian work never loads it.
+``products`` gives the points along a stack of log-displacements given by
+its columns (as columns too, in the abelian model).  Only the matrix model,
+its exponential and ``LieAlgebra.bracket`` import numpy, inside the
+functions that use it, so abelian work never loads it.
 Everything here is exact linear algebra, up to the matrix exponential's Padé
 approximant; curve-level constructions live in :mod:`liecomplete.lift` and
 friends.
@@ -267,16 +268,17 @@ class AbelianGroup(Record):
                     AlgebraError, message, len(X))
         return list(zip(*[map(mul, ts, col) for col in self._columns(X)]))
 
-    def products(self, start, X) -> list:
-        """``start`` and its running sums with each row of the stack ``X``, left to right.
+    def products(self, start, cols) -> list:
+        """``start`` and its running sums with each vector of a stack, left to right, as columns.
 
-        These are the m + 1 points ``start + X_1 + ... + X_k``.  Raises
-        ``AlgebraError`` if one is not finite.  A coordinate that overflows
-        stays inf or NaN in every later sum, so the last sum decides.
+        ``cols`` holds the d columns of the stack's m vectors; the result
+        holds the d columns of the m + 1 points ``start + X_1 + ... + X_k``.
+        Raises ``AlgebraError`` if one is not finite.  A coordinate that
+        overflows stays inf or NaN in every later sum, so the last sum decides.
         """
-        cols = zip(self.element(start), self._columns(X))
-        out = list(zip(*[accumulate(col, initial=s) for s, col in cols]))
-        if not all(map(math.isfinite, out[-1])):
+        start = self.element(start)
+        out = [list(accumulate(col, initial=s)) for s, col in zip(start, cols, strict=True)]
+        if not all(math.isfinite(col[-1]) for col in out):
             raise AlgebraError("the group points are not finite")
         return out
 
@@ -352,18 +354,19 @@ class MatrixGroup(Record):
             raise AlgebraError("matrix exponential is not finite")
         return E
 
-    def products(self, start, X):
-        """``start`` and its running products with ``exp`` of each row of the stack ``X``, in order.
+    def products(self, start, cols):
+        """``start`` and its running products with ``exp`` of each vector of a stack, in order.
 
-        These are the ``(m + 1, n, n)`` points ``start @ exp(X_1) @ ... @
-        exp(X_k)``, with one stacked :meth:`exp_segment` for all rows.
+        ``cols`` holds the d columns of the stack's m vectors; the result is
+        the ``(m + 1, n, n)`` points ``start @ exp(X_1) @ ... @ exp(X_k)``,
+        with one stacked :meth:`exp_segment` for all vectors.
         Raises ``AlgebraError`` unless every point is finite and invertible:
         a point that rounds to a singular matrix (say, exp(1e300 D)) has
         left the range of floating point just as an overflowed one has.
         """
         import numpy as np
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.array(list(accumulate(self.exp_segment(X), np.matmul, initial=start)))
+            out = np.array(list(accumulate(self.exp_segment(list(zip(*cols))), np.matmul, initial=start)))
         if not (np.isfinite(out).all() and np.linalg.slogdet(out)[0].all()):
             raise AlgebraError("the group points are not finite and invertible")
         return out

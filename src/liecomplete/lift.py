@@ -69,8 +69,37 @@ class ExpSeg:
         self.X, self.duration = X, duration
 
 
+class _Chords:
+    """Segments ``LinearSeg(delta, 1.0)`` given by the d columns of their deltas.
+
+    A :class:`GPath` of the abelian model in d coordinates takes the columns
+    as they are, so no object is built per segment; an item is built when
+    it is read.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, k) -> LinearSeg:
+        return LinearSeg(tuple(col[k] for col in self.columns), 1.0)
+
+
 class GPath:
-    """Piecewise path in the group model, clock normalized to [0, 1]."""
+    """Piecewise path in the group model, clock normalized to [0, 1].
+
+    The segment vectors (each segment's total), their velocities (vector
+    over share of the clock) and, in the abelian model, the points at the
+    segment starts are held as one list of floats per coordinate; the
+    matrix model holds its points as one ``(m + 1, n, n)`` array.
+    ``segments`` is the tuple of segment objects, or, for the chords of
+    :func:`~liecomplete.scenarios.circle_loop_path`, a sequence that builds
+    each ``LinearSeg`` when it is read.
+    """
 
     def __init__(self, group, start, segments: Sequence):
         self.group = group
@@ -78,31 +107,12 @@ class GPath:
             self.start = group.element(start)
         except AlgebraError as exc:
             raise PathError(f"bad start point: {exc}") from exc
-        segs = list(segments)
-        abelian = group.kind == "abelian"
-        raw, durations = [], []
-        for s in segs:
-            if isinstance(s, ExpSeg):
-                raw.append(s.X)       # a rate: the segment's total is duration * X
-            elif not isinstance(s, LinearSeg):
-                raise PathError(f"unknown segment type {type(s).__name__}")
-            elif abelian:
-                raw.append(s.delta)   # total displacement
-            else:
-                raise PathError("LinearSeg requires the abelian group model")
-            durations.append(s.duration)
-        durations = floats(durations, PathError, "segment durations must be numbers")
-        for i, dur in enumerate(durations):
-            if not 0.0 < dur < math.inf:
-                raise PathError(f"segment {i}: duration must be positive and finite")
-        scale = [dur if isinstance(s, ExpSeg) else 1.0 for s, dur in zip(segs, durations)]
-        d = group.dim
-        try:   # column by column: the rows must all have length d, and none be a str or bytes
-            cols = [list(map(mul, scale, map(float, col))) for col in zip(*raw, strict=True)]
-        except NOT_A_NUMBER:
-            cols = None
-        if cols is None or (segs and len(cols) != d) or any(map(isinstance, raw, repeat(TEXT))):
-            raise PathError(f"segment vector must have length {d}")
+        if isinstance(segments, _Chords) and group.kind == "abelian" and len(segments.columns) == group.dim:
+            cols, durations = segments.columns, [1.0] * len(segments)
+        else:
+            segments = tuple(segments)
+            cols, durations = _segment_columns(group, segments)
+        self.segments = segments
         total = sum(durations)
         if not math.isfinite(total):
             raise PathError("segment durations must have a finite sum")
@@ -112,17 +122,15 @@ class GPath:
         vels = [list(map(truediv, col, self.widths)) for col in cols] if all(self.widths) else None
         if vels is None or not all(map(math.isfinite, chain.from_iterable(vels))):
             raise PathError("segment vectors and velocities (vector over share of the clock) must be finite")
-        self.segments = tuple(segs)
-        self._vecs = list(zip(*cols))
-        self._velocities = list(zip(*vels))
+        self._vectors, self._velocities = cols, vels
         bounds = [0.0, *accumulate(self.widths)]
-        if segs:
+        if durations:
             bounds[-1] = 1.0
         self._bounds = bounds
 
         # closed-form prefix displacements: group point at each segment start
         try:
-            self._prefix = group.products(self.start, self._vecs)
+            self._prefix = group.products(self.start, cols)
         except AlgebraError as exc:
             raise PathError(f"bad path: {exc}") from exc
 
@@ -149,10 +157,50 @@ class GPath:
 
     @property
     def n_segments(self) -> int:
-        return len(self.segments)
+        return len(self.widths)
+
+    def _starts(self, ks) -> list:
+        """The group points where segments ``ks`` start; index -1 gives the endpoint."""
+        if self.group.kind == "abelian":
+            return _rows(self._prefix, ks)
+        return [self._prefix[k] for k in ks]
 
     def endpoint(self):
-        return self._prefix[-1]
+        return self._starts([-1])[0]
+
+
+def _segment_columns(group, segs: tuple) -> tuple:
+    """The d columns of the total vectors of segment objects, and their durations, checked."""
+    abelian = group.kind == "abelian"
+    raw, durations = [], []
+    for s in segs:
+        if isinstance(s, ExpSeg):
+            raw.append(s.X)       # a rate: the segment's total is duration * X
+        elif not isinstance(s, LinearSeg):
+            raise PathError(f"unknown segment type {type(s).__name__}")
+        elif abelian:
+            raw.append(s.delta)   # total displacement
+        else:
+            raise PathError("LinearSeg requires the abelian group model")
+        durations.append(s.duration)
+    durations = floats(durations, PathError, "segment durations must be numbers")
+    for i, dur in enumerate(durations):
+        if not 0.0 < dur < math.inf:
+            raise PathError(f"segment {i}: duration must be positive and finite")
+    scale = [dur if isinstance(s, ExpSeg) else 1.0 for s, dur in zip(segs, durations)]
+    d = group.dim
+    try:   # column by column: the rows must all have length d, and none be a str or bytes
+        cols = [list(map(mul, scale, map(float, col))) for col in zip(*raw, strict=True)] if raw else [[]] * d
+    except NOT_A_NUMBER:
+        cols = None
+    if cols is None or len(cols) != d or any(map(isinstance, raw, repeat(TEXT))):
+        raise PathError(f"segment vector must have length {d}")
+    return cols, durations
+
+
+def _rows(cols, ks) -> list:
+    """Rows ``ks`` of the columns ``cols``, as tuples."""
+    return list(zip(*[[col[k] for k in ks] for col in cols]))
 
 
 class LiftResult(Record):
@@ -254,7 +302,7 @@ def lift_path(
         if small_path and len(rows) <= TRACE_TARGET:
             kept_steps.append((t_base + t0, t_base + t1, interp, k))
 
-    for k, (w, t_base, vel) in enumerate(zip(path.widths, path._bounds, path._velocities)):
+    for k, (w, t_base, vel) in enumerate(zip(path.widths, path._bounds, zip(*path._velocities))):
         rhs = contraction(vel)
         status, t_end, y_end, steps, low = integrate_autonomous(rhs, y, w, cfg, margin, on_step)
         steps_total += steps
@@ -304,8 +352,8 @@ def _path_points(path: GPath, ks, fracs):
     """The group points ``fracs[i]`` of the way through segments ``ks[i]`` of ``path``, as one stack."""
     G = path.group
     # a LinearSeg's point is the abelian exp(frac * delta), which is frac * delta
-    steps = G.exp_segment([path._vecs[k] for k in ks], fracs)
-    return G.mul([path._prefix[k] for k in ks], steps)
+    steps = G.exp_segment(_rows(path._vectors, ks), fracs)
+    return G.mul(path._starts(ks), steps)
 
 
 def _resolve(path: GPath, rows) -> list:

@@ -223,10 +223,10 @@ def invariants_match(i1: LeafInvariant, i2: LeafInvariant, tol: float = 1e-6) ->
 # path constructors
 
 
-# every chord is built before the lift starts, and holds about 1 kB from the
-# path to the lift's trace: 100,000 chords of the helicoid circle peak 100 MB
-# above the interpreter and take 1.5 s to build and lift, so at this cap a lift
-# takes about 1 GB and 15 s
+# every chord is built before the lift starts, and holds about 640 B in the
+# path's columns and the lift's trace: 100,000 chords of the helicoid circle
+# peak 64 MB above the interpreter and take 0.8 s to build and lift (2 vCPUs),
+# so at this cap a lift takes about 640 MB and 8 s
 MAX_CIRCLE_CHORDS = 1_000_000
 
 
@@ -243,9 +243,11 @@ def circle_loop_path(
     (radius preserved) for ``turns`` full revolutions, as a chord polygon with
     ``chords_per_turn`` (at least 1) chords per turn, at most
     ``MAX_CIRCLE_CHORDS`` in all.  ``turns`` is finite and positive:
-    ``clockwise`` sets the direction.
+    ``clockwise`` sets the direction.  The chord displacements go to
+    :class:`~liecomplete.lift.GPath` as two columns of floats, so building
+    the path makes no object per chord.
     """
-    from .lift import GPath, LinearSeg
+    from .lift import GPath, _Chords
     turns = number(turns, ScenarioError, "turns must be a number")
     chords = number(chords_per_turn, ScenarioError, "chords_per_turn must be a number")
     if not 0.0 < turns < math.inf:
@@ -264,11 +266,12 @@ def circle_loop_path(
                             f"passes the cap of {MAX_CIRCLE_CHORDS}")
     n = max(1, int(round(total)))
     sweep = 2.0 * math.pi * turns * (-1.0 if clockwise else 1.0)
-    segs = []
+    dx, dy = [], []
     for k in range(1, n + 1):
         th = theta0 + sweep * k / n
         qx, qy = radius * math.cos(th), radius * math.sin(th)
-        segs.append(LinearSeg((qx - px, qy - py), 1.0))
+        dx.append(qx - px)
+        dy.append(qy - py)
         px, py = qx, qy
-    return GPath(AbelianGroup(2), start_g, segs)
+    return GPath(AbelianGroup(2), start_g, _Chords((dx, dy)))
 

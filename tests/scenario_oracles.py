@@ -194,7 +194,7 @@ def concat_paths(first: GPath, second: GPath) -> GPath:
     segs = []
     for p in (first, second):
         # rebuild from total displacements so endpoints survive reweighting
-        for s, vec, vel, w in zip(p.segments, p._vecs, p._velocities, p.widths):
+        for s, vec, vel, w in zip(p.segments, zip(*p._vectors), zip(*p._velocities), p.widths):
             segs.append(LinearSeg(vec, w) if isinstance(s, LinearSeg) else ExpSeg(vel, w))
     return GPath(first.group, first.start, segs)
 

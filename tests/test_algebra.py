@@ -219,10 +219,13 @@ def test_stacks_give_the_bits_of_single_calls(G):
     steps = G.exp_segment(X, t)
     for i in range(5):
         assert _bytes(steps[i]) == _bytes(G.exp_segment(X[i], t[i]))
-    # products: the points after each row of log-displacements, one multiplication each
+    # products: the points after each row of log-displacements, one multiplication each;
+    # it takes the rows' columns, and the abelian model gives the points' columns too
     Xt = X * t[:, None]
     steps = G.exp_segment(Xt)
-    prefix = G.products(g, Xt)
+    prefix = G.products(g, Xt.T.tolist())
+    if G.kind == "abelian":
+        prefix = list(zip(*prefix))
     assert _bytes(prefix[0]) == _bytes(g)
     for i in range(5):
         assert _bytes(steps[i]) == _bytes(G.exp_segment(Xt[i]))

@@ -858,6 +858,36 @@ def test_circle_chords_match_the_loop(x, y, turns, chords, clockwise):
     assert [_bits(d) for d in got] == [_bits(d) for d in ref]
 
 
+def _lift_bits(res) -> str:
+    """A lift's fields but its path, then its resolved trace; a float's repr keeps its bits."""
+    return repr([getattr(res, f) for f in res._fields if f != "path"] + [res.trace])
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=st.floats(-3.0, 3.0), y=st.floats(0.01, 3.0), turns=st.floats(0.01, 2.0),
+       chords=st.integers(1, 300), clockwise=st.booleans())
+def test_circle_paths_equal_their_segment_object_paths(x, y, turns, chords, clockwise):
+    # circle_loop_path hands GPath its chord columns; the chords as LinearSegs give the same bits
+    start = (0.5, -0.5)
+    path = circle_loop_path(start, (x, y), turns, chords, clockwise)
+    ref = GPath(AbelianGroup(2), start,
+                [LinearSeg(d, 1.0) for d in loop_circle_chords((x, y), turns, chords, clockwise)])
+    n = ref.n_segments
+    assert path.n_segments == n
+    assert _bits(path.widths) == _bits(ref.widths)
+    assert _bits(path._bounds) == _bits(ref._bounds)
+    for got, want in zip(path._velocities, ref._velocities, strict=True):
+        assert _bits(got) == _bits(want)
+    ks, fracs = [k for k in range(n) for _ in range(3)], [0.0, 0.375, 1.0] * n
+    points = zip(lift._path_points(path, ks, fracs), lift._path_points(ref, ks, fracs), strict=True)
+    assert all(_bits(got) == _bits(want) for got, want in points)
+    assert _bits(path.endpoint()) == _bits(ref.endpoint())
+    assert ([_bits((*s.delta, s.duration)) for s in path.segments]
+            == [_bits((*s.delta, s.duration)) for s in ref.segments])
+    action, x0 = build("example6_helicoid").action, (x, y, 0.7)
+    assert _lift_bits(lift_path(action, path, x0)) == _lift_bits(lift_path(action, ref, x0))
+
+
 def _fraction_rows(data, count):
     """Trace rows ``(t, k, frac, m)``: row 0, then two drawn fractions per segment."""
     return [(0.0, 0, 0.0, ())] + [
@@ -879,7 +909,7 @@ def test_abelian_path_points_match_the_loop(data, d, count):
     # prefix points: one group multiplication per segment, in order
     g = np.asarray(start, dtype=float)
     for k, s in enumerate(segs):
-        assert _bits(path._prefix[k]) == _bits(g)
+        assert _bits([col[k] for col in path._prefix]) == _bits(g)
         total = (np.asarray(s.delta, dtype=float) if isinstance(s, LinearSeg)
                  else np.asarray(s.X, dtype=float) * float(s.duration))
         g = G.mul(g, total)
@@ -889,7 +919,7 @@ def test_abelian_path_points_match_the_loop(data, d, count):
     resolved = _resolve(path, rows)
     assert _bits(resolved[0][1]) == _bits(path.start)
     for (_, k, frac, _), (_, g_row, _) in zip(rows[1:], resolved[1:]):
-        assert _bits(g_row) == _bits([p + frac * v for p, v in zip(path._prefix[k], path._vecs[k])])
+        assert _bits(g_row) == _bits([p[k] + frac * v[k] for p, v in zip(path._prefix, path._vectors)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -909,7 +939,7 @@ def test_matrix_path_points_match_the_loop(data, count):
     rows = _fraction_rows(data, count)
     resolved = _resolve(path, rows)
     for (_, k, frac, _), (_, g_row, _) in zip(rows[1:], resolved[1:]):
-        ref = path._prefix[k] @ G.exp_segment(path._vecs[k], frac)
+        ref = path._prefix[k] @ G.exp_segment([col[k] for col in path._vectors], frac)
         assert _bits(g_row.ravel()) == _bits(ref.ravel())
 
 

@@ -34,18 +34,18 @@ def _chord_path(group, start, points):
 
 
 # ---------------------------------------------------------------------------
-# GPath construction and its left-logarithmic derivative, GPath._velocities
+# GPath construction and its left-logarithmic derivative, the columns GPath._velocities
 
 
 def test_left_log_derivative_linear():
     G = AbelianGroup(2)
     p = GPath(G, (0.0, 0.0), [LinearSeg((2.0, 0.0), 1.0)])
-    assert list(p._velocities[0]) == [2.0, 0.0]
+    assert [col[0] for col in p._velocities] == [2.0, 0.0]
 
 
 def test_left_log_derivative_exp_rate(affine):
     p = GPath(affine.group, np.eye(2), [ExpSeg((0.5, -1.0), 1.0)])
-    assert list(p._velocities[0]) == [0.5, -1.0]
+    assert [col[0] for col in p._velocities] == [0.5, -1.0]
 
 
 def test_left_log_derivative_piecewise_and_boundary():
@@ -53,15 +53,14 @@ def test_left_log_derivative_piecewise_and_boundary():
     p = GPath(G, (0.0,), [LinearSeg((1.0,), 1.0), LinearSeg((-3.0,), 1.0)])
     # widths are 1/2 each, so the clock-rate doubles the displacement
     assert p.widths == [0.5, 0.5]
-    assert list(p._velocities[0]) == [2.0]
-    assert list(p._velocities[1]) == [-6.0]
+    assert p._velocities == [[2.0, -6.0]]
 
 
 def test_reversed_segment_negates_derivative():
     G = AbelianGroup(2)
     p = GPath(G, (0.0, 0.0), [LinearSeg((2.0, -1.0), 1.0)])
     r = reverse_path(p)
-    assert list(r._velocities[0]) == [-2.0, 1.0]
+    assert [col[0] for col in r._velocities] == [-2.0, 1.0]
     assert np.allclose(r.endpoint(), (0.0, 0.0))
 
 
@@ -246,7 +245,7 @@ def test_escape_endpoint_is_the_group_point_at_the_escape_time(helicoid, affine,
     res = lift_path(action, path, x0)
     assert res.status == ESCAPED and 0.0 < res.escape_time < 1.0
     G = action.group
-    expected = G.mul(path._prefix[0], G.exp_segment(path._vecs[0], res.escape_time))
+    expected = G.mul(path._starts([0])[0], G.exp_segment([col[0] for col in path._vectors], res.escape_time))
     assert np.asarray(res.endpoint_g).tobytes() == np.asarray(expected).tobytes()
 
 

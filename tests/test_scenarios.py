@@ -1,12 +1,15 @@
 """Built-in scenarios, closed-form oracles, and the universal constancy check."""
 
+import gc
 import math
+import re
 
 import numpy as np
 import pytest
 
 from liecomplete.flow import COMPLETE
-from liecomplete.lift import GPath, LinearSeg, lift_path
+from liecomplete.algebra import AbelianGroup
+from liecomplete.lift import GPath, LinearSeg, PathError, lift_path
 from liecomplete.manifold import check_homomorphism
 from liecomplete.scenarios import (
     LeafInvariant,
@@ -212,6 +215,49 @@ def test_circle_loop_path_validation():
     for bad in ({"turns": 0.0}, {"turns": math.inf}, {"chords_per_turn": 0.5}, {"chords_per_turn": math.inf}):
         with pytest.raises(ScenarioError, match="finite"):
             circle_loop_path((0.0, 0.0), (1.0, 0.0), **bad)
+
+
+def _tracked_by_circle_path(chords: int) -> int:
+    """The GC-tracked objects that building a circle path of ``chords`` chords leaves alive."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        path = circle_loop_path((0.5, -0.5), (1.0, 0.2), chords_per_turn=chords)
+        tracked = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert path.n_segments == chords
+    return tracked
+
+
+def test_circle_loop_path_builds_no_object_per_chord(monkeypatch):
+    built = []
+    init = LinearSeg.__init__
+
+    def counted_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(LinearSeg, "__init__", counted_init)
+    path = circle_loop_path((0.5, -0.5), (1.0, 0.2), chords_per_turn=257)
+    assert built == []
+    # reading segments builds each chord's LinearSeg then
+    assert len(list(path.segments)) == 257 and len(built) == 257
+    _tracked_by_circle_path(16)   # lazy set-up first
+    assert _tracked_by_circle_path(64) == _tracked_by_circle_path(4096)
+
+
+def test_circle_loop_path_fails_as_its_segment_objects_do():
+    message = "segment vectors and velocities (vector over share of the clock) must be finite"
+    with pytest.raises(PathError, match=re.escape(message)):
+        circle_loop_path((0, 0), (1e308, 1e308))
+    # a circle path's segments in another group model are checked as segment objects
+    segs = circle_loop_path((0.0, 0.0), (1.0, 0.0), chords_per_turn=8).segments
+    with pytest.raises(PathError, match="requires the abelian group model"):
+        GPath(build("affine_line").action.group, np.eye(2), segs)
+    with pytest.raises(PathError, match="must have length 3"):
+        GPath(AbelianGroup(3), (0.0, 0.0, 0.0), segs)
 
 
 def test_equal_p_witness_identifies_equal_image_points():
