@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, file formats, determinism."""
 
 import functools
+import hashlib
 import json
 import math
 import os
@@ -396,6 +397,43 @@ def test_lift_outputs_are_byte_identical(tmp_path):
     assert main(args + ["--out", b]) == 0
     assert (tmp_path / "a.trace.csv").read_bytes() == (tmp_path / "b.trace.csv").read_bytes()
     assert (tmp_path / "a.summary.json").read_bytes() == (tmp_path / "b.summary.json").read_bytes()
+
+
+# sha256 of the trace, polyline and summary files of three lifts: a 4096-chord
+# helicoid circle, a padded one-segment radial escape and a padded matrix-model
+# path of two exp segments
+LIFT_PINS = {
+    "circle": (
+        ["--scenario", "example6_helicoid", "--x0", "1,0,1", "--circle-turns", "1"], None, 0,
+        ("c7181dae971972dad41352bbba2cd3775d1cc34fa40950a1027ff7a2c8284889",
+         "01a16053e7755bbd36999f10bd723fdff8f19bb19ffdbf5e6ca543eca55e1d41",
+         "fde2c6ebebe6a35a73763dd555b4f724780196f9429038eb615e5d168bd08147")),
+    "radial": (
+        ["--scenario", "example6_helicoid", "--x0", "1,0,0.7"],
+        {"start": [0, 0], "segments": [{"type": "linear", "delta": [-2, 0]}]}, 2,
+        ("0d94dc74959f8e9ef747cabcdc7dac43f4b7f009630d01d8d7f488e7d3eb578d",
+         "bd58ecdfa1f4a532cedb2f46c3fa23abe852b9d5deb39f9cf0aa108c22eb3d6a",
+         "541744798bc36ea8d7b304db66984a18ecce254100f92683f335e5c28e6d670a")),
+    "affine": (
+        ["--scenario", "affine_line", "--x0", "1"],
+        {"start": [[1, 0], [0, 1]], "segments": [{"type": "exp", "X": [1, 0.3], "duration": 1},
+                                                 {"type": "exp", "X": [-0.5, 0.7], "duration": 2}]}, 0,
+        ("4b2f0de328070ef39a81f63fd5fc3bbfa2cd09b360a776ec16c1790fc9522a9f",
+         "52b9dcfbdf2b162edaafb60fd0c819bdaa8831f73dfc4786114f9bb57d66709d",
+         "64f88f5257a7a9e56616fd03843d11b2ec2045b1ef87ab3bfcad328921f90798")),
+}
+
+
+@pytest.mark.parametrize("name", list(LIFT_PINS))
+def test_lift_output_bytes_are_pinned(tmp_path, name):
+    args, path, code, pins = LIFT_PINS[name]
+    if path is not None:
+        args = args + ["--path", _write(tmp_path, "path.json", path)]
+    out = str(tmp_path / name)
+    assert main(["lift", *args, "--plot", "--out", out]) == code
+    got = [hashlib.sha256((tmp_path / (name + suffix)).read_bytes()).hexdigest()
+           for suffix in (".trace.csv", ".polyline.csv", ".summary.json")]
+    assert tuple(got) == pins
 
 
 def test_lift_escape_exit_code(tmp_path, capsys):
