@@ -5,12 +5,12 @@ of basis vector ``k`` in ``[e_i, e_j]``, held as nested tuples.  Each group
 model carries its own algebra: zero constants for the abelian model, the
 constants of the basis commutators for the matrix model.  Abelian elements
 are tuples of floats (the group is (R^d, +)); matrix elements are square
-numpy arrays.  ``exp_segment`` and ``mul`` also take stacks: lists of tuples
-for the abelian model, arrays with a leading axis for the matrix model; and
-``products`` gives the points along a stack of log-displacements given by
-its columns (as columns too, in the abelian model).  Only the matrix model,
-its exponential and ``LieAlgebra.bracket`` import numpy, inside the
-functions that use it, so abelian work never loads it.
+numpy arrays.  The matrix model's ``exp_segment`` and ``mul`` also take
+stacks, arrays with a leading axis; the abelian model's take one element
+each.  ``products`` gives the points along a stack of log-displacements
+given by its columns (as columns too, in the abelian model).  Only the
+matrix model, its exponential and ``LieAlgebra.bracket`` import numpy,
+inside the functions that use it, so abelian work never loads it.
 Everything here is exact linear algebra, up to the matrix exponential's Padé
 approximant; curve-level constructions live in :mod:`liecomplete.lift` and
 friends.
@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import accumulate, product, repeat
-from operator import add, mul
+from itertools import accumulate, product
+from operator import add
 from typing import Optional, Sequence
 
-from ._record import NOT_A_NUMBER, TEXT, InputError, Record, array, floats, number
+from ._record import NOT_A_NUMBER, InputError, Record, array, floats, number
 
 JACOBI_TOL = 1e-12
 MODEL_COMMUTATOR_TOL = 1e-10
@@ -212,17 +212,8 @@ def _expm(A):
     return out.reshape(shape)
 
 
-def _is_stack(a) -> bool:
-    """Whether ``a`` is a stack of vectors: not one vector of numbers, nor a value without a length."""
-    return hasattr(a, "__len__") and (len(a) == 0 or hasattr(a[0], "__iter__"))
-
-
 class AbelianGroup(Record):
-    """(R^d, +) with the zero bracket; elements are tuples of d floats.
-
-    A stack of elements is a list of them; the stacked operations work
-    column by column, one C-level pass per coordinate.
-    """
+    """(R^d, +) with the zero bracket; elements are tuples of d floats."""
 
     __slots__ = ("dim", "basis_names", "__dict__")
     _defaults = {"basis_names": ()}
@@ -238,35 +229,14 @@ class AbelianGroup(Record):
     def element(self, data) -> tuple:
         return tuple(floats(data, AlgebraError, f"abelian element must be a {self.dim}-vector", self.dim))
 
-    def _columns(self, stack) -> list:
-        """The d columns of a stack of d-vectors, as tuples of floats; a str or bytes is no vector."""
-        if not len(stack):
-            return [()] * self.dim
-        try:
-            cols = [tuple(map(float, col)) for col in zip(*stack, strict=True)]
-        except NOT_A_NUMBER:
-            cols = []
-        if len(cols) != self.dim or any(map(isinstance, stack, repeat(TEXT))):
-            raise AlgebraError(f"a stack of abelian elements must hold {self.dim}-vectors")
-        return cols
+    def mul(self, a, b) -> tuple:
+        """a + b of two elements."""
+        return tuple(map(add, self.element(a), self.element(b)))
 
-    def mul(self, a, b):
-        """a + b of two elements, or row by row of two stacks of one length."""
-        if not (_is_stack(a) or _is_stack(b)):
-            return tuple(map(add, self.element(a), self.element(b)))
-        if not (_is_stack(a) and _is_stack(b) and len(a) == len(b)):
-            raise AlgebraError("abelian mul takes two elements or two stacks of one length")
-        return list(zip(*[map(add, p, q) for p, q in zip(self._columns(a), self._columns(b))]))
-
-    def exp_segment(self, X, t=1.0):
-        """t * X of a d-vector, or of each row of a stack; ``t`` may give one value per row, but a str is one."""
-        message = "exp_segment takes one time or one per row"
-        if not _is_stack(X):
-            t = number(t, AlgebraError, message)
-            return tuple(t * v for v in self.element(X))
-        ts = floats(t if hasattr(t, "__iter__") and not isinstance(t, TEXT) else [t] * len(X),
-                    AlgebraError, message, len(X))
-        return list(zip(*[map(mul, ts, col) for col in self._columns(X)]))
+    def exp_segment(self, X, t=1.0) -> tuple:
+        """t * X of a d-vector."""
+        t = number(t, AlgebraError, "exp_segment takes one time")
+        return tuple(t * v for v in self.element(X))
 
     def products(self, start, cols) -> list:
         """``start`` and its running sums with each vector of a stack, left to right, as columns.

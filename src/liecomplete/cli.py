@@ -237,11 +237,12 @@ def _write_json(path: Optional[str], payload: dict) -> None:
 
 
 def _group_columns(action) -> tuple:
-    """The CSV column names of a group point, and a function giving its cells in that order."""
+    """The CSV column names of a group point, and a function from a stack of points to those columns."""
     if action.group.kind == "abelian":
-        return [f"g_{name}" for name in action.algebra.basis_names], tuple
+        return [f"g_{name}" for name in action.algebra.basis_names], lambda g: g
     n = action.group.n
-    return [f"g_{i + 1}{j + 1}" for i in range(n) for j in range(n)], lambda g: g.ravel()
+    names = [f"g_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+    return names, lambda g: g.reshape(len(g), n * n).T.tolist()
 
 
 def _nan_to_none(v):
@@ -290,13 +291,11 @@ def cmd_lift(args) -> int:
 
     result = lift_path(action, path, x0, cfg)
 
-    columns, cells = _group_columns(action)
-    header = ["t"] + columns + list(action.domain.coords)
-    rows = ([t, *cells(g), *m] for (t, g, m) in result.trace)
-    _write_csv(args.out + ".trace.csv", header, rows)
+    names, columns = _group_columns(action)
+    t, g, m = result.trace
+    _write_csv(args.out + ".trace.csv", ["t"] + names + list(action.domain.coords), zip(t, *columns(g), *m))
     if args.plot:
-        _write_csv(args.out + ".polyline.csv", list(action.domain.coords),
-                   (list(m) for (_, _, m) in result.trace))
+        _write_csv(args.out + ".polyline.csv", list(action.domain.coords), zip(*m))
     summary = {
         "status": result.status,
         "endpoint_g": action.group.to_jsonable(result.endpoint_g),

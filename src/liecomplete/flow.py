@@ -32,7 +32,7 @@ The generic kernel, generated once per state dimension, takes ``args =
 interpolant (:func:`_hermite`) is generated once per state dimension too, and
 bound to each step's data by ``functools.partial``; the margin scan reads the
 step from it alone, and the caller's ``on_step`` gets it with the step's times
-and end, from which a lift records its trace rows and its winding.  Escape from the
+and end, from which a lift records its trace and its winding.  Escape from the
 open domain is detected by one scan of the domain margin along each accepted
 step: the run's commit test commits the step at once when none of the five
 samples (ends plus interior) is near the escape level ``ESCAPE_MARGIN`` or

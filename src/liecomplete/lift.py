@@ -159,14 +159,14 @@ class GPath:
     def n_segments(self) -> int:
         return len(self.widths)
 
-    def _starts(self, ks) -> list:
-        """The group points where segments ``ks`` start; index -1 gives the endpoint."""
+    def _start(self, k):
+        """The group point where segment ``k`` starts; ``k = -1`` gives the endpoint."""
         if self.group.kind == "abelian":
-            return _rows(self._prefix, ks)
-        return [self._prefix[k] for k in ks]
+            return tuple(col[k] for col in self._prefix)
+        return self._prefix[k]
 
     def endpoint(self):
-        return self._starts([-1])[0]
+        return self._start(-1)
 
 
 def _segment_columns(group, segs: tuple) -> tuple:
@@ -198,26 +198,35 @@ def _segment_columns(group, segs: tuple) -> tuple:
     return cols, durations
 
 
-def _rows(cols, ks) -> list:
-    """Rows ``ks`` of the columns ``cols``, as tuples."""
-    return list(zip(*[[col[k] for k in ks] for col in cols]))
-
-
 class LiftResult(Record):
-    """A lift of a group path: its verdict, endpoints, trace rows and winding.
+    """A lift of a group path: its verdict, endpoints, trace columns and winding.
 
-    ``rows`` is a tuple of ``(t, k, frac, m)``, ``frac`` of the way through
-    segment ``k``; ``winding`` is the signed turns of (x0, x1) if the action winds.
+    The trace is held as columns, each a tuple: row ``i`` is at clock
+    ``t[i]`` in [0, 1], ``frac[i]`` of the way through segment ``k[i]``,
+    with the n coordinates ``y[i * n:(i + 1) * n]`` of the flat state
+    column ``y``; row 0 is the path start.  ``winding`` is the signed turns
+    of (x0, x1) if the action winds.
     """
-    __slots__ = ("status", "endpoint_g", "endpoint_m", "path", "rows", "escape_time",
+    __slots__ = ("status", "endpoint_g", "endpoint_m", "path", "t", "k", "frac", "y", "escape_time",
                  "failed_segment", "winding", "low_confidence", "steps", "__dict__")
     _defaults = {"escape_time": None, "failed_segment": None, "winding": None,
                  "low_confidence": False, "steps": 0}
 
     @cached_property
-    def trace(self) -> list:
-        """``[(t, g, m), ...]`` with t in [0, 1]; group points resolved on first read."""
-        return _resolve(self.path, self.rows)
+    def rows(self) -> tuple:
+        """The trace as rows ``(t, k, frac, m)``, ``m`` a tuple of n floats; built on first read."""
+        return tuple(zip(self.t, self.k, self.frac, zip(*[iter(self.y)] * len(self.endpoint_m))))
+
+    @cached_property
+    def trace(self) -> tuple:
+        """Columns ``(t, g, m)``: the clock, the group points as the model's stack, the n state columns.
+
+        The group points are the d columns of floats in the abelian model
+        and one ``(rows, n, n)`` array in the matrix model, computed on
+        first read.
+        """
+        n = len(self.endpoint_m)
+        return self.t, _path_points(self.path, self.k[1:], self.frac[1:]), [self.y[i::n] for i in range(n)]
 
 
 _QUARTER_TURN = math.pi / 2
@@ -266,10 +275,10 @@ def lift_path(
     Escape anywhere truncates the lift and reports the path time and segment.
     An action with ``winding`` set gets the signed turns of (x0, x1), summed
     over the accepted steps: a jump under a quarter turn is folded inline,
-    and :func:`_turn` splits a larger one.  Trace rows keep ``(t, k, frac,
-    m)``, a fraction ``frac`` of the way through segment ``k`` with row 0 at
-    the path start; their group points are computed when ``trace`` is first
-    read.
+    and :func:`_turn` splits a larger one.  Each accepted step appends its
+    clock ``t``, segment ``k`` and fraction ``frac`` of the way through it
+    to their columns, and its state to the flat column ``y``; the group
+    points are computed when ``trace`` is first read.
     """
     cfg = cfg or IntegratorConfig()
     _check_group_compat(action.group, path.group)
@@ -279,7 +288,7 @@ def lift_path(
     if winds:
         angle, turned = math.atan2(x0[1], x0[0]), 0.0
 
-    rows: list = [(0.0, 0, 0.0, tuple(x0))]
+    ts, ks, fracs, ys = [0.0], [0], [0.0], list(x0)
     small_path = path.n_segments <= 8
     kept_steps: list = []  # (t_abs0, t_abs1, interp, seg_index) for padding
     margin, contraction = action._margin, action._contraction
@@ -297,9 +306,12 @@ def lift_path(
                 turned, angle = turned + d, th1
             else:
                 turned, angle = _turn(interp, 0.0, angle, 1.0, th1, turned), th1
-        rows.append((t_base + t1, k, t1 / w, tuple(y1)))
+        ts.append(t_base + t1)
+        ks.append(k)
+        fracs.append(t1 / w)
+        ys.extend(y1)
         # a trace that ends with more than TRACE_TARGET rows is not padded
-        if small_path and len(rows) <= TRACE_TARGET:
+        if small_path and len(ts) <= TRACE_TARGET:
             kept_steps.append((t_base + t0, t_base + t1, interp, k))
 
     for k, (w, t_base, vel) in enumerate(zip(path.widths, path._bounds, zip(*path._velocities))):
@@ -312,17 +324,18 @@ def lift_path(
     else:
         status = COMPLETE
 
-    rows = tuple(_padded_rows(rows, kept_steps, path))
+    columns = map(tuple, _padded_rows(ts, ks, fracs, ys, kept_steps, path))
     winding = turned / math.tau if winds else None
     if status == COMPLETE:
-        return LiftResult(COMPLETE, path.endpoint(), tuple(y), path, rows,
+        return LiftResult(COMPLETE, path.endpoint(), tuple(y), path, *columns,
                           winding=winding, steps=steps_total)
+    G = path.group
     return LiftResult(
         status,
-        _path_points(path, [k], [min(t_end / w, 1.0)])[0],
+        G.mul(path._start(k), G.exp_segment([col[k] for col in path._vectors], min(t_end / w, 1.0))),
         y_end,
         path,
-        rows,
+        *columns,
         escape_time=t_base + t_end if status == ESCAPED else None,
         failed_segment=k,
         winding=winding,
@@ -331,34 +344,43 @@ def lift_path(
     )
 
 
-def _padded_rows(rows, kept_steps, path: GPath):
-    """Densify traces of few-segment paths to at least TRACE_TARGET rows."""
-    if len(rows) >= TRACE_TARGET + 1 or not kept_steps:
-        return rows
+def _padded_rows(ts, ks, fracs, ys, kept_steps, path: GPath) -> tuple:
+    """The columns ``(t, k, frac, y)``, densified to at least TRACE_TARGET rows for few-segment paths."""
+    if len(ts) >= TRACE_TARGET + 1 or not kept_steps:
+        return ts, ks, fracs, ys
+    n = len(ys) // len(ts)
     per = int(math.ceil(TRACE_TARGET / len(kept_steps)))
-    out = [rows[0]]
+    out_t, out_k, out_frac, out_y = [ts[0]], [ks[0]], [fracs[0]], ys[:n]
     for (t0, t1, interp, k) in kept_steps:
         w = path.widths[k]
         tb = path._bounds[k]
         for i in range(1, per + 1):
             s = i / per
             t = t0 + s * (t1 - t0)
-            out.append((t, k, (t - tb) / w, tuple(interp(s))))
-    out[-1] = rows[-1]
-    return out
+            out_t.append(t)
+            out_k.append(k)
+            out_frac.append((t - tb) / w)
+            out_y.extend(interp(s))
+    # the last row is the lift's own
+    out_t[-1], out_k[-1], out_frac[-1] = ts[-1], ks[-1], fracs[-1]
+    out_y[-n:] = ys[-n:]
+    return out_t, out_k, out_frac, out_y
 
 
 def _path_points(path: GPath, ks, fracs):
-    """The group points ``fracs[i]`` of the way through segments ``ks[i]`` of ``path``, as one stack."""
+    """``path.start``, then the points ``fracs[i]`` of the way through segments ``ks[i]``.
+
+    They come as the model's stack: in the abelian model the d columns of
+    floats ``p[k] + frac * v[k]``, from the segment's start ``p`` and its
+    vector ``v``; in the matrix model an ``(m + 1, n, n)`` array, with one
+    stacked exponential.  Row 0 is ``path.start`` itself: an empty path has
+    no segment 0, and ``p + 0.0 * v`` can turn a ``-0.0`` into ``0.0``.
+    """
     G = path.group
-    # a LinearSeg's point is the abelian exp(frac * delta), which is frac * delta
-    steps = G.exp_segment(_rows(path._vectors, ks), fracs)
-    return G.mul(path._starts(ks), steps)
-
-
-def _resolve(path: GPath, rows) -> list:
-    """Trace rows ``(t, g, m)`` from rows ``(t, k, frac, m)`` of a lift of ``path``."""
-    t0, _, _, m0 = rows[0]
-    rest = rows[1:]
-    points = _path_points(path, [k for (_, k, _, _) in rest], [frac for (_, _, frac, _) in rest])
-    return [(t0, path.start, m0)] + [(t, g, m) for (t, _, _, m), g in zip(rest, points)]
+    if G.kind == "abelian":
+        return [[s] + [p[k] + f * v[k] for k, f in zip(ks, fracs)]
+                for s, p, v in zip(path.start, path._prefix, path._vectors)]
+    import numpy as np
+    ks = np.asarray(ks, dtype=np.intp)
+    points = G.mul(path._prefix[ks], G.exp_segment(np.array(path._vectors).T[ks], fracs))
+    return np.concatenate([path.start[None], points])

@@ -223,10 +223,10 @@ def invariants_match(i1: LeafInvariant, i2: LeafInvariant, tol: float = 1e-6) ->
 # path constructors
 
 
-# every chord is built before the lift starts, and holds about 640 B in the
+# every chord is built before the lift starts, and holds about 590 B in the
 # path's columns and the lift's trace: 100,000 chords of the helicoid circle
-# peak 64 MB above the interpreter and take 0.8 s to build and lift (2 vCPUs),
-# so at this cap a lift takes about 640 MB and 8 s
+# peak 59 MB above the interpreter and take 0.8 s to build and lift (2 vCPUs),
+# so at this cap a lift takes about 590 MB and 8 s
 MAX_CIRCLE_CHORDS = 1_000_000
 
 

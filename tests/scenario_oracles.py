@@ -136,10 +136,12 @@ def universal_constancy_check(scenario, path: GPath, x0, cfg=None) -> float:
             f"scenario {scenario.name!r} has no built-in equivariant target"
         )
     f_map, act = pair
-    rows = lift_path(scenario.action, _cut(path), x0, cfg).trace
-    ref = act(rows[0][1], f_map(rows[0][2]))
+    _, g, m = lift_path(scenario.action, _cut(path), x0, cfg).trace
+    points = zip(*g) if scenario.action.group.kind == "abelian" else g   # the abelian g is columns
+    (g0, m0), *rest = zip(points, zip(*m))
+    ref = act(g0, f_map(m0))
     worst = 0.0
-    for (_, g_t, m_t) in rows[1:]:
+    for (g_t, m_t) in rest:
         dev = max(abs(a - b) for a, b in zip(act(g_t, f_map(m_t)), ref))
         if dev > worst:
             worst = dev

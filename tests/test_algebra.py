@@ -124,7 +124,7 @@ def test_abelian_ops():
     assert np.allclose(G.mul(G.exp_segment(X), G.exp_segment(-X)), G.identity())
 
 
-def test_abelian_elements_and_stacks_hold_d_numbers():
+def test_abelian_elements_hold_d_numbers():
     G = AbelianGroup(2)
     for g in ((1.0,), (1.0, 2.0, 3.0), ("a", 1.0), (None, 1.0), (10 ** 400, 1.0), 5.0):
         with pytest.raises(AlgebraError, match="2-vector"):
@@ -133,11 +133,22 @@ def test_abelian_elements_and_stacks_hold_d_numbers():
         G.mul(5.0, (0.0, 0.0))
     with pytest.raises(AlgebraError, match="2-vector"):
         G.exp_segment(5.0)
-    for stack in ([(1.0,)], [(1.0, 2.0), (1.0,)], [("a", 1.0)], [(None, 1.0)], [(10 ** 400, 1.0)]):
-        with pytest.raises(AlgebraError, match="2-vectors"):
+
+
+def test_abelian_mul_and_exp_segment_refuse_stacks():
+    # the abelian model's operations take one element each: a stack is no element
+    G = AbelianGroup(2)
+    stacks = ([(1.0, 2.0)], [(1.0, 2.0)] * 2, [(1.0, 2.0), (1.0,)], [("a", 1.0)],
+              np.zeros((2, 2)), np.zeros((5, 2)), np.zeros((0, 2)))
+    for stack in stacks:
+        with pytest.raises(AlgebraError, match="2-vector"):
             G.exp_segment(stack)
-    with pytest.raises(AlgebraError, match="one time or one per row"):
-        G.exp_segment([(1.0, 0.0)] * 2, [1.0])
+        with pytest.raises(AlgebraError, match="2-vector"):
+            G.mul(stack, stack)
+        with pytest.raises(AlgebraError, match="2-vector"):
+            G.mul((0.0, 0.0), stack)
+    with pytest.raises(AlgebraError, match="one time"):
+        G.exp_segment((1.0, 0.0), [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -207,36 +218,46 @@ def test_element_shape_checked():
 
 
 def _bytes(a) -> bytes:
-    """The bits of an element or a stack of them: tuples and lists of tuples for the abelian model."""
+    """The bits of an element or a stack of them."""
     return np.asarray(a, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("G", [AbelianGroup(2), MatrixGroup(AFF_BASIS)], ids=["abelian", "matrix"])
-def test_stacks_give_the_bits_of_single_calls(G):
+def test_products_give_the_bits_of_single_calls(G):
+    # products: the points after each row of log-displacements, one multiplication each;
+    # it takes the rows' columns, and the abelian model gives the points' columns too
     rng = np.random.default_rng(0)
     X, t = rng.normal(size=(5, 2)), rng.uniform(-1.0, 1.0, size=5)
     g = G.exp_segment(rng.normal(size=2))
-    steps = G.exp_segment(X, t)
-    for i in range(5):
-        assert _bytes(steps[i]) == _bytes(G.exp_segment(X[i], t[i]))
-    # products: the points after each row of log-displacements, one multiplication each;
-    # it takes the rows' columns, and the abelian model gives the points' columns too
     Xt = X * t[:, None]
-    steps = G.exp_segment(Xt)
     prefix = G.products(g, Xt.T.tolist())
     if G.kind == "abelian":
         prefix = list(zip(*prefix))
     assert _bytes(prefix[0]) == _bytes(g)
     for i in range(5):
-        assert _bytes(steps[i]) == _bytes(G.exp_segment(Xt[i]))
-        assert _bytes(prefix[i + 1]) == _bytes(G.mul(prefix[i], steps[i]))
-    assert _bytes(G.mul(prefix[:-1], steps)) == _bytes(prefix[1:])
+        assert _bytes(prefix[i + 1]) == _bytes(G.mul(prefix[i], G.exp_segment(Xt[i])))
     wrong = np.zeros(3) if G.kind == "abelian" else np.eye(3)
     for a, b in ((g, wrong), (np.stack([wrong, wrong]), g)):
         with pytest.raises(AlgebraError):
             G.mul(a, b)
     with pytest.raises(AlgebraError):
         G.exp_segment(np.zeros((2, 3)))
+
+
+def test_stacks_give_the_bits_of_single_calls():
+    G = MatrixGroup(AFF_BASIS)
+    rng = np.random.default_rng(0)
+    X, t = rng.normal(size=(5, 2)), rng.uniform(-1.0, 1.0, size=5)
+    g = G.exp_segment(rng.normal(size=2))
+    steps = G.exp_segment(X, t)
+    for i in range(5):
+        assert _bytes(steps[i]) == _bytes(G.exp_segment(X[i], t[i]))
+    Xt = X * t[:, None]
+    steps = G.exp_segment(Xt)
+    prefix = G.products(g, Xt.T.tolist())
+    for i in range(5):
+        assert _bytes(steps[i]) == _bytes(G.exp_segment(Xt[i]))
+    assert _bytes(G.mul(prefix[:-1], steps)) == _bytes(prefix[1:])
 
 
 # ---------------------------------------------------------------------------

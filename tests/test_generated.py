@@ -48,7 +48,7 @@ from liecomplete.flow import (
     _E1, _E3, _E4, _E5, _E6, _E7, _SCAN, COMPLETE, ESCAPE_MARGIN, ESCAPE_TIME_WIDTH, ESCAPED,
     STEP_COLLAPSE, STEP_LIMIT, IntegratorConfig, _golden_min, _hermite, _scan_margins,
 )
-from liecomplete.lift import ExpSeg, GPath, LinearSeg, PathError, _resolve, lift_path
+from liecomplete.lift import ExpSeg, GPath, LiftResult, LinearSeg, PathError, lift_path
 from liecomplete.manifold import Domain, GAction
 from liecomplete.scenarios import build, circle_loop_path
 
@@ -888,11 +888,17 @@ def test_circle_paths_equal_their_segment_object_paths(x, y, turns, chords, cloc
     assert _lift_bits(lift_path(action, path, x0)) == _lift_bits(lift_path(action, ref, x0))
 
 
-def _fraction_rows(data, count):
-    """Trace rows ``(t, k, frac, m)``: row 0, then two drawn fractions per segment."""
-    return [(0.0, 0, 0.0, ())] + [
-        (0.5, k, data.draw(st.floats(0.0, 1.0)), ()) for k in range(count) for _ in range(2)
-    ]
+def _fraction_trace(data, path, count):
+    """Rows ``(k, frac)``: row 0, then two drawn fractions per segment, as columns.
+
+    Returns them with the group points of the trace of a lift record of
+    ``path`` that holds those rows and no state.
+    """
+    ks = [0] + [k for k in range(count) for _ in range(2)]
+    fracs = [0.0] + [data.draw(st.floats(0.0, 1.0)) for _ in ks[1:]]
+    t = (0.0,) + (0.5,) * (len(ks) - 1)
+    _, g, _ = LiftResult("complete", path.endpoint(), (), path, t, tuple(ks), tuple(fracs), ()).trace
+    return ks, fracs, g
 
 
 @settings(max_examples=30, deadline=None)
@@ -914,12 +920,14 @@ def test_abelian_path_points_match_the_loop(data, d, count):
                  else np.asarray(s.X, dtype=float) * float(s.duration))
         g = G.mul(g, total)
     assert _bits(path.endpoint()) == _bits(g)
-    # trace rows resolved together equal base + frac * vec row by row
-    rows = _fraction_rows(data, count)
-    resolved = _resolve(path, rows)
-    assert _bits(resolved[0][1]) == _bits(path.start)
-    for (_, k, frac, _), (_, g_row, _) in zip(rows[1:], resolved[1:]):
-        assert _bits(g_row) == _bits([p[k] + frac * v[k] for p, v in zip(path._prefix, path._vectors)])
+    # the trace's group columns, computed together, equal base + frac * vec row by row
+    ks, fracs, g = _fraction_trace(data, path, count)
+    assert [len(col) for col in g] == [len(ks)] * d
+    assert _bits([col[0] for col in g]) == _bits(path.start)
+    for i in range(1, len(ks)):
+        k, frac = ks[i], fracs[i]
+        ref = [p[k] + frac * v[k] for p, v in zip(path._prefix, path._vectors)]
+        assert _bits([col[i] for col in g]) == _bits(ref)
 
 
 @settings(max_examples=30, deadline=None)
@@ -935,12 +943,14 @@ def test_matrix_path_points_match_the_loop(data, count):
         assert _bits(path._prefix[k].ravel()) == _bits(g.ravel())
         g = G.mul(g, G.exp_segment(np.asarray(s.X, dtype=float) * float(s.duration), 1.0))
     assert _bits(path.endpoint().ravel()) == _bits(g.ravel())
-    # trace rows resolved in one stacked exponential equal one exponential per row
-    rows = _fraction_rows(data, count)
-    resolved = _resolve(path, rows)
-    for (_, k, frac, _), (_, g_row, _) in zip(rows[1:], resolved[1:]):
+    # the trace's group points, in one stacked exponential, equal one exponential per row
+    ks, fracs, g = _fraction_trace(data, path, count)
+    assert g.shape == (len(ks), 2, 2)
+    assert _bits(g[0].ravel()) == _bits(path.start.ravel())
+    for i in range(1, len(ks)):
+        k, frac = ks[i], fracs[i]
         ref = path._prefix[k] @ G.exp_segment([col[k] for col in path._vectors], frac)
-        assert _bits(g_row.ravel()) == _bits(ref.ravel())
+        assert _bits(g[i].ravel()) == _bits(ref.ravel())
 
 
 def test_ragged_segments_are_a_path_error():

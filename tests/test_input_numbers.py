@@ -155,10 +155,12 @@ def test_a_string_is_not_a_vector_of_its_characters(error, call, v):
         call(v)
 
 
-def test_a_string_time_is_one_time_for_a_stack_in_both_models():
-    # as float() reads it, and not as one time per character
+def test_a_string_time_is_one_time_in_both_models():
+    # as float() reads it, and not as one time per character; the abelian model takes no stack
     stack = [(1.0, 0.0)] * 2
-    assert PLANE.exp_segment(stack, "23") == [(23.0, 0.0)] * 2
+    assert PLANE.exp_segment((1.0, 0.0), "23") == (23.0, 0.0)
+    with pytest.raises(AlgebraError):
+        PLANE.exp_segment(stack, "23")
     assert MATRIX.exp_segment(stack, "23").tolist() == MATRIX.exp_segment(stack, 23.0).tolist()
 
 

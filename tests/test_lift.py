@@ -229,7 +229,8 @@ def test_radial_path_escapes(helicoid):
     assert abs(res.escape_time - 1.0) < 1e-3
     assert res.failed_segment == 0
     assert not res.low_confidence
-    assert all(helicoid.margin(m) > 0.0 for (_, _, m) in res.trace)
+    _, _, m = res.trace
+    assert all(helicoid.margin(x) > 0.0 for x in zip(*m))
 
 
 @pytest.mark.parametrize("model", ["abelian", "matrix"])
@@ -245,7 +246,7 @@ def test_escape_endpoint_is_the_group_point_at_the_escape_time(helicoid, affine,
     res = lift_path(action, path, x0)
     assert res.status == ESCAPED and 0.0 < res.escape_time < 1.0
     G = action.group
-    expected = G.mul(path._starts([0])[0], G.exp_segment([col[0] for col in path._vectors], res.escape_time))
+    expected = G.mul(path.start, G.exp_segment([col[0] for col in path._vectors], res.escape_time))
     assert np.asarray(res.endpoint_g).tobytes() == np.asarray(expected).tobytes()
 
 
@@ -318,10 +319,11 @@ def test_empty_path_is_identity(helicoid):
 def test_trace_is_dense_for_few_segments(helicoid):
     p = GPath(helicoid.group, (0.0, 0.0), [LinearSeg((1.0, 0.0), 1.0)])
     res = lift_path(helicoid, p, (1.0, 0.0, 0.7))
-    assert len(res.trace) >= 64
+    t, g, _ = res.trace
+    assert len(t) >= 64
     # group points interpolate the segment: halfway row is halfway along g
-    mid = min(res.trace, key=lambda row: abs(row[0] - 0.5))
-    assert np.allclose(mid[1], (0.5, 0.0), atol=0.02)
+    mid = min(range(len(t)), key=lambda i: abs(t[i] - 0.5))
+    assert np.allclose([col[mid] for col in g], (0.5, 0.0), atol=0.02)
 
 
 def test_matrix_model_lift(affine):
@@ -346,10 +348,12 @@ def test_trace_group_points_are_computed_on_first_read(affine, monkeypatch):
     assert res.status == COMPLETE and len(res.rows) > 2
     assert len(calls) == 1
     trace = res.trace
-    assert calls == [(2, 2), (len(res.rows) - 1, 2)]   # one stacked call for every row
+    assert calls == [(2, 2), (len(res.rows) - 1, 2)]   # one stacked call for every row but row 0
     assert res.trace is trace
     assert len(calls) == 2
-    assert [(t, m) for (t, _, m) in trace] == [(t, m) for (t, _, _, m) in res.rows]
+    t, g, m = trace
+    assert g.shape == (len(res.rows), 2, 2)
+    assert [(t, m) for (t, _, _, m) in res.rows] == list(zip(t, zip(*m)))
 
 
 # ---------------------------------------------------------------------------

@@ -217,18 +217,40 @@ def test_circle_loop_path_validation():
             circle_loop_path((0.0, 0.0), (1.0, 0.0), **bad)
 
 
-def _tracked_by_circle_path(chords: int) -> int:
-    """The GC-tracked objects that building a circle path of ``chords`` chords leaves alive."""
+def _tracked(call) -> tuple:
+    """``call()``, and the number of GC-tracked objects it leaves alive.
+
+    The collector is off while ``call`` runs: a collection untracks tuples
+    that hold only floats, which would hide the tuples a call leaves.
+    """
     gc.collect()
     gc.disable()
     try:
         before = len(gc.get_objects())
-        path = circle_loop_path((0.5, -0.5), (1.0, 0.2), chords_per_turn=chords)
-        tracked = len(gc.get_objects()) - before
+        out = call()
+        return out, len(gc.get_objects()) - before
     finally:
         gc.enable()
+
+
+def _tracked_by_circle_path(chords: int) -> int:
+    """The GC-tracked objects that building a circle path of ``chords`` chords leaves alive."""
+    path, tracked = _tracked(lambda: circle_loop_path((0.5, -0.5), (1.0, 0.2), chords_per_turn=chords))
     assert path.n_segments == chords
     return tracked
+
+
+def _tracked_by_lift(chords: int) -> tuple:
+    """The GC-tracked objects that a helicoid lift over a circle path of ``chords`` chords leaves alive.
+
+    Returns those of the lift, and those of the first read of its trace.
+    """
+    action = build("example6_helicoid").action
+    path = circle_loop_path((0.5, -0.5), (1.0, 0.2), chords_per_turn=chords)
+    res, lifted = _tracked(lambda: lift_path(action, path, (1.0, 0.2, 0.7)))
+    (t, _, _), traced = _tracked(lambda: res.trace)
+    assert res.status == COMPLETE and len(t) > chords
+    return lifted, traced
 
 
 def test_circle_loop_path_builds_no_object_per_chord(monkeypatch):
@@ -246,6 +268,12 @@ def test_circle_loop_path_builds_no_object_per_chord(monkeypatch):
     assert len(list(path.segments)) == 257 and len(built) == 257
     _tracked_by_circle_path(16)   # lazy set-up first
     assert _tracked_by_circle_path(64) == _tracked_by_circle_path(4096)
+
+
+def test_a_lift_and_its_trace_read_build_no_object_per_step():
+    # the trace is held as columns of floats: a step appends to them and builds no tuple
+    _tracked_by_lift(16)   # lazy set-up first
+    assert _tracked_by_lift(64) == _tracked_by_lift(4096)
 
 
 def test_circle_loop_path_fails_as_its_segment_objects_do():
