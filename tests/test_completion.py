@@ -19,7 +19,7 @@ from liecomplete.completion import (
 from liecomplete.expr import parse
 from liecomplete.flow import ESCAPED
 from liecomplete.lift import GPath, LinearSeg
-from liecomplete.manifold import Domain, GAction, OutsideDomainError
+from liecomplete.manifold import ActionError, Domain, GAction, OutsideDomainError
 from liecomplete.scenarios import build, circle_loop_path
 
 from scenario_oracles import concat_paths, isotropy_dim, reverse_path
@@ -325,6 +325,31 @@ def test_loop_to_group_nan_point_leaves_domain(affine):
     pts = [(1.0,), (math.nan,), (1.0,)]
     with pytest.raises(LoopGeometryError, match="leaves the domain"):
         loop_to_group(affine, ((1.0, 0.0),), pts, pts[0])
+
+
+def _line_action(margin, field):
+    """An action of R on the half-line given by ``margin``, with one field."""
+    return GAction(AbelianGroup(1), Domain(("x",), margins=(parse(margin),)), [[parse(field)]])
+
+
+def test_loop_to_group_first_failing_node_names_the_error():
+    # the nodes are checked in loop order, each for its domain margin before
+    # its fields: sqrt(x - 1.5) fails at a node of the first chord, before the
+    # second chord leaves the domain x > 0
+    action = _line_action("x", "sqrt(x - 1.5)")
+    with pytest.raises(ActionError) as err:
+        loop_to_group(action, ((1.0,),), [(2.0,), (1.0,), (-1.0,)], (2.0,), closed=False)
+    assert str(err.value) == "fields cannot be evaluated at [1.4471687836487033]: math domain error"
+    # the chord leaves x > 1 before its field sqrt(x - 0.5) fails
+    action = _line_action("x - 1", "sqrt(x - 0.5)")
+    with pytest.raises(LoopGeometryError) as err:
+        loop_to_group(action, ((1.0,),), [(2.0,), (0.2,)], (2.0,), closed=False)
+    assert str(err.value) == "loop leaves the domain near [0.745096189432334]"
+    # a field value that overflows is not finite, at a node inside the domain
+    action = _line_action("x", "x * 1e308")
+    with pytest.raises(ActionError) as err:
+        loop_to_group(action, ((1.0,),), [(0.5,), (3.0,), (-1.0,)], (0.5,), closed=False)
+    assert str(err.value) == "fields are not finite at [1.8820780408782418]"
 
 
 def test_loop_to_group_substeps_validation(helicoid):
