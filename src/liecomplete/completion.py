@@ -18,11 +18,13 @@ These are the pointwise and loop-level reports built on top of lifting:
 from __future__ import annotations
 
 import math
+from itertools import chain, starmap
 from typing import Optional, Sequence
 
 from ._record import InputError, Record, array, floats, positive_int
+from .expr import EVAL_ERRORS
 from .flow import COMPLETE, IntegratorConfig
-from .lift import ExpSeg, GPath, lift_path
+from .lift import ExpSeg, GPath, _Chords, lift_path
 
 __all__ = [
     "IsotropyReport",
@@ -176,13 +178,20 @@ def _sub_chord_segments(action, frame, pts, substeps: int) -> list:
     # chord velocity on the loop clock, once per node
     cdot = np.repeat(step[:, 0, :] * n_chords, 2 * substeps, axis=0)
 
-    margin, fields_at = action._margin, action._fields_at
-    flat: list = []
-    for point, finite in zip(nodes.tolist(), np.isfinite(nodes).all(axis=1).tolist()):
-        if not finite or margin(point) <= 0.0:
-            raise LoopGeometryError(f"loop leaves the domain near {point}")
-        flat += fields_at(point)
-    F = np.array(flat).reshape(len(nodes), frame.shape[1], nodes.shape[1])
+    points = nodes.tolist()
+    # the margin never raises: a term that raises gives -inf, a NaN term is skipped
+    inside = np.isfinite(nodes).all(axis=1) & (np.fromiter(map(action._margin, points), float) > 0.0)
+    n_in = len(points) if inside.all() else int(np.argmin(inside))
+    try:
+        F = np.fromiter(chain.from_iterable(starmap(action._fields, points[:n_in])), float)
+    except EVAL_ERRORS:
+        F = None
+    if F is None or not np.isfinite(F).all():   # the checked evaluator names the first failing node
+        for point in points[:n_in]:
+            action._fields_at(point)
+    if n_in < len(points):
+        raise LoopGeometryError(f"loop leaves the domain near {points[n_in]}")
+    F = F.reshape(len(nodes), frame.shape[1], nodes.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         St = np.swapaxes(frame @ F, 1, 2)    # (N, n, k): columns are frame fields
     if not np.isfinite(St).all():   # a frame that is not finite, or overflows, has no solve
@@ -216,7 +225,7 @@ def _sub_chord_segments(action, frame, pts, substeps: int) -> list:
     X = f @ frame                          # algebra velocity at every node
     X_lo, X_hi = X[0::2], X[1::2]
     rates = 0.5 * (X_lo + X_hi) + (_MAGNUS4 * dt) * action.algebra.bracket(X_lo, X_hi)
-    return [ExpSeg(tuple(rate), dt) for rate in rates.tolist()]   # rate for time dt
+    return _Chords(rates.T.tolist(), dt, ExpSeg)   # rate for time dt
 
 
 def loop_to_group(

@@ -70,23 +70,29 @@ class ExpSeg:
 
 
 class _Chords:
-    """Segments ``LinearSeg(delta, 1.0)`` given by the d columns of their deltas.
+    """Segments of one type and one duration, given by the d columns of their vectors.
 
-    A :class:`GPath` of the abelian model in d coordinates takes the columns
-    as they are, so no object is built per segment; an item is built when
-    it is read.
+    ``_Chords(columns)`` stands for the segments ``LinearSeg(delta, 1.0)``
+    (the chords of a circle path) and ``_Chords(columns, dt, ExpSeg)`` for
+    ``ExpSeg(X, dt)`` (the sub-chords of a loop), the rows of the columns
+    being the deltas or the rates.  A :class:`GPath` whose model takes
+    them, with d coordinates, takes the columns as they are, so no object
+    is built per segment; an item, or the items of a slice, are built when
+    they are read.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "duration", "kind")
 
-    def __init__(self, columns):
-        self.columns = columns
+    def __init__(self, columns, duration: float = 1.0, kind: type = LinearSeg):
+        self.columns, self.duration, self.kind = columns, duration, kind
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def __getitem__(self, k) -> LinearSeg:
-        return LinearSeg(tuple(col[k] for col in self.columns), 1.0)
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(*k.indices(len(self)))))
+        return self.kind(tuple(col[k] for col in self.columns), self.duration)
 
 
 class GPath:
@@ -96,9 +102,10 @@ class GPath:
     over share of the clock) and, in the abelian model, the points at the
     segment starts are held as one list of floats per coordinate; the
     matrix model holds its points as one ``(m + 1, n, n)`` array.
-    ``segments`` is the tuple of segment objects, or, for the chords of
-    :func:`~liecomplete.scenarios.circle_loop_path`, a sequence that builds
-    each ``LinearSeg`` when it is read.
+    ``segments`` is the tuple of segment objects or, for the chords of
+    :func:`~liecomplete.scenarios.circle_loop_path` and the sub-chords of
+    :func:`~liecomplete.completion.loop_to_group`, a sequence that builds
+    each ``LinearSeg`` or ``ExpSeg`` when it is read.
     """
 
     def __init__(self, group, start, segments: Sequence):
@@ -107,8 +114,12 @@ class GPath:
             self.start = group.element(start)
         except AlgebraError as exc:
             raise PathError(f"bad start point: {exc}") from exc
-        if isinstance(segments, _Chords) and group.kind == "abelian" and len(segments.columns) == group.dim:
-            cols, durations = segments.columns, [1.0] * len(segments)
+        if (isinstance(segments, _Chords) and len(segments.columns) == group.dim
+                and (segments.kind is ExpSeg or group.kind == "abelian")):
+            dur, cols = segments.duration, segments.columns
+            if segments.kind is ExpSeg:   # a rate: the segment's total is duration * X
+                cols = [[dur * x for x in col] for col in cols]
+            durations = [dur] * len(segments)
         else:
             segments = tuple(segments)
             cols, durations = _segment_columns(group, segments)

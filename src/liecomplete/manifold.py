@@ -248,12 +248,13 @@ class GAction:
         if shadowed:   # the expressions would read the coordinate
             raise ActionError(f"parameter {shadowed[0]!r} is also a coordinate name")
 
-        # _fields_at: all basis fields at a list of floats, flat in row order,
-        # with no domain check; fields and margins name coordinates and params only
+        # _fields(*p): all basis fields at the floats p, flat in row order, with no
+        # domain check and no check of the values; _fields_at(p) is it, checked.
+        # Fields and margins name coordinates and params only
         flat = [e for row in self.fields for e in row]
         try:
-            self._fields_at = checked(compile_scalars(flat, domain.coords, self.params),
-                                      "fields", ActionError)
+            self._fields = compile_scalars(flat, domain.coords, self.params)
+            self._fields_at = checked(self._fields, "fields", ActionError)
             # the margin the rhs kernels inline; callers read _margin, which starts as it
             self._margin = self._kernel_margin = _compile_margin(domain, self.params)
         except ExprNameError as e:

@@ -9,7 +9,7 @@ import pytest
 
 from liecomplete.flow import COMPLETE
 from liecomplete.algebra import AbelianGroup
-from liecomplete.lift import GPath, LinearSeg, PathError, lift_path
+from liecomplete.lift import ExpSeg, GPath, LinearSeg, PathError, _Chords, lift_path
 from liecomplete.manifold import check_homomorphism
 from liecomplete.scenarios import (
     LeafInvariant,
@@ -274,6 +274,54 @@ def test_a_lift_and_its_trace_read_build_no_object_per_step():
     # the trace is held as columns of floats: a step appends to them and builds no tuple
     _tracked_by_lift(16)   # lazy set-up first
     assert _tracked_by_lift(64) == _tracked_by_lift(4096)
+
+
+def _affine_walk(points: int) -> list:
+    return [(math.exp(0.3 * math.sin(0.1 * k)),) for k in range(points)]
+
+
+def _tracked_by_loop_to_group(points: int) -> int:
+    """The GC-tracked objects that ``loop_to_group`` of an affine walk under frame T leaves alive."""
+    from liecomplete.completion import loop_to_group
+
+    action, pts = build("affine_line").action, _affine_walk(points)
+    hol, tracked = _tracked(lambda: loop_to_group(action, ((1.0, 0.0),), pts, pts[0], closed=False))
+    assert hol.path.n_segments == 4 * (points - 1)
+    return tracked
+
+
+def test_loop_to_group_builds_no_object_per_sub_chord():
+    # the sub-chords' rates are held as columns: neither the loop's nodes nor
+    # its path leave an object per sub-chord
+    _tracked_by_loop_to_group(20)   # the first call compiles kernels
+    assert _tracked_by_loop_to_group(65) == _tracked_by_loop_to_group(257)
+
+
+def _segment_bits(segs) -> list:
+    return [(type(s), [v.hex() for v in (s.X if isinstance(s, ExpSeg) else s.delta)], s.duration.hex())
+            for s in segs]
+
+
+def test_chord_segments_index_and_slice_as_their_list():
+    from liecomplete.completion import loop_to_group
+
+    pts = _affine_walk(4)
+    paths = [circle_loop_path((0.0, 0.0), (1.0, 0.0), chords_per_turn=8),
+             loop_to_group(build("affine_line").action, ((1.0, 0.0), (0.0, 1.0)), pts, pts[0],
+                           closed=False).path]
+    for path, kind in zip(paths, (LinearSeg, ExpSeg)):
+        segs = path.segments
+        assert isinstance(segs, _Chords)
+        items = list(segs)
+        assert len(items) == len(segs) == path.n_segments and {type(s) for s in items} == {kind}
+        for k in (0, 1, -1, -len(items)):
+            assert _segment_bits([segs[k]]) == _segment_bits([items[k]])
+        for k in (len(items), -len(items) - 1):
+            with pytest.raises(IndexError):
+                segs[k]
+        for sl in (slice(1, 3), slice(-3, None), slice(-5, -1), slice(None, -2), slice(2, 2),
+                   slice(3, 1), slice(None, None, 2), slice(None, None, -1), slice(-100, 100)):
+            assert _segment_bits(segs[sl]) == _segment_bits(items[sl]), sl
 
 
 def test_circle_loop_path_fails_as_its_segment_objects_do():
