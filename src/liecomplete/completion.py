@@ -151,20 +151,24 @@ _GL2_OFFSET = 0.5 / math.sqrt(3.0)
 _MAGNUS4 = math.sqrt(3.0) / 12.0
 
 
-def _sub_chord_segments(action, frame, pts, substeps: int) -> list:
-    """One Magnus segment per sub-chord of the loop polyline ``pts``, in loop order.
+def _sub_chord_segments(action, frame, pts, substeps: int) -> _Chords:
+    """One Magnus segment ``ExpSeg(rate, dt)`` per sub-chord of the loop polyline ``pts``.
 
-    The two Gauss nodes of every sub-chord are built as one ``(N, n)`` array.
-    One loop checks each node's margin, with the generated margin after one
-    finiteness pass over the array, and appends its fields, from the checked
-    evaluator of ``GAction.field_matrix``, to one flat list, reshaped once to
-    ``(N, d, n)``.  The node matrices ``M`` (``n x k``, columns the frame's
-    fields) are then solved as one stack.  A rank-one stack (``n == 1``, a
+    They come in loop order, as the d columns of their rates
+    (``lift._Chords``).  The two Gauss nodes of every sub-chord are built as
+    one ``(N, n)`` array.  The margin runs over all nodes, and the unchecked
+    fields ``GAction._fields`` over those before the first node that is not
+    finite or has a margin at or below 0, into one flat array, reshaped
+    once to ``(N, d, n)``.  Only when a node's fields raise or are not
+    finite does the checked evaluator of ``GAction.field_matrix`` run over
+    those nodes again, to raise its ``ActionError`` at the first failing
+    one.  The node matrices ``M`` (``n x k``, columns the frame's fields)
+    are then solved as one stack.  A rank-one stack (``n == 1``, a
     one-dimensional orbit, or ``k == 1``, a one-field frame) has one singular
     value ``sigma = |M|`` per node and the solution ``(M / sigma)^T (c / sigma)``;
     any other stack takes one stacked SVD for the condition numbers and the
     least-squares solutions.  The first failing node of the first failing
-    check (domain, then condition, then residual) names the error.
+    check (domain or fields, then condition, then residual) names the error.
     """
     import numpy as np
     n_chords = pts.shape[0] - 1
@@ -252,8 +256,8 @@ def loop_to_group(
         Omega = dt * (X_lo + X_hi) / 2 + (sqrt(3) / 12) * dt**2 * [X_lo, X_hi]
 
     The bracket vanishes for abelian algebras and for frames of one field.
-    The produced group path is re-lifted from ``x0`` to measure the
-    round-trip residual.
+    The produced group path, whose ``segments`` build each ``ExpSeg`` when
+    read, is re-lifted from ``x0`` to measure the round-trip residual.
 
     ``substeps`` stays 4 by default although the rule is 4th order: for
     a single frame field the Gauss average was 4th order already, so only

@@ -72,13 +72,11 @@ class ExpSeg:
 class _Chords:
     """Segments of one type and one duration, given by the d columns of their vectors.
 
-    ``_Chords(columns)`` stands for the segments ``LinearSeg(delta, 1.0)``
-    (the chords of a circle path) and ``_Chords(columns, dt, ExpSeg)`` for
-    ``ExpSeg(X, dt)`` (the sub-chords of a loop), the rows of the columns
-    being the deltas or the rates.  A :class:`GPath` whose model takes
-    them, with d coordinates, takes the columns as they are, so no object
-    is built per segment; an item, or the items of a slice, are built when
-    they are read.
+    ``_Chords(columns)`` stands for ``LinearSeg(delta, 1.0)`` (a circle's
+    chords), ``_Chords(columns, dt, ExpSeg)`` for ``ExpSeg(X, dt)`` (a
+    loop's sub-chords).  A :class:`GPath` whose model takes them, in d
+    coordinates, takes the columns as they are, so no object is built per
+    segment; an item, or a slice's items, are built when read.
     """
 
     __slots__ = ("columns", "duration", "kind")
